@@ -7,6 +7,7 @@ large numbers, the central limit theorem with covariance M_f, and the
 moderate deviation principle with a quadratic action.
 """
 
+from ._version import __version__
 from .euler import (ControlFunction, SchedulePolicy, SimulationError,
                     StepSchedule, TrajectoryExplodedError, grid_floor,
                     replicate_stream, simulate_batch, simulate_controlled,
@@ -24,5 +25,3 @@ from .poisson1d import (ExponentSet, PoissonSolution, audit_mdp_exponents,
 from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .variance import (CovarianceCurve, RatePath, mf_autocorrelation_form,
                        mf_gradient_form, optimal_control, rate_function)
-
-__version__ = "0.1.0"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,8 +43,12 @@ def _load_config(args) -> RunConfig:
 
 
 def _threads(cfg: RunConfig) -> int:
-    import os
-    return cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
+    """Configured worker count, else the CPUs this process may run on."""
+    if cfg.threads is not None:
+        return cfg.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_dir(cfg: RunConfig) -> Path:

@@ -13,6 +13,12 @@ are never stored.
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
 depend on execution order, chunking, or thread count.
+:func:`replicate_stream` is the reference: a Philox generator keyed by
+``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
+kernel derives all keys of a chunk at once (:func:`_replicate_keys`)
+and re-keys one Philox per chunk through its ``state`` dict, so it draws
+exactly the numbers of ``replicate_stream`` without building a seed
+sequence and generator per replicate.
 """
 
 from __future__ import annotations
@@ -170,6 +176,54 @@ def replicate_stream(master_seed: int, replicate_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
+    """Philox keys of ``replicate_stream(master_seed, i)`` for i in [first, first + n).
+
+    Row ``j`` equals ``SeedSequence(entropy=master_seed, spawn_key=(first + j,))
+    .generate_state(2, np.uint64)``.  The spawn word enters the entropy pool
+    after every word of the master seed, so the pool of the unspawned
+    sequence is computed once and only the last mixing round and the
+    output hash run per replicate, in vectorised uint32 arithmetic.
+    """
+    master_seed = int(master_seed)
+    if first < 0 or first + n > 2**32:
+        raise SimulationError(
+            "replicate indices must lie in [0, 2**32) for bulk stream derivation")
+    pool = np.random.SeedSequence(entropy=master_seed).pool
+    seed_words = max(1, -(-master_seed.bit_length() // 32))
+    # hashmix calls before the spawn word: fill the pool, mix it all-pairs,
+    # then four per master-seed word beyond the pool size
+    n_calls = len(pool) ** 2 + len(pool) * max(0, seed_words - len(pool))
+    hash_a = _INIT_A * pow(_MULT_A, n_calls, 2**32) & _MASK32
+    hash_b = _INIT_B
+    spawn = np.arange(first, first + n, dtype=np.uint64).astype(np.uint32)
+    words = []
+    for p in pool:
+        v = spawn ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        v *= np.uint32(hash_a)
+        v ^= v >> np.uint32(16)
+        m = np.uint32(_MIX_MULT_L * int(p) & _MASK32) - np.uint32(_MIX_MULT_R) * v
+        m ^= m >> np.uint32(16)
+        # generate_state's output hash of this pool word
+        m ^= np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        m *= np.uint32(hash_b)
+        m ^= m >> np.uint32(16)
+        words.append(m.astype(np.uint64))
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | (words[1] << np.uint64(32))
+    keys[:, 1] = words[2] | (words[3] << np.uint64(32))
+    return keys
+
+
 def _sim_coeffs(model: SdeModel):
     """Coefficients and state map in the coordinates actually stepped."""
     if model.sim_drift is not None:
@@ -232,8 +286,9 @@ def simulate_euler(
         else:
             z = z + h * b + sqrt_h * (np.atleast_2d(s) @ xi_k)
         if control is not None:
-            z = z + ctrl_coef * (float(s) * np.atleast_1d(control.psi(t_k)) if scalar
-                                 else np.atleast_2d(s) @ np.atleast_1d(control.psi(t_k)))
+            # scalar case in simulate_batch's operation order, so the two agree bitwise
+            z = z + ((ctrl_coef * np.atleast_1d(control.psi(t_k))) * float(s) if scalar
+                     else ctrl_coef * (np.atleast_2d(s) @ np.atleast_1d(control.psi(t_k))))
         if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blow_up:
             raise TrajectoryExplodedError(k + 1, float(np.max(np.abs(z))))
         f_new = observe(t_k + dt, z)
@@ -375,7 +430,14 @@ def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
     dt = schedule.delta_step
     n_steps = schedule.n_steps(horizon)
     ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
-    gens = [replicate_stream(master_seed, start_index + i) for i in range(n)]
+    # one Philox re-keyed per replicate: row j of each noise block continues
+    # the stream replicate_stream(master_seed, start_index + j) would draw
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    keys = _replicate_keys(master_seed, start_index, n)
+    fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    saved = [None] * n  # where each stream stopped, for paths spanning several blocks
 
     z = np.full(n, float(x0[0]))
     observe = (lambda t, s: np.asarray(f.value(t, state_map(s)), dtype=float)) \
@@ -393,8 +455,16 @@ def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
             kblk = min(block, n_steps - done)
-            for j, g in enumerate(gens):
-                noise[j, :kblk] = g.standard_normal(kblk)
+            more = done + kblk < n_steps
+            for j in range(n):
+                if done == 0:
+                    fresh["state"]["key"] = keys[j]
+                    bitgen.state = fresh
+                else:
+                    bitgen.state = saved[j]
+                gen.standard_normal(out=noise[j, :kblk])
+                if more:
+                    saved[j] = bitgen.state
             for k in range(kblk):
                 t_k = (done + k) * dt
                 xi_r += f_prev * dt

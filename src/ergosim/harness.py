@@ -20,10 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import euler
+from ._version import __version__
 from .euler import BatchResult, SchedulePolicy, StepSchedule, simulate_batch
 from .models import FunctionalSpec, SdeModel
-
-__version__ = "0.1.0"
 
 
 class HarnessError(Exception):

@@ -141,7 +141,10 @@ def mf_autocorrelation_form(
     exponential fit to the empirical autocorrelation over the last
     quarter of the horizon supplies a truncation-bias correction; if that
     fitted tail still exceeds 1 percent of the estimate the horizon is
-    reported as too short.
+    reported as too short.  The fit is made only when the autocorrelation
+    at the start of that window is more than 3 Monte Carlo standard
+    errors above zero; otherwise the correction is 0 and
+    ``detail["tail_resolved"]`` is False.
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
@@ -167,8 +170,12 @@ def mf_autocorrelation_form(
 
     f0 = observe(y)
     acc = 0.5 * f0  # trapezoid: half weight at s = 0
+    s_grid = dt * np.arange(n_steps + 1)
+    tail_idx = s_grid >= 0.75 * horizon  # window of the tail fit
+    i_tail = int(np.argmax(tail_idx))
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
+    se_tail = math.nan  # Monte Carlo SE of the autocorrelation at the window start
     sq_dt = math.sqrt(dt)
     for k in range(1, n_steps + 1):
         xi = rng.standard_normal(n_paths)
@@ -176,6 +183,8 @@ def mf_autocorrelation_form(
         fs = observe(y)
         acc += fs if k < n_steps else 0.5 * fs
         corr_sum[k] = float(np.sum(f0 * fs))
+        if k == i_tail:
+            se_tail = float(np.std(f0 * fs, ddof=1)) / math.sqrt(n_paths)
     A = f0 * acc * dt
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
@@ -183,11 +192,14 @@ def mf_autocorrelation_form(
     detail = {"horizon": horizon, "n_paths": n_paths, "dt": dt}
     if tail_extrapolate:
         g = corr_sum / n_paths
-        s_grid = dt * np.arange(n_steps + 1)
-        tail_idx = s_grid >= 0.75 * horizon
         gt = g[tail_idx]
         pos = gt > 0
-        if np.sum(pos) >= 10:
+        # fit only a tail the data resolve: at the window start the
+        # autocorrelation must exceed 3 of its Monte Carlo standard errors,
+        # else the positive values are noise and the fitted decay is ~0
+        resolved = bool(g[i_tail] > 3.0 * se_tail)
+        detail["tail_resolved"] = resolved
+        if resolved and np.sum(pos) >= 10:
             slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
             if slope < 0:
                 # integral of c e^{slope s} from S to infinity

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import ergosim
+from ergosim import cli, harness
 from ergosim.cli import (EXIT_CONFIG_ERROR, EXIT_PASS, EXIT_RUNTIME_ERROR,
                          EXIT_VERDICT_FAIL, main)
 from ergosim.config import ConfigError, parse_config, parse_text, validate
@@ -101,6 +103,21 @@ def test_validate_defaults(tmp_path):
     assert cfg.threads is None  # auto
     assert cfg.formats == ("json", "csv")
     assert cfg.centralize is True
+
+
+def test_auto_threads_count_usable_cpus(monkeypatch):
+    cfg = parse_config(OU_CLT.replace("threads = 1\n", ""), inline=True)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._threads(cfg) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._threads(cfg) == 8
+    cfg.threads = 3
+    assert cli._threads(cfg) == 3
+
+
+def test_version_single_source():
+    assert ergosim.__version__ == harness.__version__ == "0.1.0"
 
 
 def test_validate_negative_epsilon():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosim import euler
 from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            SimulationError, StepSchedule,
                            TrajectoryExplodedError, grid_floor,
@@ -104,6 +105,54 @@ def test_thread_count_invariance():
     r4 = simulate_batch(m, sched, f, 0.3, threads=4, **kw)
     assert np.array_equal(r1.xi_continuous, r4.xi_continuous)
     assert np.array_equal(r1.terminal, r4.terminal)
+
+
+@given(st.integers(0, 2**200 - 1),
+       st.sampled_from([0, 1, 4094, 4095, 4096, 4097, 2**32 - 3]))
+@settings(max_examples=60, deadline=None)
+def test_replicate_keys_match_seed_sequence(master_seed, first):
+    keys = euler._replicate_keys(master_seed, first, 3)
+    for j in range(3):
+        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(first + j,))
+        assert np.array_equal(keys[j], seq.generate_state(2, np.uint64))
+
+
+def test_replicate_keys_reject_two_word_indices():
+    with pytest.raises(SimulationError, match="2\\*\\*32"):
+        euler._replicate_keys(0, 2**32 - 1, 2)
+
+
+def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, control=None):
+    for i in rows:
+        acc = simulate_euler(m, sched, f, horizon, replicate_stream(seed, first + i),
+                             control=control)
+        assert batch.xi_continuous[i] == acc.xi_continuous[0]
+        assert batch.xi_riemann[i] == acc.xi_riemann[0]
+        assert batch.sup_abs[i] == acc.sup_norm_seen
+
+
+def test_batch_matches_scalar_across_chunk_boundary():
+    m, f = ou(), f_identity()
+    sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
+    n = euler._CHUNK + 3
+    batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2,
+                           first_index=5)
+    _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 5,
+                              (0, euler._CHUNK - 1, euler._CHUNK, n - 1))
+
+
+@pytest.mark.parametrize("with_control", [False, True])
+def test_batch_matches_scalar_across_noise_blocks(monkeypatch, with_control):
+    # 64 floats over 5 replicates: 12-step noise blocks, so every path
+    # resumes its stream from saved state many times
+    monkeypatch.setattr(euler, "_NOISE_BUDGET", 64)
+    m, f = ou(), f_identity()
+    sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
+    ctrl = ControlFunction(psi=lambda s: 0.7, l2_bound=1.0, horizon=1.0) if with_control else None
+    assert sched.n_steps(0.5) > 3 * (64 // 5)
+    batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5,
+                           control=ctrl)
+    _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5), control=ctrl)
 
 
 def test_first_index_offsets_streams():

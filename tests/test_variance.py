@@ -77,6 +77,30 @@ def test_autocorrelation_requires_centralized(ou_pipeline):
         mf_autocorrelation_form(m, pi, FunctionalSpec.from_polynomial([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("family, seed", [("cir", 13), ("ou", 38)])
+def test_autocorrelation_skips_unresolved_tail(ou_pipeline, cir_pipeline, family, seed):
+    # at these seeds the noise in the last quarter of the horizon used to be
+    # fitted as a slow exponential tail and push the estimate off by 0.24-2.1
+    m, pi, f, sol = ou_pipeline if family == "ou" else cir_pipeline
+    grad = mf_gradient_form(m, pi, sol).values[0]
+    auto = mf_autocorrelation_form(m, pi, f, n_paths=20_000, horizon=10.0, dt=0.005,
+                                   master_seed=seed)
+    assert auto.detail["tail_resolved"] is False
+    assert auto.detail["tail_correction"] == 0.0
+    assert abs(auto.values[0] - grad) <= max(0.05 * grad, 3.0 * auto.std_error[0])
+
+
+@pytest.mark.parametrize("family", ["ou", "cir"])
+def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline, family):
+    # at horizon 2 the correlation e^{-s} is still well above the noise
+    m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
+    auto = mf_autocorrelation_form(m, pi, f, n_paths=20_000, horizon=2.0, dt=0.005,
+                                   master_seed=0)
+    assert auto.detail["tail_resolved"] is True
+    assert auto.detail["tail_correction"] > 0.0
+    assert 0.8 < auto.detail["fitted_decay_rate"] < 1.25
+
+
 def test_cross_route_agreement_quadratic(ou_pipeline):
     # f = x^2 - 1: autocorrelation route must agree with the gradient route
     m, pi, _, _ = ou_pipeline
