@@ -22,6 +22,6 @@ from .models import (FunctionalSpec, InvariantDensity1D, ModelError, SdeModel,
 from .poisson1d import (ExponentSet, PoissonSolution, audit_mdp_exponents,
                         exponents_from_solution, fit_tail_exponents,
                         multidim_exponent_bounds, solve_poisson_1d)
-from .quadrature import QuadratureConfig, QuadratureError, integrate
+from .quadrature import QuadratureError
 from .variance import (CovarianceCurve, RatePath, mf_autocorrelation_form,
                        mf_gradient_form, optimal_control, rate_function)

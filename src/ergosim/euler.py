@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .models import FunctionalSpec, SdeModel
-from .quadrature import integrate
+from .quadrature import panel_integral
 
 
 class SimulationError(Exception):
@@ -143,6 +143,9 @@ def grid_floor(t: float, delta: float) -> float:
     return kd
 
 
+_CONTROL_PANELS = 64  # Gauss-Legendre panels on [0, horizon] for the L2 budget
+
+
 @dataclass(frozen=True)
 class ControlFunction:
     """A deterministic control path psi(t) with an L2 budget over [0, horizon]."""
@@ -152,8 +155,12 @@ class ControlFunction:
     horizon: float
 
     def __post_init__(self):
-        cost = integrate(lambda s: float(np.sum(np.square(self.psi(s)))), 0.0, self.horizon,
-                         tol=1e-10)
+        # psi is evaluated one time at a time: a constant psi such as
+        # ``lambda s: 0.7`` returns a scalar for array input
+        def sq_norm(s):
+            return np.array([np.sum(np.square(self.psi(float(si)))) for si in s])
+
+        cost = panel_integral(sq_norm, np.linspace(0.0, self.horizon, _CONTROL_PANELS + 1))
         if cost > self.l2_bound + 1e-8:
             raise ValueError(
                 f"control L2 norm^2 {cost:.6g} exceeds declared bound {self.l2_bound:.6g}"

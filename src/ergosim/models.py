@@ -9,8 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import (Antiderivative, QuadratureConfig, QuadratureError,
-                         integrate, panel_integral)
+from .quadrature import Antiderivative, QuadratureError, panel_integral
 
 
 class ModelError(Exception):
@@ -280,25 +279,14 @@ _LOG_CUTOFF = 760.0  # exp() fully underflows below max - cutoff
 _LOG_CUTOFF_HALF_LINE_EDGE = 60.0  # boundary tails decay slowly in log-space
 
 
-def _integrate_split(g, lo, hi, anchor, tol, max_evals):
-    """Integrate with the interval split at the bulk anchor.
-
-    Starting each adaptive pass at the peak prevents the initial coarse
-    samples of a wide interval from all landing in an underflowed tail.
-    """
-    a = min(max(anchor, lo), hi)
-    left = integrate(g, lo, a, tol=0.5 * tol, max_evals=max_evals) if a > lo else 0.0
-    right = integrate(g, a, hi, tol=0.5 * tol, max_evals=max_evals) if hi > a else 0.0
-    return left + right
-
-
 @dataclass
 class InvariantDensity1D:
     """Numerical invariant density pi on an interval or half-line support.
 
     The density is represented through a tabulated antiderivative of
     2 b/a in a working coordinate (log-space for half-line supports) and
-    normalized by adaptive quadrature.
+    normalized by the composite Gauss-Legendre rule over the same node
+    table.
     """
 
     support: tuple
@@ -336,10 +324,8 @@ class InvariantDensity1D:
         zn = self.z_nodes
         return float(zn[0]), float(zn[-1])
 
-    def expectation(self, g: Callable, quad: QuadratureConfig = QuadratureConfig()) -> float:
-        # fixed panel rule in the working coordinate: adaptive refinement
-        # can terminate early when g * pi vanishes at its coarse probe
-        # points (e.g. even integrands with a node at the anchor)
+    def expectation(self, g: Callable) -> float:
+        # fixed panel rule in the working coordinate
         def gw(w):
             z = self._z_of_w(w)
             dens = self.density(z)
@@ -371,7 +357,6 @@ class InvariantDensity1D:
 def invariant_density_1d(
     model: SdeModel,
     support: Optional[tuple] = None,
-    quad: QuadratureConfig = QuadratureConfig(),
     n_panels: int = 4096,
 ) -> InvariantDensity1D:
     """Compute the 1D invariant density pi ~ (1/a) exp(2 int b/a) numerically.
@@ -435,11 +420,7 @@ def invariant_density_1d(
     def log_un_z(z):
         return log_un_w(w_of_z(z))
 
-    def pdf_un(z):
-        return np.exp(log_un_z(z) - shift)
-
-    z_lo, z_hi = float(z_of_w(w_lo)), float(z_of_w(w_hi))
-    mass = _integrate_split(pdf_un, z_lo, z_hi, anchor, quad.tolerance, quad.max_evals)
+    mass = panel_integral(lambda w: np.exp(log_un_w(w) - shift) * dz_dw(w), wn)
     if not (mass > 0.0) or not math.isfinite(mass):
         raise NotPositiveRecurrentError("model not positive recurrent on support")
     return InvariantDensity1D(
@@ -493,11 +474,7 @@ class CentralizationError(ModelError):
     pass
 
 
-def centralize(
-    f: FunctionalSpec,
-    pi: InvariantDensity1D,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> FunctionalSpec:
+def centralize(f: FunctionalSpec, pi: InvariantDensity1D) -> FunctionalSpec:
     """Return f minus its pi-mean, so the estimator's limit is zero.
 
     Time-inhomogeneous functionals are re-centered per time slice, with
@@ -510,7 +487,7 @@ def centralize(
         key = float(t)
         if key not in cache:
             try:
-                cache[key] = pi.expectation(lambda z: f.value(key, z), quad)
+                cache[key] = pi.expectation(lambda z: f.value(key, z))
             except QuadratureError as exc:
                 raise CentralizationError("f not pi-integrable") from exc
         return cache[key]
@@ -522,13 +499,6 @@ def centralize(
         value = lambda t, x: f.value(t, x) - mean_at(t)
 
     return replace(f, value=value, centralized=True, name=f.name + "_centered")
-
-
-def fitted_growth_constant(f: FunctionalSpec, probes: np.ndarray, t_probes=(0.0,)) -> float:
-    """Least-squares style fit of C(T) in sup_t |f(t,x)| <= C(T)(1+|x|)^p0."""
-    probes = np.asarray(probes, dtype=float)
-    sup_f = np.max(np.abs(np.stack([np.asarray(f.value(t, probes)) for t in t_probes])), axis=0)
-    return float(np.max(sup_f / (1.0 + np.abs(probes)) ** f.growth_p0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,129 +1,61 @@
-"""Adaptive 1D quadrature and tabulated antiderivatives.
+"""Composite Gauss-Legendre quadrature and tabulated antiderivatives.
 
-Two primitives are provided:
+Both primitives use the 8-point Gauss-Legendre rule on every panel of a
+node grid; the grid, not an error estimate, sets the resolution.
 
-* :func:`integrate` -- adaptive composite Simpson on a (possibly
-  unbounded) interval.  Infinite endpoints are handled by the change of
-  variables ``x = anchor + tan(u)``, which maps the real line onto a
-  finite ``u`` interval and lets the adaptive refinement concentrate on
-  the bulk of exponentially decaying integrands.
+* :func:`panel_integral` -- the composite rule over a given node grid.
 * :class:`Antiderivative` -- a cumulative-integral table on a uniform
-  grid, queried from either end.  Right-tail queries are accumulated
-  from the right so that tiny tail integrals are not computed as the
-  difference of two nearly equal numbers.
+  grid, queried from either end.  Each panel also stores the integral of
+  the degree-7 interpolant of the integrand through its 8 rule points,
+  so a query inside a panel evaluates a polynomial and never calls the
+  integrand again.  Right-tail queries are accumulated from the right so
+  that tiny tail integrals are not computed as the difference of two
+  nearly equal numbers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre as leg
 
 
 class QuadratureError(Exception):
-    """Raised when the evaluation budget is exhausted or an integral diverges."""
+    """Raised when an integrand overflows where its integral must be finite."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tolerance: float = 1e-10
-    max_evals: int = 2**20
+_GL_NODES, _GL_WEIGHTS = leg.leggauss(8)
+
+# Values at the 8 rule points -> Legendre coefficients of their degree-7
+# interpolant on [-1, 1]; the rule is exact up to degree 15, so the
+# discrete projection (k + 1/2) sum_j w_j P_k(x_j) g_j is the interpolant.
+_TO_LEGENDRE = (np.arange(8) + 0.5)[:, None] * leg.legvander(_GL_NODES, 7).T * _GL_WEIGHTS
 
 
-_HALF_PI = math.pi / 2.0
-# keep tan() finite; tan(pi/2 - 1e-8) ~ 1e8
-_U_CLIP = _HALF_PI - 1e-8
+def _quotient_map(bound: float, divisor) -> np.ndarray:
+    """Values -> Legendre coefficients of Q with int_bound^x p = divisor(x) Q(x).
 
-
-def adaptive_simpson(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_evals: int = 2**20,
-) -> float:
-    """Adaptive Simpson integral of ``g`` on the finite interval [a, b].
-
-    ``tol`` is an absolute tolerance; subdivision stops when the local
-    Richardson error estimate is below the locally allotted share.
+    ``divisor`` is ``x + 1`` for ``bound = -1`` and ``x - 1`` for
+    ``bound = 1``: the integral vanishes at ``bound``, so the division is
+    exact and Q has degree 7.
     """
-    if not (b >= a):
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    if a == b:
-        return 0.0
-    budget = [max_evals]
-
-    def _eval(x: float) -> float:
-        if budget[0] <= 0:
-            raise QuadratureError(
-                "quadrature evaluation budget exhausted; integral may diverge"
-            )
-        budget[0] -= 1
-        y = float(g(x))
-        if math.isnan(y):
-            raise QuadratureError(f"integrand returned NaN at x={x}")
-        return y
-
-    fa, fm, fb = _eval(a), _eval(0.5 * (a + b)), _eval(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(_eval, a, b, fa, fm, fb, whole, tol, 50)
+    cols = [leg.legdiv(leg.legint(c, lbnd=bound), divisor)[0] for c in _TO_LEGENDRE.T]
+    return np.array(cols).T
 
 
-def _simpson_rec(ev, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = ev(lm), ev(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(ev, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
-        ev, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def integrate(
-    g: Callable,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_evals: int = 2**20,
-    anchor: float = 0.0,
-) -> float:
-    """Integrate ``g`` over (lo, hi), either endpoint possibly infinite.
-
-    Unbounded endpoints use ``x = anchor + tan(u)``; the anchor should
-    sit near the bulk of the integrand (e.g. a density mode).
-    """
-    if math.isinf(lo) or math.isinf(hi):
-        u_lo = -_U_CLIP if math.isinf(lo) else math.atan(lo - anchor)
-        u_hi = _U_CLIP if math.isinf(hi) else math.atan(hi - anchor)
-
-        def h(u: float) -> float:
-            t = math.tan(u)
-            jac = 1.0 + t * t
-            val = float(g(anchor + t))
-            if val == 0.0:
-                return 0.0
-            return val * jac
-
-        return adaptive_simpson(h, u_lo, u_hi, tol=tol, max_evals=max_evals)
-    return adaptive_simpson(g, lo, hi, tol=tol, max_evals=max_evals)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# int_{-1}^x p = (x + 1) L(x)  and  int_x^1 p = (1 - x) R(x)
+_LEFT_MAP = _quotient_map(-1.0, [1.0, 1.0])
+_RIGHT_MAP = _quotient_map(1.0, [-1.0, 1.0])
 
 
 def panel_integral(g: Callable[[np.ndarray], np.ndarray], nodes) -> float:
     """Composite 8-point Gauss-Legendre integral of vectorized ``g``.
 
-    Integrates over each consecutive node pair and sums; with a node grid
-    that resolves the integrand this is immune to the adaptive method's
-    blind spot (integrands vanishing at every coarse probe point).
+    Integrates over each consecutive node pair and sums.  The rule is
+    exact on polynomials up to degree 15 per panel, and every panel is
+    sampled, so an integrand vanishing at a few probe points cannot hide
+    its mass; the node grid must resolve the integrand.
     """
     nodes = np.asarray(nodes, dtype=float)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
@@ -136,22 +68,28 @@ def panel_integral(g: Callable[[np.ndarray], np.ndarray], nodes) -> float:
 class Antiderivative:
     """Tabulated antiderivative of a vectorized integrand on [lo, hi].
 
-    Panel integrals use 8-point Gauss-Legendre on a uniform grid;
-    partial panels are completed with the same rule at query time.
+    ``g`` is evaluated once, at the 8 Gauss-Legendre points of every panel
+    of a uniform grid.  A query inside a panel adds to the cumulative sum
+    the integral of that panel's interpolant, stored as ``(x + 1) L(x)``
+    from the left node and ``(1 - x) R(x)`` from the right node in the
+    panel coordinate ``x`` in [-1, 1].  The factored forms make a query
+    exactly on a node return exactly the cumulative sum.
     """
 
     def __init__(self, g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_panels: int):
         if not (hi > lo):
             raise ValueError(f"invalid table range [{lo}, {hi}]")
-        self.g = g
         self.nodes = np.linspace(lo, hi, n_panels + 1)
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        half = 0.5 * (self.nodes[1] - self.nodes[0])
+        self._half = half = 0.5 * (self.nodes[1] - self.nodes[0])
         pts = mid[:, None] + half * _GL_NODES[None, :]
         vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
         panels = half * vals @ _GL_WEIGHTS
         self._cum_left = np.concatenate(([0.0], np.cumsum(panels)))
         self._cum_right = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+        # (8, n_panels) Legendre coefficients of L and R, times the half-width
+        self._left = half * (_LEFT_MAP @ vals.T)
+        self._right = half * (_RIGHT_MAP @ vals.T)
 
     @property
     def lo(self) -> float:
@@ -165,23 +103,16 @@ class Antiderivative:
     def total(self) -> float:
         return float(self._cum_left[-1])
 
-    def _partial(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (a + z)
-        half = 0.5 * (z - a)
-        pts = mid[..., None] + half[..., None] * _GL_NODES
-        vals = np.asarray(self.g(pts.ravel()), dtype=float).reshape(pts.shape)
-        return half * (vals @ _GL_WEIGHTS)
-
     def from_left(self, z) -> np.ndarray:
         """Integral from lo to z (vectorized)."""
-        z = np.asarray(z, dtype=float)
-        zc = np.clip(z, self.lo, self.hi)
+        zc = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
         idx = np.clip(np.searchsorted(self.nodes, zc, side="right") - 1, 0, len(self.nodes) - 2)
-        return self._cum_left[idx] + self._partial(self.nodes[idx], zc)
+        s = (zc - self.nodes[idx]) / self._half  # x + 1, exactly 0 on the left node
+        return self._cum_left[idx] + s * leg.legval(s - 1.0, self._left[:, idx], tensor=False)
 
     def from_right(self, z) -> np.ndarray:
         """Integral from z to hi (vectorized), accumulated from the right."""
-        z = np.asarray(z, dtype=float)
-        zc = np.clip(z, self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.nodes, zc, side="right") - 1, 0, len(self.nodes) - 2)
-        return self._cum_right[idx + 1] + self._partial(zc, self.nodes[idx + 1])
+        zc = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
+        idx = np.clip(np.searchsorted(self.nodes, zc, side="left") - 1, 0, len(self.nodes) - 2)
+        s = (self.nodes[idx + 1] - zc) / self._half  # 1 - x, exactly 0 on the right node
+        return self._cum_right[idx + 1] + s * leg.legval(1.0 - s, self._right[:, idx], tensor=False)

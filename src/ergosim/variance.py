@@ -22,7 +22,6 @@ import numpy as np
 
 from .models import FunctionalSpec, InvariantDensity1D, SdeModel
 from .poisson1d import PoissonSolution
-from .quadrature import QuadratureConfig
 
 
 class VarianceError(Exception):
@@ -68,7 +67,6 @@ def mf_gradient_form(
     pi: InvariantDensity1D,
     solution: PoissonSolution,
     t_grid=None,
-    quad: QuadratureConfig = QuadratureConfig(),
     solver: Optional[Callable] = None,
 ) -> CovarianceCurve:
     """M_f(t) = int u'(t,x) a(x) u'(t,x) pi(dx) via quadrature.
@@ -115,7 +113,7 @@ def mf_gradient_form(
                 "gradient-form integrand has not decayed at the working-range "
                 f"edges (tail share {tail / proxy:.3g} of the bulk)"
             )
-        bulk = pi.expectation(lambda z: sol.u_prime_fn(z) ** 2 * model.a(z), quad=quad)
+        bulk = pi.expectation(lambda z: sol.u_prime_fn(z) ** 2 * model.a(z))
         if bulk <= 0.0 or not math.isfinite(bulk):
             raise VarianceError(f"gradient-form integral failed at t={t}: got {bulk}")
         vals[i] = bulk
@@ -282,7 +280,6 @@ def optimal_control(
     solution: PoissonSolution,
     mf: CovarianceCurve,
     path: RatePath,
-    quad: QuadratureConfig = QuadratureConfig(),
 ) -> OptimalControl:
     """Construct psi(x, s) = sigma(x) u'(x) xi'(s) / M_f(s) for a target path.
 
@@ -310,7 +307,7 @@ def optimal_control(
     # E_pi |psi(., s)|^2 = Q xi'(s)^2 / M(s)^2 with Q = int u'^2 a dpi = M_f
     # when M is the gradient form; keeping Q separate makes the identity
     # hold for any consistent mf input.
-    q = pi.expectation(lambda z: solution.u_prime_fn(z) ** 2 * model.a(z), quad=quad)
+    q = pi.expectation(lambda z: solution.u_prime_fn(z) ** 2 * model.a(z))
     cost = 0.0
     for i in range(len(slopes)):
         dt = t_knots[i + 1] - t_knots[i]

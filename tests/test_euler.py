@@ -264,6 +264,13 @@ def test_control_budget_enforced():
         ControlFunction(psi=lambda s: 2.0, l2_bound=1.0, horizon=1.0)
 
 
+def test_control_budget_nonconstant():
+    # int_0^1 s^2 ds = 1/3
+    ControlFunction(psi=lambda s: s, l2_bound=0.34, horizon=1.0)
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        ControlFunction(psi=lambda s: s, l2_bound=0.33, horizon=1.0)
+
+
 def test_nonzero_control_shifts_mean():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.02, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)

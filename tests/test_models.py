@@ -32,6 +32,13 @@ def test_ou_density_is_gaussian():
     assert np.max(np.abs(pi.density(z) - normal_pdf(z, 0.0, 1.0))) < 1e-10
 
 
+def test_ou_density_to_rounding_on_probe_grid():
+    m = make_ou()
+    pi = invariant_density_1d(m)
+    z = m.default_probe_grid()
+    assert np.max(np.abs(pi.density(z) - normal_pdf(z, 0.0, 1.0))) < 1e-13
+
+
 @given(st.floats(0.5, 3.0), st.floats(-1.5, 1.5), st.floats(0.5, 2.0))
 @settings(max_examples=10, deadline=None)
 def test_ou_density_family(kappa, mu, sigma):
