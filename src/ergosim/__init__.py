@@ -10,8 +10,8 @@ moderate deviation principle with a quadratic action.
 from ._version import __version__
 from .euler import (ControlFunction, SchedulePolicy, SimulationError,
                     StepSchedule, TrajectoryExplodedError, grid_floor,
-                    replicate_stream, simulate_batch, simulate_controlled,
-                    simulate_euler, simulate_reference)
+                    replicate_stream, simulate_batch, simulate_euler,
+                    simulate_reference)
 from .harness import (ExperimentReport, ExperimentSpec, ks_distance,
                       mdp_closed_form_rate, run_clt_normality, run_experiment,
                       run_lln_rate, run_mdp_tail, run_riemann_vs_continuous,

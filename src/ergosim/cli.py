@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
 from .config import ConfigError, RunConfig, parse_config
 from .harness import ExperimentSpec, run_experiment
 from .models import (FunctionalSpec, centralize, invariant_density_1d,
@@ -132,18 +131,7 @@ def cmd_experiment(args) -> int:
             master_seed=cfg.seed,
             threads=_threads(cfg),
         )
-        kw = {}
-        if cfg.kind in ("CLT_NORMALITY", "RIEMANN_VS_CONTINUOUS"):
-            kw["mf_target"] = float(mf.values[0])
-        elif cfg.kind == "MDP_TAIL":
-            kw["rate_target"] = {
-                x: harness.mdp_closed_form_rate(x, cfg.horizon, float(mf.values[0]))
-                for x in cfg.levels
-            }
-        elif cfg.kind == "SCHEDULE_VIOLATION":
-            kw["mf_target"] = float(mf.values[0])
-            kw["invalid_policy"] = harness.SchedulePolicy(theta_step=1.0)
-        report = run_experiment(spec, **kw)
+        report = run_experiment(spec, float(mf.values[0]))
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise

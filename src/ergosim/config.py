@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .euler import SchedulePolicy, StepSchedule
+from .euler import REGIMES, SchedulePolicy, StepSchedule
+from .harness import KIND_REGIME, KINDS
 from .models import FunctionalSpec, SdeModel, builtin_model
 
 
@@ -40,13 +41,9 @@ _SECTIONS = {
     "functional": {"coeffs", "centralize", "name"},
     "schedule": {"regime", "theta", "c_step", "gamma_mdp"},
     "experiment": {"kind", "epsilon_list", "horizon", "replicates", "levels"},
-    "output": {"directory", "formats", "snapshots"},
+    "output": {"directory", "formats"},
     "run": {"seed", "threads"},
 }
-
-_KINDS = ("LLN_RATE", "CLT_NORMALITY", "MDP_TAIL", "SCHEDULE_VIOLATION",
-          "RIEMANN_VS_CONTINUOUS")
-_REGIMES = ("LLN", "CLT", "MDP")
 
 
 @dataclass
@@ -54,7 +51,6 @@ class RunConfig:
     model: SdeModel
     functional: FunctionalSpec
     policy: SchedulePolicy
-    regime: str
     kind: str
     epsilon_list: tuple
     horizon: float
@@ -63,7 +59,6 @@ class RunConfig:
     centralize: bool
     out_dir: str
     formats: tuple
-    snapshots: bool
     seed: int
     threads: Optional[int]  # None = auto
     raw: dict = field(default_factory=dict)
@@ -133,6 +128,21 @@ def _parse_sections(text: str):
     return data, errors
 
 
+def _number(value, where: str, errors: list, cast=float):
+    """``cast(value)``, or None with the problem recorded in ``errors``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        errors.append(f"{where} must be a number, got {value!r}")
+        return None
+
+
+def _numbers(raw, where: str, errors: list) -> Optional[tuple]:
+    """A scalar or list of floats as a tuple, or None if any entry is not a number."""
+    vals = [_number(v, where, errors) for v in (raw if isinstance(raw, list) else [raw])]
+    return None if None in vals else tuple(vals)
+
+
 def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
     need = ("drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
             "recurrence_gamma", "recurrence_radius", "holder_nu", "alpha_bar")
@@ -140,8 +150,11 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
     if missing:
         errors.append(f"[model] custom family requires keys: {', '.join(missing)}")
         return None
-    bc = np.asarray(sec["drift_coeffs"], dtype=float)
-    sc = np.asarray(sec["diffusion_coeffs"], dtype=float)
+    bc = _numbers(sec["drift_coeffs"], "[model] drift_coeffs", errors)
+    sc = _numbers(sec["diffusion_coeffs"], "[model] diffusion_coeffs", errors)
+    if bc is None or sc is None:
+        return None
+    bc, sc = np.asarray(bc), np.asarray(sc)
     lo = sec.get("support_lo")
     probes = np.asarray([abs(v) for v in sc])
     try:
@@ -208,60 +221,59 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
 
     ssec = sec("schedule")
     regime = str(ssec.get("regime", "")).upper()
-    if regime not in _REGIMES:
-        errors.append(f"[schedule] regime must be one of {_REGIMES}, got {regime!r}")
+    if regime not in REGIMES:
+        errors.append(f"[schedule] regime must be one of {REGIMES}, got {regime!r}")
+    n_errors = len(errors)
     theta = ssec.get("theta")
     if theta is None:
         errors.append("[schedule] missing required key 'theta'")
+    else:
+        theta = _number(theta, "[schedule] theta", errors)
+    c_step = _number(ssec.get("c_step", 1.0), "[schedule] c_step", errors)
     gamma = ssec.get("gamma_mdp")
-    policy = None
-    if theta is not None:
-        policy = SchedulePolicy(
-            theta_step=float(theta),
-            c_step=float(ssec.get("c_step", 1.0)),
-            gamma_mdp=float(gamma) if gamma is not None else None,
-        )
+    if gamma is not None:
+        gamma = _number(gamma, "[schedule] gamma_mdp", errors)
+    policy = (None if len(errors) > n_errors
+              else SchedulePolicy(theta_step=theta, c_step=c_step, gamma_mdp=gamma))
 
     esec = sec("experiment")
     kind = str(esec.get("kind", "")).upper()
-    if kind not in _KINDS:
-        errors.append(f"[experiment] kind must be one of {_KINDS}, got {kind!r}")
-    eps_raw = esec.get("epsilon_list", [])
-    eps = tuple(float(e) for e in eps_raw) if isinstance(eps_raw, list) else (float(eps_raw),)
-    if not eps:
+    if kind not in KINDS:
+        errors.append(f"[experiment] kind must be one of {KINDS}, got {kind!r}")
+    eps = _numbers(esec.get("epsilon_list", []), "[experiment] epsilon_list", errors)
+    if eps == ():
         errors.append("[experiment] epsilon_list must be nonempty")
-    elif any(e <= 0 for e in eps):
+    elif eps and any(e <= 0 for e in eps):
         errors.append("[experiment] epsilon values must be positive")
-    elif any(b >= a for a, b in zip(eps, eps[1:])):
+    elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
         errors.append("[experiment] epsilon_list must be strictly decreasing")
-    horizon = float(esec.get("horizon", 1.0))
-    if horizon <= 0:
+    horizon = _number(esec.get("horizon", 1.0), "[experiment] horizon", errors)
+    if horizon is not None and horizon <= 0:
         errors.append("[experiment] horizon must be positive")
-    replicates = int(esec.get("replicates", 2000))
-    if replicates < 1:
+    replicates = _number(esec.get("replicates", 2000), "[experiment] replicates", errors, int)
+    if replicates is not None and replicates < 1:
         errors.append("[experiment] replicates must be >= 1")
-    levels_raw = esec.get("levels", [])
-    levels = tuple(float(x) for x in levels_raw) if isinstance(levels_raw, list) else (float(levels_raw),)
-    if kind == "MDP_TAIL" and not levels:
+    levels = _numbers(esec.get("levels", []), "[experiment] levels", errors)
+    if kind == "MDP_TAIL" and levels == ():
         errors.append("[experiment] MDP_TAIL requires at least one level")
 
     # cross-field: the schedule must actually be valid for the model/regime
-    if model is not None and policy is not None and regime in _REGIMES and eps:
+    if model is not None and policy is not None and regime in REGIMES and eps:
         try:
             StepSchedule.from_policy(min(eps), regime, policy, model.holder_nu)
         except Exception as exc:
             errors.append(f"[schedule] {exc}")
-    kind_regime = {"LLN_RATE": "LLN", "MDP_TAIL": "MDP"}
-    expected = kind_regime.get(kind, "CLT")
-    if kind in _KINDS and regime in _REGIMES and regime != expected:
+    if kind in KINDS and regime in REGIMES and regime != KIND_REGIME[kind]:
         errors.append(
-            f"[experiment] kind {kind} requires schedule regime {expected}, got {regime}"
+            f"[experiment] kind {kind} requires schedule regime {KIND_REGIME[kind]}, got {regime}"
         )
 
     osec = sec("output")
     rsec = sec("run")
+    seed = _number(rsec.get("seed", 0), "[run] seed", errors, int)
     threads_raw = rsec.get("threads", "auto")
-    threads = None if str(threads_raw).lower() == "auto" else int(threads_raw)
+    threads = (None if str(threads_raw).lower() == "auto"
+               else _number(threads_raw, "[run] threads", errors, int))
     if threads is not None and threads < 1:
         errors.append("[run] threads must be >= 1 or 'auto'")
     formats_raw = osec.get("formats", ["json", "csv"])
@@ -276,7 +288,6 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         model=model,
         functional=functional,
         policy=policy,
-        regime=regime,
         kind=kind,
         epsilon_list=eps,
         horizon=horizon,
@@ -285,8 +296,7 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         centralize=bool(fsec.get("centralize", True)),
         out_dir=str(osec.get("directory", "runs")),
         formats=formats,
-        snapshots=bool(osec.get("snapshots", False)),
-        seed=int(rsec.get("seed", 0)),
+        seed=seed,
         threads=threads,
         raw=data,
     )

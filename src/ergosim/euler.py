@@ -23,10 +23,9 @@ sequence and generator per replicate.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +54,7 @@ class ScheduleError(ValueError):
 LLN = "LLN"
 CLT = "CLT"
 MDP = "MDP"
+REGIMES = (LLN, CLT, MDP)
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,6 @@ def simulate_euler(
     horizon: float,
     rng: np.random.Generator,
     blow_up: float = 1e8,
-    snapshot_stride: int = 0,
-    snapshot_path: Optional[str] = None,
     noise: Optional[np.ndarray] = None,
     control: Optional[ControlFunction] = None,
 ) -> FunctionalAccumulator:
@@ -255,7 +253,14 @@ def simulate_euler(
     ``noise`` optionally injects the per-step standard normal increments
     (shape (n_steps, dim_noise)), which is how coupled-refinement
     convergence checks share a Brownian path.
+
+    ``control`` adds the tilt drift ``(delta/eps) * sigma * psi(t) * Delta``
+    after each step; it requires an MDP schedule.  With ``psi`` identically
+    zero the path equals the uncontrolled one bitwise, and a 1D controlled
+    path equals its :func:`simulate_batch` replicate bitwise.
     """
+    if control is not None and schedule.regime != MDP:
+        raise ScheduleError("controlled simulation requires an MDP schedule")
     drift, diffusion, state_map, x0 = _sim_coeffs(model)
     h = schedule.h
     sqrt_h = math.sqrt(h)
@@ -274,10 +279,6 @@ def simulate_euler(
     xi_c = np.zeros_like(f_prev)
     xi_r = np.zeros_like(f_prev)
     sup = 0.0
-
-    rows = []
-    if snapshot_stride:
-        rows.append((0.0, z.copy(), xi_c.copy()))
 
     for k in range(n_steps):
         t_k = k * dt
@@ -302,42 +303,9 @@ def simulate_euler(
         xi_c = xi_c + 0.5 * (f_prev + f_new) * dt
         sup = max(sup, float(np.linalg.norm(xi_c)))
         f_prev = f_new
-        if snapshot_stride and (k + 1) % snapshot_stride == 0:
-            rows.append(((k + 1) * dt, z.copy(), xi_c.copy()))
-
-    if snapshot_stride and snapshot_path:
-        _write_snapshots(snapshot_path, rows, model.dim_state, len(xi_c), state_map)
     return FunctionalAccumulator(
         xi_continuous=xi_c, xi_riemann=xi_r, sup_norm_seen=sup, t_current=n_steps * dt
     )
-
-
-def _write_snapshots(path, rows, d, n, state_map):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"z_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(n)])
-        for t, z, xi in rows:
-            x = state_map(z) if state_map is not None else z
-            w.writerow([f"{t:.12g}"] + [f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in xi])
-
-
-def simulate_controlled(
-    model: SdeModel,
-    schedule: StepSchedule,
-    psi: ControlFunction,
-    f: FunctionalSpec,
-    horizon: float,
-    rng: np.random.Generator,
-    **kw,
-) -> FunctionalAccumulator:
-    """Euler simulation with the tilt drift (delta/eps) sigma psi(t) added per step.
-
-    With psi identically zero the path coincides bitwise with
-    :func:`simulate_euler` under the same stream.
-    """
-    if schedule.regime != MDP:
-        raise ScheduleError("controlled simulation requires an MDP schedule")
-    return simulate_euler(model, schedule, f, horizon, rng, control=psi, **kw)
 
 
 def simulate_reference(

@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +34,17 @@ MDP_TAIL = "MDP_TAIL"
 SCHEDULE_VIOLATION = "SCHEDULE_VIOLATION"
 RIEMANN_VS_CONTINUOUS = "RIEMANN_VS_CONTINUOUS"
 
-KINDS = (LLN_RATE, CLT_NORMALITY, MDP_TAIL, SCHEDULE_VIOLATION, RIEMANN_VS_CONTINUOUS)
-
-_KIND_REGIME = {
+# the one list of experiment kinds, each with the regime its schedule must use
+KIND_REGIME = {
     LLN_RATE: euler.LLN,
     CLT_NORMALITY: euler.CLT,
     MDP_TAIL: euler.MDP,
     SCHEDULE_VIOLATION: euler.CLT,
     RIEMANN_VS_CONTINUOUS: euler.CLT,
 }
+KINDS = tuple(KIND_REGIME)
+# the broken schedule SCHEDULE_VIOLATION runs next to the valid one
+INVALID_POLICY = SchedulePolicy(theta_step=1.0)
 
 FAILURE_ABORT_FRACTION = 0.01
 KS_LEVEL = 0.01
@@ -85,7 +86,7 @@ class ExperimentSpec:
 
     def schedule(self, epsilon: float) -> StepSchedule:
         return StepSchedule.from_policy(
-            epsilon, _KIND_REGIME[self.kind], self.policy, self.model.holder_nu
+            epsilon, KIND_REGIME[self.kind], self.policy, self.model.holder_nu
         )
 
     def echo(self) -> dict:
@@ -172,9 +173,7 @@ def ks_distance(sample, target_variance: float) -> float:
 
 
 def ks_threshold(n: int, level: float = KS_LEVEL) -> float:
-    if level != KS_LEVEL:
-        return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
-    return KS_COEFF / math.sqrt(n)
+    return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
 
 
 def clt_statistics(sample: np.ndarray, target_variance: float) -> dict:
@@ -445,14 +444,19 @@ def run_riemann_vs_continuous(spec: ExperimentSpec, mf_target: float) -> Experim
     return report
 
 
-def run_experiment(spec: ExperimentSpec, **kw) -> ExperimentReport:
-    """Dispatch on spec.kind; keyword targets as required by each runner."""
+def run_experiment(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
+    """Run ``spec.kind`` with every target it needs derived from ``M_f``.
+
+    MDP levels are judged against the closed-form rate of ``mf_target``;
+    the schedule-violation contrast runs :data:`INVALID_POLICY`.
+    """
     if spec.kind == LLN_RATE:
         return run_lln_rate(spec)
     if spec.kind == CLT_NORMALITY:
-        return run_clt_normality(spec, kw["mf_target"])
+        return run_clt_normality(spec, mf_target)
     if spec.kind == MDP_TAIL:
-        return run_mdp_tail(spec, kw["rate_target"])
+        return run_mdp_tail(spec, {x: mdp_closed_form_rate(x, spec.horizon, mf_target)
+                                   for x in spec.mdp_levels})
     if spec.kind == SCHEDULE_VIOLATION:
-        return run_schedule_violation(spec, kw["invalid_policy"], kw["mf_target"])
-    return run_riemann_vs_continuous(spec, kw["mf_target"])
+        return run_schedule_violation(spec, INVALID_POLICY, mf_target)
+    return run_riemann_vs_continuous(spec, mf_target)

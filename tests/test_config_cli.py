@@ -48,11 +48,11 @@ def write(tmp_path, text, name="run.cfg"):
 
 def test_parse_text_value_types():
     data = parse_text("[run]\nseed = 7\nthreads = auto\n"
-                      "[output]\nsnapshots = true\ndirectory = out/x\n"
+                      "[functional]\ncentralize = true\n[output]\ndirectory = out/x\n"
                       "[experiment]\nepsilon_list = [0.1, 0.05]\nhorizon = 2.5\n")
     assert data["run"]["seed"] == 7
     assert data["run"]["threads"] == "auto"
-    assert data["output"]["snapshots"] is True
+    assert data["functional"]["centralize"] is True
     assert data["output"]["directory"] == "out/x"
     assert data["experiment"]["epsilon_list"] == [0.1, 0.05]
     assert data["experiment"]["horizon"] == 2.5
@@ -118,6 +118,19 @@ def test_auto_threads_count_usable_cpus(monkeypatch):
 
 def test_version_single_source():
     assert ergosim.__version__ == harness.__version__ == "0.1.0"
+
+
+def test_validate_reports_every_non_numeric_value(tmp_path, capsys):
+    text = OU_CLT.replace("theta = 2.5", "theta = fast") \
+                 .replace("epsilon_list = [0.05]", "epsilon_list = [0.05, small]") \
+                 .replace("threads = 1", "threads = two")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == ["[schedule] theta must be a number, got 'fast'",
+                               "[experiment] epsilon_list must be a number, got 'small'",
+                               "[run] threads must be a number, got 'two'"]
+    assert main(["--config", write(tmp_path, text), "validate"]) == EXIT_CONFIG_ERROR
+    assert "must be a number" in capsys.readouterr().err
 
 
 def test_validate_negative_epsilon():

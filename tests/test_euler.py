@@ -9,8 +9,7 @@ from ergosim import euler
 from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            SimulationError, StepSchedule,
                            TrajectoryExplodedError, grid_floor,
-                           replicate_stream, simulate_batch,
-                           simulate_controlled, simulate_euler,
+                           replicate_stream, simulate_batch, simulate_euler,
                            simulate_reference)
 from ergosim.models import FunctionalSpec, builtin_model
 
@@ -196,6 +195,25 @@ def test_ou_terminal_moments():
     assert abs(float(np.var(res.terminal)) - 1.0) < 0.08
 
 
+@pytest.mark.parametrize("eps, theta", [(0.05, 2.1), (0.1, 2.5)])
+def test_ou_functional_matches_exact_euler_gaussian(eps, theta):
+    # Z_{k+1} = r Z_k + sqrt(h) sigma xi_k with r = 1 - h kappa, started at
+    # 0, is linear in the normals: the trapezoid functional is exactly
+    # N(0, sum coef_k^2), coef_k the weight of xi_k over the m steps after it
+    kappa, sigma = 1.0, SQRT2
+    sched = StepSchedule.from_policy(eps, "CLT", SchedulePolicy(theta), 1.0)
+    dt, h, n = sched.delta_step, sched.h, sched.n_steps(1.0)
+    r = 1.0 - h * kappa
+    m = n - 1 - np.arange(n)
+    coef = dt * math.sqrt(h) * sigma * ((1.0 - r**m) / (1.0 - r) + 0.5 * r**m)
+    var_exact = float(np.sum(coef * coef))
+    N = 4000
+    res = simulate_batch(ou(), sched, f_identity(), 1.0, master_seed=5, n_replicates=N)
+    xi = res.xi_continuous
+    assert abs(float(np.var(xi, ddof=1)) / var_exact - 1.0) < 5 * math.sqrt(2.0 / (N - 1))
+    assert abs(float(np.mean(xi))) < 5 * math.sqrt(var_exact / N)
+
+
 def test_riemann_and_trapezoid_close():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.02, "CLT", SchedulePolicy(2.5), 1.0)
@@ -247,7 +265,7 @@ def test_zero_control_is_bitwise_identical():
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     psi = ControlFunction(psi=lambda s: 0.0, l2_bound=1.0, horizon=1.0)
     plain = simulate_euler(m, sched, f, 1.0, replicate_stream(11, 0))
-    ctrl = simulate_controlled(m, sched, psi, f, 1.0, replicate_stream(11, 0))
+    ctrl = simulate_euler(m, sched, f, 1.0, replicate_stream(11, 0), control=psi)
     assert plain.xi_continuous[0] == ctrl.xi_continuous[0]
 
 
@@ -256,7 +274,7 @@ def test_control_requires_mdp_schedule():
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.5), 1.0)
     psi = ControlFunction(psi=lambda s: 0.0, l2_bound=1.0, horizon=1.0)
     with pytest.raises(ScheduleError, match="MDP"):
-        simulate_controlled(m, sched, psi, f, 1.0, replicate_stream(0, 0))
+        simulate_euler(m, sched, f, 1.0, replicate_stream(0, 0), control=psi)
 
 
 def test_control_budget_enforced():

@@ -5,7 +5,7 @@ import pytest
 
 from ergosim import euler
 from ergosim.euler import SchedulePolicy
-from ergosim.harness import (CLT_NORMALITY, KS_COEFF, LLN_RATE, MDP_TAIL,
+from ergosim.harness import (CLT_NORMALITY, KINDS, KS_COEFF, LLN_RATE, MDP_TAIL,
                              RIEMANN_VS_CONTINUOUS, SCHEDULE_VIOLATION,
                              ExperimentReport, ExperimentSpec, HarnessError,
                              clt_statistics, gaussian_tail_probability,
@@ -284,12 +284,30 @@ def test_riemann_vs_continuous_gap_column(ou_setup):
     assert rep.rows[0]["estimator_gap"] < 0.5
 
 
-def test_run_experiment_dispatch(ou_setup):
+DISPATCH_KW = {
+    LLN_RATE: dict(policy=SchedulePolicy(theta_step=1.5),
+                   epsilon_list=(0.2, 0.1, 0.05), replicates=50),
+    CLT_NORMALITY: dict(epsilon_list=(0.1,), replicates=150),
+    MDP_TAIL: dict(policy=SchedulePolicy(theta_step=2.5, gamma_mdp=0.3),
+                   epsilon_list=(0.2, 0.1), replicates=150, horizon=0.5,
+                   mdp_levels=(1.0,)),
+    SCHEDULE_VIOLATION: dict(epsilon_list=(0.1,), replicates=150),
+    RIEMANN_VS_CONTINUOUS: dict(epsilon_list=(0.1,), replicates=150),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_experiment_dispatch(ou_setup, kind):
     m, f = ou_setup
-    s = ExperimentSpec(**spec_kw(m, f, epsilon_list=(0.1,), replicates=150,
-                                 master_seed=1))
+    s = ExperimentSpec(**spec_kw(m, f, kind=kind, master_seed=1, **DISPATCH_KW[kind]))
     rep = run_experiment(s, mf_target=2.0)
-    assert rep.kind == CLT_NORMALITY
+    assert rep.kind == kind
+    if kind == MDP_TAIL:
+        direct = run_mdp_tail(s, {x: mdp_closed_form_rate(x, s.horizon, 2.0)
+                                  for x in s.mdp_levels})
+        assert rep.to_json_dict() == direct.to_json_dict()
+    if kind == SCHEDULE_VIOLATION:
+        assert rep.rows[0]["invalid_theta"] == 1.0
 
 
 # ------------------------------------------------------------ serialization
