@@ -45,6 +45,11 @@ _SECTIONS = {
     "run": {"seed", "threads"},
 }
 
+# the numeric [model] keys that builtin_model and the custom family read
+_BUILTIN_PARAMS = ("kappa", "mu", "sigma", "alpha", "x0")
+_CUSTOM_SCALARS = ("recurrence_alpha", "recurrence_gamma", "recurrence_radius",
+                   "holder_nu", "alpha_bar", "x0", "support_lo")
+
 
 @dataclass
 class RunConfig:
@@ -130,6 +135,9 @@ def _parse_sections(text: str):
 
 def _number(value, where: str, errors: list, cast=float):
     """``cast(value)``, or None with the problem recorded in ``errors``."""
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        errors.append(f"{where} must be an integer, got {value!r}")
+        return None
     try:
         return cast(value)
     except (TypeError, ValueError):
@@ -143,6 +151,12 @@ def _numbers(raw, where: str, errors: list) -> Optional[tuple]:
     return None if None in vals else tuple(vals)
 
 
+def _model_numbers(sec: dict, keys: tuple, errors: list) -> Optional[dict]:
+    """The ``[model]`` keys among ``keys`` as floats, or None if any is not a number."""
+    vals = {k: _number(sec[k], f"[model] {k}", errors) for k in keys if k in sec}
+    return None if None in vals.values() else vals
+
+
 def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
     need = ("drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
             "recurrence_gamma", "recurrence_radius", "holder_nu", "alpha_bar")
@@ -152,10 +166,11 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
         return None
     bc = _numbers(sec["drift_coeffs"], "[model] drift_coeffs", errors)
     sc = _numbers(sec["diffusion_coeffs"], "[model] diffusion_coeffs", errors)
-    if bc is None or sc is None:
+    num = _model_numbers(sec, _CUSTOM_SCALARS, errors)
+    if bc is None or sc is None or num is None:
         return None
     bc, sc = np.asarray(bc), np.asarray(sc)
-    lo = sec.get("support_lo")
+    lo = num.get("support_lo")
     probes = np.asarray([abs(v) for v in sc])
     try:
         return SdeModel(
@@ -163,16 +178,16 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
             dim_noise=1,
             drift=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), bc),
             diffusion=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), sc),
-            recurrence_alpha=float(sec["recurrence_alpha"]),
-            recurrence_gamma=float(sec["recurrence_gamma"]),
-            recurrence_radius=float(sec["recurrence_radius"]),
+            recurrence_alpha=num["recurrence_alpha"],
+            recurrence_gamma=num["recurrence_gamma"],
+            recurrence_radius=num["recurrence_radius"],
             ellipticity_bounds=(max(min(probes[probes > 0], default=1.0) ** 2 * 0.01, 1e-6),
                                 max(np.sum(probes), 1.0) ** 2 * 100.0),
-            holder_nu=float(sec["holder_nu"]),
-            drift_growth_alpha_bar=float(sec["alpha_bar"]),
-            initial_state=np.array([float(sec.get("x0", 0.0))]),
+            holder_nu=num["holder_nu"],
+            drift_growth_alpha_bar=num["alpha_bar"],
+            initial_state=np.array([num.get("x0", 0.0)]),
             name="custom",
-            support=(float(lo), math.inf) if lo is not None else (-math.inf, math.inf),
+            support=(lo, math.inf) if lo is not None else (-math.inf, math.inf),
         )
     except Exception as exc:
         errors.append(f"[model] {exc}")
@@ -197,8 +212,7 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         errors.append("[model] missing required key 'family'")
     elif family == "custom":
         model = _build_custom_model(msec, errors)
-    else:
-        params = {k: v for k, v in msec.items() if k != "family"}
+    elif (params := _model_numbers(msec, _BUILTIN_PARAMS, errors)) is not None:
         try:
             model = builtin_model(family, params)
         except KeyError as exc:

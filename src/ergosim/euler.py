@@ -8,14 +8,15 @@ The process is stepped in rescaled form: over a grid step of width
 with ``h = delta_step / epsilon`` and i.i.d. standard normal ``xi_k``.
 Path functionals (running integral of f along the path, and its
 left-endpoint Riemann variant) are accumulated online; full trajectories
-are never stored.
+are never stored.  The update is written once, in the 1D kernel
+``_run_paths``; its three callers differ only in where the normals come from.
 
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
 depend on execution order, chunking, or thread count.
 :func:`replicate_stream` is the reference: a Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
-kernel derives all keys of a chunk at once (:func:`_replicate_keys`)
+caller derives all keys of a chunk at once (:func:`_replicate_keys`)
 and re-keys one Philox per chunk through its ``state`` dict, so it draws
 exactly the numbers of ``replicate_stream`` without building a seed
 sequence and generator per replicate.
@@ -39,10 +40,10 @@ class SimulationError(Exception):
 
 
 class TrajectoryExplodedError(SimulationError):
-    def __init__(self, step: int, value: float):
+    def __init__(self, step: int):
         self.step = step
         super().__init__(
-            f"trajectory exploded at step {step} (|Z| = {value:.3g}); "
+            f"trajectory exploded at step {step}; "
             "the step schedule is too coarse for this drift"
         )
 
@@ -167,16 +168,6 @@ class ControlFunction:
             )
 
 
-@dataclass
-class FunctionalAccumulator:
-    """Online state of the path functionals at the current grid time."""
-
-    xi_continuous: np.ndarray
-    xi_riemann: np.ndarray
-    sup_norm_seen: float
-    t_current: float
-
-
 def replicate_stream(master_seed: int, replicate_index: int) -> np.random.Generator:
     """Counter-based stream for one replicate, independent of execution order."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
@@ -231,13 +222,6 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
     return keys
 
 
-def _sim_coeffs(model: SdeModel):
-    """Coefficients and state map in the coordinates actually stepped."""
-    if model.sim_drift is not None:
-        return model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state
-    return model.drift, model.diffusion, None, model.initial_state
-
-
 def simulate_euler(
     model: SdeModel,
     schedule: StepSchedule,
@@ -247,65 +231,32 @@ def simulate_euler(
     blow_up: float = 1e8,
     noise: Optional[np.ndarray] = None,
     control: Optional[ControlFunction] = None,
-) -> FunctionalAccumulator:
-    """Single-path Euler simulation; returns the final accumulator state.
+) -> BatchResult:
+    """One path of the Euler kernel; returns its 1-replicate :class:`BatchResult`.
 
-    ``noise`` optionally injects the per-step standard normal increments
-    (shape (n_steps, dim_noise)), which is how coupled-refinement
-    convergence checks share a Brownian path.
-
-    ``control`` adds the tilt drift ``(delta/eps) * sigma * psi(t) * Delta``
-    after each step; it requires an MDP schedule.  With ``psi`` identically
-    zero the path equals the uncontrolled one bitwise, and a 1D controlled
-    path equals its :func:`simulate_batch` replicate bitwise.
+    The normals come from ``rng``, or from ``noise`` (shape
+    ``(n_steps, 1)``) when given, which is how coupled-refinement
+    convergence checks share a Brownian path.  ``control`` adds the tilt
+    drift ``(delta/eps) * sigma * psi(t) * Delta`` after each step; it
+    requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
+    at the first step where the path leaves ``[-blow_up, blow_up]``.
     """
-    if control is not None and schedule.regime != MDP:
-        raise ScheduleError("controlled simulation requires an MDP schedule")
-    drift, diffusion, state_map, x0 = _sim_coeffs(model)
-    h = schedule.h
-    sqrt_h = math.sqrt(h)
-    dt = schedule.delta_step
-    n_steps = schedule.n_steps(horizon)
-    ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
+    if noise is None:
+        def fill(out, done):
+            rng.standard_normal(out=out[0])
+    else:
+        noise = np.asarray(noise, dtype=float).reshape(len(noise), -1)
+        n_steps = schedule.n_steps(horizon)
+        if len(noise) < n_steps:
+            raise SimulationError(
+                f"injected noise has {len(noise)} steps; the schedule needs {n_steps}")
 
-    z = np.array(x0, dtype=float)
-    scalar = model.dim_state == 1
-
-    def observe(t, state):
-        x = state_map(state) if state_map is not None else state
-        return np.atleast_1d(np.asarray(f.value(t, x[0] if scalar else x), dtype=float))
-
-    f_prev = observe(0.0, z)
-    xi_c = np.zeros_like(f_prev)
-    xi_r = np.zeros_like(f_prev)
-    sup = 0.0
-
-    for k in range(n_steps):
-        t_k = k * dt
-        xi_r = xi_r + f_prev * dt
-        if noise is not None:
-            xi_k = np.atleast_1d(noise[k])
-        else:
-            xi_k = rng.standard_normal(model.dim_noise)
-        b = np.atleast_1d(np.asarray(drift(z[0] if scalar else z), dtype=float))
-        s = np.asarray(diffusion(z[0] if scalar else z), dtype=float)
-        if scalar:
-            z = z + h * b + sqrt_h * float(s) * xi_k[:1]
-        else:
-            z = z + h * b + sqrt_h * (np.atleast_2d(s) @ xi_k)
-        if control is not None:
-            # scalar case in simulate_batch's operation order, so the two agree bitwise
-            z = z + ((ctrl_coef * np.atleast_1d(control.psi(t_k))) * float(s) if scalar
-                     else ctrl_coef * (np.atleast_2d(s) @ np.atleast_1d(control.psi(t_k))))
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blow_up:
-            raise TrajectoryExplodedError(k + 1, float(np.max(np.abs(z))))
-        f_new = observe(t_k + dt, z)
-        xi_c = xi_c + 0.5 * (f_prev + f_new) * dt
-        sup = max(sup, float(np.linalg.norm(xi_c)))
-        f_prev = f_new
-    return FunctionalAccumulator(
-        xi_continuous=xi_c, xi_riemann=xi_r, sup_norm_seen=sup, t_current=n_steps * dt
-    )
+        def fill(out, done):
+            out[0] = noise[done:done + out.shape[1], 0]
+    res = _run_paths(model, schedule, f, horizon, blow_up, control, 1, fill)
+    if res.failed[0]:
+        raise TrajectoryExplodedError(int(res.fail_step[0]))
+    return res
 
 
 def simulate_reference(
@@ -317,7 +268,7 @@ def simulate_reference(
     rng: np.random.Generator,
     base_delta: Optional[float] = None,
     **kw,
-) -> FunctionalAccumulator:
+) -> BatchResult:
     """Fine-grid Euler proxy for the undiscretized fast process.
 
     The reference step is the working step divided by ``fine_factor``
@@ -338,7 +289,7 @@ def simulate_reference(
 
 
 # ---------------------------------------------------------------------------
-# batched replicate kernel (1D fast path used by the harness)
+# batched replicates and the one Euler kernel all three simulators run on
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # fixed so results never depend on thread count
@@ -378,12 +329,6 @@ def simulate_batch(
     thread pool but are merged by index, so the output is a deterministic
     function of (model, schedule, f, horizon, master_seed, n_replicates).
     """
-    if model.dim_state != 1 or model.dim_noise != 1:
-        raise SimulationError("simulate_batch supports 1D models; use simulate_euler otherwise")
-    if f.n_components != 1:
-        raise SimulationError("simulate_batch supports scalar functionals")
-    if control is not None and schedule.regime != MDP:
-        raise ScheduleError("controlled simulation requires an MDP schedule")
     chunks = [
         (first_index + i, min(_CHUNK, n_replicates - i))
         for i in range(0, n_replicates, _CHUNK)
@@ -399,12 +344,6 @@ def simulate_batch(
 
 def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
                     start_index, n):
-    drift, diffusion, state_map, x0 = _sim_coeffs(model)
-    h = schedule.h
-    sqrt_h = math.sqrt(h)
-    dt = schedule.delta_step
-    n_steps = schedule.n_steps(horizon)
-    ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
     # one Philox re-keyed per replicate: row j of each noise block continues
     # the stream replicate_stream(master_seed, start_index + j) would draw
     bitgen = np.random.Philox(0)
@@ -413,6 +352,54 @@ def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
     fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     saved = [None] * n  # where each stream stopped, for paths spanning several blocks
+    n_steps = schedule.n_steps(horizon)
+
+    def fill(out, done):
+        more = done + out.shape[1] < n_steps
+        for j in range(n):
+            if done == 0:
+                fresh["state"]["key"] = keys[j]
+                bitgen.state = fresh
+            else:
+                bitgen.state = saved[j]
+            gen.standard_normal(out=out[j])
+            if more:
+                saved[j] = bitgen.state
+    return _run_paths(model, schedule, f, horizon, blow_up, control, n, fill)
+
+
+def _run_paths(model, schedule, f, horizon, blow_up, control, n, fill) -> BatchResult:
+    """Step ``n`` 1D paths together; ``fill(out, done)`` writes the normals
+    of steps ``done, done+1, ...`` into ``out`` (shape ``(n, kblk)``).
+
+    Rows that failed in a noise block are replayed from the block's start,
+    so ``fail_step`` is exact; a failed path restarts at ``x0`` with NaN
+    functionals.
+    """
+    if model.dim_state != 1 or model.dim_noise != 1:
+        raise SimulationError("the Euler kernel supports 1D models only")
+    if f.n_components != 1:
+        raise SimulationError("the Euler kernel supports scalar functionals")
+    if control is not None and schedule.regime != MDP:
+        raise ScheduleError("controlled simulation requires an MDP schedule")
+    # coefficients and state map in the coordinates actually stepped
+    drift, diffusion, state_map, x0 = (
+        (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state)
+        if model.sim_drift is not None
+        else (model.drift, model.diffusion, None, model.initial_state))
+    h = schedule.h
+    sqrt_h = math.sqrt(h)
+    dt = schedule.delta_step
+    n_steps = schedule.n_steps(horizon)
+    ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
+
+    def advance(z, xi, t):
+        b = drift(z)
+        s = diffusion(z)
+        z = z + h * b + sqrt_h * s * xi
+        if control is not None:
+            z = z + (ctrl_coef * float(np.asarray(control.psi(t)))) * s
+        return z
 
     z = np.full(n, float(x0[0]))
     observe = (lambda t, s: np.asarray(f.value(t, state_map(s)), dtype=float)) \
@@ -430,33 +417,30 @@ def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
             kblk = min(block, n_steps - done)
-            more = done + kblk < n_steps
-            for j in range(n):
-                if done == 0:
-                    fresh["state"]["key"] = keys[j]
-                    bitgen.state = fresh
-                else:
-                    bitgen.state = saved[j]
-                gen.standard_normal(out=noise[j, :kblk])
-                if more:
-                    saved[j] = bitgen.state
+            fill(noise[:, :kblk], done)
+            # a copy: keeping the block's own z array alive instead raised a
+            # 2-thread 102,400-replicate MDP CLI run's peak RSS from 92 to 122 MB
+            z_start = z.copy()
             for k in range(kblk):
                 t_k = (done + k) * dt
                 xi_r += f_prev * dt
-                b = drift(z)
-                s = diffusion(z)
-                z = z + h * b + sqrt_h * s * noise[:, k]
-                if control is not None:
-                    z = z + (ctrl_coef * float(np.asarray(control.psi(t_k)))) * s
+                z = advance(z, noise[:, k], t_k)
                 f_new = observe(t_k + dt, z)
                 xi_c += 0.5 * (f_prev + f_new) * dt
                 np.maximum(sup, np.abs(xi_c), out=sup)
                 f_prev = f_new
-            bad = ~np.isfinite(z) | (np.abs(z) > blow_up)
-            newly = bad & ~failed
+            newly = ~(np.abs(z) <= blow_up) & ~failed
             if np.any(newly):
+                rows = np.flatnonzero(newly)
+                z_rows = z_start[rows]
+                for k in range(kblk):
+                    z_rows = advance(z_rows, noise[rows, k], (done + k) * dt)
+                    gone = ~(np.abs(z_rows) <= blow_up)
+                    fail_step[rows[gone]] = done + k + 1
+                    rows, z_rows = rows[~gone], z_rows[~gone]
+                    if rows.size == 0:
+                        break
                 failed |= newly
-                fail_step[newly] = done + kblk
                 z = np.where(failed, float(x0[0]), z)
                 xi_c = np.where(failed, np.nan, xi_c)
                 xi_r = np.where(failed, np.nan, xi_r)

@@ -226,7 +226,7 @@ def _run_eps(spec: ExperimentSpec, schedule: StepSchedule) -> BatchResult:
     if n_failed > FAILURE_ABORT_FRACTION * spec.replicates:
         raise HarnessError(
             f"{n_failed}/{spec.replicates} replicates exploded at eps={schedule.epsilon} "
-            f"(first failure near step {int(np.min(res.fail_step[res.failed]))}); "
+            f"(first failure at step {int(np.min(res.fail_step[res.failed]))}); "
             "the step schedule is too coarse for this drift"
         )
     return res

@@ -123,14 +123,41 @@ def test_version_single_source():
 def test_validate_reports_every_non_numeric_value(tmp_path, capsys):
     text = OU_CLT.replace("theta = 2.5", "theta = fast") \
                  .replace("epsilon_list = [0.05]", "epsilon_list = [0.05, small]") \
+                 .replace("replicates = 600", "replicates = 2.7") \
+                 .replace("seed = 5", "seed = 3.9") \
                  .replace("threads = 1", "threads = two")
     with pytest.raises(ConfigError) as ei:
         parse_config(text, inline=True)
     assert ei.value.errors == ["[schedule] theta must be a number, got 'fast'",
                                "[experiment] epsilon_list must be a number, got 'small'",
+                               "[experiment] replicates must be an integer, got 2.7",
+                               "[run] seed must be an integer, got 3.9",
                                "[run] threads must be a number, got 'two'"]
     assert main(["--config", write(tmp_path, text), "validate"]) == EXIT_CONFIG_ERROR
     assert "must be a number" in capsys.readouterr().err
+    # integral floats are integers
+    cfg = parse_config(OU_CLT.replace("replicates = 600", "replicates = 1e5"), inline=True)
+    assert cfg.replicates == 100_000 and isinstance(cfg.replicates, int)
+    with pytest.raises(ConfigError, match=r"\[run\] threads must be an integer, got 1.5"):
+        parse_config(OU_CLT.replace("threads = 1", "threads = 1.5"), inline=True)
+
+
+def test_validate_names_non_numeric_model_parameters():
+    text = OU_CLT.replace("mu = 0.0", "mu = zero").replace("kappa = 1.0", "kappa = fast")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == ["[model] kappa must be a number, got 'fast'",
+                               "[model] mu must be a number, got 'zero'"]
+    text = OU_CLT.replace(
+        "family = ou\nkappa = 1.0\nmu = 0.0\nsigma = 1.4142135623730951",
+        "family = custom\ndrift_coeffs = [0.0, -1.0]\ndiffusion_coeffs = [1.4142135623730951]\n"
+        "recurrence_alpha = one\nrecurrence_gamma = 1.0\nrecurrence_radius = 0.0\n"
+        "holder_nu = 1.0\nalpha_bar = 1.0\nx0 = origin",
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == ["[model] recurrence_alpha must be a number, got 'one'",
+                               "[model] x0 must be a number, got 'origin'"]
 
 
 def test_validate_negative_epsilon():

@@ -93,17 +93,21 @@ def test_batch_matches_scalar_path():
     acc = simulate_euler(m, sched, f, 0.5, replicate_stream(7, 3))
     assert batch.xi_continuous[3] == acc.xi_continuous[0]
     assert batch.xi_riemann[3] == acc.xi_riemann[0]
-    assert batch.sup_abs[3] == acc.sup_norm_seen
+    assert batch.sup_abs[3] == acc.sup_abs[0]
 
 
-def test_thread_count_invariance():
+def test_thread_count_invariance(monkeypatch):
+    # 100-replicate chunks: 300 replicates make three, so threads > 1
+    # runs them on the pool
+    monkeypatch.setattr(euler, "_CHUNK", 100)
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     kw = dict(master_seed=123, n_replicates=300)
     r1 = simulate_batch(m, sched, f, 0.3, threads=1, **kw)
-    r4 = simulate_batch(m, sched, f, 0.3, threads=4, **kw)
-    assert np.array_equal(r1.xi_continuous, r4.xi_continuous)
-    assert np.array_equal(r1.terminal, r4.terminal)
+    for threads in (2, 4):
+        rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
+        for name in r1.__dataclass_fields__:
+            assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
 
 
 @given(st.integers(0, 2**200 - 1),
@@ -127,7 +131,7 @@ def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, co
                              control=control)
         assert batch.xi_continuous[i] == acc.xi_continuous[0]
         assert batch.xi_riemann[i] == acc.xi_riemann[0]
-        assert batch.sup_abs[i] == acc.sup_norm_seen
+        assert batch.sup_abs[i] == acc.sup_abs[0]
 
 
 def test_batch_matches_scalar_across_chunk_boundary():
@@ -244,7 +248,7 @@ def test_trajectory_explosion_scalar():
         simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, 0))
 
 
-def test_batch_flags_failures():
+def test_batch_flags_failures(monkeypatch):
     m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
     bad = type(m)(**{**m.__dict__,
                      "drift": lambda x: np.asarray(x, float) ** 3,
@@ -255,6 +259,21 @@ def test_batch_flags_failures():
     assert np.all(res.failed)
     assert np.all(res.fail_step > 0)
     assert np.all(np.isnan(res.xi_continuous))
+    # from x0 = 0.5 the paths leave at different steps; fail_step is the
+    # first step with |Z| > blow_up whatever the noise block size
+    bad = type(m)(**{**bad.__dict__, "initial_state": np.array([0.5])})
+    sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    steps = [27, 34, 19, 61, 61, 20]
+    for i, step in enumerate(steps):
+        with pytest.raises(TrajectoryExplodedError) as err:
+            simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, i))
+        assert err.value.step == step
+    for budget in (euler._NOISE_BUDGET, 60, 12):
+        monkeypatch.setattr(euler, "_NOISE_BUDGET", budget)
+        res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=6)
+        assert res.fail_step.tolist() == steps, budget
+
 
 
 # ---------------------------------------------------------------- control
@@ -323,6 +342,14 @@ def test_reference_agrees_with_coarse_on_shared_noise():
     ref = simulate_reference(m, eps, 10, f, 1.0, rng, base_delta=0.01,
                              noise=fine_noise)
     assert abs(coarse.xi_continuous[0] - ref.xi_continuous[0]) < 0.15
+
+
+def test_short_injected_noise_rejected():
+    m, f = ou(), f_identity()
+    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    with pytest.raises(SimulationError, match="injected noise has 99 steps"):
+        simulate_euler(m, sched, f, 1.0, None, noise=np.zeros((99, 1)))
 
 
 def test_batch_rejects_vector_functionals():
