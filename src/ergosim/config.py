@@ -133,21 +133,34 @@ def _parse_sections(text: str):
     return data, errors
 
 
-def _number(value, where: str, errors: list, cast=float):
-    """``cast(value)``, or None with the problem recorded in ``errors``."""
+def _number(value, where: str, errors: list, cast=float, finite=False):
+    """``cast(value)``, or None with the problem recorded in ``errors``.
+
+    An integer beyond the float range is a problem; with ``finite``, so
+    are inf and nan.
+    """
     if cast is int and isinstance(value, float) and not value.is_integer():
         errors.append(f"{where} must be an integer, got {value!r}")
         return None
     try:
-        return cast(value)
+        out = cast(value)
+    except OverflowError:
+        errors.append(f"{where} must be a finite number, got an integer of "
+                      f"{len(str(abs(value)))} digits")
+        return None
     except (TypeError, ValueError):
         errors.append(f"{where} must be a number, got {value!r}")
         return None
+    if finite and not math.isfinite(out):
+        errors.append(f"{where} must be a finite number, got {value!r}")
+        return None
+    return out
 
 
 def _numbers(raw, where: str, errors: list) -> Optional[tuple]:
-    """A scalar or list of floats as a tuple, or None if any entry is not a number."""
-    vals = [_number(v, where, errors) for v in (raw if isinstance(raw, list) else [raw])]
+    """A finite scalar or list of finite floats as a tuple, or None if any entry is not."""
+    vals = [_number(v, where, errors, finite=True)
+            for v in (raw if isinstance(raw, list) else [raw])]
     return None if None in vals else tuple(vals)
 
 
@@ -242,11 +255,11 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
     if theta is None:
         errors.append("[schedule] missing required key 'theta'")
     else:
-        theta = _number(theta, "[schedule] theta", errors)
-    c_step = _number(ssec.get("c_step", 1.0), "[schedule] c_step", errors)
+        theta = _number(theta, "[schedule] theta", errors, finite=True)
+    c_step = _number(ssec.get("c_step", 1.0), "[schedule] c_step", errors, finite=True)
     gamma = ssec.get("gamma_mdp")
     if gamma is not None:
-        gamma = _number(gamma, "[schedule] gamma_mdp", errors)
+        gamma = _number(gamma, "[schedule] gamma_mdp", errors, finite=True)
     policy = (None if len(errors) > n_errors
               else SchedulePolicy(theta_step=theta, c_step=c_step, gamma_mdp=gamma))
 
@@ -261,7 +274,8 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         errors.append("[experiment] epsilon values must be positive")
     elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
         errors.append("[experiment] epsilon_list must be strictly decreasing")
-    horizon = _number(esec.get("horizon", 1.0), "[experiment] horizon", errors)
+    horizon = _number(esec.get("horizon", 1.0), "[experiment] horizon", errors,
+                      finite=True)
     if horizon is not None and horizon <= 0:
         errors.append("[experiment] horizon must be positive")
     replicates = _number(esec.get("replicates", 2000), "[experiment] replicates", errors, int)

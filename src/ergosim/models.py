@@ -300,9 +300,6 @@ class InvariantDensity1D:
     _log_shift: float = 0.0
     _cdf: np.ndarray = field(default=None, repr=False)
 
-    def log_unnormalized(self, z):
-        return self._log_un(z)
-
     def density(self, z):
         z = np.asarray(z, dtype=float)
         lo, hi = self.support
@@ -318,11 +315,6 @@ class InvariantDensity1D:
     @property
     def z_nodes(self) -> np.ndarray:
         return self._z_of_w(self._w_nodes)
-
-    @property
-    def working_range(self) -> tuple:
-        zn = self.z_nodes
-        return float(zn[0]), float(zn[-1])
 
     def expectation(self, g: Callable) -> float:
         # fixed panel rule in the working coordinate
@@ -462,10 +454,21 @@ class FunctionalSpec:
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[float], name: str = "poly") -> "FunctionalSpec":
         c = np.asarray(coeffs, dtype=float)
+        if c.size == 0:
+            raise ValueError("a polynomial functional needs at least one coefficient")
         deg = max((i for i, v in enumerate(c) if v != 0.0), default=0)
+        lead, rest = c[-1], c[-2::-1].tolist()
 
         def value(t, x):
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
+            # Horner in polyval's order, c[-1] + x*0 then c[i] + y*x, so
+            # the values are polyval's to the bit without its validation
+            x = np.asarray(x, dtype=float)
+            y = x * 0.0
+            y += lead
+            for ci in rest:
+                y *= x
+                y += ci
+            return y
 
         return cls(value=value, growth_p0=float(deg), name=name)
 
@@ -505,6 +508,17 @@ def centralize(f: FunctionalSpec, pi: InvariantDensity1D) -> FunctionalSpec:
 # builtin families
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class ConstantDiffusion:
+    """The diffusion sigma(x) = sigma; the Euler kernel folds it into the noise."""
+
+    sigma: float
+
+    def __call__(self, x):
+        return self.sigma * np.ones_like(np.asarray(x, dtype=float))
+
+
 OU = "ou"
 CIR = "cir"
 GOMPERTZ = "gompertz"
@@ -529,7 +543,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             dim_state=1,
             dim_noise=1,
             drift=lambda x: -kappa * (np.asarray(x, dtype=float) - mu),
-            diffusion=lambda x: sigma * np.ones_like(np.asarray(x, dtype=float)),
+            diffusion=ConstantDiffusion(sigma),
             recurrence_alpha=1.0,
             recurrence_gamma=kappa if mu == 0 else kappa / 2.0,
             recurrence_radius=radius,
@@ -588,7 +602,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             support=(0.0, math.inf),
             probe_range=(0.2, max(2.0 * radius, 12.0)),
             sim_drift=lambda y: -kappa * (np.asarray(y, dtype=float) - log_mean),
-            sim_diffusion=lambda y: sigma * np.ones_like(np.asarray(y, dtype=float)),
+            sim_diffusion=ConstantDiffusion(sigma),
             state_map=np.exp,
             sim_initial_state=np.array([math.log(x0)]),
         )
@@ -602,7 +616,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             dim_noise=1,
             drift=lambda x: -np.sign(np.asarray(x, dtype=float))
             * np.abs(np.asarray(x, dtype=float)) ** alpha,
-            diffusion=lambda x: sigma * np.ones_like(np.asarray(x, dtype=float)),
+            diffusion=ConstantDiffusion(sigma),
             recurrence_alpha=alpha,
             recurrence_gamma=1.0,
             recurrence_radius=0.0,

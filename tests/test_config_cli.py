@@ -140,6 +140,19 @@ def test_validate_reports_every_non_numeric_value(tmp_path, capsys):
     assert cfg.replicates == 100_000 and isinstance(cfg.replicates, int)
     with pytest.raises(ConfigError, match=r"\[run\] threads must be an integer, got 1.5"):
         parse_config(OU_CLT.replace("threads = 1", "threads = 1.5"), inline=True)
+    # non-finite values, and integers past the float range, are config
+    # errors too, not a bare exception from the schedule later
+    for old, new, msg in (
+            ("horizon = 1.0", "horizon = 1" + "0" * 400,
+             "[experiment] horizon must be a finite number, got an integer of 401 digits"),
+            ("horizon = 1.0", "horizon = 1e400",
+             "[experiment] horizon must be a finite number, got inf"),
+            ("theta = 2.5", "theta = nan", "[schedule] theta must be a finite number, got nan")):
+        with pytest.raises(ConfigError) as ei:
+            parse_config(OU_CLT.replace(old, new), inline=True)
+        assert ei.value.errors == [msg]
+        path = write(tmp_path, OU_CLT.replace(old, new))
+        assert main(["--config", path, "validate"]) == EXIT_CONFIG_ERROR
 
 
 def test_validate_names_non_numeric_model_parameters():

@@ -276,6 +276,64 @@ def test_batch_flags_failures(monkeypatch):
 
 
 
+# ------------------------------------------------------ kernel reference
+
+
+def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8):
+    """The Euler update written out plainly, one step at a time over all rows."""
+    sim = model.sim_drift is not None
+    drift = model.sim_drift if sim else model.drift
+    diffusion = model.sim_diffusion if sim else model.diffusion
+    state = model.state_map if sim else (lambda y: y)
+    h, dt, n_steps = sched.h, sched.delta_step, sched.n_steps(horizon)
+    xi = np.array([replicate_stream(seed, i).standard_normal(n_steps) for i in range(n)])
+    z = np.full(n, float((model.sim_initial_state if sim else model.initial_state)[0]))
+    f_prev = np.asarray(f.value(0.0, state(z)), dtype=float)
+    xi_c, xi_r, sup, failed = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    for k in range(n_steps):
+        t = k * dt
+        xi_r += f_prev * dt
+        s = diffusion(z)
+        z = z + h * drift(z) + math.sqrt(h) * s * xi[:, k]
+        if control is not None:
+            z = z + (sched.mdp_scale / sched.epsilon * dt * float(control.psi(t))) * s
+        f_new = np.asarray(f.value(t + dt, state(z)), dtype=float)
+        xi_c += 0.5 * (f_prev + f_new) * dt
+        sup = np.maximum(sup, np.abs(xi_c))
+        failed |= ~(np.abs(z) <= blow_up)
+        f_prev = f_new
+    return xi_c, xi_r, sup, state(z), failed
+
+
+_PSI = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=1.0, horizon=1.0)
+
+
+@pytest.mark.parametrize("family, regime, theta, control, horizon, budget", [
+    ("ou", "CLT", 2.5, None, 1.0, None),  # constant diffusion; 90 steps, 2 tiles + 26
+    ("power_drift", "LLN", 2.0, None, 1.0, None),  # constant diffusion
+    ("cir", "LLN", 2.0, None, 1.0, None),  # diffusion depends on the state
+    ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, state map
+    ("ou", "MDP", 2.5, None, 0.6, None),
+    ("ou", "MDP", 2.5, _PSI, 1.0, None),
+    ("ou", "MDP", 2.5, _PSI, 1.0, 5 * 45),  # 45-step blocks end mid-tile
+    ("cir", "MDP", 3.5, _PSI, 1.0, 5 * 45),
+])
+def test_kernel_matches_plain_stepper(monkeypatch, family, regime, theta, control,
+                                      horizon, budget):
+    params = dict(alpha=1.5) if family == "power_drift" else dict(kappa=2.0, mu=1.0, sigma=0.8)
+    m = builtin_model(family, params)
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    pol = SchedulePolicy(theta, gamma_mdp=0.35 if regime == "MDP" else None)
+    sched = StepSchedule.from_policy(0.165, regime, pol, m.holder_nu)
+    assert sched.n_steps(horizon) % 32 != 0
+    if budget is not None:
+        monkeypatch.setattr(euler, "_NOISE_BUDGET", budget)
+    res = simulate_batch(m, sched, f, horizon, master_seed=29, n_replicates=5, control=control)
+    ref = _stepper(m, sched, f, horizon, 29, 5, control)
+    for name, want in zip(("xi_continuous", "xi_riemann", "sup_abs", "terminal", "failed"), ref):
+        assert getattr(res, name).tobytes() == want.tobytes(), name
+
+
 # ---------------------------------------------------------------- control
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergosim.models import (CentralizationError, FellerConditionError,
-                            FunctionalSpec, ModelError,
+from ergosim.models import (CentralizationError, ConstantDiffusion,
+                            FellerConditionError, FunctionalSpec, ModelError,
                             NotPositiveRecurrentError, SdeModel,
                             builtin_model, centralize, invariant_density_1d,
                             validate_conditions)
@@ -212,3 +212,30 @@ def test_polynomial_degree_metadata():
     f = FunctionalSpec.from_polynomial([3.0, 0.0, 2.0])
     assert f.growth_p0 == 2.0
     assert f.value(0.0, 2.0) == 11.0
+
+
+@pytest.mark.parametrize("coeffs", [[1.5], [0.0, 1.0], [0.3, -1.0, 0.5, 0.25], [-0.0, 0.0, -2.0]])
+def test_polynomial_values_are_polyval_bitwise(coeffs):
+    x = np.array([-np.inf, -3.5, -1.0, -0.0, 0.0, 1e-300, 0.7, 2.0, 1e200, np.inf, np.nan])
+    f = FunctionalSpec.from_polynomial(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = f.value(0.0, x)
+        want = np.polynomial.polynomial.polyval(x, coeffs)
+        assert got.tobytes() == want.tobytes()
+        assert f.value(0.0, -1.3) == np.polynomial.polynomial.polyval(-1.3, coeffs)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        FunctionalSpec.from_polynomial([])
+
+
+def test_constant_diffusion_families():
+    # the Euler kernel folds these into the noise; CIR's sigma*sqrt(x) it must call
+    for name, params in (("ou", dict(kappa=1.0, mu=0.0, sigma=0.5)),
+                         ("power_drift", dict(alpha=1.5, sigma=0.5)),
+                         ("gompertz", dict(kappa=1.0, mu=1.0, sigma=0.5)),
+                         ("cir", dict(kappa=1.0, mu=1.0, sigma=0.5))):
+        m = builtin_model(name, params)
+        d = m.sim_diffusion or m.diffusion
+        assert isinstance(d, ConstantDiffusion) == (name != "cir"), name
+        x = np.array([-1.0, 0.0, 2.5])
+        if name != "cir":
+            assert np.array_equal(d(x), 0.5 * np.ones_like(x)) and d(x).dtype == float
