@@ -165,8 +165,8 @@ def _numbers(raw, where: str, errors: list) -> Optional[tuple]:
 
 
 def _model_numbers(sec: dict, keys: tuple, errors: list) -> Optional[dict]:
-    """The ``[model]`` keys among ``keys`` as floats, or None if any is not a number."""
-    vals = {k: _number(sec[k], f"[model] {k}", errors) for k in keys if k in sec}
+    """The ``[model]`` keys among ``keys`` as floats, or None if any is not a finite number."""
+    vals = {k: _number(sec[k], f"[model] {k}", errors, finite=True) for k in keys if k in sec}
     return None if None in vals.values() else vals
 
 

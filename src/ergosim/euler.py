@@ -11,8 +11,8 @@ left-endpoint Riemann variant) are accumulated online; full trajectories
 are never stored.  The update is written once, in the 1D kernel
 ``_run_paths``; its three callers differ only in where the normals come from.
 
-The kernel fills a block of normals row by row (one row per replicate),
-then copies each ``_TILE``-step window of the block into a contiguous
+The kernel steps a block of normals at a time (one row per replicate).
+It copies each ``_TILE``-step window of the block into a contiguous
 ``(n, _TILE)`` tile and steps from the tile's columns: a column of the
 whole block is a strided read that touches one page per row.  A
 :class:`~ergosim.models.ConstantDiffusion` is folded into that copy, so
@@ -27,16 +27,27 @@ depend on execution order, chunking, or thread count.
 :func:`replicate_stream` is the reference: a Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
 caller derives all keys of a chunk at once (:func:`_replicate_keys`)
-and re-keys one Philox per chunk through its ``state`` dict, so it draws
-exactly the numbers of ``replicate_stream`` without building a seed
-sequence and generator per replicate.
+and fills every row of a noise block in one call of a small C routine
+(``_philox_fill.c``): numpy's Philox4x64-10 stream kept per row in a
+uint64 state array, and numpy's own ziggurat from ``libnpyrandom.a``, so
+it draws exactly the numbers of ``replicate_stream``.  The routine is
+compiled with gcc on first use into a per-user cache and runs without
+the GIL.  With ``threads >= 2`` helper threads fill the next noise block
+into a second buffer while the caller's thread steps the current one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,6 +67,10 @@ class TrajectoryExplodedError(SimulationError):
             f"trajectory exploded at step {step}; "
             "the step schedule is too coarse for this drift"
         )
+
+
+class NativeBuildError(SimulationError):
+    """The native Philox fill could not be built or loaded."""
 
 
 class ScheduleError(ValueError):
@@ -232,6 +247,92 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
     return keys
 
 
+# ---------------------------------------------------------------------------
+# the native per-row Philox fill
+# ---------------------------------------------------------------------------
+
+_CC = "gcc"
+_FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
+_CACHE_DIR = Path.home() / ".cache" / "ergosim"
+_STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
+_fill_fn = None
+
+
+def _native_fill():
+    """``philox_normal_fill`` of the compiled ``_philox_fill.c``.
+
+    The shared library is built once per machine into ``_CACHE_DIR``,
+    under a name keyed by a hash of the C source, of numpy's
+    ``libnpyrandom.a`` and of the compiler flags.  It is compiled to a
+    temporary name and renamed into place, so concurrent first uses never
+    load a partial file.
+    """
+    global _fill_fn
+    if _fill_fn is not None:
+        return _fill_fn
+    lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not lib.is_file():
+        raise NativeBuildError(
+            f"cannot build the native Philox fill: numpy's static library {lib} is missing")
+    flags = ["-O3", "-shared", "-fPIC", "-I", np.get_include()]
+    digest = hashlib.sha256(_FILL_SOURCE.read_bytes() + lib.read_bytes()
+                            + " ".join(flags).encode()).hexdigest()[:16]
+    target = _CACHE_DIR / f"philox_fill-{digest}.so"
+    if not target.is_file():
+        try:
+            _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE_DIR)
+        except OSError as exc:
+            raise NativeBuildError(
+                f"cannot build the native Philox fill: cache directory {_CACHE_DIR} "
+                f"is not writable ({exc.strerror})") from None
+        os.close(fd)
+        try:
+            try:
+                proc = subprocess.run(
+                    [_CC, *flags, str(_FILL_SOURCE), str(lib), "-lm", "-o", tmp],
+                    capture_output=True, text=True)
+            except OSError as exc:
+                raise NativeBuildError(
+                    f"cannot build the native Philox fill: cannot run compiler {_CC!r} "
+                    f"({exc.strerror})") from None
+            if proc.returncode != 0:
+                raise NativeBuildError(
+                    f"cannot build the native Philox fill: {_CC} failed:\n{proc.stderr.strip()}")
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(target)).philox_normal_fill
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    fn.restype = None
+    _fill_fn = fn
+    return fn
+
+
+def _start_streams(state: np.ndarray, master_seed: int, first: int) -> np.ndarray:
+    """Reset row ``j`` of ``state`` to the start of ``replicate_stream(master_seed, first + j)``."""
+    state[:] = 0
+    state[:, 4:6] = _replicate_keys(master_seed, first, len(state))
+    state[:, 10] = 4  # empty buffer: the first draw increments the counter
+    return state
+
+
+def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:
+    """Fill row ``j`` of ``out`` with the next normals of the stream in ``state[j]``.
+
+    ``out`` is a C-contiguous float64 ``(n, k)`` array and ``state`` a
+    C-contiguous ``(n, _STATE_WORDS)`` uint64 array, advanced in place; the
+    fill holds no GIL.
+    """
+    if not (out.dtype == np.float64 and out.ndim == 2 and out.flags.c_contiguous
+            and state.dtype == np.uint64 and state.shape == (len(out), _STATE_WORDS)
+            and state.flags.c_contiguous):
+        raise ValueError("the Philox fill needs C-contiguous float64 (n, k) output "
+                         "and uint64 (n, 11) state")
+    _native_fill()(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
+
+
 def simulate_euler(
     model: SdeModel,
     schedule: StepSchedule,
@@ -251,19 +352,20 @@ def simulate_euler(
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
     at the first step where the path leaves ``[-blow_up, blow_up]``.
     """
+    n_steps = schedule.n_steps(horizon)
     if noise is None:
-        def fill(out, done):
+        def fill(out, chunk, done, lo):
             rng.standard_normal(out=out[0])
     else:
         noise = np.asarray(noise, dtype=float).reshape(len(noise), -1)
-        n_steps = schedule.n_steps(horizon)
         if len(noise) < n_steps:
             raise SimulationError(
                 f"injected noise has {len(noise)} steps; the schedule needs {n_steps}")
 
-        def fill(out, done):
+        def fill(out, chunk, done, lo):
             out[0] = noise[done:done + out.shape[1], 0]
-    res = _run_paths(model, schedule, f, horizon, blow_up, control, 1, fill)
+    res = _run_paths(model, schedule, f, horizon, blow_up, control, 1,
+                     _noise_blocks([1], n_steps, fill))
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
     return res
@@ -303,7 +405,7 @@ def simulate_reference(
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096  # fixed so results never depend on thread count
-_NOISE_BUDGET = 8_000_000  # floats per in-flight noise block
+_NOISE_BUDGET = 8_000_000  # floats across all noise buffers of one run
 _TILE = 32  # steps per contiguous noise tile
 
 
@@ -336,56 +438,93 @@ def simulate_batch(
 ) -> BatchResult:
     """Run ``n_replicates`` independent 1D paths with per-replicate streams.
 
-    Replicates are processed in fixed-size chunks; chunks may execute on a
-    thread pool but are merged by index, so the output is a deterministic
-    function of (model, schedule, f, horizon, master_seed, n_replicates).
+    Replicates are stepped in fixed-size chunks, one after another, in the
+    caller's thread.  With ``threads >= 2``, ``threads - 1`` helper threads
+    fill the next noise block (of this chunk or the next) while the current
+    one steps.  The output is a deterministic function of (model,
+    schedule, f, horizon, master_seed, n_replicates), whatever ``threads``.
     """
-    chunks = [
-        (first_index + i, min(_CHUNK, n_replicates - i))
-        for i in range(0, n_replicates, _CHUNK)
-    ]
-    args = (model, schedule, f, horizon, master_seed, blow_up, control)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda c: _simulate_chunk(*args, *c), chunks))
-    else:
-        parts = [_simulate_chunk(*args, *c) for c in chunks]
+    _native_fill()  # a failed build raises here, in the caller's thread
+    chunks = [(first_index + i, min(_CHUNK, n_replicates - i))
+              for i in range(0, n_replicates, _CHUNK)]
+    # one stream state per row of the largest chunk, reset at each chunk's
+    # first block; fills run one block at a time, so rows never race
+    state = np.empty((min(_CHUNK, n_replicates), _STATE_WORDS), np.uint64)
+
+    def fill(out, chunk, done, lo):
+        rows = state[lo:lo + len(out)]
+        if done == 0:
+            _start_streams(rows, master_seed, chunks[chunk][0] + lo)
+        _philox_normals(rows, out)
+
+    helpers = max(0, threads - 1)
+    n_steps = schedule.n_steps(horizon)
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool, helpers)
+        parts = [_run_paths(model, schedule, f, horizon, blow_up, control, n, blocks)
+                 for _, n in chunks]
     return BatchResult._concat(parts)
 
 
-def _simulate_chunk(model, schedule, f, horizon, master_seed, blow_up, control,
-                    start_index, n):
-    # one Philox re-keyed per replicate: row j of each noise block continues
-    # the stream replicate_stream(master_seed, start_index + j) would draw
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    keys = _replicate_keys(master_seed, start_index, n)
-    fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    saved = [None] * n  # where each stream stopped, for paths spanning several blocks
-    n_steps = schedule.n_steps(horizon)
+def _noise_blocks(sizes, n_steps, fill, pool=None, helpers=0):
+    """Yield the noise block of every (chunk, block) in stepping order.
 
-    def fill(out, done):
-        more = done + out.shape[1] < n_steps
-        for j in range(n):
-            if done == 0:
-                fresh["state"]["key"] = keys[j]
-                bitgen.state = fresh
-            else:
-                bitgen.state = saved[j]
-            gen.standard_normal(out=out[j])
-            if more:
-                saved[j] = bitgen.state
-    return _run_paths(model, schedule, f, horizon, blow_up, control, n, fill)
+    Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
+    blocks of at most the noise budget; ``fill(out, c, done, lo)`` writes
+    the normals of steps ``done, done+1, ...`` of rows ``lo, lo+1, ...``
+    into ``out``.  Blocks are C-contiguous views of buffers allocated once
+    here, together at most ``_NOISE_BUDGET`` floats (or one step of a
+    chunk, if that is more).  Without a pool, or when two one-step blocks
+    do not fit the budget, each block is filled in the caller's thread just
+    before it is yielded.  Otherwise the next block is filled ahead into a
+    second buffer, its rows split across the ``helpers`` threads, while the
+    caller steps the current block; a buffer is refilled only after the
+    caller has asked for the block that follows the one it held, and at
+    most one block is in flight, so a chunk's blocks fill in order.
+    """
+    n_bufs = 2 if pool is not None and 2 * max(sizes, default=0) <= _NOISE_BUDGET else 1
+    plan = []
+    for c, n in enumerate(sizes):
+        block = max(1, min(n_steps, _NOISE_BUDGET // n_bufs // n))
+        plan += [(c, n, done, min(block, n_steps - done)) for done in range(0, n_steps, block)]
+    bufs = [np.empty(max((n * k for _, n, _, k in plan), default=0)) for _ in range(n_bufs)]
+
+    def view(i):
+        _, n, _, k = plan[i]
+        return bufs[i % n_bufs][:n * k].reshape(n, k)
+
+    if n_bufs == 1:
+        for i, (c, _, done, _) in enumerate(plan):
+            out = view(i)
+            fill(out, c, done, 0)
+            yield out
+        return
+
+    def start(i):
+        c, n, done, _ = plan[i]
+        out = view(i)
+        cuts = [n * h // helpers for h in range(helpers + 1)]
+        return out, [pool.submit(fill, out[lo:hi], c, done, lo)
+                     for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+    ahead = start(0) if plan else None
+    for i in range(1, len(plan) + 1):
+        out, futures = ahead
+        for fut in futures:
+            fut.result()
+        if i < len(plan):
+            ahead = start(i)
+        yield out
 
 
-def _run_paths(model, schedule, f, horizon, blow_up, control, n, fill) -> BatchResult:
-    """Step ``n`` 1D paths together; ``fill(out, done)`` writes the normals
-    of steps ``done, done+1, ...`` into ``out`` (shape ``(n, kblk)``).
+def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> BatchResult:
+    """Step ``n`` 1D paths together on the noise blocks drawn from the
+    iterator ``blocks``: each is an ``(n, kblk)`` array of the normals of
+    the next ``kblk`` steps, read only until the next block is drawn.
 
     Rows that failed in a noise block are replayed from the block's start,
     so ``fail_step`` is exact; a failed path restarts at ``x0`` with NaN
-    functionals.
+    functionals and ends with a NaN terminal state.
     """
     if model.dim_state != 1 or model.dim_noise != 1:
         raise SimulationError("the Euler kernel supports 1D models only")
@@ -429,14 +568,12 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, fill) -> BatchR
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=np.int64)
 
-    block = max(1, min(n_steps, _NOISE_BUDGET // max(n, 1)))
-    noise = np.empty((n, block))
     tile = np.empty((n, _TILE))
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
-            kblk = min(block, n_steps - done)
-            fill(noise[:, :kblk], done)
+            noise = next(blocks)
+            kblk = noise.shape[1]
             # a copy: keeping the block's own z array alive instead raised a
             # 2-thread 102,400-replicate MDP CLI run's peak RSS from 92 to 122 MB
             z_start = z.copy()
@@ -470,4 +607,7 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, fill) -> BatchR
                 f_prev = observe((done + kblk) * dt, z)
             done += kblk
     terminal = state_map(z) if state_map is not None else z
+    # a failed path has no terminal state (where it restarted depends on the
+    # noise block size, and so on the thread count)
+    terminal = np.where(failed, np.nan, terminal)
     return BatchResult(xi_c, xi_r, sup, terminal, failed, fail_step)

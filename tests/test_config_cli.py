@@ -173,6 +173,30 @@ def test_validate_names_non_numeric_model_parameters():
                                "[model] x0 must be a number, got 'origin'"]
 
 
+# each builtin family's [model] parameters, with one of them left open
+_BUILTIN_WITH_OPEN_PARAM = {
+    "ou": ("mu", "kappa = 1.0\nmu = {v}\nsigma = 1.4142135623730951"),
+    "cir": ("kappa", "kappa = {v}\nmu = 1.0\nsigma = 1.0"),
+    "gompertz": ("sigma", "kappa = 1.0\nmu = 1.0\nsigma = {v}"),
+    "power_drift": ("alpha", "alpha = {v}"),
+}
+
+
+@pytest.mark.parametrize("family", list(_BUILTIN_WITH_OPEN_PARAM))
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_validate_rejects_non_finite_builtin_parameters(tmp_path, capsys, family, bad):
+    key, params = _BUILTIN_WITH_OPEN_PARAM[family]
+    text = OU_CLT.replace("family = ou\nkappa = 1.0\nmu = 0.0\nsigma = 1.4142135623730951",
+                          f"family = {family}\n" + params.format(v=bad))
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == [f"[model] {key} must be a finite number, got {bad}"]
+    # a config error (exit 2), not a runtime error from the model build
+    assert main(["--config", write(tmp_path, text), "--quiet", "--out", str(tmp_path),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_validate_negative_epsilon():
     with pytest.raises(ConfigError, match="positive"):
         parse_config(OU_CLT.replace("[0.05]", "[-0.05]"), inline=True)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -97,17 +100,96 @@ def test_batch_matches_scalar_path():
 
 
 def test_thread_count_invariance(monkeypatch):
-    # 100-replicate chunks: 300 replicates make three, so threads > 1
-    # runs them on the pool
+    # 100-replicate chunks and 2000-float noise buffers: 250 replicates make
+    # chunks of 100, 100 and 50 rows and 161 steps make several blocks per
+    # chunk, so threads > 1 fill ahead both within a chunk and into the next
     monkeypatch.setattr(euler, "_CHUNK", 100)
+    monkeypatch.setattr(euler, "_NOISE_BUDGET", 2000)
+    fills = []
+    native = euler._philox_normals
+
+    def recorded(state, out):
+        fills.append((threading.get_ident(), out.shape))
+        native(state, out)
+    monkeypatch.setattr(euler, "_philox_normals", recorded)
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    kw = dict(master_seed=123, n_replicates=300)
+    n_steps = sched.n_steps(0.3)
+    assert n_steps > 3 * 2000 // 2 // 100
+    kw = dict(master_seed=123, n_replicates=250)
     r1 = simulate_batch(m, sched, f, 0.3, threads=1, **kw)
-    for threads in (2, 4):
-        rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
-        for name in r1.__dataclass_fields__:
-            assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
+    assert {ident for ident, _ in fills} == {threading.get_ident()}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often, to shake out races
+    try:
+        for threads in (2, 4):
+            fills.clear()
+            rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
+            for name in r1.__dataclass_fields__:
+                assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
+            # every fill ran on a helper, each block's rows split threads - 1 ways
+            helpers = {ident for ident, _ in fills}
+            assert threading.get_ident() not in helpers and len(helpers) <= threads - 1
+            assert sum(rows * k for (rows, k) in (shape for _, shape in fills)) == 250 * n_steps
+    finally:
+        sys.setswitchinterval(switch)
+    # a failing batch replays its failed rows from the block being stepped
+    # while the next block fills: fail_step does not depend on threads
+    bad = type(m)(**{**m.__dict__, "drift": lambda x: np.asarray(x, float) ** 3,
+                     "initial_state": np.array([0.5])})
+    sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    one = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=250)
+    two = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=250, threads=2)
+    assert one.failed.sum() > 100 and len(set(one.fail_step.tolist())) > 20
+    assert two.fail_step.tolist() == one.fail_step.tolist()
+    assert np.all(np.isnan(one.terminal[one.failed]))
+    for name in r1.__dataclass_fields__:
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
+
+
+def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(euler, "_CC", "no-such-compiler")
+    m, f = ou(), f_identity()
+    sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
+    with pytest.raises(euler.NativeBuildError, match="compiler 'no-such-compiler' \\(No such file"):
+        simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=4)
+    assert issubclass(euler.NativeBuildError, SimulationError)
+    assert list((tmp_path / "cache").iterdir()) == []  # no partial file left
+
+
+def test_native_build_into_empty_cache(monkeypatch, tmp_path):
+    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path)
+    euler._native_fill()
+    built = [p.name for p in tmp_path.iterdir()]
+    assert len(built) == 1 and built[0].startswith("philox_fill-") and built[0].endswith(".so")
+
+
+@pytest.mark.parametrize("first", [0, 2**32 - 3])
+def test_native_fill_matches_replicate_stream(first):
+    # 2**20 normals in blocks of 37, 50 and the rest, rows split across two
+    # threads: the 4-word Philox buffer position carries between blocks, and
+    # the ziggurat's tail branch (|x| > 3.654) is reached
+    seed = 2**70 + 11
+    n = 3 if first else 64
+    widths = (37, 50, 2**20 // n - 87)
+    state = euler._start_streams(np.empty((n, euler._STATE_WORDS), np.uint64), seed, first)
+    parts = []
+    for width in widths:
+        out = np.empty((n, width))
+        halves = (slice(0, n // 2), slice(n // 2, n))
+        with ThreadPoolExecutor(2) as ex:
+            list(ex.map(lambda r: euler._philox_normals(state[r], out[r]), halves))
+        parts.append(out)
+    got = np.concatenate(parts, axis=1)
+    want = np.array([replicate_stream(seed, first + j).standard_normal(got.shape[1])
+                     for j in range(n)])
+    assert got.size >= 2**20 - n
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(got).max() > 3.6
 
 
 @given(st.integers(0, 2**200 - 1),
@@ -147,7 +229,7 @@ def test_batch_matches_scalar_across_chunk_boundary():
 @pytest.mark.parametrize("with_control", [False, True])
 def test_batch_matches_scalar_across_noise_blocks(monkeypatch, with_control):
     # 64 floats over 5 replicates: 12-step noise blocks, so every path
-    # resumes its stream from saved state many times
+    # carries its stream on from its row state many times
     monkeypatch.setattr(euler, "_NOISE_BUDGET", 64)
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
