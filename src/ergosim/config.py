@@ -179,7 +179,10 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
         return None
     bc = _numbers(sec["drift_coeffs"], "[model] drift_coeffs", errors)
     sc = _numbers(sec["diffusion_coeffs"], "[model] diffusion_coeffs", errors)
-    num = _model_numbers(sec, _CUSTOM_SCALARS, errors)
+    # support_lo = -inf is the same as leaving the key out
+    num = _model_numbers(sec, tuple(k for k in _CUSTOM_SCALARS
+                                    if not (k == "support_lo" and sec.get(k) == -math.inf)),
+                         errors)
     if bc is None or sc is None or num is None:
         return None
     bc, sc = np.asarray(bc), np.asarray(sc)

@@ -32,8 +32,8 @@ and fills every row of a noise block in one call of a small C routine
 uint64 state array, and numpy's own ziggurat from ``libnpyrandom.a``, so
 it draws exactly the numbers of ``replicate_stream``.  The routine is
 compiled with gcc on first use into a per-user cache and runs without
-the GIL.  With ``threads >= 2`` helper threads fill the next noise block
-into a second buffer while the caller's thread steps the current one.
+the GIL.  With ``threads >= 2`` one helper thread fills the next noise
+block into a second buffer while the caller's thread steps the current one.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def simulate_euler(
     """
     n_steps = schedule.n_steps(horizon)
     if noise is None:
-        def fill(out, chunk, done, lo):
+        def fill(out, chunk, done):
             rng.standard_normal(out=out[0])
     else:
         noise = np.asarray(noise, dtype=float).reshape(len(noise), -1)
@@ -362,7 +362,7 @@ def simulate_euler(
             raise SimulationError(
                 f"injected noise has {len(noise)} steps; the schedule needs {n_steps}")
 
-        def fill(out, chunk, done, lo):
+        def fill(out, chunk, done):
             out[0] = noise[done:done + out.shape[1], 0]
     res = _run_paths(model, schedule, f, horizon, blow_up, control, 1,
                      _noise_blocks([1], n_steps, fill))
@@ -439,10 +439,11 @@ def simulate_batch(
     """Run ``n_replicates`` independent 1D paths with per-replicate streams.
 
     Replicates are stepped in fixed-size chunks, one after another, in the
-    caller's thread.  With ``threads >= 2``, ``threads - 1`` helper threads
-    fill the next noise block (of this chunk or the next) while the current
-    one steps.  The output is a deterministic function of (model,
-    schedule, f, horizon, master_seed, n_replicates), whatever ``threads``.
+    caller's thread.  With ``threads >= 2``, one helper thread fills the
+    next noise block (of this chunk or the next) while the current one
+    steps; more threads add nothing.  The output is a deterministic
+    function of (model, schedule, f, horizon, master_seed, n_replicates),
+    whatever ``threads``.
     """
     _native_fill()  # a failed build raises here, in the caller's thread
     chunks = [(first_index + i, min(_CHUNK, n_replicates - i))
@@ -451,38 +452,35 @@ def simulate_batch(
     # first block; fills run one block at a time, so rows never race
     state = np.empty((min(_CHUNK, n_replicates), _STATE_WORDS), np.uint64)
 
-    def fill(out, chunk, done, lo):
-        rows = state[lo:lo + len(out)]
+    def fill(out, chunk, done):
+        rows = state[:len(out)]
         if done == 0:
-            _start_streams(rows, master_seed, chunks[chunk][0] + lo)
+            _start_streams(rows, master_seed, chunks[chunk][0])
         _philox_normals(rows, out)
 
-    helpers = max(0, threads - 1)
     n_steps = schedule.n_steps(horizon)
-    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
-        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool, helpers)
+    with ThreadPoolExecutor(1) if threads >= 2 else contextlib.nullcontext() as pool:
+        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool)
         parts = [_run_paths(model, schedule, f, horizon, blow_up, control, n, blocks)
                  for _, n in chunks]
     return BatchResult._concat(parts)
 
 
-def _noise_blocks(sizes, n_steps, fill, pool=None, helpers=0):
+def _noise_blocks(sizes, n_steps, fill, pool=None):
     """Yield the noise block of every (chunk, block) in stepping order.
 
     Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
-    blocks of at most the noise budget; ``fill(out, c, done, lo)`` writes
-    the normals of steps ``done, done+1, ...`` of rows ``lo, lo+1, ...``
-    into ``out``.  Blocks are C-contiguous views of buffers allocated once
-    here, together at most ``_NOISE_BUDGET`` floats (or one step of a
-    chunk, if that is more).  Without a pool, or when two one-step blocks
-    do not fit the budget, each block is filled in the caller's thread just
-    before it is yielded.  Otherwise the next block is filled ahead into a
-    second buffer, its rows split across the ``helpers`` threads, while the
-    caller steps the current block; a buffer is refilled only after the
-    caller has asked for the block that follows the one it held, and at
-    most one block is in flight, so a chunk's blocks fill in order.
+    blocks of at most the noise budget; ``fill(out, c, done)`` writes the
+    normals of steps ``done, done+1, ...`` into ``out``.  Blocks are
+    C-contiguous views of buffers allocated once here, together at most
+    ``_NOISE_BUDGET`` floats.  Without a pool each block is filled in the
+    caller's thread just before it is yielded.  With one, the next block
+    is filled ahead on the pool into a second buffer while the caller
+    steps the current block; a buffer is refilled only after the caller
+    has asked for the block that follows the one it held, and at most one
+    block is in flight, so a chunk's blocks fill in order.
     """
-    n_bufs = 2 if pool is not None and 2 * max(sizes, default=0) <= _NOISE_BUDGET else 1
+    n_bufs = 2 if pool is not None else 1
     plan = []
     for c, n in enumerate(sizes):
         block = max(1, min(n_steps, _NOISE_BUDGET // n_bufs // n))
@@ -496,22 +494,19 @@ def _noise_blocks(sizes, n_steps, fill, pool=None, helpers=0):
     if n_bufs == 1:
         for i, (c, _, done, _) in enumerate(plan):
             out = view(i)
-            fill(out, c, done, 0)
+            fill(out, c, done)
             yield out
         return
 
     def start(i):
-        c, n, done, _ = plan[i]
+        c, _, done, _ = plan[i]
         out = view(i)
-        cuts = [n * h // helpers for h in range(helpers + 1)]
-        return out, [pool.submit(fill, out[lo:hi], c, done, lo)
-                     for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        return out, pool.submit(fill, out, c, done)
 
     ahead = start(0) if plan else None
     for i in range(1, len(plan) + 1):
-        out, futures = ahead
-        for fut in futures:
-            fut.result()
+        out, fut = ahead
+        fut.result()
         if i < len(plan):
             ahead = start(i)
         yield out
@@ -523,8 +518,8 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
     the next ``kblk`` steps, read only until the next block is drawn.
 
     Rows that failed in a noise block are replayed from the block's start,
-    so ``fail_step`` is exact; a failed path restarts at ``x0`` with NaN
-    functionals and ends with a NaN terminal state.
+    so ``fail_step`` is exact; a failed path restarts at ``x0`` and ends
+    with NaN functionals, ``sup_abs`` and terminal state.
     """
     if model.dim_state != 1 or model.dim_noise != 1:
         raise SimulationError("the Euler kernel supports 1D models only")
@@ -607,7 +602,9 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
                 f_prev = observe((done + kblk) * dt, z)
             done += kblk
     terminal = state_map(z) if state_map is not None else z
-    # a failed path has no terminal state (where it restarted depends on the
-    # noise block size, and so on the thread count)
+    # a failed path has no terminal state or running sup: where it restarted,
+    # and whether a later block turned its sup NaN, depend on the noise
+    # block size, and so on the thread count
     terminal = np.where(failed, np.nan, terminal)
+    sup = np.where(failed, np.nan, sup)
     return BatchResult(xi_c, xi_r, sup, terminal, failed, fail_step)

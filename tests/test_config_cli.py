@@ -235,6 +235,12 @@ def test_custom_model_family():
     assert cfg.model.name == "custom"
     # b(2) = -2 for the configured linear drift
     assert abs(float(cfg.model.drift(np.array([2.0]))[0]) + 2.0) < 1e-15
+    # support_lo = -inf means no lower bound, as when the key is left out
+    with_lo = lambda v: text.replace("alpha_bar = 1.0", f"alpha_bar = 1.0\nsupport_lo = {v}")
+    assert parse_config(with_lo("-inf"), inline=True).model.support == (-math.inf, math.inf)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(with_lo("nan"), inline=True)
+    assert ei.value.errors == ["[model] support_lo must be a finite number, got nan"]
 
 
 def test_custom_model_missing_keys():
