@@ -28,12 +28,18 @@ depend on execution order, chunking, or thread count.
 ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
 caller derives all keys of a chunk at once (:func:`_replicate_keys`)
 and fills every row of a noise block in one call of a small C routine
-(``_philox_fill.c``): numpy's Philox4x64-10 stream kept per row in a
-uint64 state array, and numpy's own ziggurat from ``libnpyrandom.a``, so
-it draws exactly the numbers of ``replicate_stream``.  The routine is
-compiled with gcc on first use into a per-user cache and runs without
-the GIL.  With ``threads >= 2`` one helper thread fills the next noise
-block into a second buffer while the caller's thread steps the current one.
+(``_philox_fill.c``) on numpy's Philox4x64-10 stream kept per row in a
+uint64 state array.  One fused loop per row generates the row's words
+two counter blocks at a time and turns each into a normal with the fast
+path of numpy's ziggurat; the rare word it does not accept goes to
+numpy's own ``random_standard_normal`` from ``libnpyrandom.a``.  The
+ziggurat tables are probed out of that function when the routine is
+loaded, and a filled row is then compared with ``replicate_stream``
+(:class:`NativeBuildError` if they differ), so the fill draws exactly
+the numbers of ``replicate_stream``.  The routine is compiled with gcc
+on first use into a per-user cache and runs without the GIL.  With
+``threads >= 2`` one helper thread fills the next noise block into a
+second buffer while the caller's thread steps the current one.
 """
 
 from __future__ import annotations
@@ -265,7 +271,8 @@ def _native_fill():
     under a name keyed by a hash of the C source, of numpy's
     ``libnpyrandom.a`` and of the compiler flags.  It is compiled to a
     temporary name and renamed into place, so concurrent first uses never
-    load a partial file.
+    load a partial file.  Once per process the library probes its
+    ziggurat tables out of numpy and passes :func:`_check_fill`.
     """
     global _fill_fn
     if _fill_fn is not None:
@@ -303,11 +310,39 @@ def _native_fill():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(str(target)).philox_normal_fill
+    lib = ctypes.CDLL(str(target))
+    lib.philox_probe_tables.argtypes = ()
+    lib.philox_probe_tables.restype = None
+    lib.philox_probe_tables()
+    fn = lib.philox_normal_fill
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
     fn.restype = None
+    _check_fill(fn)
     _fill_fn = fn
     return fn
+
+
+# the self-check row: its 1654th normal comes from the ziggurat's tail
+_CHECK_SEED, _CHECK_INDEX, _CHECK_WIDTH = 0, 6, 2000
+
+
+def _check_fill(fn) -> None:
+    """Raise :class:`NativeBuildError` unless ``fn`` fills one row exactly as
+    :func:`replicate_stream` draws it and leaves numpy's Philox state behind.
+
+    The fill's ziggurat tables are probed out of numpy at load time; a
+    numpy whose ziggurat changed shows here, not as different streams.
+    """
+    state = _start_streams(np.empty((1, _STATE_WORDS), np.uint64), _CHECK_SEED, _CHECK_INDEX)
+    out = np.empty((1, _CHECK_WIDTH))
+    fn(state.ctypes.data, 1, out.ctypes.data, _CHECK_WIDTH)
+    ref = replicate_stream(_CHECK_SEED, _CHECK_INDEX)
+    want = ref.standard_normal(_CHECK_WIDTH)
+    if (out[0].tobytes() != want.tobytes()
+            or state[0].tobytes() != _philox_row(ref.bit_generator).tobytes()):
+        raise NativeBuildError(
+            "the native Philox fill does not reproduce numpy's normals; numpy's "
+            f"ziggurat may have changed (numpy {np.__version__})")
 
 
 def _start_streams(state: np.ndarray, master_seed: int, first: int) -> np.ndarray:
@@ -316,6 +351,13 @@ def _start_streams(state: np.ndarray, master_seed: int, first: int) -> np.ndarra
     state[:, 4:6] = _replicate_keys(master_seed, first, len(state))
     state[:, 10] = 4  # empty buffer: the first draw increments the counter
     return state
+
+
+def _philox_row(bit_generator: np.random.Philox) -> np.ndarray:
+    """The ``(_STATE_WORDS,)`` row state of a numpy ``Philox`` generator."""
+    st = bit_generator.state
+    return np.array([*st["state"]["counter"], *st["state"]["key"],
+                     *st["buffer"], st["buffer_pos"]], dtype=np.uint64)
 
 
 def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:

@@ -277,6 +277,9 @@ def _fitted_check(name, ratios, probes, detail) -> ConditionCheck:
 
 _LOG_CUTOFF = 760.0  # exp() fully underflows below max - cutoff
 _LOG_CUTOFF_HALF_LINE_EDGE = 60.0  # boundary tails decay slowly in log-space
+# a density (or a*pi) at or below this has underflowed: what it multiplies is
+# rounding noise there, so such points are dropped or counted as 0
+UNDERFLOW_FLOOR = 1e-300
 
 
 @dataclass
@@ -324,9 +327,9 @@ class InvariantDensity1D:
             with np.errstate(over="ignore", invalid="ignore"):
                 v = np.asarray(g(z), dtype=float) * dens * self._dz_dw(w)
             bad = ~np.isfinite(v)
-            if np.any(bad & (dens > 0.0)):
+            if np.any(bad & (dens > UNDERFLOW_FLOOR)):
                 raise QuadratureError("integrand overflows where the density is positive")
-            # remaining non-finite points are 0 * inf against an underflowed tail
+            # the remaining non-finite points are noise against an underflowed tail
             return np.where(bad, 0.0, v)
 
         return panel_integral(gw, self._w_nodes)

@@ -7,8 +7,10 @@ admits the explicit antiderivative representation
           = +(2 / (a pi))(x) * int_x^{inf} f pi dy       (f centralized)
 
 with u obtained by one further integration.  The left-tail form is
-numerically stable below the switch point and the right-tail form above
-it, which is exactly how the two are used here.
+numerically stable below the density's anchor (its mode) and the
+right-tail form above it, which is exactly how the two are used here: a
+fixed switch such as 0.0 divides rounding noise by an underflowed a*pi
+once the mode lies several stationary SDs away from it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import FunctionalSpec, InvariantDensity1D, SdeModel
+from .models import UNDERFLOW_FLOOR, FunctionalSpec, InvariantDensity1D, SdeModel
 from .quadrature import Antiderivative
 
 
@@ -29,7 +31,6 @@ class PoissonError(Exception):
     pass
 
 
-UNDERFLOW_FLOOR = 1e-300
 FIT_FLOOR = 1e-12
 
 
@@ -101,9 +102,6 @@ def solve_poisson_1d(
 
     table = Antiderivative(f_pi_w, w_lo, w_hi, n_panels)
 
-    switch = pi.anchor if model.is_half_line else 0.0
-    w_switch = float(w_of_z(switch))
-
     def a_pi(z):
         return model.a(z) * pi.density(z)
 
@@ -113,7 +111,7 @@ def solve_poisson_1d(
         denom = a_pi(z)
         left = -2.0 * table.from_left(w)
         right = 2.0 * table.from_right(w)
-        num = np.where(z <= switch, left, right)
+        num = np.where(z <= pi.anchor, left, right)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = num / denom
         return out

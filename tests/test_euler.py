@@ -198,6 +198,97 @@ def test_native_fill_matches_replicate_stream(first):
     assert np.abs(got).max() > 3.6
 
 
+def _numpy_philox(row):
+    bg = np.random.Philox(0)
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": row[0:4], "key": row[4:6]},
+                "buffer": row[6:10], "buffer_pos": int(row[10]),
+                "has_uint32": 0, "uinteger": 0}
+    return bg
+
+
+def _fill_and_compare(state, width):
+    """One native fill of ``width`` normals per row, checked against numpy's
+    Philox started from the same row state: the normals and the state after."""
+    bgs = [_numpy_philox(row) for row in state]
+    out = np.empty((len(state), width))
+    euler._philox_normals(state, out)
+    for j, bg in enumerate(bgs):
+        want = np.random.Generator(bg).standard_normal(width)
+        assert out[j].tobytes() == want.tobytes(), (j, width)
+        assert state[j].tobytes() == euler._philox_row(bg).tobytes(), (j, width)
+
+
+def _hand_set_rows(n, rng):
+    state = np.zeros((n, euler._STATE_WORDS), np.uint64)
+    state[:, 0] = rng.integers(0, 2**64, n, dtype=np.uint64)  # counter, low word
+    state[:, 4:10] = rng.integers(0, 2**64, (n, 6), dtype=np.uint64)  # key, buffer
+    state[:, 10] = np.arange(n) % 5  # every buffer position, and the empty buffer
+    return state
+
+
+def test_fill_state_matches_numpy_across_small_widths():
+    # widths 1 to 9, one call after another on the same rows, twice over:
+    # every buffer position and segment start is crossed, with the state
+    # compared after every call
+    state = _hand_set_rows(40, np.random.default_rng(3))
+    for width in [*range(1, 10), *range(1, 10)]:
+        _fill_and_compare(state, width)
+
+
+@pytest.mark.parametrize("counter", [
+    [2**64 - 3, 0, 0, 0],
+    [2**64 - 1, 2**64 - 1, 2**64 - 1, 5],
+    [2**64 - 1] * 4,  # the 256-bit counter wraps to 0
+])
+def test_fill_carries_the_counter_like_numpy(counter):
+    state = _hand_set_rows(10, np.random.default_rng(4))
+    state[:, 0:4] = np.array(counter, dtype=np.uint64)
+    for width in (1, 3, 9, 70, 5):
+        _fill_and_compare(state, width)
+
+
+def test_fill_slow_path_at_every_call_position():
+    # find a word the ziggurat does not accept at once (its draw consumes
+    # more than one word) that is the last word of its Philox block and
+    # follows 90 accepted words; then start a call d words before it for
+    # d = 0..89, so the slow word is the last word of a block, of a 64-word
+    # segment (d = 63 from an empty buffer) and of the call itself
+    key = np.random.SeedSequence(9).generate_state(2, np.uint64)
+    bg = np.random.Philox(key=key)
+    gen = np.random.Generator(bg)
+    consumed = lambda: (int(bg.state["state"]["counter"][0]) - 1) * 4 + bg.state["buffer_pos"]
+    fast_run, slow = 0, None
+    while slow is None:
+        before = consumed()
+        gen.standard_normal()
+        if consumed() - before == 1:
+            fast_run += 1
+        elif fast_run >= 90 and before % 4 == 3:
+            slow = before
+        else:
+            fast_run = 0
+    for d in range(90):
+        start = np.random.Philox(key=key)
+        start.random_raw(slow - d)
+        row = euler._philox_row(start)[None].copy()
+        _fill_and_compare(row.copy(), d + 1)
+        _fill_and_compare(row, d + 12)
+
+
+def test_fill_self_check_rejects_a_wrong_reference(monkeypatch):
+    # the loader's check row includes a tail draw, and a fill that differs
+    # from the reference stream raises a typed error at load time
+    tail = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX).standard_normal(
+        euler._CHECK_WIDTH)
+    assert np.abs(tail).max() > 3.6541528853610088
+    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "replicate_stream",
+                        lambda seed, index: replicate_stream(seed + 1, index))
+    with pytest.raises(euler.NativeBuildError, match="ziggurat may have changed"):
+        euler._native_fill()
+
+
 @given(st.integers(0, 2**200 - 1),
        st.sampled_from([0, 1, 4094, 4095, 4096, 4097, 2**32 - 3]))
 @settings(max_examples=60, deadline=None)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from ergosim.models import (CentralizationError, ConstantDiffusion,
                             FellerConditionError, FunctionalSpec, ModelError,
                             NotPositiveRecurrentError, SdeModel,
-                            builtin_model, centralize, invariant_density_1d,
-                            validate_conditions)
+                            UNDERFLOW_FLOOR, builtin_model, centralize,
+                            invariant_density_1d, validate_conditions)
+from ergosim.quadrature import QuadratureError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -206,6 +207,18 @@ def test_centralize_non_integrable():
                        growth_p0=2.0)
     with pytest.raises(CentralizationError, match="not pi-integrable"):
         centralize(f, pi)
+
+
+def test_expectation_counts_non_finite_points_only_where_density_underflowed():
+    # inf where the density is at or below the shared underflow floor is
+    # counted as 0; inf where the density is above it still raises
+    pi = invariant_density_1d(make_ou(sigma=0.1))
+    under = lambda z: pi.density(z) <= UNDERFLOW_FLOOR
+    assert np.any(under(pi.z_nodes)) and np.any(~under(pi.z_nodes))
+    g = lambda z: np.where(under(z), np.inf, 1.0)
+    assert abs(pi.expectation(g) - 1.0) < 1e-12
+    with pytest.raises(QuadratureError, match="overflows where the density is positive"):
+        pi.expectation(lambda z: np.where(np.abs(z) < 0.05, np.inf, 1.0))
 
 
 def test_polynomial_degree_metadata():

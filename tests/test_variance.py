@@ -38,6 +38,21 @@ def test_gradient_form_ou(ou_pipeline):
     assert abs(mf.values[0] - 2.0) < 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:dropping .* grid points where a\\*pi underflows")
+@pytest.mark.parametrize("mu", [2.0, 5.0, 10.0, -10.0])
+@pytest.mark.parametrize("kappa,sigma", [(1.0, 1.0), (0.1, 0.3), (10.0, 3.0)])
+def test_gradient_form_ou_off_centre(mu, kappa, sigma):
+    # a mean several stationary SDs from 0: the Poisson solve switches tail
+    # forms at the density's anchor, and the expectation counts the 0/0
+    # noise of u' where the density has underflowed as 0
+    m = builtin_model("ou", dict(kappa=kappa, mu=mu, sigma=sigma))
+    pi = invariant_density_1d(m)
+    f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    sol = solve_poisson_1d(m, pi, f, 0.0, m.default_probe_grid(81))
+    mf = mf_gradient_form(m, pi, sol).values[0]
+    assert abs(mf / (sigma**2 / kappa**2) - 1.0) < 1e-8
+
+
 def test_gradient_form_cir(cir_pipeline):
     m, pi, f, sol = cir_pipeline
     # u' = 1, a = x, Gamma(2,2) mean 1: M_f = 1
