@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .euler import REGIMES, SchedulePolicy, StepSchedule
-from .harness import KIND_REGIME, KINDS
+from .harness import KIND_REGIME, KINDS, LLN_RATE, LLN_RATE_MIN_EPSILONS
 from .models import FunctionalSpec, SdeModel, builtin_model
 
 
@@ -277,6 +277,9 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         errors.append("[experiment] epsilon values must be positive")
     elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
         errors.append("[experiment] epsilon_list must be strictly decreasing")
+    elif eps and kind == LLN_RATE and len(eps) < LLN_RATE_MIN_EPSILONS:
+        errors.append(f"[experiment] {LLN_RATE} needs at least {LLN_RATE_MIN_EPSILONS} "
+                      f"epsilons for its slope fit, got {len(eps)}")
     horizon = _number(esec.get("horizon", 1.0), "[experiment] horizon", errors,
                       finite=True)
     if horizon is not None and horizon <= 0:

@@ -508,14 +508,15 @@ def simulate_batch(
     return BatchResult._concat(parts)
 
 
-def _noise_blocks(sizes, n_steps, fill, pool=None):
+def _noise_blocks(sizes, n_steps, fill, pool=None, budget=_NOISE_BUDGET):
     """Yield the noise block of every (chunk, block) in stepping order.
 
     Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
     blocks of at most the noise budget; ``fill(out, c, done)`` writes the
     normals of steps ``done, done+1, ...`` into ``out``.  Blocks are
     C-contiguous views of buffers allocated once here, together at most
-    ``_NOISE_BUDGET`` floats.  Without a pool each block is filled in the
+    ``budget`` floats unless one step of a chunk needs more (a block holds
+    at least one step).  Without a pool each block is filled in the
     caller's thread just before it is yielded.  With one, the next block
     is filled ahead on the pool into a second buffer while the caller
     steps the current block; a buffer is refilled only after the caller
@@ -525,7 +526,7 @@ def _noise_blocks(sizes, n_steps, fill, pool=None):
     n_bufs = 2 if pool is not None else 1
     plan = []
     for c, n in enumerate(sizes):
-        block = max(1, min(n_steps, _NOISE_BUDGET // n_bufs // n))
+        block = max(1, min(n_steps, budget // n_bufs // n))
         plan += [(c, n, done, min(block, n_steps - done)) for done in range(0, n_steps, block)]
     bufs = [np.empty(max((n * k for _, n, _, k in plan), default=0)) for _ in range(n_bufs)]
 

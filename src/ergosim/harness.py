@@ -47,6 +47,8 @@ KINDS = tuple(KIND_REGIME)
 INVALID_POLICY = SchedulePolicy(theta_step=1.0)
 
 FAILURE_ABORT_FRACTION = 0.01
+# LLN_RATE fits a log-log slope; config validation reads the same minimum
+LLN_RATE_MIN_EPSILONS = 3
 KS_LEVEL = 0.01
 # asymptotic Kolmogorov quantile: sqrt(-ln(alpha/2)/2) at alpha = 0.01
 KS_COEFF = math.sqrt(-math.log(KS_LEVEL / 2.0) / 2.0)
@@ -254,8 +256,8 @@ def run_lln_rate(spec: ExperimentSpec) -> ExperimentReport:
     """
     if spec.kind != LLN_RATE:
         raise HarnessError(f"expected kind LLN_RATE, got {spec.kind}")
-    if len(spec.epsilon_list) < 3:
-        raise HarnessError("need >= 3 epsilons for slope fit")
+    if len(spec.epsilon_list) < LLN_RATE_MIN_EPSILONS:
+        raise HarnessError(f"need >= {LLN_RATE_MIN_EPSILONS} epsilons for slope fit")
     if not spec.functional.centralized:
         raise HarnessError("functional must be centralized (nonzero limit otherwise)")
     report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))

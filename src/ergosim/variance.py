@@ -9,18 +9,30 @@ Two independent routes to the scalar covariance are provided:
 
 Their agreement is the main cross-validation of the whole pipeline,
 since the second route never touches the Poisson equation.
+
+The autocorrelation route draws every number from one Philox stream
+keyed by ``master_seed``: the start uniforms from a numpy generator,
+then the normals of all steps, continued from that generator's state,
+from the package's native Philox fill (:func:`euler._philox_normals`),
+a block of whole steps per call.  One helper thread fills the next block
+into a second buffer while the caller steps the current one, so the
+estimate is the one a per-step ``standard_normal(n_paths)`` loop gives,
+bit for bit.  It does not run on the Euler kernel, whose per-replicate
+streams and trapezoid order would give other numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .models import FunctionalSpec, InvariantDensity1D, SdeModel
+from . import euler
+from .models import ConstantDiffusion, FunctionalSpec, InvariantDensity1D, SdeModel
 from .poisson1d import PoissonSolution
 
 
@@ -60,6 +72,8 @@ class CovarianceCurve:
 TAIL_MASS_LIMIT = 0.01
 # pi-mass quantile delimiting the far-tail region used by the decay screen
 TAIL_QUANTILE = 1e-6
+# floats in the two noise buffers of the autocorrelation route, 1 MB each
+_AUTOCORR_BUDGET = 2**18
 
 
 def mf_gradient_form(
@@ -143,14 +157,26 @@ def mf_autocorrelation_form(
     at the start of that window is more than 3 Monte Carlo standard
     errors above zero; otherwise the correction is 0 and
     ``detail["tail_resolved"]`` is False.
+
+    The normals of step ``k`` are the ``n_paths`` numbers that follow those
+    of step ``k - 1`` on the Philox stream of ``master_seed``, after the
+    ``n_paths`` start uniforms.  They come from the native fill in blocks
+    of whole steps, each at most ``_AUTOCORR_BUDGET / 2`` floats or one
+    step, filled ahead on one helper thread; a constant diffusion is
+    folded into the block.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
+    in that order.  Raises :class:`~ergosim.euler.NativeBuildError` if
+    the fill cannot be built; there is no pure-Python fallback.
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
     if model.dim_state != 1:
         raise VarianceError("autocorrelation form implemented for dim_state == 1")
+    euler._native_fill()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
+    # the stream carries on from here in the native fill, one row long
+    state = euler._philox_row(rng.bit_generator).reshape(1, -1)
 
     drift = model.sim_drift or model.drift
     diff = model.sim_diffusion or model.diffusion
@@ -175,14 +201,31 @@ def mf_autocorrelation_form(
     corr_sum[0] = float(np.sum(f0 * f0))
     se_tail = math.nan  # Monte Carlo SE of the autocorrelation at the window start
     sq_dt = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        xi = rng.standard_normal(n_paths)
-        y = y + drift(y) * dt + diff(y) * sq_dt * xi
-        fs = observe(y)
-        acc += fs if k < n_steps else 0.5 * fs
-        corr_sum[k] = float(np.sum(f0 * fs))
-        if k == i_tail:
-            se_tail = float(np.std(f0 * fs, ddof=1)) / math.sqrt(n_paths)
+    # a constant diffusion is folded into the block: it then holds
+    # (sigma*sq_dt)*xi, the product the step would form
+    fold = isinstance(diff, ConstantDiffusion)
+    prod = np.empty(n_paths)  # f0 * fs of the current step
+
+    def fill(out, chunk, done):
+        # steps done, done+1, ... as one row: the order the per-step
+        # standard_normal(n_paths) draws would take them
+        euler._philox_normals(state, out.reshape(1, -1))
+
+    k = 0
+    with ThreadPoolExecutor(1) as pool:
+        for block in euler._noise_blocks([n_paths], n_steps, fill, pool, _AUTOCORR_BUDGET):
+            steps = block.reshape(-1, n_paths)  # row r: the normals of step k + 1 + r
+            if fold:
+                steps *= diff.sigma * sq_dt
+            for xi in steps:
+                k += 1
+                y = y + drift(y) * dt + (xi if fold else diff(y) * sq_dt * xi)
+                fs = observe(y)
+                acc += fs if k < n_steps else 0.5 * fs
+                np.multiply(f0, fs, out=prod)
+                corr_sum[k] = float(prod.sum())
+                if k == i_tail:
+                    se_tail = float(np.std(prod, ddof=1)) / math.sqrt(n_paths)
     A = f0 * acc * dt
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)

@@ -208,6 +208,22 @@ def test_validate_kind_regime_mismatch():
                      inline=True)
 
 
+def test_validate_lln_rate_needs_three_epsilons(tmp_path, capsys):
+    text = OU_CLT.replace("kind = CLT_NORMALITY", "kind = LLN_RATE") \
+                 .replace("regime = CLT", "regime = LLN")
+    short = text.replace("[0.05]", "[0.1, 0.05]")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(short, inline=True)
+    assert ei.value.errors == [
+        "[experiment] LLN_RATE needs at least 3 epsilons for its slope fit, got 2"]
+    # a config error (exit 2), not the harness's runtime error (exit 3)
+    assert main(["--config", write(tmp_path, short), "--quiet", "--out", str(tmp_path),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert "needs at least 3 epsilons" in capsys.readouterr().err
+    cfg = parse_config(text.replace("[0.05]", "[0.1, 0.07, 0.05]"), inline=True)
+    assert len(cfg.epsilon_list) == harness.LLN_RATE_MIN_EPSILONS
+
+
 def test_validate_missing_builtin_parameter():
     with pytest.raises(ConfigError, match="missing parameter"):
         parse_config(OU_CLT.replace("sigma = 1.4142135623730951\n", ""), inline=True)

@@ -14,7 +14,8 @@ from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            TrajectoryExplodedError, grid_floor,
                            replicate_stream, simulate_batch, simulate_euler,
                            simulate_reference)
-from ergosim.models import FunctionalSpec, builtin_model
+from ergosim.models import FunctionalSpec, builtin_model, invariant_density_1d
+from ergosim.variance import mf_autocorrelation_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,6 +163,9 @@ def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     with pytest.raises(euler.NativeBuildError, match="compiler 'no-such-compiler' \\(No such file"):
         simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=4)
+    # the autocorrelation route of M_f draws from the same fill, with no fallback
+    with pytest.raises(euler.NativeBuildError, match="compiler 'no-such-compiler' \\(No such file"):
+        mf_autocorrelation_form(m, invariant_density_1d(m), f, horizon=0.1, n_paths=10)
     assert issubclass(euler.NativeBuildError, SimulationError)
     assert list((tmp_path / "cache").iterdir()) == []  # no partial file left
 

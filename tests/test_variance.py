@@ -116,6 +116,91 @@ def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline
     assert 0.8 < auto.detail["fitted_decay_rate"] < 1.25
 
 
+def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
+                              dt=0.005, master_seed=0, tail_extrapolate=True):
+    """The autocorrelation route as a plain per-step loop: one
+    ``standard_normal(n_paths)`` call and one full Euler update per step."""
+    n_steps = int(round(horizon / dt))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
+    x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
+    drift = model.sim_drift or model.drift
+    diff = model.sim_diffusion or model.diffusion
+    smap = model.state_map
+    y = np.log(x) if smap is not None else x
+
+    def observe(y_arr):
+        return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
+
+    f0 = observe(y)
+    acc = 0.5 * f0
+    s_grid = dt * np.arange(n_steps + 1)
+    tail_idx = s_grid >= 0.75 * horizon
+    i_tail = int(np.argmax(tail_idx))
+    corr_sum = np.zeros(n_steps + 1)
+    corr_sum[0] = float(np.sum(f0 * f0))
+    se_tail = math.nan
+    sq_dt = math.sqrt(dt)
+    for k in range(1, n_steps + 1):
+        xi = rng.standard_normal(n_paths)
+        y = y + drift(y) * dt + diff(y) * sq_dt * xi
+        fs = observe(y)
+        acc += fs if k < n_steps else 0.5 * fs
+        corr_sum[k] = float(np.sum(f0 * fs))
+        if k == i_tail:
+            se_tail = float(np.std(f0 * fs, ddof=1)) / math.sqrt(n_paths)
+    A = f0 * acc * dt
+    m_hat = 2.0 * float(np.mean(A))
+    se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
+    detail = {"horizon": horizon, "n_paths": n_paths, "dt": dt}
+    if tail_extrapolate:
+        g = corr_sum / n_paths
+        gt = g[tail_idx]
+        pos = gt > 0
+        resolved = bool(g[i_tail] > 3.0 * se_tail)
+        detail["tail_resolved"] = resolved
+        if resolved and np.sum(pos) >= 10:
+            slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
+            if slope < 0:
+                c_end = math.exp(icpt + slope * horizon)
+                tail = 2.0 * c_end / (-slope)
+                detail["tail_correction"] = tail
+                detail["fitted_decay_rate"] = -slope
+                m_hat += tail
+                if abs(tail) > 0.01 * abs(m_hat):
+                    detail["warning"] = "horizon too short: tail correction above 1% of estimate"
+        else:
+            detail["tail_correction"] = 0.0
+    return m_hat, se, detail
+
+
+@pytest.mark.parametrize("family, kw", [
+    # 300 steps in blocks of 65: the last block is short
+    ("ou", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    ("cir", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    ("gompertz", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    # more paths than one noise buffer holds: one step per block
+    ("ou", dict(n_paths=2**17 + 5, horizon=0.05, dt=0.01)),
+    ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01, tail_extrapolate=False)),
+    # f returns its own input array: the step must not write into it
+    ("ou_identity", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+])
+def test_autocorrelation_matches_per_step_loop(ou_pipeline, cir_pipeline, family, kw):
+    if family == "gompertz":
+        m = builtin_model("gompertz", dict(kappa=1.0, mu=0.5, sigma=0.5))
+        pi = invariant_density_1d(m)
+        f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    elif family == "ou_identity":
+        m, pi, _, _ = ou_pipeline
+        f = FunctionalSpec(value=lambda t, x: x, growth_p0=1.0, centralized=True)
+    else:
+        m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
+    got = mf_autocorrelation_form(m, pi, f, master_seed=3, **kw)
+    m_hat, se, detail = _autocorrelation_per_step(m, pi, f, master_seed=3, **kw)
+    assert got.values.tobytes() == np.array([m_hat]).tobytes()
+    assert got.std_error.tobytes() == np.array([se]).tobytes()
+    assert repr(got.detail) == repr(detail)
+
+
 def test_cross_route_agreement_quadratic(ou_pipeline):
     # f = x^2 - 1: autocorrelation route must agree with the gradient route
     m, pi, _, _ = ou_pipeline
