@@ -190,8 +190,6 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
     probes = np.asarray([abs(v) for v in sc])
     try:
         return SdeModel(
-            dim_state=1,
-            dim_noise=1,
             drift=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), bc),
             diffusion=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), sc),
             recurrence_alpha=num["recurrence_alpha"],
@@ -201,7 +199,7 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
                                 max(np.sum(probes), 1.0) ** 2 * 100.0),
             holder_nu=num["holder_nu"],
             drift_growth_alpha_bar=num["alpha_bar"],
-            initial_state=np.array([num.get("x0", 0.0)]),
+            initial_state=num.get("x0", 0.0),
             name="custom",
             support=(lo, math.inf) if lo is not None else (-math.inf, math.inf),
         )

@@ -564,10 +564,6 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
     so ``fail_step`` is exact; a failed path restarts at ``x0`` and ends
     with NaN functionals, ``sup_abs`` and terminal state.
     """
-    if model.dim_state != 1 or model.dim_noise != 1:
-        raise SimulationError("the Euler kernel supports 1D models only")
-    if f.n_components != 1:
-        raise SimulationError("the Euler kernel supports scalar functionals")
     if control is not None and schedule.regime != MDP:
         raise ScheduleError("controlled simulation requires an MDP schedule")
     # coefficients and state map in the coordinates actually stepped
@@ -596,7 +592,7 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
             z += (ctrl_coef * float(np.asarray(control.psi(t)))) * s
         return z
 
-    z = np.full(n, float(x0[0]))
+    z = np.full(n, x0)
     observe = (lambda t, s: np.asarray(f.value(t, state_map(s)), dtype=float)) \
         if state_map is not None else (lambda t, s: np.asarray(f.value(t, s), dtype=float))
     f_prev = observe(0.0, z)
@@ -639,7 +635,7 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
                     if rows.size == 0:
                         break
                 failed |= newly
-                z = np.where(failed, float(x0[0]), z)
+                z = np.where(failed, x0, z)
                 xi_c = np.where(failed, np.nan, xi_c)
                 xi_r = np.where(failed, np.nan, xi_r)
                 f_prev = observe((done + kblk) * dt, z)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -30,17 +29,15 @@ class NotPositiveRecurrentError(ModelError):
 
 @dataclass(frozen=True)
 class SdeModel:
-    """A diffusion dX = b(X)dt + sigma(X)dW with declared regularity metadata.
+    """A 1-D diffusion dX = b(X)dt + sigma(X)dW with declared regularity metadata.
 
-    ``drift`` and ``diffusion`` must be numpy-vectorized over the state for
-    1D models.  ``sim_drift``/``sim_diffusion``/``state_map`` describe an
-    alternative coordinate system in which the process is actually
-    simulated (the geometric mean-reversion model is stepped in log space
-    and mapped back through ``state_map``).
+    The state and the noise are scalar.  ``drift`` and ``diffusion`` must
+    be numpy-vectorized over the state.  ``sim_drift``/``sim_diffusion``/
+    ``state_map`` describe an alternative coordinate system in which the
+    process is actually simulated (the geometric mean-reversion model is
+    stepped in log space and mapped back through ``state_map``).
     """
 
-    dim_state: int
-    dim_noise: int
     drift: Callable
     diffusion: Callable
     recurrence_alpha: float
@@ -49,18 +46,16 @@ class SdeModel:
     ellipticity_bounds: tuple
     holder_nu: float
     drift_growth_alpha_bar: float
-    initial_state: np.ndarray
+    initial_state: float
     name: str = "custom"
     support: tuple = (-math.inf, math.inf)
     probe_range: tuple = (-5.0, 5.0)
     sim_drift: Optional[Callable] = None
     sim_diffusion: Optional[Callable] = None
     state_map: Optional[Callable] = None
-    sim_initial_state: Optional[np.ndarray] = None
+    sim_initial_state: Optional[float] = None
 
     def __post_init__(self):
-        if self.dim_state < 1 or self.dim_noise < 1:
-            raise ModelError("dimensions must be positive")
         if self.recurrence_gamma <= 0:
             raise ModelError("recurrence_gamma must be > 0")
         if not (0.0 < self.holder_nu <= 1.0):
@@ -69,16 +64,16 @@ class SdeModel:
         l1, l2 = self.ellipticity_bounds
         if not (0.0 < l1 <= l2):
             raise ModelError("ellipticity bounds must satisfy 0 < lambda1 <= lambda2")
-        object.__setattr__(
-            self, "initial_state", np.atleast_1d(np.asarray(self.initial_state, dtype=float))
-        )
+        object.__setattr__(self, "initial_state", float(self.initial_state))
+        if self.sim_initial_state is not None:
+            object.__setattr__(self, "sim_initial_state", float(self.sim_initial_state))
 
     @property
     def is_half_line(self) -> bool:
         return math.isfinite(self.support[0])
 
     def a(self, x):
-        """Squared diffusion a = sigma sigma^T (scalar form for 1D models)."""
+        """Squared diffusion a = sigma^2."""
         s = self.diffusion(x)
         return s * s
 
@@ -94,7 +89,7 @@ class ConditionCheck:
     name: str
     passed: bool
     margin: float
-    worst_probe: Optional[np.ndarray]
+    worst_probe: Optional[float]
     fitted_constant: Optional[float] = None
     detail: str = ""
 
@@ -121,41 +116,40 @@ class ConditionReport:
         return out
 
 
-def _check_finite(name: str, value: np.ndarray, probe) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ModelEvaluationError(f"{name} returned non-finite value at probe {probe}")
+def _coefficients(model: SdeModel, points: np.ndarray) -> tuple:
+    """b and sigma at each of ``points``, calling the coefficients one point
+    at a time (vectorised numpy ``log``/``pow`` can differ from the scalar
+    calls in the last bits); raises at the first non-finite value."""
+    b = np.empty(len(points))
+    s = np.empty(len(points))
+    for i, x in enumerate(points):
+        b[i] = model.drift(x)
+        s[i] = model.diffusion(x)
+        for name, v in (("drift", b[i]), ("diffusion", s[i])):
+            if not math.isfinite(v):
+                raise ModelEvaluationError(f"{name} returned non-finite value at probe {x}")
+    return b, s
 
 
 def validate_conditions(model: SdeModel, probe_grid: Sequence) -> ConditionReport:
-    """Numerically audit the structural conditions on a finite probe grid.
+    """Numerically audit the structural conditions of a 1-D model on a probe grid.
 
     Checks, in order: the recurrence drift inequality, uniform
-    ellipticity of sigma sigma^T, Hoelder continuity of the coefficients
+    ellipticity of sigma^2, Hoelder continuity of the coefficients
     (fitted constant), and the drift growth bound (fitted constant).
     Fitted-constant checks fail only when the worst probe ratio exceeds
     10x the median ratio, i.e. when no single constant plausibly fits.
+    ``probe_grid`` is a 1-D sequence of states.
     """
     probes = np.asarray(probe_grid, dtype=float)
     if probes.size == 0:
         raise ModelError("probe grid must be nonempty")
-    if probes.ndim == 1 and model.dim_state == 1:
-        probes = probes[:, None]
     checks = []
+    b_vals, s_vals = _coefficients(model, probes)
 
-    b_vals = np.empty_like(probes)
-    a_mats = np.empty((len(probes), model.dim_state, model.dim_state))
-    for i, x in enumerate(probes):
-        xi = x[0] if model.dim_state == 1 else x
-        b = np.atleast_1d(np.asarray(model.drift(xi), dtype=float))
-        s = np.atleast_2d(np.asarray(model.diffusion(xi), dtype=float))
-        _check_finite("drift", b, xi)
-        _check_finite("diffusion", s, xi)
-        b_vals[i] = b
-        a_mats[i] = s @ s.T
-
-    # recurrence: <x, b(x)> <= -gamma ||x||^(1+alpha) beyond radius B
-    norms = np.linalg.norm(probes, axis=1)
-    inner = np.einsum("ij,ij->i", probes, b_vals)
+    # recurrence: x b(x) <= -gamma |x|^(1+alpha) beyond radius B
+    norms = np.abs(probes)
+    inner = probes * b_vals
     outer = norms > model.recurrence_radius
     if np.any(outer):
         margin = -model.recurrence_gamma * norms[outer] ** (1.0 + model.recurrence_alpha) - inner[outer]
@@ -166,7 +160,7 @@ def validate_conditions(model: SdeModel, probe_grid: Sequence) -> ConditionRepor
                 "recurrence_drift",
                 m >= -1e-12,
                 m,
-                probes[outer][worst],
+                float(probes[outer][worst]),
                 detail=f"gamma={model.recurrence_gamma}, alpha={model.recurrence_alpha}",
             )
         )
@@ -177,17 +171,16 @@ def validate_conditions(model: SdeModel, probe_grid: Sequence) -> ConditionRepor
             )
         )
 
-    # ellipticity: smallest/largest eigenvalue of a over probes
-    eigs = np.linalg.eigvalsh(a_mats)
-    lam1 = float(eigs.min())
-    lam2 = float(eigs.max())
-    worst = probes[int(np.argmin(eigs[:, 0]))]
+    # ellipticity: smallest/largest a = sigma^2 over probes
+    a_vals = s_vals * s_vals
+    lam1 = float(a_vals.min())
+    lam2 = float(a_vals.max())
     checks.append(
         ConditionCheck(
             "uniform_ellipticity",
             lam1 > 1e-12,
             lam1,
-            worst,
+            float(probes[int(np.argmin(a_vals))]),
             detail=f"observed [{lam1:.4g}, {lam2:.4g}], declared {model.ellipticity_bounds}",
         )
     )
@@ -197,8 +190,8 @@ def validate_conditions(model: SdeModel, probe_grid: Sequence) -> ConditionRepor
     # grows under subdivision means the declared exponent nu is too high.
     checks.append(_holder_check(model, probes))
 
-    # drift growth: ||b|| <= B (1 + ||x||^alpha_bar)
-    gr = np.linalg.norm(b_vals, axis=1) / (1.0 + norms**model.drift_growth_alpha_bar)
+    # drift growth: |b| <= B (1 + |x|^alpha_bar)
+    gr = np.abs(b_vals) / (1.0 + norms**model.drift_growth_alpha_bar)
     checks.append(
         _fitted_check("drift_growth", gr, probes, f"alpha_bar={model.drift_growth_alpha_bar}")
     )
@@ -210,31 +203,19 @@ _HOLDER_GROWTH_LIMIT = 1.8  # ratio inflation allowed under 4x pair refinement
 
 def _holder_check(model: SdeModel, probes: np.ndarray) -> ConditionCheck:
     nu = model.holder_nu
-    scalar = model.dim_state == 1
-
-    def coeff_vals(x_flat):
-        bs, ss = [], []
-        for x in x_flat:
-            xi = x[0] if scalar else x
-            bs.append(np.atleast_1d(np.asarray(model.drift(xi), dtype=float)))
-            ss.append(np.atleast_2d(np.asarray(model.diffusion(xi), dtype=float)))
-        return np.asarray(bs), np.asarray(ss)
-
     pairs = []
     max_ratio = 0.0
-    for i in range(len(probes) - 1):
-        x0, x1 = probes[i], probes[i + 1]
-        if np.allclose(x0, x1):
+    for x0, x1 in zip(probes[:-1], probes[1:]):
+        if np.isclose(x0, x1):
             continue
         pts = np.array([x0 + t * (x1 - x0) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
-        b, s = coeff_vals(pts)
-        full = float(np.linalg.norm(pts[-1] - pts[0]))
+        full = abs(float(pts[-1] - pts[0]))
         quarter = full / 4.0
-        for vals, axes in ((b, 1), (s, (1, 2))):
-            # norm of the difference, not difference of norms: sign
+        for vals in _coefficients(model, pts):
+            # size of the difference, not difference of sizes: sign
             # changes in b must count as variation
-            coarse = float(np.linalg.norm(vals[-1] - vals[0])) / full**nu
-            fine = float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=axes))) / quarter**nu
+            coarse = abs(float(vals[-1] - vals[0])) / full**nu
+            fine = float(np.max(np.abs(np.diff(vals)))) / quarter**nu
             max_ratio = max(max_ratio, coarse, fine)
             pairs.append((coarse, fine, x0))
     # a pair whose endpoint difference nearly cancels (critical point
@@ -247,7 +228,7 @@ def _holder_check(model: SdeModel, probes: np.ndarray) -> ConditionCheck:
             factor = fine / coarse
             if factor > worst_factor:
                 worst_factor = factor
-                worst_probe = x0
+                worst_probe = float(x0)
     passed = worst_factor <= _HOLDER_GROWTH_LIMIT
     return ConditionCheck(
         "coefficient_smoothness",
@@ -265,7 +246,7 @@ def _fitted_check(name, ratios, probes, detail) -> ConditionCheck:
         return ConditionCheck(name, True, math.inf, None, fitted_constant=0.0, detail=detail)
     med = float(np.median(ratios))
     mx = float(np.max(ratios))
-    worst = probes[int(np.argmax(ratios[: len(probes)]))] if len(probes) else None
+    worst = float(probes[int(np.argmax(ratios))])
     passed = med > 0 and mx <= 10.0 * med
     margin = 10.0 * med - mx
     return ConditionCheck(name, passed, margin, worst, fitted_constant=mx, detail=detail)
@@ -361,8 +342,6 @@ def invariant_density_1d(
     maximum for the tails to underflow; failure to decay raises
     :class:`NotPositiveRecurrentError`.
     """
-    if model.dim_state != 1:
-        raise ModelError("invariant_density_1d requires dim_state == 1")
     support = support or model.support
     lo_s, hi_s = support
     half_line = math.isfinite(lo_s)
@@ -448,7 +427,6 @@ class FunctionalSpec:
     modulus_q0: float = 0.0
     time_homogeneous: bool = True
     centralized: bool = False
-    n_components: int = 1
     name: str = "f"
 
     def __call__(self, t, x):
@@ -543,8 +521,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         radius = 2.0 * abs(mu)
         scale = max(1.0, radius)
         return SdeModel(
-            dim_state=1,
-            dim_noise=1,
             drift=lambda x: -kappa * (np.asarray(x, dtype=float) - mu),
             diffusion=ConstantDiffusion(sigma),
             recurrence_alpha=1.0,
@@ -553,7 +529,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             ellipticity_bounds=(sigma**2, sigma**2),
             holder_nu=1.0,
             drift_growth_alpha_bar=1.0,
-            initial_state=np.array([params.get("x0", mu)]),
+            initial_state=params.get("x0", mu),
             name="ou",
             probe_range=(-5.0 * scale, 5.0 * scale),
         )
@@ -566,8 +542,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         scale = max(1.0, 2.0 * mu)
         lo, hi = 0.03 * scale, 5.0 * scale
         return SdeModel(
-            dim_state=1,
-            dim_noise=1,
             # sqrt clamped at 0: Euler iterates may graze the boundary
             drift=lambda x: kappa * (mu - np.asarray(x, dtype=float)),
             diffusion=lambda x: sigma * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0)),
@@ -577,7 +551,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             ellipticity_bounds=(sigma**2 * lo, sigma**2 * hi),
             holder_nu=0.5,
             drift_growth_alpha_bar=1.0,
-            initial_state=np.array([params.get("x0", mu)]),
+            initial_state=params.get("x0", mu),
             name="cir",
             support=(0.0, math.inf),
             probe_range=(lo, hi),
@@ -590,8 +564,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         radius = math.exp(mu + 1.0)
         x0 = params.get("x0", math.exp(log_mean))
         return SdeModel(
-            dim_state=1,
-            dim_noise=1,
             drift=lambda x: kappa * (mu - np.log(np.asarray(x, dtype=float))) * np.asarray(x, dtype=float),
             diffusion=lambda x: sigma * np.asarray(x, dtype=float),
             recurrence_alpha=1.0,
@@ -600,14 +572,14 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             ellipticity_bounds=(sigma**2 * 0.04, sigma**2 * (2.0 * radius) ** 2),
             holder_nu=1.0,  # of the log-space OU actually simulated
             drift_growth_alpha_bar=1.0,
-            initial_state=np.array([x0]),
+            initial_state=x0,
             name="gompertz",
             support=(0.0, math.inf),
             probe_range=(0.2, max(2.0 * radius, 12.0)),
             sim_drift=lambda y: -kappa * (np.asarray(y, dtype=float) - log_mean),
             sim_diffusion=ConstantDiffusion(sigma),
             state_map=np.exp,
-            sim_initial_state=np.array([math.log(x0)]),
+            sim_initial_state=math.log(x0),
         )
     if name == POWER_DRIFT:
         alpha = params["alpha"]
@@ -615,8 +587,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         if alpha <= 0:
             raise ModelError("power_drift requires alpha > 0")
         return SdeModel(
-            dim_state=1,
-            dim_noise=1,
             drift=lambda x: -np.sign(np.asarray(x, dtype=float))
             * np.abs(np.asarray(x, dtype=float)) ** alpha,
             diffusion=ConstantDiffusion(sigma),
@@ -626,7 +596,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             ellipticity_bounds=(sigma**2, sigma**2),
             holder_nu=min(alpha, 1.0),
             drift_growth_alpha_bar=min(alpha, 1.0),
-            initial_state=np.array([params.get("x0", 0.0)]),
+            initial_state=params.get("x0", 0.0),
             name="power_drift",
             probe_range=(-5.0, 5.0),
         )

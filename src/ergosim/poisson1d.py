@@ -57,10 +57,7 @@ class PoissonSolution:
     u_double_prime: np.ndarray
     time_parameter: float
     fitted_exponents: dict = field(default_factory=dict)
-    u_fn: Callable = None
     u_prime_fn: Callable = None
-    u_double_prime_fn: Callable = None
-    table_range: tuple = (0.0, 0.0)
     half_line: bool = False
 
     def to_csv(self, path: str) -> None:
@@ -86,8 +83,6 @@ def solve_poisson_1d(
     normalized to vanish at the density anchor.  Grid points where a*pi
     underflows are dropped with a warning.
     """
-    if model.dim_state != 1:
-        raise PoissonError("solve_poisson_1d requires dim_state == 1")
     if not f.centralized:
         raise PoissonError("f must be centralized before solving the Poisson equation")
     grid = np.sort(np.asarray(grid, dtype=float))
@@ -155,10 +150,7 @@ def solve_poisson_1d(
         u_prime=u_prime(grid_kept),
         u_double_prime=u_dprime(grid_kept),
         time_parameter=t,
-        u_fn=u_val,
         u_prime_fn=u_prime,
-        u_double_prime_fn=u_dprime,
-        table_range=(float(z_of_w(w_lo)), float(z_of_w(w_hi))),
         half_line=model.is_half_line,
     )
     try:

@@ -80,58 +80,49 @@ def mf_gradient_form(
     model: SdeModel,
     pi: InvariantDensity1D,
     solution: PoissonSolution,
-    t_grid=None,
-    solver: Optional[Callable] = None,
 ) -> CovarianceCurve:
-    """M_f(t) = int u'(t,x) a(x) u'(t,x) pi(dx) via quadrature.
+    """M_f = int u' a u' dpi for a 1-D model, by quadrature.
 
-    For time-inhomogeneous functionals pass ``solver(t)`` returning the
-    Poisson solution at each grid time; otherwise the single ``solution``
-    is reused.  The integral runs over the density working range; an
-    estimated truncated-tail contribution above 1 percent of the bulk is
-    an error (the functional grows too fast for this route).
+    ``u'`` is that of ``solution``, so ``M_f`` is computed at
+    ``solution.time_parameter``, the one point of the returned curve.  The
+    integral runs over the density working range; an estimated
+    truncated-tail contribution above 1 percent of the bulk is an error
+    (the functional grows too fast for this route).
     """
-    if t_grid is None:
-        t_grid = np.array([solution.time_parameter])
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t = float(solution.time_parameter)
     pi._ensure_cdf()
     wn = pi._w_nodes
-    zn = pi.z_nodes
-    dzdw = pi._dz_dw(wn)
     left_tail = pi._cdf <= TAIL_QUANTILE
     right_tail = pi._cdf >= 1.0 - TAIL_QUANTILE
-    vals = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        sol = solution if solver is None else solver(t)
+    u_prime = solution.u_prime_fn
 
-        def integrand(z):
-            with np.errstate(over="ignore", invalid="ignore"):
-                up = sol.u_prime_fn(z)
-                v = up * model.a(z) * up * pi.density(z)
-            # 0/0 where pi has underflowed; the true contribution is 0
-            return np.where(np.isfinite(v), v, 0.0)
+    def integrand(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            up = u_prime(z)
+            v = up * model.a(z) * up * pi.density(z)
+        # 0/0 where pi has underflowed; the true contribution is 0
+        return np.where(np.isfinite(v), v, 0.0)
 
-        # decay screen on a trapezoid proxy in the working coordinate: the
-        # integrand share in the regions carrying negligible pi mass must
-        # itself be negligible, else the growth of f defeats truncation
-        proxy_vals = integrand(zn) * dzdw
-        proxy = float(np.trapezoid(proxy_vals, wn))
-        tail = 0.0
-        for mask in (left_tail, right_tail):
-            if np.count_nonzero(mask) >= 2:
-                tail += abs(float(np.trapezoid(proxy_vals[mask], wn[mask])))
-        if proxy <= 0.0 or not math.isfinite(proxy):
-            raise VarianceError(f"gradient-form integral failed at t={t}: got {proxy}")
-        if tail > TAIL_MASS_LIMIT * proxy:
-            raise VarianceError(
-                "gradient-form integrand has not decayed at the working-range "
-                f"edges (tail share {tail / proxy:.3g} of the bulk)"
-            )
-        bulk = pi.expectation(lambda z: sol.u_prime_fn(z) ** 2 * model.a(z))
-        if bulk <= 0.0 or not math.isfinite(bulk):
-            raise VarianceError(f"gradient-form integral failed at t={t}: got {bulk}")
-        vals[i] = bulk
-    return CovarianceCurve(t_grid=t_grid, values=vals, method="gradient_form")
+    # decay screen on a trapezoid proxy in the working coordinate: the
+    # integrand share in the regions carrying negligible pi mass must
+    # itself be negligible, else the growth of f defeats truncation
+    proxy_vals = integrand(pi.z_nodes) * pi._dz_dw(wn)
+    proxy = float(np.trapezoid(proxy_vals, wn))
+    tail = 0.0
+    for mask in (left_tail, right_tail):
+        if np.count_nonzero(mask) >= 2:
+            tail += abs(float(np.trapezoid(proxy_vals[mask], wn[mask])))
+    if proxy <= 0.0 or not math.isfinite(proxy):
+        raise VarianceError(f"gradient-form integral failed at t={t}: got {proxy}")
+    if tail > TAIL_MASS_LIMIT * proxy:
+        raise VarianceError(
+            "gradient-form integrand has not decayed at the working-range "
+            f"edges (tail share {tail / proxy:.3g} of the bulk)"
+        )
+    bulk = pi.expectation(lambda z: u_prime(z) ** 2 * model.a(z))
+    if bulk <= 0.0 or not math.isfinite(bulk):
+        raise VarianceError(f"gradient-form integral failed at t={t}: got {bulk}")
+    return CovarianceCurve(t_grid=np.array([t]), values=np.array([bulk]), method="gradient_form")
 
 
 def mf_autocorrelation_form(
@@ -166,11 +157,19 @@ def mf_autocorrelation_form(
     folded into the block.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
     in that order.  Raises :class:`~ergosim.euler.NativeBuildError` if
     the fill cannot be built; there is no pure-Python fallback.
+
+    Raises :class:`VarianceError` unless ``n_paths >= 2`` (the standard
+    error needs two paths), ``dt`` is finite and positive, and ``horizon``
+    is finite and at least ``dt``.
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
-    if model.dim_state != 1:
-        raise VarianceError("autocorrelation form implemented for dim_state == 1")
+    if not n_paths >= 2:
+        raise VarianceError(f"n_paths must be at least 2, got {n_paths}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise VarianceError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(horizon) and horizon >= dt):
+        raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
     euler._native_fill()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))

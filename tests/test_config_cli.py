@@ -320,6 +320,16 @@ def test_cli_mf_cross_check(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("option, value", [("--mf-paths", "0"), ("--mf-paths", "1"),
+                                           ("--mf-horizon", "-1"), ("--mf-horizon", "nan"),
+                                           ("--mf-horizon", "0")])
+def test_cli_mf_rejects_bad_arguments(tmp_path, capsys, option, value):
+    rc = main(["--config", write(tmp_path, OU_CLT), "--quiet", "mf", option, value])
+    assert rc == EXIT_RUNTIME_ERROR
+    name = option[len("--mf-"):].replace("paths", "n_paths")
+    assert f"VarianceError: {name} must be" in capsys.readouterr().err
+
+
 def test_cli_experiment_artifacts_and_determinism(tmp_path, capsys):
     cfg = write(tmp_path, OU_CLT)
 

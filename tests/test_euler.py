@@ -137,7 +137,7 @@ def test_thread_count_invariance(monkeypatch):
     # a failing batch replays its failed rows from the block being stepped
     # while the next block fills: fail_step does not depend on threads
     bad = type(m)(**{**m.__dict__, "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": np.array([0.5])})
+                     "initial_state": 0.5})
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     one = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=250)
@@ -424,7 +424,7 @@ def test_trajectory_explosion_scalar():
     m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
     bad = type(m)(**{**m.__dict__,
                      "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": np.array([2.0])})
+                     "initial_state": 2.0})
     sched = StepSchedule(epsilon=0.01, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     with pytest.raises(TrajectoryExplodedError, match="exploded at step"):
@@ -435,7 +435,7 @@ def test_batch_flags_failures(monkeypatch):
     m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
     bad = type(m)(**{**m.__dict__,
                      "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": np.array([2.0])})
+                     "initial_state": 2.0})
     sched = StepSchedule(epsilon=0.01, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=4)
@@ -444,7 +444,7 @@ def test_batch_flags_failures(monkeypatch):
     assert np.all(np.isnan(res.xi_continuous))
     # from x0 = 0.5 the paths leave at different steps; fail_step is the
     # first step with |Z| > blow_up whatever the noise block size
-    bad = type(m)(**{**bad.__dict__, "initial_state": np.array([0.5])})
+    bad = type(m)(**{**bad.__dict__, "initial_state": 0.5})
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     steps = [27, 34, 19, 61, 61, 20]
@@ -470,7 +470,7 @@ def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8):
     state = model.state_map if sim else (lambda y: y)
     h, dt, n_steps = sched.h, sched.delta_step, sched.n_steps(horizon)
     xi = np.array([replicate_stream(seed, i).standard_normal(n_steps) for i in range(n)])
-    z = np.full(n, float((model.sim_initial_state if sim else model.initial_state)[0]))
+    z = np.full(n, model.sim_initial_state if sim else model.initial_state)
     f_prev = np.asarray(f.value(0.0, state(z)), dtype=float)
     xi_c, xi_r, sup, failed = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
     for k in range(n_steps):
@@ -591,12 +591,3 @@ def test_short_injected_noise_rejected():
                          regime="LLN", policy=SchedulePolicy(2.0))
     with pytest.raises(SimulationError, match="injected noise has 99 steps"):
         simulate_euler(m, sched, f, 1.0, None, noise=np.zeros((99, 1)))
-
-
-def test_batch_rejects_vector_functionals():
-    m = ou()
-    f2 = FunctionalSpec(value=lambda t, x: np.array([x, x]), growth_p0=1.0,
-                        centralized=True, n_components=2)
-    sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    with pytest.raises(SimulationError, match="scalar"):
-        simulate_batch(m, sched, f2, 0.5, master_seed=0, n_replicates=2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ergosim.models import (CentralizationError, ConstantDiffusion,
                             FellerConditionError, FunctionalSpec, ModelError,
-                            NotPositiveRecurrentError, SdeModel,
+                            ModelEvaluationError, NotPositiveRecurrentError, SdeModel,
                             UNDERFLOW_FLOOR, builtin_model, centralize,
                             invariant_density_1d, validate_conditions)
 from ergosim.quadrature import QuadratureError
@@ -78,12 +78,11 @@ def test_density_zero_outside_support():
 def test_non_recurrent_drift_rejected():
     m = make_ou()
     bad = SdeModel(
-        dim_state=1, dim_noise=1,
         drift=lambda x: +np.asarray(x, dtype=float),  # repelling
         diffusion=m.diffusion,
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
         ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
-        initial_state=np.array([0.0]),
+        initial_state=0.0,
     )
     with pytest.raises(NotPositiveRecurrentError, match="not positive recurrent"):
         invariant_density_1d(bad)
@@ -117,12 +116,11 @@ def test_builtin_conditions_pass(name, params):
 def test_sign_flipped_drift_fails_recurrence():
     m = make_ou()
     bad = SdeModel(
-        dim_state=1, dim_noise=1,
         drift=lambda x: np.asarray(x, dtype=float),
         diffusion=m.diffusion,
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
         ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
-        initial_state=np.array([0.0]),
+        initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
     assert not report["recurrence_drift"].passed
@@ -132,12 +130,11 @@ def test_sign_flipped_drift_fails_recurrence():
 def test_degenerate_diffusion_fails_ellipticity():
     m = make_ou()
     bad = SdeModel(
-        dim_state=1, dim_noise=1,
         drift=m.drift,
         diffusion=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
         ellipticity_bounds=(1.0, 1.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
-        initial_state=np.array([0.0]),
+        initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
     assert not report["uniform_ellipticity"].passed
@@ -147,15 +144,28 @@ def test_degenerate_diffusion_fails_ellipticity():
 def test_overdeclared_smoothness_fails():
     # sqrt-growth drift is Hoelder-1/2, not Lipschitz
     bad = SdeModel(
-        dim_state=1, dim_noise=1,
         drift=lambda x: -np.sign(np.asarray(x, float)) * np.abs(np.asarray(x, float)) ** 0.5,
         diffusion=lambda x: SQRT2 * np.ones_like(np.asarray(x, float)),
         recurrence_alpha=0.5, recurrence_gamma=1.0, recurrence_radius=0.0,
         ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=0.5,
-        initial_state=np.array([0.0]),
+        initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
     assert not report["coefficient_smoothness"].passed
+
+
+@pytest.mark.parametrize("coeff", ["drift", "diffusion"])
+def test_non_finite_coefficient_names_its_probe(coeff):
+    m = make_ou()
+    clean = getattr(m, coeff)
+
+    def poisoned(x):
+        # NaN at the one probe 1.5 of the grid, finite everywhere else
+        return np.where(np.asarray(x, float) == 1.5, np.nan, clean(x))
+
+    bad = type(m)(**{**m.__dict__, coeff: poisoned})
+    with pytest.raises(ModelEvaluationError, match=rf"^{coeff} returned non-finite value at probe 1\.5$"):
+        validate_conditions(bad, np.linspace(-5.0, 5.0, 41))
 
 
 def test_feller_condition_enforced():
@@ -167,10 +177,10 @@ def test_zero_holder_exponent_rejected():
     m = make_ou()
     with pytest.raises(ModelError, match="holder_nu"):
         SdeModel(
-            dim_state=1, dim_noise=1, drift=m.drift, diffusion=m.diffusion,
+            drift=m.drift, diffusion=m.diffusion,
             recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
             ellipticity_bounds=(2.0, 2.0), holder_nu=0.0, drift_growth_alpha_bar=1.0,
-            initial_state=np.array([0.0]),
+            initial_state=0.0,
         )
 
 

@@ -92,6 +92,30 @@ def test_autocorrelation_requires_centralized(ou_pipeline):
         mf_autocorrelation_form(m, pi, FunctionalSpec.from_polynomial([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(n_paths=0), "n_paths"),
+    (dict(n_paths=1), "n_paths"),
+    (dict(horizon=-1.0), "horizon"),
+    (dict(horizon=0.0), "horizon"),
+    (dict(horizon=0.004), "horizon"),  # below dt = 0.005: zero steps
+    (dict(horizon=math.nan), "horizon"),
+    (dict(horizon=math.inf), "horizon"),
+    (dict(dt=0.0), "dt"),
+    (dict(dt=-0.005), "dt"),
+    (dict(dt=math.nan), "dt"),
+])
+def test_autocorrelation_rejects_bad_arguments(ou_pipeline, kw, name):
+    m, pi, f, _ = ou_pipeline
+    with pytest.raises(VarianceError, match=f"^{name} must be"):
+        mf_autocorrelation_form(m, pi, f, **{"n_paths": 100, **kw})
+
+
+def test_autocorrelation_accepts_smallest_arguments(ou_pipeline):
+    m, pi, f, _ = ou_pipeline
+    mf = mf_autocorrelation_form(m, pi, f, n_paths=2, horizon=0.005)
+    assert np.isfinite(mf.values[0]) and np.isfinite(mf.std_error[0])
+
+
 @pytest.mark.parametrize("family, seed", [("cir", 13), ("ou", 38)])
 def test_autocorrelation_skips_unresolved_tail(ou_pipeline, cir_pipeline, family, seed):
     # at these seeds the noise in the last quarter of the horizon used to be
