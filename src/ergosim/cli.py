@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .harness import ExperimentSpec, run_experiment
-from .models import (FunctionalSpec, centralize, invariant_density_1d,
-                     validate_conditions)
+from .harness import run_experiment
+from .models import centralize, invariant_density_1d, validate_conditions
 from .poisson1d import solve_poisson_1d
 from .variance import (mf_autocorrelation_form, mf_gradient_form,
                        optimal_control, rate_function)
@@ -32,45 +31,35 @@ def _log(args, msg: str) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
+    overrides = {"master_seed": args.seed, "threads": args.threads}
+    cfg.spec = replace(cfg.spec, **{k: v for k, v in overrides.items() if v is not None})
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
 
 
-def _threads(cfg: RunConfig) -> int:
-    """Configured worker count, else the CPUs this process may run on."""
-    if cfg.threads is not None:
-        return cfg.threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_dir(cfg: RunConfig) -> Path:
     stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S.%f")
-    d = Path(cfg.out_dir) / f"{cfg.kind.lower()}_{stamp}"
+    d = Path(cfg.out_dir) / f"{cfg.spec.kind.lower()}_{stamp}"
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
 def _prepare(cfg: RunConfig, args):
     """Shared pipeline prefix: density, centralized functional, Poisson, M_f."""
-    _log(args, f"model: {cfg.model.name}")
-    pi = invariant_density_1d(cfg.model)
-    f = centralize(cfg.functional, pi) if cfg.centralize else cfg.functional
-    sol = solve_poisson_1d(cfg.model, pi, f, 0.0, cfg.model.default_probe_grid(81))
-    mf = mf_gradient_form(cfg.model, pi, sol)
+    model = cfg.spec.model
+    _log(args, f"model: {model.name}")
+    pi = invariant_density_1d(model)
+    f = centralize(cfg.spec.functional, pi)
+    sol = solve_poisson_1d(model, pi, f, 0.0, model.default_probe_grid(81))
+    mf = mf_gradient_form(model, pi, sol)
     _log(args, f"M_f (gradient form): {mf.values[0]:.6g}")
     return pi, f, sol, mf
 
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    report = validate_conditions(cfg.model, cfg.model.default_probe_grid())
+    report = validate_conditions(cfg.spec.model, cfg.spec.model.default_probe_grid())
     for line in report.summary_lines():
         print(line)
     return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
@@ -91,8 +80,8 @@ def cmd_mf(args) -> int:
     cfg = _load_config(args)
     pi, f, sol, grad = _prepare(cfg, args)
     auto = mf_autocorrelation_form(
-        cfg.model, pi, f, n_paths=args.mf_paths, horizon=args.mf_horizon,
-        master_seed=cfg.seed,
+        cfg.spec.model, pi, f, n_paths=args.mf_paths, horizon=args.mf_horizon,
+        master_seed=cfg.spec.master_seed,
     )
     g, a, se = grad.values[0], auto.values[0], auto.std_error[0]
     gap = abs(g - a)
@@ -109,7 +98,7 @@ def cmd_rate(args) -> int:
     knots = np.loadtxt(args.knots, delimiter=",", skiprows=1, ndmin=2)
     path = rate_function(mf, knots[:, 0], knots[:, 1])
     print(f"I_f(path) = {path.rate:.10g}")
-    ctrl = optimal_control(cfg.model, pi, sol, mf, path)
+    ctrl = optimal_control(cfg.spec.model, pi, sol, mf, path)
     print(f"optimal-control L2 cost = {ctrl.l2_cost:.10g} (2*I = {2 * path.rate:.10g})")
     return EXIT_PASS
 
@@ -119,25 +108,13 @@ def cmd_experiment(args) -> int:
     out = _run_dir(cfg)
     try:
         pi, f, sol, mf = _prepare(cfg, args)
-        spec = ExperimentSpec(
-            kind=cfg.kind,
-            model=cfg.model,
-            functional=f,
-            policy=cfg.policy,
-            epsilon_list=cfg.epsilon_list,
-            horizon=cfg.horizon,
-            replicates=cfg.replicates,
-            mdp_levels=cfg.levels,
-            master_seed=cfg.seed,
-            threads=_threads(cfg),
-        )
-        report = run_experiment(spec, float(mf.values[0]))
+        report = run_experiment(replace(cfg.spec, functional=f), float(mf.values[0]))
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
     payload = report.to_json_dict()
     payload["resolved_config"] = cfg.raw
-    payload["seed"] = cfg.seed
+    payload["seed"] = cfg.spec.master_seed
     body = json.dumps(payload, indent=1, sort_keys=True)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if "json" in cfg.formats:

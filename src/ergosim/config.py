@@ -9,19 +9,28 @@ Grammar (one construct per line):
     # comment            full-line comments; blank lines ignored
 
 Validation is whole-file: every problem found is reported, not just the
-first, and unknown keys are named together with their section.
+first, and unknown keys are named together with their section.  This
+module parses types and checks the schedule against the model and the
+regime; what makes an experiment runnable (kind, epsilons, horizon,
+replicates, levels) is decided by :func:`harness.spec_problems`, whose
+problems are reported here as ``[experiment]`` lines.  A valid config
+carries the :class:`harness.ExperimentSpec` it describes, with
+``threads = auto`` resolved to the CPUs this process may run on.
+``[functional] centralize`` accepts only ``true``: the Poisson equation
+is solved for the centred functional.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .euler import REGIMES, SchedulePolicy, StepSchedule
-from .harness import KIND_REGIME, KINDS, LLN_RATE, LLN_RATE_MIN_EPSILONS
+from .harness import KIND_REGIME, KINDS, ExperimentSpec, spec_problems
 from .models import FunctionalSpec, SdeModel, builtin_model
 
 
@@ -53,19 +62,9 @@ _CUSTOM_SCALARS = ("recurrence_alpha", "recurrence_gamma", "recurrence_radius",
 
 @dataclass
 class RunConfig:
-    model: SdeModel
-    functional: FunctionalSpec
-    policy: SchedulePolicy
-    kind: str
-    epsilon_list: tuple
-    horizon: float
-    replicates: int
-    levels: tuple
-    centralize: bool
+    spec: ExperimentSpec
     out_dir: str
     formats: tuple
-    seed: int
-    threads: Optional[int]  # None = auto
     raw: dict = field(default_factory=dict)
 
 
@@ -170,6 +169,18 @@ def _model_numbers(sec: dict, keys: tuple, errors: list) -> Optional[dict]:
     return None if None in vals.values() else vals
 
 
+def _threads(raw, errors: list) -> Optional[int]:
+    """``[run] threads``: a count >= 1, or ``auto`` for the CPUs this process may run on."""
+    if str(raw).lower() == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    threads = _number(raw, "[run] threads", errors, int)
+    if threads is not None and threads < 1:
+        errors.append("[run] threads must be >= 1 or 'auto'")
+    return threads
+
+
 def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
     need = ("drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
             "recurrence_gamma", "recurrence_radius", "holder_nu", "alpha_bar")
@@ -246,6 +257,9 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
             )
         except Exception as exc:
             errors.append(f"[functional] {exc}")
+    if not fsec.get("centralize", True):
+        errors.append("[functional] centralize must be true: the Poisson equation is "
+                      f"solved for the centred functional, got {fsec['centralize']!r}")
 
     ssec = sec("schedule")
     regime = str(ssec.get("regime", "")).upper()
@@ -266,28 +280,13 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
 
     esec = sec("experiment")
     kind = str(esec.get("kind", "")).upper()
-    if kind not in KINDS:
-        errors.append(f"[experiment] kind must be one of {KINDS}, got {kind!r}")
     eps = _numbers(esec.get("epsilon_list", []), "[experiment] epsilon_list", errors)
-    if eps == ():
-        errors.append("[experiment] epsilon_list must be nonempty")
-    elif eps and any(e <= 0 for e in eps):
-        errors.append("[experiment] epsilon values must be positive")
-    elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
-        errors.append("[experiment] epsilon_list must be strictly decreasing")
-    elif eps and kind == LLN_RATE and len(eps) < LLN_RATE_MIN_EPSILONS:
-        errors.append(f"[experiment] {LLN_RATE} needs at least {LLN_RATE_MIN_EPSILONS} "
-                      f"epsilons for its slope fit, got {len(eps)}")
     horizon = _number(esec.get("horizon", 1.0), "[experiment] horizon", errors,
                       finite=True)
-    if horizon is not None and horizon <= 0:
-        errors.append("[experiment] horizon must be positive")
     replicates = _number(esec.get("replicates", 2000), "[experiment] replicates", errors, int)
-    if replicates is not None and replicates < 1:
-        errors.append("[experiment] replicates must be >= 1")
     levels = _numbers(esec.get("levels", []), "[experiment] levels", errors)
-    if kind == "MDP_TAIL" and levels == ():
-        errors.append("[experiment] MDP_TAIL requires at least one level")
+    errors += [f"[experiment] {p}"
+               for p in spec_problems(kind, eps, horizon, replicates, levels)]
 
     # cross-field: the schedule must actually be valid for the model/regime
     if model is not None and policy is not None and regime in REGIMES and eps:
@@ -303,11 +302,7 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
     osec = sec("output")
     rsec = sec("run")
     seed = _number(rsec.get("seed", 0), "[run] seed", errors, int)
-    threads_raw = rsec.get("threads", "auto")
-    threads = (None if str(threads_raw).lower() == "auto"
-               else _number(threads_raw, "[run] threads", errors, int))
-    if threads is not None and threads < 1:
-        errors.append("[run] threads must be >= 1 or 'auto'")
+    threads = _threads(rsec.get("threads", "auto"), errors)
     formats_raw = osec.get("formats", ["json", "csv"])
     formats = tuple(str(v) for v in (formats_raw if isinstance(formats_raw, list) else [formats_raw]))
     bad = [v for v in formats if v not in ("json", "csv")]
@@ -316,22 +311,11 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        model=model,
-        functional=functional,
-        policy=policy,
-        kind=kind,
-        epsilon_list=eps,
-        horizon=horizon,
-        replicates=replicates,
-        levels=levels,
-        centralize=bool(fsec.get("centralize", True)),
-        out_dir=str(osec.get("directory", "runs")),
-        formats=formats,
-        seed=seed,
-        threads=threads,
-        raw=data,
-    )
+    spec = ExperimentSpec(kind=kind, model=model, functional=functional, policy=policy,
+                          epsilon_list=eps, horizon=horizon, replicates=replicates,
+                          mdp_levels=levels, master_seed=seed, threads=threads)
+    return RunConfig(spec=spec, out_dir=str(osec.get("directory", "runs")),
+                     formats=formats, raw=data)
 
 
 def parse_config(source: str, inline: bool = False) -> RunConfig:

@@ -47,8 +47,10 @@ KINDS = tuple(KIND_REGIME)
 INVALID_POLICY = SchedulePolicy(theta_step=1.0)
 
 FAILURE_ABORT_FRACTION = 0.01
-# LLN_RATE fits a log-log slope; config validation reads the same minimum
+# LLN_RATE fits a log-log slope through this many points at least
 LLN_RATE_MIN_EPSILONS = 3
+# the KS and tail-frequency kinds judge a sample of at least this size
+MIN_SAMPLE_REPLICATES = 100
 KS_LEVEL = 0.01
 # asymptotic Kolmogorov quantile: sqrt(-ln(alpha/2)/2) at alpha = 0.01
 KS_COEFF = math.sqrt(-math.log(KS_LEVEL / 2.0) / 2.0)
@@ -58,8 +60,48 @@ MDP_GAP_TOL = 0.35
 MIN_PREDICTED_HITS = 10.0
 
 
+def spec_problems(kind, eps, horizon, replicates, levels) -> list:
+    """Every experiment rule these fields break, one message each.
+
+    The one statement of what can run: :class:`ExperimentSpec` raises on
+    these problems and config validation reports them.  A field given as
+    None had no usable value and skips its rules.
+    """
+    problems = []
+    if kind not in KINDS:
+        problems.append(f"kind must be one of {KINDS}, got {kind!r}")
+    if eps == ():
+        problems.append("epsilon_list must be nonempty")
+    elif eps and any(e <= 0 for e in eps):
+        problems.append("epsilon values must be positive")
+    elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
+        problems.append("epsilon_list must be strictly decreasing")
+    elif eps and kind == LLN_RATE and len(eps) < LLN_RATE_MIN_EPSILONS:
+        problems.append(f"{LLN_RATE} needs at least {LLN_RATE_MIN_EPSILONS} "
+                        f"epsilons for its slope fit, got {len(eps)}")
+    if horizon is not None and horizon <= 0:
+        problems.append("horizon must be positive")
+    if replicates is not None:
+        if replicates < 1:
+            problems.append("replicates must be >= 1")
+        elif kind in (CLT_NORMALITY, MDP_TAIL) and replicates < MIN_SAMPLE_REPLICATES:
+            problems.append(f"{kind} requires at least {MIN_SAMPLE_REPLICATES} "
+                            f"replicates, got {replicates}")
+    if kind == MDP_TAIL and levels == ():
+        problems.append(f"{MDP_TAIL} requires at least one level")
+    return problems
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A runnable experiment: its kind, model, functional and sizes.
+
+    Construction checks every rule of :func:`spec_problems` and raises
+    one :class:`HarnessError` naming all that fail, so a spec that exists
+    can run; ``epsilon_list`` and ``mdp_levels`` are stored as float
+    tuples.  ``threads`` is the worker count of each Euler batch.
+    """
+
     kind: str
     model: SdeModel
     functional: FunctionalSpec
@@ -72,19 +114,13 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise HarnessError(f"unknown experiment kind {self.kind!r}")
         eps = tuple(float(e) for e in self.epsilon_list)
-        if not eps or any(e <= 0 for e in eps):
-            raise HarnessError("epsilon_list must contain positive values")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise HarnessError("epsilon_list must be strictly decreasing")
-        if self.kind in (CLT_NORMALITY, MDP_TAIL) and self.replicates < 100:
-            raise HarnessError(f"{self.kind} requires at least 100 replicates")
-        if self.horizon <= 0:
-            raise HarnessError("horizon must be positive")
+        levels = tuple(float(x) for x in self.mdp_levels)
+        problems = spec_problems(self.kind, eps, self.horizon, self.replicates, levels)
+        if problems:
+            raise HarnessError("invalid experiment: " + "; ".join(problems))
         object.__setattr__(self, "epsilon_list", eps)
-        object.__setattr__(self, "mdp_levels", tuple(float(x) for x in self.mdp_levels))
+        object.__setattr__(self, "mdp_levels", levels)
 
     def schedule(self, epsilon: float) -> StepSchedule:
         return StepSchedule.from_policy(
@@ -174,8 +210,8 @@ def ks_distance(sample, target_variance: float) -> float:
     return float(np.max(np.maximum(cdf - (i - 1) / n, i / n - cdf)))
 
 
-def ks_threshold(n: int, level: float = KS_LEVEL) -> float:
-    return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
+def ks_threshold(n: int) -> float:
+    return KS_COEFF / math.sqrt(n)
 
 
 def clt_statistics(sample: np.ndarray, target_variance: float) -> dict:
@@ -256,8 +292,6 @@ def run_lln_rate(spec: ExperimentSpec) -> ExperimentReport:
     """
     if spec.kind != LLN_RATE:
         raise HarnessError(f"expected kind LLN_RATE, got {spec.kind}")
-    if len(spec.epsilon_list) < LLN_RATE_MIN_EPSILONS:
-        raise HarnessError(f"need >= {LLN_RATE_MIN_EPSILONS} epsilons for slope fit")
     if not spec.functional.centralized:
         raise HarnessError("functional must be centralized (nonzero limit otherwise)")
     report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
@@ -330,8 +364,6 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
     """
     if spec.kind != MDP_TAIL:
         raise HarnessError(f"expected kind MDP_TAIL, got {spec.kind}")
-    if not spec.mdp_levels:
-        raise HarnessError("MDP_TAIL requires at least one level")
     for x in spec.mdp_levels:
         if x not in rate_target:
             raise HarnessError(f"no rate target supplied for level {x}")

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ergosim
-from ergosim import cli, harness
+from ergosim import config, harness
 from ergosim.cli import (EXIT_CONFIG_ERROR, EXIT_PASS, EXIT_RUNTIME_ERROR,
                          EXIT_VERDICT_FAIL, main)
 from ergosim.config import ConfigError, parse_config, parse_text, validate
@@ -98,22 +100,20 @@ def test_validate_collects_all_errors(tmp_path):
 def test_validate_defaults(tmp_path):
     cfg = parse_config(OU_CLT.replace("replicates = 600\n", "")
                              .replace("seed = 5\nthreads = 1\n", ""), inline=True)
-    assert cfg.replicates == 2000
-    assert cfg.seed == 0
-    assert cfg.threads is None  # auto
+    assert cfg.spec.replicates == 2000
+    assert cfg.spec.master_seed == 0
+    assert cfg.spec.threads >= 1  # auto, resolved where the spec is built
     assert cfg.formats == ("json", "csv")
-    assert cfg.centralize is True
 
 
 def test_auto_threads_count_usable_cpus(monkeypatch):
-    cfg = parse_config(OU_CLT.replace("threads = 1\n", ""), inline=True)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli._threads(cfg) == 1
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._threads(cfg) == 8
-    cfg.threads = 3
-    assert cli._threads(cfg) == 3
+    auto = OU_CLT.replace("threads = 1\n", "")
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(config.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parse_config(auto, inline=True).spec.threads == 1
+    monkeypatch.delattr(config.os, "sched_getaffinity")
+    assert parse_config(auto, inline=True).spec.threads == 8
+    assert parse_config(auto + "threads = 3\n", inline=True).spec.threads == 3
 
 
 def test_version_single_source():
@@ -137,7 +137,7 @@ def test_validate_reports_every_non_numeric_value(tmp_path, capsys):
     assert "must be a number" in capsys.readouterr().err
     # integral floats are integers
     cfg = parse_config(OU_CLT.replace("replicates = 600", "replicates = 1e5"), inline=True)
-    assert cfg.replicates == 100_000 and isinstance(cfg.replicates, int)
+    assert cfg.spec.replicates == 100_000 and isinstance(cfg.spec.replicates, int)
     with pytest.raises(ConfigError, match=r"\[run\] threads must be an integer, got 1.5"):
         parse_config(OU_CLT.replace("threads = 1", "threads = 1.5"), inline=True)
     # non-finite values, and integers past the float range, are config
@@ -221,7 +221,102 @@ def test_validate_lln_rate_needs_three_epsilons(tmp_path, capsys):
                  "experiment"]) == EXIT_CONFIG_ERROR
     assert "needs at least 3 epsilons" in capsys.readouterr().err
     cfg = parse_config(text.replace("[0.05]", "[0.1, 0.07, 0.05]"), inline=True)
-    assert len(cfg.epsilon_list) == harness.LLN_RATE_MIN_EPSILONS
+    assert len(cfg.spec.epsilon_list) == harness.LLN_RATE_MIN_EPSILONS
+
+
+# a valid experiment of each kind that a rule below is broken on
+_GOOD_EXPERIMENTS = {
+    harness.CLT_NORMALITY: dict(epsilon_list=(0.1, 0.05), horizon=1.0, replicates=600,
+                                mdp_levels=()),
+    harness.LLN_RATE: dict(epsilon_list=(0.2, 0.1, 0.05), horizon=1.0, replicates=200,
+                           mdp_levels=()),
+    harness.MDP_TAIL: dict(epsilon_list=(0.16, 0.08), horizon=1.0, replicates=4000,
+                           mdp_levels=(1.0,)),
+    harness.SCHEDULE_VIOLATION: dict(epsilon_list=(0.1,), horizon=1.0, replicates=300,
+                                     mdp_levels=()),
+}
+_SCHEDULES = {"LLN": "theta = 1.5", "CLT": "theta = 2.5",
+              "MDP": "theta = 2.5\ngamma_mdp = 0.35"}
+
+
+def experiment_config(base, **fields):
+    """OU_CLT's model and functional with a good ``base`` experiment, ``fields`` changed."""
+    exp = dict(_GOOD_EXPERIMENTS[base], kind=base)
+    exp.update(fields)
+    regime = harness.KIND_REGIME.get(exp["kind"], "CLT")
+    nums = lambda xs: "[" + ", ".join(repr(x) for x in xs) + "]"
+    head = OU_CLT[:OU_CLT.index("[schedule]")]
+    return (head + f"[schedule]\nregime = {regime}\n{_SCHEDULES[regime]}\n"
+            f"[experiment]\nkind = {exp['kind']}\nepsilon_list = {nums(exp['epsilon_list'])}\n"
+            f"horizon = {exp['horizon']!r}\nreplicates = {exp['replicates']}\n"
+            f"levels = {nums(exp['mdp_levels'])}\n[run]\nseed = 5\nthreads = 1\n")
+
+
+# one row per experiment rule: a valid kind, the field that breaks the rule, the problem
+_BAD_EXPERIMENTS = [
+    pytest.param("CLT_NORMALITY", dict(kind="BOGUS"),
+                 f"kind must be one of {harness.KINDS}, got 'BOGUS'", id="unknown-kind"),
+    pytest.param("CLT_NORMALITY", dict(epsilon_list=()), "epsilon_list must be nonempty",
+                 id="no-epsilons"),
+    pytest.param("CLT_NORMALITY", dict(epsilon_list=(0.1, -0.05)),
+                 "epsilon values must be positive", id="negative-epsilon"),
+    pytest.param("CLT_NORMALITY", dict(epsilon_list=(0.05, 0.1)),
+                 "epsilon_list must be strictly decreasing", id="increasing-epsilons"),
+    pytest.param("LLN_RATE", dict(epsilon_list=(0.1, 0.05)),
+                 "LLN_RATE needs at least 3 epsilons for its slope fit, got 2",
+                 id="lln-two-epsilons"),
+    pytest.param("CLT_NORMALITY", dict(horizon=0.0), "horizon must be positive",
+                 id="zero-horizon"),
+    pytest.param("SCHEDULE_VIOLATION", dict(replicates=0), "replicates must be >= 1",
+                 id="no-replicates"),
+    pytest.param("CLT_NORMALITY", dict(replicates=50),
+                 "CLT_NORMALITY requires at least 100 replicates, got 50", id="clt-50"),
+    pytest.param("MDP_TAIL", dict(replicates=99),
+                 "MDP_TAIL requires at least 100 replicates, got 99", id="mdp-99"),
+    pytest.param("MDP_TAIL", dict(mdp_levels=()), "MDP_TAIL requires at least one level",
+                 id="mdp-no-levels"),
+]
+
+
+@pytest.mark.parametrize("kind, fields, problem", _BAD_EXPERIMENTS)
+def test_experiment_rules_agree_in_harness_and_config(kind, fields, problem):
+    # the spec refuses the fields ...
+    spec = parse_config(experiment_config(kind), inline=True).spec
+    with pytest.raises(harness.HarnessError, match=re.escape(problem)):
+        dataclasses.replace(spec, **fields)
+    # ... and config reports the same problem as its one [experiment] line
+    with pytest.raises(ConfigError) as ei:
+        parse_config(experiment_config(kind, **fields), inline=True)
+    assert [e for e in ei.value.errors if e.startswith("[experiment]")] == [
+        f"[experiment] {problem}"]
+
+
+@pytest.mark.parametrize("kind", ["CLT_NORMALITY", "MDP_TAIL"])
+def test_cli_experiment_too_few_replicates_is_a_config_error(tmp_path, capsys, kind):
+    out = tmp_path / "runs"
+    path = write(tmp_path, experiment_config(kind, replicates=50))
+    assert main(["--config", path, "--quiet", "--out", str(out),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert f"[experiment] {kind} requires at least 100 replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_centralize_false_is_a_config_error(tmp_path, capsys):
+    # the Poisson equation is solved for the centred functional only
+    text = OU_CLT.replace("coeffs = [0.0, 1.0]", "coeffs = [0.0, 1.0]\ncentralize = false")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == ["[functional] centralize must be true: the Poisson equation "
+                               "is solved for the centred functional, got False"]
+    knots = tmp_path / "knots.csv"
+    knots.write_text("t,xi_1\n0.0,0.0\n1.0,0.0\n")
+    path = write(tmp_path, text)
+    for command in (["poisson"], ["mf"], ["experiment"], ["rate", "--knots", str(knots)]):
+        assert main(["--config", path, "--quiet", "--out", str(tmp_path / "runs")]
+                    + command) == EXIT_CONFIG_ERROR
+        assert "[functional] centralize must be true" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    parse_config(text.replace("= false", "= true"), inline=True)  # true still parses
 
 
 def test_validate_missing_builtin_parameter():
@@ -237,7 +332,7 @@ def test_validate_mdp_needs_levels():
         parse_config(text, inline=True)
     cfg = parse_config(text.replace("horizon = 1.0", "horizon = 1.0\nlevels = [1.5]"),
                        inline=True)
-    assert cfg.levels == (1.5,)
+    assert cfg.spec.mdp_levels == (1.5,)
 
 
 def test_custom_model_family():
@@ -248,12 +343,13 @@ def test_custom_model_family():
         "holder_nu = 1.0\nalpha_bar = 1.0",
     )
     cfg = parse_config(text, inline=True)
-    assert cfg.model.name == "custom"
+    assert cfg.spec.model.name == "custom"
     # b(2) = -2 for the configured linear drift
-    assert abs(float(cfg.model.drift(np.array([2.0]))[0]) + 2.0) < 1e-15
+    assert abs(float(cfg.spec.model.drift(np.array([2.0]))[0]) + 2.0) < 1e-15
     # support_lo = -inf means no lower bound, as when the key is left out
     with_lo = lambda v: text.replace("alpha_bar = 1.0", f"alpha_bar = 1.0\nsupport_lo = {v}")
-    assert parse_config(with_lo("-inf"), inline=True).model.support == (-math.inf, math.inf)
+    assert (parse_config(with_lo("-inf"), inline=True).spec.model.support
+            == (-math.inf, math.inf))
     with pytest.raises(ConfigError) as ei:
         parse_config(with_lo("nan"), inline=True)
     assert ei.value.errors == ["[model] support_lo must be a finite number, got nan"]
