@@ -25,7 +25,14 @@
  * by philox_probe_tables with scripted words, once per process; the
  * loader compares a filled row with numpy's stream before the fill is
  * used.  No Python object is touched, so the caller may release the GIL.
+ *
+ * euler_rows runs the scaled Euler kernel on whole rows: for GROUP rows at
+ * a time it fills the next SEG normals of each row into an on-stack block
+ * with the same fill, then steps and observes the rows together, so their
+ * dependency chains interleave.  Its arithmetic is the numpy kernel's, in
+ * the same association order; the build turns FMA contraction off.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -210,58 +217,216 @@ static void point_at(row_state *r, const uint64_t base[4], const uint64_t *seg, 
     r->pos = (uint64_t)(s % 4);
 }
 
-/* Fill row j of the C-contiguous (n_rows, width) array out from rows[j]. */
-void philox_normal_fill(row_state *rows, int64_t n_rows, double *out, int64_t width)
+/* The next width normals of the stream in r into o. */
+static void fill_row(bitgen_t *gen, row_state *r, double *o, int64_t width)
+{
+    uint64_t seg[SEG_WORDS];
+    int64_t i = 0;
+    gen->state = r;
+    while (i < width) {
+        if (r->pos < 4) {
+            if (!ziggurat_fast(r->buf[r->pos++], o + i)) {
+                r->pos--;
+                o[i] = random_standard_normal(gen);
+            }
+            i++;
+            continue;
+        }
+        /* the buffer is empty: generate a segment after r->ctr */
+        uint64_t base[4], ca[4], cb[4];
+        memcpy(base, r->ctr, sizeof base);
+        memcpy(cb, base, sizeof cb);
+        int64_t need = (width - i + 3) / 4;
+        int n_blocks = need >= SEG_BLOCKS ? SEG_BLOCKS : (int)((need + 1) & ~1);
+        for (int blk = 0; blk < n_blocks; blk += 2) {
+            ctr_inc(cb);
+            memcpy(ca, cb, sizeof ca);
+            ctr_inc(cb);
+            philox_pair(ca, cb, r->key, seg + 4 * blk);
+        }
+        int n_words = 4 * n_blocks, s = 0;
+        while (s < n_words && i < width) {
+            /* accepted words up to the first slow one, the segment's end
+             * or the row's end */
+            int m = n_words - s < width - i ? n_words - s : (int)(width - i), k = 0;
+            while (k < m && ziggurat_fast(seg[s + k], o + i + k))
+                k++;
+            s += k, i += k;
+            if (k == m)
+                break;
+            point_at(r, base, seg, s);
+            o[i++] = random_standard_normal(gen);
+            /* resume after numpy's last word, a few blocks on at most */
+            s = (int)((r->ctr[0] - base[0] - 1) * 4 + r->pos);
+        }
+        /* s > n_words: numpy drew past the segment and r is current */
+        if (s <= n_words)
+            point_at(r, base, seg, s - 1), r->pos++;
+    }
+}
+
+static bitgen_t row_generator(void)
 {
     bitgen_t gen = {0};
     gen.next_uint64 = next64;
     gen.next_double = next_double;
     gen.next_raw = next64;
-    uint64_t seg[SEG_WORDS];
-    for (int64_t j = 0; j < n_rows; j++) {
-        row_state *r = rows + j;
-        double *o = out + j * width;
-        int64_t i = 0;
-        gen.state = r;
-        while (i < width) {
-            if (r->pos < 4) {
-                if (!ziggurat_fast(r->buf[r->pos++], o + i)) {
-                    r->pos--;
-                    o[i] = random_standard_normal(&gen);
-                }
-                i++;
-                continue;
+    return gen;
+}
+
+/* Fill row j of the C-contiguous (n_rows, width) array out from rows[j]. */
+void philox_normal_fill(row_state *rows, int64_t n_rows, double *out, int64_t width)
+{
+    bitgen_t gen = row_generator();
+    for (int64_t j = 0; j < n_rows; j++)
+        fill_row(&gen, rows + j, out + j * width, width);
+}
+
+/* ---------------------------------------------------------------- Euler */
+
+/* coefficient kinds; euler.py's _DRIFT_KINDS and _DIFFUSION_KINDS */
+enum { DRIFT_OU, DRIFT_CIR, DRIFT_POLY };
+enum { DIFFUSION_CONSTANT, DIFFUSION_CIR, DIFFUSION_POLY };
+
+/* The model, functional and schedule of one batch; euler.py's _EulerSpec. */
+typedef struct {
+    int64_t drift_kind, diffusion_kind;
+    int64_t n_drift, n_diffusion, n_f; /* parameter counts */
+    const double *drift;     /* OU, CIR: (kappa, mu); polynomial: coefficients */
+    const double *diffusion; /* constant, CIR: (sigma); polynomial: coefficients */
+    const double *f;         /* polynomial coefficients of the functional */
+    double f_c0, x0, h, sqrt_h, dt, blow_up;
+    int64_t n_steps;
+    const double *control; /* NULL, or ctrl_coef * psi(k * dt) for each step k */
+} euler_spec;
+
+#define GROUP 4  /* rows stepped together */
+#define SEG 256  /* steps of normals filled per row at a time */
+
+/* numpy's polyval: c[n-1] + x*0, then c[i] + y*x */
+static inline double polyval(const double *c, int64_t n, double x)
+{
+    double y = c[n - 1] + x * 0.0;
+    for (int64_t i = n - 2; i >= 0; i--)
+        y = c[i] + y * x;
+    return y;
+}
+
+static inline __attribute__((always_inline)) double
+drift(const euler_spec *m, int kind, double x)
+{
+    switch (kind) {
+    case DRIFT_OU:
+        return (-m->drift[0]) * (x - m->drift[1]);
+    case DRIFT_CIR:
+        return m->drift[0] * (m->drift[1] - x);
+    default:
+        return polyval(m->drift, m->n_drift, x);
+    }
+}
+
+static inline __attribute__((always_inline)) double
+diffusion(const euler_spec *m, int kind, double x)
+{
+    switch (kind) {
+    case DIFFUSION_CONSTANT:
+        return m->diffusion[0];
+    case DIFFUSION_CIR:
+        /* numpy's maximum(x, 0.0): NaN stays, -0.0 becomes 0.0 */
+        return m->diffusion[0] * sqrt(!(x <= 0.0) ? x : 0.0);
+    default:
+        return polyval(m->diffusion, m->n_diffusion, x);
+    }
+}
+
+/* Rows [0, n) of a group, n <= GROUP; spare lanes step zero noise, unread. */
+static inline __attribute__((always_inline)) void
+step_group(const euler_spec *m, int dk, int sk, bitgen_t *gen, row_state *rows, int n,
+           double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
+{
+    double noise[GROUP][SEG];
+    double z[GROUP], fp[GROUP], xc[GROUP], xr[GROUP], sup[GROUP];
+    int64_t fail[GROUP];
+    const double h = m->h, sqrt_h = m->sqrt_h, dt = m->dt, blow_up = m->blow_up;
+    const double f0 = polyval(m->f, m->n_f, m->x0) - m->f_c0;
+    for (int r = 0; r < GROUP; r++) {
+        /* a spare lane counts as failed from the start */
+        z[r] = m->x0, fp[r] = f0, xc[r] = xr[r] = sup[r] = 0.0, fail[r] = r < n ? -1 : 0;
+        if (r >= n)
+            memset(noise[r], 0, sizeof noise[r]);
+    }
+    int alive = n;
+    for (int64_t k0 = 0; k0 < m->n_steps && alive; k0 += SEG) {
+        int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
+        for (int r = 0; r < n; r++)
+            if (fail[r] < 0)
+                fill_row(gen, rows + r, noise[r], width);
+        for (int k = 0; k < width; k++) {
+            const double c = m->control ? m->control[k0 + k] : 0.0;
+            for (int r = 0; r < GROUP; r++) {
+                double x = z[r];
+                double s = diffusion(m, sk, x);
+                double x1 = (x + h * drift(m, dk, x)) + (sqrt_h * s) * noise[r][k];
+                if (m->control)
+                    x1 = x1 + c * s;
+                double f1 = polyval(m->f, m->n_f, x1) - m->f_c0;
+                xr[r] = xr[r] + fp[r] * dt;
+                xc[r] = xc[r] + 0.5 * (fp[r] + f1) * dt;
+                double a = fabs(xc[r]);
+                if (!(a <= sup[r])) /* numpy's maximum: a NaN wins */
+                    sup[r] = a;
+                fp[r] = f1;
+                z[r] = x1;
+                if (!(fabs(x1) <= blow_up) && fail[r] < 0)
+                    fail[r] = k0 + k + 1, alive--;
             }
-            /* the buffer is empty: generate a segment after r->ctr */
-            uint64_t base[4], ca[4], cb[4];
-            memcpy(base, r->ctr, sizeof base);
-            memcpy(cb, base, sizeof cb);
-            int64_t need = (width - i + 3) / 4;
-            int n_blocks = need >= SEG_BLOCKS ? SEG_BLOCKS : (int)((need + 1) & ~1);
-            for (int blk = 0; blk < n_blocks; blk += 2) {
-                ctr_inc(cb);
-                memcpy(ca, cb, sizeof ca);
-                ctr_inc(cb);
-                philox_pair(ca, cb, r->key, seg + 4 * blk);
-            }
-            int n_words = 4 * n_blocks, s = 0;
-            while (s < n_words && i < width) {
-                /* accepted words up to the first slow one, the segment's end
-                 * or the row's end */
-                int m = n_words - s < width - i ? n_words - s : (int)(width - i), k = 0;
-                while (k < m && ziggurat_fast(seg[s + k], o + i + k))
-                    k++;
-                s += k, i += k;
-                if (k == m)
-                    break;
-                point_at(r, base, seg, s);
-                o[i++] = random_standard_normal(&gen);
-                /* resume after numpy's last word, a few blocks on at most */
-                s = (int)((r->ctr[0] - base[0] - 1) * 4 + r->pos);
-            }
-            /* s > n_words: numpy drew past the segment and r is current */
-            if (s <= n_words)
-                point_at(r, base, seg, s - 1), r->pos++;
         }
     }
+    for (int r = 0; r < n; r++) {
+        int ok = fail[r] < 0;
+        xi_c[r] = ok ? xc[r] : NAN;
+        xi_r[r] = ok ? xr[r] : NAN;
+        sup_abs[r] = ok ? sup[r] : NAN;
+        terminal[r] = ok ? z[r] : NAN;
+        fail_step[r] = fail[r];
+    }
+}
+
+static inline __attribute__((always_inline)) void
+run_rows(const euler_spec *m, int dk, int sk, row_state *rows, int64_t n_rows,
+         double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
+{
+    bitgen_t gen = row_generator();
+    for (int64_t j = 0; j < n_rows; j += GROUP) {
+        int n = n_rows - j < GROUP ? (int)(n_rows - j) : GROUP;
+        step_group(m, dk, sk, &gen, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
+                   terminal + j, fail_step + j);
+    }
+}
+
+/* Step rows[0, n_rows) from x0 through m->n_steps Euler steps, each row on
+ * its own stream, and write the path functionals of row j to element j of
+ * the outputs.  A row stops at the first step after which |Z| <= blow_up
+ * fails (NaN included): fail_step is that step's number, counted from 1,
+ * and its other outputs are NaN.  fail_step is -1 for a row that never
+ * fails. */
+void euler_rows(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi_c,
+                double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
+{
+#define KINDS(dk, sk)                                                              \
+    case (dk) * 3 + (sk):                                                          \
+        run_rows(m, dk, sk, rows, n_rows, xi_c, xi_r, sup_abs, terminal, fail_step); \
+        break
+    switch (m->drift_kind * 3 + m->diffusion_kind) {
+        KINDS(DRIFT_OU, DIFFUSION_CONSTANT);
+        KINDS(DRIFT_OU, DIFFUSION_CIR);
+        KINDS(DRIFT_OU, DIFFUSION_POLY);
+        KINDS(DRIFT_CIR, DIFFUSION_CONSTANT);
+        KINDS(DRIFT_CIR, DIFFUSION_CIR);
+        KINDS(DRIFT_CIR, DIFFUSION_POLY);
+        KINDS(DRIFT_POLY, DIFFUSION_CONSTANT);
+        KINDS(DRIFT_POLY, DIFFUSION_CIR);
+        KINDS(DRIFT_POLY, DIFFUSION_POLY);
+    }
+#undef KINDS
 }

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .harness import run_experiment
+from .harness import HarnessError, run_experiment
 from .models import centralize, invariant_density_1d, validate_conditions
 from .poisson1d import solve_poisson_1d
 from .variance import (mf_autocorrelation_form, mf_gradient_form,
@@ -32,7 +32,10 @@ def _log(args, msg: str) -> None:
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
     overrides = {"master_seed": args.seed, "threads": args.threads}
-    cfg.spec = replace(cfg.spec, **{k: v for k, v in overrides.items() if v is not None})
+    try:
+        cfg.spec = replace(cfg.spec, **{k: v for k, v in overrides.items() if v is not None})
+    except HarnessError as exc:
+        raise ConfigError([f"command line: {exc}"]) from None
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg

@@ -12,10 +12,11 @@ Validation is whole-file: every problem found is reported, not just the
 first, and unknown keys are named together with their section.  This
 module parses types and checks the schedule against the model and the
 regime; what makes an experiment runnable (kind, epsilons, horizon,
-replicates, levels) is decided by :func:`harness.spec_problems`, whose
-problems are reported here as ``[experiment]`` lines.  A valid config
-carries the :class:`harness.ExperimentSpec` it describes, with
-``threads = auto`` resolved to the CPUs this process may run on.
+replicates, levels, threads) is decided by :func:`harness.spec_problems`,
+whose problems are reported here as ``[experiment]`` lines (``[run]`` for
+the thread count).  A valid config carries the
+:class:`harness.ExperimentSpec` it describes, with ``threads = auto``
+resolved to the CPUs this process may run on.
 ``[functional] centralize`` accepts only ``true``: the Poisson equation
 is solved for the centred functional.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .euler import REGIMES, SchedulePolicy, StepSchedule
 from .harness import KIND_REGIME, KINDS, ExperimentSpec, spec_problems
-from .models import FunctionalSpec, SdeModel, builtin_model
+from .models import FunctionalSpec, Polynomial, SdeModel, builtin_model
 
 
 class ConfigError(Exception):
@@ -170,15 +171,12 @@ def _model_numbers(sec: dict, keys: tuple, errors: list) -> Optional[dict]:
 
 
 def _threads(raw, errors: list) -> Optional[int]:
-    """``[run] threads``: a count >= 1, or ``auto`` for the CPUs this process may run on."""
+    """``[run] threads``: a count, or ``auto`` for the CPUs this process may run on."""
     if str(raw).lower() == "auto":
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    threads = _number(raw, "[run] threads", errors, int)
-    if threads is not None and threads < 1:
-        errors.append("[run] threads must be >= 1 or 'auto'")
-    return threads
+    return _number(raw, "[run] threads", errors, int)
 
 
 def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
@@ -196,13 +194,12 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
                          errors)
     if bc is None or sc is None or num is None:
         return None
-    bc, sc = np.asarray(bc), np.asarray(sc)
     lo = num.get("support_lo")
     probes = np.asarray([abs(v) for v in sc])
     try:
         return SdeModel(
-            drift=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), bc),
-            diffusion=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, float), sc),
+            drift=Polynomial(bc),
+            diffusion=Polynomial(sc),
             recurrence_alpha=num["recurrence_alpha"],
             recurrence_gamma=num["recurrence_gamma"],
             recurrence_radius=num["recurrence_radius"],
@@ -285,8 +282,11 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
                       finite=True)
     replicates = _number(esec.get("replicates", 2000), "[experiment] replicates", errors, int)
     levels = _numbers(esec.get("levels", []), "[experiment] levels", errors)
-    errors += [f"[experiment] {p}"
-               for p in spec_problems(kind, eps, horizon, replicates, levels)]
+    rsec = sec("run")
+    seed = _number(rsec.get("seed", 0), "[run] seed", errors, int)
+    threads = _threads(rsec.get("threads", "auto"), errors)
+    errors += [f"[{'run' if p.startswith('threads') else 'experiment'}] {p}"
+               for p in spec_problems(kind, eps, horizon, replicates, levels, threads)]
 
     # cross-field: the schedule must actually be valid for the model/regime
     if model is not None and policy is not None and regime in REGIMES and eps:
@@ -300,9 +300,6 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
         )
 
     osec = sec("output")
-    rsec = sec("run")
-    seed = _number(rsec.get("seed", 0), "[run] seed", errors, int)
-    threads = _threads(rsec.get("threads", "auto"), errors)
     formats_raw = osec.get("formats", ["json", "csv"])
     formats = tuple(str(v) for v in (formats_raw if isinstance(formats_raw, list) else [formats_raw]))
     bad = [v for v in formats if v not in ("json", "csv")]

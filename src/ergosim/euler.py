@@ -8,44 +8,54 @@ The process is stepped in rescaled form: over a grid step of width
 with ``h = delta_step / epsilon`` and i.i.d. standard normal ``xi_k``.
 Path functionals (running integral of f along the path, and its
 left-endpoint Riemann variant) are accumulated online; full trajectories
-are never stored.  The update is written once, in the 1D kernel
-``_run_paths``; its three callers differ only in where the normals come from.
+are never stored.  The step keeps one association order,
+``(z + h*b) + (sqrt(h)*s)*xi`` and then ``+ (ctrl_coef*psi)*s`` for a
+control, in both of its kernels:
 
-The kernel steps a block of normals at a time (one row per replicate).
-It copies each ``_TILE``-step window of the block into a contiguous
-``(n, _TILE)`` tile and steps from the tile's columns: a column of the
-whole block is a strided read that touches one page per row.  A
-:class:`~ergosim.models.ConstantDiffusion` is folded into that copy, so
-the tile holds ``(sqrt(h)*sigma)*xi`` and no step calls the diffusion.
-The step keeps one association order, ``(z + h*b) + (sqrt(h)*s)*xi``
-and then ``+ (ctrl_coef*psi)*s`` for a control, so every output is the
-same bit for bit whatever the tile width, the block size or the fold.
+* the native kernel ``euler_rows`` of ``_philox_fill.c`` runs
+  :func:`simulate_batch` when the model's drift and diffusion are OU, CIR
+  or polynomial descriptors (:mod:`ergosim.models`) and the functional
+  is a :class:`~ergosim.models.PolynomialFunctional`.  Per row it fills
+  a short on-stack block of normals from the row's stream, then steps,
+  observes and accumulates, four rows interleaved; it checks the blow-up
+  bound at every step, so a failed row stops at its exact step.  It is
+  built without FMA contraction, so it gives the numpy kernel's bits.
+* the numpy kernel ``_run_paths`` runs everything else (state maps such
+  as Gompertz's log space, ``pow``/``exp``/``log`` coefficients, whose
+  numpy SIMD results can differ from libm's in the last bit, and
+  arbitrary callables), and :func:`simulate_euler`.  It steps a block
+  of normals at a time (one row per replicate), copying each
+  ``_TILE``-step window into a contiguous tile; a
+  :class:`~ergosim.models.ConstantDiffusion` is folded into that copy.
+  Rows that failed in a block are replayed from the block's start, so
+  ``fail_step`` is exact there too.
 
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
 depend on execution order, chunking, or thread count.
 :func:`replicate_stream` is the reference: a Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
-caller derives all keys of a chunk at once (:func:`_replicate_keys`)
-and fills every row of a noise block in one call of a small C routine
-(``_philox_fill.c``) on numpy's Philox4x64-10 stream kept per row in a
-uint64 state array.  One fused loop per row generates the row's words
-two counter blocks at a time and turns each into a normal with the fast
-path of numpy's ziggurat; the rare word it does not accept goes to
-numpy's own ``random_standard_normal`` from ``libnpyrandom.a``.  The
-ziggurat tables are probed out of that function when the routine is
-loaded, and a filled row is then compared with ``replicate_stream``
-(:class:`NativeBuildError` if they differ), so the fill draws exactly
-the numbers of ``replicate_stream``.  The routine is compiled with gcc
-on first use into a per-user cache and runs without the GIL.  With
-``threads >= 2`` one helper thread fills the next noise block into a
-second buffer while the caller's thread steps the current one.
+caller derives the keys of all rows at once (:func:`_replicate_keys`)
+and keeps numpy's Philox4x64-10 state per row in a uint64 array; the C
+fill generates each row's words two counter blocks at a time and turns
+each into a normal with the fast path of numpy's ziggurat, handing the
+rare word it does not accept to numpy's own ``random_standard_normal``
+from ``libnpyrandom.a``.  The ziggurat tables are probed out of that
+function when the library is loaded, and a filled row is then compared
+with ``replicate_stream`` (:class:`NativeBuildError` if they differ), so
+both kernels draw exactly the numbers of ``replicate_stream``.  The
+library is compiled with gcc (flags ``_CFLAGS``) on first use into a
+per-user cache and runs without the GIL.  With ``threads >= 2`` the
+native kernel splits the rows into ``threads`` contiguous ranges, one
+GIL-free call each; the numpy kernel has one helper thread fill the next
+noise block while the caller's thread steps the current one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import math
 import os
@@ -58,7 +68,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import ConstantDiffusion, FunctionalSpec, SdeModel
+from .models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec, OuDrift,
+                     Polynomial, PolynomialFunctional, SdeModel)
 from .quadrature import panel_integral
 
 
@@ -258,14 +269,17 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CC = "gcc"
+# compiler flags of the shipped library (it is also linked with -shared);
+# FMA contraction would change the Euler kernel's bits
+_CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
 _CACHE_DIR = Path.home() / ".cache" / "ergosim"
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
-_fill_fn = None
+_lib = None
 
 
-def _native_fill():
-    """``philox_normal_fill`` of the compiled ``_philox_fill.c``.
+def _native():
+    """The compiled ``_philox_fill.c``: ``philox_normal_fill`` and ``euler_rows``.
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
@@ -274,14 +288,14 @@ def _native_fill():
     load a partial file.  Once per process the library probes its
     ziggurat tables out of numpy and passes :func:`_check_fill`.
     """
-    global _fill_fn
-    if _fill_fn is not None:
-        return _fill_fn
+    global _lib
+    if _lib is not None:
+        return _lib
     lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
     if not lib.is_file():
         raise NativeBuildError(
             f"cannot build the native Philox fill: numpy's static library {lib} is missing")
-    flags = ["-O3", "-shared", "-fPIC", "-I", np.get_include()]
+    flags = [*_CFLAGS, "-shared", "-I", np.get_include()]
     digest = hashlib.sha256(_FILL_SOURCE.read_bytes() + lib.read_bytes()
                             + " ".join(flags).encode()).hexdigest()[:16]
     target = _CACHE_DIR / f"philox_fill-{digest}.so"
@@ -310,16 +324,19 @@ def _native_fill():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    lib = ctypes.CDLL(str(target))
-    lib.philox_probe_tables.argtypes = ()
-    lib.philox_probe_tables.restype = None
-    lib.philox_probe_tables()
-    fn = lib.philox_normal_fill
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-    fn.restype = None
-    _check_fill(fn)
-    _fill_fn = fn
-    return fn
+    dll = ctypes.CDLL(str(target))
+    dll.philox_probe_tables.argtypes = ()
+    dll.philox_probe_tables.restype = None
+    dll.philox_probe_tables()
+    dll.philox_normal_fill.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                       ctypes.c_int64)
+    dll.philox_normal_fill.restype = None
+    dll.euler_rows.argtypes = (ctypes.POINTER(_EulerSpec), ctypes.c_void_p, ctypes.c_int64,
+                               *[ctypes.c_void_p] * 5)
+    dll.euler_rows.restype = None
+    _check_fill(dll.philox_normal_fill)
+    _lib = dll
+    return dll
 
 
 # the self-check row: its 1654th normal comes from the ziggurat's tail
@@ -372,7 +389,12 @@ def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:
             and state.flags.c_contiguous):
         raise ValueError("the Philox fill needs C-contiguous float64 (n, k) output "
                          "and uint64 (n, 11) state")
-    _native_fill()(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
+    _native().philox_normal_fill(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
+
+
+def _check_control(schedule: StepSchedule, control: Optional[ControlFunction]) -> None:
+    if control is not None and schedule.regime != MDP:
+        raise ScheduleError("controlled simulation requires an MDP schedule")
 
 
 def simulate_euler(
@@ -394,6 +416,7 @@ def simulate_euler(
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
     at the first step where the path leaves ``[-blow_up, blow_up]``.
     """
+    _check_control(schedule, control)
     n_steps = schedule.n_steps(horizon)
     if noise is None:
         def fill(out, chunk, done):
@@ -407,7 +430,7 @@ def simulate_euler(
         def fill(out, chunk, done):
             out[0] = noise[done:done + out.shape[1], 0]
     res = _run_paths(model, schedule, f, horizon, blow_up, control, 1,
-                     _noise_blocks([1], n_steps, fill))
+                     _noise_blocks([1], n_steps, fill, None, _NOISE_BUDGET))
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
     return res
@@ -443,10 +466,11 @@ def simulate_reference(
 
 
 # ---------------------------------------------------------------------------
-# batched replicates and the one Euler kernel all three simulators run on
+# batched replicates, and the numpy kernel
 # ---------------------------------------------------------------------------
 
-_CHUNK = 4096  # fixed so results never depend on thread count
+# the numpy kernel's sizes; results depend on none of them
+_CHUNK = 4096
 _NOISE_BUDGET = 8_000_000  # floats across all noise buffers of one run
 _TILE = 32  # steps per contiguous noise tile
 
@@ -480,14 +504,22 @@ def simulate_batch(
 ) -> BatchResult:
     """Run ``n_replicates`` independent 1D paths with per-replicate streams.
 
-    Replicates are stepped in fixed-size chunks, one after another, in the
-    caller's thread.  With ``threads >= 2``, one helper thread fills the
-    next noise block (of this chunk or the next) while the current one
-    steps; more threads add nothing.  The output is a deterministic
-    function of (model, schedule, f, horizon, master_seed, n_replicates),
-    whatever ``threads``.
+    A model with OU, CIR or polynomial coefficients (no state map) and a
+    :class:`~ergosim.models.PolynomialFunctional` run on the native kernel
+    ``euler_rows``: with ``threads >= 2`` the rows are split into
+    ``threads`` contiguous ranges, each stepped by one GIL-free call.
+    Any other model or functional runs on the numpy kernel in fixed-size
+    chunks, one after another, in the caller's thread; with ``threads >=
+    2`` one helper thread fills the next noise block (of this chunk or the
+    next) while the current one steps.  Both kernels give the same numbers
+    to the bit, and the output is a deterministic function of (model,
+    schedule, f, horizon, master_seed, n_replicates), whatever ``threads``.
     """
-    _native_fill()  # a failed build raises here, in the caller's thread
+    lib = _native()  # a failed build raises here, in the caller's thread
+    _check_control(schedule, control)
+    spec = _native_spec(model, schedule, f, horizon, blow_up, control)
+    if spec is not None:
+        return _native_batch(lib, spec, master_seed, n_replicates, threads, first_index)
     chunks = [(first_index + i, min(_CHUNK, n_replicates - i))
               for i in range(0, n_replicates, _CHUNK)]
     # one stream state per row of the largest chunk, reset at each chunk's
@@ -502,13 +534,91 @@ def simulate_batch(
 
     n_steps = schedule.n_steps(horizon)
     with ThreadPoolExecutor(1) if threads >= 2 else contextlib.nullcontext() as pool:
-        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool)
+        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool, _NOISE_BUDGET)
         parts = [_run_paths(model, schedule, f, horizon, blow_up, control, n, blocks)
                  for _, n in chunks]
     return BatchResult._concat(parts)
 
 
-def _noise_blocks(sizes, n_steps, fill, pool=None, budget=_NOISE_BUDGET):
+# ---------------------------------------------------------------------------
+# the native kernel: model descriptors passed to euler_rows
+# ---------------------------------------------------------------------------
+
+# coefficient classes with a native kind: the enums of _philox_fill.c
+_DRIFT_KINDS = {OuDrift: 0, CirDrift: 1, Polynomial: 2}
+_DIFFUSION_KINDS = {ConstantDiffusion: 0, CirDiffusion: 1, Polynomial: 2}
+
+
+class _EulerSpec(ctypes.Structure):
+    """``euler_spec`` of ``_philox_fill.c``; ``arrays`` keeps its pointees alive."""
+
+    _fields_ = [("drift_kind", ctypes.c_int64), ("diffusion_kind", ctypes.c_int64),
+                ("n_drift", ctypes.c_int64), ("n_diffusion", ctypes.c_int64),
+                ("n_f", ctypes.c_int64),
+                ("drift", ctypes.c_void_p), ("diffusion", ctypes.c_void_p),
+                ("f", ctypes.c_void_p),
+                ("f_c0", ctypes.c_double), ("x0", ctypes.c_double), ("h", ctypes.c_double),
+                ("sqrt_h", ctypes.c_double), ("dt", ctypes.c_double),
+                ("blow_up", ctypes.c_double),
+                ("n_steps", ctypes.c_int64), ("control", ctypes.c_void_p)]
+
+
+def _params(coef) -> np.ndarray:
+    """The flat float parameters of a coefficient descriptor."""
+    if isinstance(coef, Polynomial):
+        return np.array(coef.coeffs)
+    return np.array(dataclasses.astuple(coef), dtype=float)
+
+
+def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_EulerSpec]:
+    """The native kernel's description of this batch, or None if it has none."""
+    drift_kind = _DRIFT_KINDS.get(type(model.drift))
+    diffusion_kind = _DIFFUSION_KINDS.get(type(model.diffusion))
+    if (model.sim_drift is not None or drift_kind is None or diffusion_kind is None
+            or not isinstance(f.value, PolynomialFunctional)):
+        return None
+    dt = schedule.delta_step
+    n_steps = schedule.n_steps(horizon)
+    arrays = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
+    if control is not None:
+        # the numpy kernel's tilt, ctrl_coef * psi(t_k), for every step
+        ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
+        arrays.append(np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
+                                for k in range(n_steps)]))
+    spec = _EulerSpec(
+        drift_kind, diffusion_kind, len(arrays[0]), len(arrays[1]), len(arrays[2]),
+        arrays[0].ctypes.data, arrays[1].ctypes.data, arrays[2].ctypes.data,
+        f.value.c0, model.initial_state, schedule.h, math.sqrt(schedule.h), dt, blow_up,
+        n_steps, arrays[3].ctypes.data if control is not None else None)
+    spec.arrays = arrays
+    return spec
+
+
+def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResult:
+    """Rows ``first_index ..`` of ``n`` on ``euler_rows``, split into ``threads`` ranges.
+
+    Each range is one long call that holds no GIL; no more calls run at
+    once than there are CPUs.
+    """
+    state = _start_streams(np.empty((n, _STATE_WORDS), np.uint64), master_seed, first_index)
+    out = np.empty((4, n))
+    fail_step = np.empty(n, np.int64)
+
+    def run(lo, hi):
+        lib.euler_rows(spec, state[lo:].ctypes.data, hi - lo,
+                       *[out[i, lo:].ctypes.data for i in range(4)], fail_step[lo:].ctypes.data)
+
+    parts = max(1, min(threads, n))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    if parts == 1:
+        run(0, n)
+    else:
+        with ThreadPoolExecutor(min(parts, os.cpu_count() or 1)) as pool:
+            list(pool.map(run, bounds[:-1], bounds[1:]))
+    return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
+
+
+def _noise_blocks(sizes, n_steps, fill, pool, budget):
     """Yield the noise block of every (chunk, block) in stepping order.
 
     Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
@@ -564,8 +674,6 @@ def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> Batc
     so ``fail_step`` is exact; a failed path restarts at ``x0`` and ends
     with NaN functionals, ``sup_abs`` and terminal state.
     """
-    if control is not None and schedule.regime != MDP:
-        raise ScheduleError("controlled simulation requires an MDP schedule")
     # coefficients and state map in the coordinates actually stepped
     drift, diffusion, state_map, x0 = (
         (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state)

@@ -60,7 +60,7 @@ MDP_GAP_TOL = 0.35
 MIN_PREDICTED_HITS = 10.0
 
 
-def spec_problems(kind, eps, horizon, replicates, levels) -> list:
+def spec_problems(kind, eps, horizon, replicates, levels, threads) -> list:
     """Every experiment rule these fields break, one message each.
 
     The one statement of what can run: :class:`ExperimentSpec` raises on
@@ -89,6 +89,8 @@ def spec_problems(kind, eps, horizon, replicates, levels) -> list:
                             f"replicates, got {replicates}")
     if kind == MDP_TAIL and levels == ():
         problems.append(f"{MDP_TAIL} requires at least one level")
+    if threads is not None and threads < 1:
+        problems.append(f"threads must be >= 1, got {threads}")
     return problems
 
 
@@ -99,7 +101,7 @@ class ExperimentSpec:
     Construction checks every rule of :func:`spec_problems` and raises
     one :class:`HarnessError` naming all that fail, so a spec that exists
     can run; ``epsilon_list`` and ``mdp_levels`` are stored as float
-    tuples.  ``threads`` is the worker count of each Euler batch.
+    tuples.  ``threads`` is the worker count of each Euler batch, at least 1.
     """
 
     kind: str
@@ -116,7 +118,8 @@ class ExperimentSpec:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilon_list)
         levels = tuple(float(x) for x in self.mdp_levels)
-        problems = spec_problems(self.kind, eps, self.horizon, self.replicates, levels)
+        problems = spec_problems(self.kind, eps, self.horizon, self.replicates, levels,
+                                 self.threads)
         if problems:
             raise HarnessError("invalid experiment: " + "; ".join(problems))
         object.__setattr__(self, "epsilon_list", eps)

@@ -434,24 +434,62 @@ class FunctionalSpec:
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[float], name: str = "poly") -> "FunctionalSpec":
-        c = np.asarray(coeffs, dtype=float)
-        if c.size == 0:
-            raise ValueError("a polynomial functional needs at least one coefficient")
-        deg = max((i for i, v in enumerate(c) if v != 0.0), default=0)
-        lead, rest = c[-1], c[-2::-1].tolist()
-
-        def value(t, x):
-            # Horner in polyval's order, c[-1] + x*0 then c[i] + y*x, so
-            # the values are polyval's to the bit without its validation
-            x = np.asarray(x, dtype=float)
-            y = x * 0.0
-            y += lead
-            for ci in rest:
-                y *= x
-                y += ci
-            return y
-
+        value = PolynomialFunctional(coeffs)
+        deg = max((i for i, v in enumerate(value.coeffs) if v != 0.0), default=0)
         return cls(value=value, growth_p0=float(deg), name=name)
+
+
+def _horner(coeffs: tuple, x):
+    """sum coeffs[i] x^i in polyval's order, ``c[-1] + x*0`` and then
+    ``c[i] + y*x``, so the values are polyval's to the bit without its
+    validation."""
+    x = np.asarray(x, dtype=float)
+    y = x * 0.0
+    y += coeffs[-1]
+    for ci in coeffs[-2::-1]:
+        y *= x
+        y += ci
+    return y
+
+
+def _coefficient_tuple(coeffs) -> tuple:
+    out = tuple(float(c) for c in coeffs)
+    if not out:
+        raise ValueError("a polynomial needs at least one coefficient")
+    return out
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """The coefficient x -> sum coeffs[i] x^i (the config's custom model)."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _coefficient_tuple(self.coeffs))
+
+    def __call__(self, x):
+        return _horner(self.coeffs, x)
+
+
+@dataclass(frozen=True)
+class PolynomialFunctional:
+    """The time-homogeneous functional f(t, x) = sum coeffs[i] x^i - c0.
+
+    :func:`centralize` sets ``c0`` to the pi-mean.
+    """
+
+    coeffs: tuple
+    c0: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _coefficient_tuple(self.coeffs))
+        object.__setattr__(self, "c0", float(self.c0))
+
+    def __call__(self, t, x):
+        y = _horner(self.coeffs, x)
+        y -= self.c0  # exact for c0 = 0, NaN payloads included
+        return y
 
 
 class CentralizationError(ModelError):
@@ -478,7 +516,11 @@ def centralize(f: FunctionalSpec, pi: InvariantDensity1D) -> FunctionalSpec:
 
     if f.time_homogeneous:
         c0 = mean_at(0.0)
-        value = lambda t, x: f.value(t, x) - c0
+        if isinstance(f.value, PolynomialFunctional) and f.value.c0 == 0.0:
+            # poly - 0 - c0 is poly - c0 to the bit
+            value = replace(f.value, c0=c0)
+        else:
+            value = lambda t, x: f.value(t, x) - c0
     else:
         value = lambda t, x: f.value(t, x) - mean_at(t)
 
@@ -492,12 +534,82 @@ def centralize(f: FunctionalSpec, pi: InvariantDensity1D) -> FunctionalSpec:
 
 @dataclass(frozen=True)
 class ConstantDiffusion:
-    """The diffusion sigma(x) = sigma; the Euler kernel folds it into the noise."""
+    """The diffusion sigma(x) = sigma; the numpy Euler kernel folds it into the noise."""
 
     sigma: float
 
     def __call__(self, x):
         return self.sigma * np.ones_like(np.asarray(x, dtype=float))
+
+
+# The builtin coefficients as data: small frozen classes whose calls are
+# the numpy expressions of each family, so models pickle and the native
+# Euler kernel can read them (OU, CIR and polynomial coefficients).
+
+
+@dataclass(frozen=True)
+class OuDrift:
+    """b(x) = (-kappa) * (x - mu)."""
+
+    kappa: float
+    mu: float
+
+    def __call__(self, x):
+        return -self.kappa * (np.asarray(x, dtype=float) - self.mu)
+
+
+@dataclass(frozen=True)
+class CirDrift:
+    """b(x) = kappa * (mu - x)."""
+
+    kappa: float
+    mu: float
+
+    def __call__(self, x):
+        return self.kappa * (self.mu - np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class CirDiffusion:
+    """sigma(x) = sigma * sqrt(max(x, 0)): Euler iterates may graze the boundary."""
+
+    sigma: float
+
+    def __call__(self, x):
+        return self.sigma * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0))
+
+
+@dataclass(frozen=True)
+class GompertzDrift:
+    """b(x) = kappa * (mu - log x) * x."""
+
+    kappa: float
+    mu: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.kappa * (self.mu - np.log(x)) * x
+
+
+@dataclass(frozen=True)
+class LinearDiffusion:
+    """sigma(x) = sigma * x."""
+
+    sigma: float
+
+    def __call__(self, x):
+        return self.sigma * np.asarray(x, dtype=float)
+
+
+@dataclass(frozen=True)
+class PowerDrift:
+    """b(x) = -sign(x) |x|^alpha."""
+
+    alpha: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return -np.sign(x) * np.abs(x) ** self.alpha
 
 
 OU = "ou"
@@ -521,7 +633,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         radius = 2.0 * abs(mu)
         scale = max(1.0, radius)
         return SdeModel(
-            drift=lambda x: -kappa * (np.asarray(x, dtype=float) - mu),
+            drift=OuDrift(kappa, mu),
             diffusion=ConstantDiffusion(sigma),
             recurrence_alpha=1.0,
             recurrence_gamma=kappa if mu == 0 else kappa / 2.0,
@@ -542,9 +654,8 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         scale = max(1.0, 2.0 * mu)
         lo, hi = 0.03 * scale, 5.0 * scale
         return SdeModel(
-            # sqrt clamped at 0: Euler iterates may graze the boundary
-            drift=lambda x: kappa * (mu - np.asarray(x, dtype=float)),
-            diffusion=lambda x: sigma * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0)),
+            drift=CirDrift(kappa, mu),
+            diffusion=CirDiffusion(sigma),
             recurrence_alpha=1.0,
             recurrence_gamma=kappa / 2.0,
             recurrence_radius=2.0 * mu,
@@ -564,8 +675,8 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         radius = math.exp(mu + 1.0)
         x0 = params.get("x0", math.exp(log_mean))
         return SdeModel(
-            drift=lambda x: kappa * (mu - np.log(np.asarray(x, dtype=float))) * np.asarray(x, dtype=float),
-            diffusion=lambda x: sigma * np.asarray(x, dtype=float),
+            drift=GompertzDrift(kappa, mu),
+            diffusion=LinearDiffusion(sigma),
             recurrence_alpha=1.0,
             recurrence_gamma=kappa,
             recurrence_radius=radius,
@@ -576,7 +687,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             name="gompertz",
             support=(0.0, math.inf),
             probe_range=(0.2, max(2.0 * radius, 12.0)),
-            sim_drift=lambda y: -kappa * (np.asarray(y, dtype=float) - log_mean),
+            sim_drift=OuDrift(kappa, log_mean),
             sim_diffusion=ConstantDiffusion(sigma),
             state_map=np.exp,
             sim_initial_state=math.log(x0),
@@ -587,8 +698,7 @@ def builtin_model(name: str, params: dict) -> SdeModel:
         if alpha <= 0:
             raise ModelError("power_drift requires alpha > 0")
         return SdeModel(
-            drift=lambda x: -np.sign(np.asarray(x, dtype=float))
-            * np.abs(np.asarray(x, dtype=float)) ** alpha,
+            drift=PowerDrift(alpha),
             diffusion=ConstantDiffusion(sigma),
             recurrence_alpha=alpha,
             recurrence_gamma=1.0,

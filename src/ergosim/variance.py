@@ -170,7 +170,7 @@ def mf_autocorrelation_form(
         raise VarianceError(f"dt must be finite and > 0, got {dt}")
     if not (math.isfinite(horizon) and horizon >= dt):
         raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
-    euler._native_fill()  # a failed build raises here, before any sampling
+    euler._native()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)

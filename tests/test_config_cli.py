@@ -301,6 +301,23 @@ def test_cli_experiment_too_few_replicates_is_a_config_error(tmp_path, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_cli_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    # the --threads override gets the check [run] threads gets
+    out = tmp_path / "runs"
+    path = write(tmp_path, OU_CLT)
+    assert main(["--config", path, "--quiet", "--threads", str(threads), "--out", str(out),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(harness.HarnessError, match=f"threads must be >= 1, got {threads}"):
+        dataclasses.replace(parse_config(OU_CLT, inline=True).spec, threads=threads)
+    # ... stated once, in harness.spec_problems
+    with pytest.raises(ConfigError) as ei:
+        parse_config(OU_CLT.replace("threads = 1", f"threads = {threads}"), inline=True)
+    assert ei.value.errors == [f"[run] threads must be >= 1, got {threads}"]
+
+
 def test_centralize_false_is_a_config_error(tmp_path, capsys):
     # the Poisson equation is solved for the centred functional only
     text = OU_CLT.replace("coeffs = [0.0, 1.0]", "coeffs = [0.0, 1.0]\ncentralize = false")

@@ -14,7 +14,9 @@ from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            TrajectoryExplodedError, grid_floor,
                            replicate_stream, simulate_batch, simulate_euler,
                            simulate_reference)
-from ergosim.models import FunctionalSpec, builtin_model, invariant_density_1d
+from ergosim.config import parse_config
+from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional,
+                            builtin_model, invariant_density_1d)
 from ergosim.variance import mf_autocorrelation_form
 
 SQRT2 = math.sqrt(2.0)
@@ -25,8 +27,39 @@ def ou():
 
 
 def f_identity():
+    # a polynomial: OU batches with it run on the native kernel
+    return FunctionalSpec(value=PolynomialFunctional([0.0, 1.0]), growth_p0=1.0,
+                          centralized=True, name="x")
+
+
+def f_lambda():
+    # a plain callable: every batch with it runs on the numpy kernel
     return FunctionalSpec(value=lambda t, x: np.asarray(x, dtype=float),
                           growth_p0=1.0, centralized=True, name="x")
+
+
+def custom_model(drift_coeffs, diffusion_coeffs, x0):
+    """The config's custom polynomial model."""
+    text = ("[model]\nfamily = custom\n"
+            f"drift_coeffs = {list(drift_coeffs)}\ndiffusion_coeffs = {list(diffusion_coeffs)}\n"
+            "recurrence_alpha = 1.0\nrecurrence_gamma = 0.1\nrecurrence_radius = 3.0\n"
+            f"holder_nu = 1.0\nalpha_bar = 3.0\nx0 = {x0!r}\n"
+            "[functional]\ncoeffs = [0.0, 1.0]\n[schedule]\nregime = CLT\ntheta = 2.5\n"
+            "[experiment]\nkind = CLT_NORMALITY\nepsilon_list = [0.1]\nreplicates = 100\n")
+    return parse_config(text, inline=True).spec.model
+
+
+@pytest.fixture
+def numpy_kernel_calls(monkeypatch):
+    """The number of chunks the numpy kernel stepped, as a one-element list."""
+    calls = [0]
+    run_paths = euler._run_paths
+
+    def counted(*args):
+        calls[0] += 1
+        return run_paths(*args)
+    monkeypatch.setattr(euler, "_run_paths", counted)
+    return calls
 
 
 # ------------------------------------------------------------- schedules
@@ -100,10 +133,13 @@ def test_batch_matches_scalar_path():
     assert batch.sup_abs[3] == acc.sup_abs[0]
 
 
-def test_thread_count_invariance(monkeypatch):
+def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
     # 100-replicate chunks and 2000-float noise buffers: 250 replicates make
     # chunks of 100, 100 and 50 rows and 161 steps make several blocks per
-    # chunk, so threads > 1 fill ahead both within a chunk and into the next
+    # chunk, so the numpy kernel at threads > 1 fills ahead both within a
+    # chunk and into the next.  OU with a polynomial f runs on the native
+    # kernel, which splits rows and calls no fill; Gompertz (log space) runs
+    # on the numpy kernel and its fill-ahead
     monkeypatch.setattr(euler, "_CHUNK", 100)
     monkeypatch.setattr(euler, "_NOISE_BUDGET", 2000)
     fills = []
@@ -113,29 +149,40 @@ def test_thread_count_invariance(monkeypatch):
         fills.append((threading.get_ident(), out.shape))
         native(state, out)
     monkeypatch.setattr(euler, "_philox_normals", recorded)
-    m, f = ou(), f_identity()
+    gompertz = builtin_model("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0))
+    f = f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     n_steps = sched.n_steps(0.3)
     assert n_steps > 3 * 2000 // 2 // 100
     kw = dict(master_seed=123, n_replicates=250)
-    r1 = simulate_batch(m, sched, f, 0.3, threads=1, **kw)
-    assert {ident for ident, _ in fills} == {threading.get_ident()}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the GIL over often, to shake out races
     try:
-        for threads in (2, 4):
+        for m in (ou(), gompertz):
             fills.clear()
-            rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
-            for name in r1.__dataclass_fields__:
-                assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
-            # every fill ran on the one helper thread
-            helpers = {ident for ident, _ in fills}
-            assert threading.get_ident() not in helpers and len(helpers) == 1
-            assert sum(rows * k for (rows, k) in (shape for _, shape in fills)) == 250 * n_steps
+            numpy_kernel_calls[0] = 0
+            r1 = simulate_batch(m, sched, f, 0.3, threads=1, **kw)
+            assert numpy_kernel_calls[0] == (3 if m is gompertz else 0)
+            assert {ident for ident, _ in fills} == ({threading.get_ident()} if m is gompertz
+                                                      else set())
+            for threads in (2, 4):
+                fills.clear()
+                rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
+                for name in r1.__dataclass_fields__:
+                    assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
+                if m is gompertz:
+                    # every fill ran on the one helper thread
+                    helpers = {ident for ident, _ in fills}
+                    assert threading.get_ident() not in helpers and len(helpers) == 1
+                    assert sum(rows * k for (rows, k) in (shape for _, shape in fills)) \
+                        == 250 * n_steps
+                else:
+                    assert fills == []
     finally:
         sys.setswitchinterval(switch)
     # a failing batch replays its failed rows from the block being stepped
     # while the next block fills: fail_step does not depend on threads
+    m = ou()
     bad = type(m)(**{**m.__dict__, "drift": lambda x: np.asarray(x, float) ** 3,
                      "initial_state": 0.5})
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
@@ -156,7 +203,7 @@ def test_thread_count_invariance(monkeypatch):
 
 
 def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
-    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(euler, "_CC", "no-such-compiler")
     m, f = ou(), f_identity()
@@ -171,9 +218,9 @@ def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
 
 
 def test_native_build_into_empty_cache(monkeypatch, tmp_path):
-    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path)
-    euler._native_fill()
+    euler._native()
     built = [p.name for p in tmp_path.iterdir()]
     assert len(built) == 1 and built[0].startswith("philox_fill-") and built[0].endswith(".so")
 
@@ -286,11 +333,11 @@ def test_fill_self_check_rejects_a_wrong_reference(monkeypatch):
     tail = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX).standard_normal(
         euler._CHECK_WIDTH)
     assert np.abs(tail).max() > 3.6541528853610088
-    monkeypatch.setattr(euler, "_fill_fn", None)
+    monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "replicate_stream",
                         lambda seed, index: replicate_stream(seed + 1, index))
     with pytest.raises(euler.NativeBuildError, match="ziggurat may have changed"):
-        euler._native_fill()
+        euler._native()
 
 
 @given(st.integers(0, 2**200 - 1),
@@ -317,28 +364,39 @@ def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, co
         assert batch.sup_abs[i] == acc.sup_abs[0]
 
 
-def test_batch_matches_scalar_across_chunk_boundary():
-    m, f = ou(), f_identity()
+def test_batch_matches_scalar_across_chunk_boundary(numpy_kernel_calls):
+    # the numpy kernel restarts the streams at each chunk's first row; the
+    # native kernel splits the same rows into two ranges
+    m = ou()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     n = euler._CHUNK + 3
-    batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2,
-                           first_index=5)
-    _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 5,
-                              (0, euler._CHUNK - 1, euler._CHUNK, n - 1))
+    for f, chunks in ((f_lambda(), 2), (f_identity(), 0)):
+        numpy_kernel_calls[0] = 0
+        batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2,
+                               first_index=5)
+        assert numpy_kernel_calls[0] == chunks
+        _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 5,
+                                  (0, euler._CHUNK - 1, euler._CHUNK, n - 1))
 
 
 @pytest.mark.parametrize("with_control", [False, True])
-def test_batch_matches_scalar_across_noise_blocks(monkeypatch, with_control):
-    # 64 floats over 5 replicates: 12-step noise blocks, so every path
-    # carries its stream on from its row state many times
+def test_batch_matches_scalar_across_noise_blocks(monkeypatch, numpy_kernel_calls,
+                                                  with_control):
+    # 64 floats over 5 replicates: the numpy kernel steps 12-step noise
+    # blocks, so every path carries its stream on from its row state many
+    # times; the native kernel carries it on every 256 normals
     monkeypatch.setattr(euler, "_NOISE_BUDGET", 64)
-    m, f = ou(), f_identity()
+    m = ou()
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     ctrl = ControlFunction(psi=lambda s: 0.7, l2_bound=1.0, horizon=1.0) if with_control else None
-    assert sched.n_steps(0.5) > 3 * (64 // 5)
-    batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5,
-                           control=ctrl)
-    _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5), control=ctrl)
+    assert sched.n_steps(0.5) > max(3 * (64 // 5), 256)
+    for f, chunks in ((f_lambda(), 1), (f_identity(), 0)):
+        numpy_kernel_calls[0] = 0
+        batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5,
+                               control=ctrl)
+        assert numpy_kernel_calls[0] == chunks
+        _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5),
+                                  control=ctrl)
 
 
 def test_first_index_offsets_streams():
@@ -462,59 +520,161 @@ def test_batch_flags_failures(monkeypatch):
 # ------------------------------------------------------ kernel reference
 
 
-def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8):
-    """The Euler update written out plainly, one step at a time over all rows."""
+def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first=0):
+    """The Euler update written out plainly, one step at a time over all rows.
+
+    Returns the BatchResult fields by name, a failed row's outputs NaN, and
+    under ``"lowest"`` the lowest state each row visited.
+    """
     sim = model.sim_drift is not None
     drift = model.sim_drift if sim else model.drift
     diffusion = model.sim_diffusion if sim else model.diffusion
     state = model.state_map if sim else (lambda y: y)
     h, dt, n_steps = sched.h, sched.delta_step, sched.n_steps(horizon)
-    xi = np.array([replicate_stream(seed, i).standard_normal(n_steps) for i in range(n)])
+    xi = np.array([replicate_stream(seed, first + i).standard_normal(n_steps)
+                   for i in range(n)])
     z = np.full(n, model.sim_initial_state if sim else model.initial_state)
     f_prev = np.asarray(f.value(0.0, state(z)), dtype=float)
-    xi_c, xi_r, sup, failed = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
-    for k in range(n_steps):
-        t = k * dt
-        xi_r += f_prev * dt
-        s = diffusion(z)
-        z = z + h * drift(z) + math.sqrt(h) * s * xi[:, k]
-        if control is not None:
-            z = z + (sched.mdp_scale / sched.epsilon * dt * float(control.psi(t))) * s
-        f_new = np.asarray(f.value(t + dt, state(z)), dtype=float)
-        xi_c += 0.5 * (f_prev + f_new) * dt
-        sup = np.maximum(sup, np.abs(xi_c))
-        failed |= ~(np.abs(z) <= blow_up)
-        f_prev = f_new
-    return xi_c, xi_r, sup, state(z), failed
+    xi_c, xi_r, sup = np.zeros(n), np.zeros(n), np.zeros(n)
+    fail_step, lowest = np.full(n, -1), z.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            xi_r += f_prev * dt
+            s = diffusion(z)
+            z = z + h * drift(z) + math.sqrt(h) * s * xi[:, k]
+            if control is not None:
+                z = z + (sched.mdp_scale / sched.epsilon * dt * float(control.psi(t))) * s
+            f_new = np.asarray(f.value(t + dt, state(z)), dtype=float)
+            xi_c += 0.5 * (f_prev + f_new) * dt
+            sup = np.maximum(sup, np.abs(xi_c))
+            fail_step[(fail_step < 0) & ~(np.abs(z) <= blow_up)] = k + 1
+            lowest = np.minimum(lowest, z)
+            f_prev = f_new
+    failed = fail_step >= 0
+    nan = lambda a: np.where(failed, np.nan, a)
+    return dict(xi_continuous=nan(xi_c), xi_riemann=nan(xi_r), sup_abs=nan(sup),
+                terminal=nan(state(z)), failed=failed, fail_step=fail_step, lowest=lowest)
+
+
+def _assert_matches_stepper(res, ref):
+    for name in res.__dataclass_fields__:
+        assert getattr(res, name).tobytes() == ref[name].tobytes(), name
 
 
 _PSI = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=1.0, horizon=1.0)
 
 
 @pytest.mark.parametrize("family, regime, theta, control, horizon, budget", [
-    ("ou", "CLT", 2.5, None, 1.0, None),  # constant diffusion; 90 steps, 2 tiles + 26
-    ("power_drift", "LLN", 2.0, None, 1.0, None),  # constant diffusion
+    ("ou", "CLT", 2.5, None, 1.0, None),  # constant diffusion
+    ("power_drift", "LLN", 2.0, None, 1.0, None),  # constant diffusion, numpy kernel
     ("cir", "LLN", 2.0, None, 1.0, None),  # diffusion depends on the state
-    ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, state map
+    ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, state map, numpy kernel
     ("ou", "MDP", 2.5, None, 0.6, None),
     ("ou", "MDP", 2.5, _PSI, 1.0, None),
     ("ou", "MDP", 2.5, _PSI, 1.0, 5 * 45),  # 45-step blocks end mid-tile
     ("cir", "MDP", 3.5, _PSI, 1.0, 5 * 45),
+    ("custom", "CLT", 2.5, None, 1.0, None),  # polynomial drift and diffusion
+    ("custom", "MDP", 2.5, _PSI, 1.0, None),
+    # the same models with f behind a callable, on the numpy kernel
+    ("numpy:ou", "CLT", 2.5, None, 1.0, None),  # folded diffusion; 90 steps, 2 tiles + 26
+    ("numpy:ou", "MDP", 2.5, _PSI, 1.0, 5 * 45),  # 45-step blocks end mid-tile
+    ("numpy:cir", "MDP", 3.5, _PSI, 1.0, 5 * 45),
+    ("numpy:custom", "MDP", 2.5, _PSI, 1.0, 5 * 45),
 ])
-def test_kernel_matches_plain_stepper(monkeypatch, family, regime, theta, control,
-                                      horizon, budget):
-    params = dict(alpha=1.5) if family == "power_drift" else dict(kappa=2.0, mu=1.0, sigma=0.8)
-    m = builtin_model(family, params)
+def test_kernel_matches_plain_stepper(monkeypatch, numpy_kernel_calls, family, regime,
+                                      theta, control, horizon, budget):
+    numpy_f = family.startswith("numpy:")
+    family = family.removeprefix("numpy:")
+    if family == "custom":
+        m = custom_model([0.5, -1.0, 0.0, -0.2], [0.8, 0.0, 0.1], x0=0.3)
+    else:
+        m = builtin_model(family, dict(alpha=1.5) if family == "power_drift"
+                          else dict(kappa=2.0, mu=1.0, sigma=0.8))
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    if numpy_f:
+        poly = f.value
+        f = FunctionalSpec(value=lambda t, x: poly(t, x), growth_p0=f.growth_p0)
     pol = SchedulePolicy(theta, gamma_mdp=0.35 if regime == "MDP" else None)
     sched = StepSchedule.from_policy(0.165, regime, pol, m.holder_nu)
     assert sched.n_steps(horizon) % 32 != 0
     if budget is not None:
         monkeypatch.setattr(euler, "_NOISE_BUDGET", budget)
     res = simulate_batch(m, sched, f, horizon, master_seed=29, n_replicates=5, control=control)
-    ref = _stepper(m, sched, f, horizon, 29, 5, control)
-    for name, want in zip(("xi_continuous", "xi_riemann", "sup_abs", "terminal", "failed"), ref):
-        assert getattr(res, name).tobytes() == want.tobytes(), name
+    assert numpy_kernel_calls[0] == (numpy_f or family in ("power_drift", "gompertz"))
+    _assert_matches_stepper(res, _stepper(m, sched, f, horizon, 29, 5, control))
+
+
+def test_native_kernel_matches_plain_stepper_at_the_cir_boundary(numpy_kernel_calls):
+    # from x0 = 0.02 with h = 0.3 some Euler iterates fall below 0, where the
+    # clamped diffusion sigma * sqrt(max(x, 0)) is 0
+    m = builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0, x0=0.02))
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    sched = StepSchedule(epsilon=0.1, delta_step=0.03, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
+    res = simulate_batch(m, sched, f, 1.0, master_seed=3, n_replicates=40)
+    ref = _stepper(m, sched, f, 1.0, 3, 40)
+    assert numpy_kernel_calls[0] == 0
+    assert np.sum(ref["lowest"] < 0.0) >= 3
+    _assert_matches_stepper(res, ref)
+
+
+def test_native_kernel_stops_failed_rows_at_their_step(numpy_kernel_calls):
+    # test_batch_flags_failures' cubic drift as a polynomial descriptor: the
+    # native kernel finds the same failing steps without a replay
+    m = ou()
+    bad = type(m)(**{**m.__dict__, "drift": Polynomial([0.0, 0.0, 0.0, 1.0]),
+                     "initial_state": 0.5})
+    f = f_identity()
+    sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    res = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=6)
+    assert res.fail_step.tolist() == [27, 34, 19, 61, 61, 20]
+    # a custom model whose paths fail at many different steps, or never
+    boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
+    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    res = simulate_batch(boom, sched, f, 1.0, master_seed=0, n_replicates=41)
+    ref = _stepper(boom, sched, f, 1.0, 0, 41)
+    assert numpy_kernel_calls[0] == 0
+    assert 5 < res.failed.sum() < 41 and len(set(res.fail_step[res.failed].tolist())) > 5
+    _assert_matches_stepper(res, ref)
+
+
+def test_native_rows_split_across_threads(numpy_kernel_calls):
+    # 41 rows from replicate 7 on, split into 1, 2 and 3 ranges (of 41, 20 +
+    # 21 and 13 + 14 + 14 rows, so groups of 4 rows end mid-range); the
+    # custom model's rows fail at different steps
+    boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
+    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    for m in (ou(), boom):
+        runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=41,
+                               threads=threads, first_index=7) for threads in (1, 2, 3)]
+        for name in runs[0].__dataclass_fields__:
+            assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
+        _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, 41, first=7))
+    assert runs[0].failed.any() and not runs[0].failed.all()
+    assert numpy_kernel_calls[0] == 0
+
+
+@pytest.mark.parametrize("case", ["gompertz", "time-inhomogeneous-f", "lambda-model"])
+def test_models_without_a_descriptor_run_the_numpy_kernel(numpy_kernel_calls, case):
+    m = ou()
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    if case == "gompertz":
+        m = builtin_model("gompertz", dict(kappa=2.0, mu=1.0, sigma=0.8))
+    elif case == "time-inhomogeneous-f":
+        f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
+                           growth_p0=1.0, time_homogeneous=False)
+    else:
+        m = type(m)(**{**m.__dict__, "drift": lambda x: -1.0 * (np.asarray(x, float) - 0.5),
+                       "diffusion": lambda x: 0.8 + 0.0 * np.asarray(x, float)})
+    sched = StepSchedule.from_policy(0.165, "CLT", SchedulePolicy(2.5), m.holder_nu)
+    res = simulate_batch(m, sched, f, 1.0, master_seed=29, n_replicates=5, threads=2)
+    assert numpy_kernel_calls[0] == 1
+    _assert_matches_stepper(res, _stepper(m, sched, f, 1.0, 29, 5))
 
 
 # ---------------------------------------------------------------- control

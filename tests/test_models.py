@@ -1,15 +1,18 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosim.config import parse_config
 from ergosim.models import (CentralizationError, ConstantDiffusion,
                             FellerConditionError, FunctionalSpec, ModelError,
-                            ModelEvaluationError, NotPositiveRecurrentError, SdeModel,
-                            UNDERFLOW_FLOOR, builtin_model, centralize,
-                            invariant_density_1d, validate_conditions)
+                            ModelEvaluationError, NotPositiveRecurrentError, Polynomial,
+                            PolynomialFunctional, SdeModel, UNDERFLOW_FLOOR,
+                            builtin_model, centralize, invariant_density_1d,
+                            validate_conditions)
 from ergosim.quadrature import QuadratureError
 
 SQRT2 = math.sqrt(2.0)
@@ -245,6 +248,7 @@ def test_polynomial_values_are_polyval_bitwise(coeffs):
         got = f.value(0.0, x)
         want = np.polynomial.polynomial.polyval(x, coeffs)
         assert got.tobytes() == want.tobytes()
+        assert Polynomial(coeffs)(x).tobytes() == want.tobytes()  # the custom model's
         assert f.value(0.0, -1.3) == np.polynomial.polynomial.polyval(-1.3, coeffs)
     with pytest.raises(ValueError, match="at least one coefficient"):
         FunctionalSpec.from_polynomial([])
@@ -262,3 +266,60 @@ def test_constant_diffusion_families():
         x = np.array([-1.0, 0.0, 2.5])
         if name != "cir":
             assert np.array_equal(d(x), 0.5 * np.ones_like(x)) and d(x).dtype == float
+
+
+# ------------------------------------------------------------ descriptors
+
+_CUSTOM = """[model]
+family = custom
+drift_coeffs = [0.5, -1.0, 0.0, -0.2]
+diffusion_coeffs = [0.8, 0.0, 0.1]
+recurrence_alpha = 1.0
+recurrence_gamma = 0.1
+recurrence_radius = 3.0
+holder_nu = 1.0
+alpha_bar = 3.0
+[functional]
+coeffs = [0.0, 1.0]
+[schedule]
+regime = CLT
+theta = 2.5
+[experiment]
+kind = CLT_NORMALITY
+epsilon_list = [0.1]
+"""
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ou", dict(kappa=2.0, mu=1.0, sigma=0.8)),
+    ("cir", dict(kappa=2.0, mu=1.0, sigma=0.8)),
+    ("gompertz", dict(kappa=1.0, mu=1.0, sigma=0.5)),
+    ("power_drift", dict(alpha=1.5)),
+    ("custom", None),
+])
+def test_models_pickle_with_bit_equal_coefficients(name, params):
+    m = (parse_config(_CUSTOM, inline=True).spec.model if name == "custom"
+         else builtin_model(name, params))
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m
+    x = np.array([-2.5, -0.0, 0.0, 0.3, 1.0, 4.75])
+    if m.support[0] == 0.0:
+        x = np.abs(x) + 0.1
+    with np.errstate(invalid="ignore"):
+        for coef in ("drift", "diffusion", "sim_drift", "sim_diffusion", "state_map"):
+            if getattr(m, coef) is not None:
+                assert getattr(back, coef)(x).tobytes() == getattr(m, coef)(x).tobytes(), coef
+
+
+def test_centred_polynomial_functional_pickles():
+    pi = invariant_density_1d(make_ou(mu=0.4))
+    f = centralize(FunctionalSpec.from_polynomial([0.3, -1.0, 0.5]), pi)
+    assert isinstance(f.value, PolynomialFunctional) and f.value.c0 != 0.0
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f
+    x = np.array([-np.inf, -3.5, -0.0, 0.0, 0.7, 1e200, np.nan])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert back.value(0.0, x).tobytes() == f.value(0.0, x).tobytes()
+        # the same bits as the polynomial less its mean
+        plain = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5]).value(0.0, x)
+        assert f.value(0.0, x).tobytes() == (plain - f.value.c0).tobytes()
