@@ -17,9 +17,11 @@ control, in both of its kernels:
   or polynomial descriptors (:mod:`ergosim.models`) and the functional
   is a :class:`~ergosim.models.PolynomialFunctional`.  Per row it fills
   a short on-stack block of normals from the row's stream, then steps,
-  observes and accumulates, four rows interleaved; it checks the blow-up
-  bound at every step, so a failed row stops at its exact step.  It is
-  built without FMA contraction, so it gives the numpy kernel's bits.
+  observes and accumulates a group of rows together (8 rows in one
+  AVX-512 vector, or 4 scalar rows on the portable path); it checks the
+  blow-up bound at every step, so a failed row stops at its exact step.
+  It is built without FMA contraction, so it gives the numpy kernel's
+  bits.
 * the numpy kernel ``_run_paths`` runs everything else (state maps such
   as Gompertz's log space, ``pow``/``exp``/``log`` coefficients, whose
   numpy SIMD results can differ from libm's in the last bit, and
@@ -37,7 +39,7 @@ depend on execution order, chunking, or thread count.
 ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
 caller derives the keys of all rows at once (:func:`_replicate_keys`)
 and keeps numpy's Philox4x64-10 state per row in a uint64 array; the C
-fill generates each row's words two counter blocks at a time and turns
+fill generates each row's words 16 counter blocks at a time and turns
 each into a normal with the fast path of numpy's ziggurat, handing the
 rare word it does not accept to numpy's own ``random_standard_normal``
 from ``libnpyrandom.a``.  The ziggurat tables are probed out of that
@@ -45,10 +47,14 @@ function when the library is loaded, and a filled row is then compared
 with ``replicate_stream`` (:class:`NativeBuildError` if they differ), so
 both kernels draw exactly the numbers of ``replicate_stream``.  The
 library is compiled with gcc (flags ``_CFLAGS``) on first use into a
-per-user cache and runs without the GIL.  With ``threads >= 2`` the
-native kernel splits the rows into ``threads`` contiguous ranges, one
-GIL-free call each; the numpy kernel has one helper thread fill the next
-noise block while the caller's thread steps the current one.
+per-user cache and runs without the GIL.  Its fill and its Euler kernel
+each come in a portable and an AVX-512 path with the same bits; the
+library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
+names it.  With ``threads >= 2`` the native kernel splits the rows into
+``threads`` contiguous ranges, one GIL-free call each, the last in the
+caller's thread; the numpy kernel fills each batch's first noise block
+in the caller's thread and has one helper thread fill each later block
+while the caller's thread steps the one before it.
 """
 
 from __future__ import annotations
@@ -275,6 +281,9 @@ _CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
 _CACHE_DIR = Path.home() / ".cache" / "ergosim"
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
+# the library's paths, each exported under its own suffix; it picks one
+# for the CPU when it is loaded
+_NATIVE_PATHS = ("portable", "avx512")
 _lib = None
 
 
@@ -286,7 +295,8 @@ def _native():
     ``libnpyrandom.a`` and of the compiler flags.  It is compiled to a
     temporary name and renamed into place, so concurrent first uses never
     load a partial file.  Once per process the library probes its
-    ziggurat tables out of numpy and passes :func:`_check_fill`.
+    ziggurat tables out of numpy, and its fill, on the path it picked for
+    this CPU, passes :func:`_check_fill`.
     """
     global _lib
     if _lib is not None:
@@ -328,15 +338,28 @@ def _native():
     dll.philox_probe_tables.argtypes = ()
     dll.philox_probe_tables.restype = None
     dll.philox_probe_tables()
-    dll.philox_normal_fill.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                                       ctypes.c_int64)
-    dll.philox_normal_fill.restype = None
-    dll.euler_rows.argtypes = (ctypes.POINTER(_EulerSpec), ctypes.c_void_p, ctypes.c_int64,
-                               *[ctypes.c_void_p] * 5)
-    dll.euler_rows.restype = None
+    dll.native_path.argtypes = ()
+    dll.native_path.restype = ctypes.c_char_p
+    fill_args = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    rows_args = (ctypes.POINTER(_EulerSpec), ctypes.c_void_p, ctypes.c_int64,
+                 *[ctypes.c_void_p] * 5)
+    # the routed entry points and each path's own (no avx512 path off x86-64)
+    for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
+        for name, args in (("philox_normal_fill", fill_args), ("euler_rows", rows_args)):
+            fn = getattr(dll, name + suffix, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = args, None
     _check_fill(dll.philox_normal_fill)
     _lib = dll
     return dll
+
+
+def __getattr__(name):
+    # NATIVE_PATH: the path the native library picked on this CPU, one of
+    # _NATIVE_PATHS; reading it loads (and if need be builds) the library
+    if name == "NATIVE_PATH":
+        return _native().native_path().decode()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # the self-check row: its 1654th normal comes from the ziggurat's tail
@@ -510,10 +533,11 @@ def simulate_batch(
     ``threads`` contiguous ranges, each stepped by one GIL-free call.
     Any other model or functional runs on the numpy kernel in fixed-size
     chunks, one after another, in the caller's thread; with ``threads >=
-    2`` one helper thread fills the next noise block (of this chunk or the
-    next) while the current one steps.  Both kernels give the same numbers
-    to the bit, and the output is a deterministic function of (model,
-    schedule, f, horizon, master_seed, n_replicates), whatever ``threads``.
+    2`` one helper thread fills each noise block after the first (of this
+    chunk or the next) while the one before it steps.  Both kernels give
+    the same numbers to the bit, and the output is a deterministic
+    function of (model, schedule, f, horizon, master_seed, n_replicates),
+    whatever ``threads``.
     """
     lib = _native()  # a failed build raises here, in the caller's thread
     _check_control(schedule, control)
@@ -597,8 +621,9 @@ def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_Eul
 def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResult:
     """Rows ``first_index ..`` of ``n`` on ``euler_rows``, split into ``threads`` ranges.
 
-    Each range is one long call that holds no GIL; no more calls run at
-    once than there are CPUs.
+    Each range is one long call that holds no GIL; the last runs in the
+    caller's thread and the others on a pool, so that no more calls run
+    at once than there are CPUs.
     """
     state = _start_streams(np.empty((n, _STATE_WORDS), np.uint64), master_seed, first_index)
     out = np.empty((4, n))
@@ -610,11 +635,15 @@ def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResul
 
     parts = max(1, min(threads, n))
     bounds = [n * i // parts for i in range(parts + 1)]
-    if parts == 1:
-        run(0, n)
+    workers = min(parts, os.cpu_count() or 1) - 1  # besides the caller's thread
+    if workers == 0:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            run(lo, hi)
     else:
-        with ThreadPoolExecutor(min(parts, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, bounds[:-1], bounds[1:]))
+        with ThreadPoolExecutor(workers) as pool:
+            others = pool.map(run, bounds[:-2], bounds[1:-1])
+            run(bounds[-2], n)
+            list(others)
     return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
 
 
@@ -627,11 +656,12 @@ def _noise_blocks(sizes, n_steps, fill, pool, budget):
     C-contiguous views of buffers allocated once here, together at most
     ``budget`` floats unless one step of a chunk needs more (a block holds
     at least one step).  Without a pool each block is filled in the
-    caller's thread just before it is yielded.  With one, the next block
-    is filled ahead on the pool into a second buffer while the caller
-    steps the current block; a buffer is refilled only after the caller
-    has asked for the block that follows the one it held, and at most one
-    block is in flight, so a chunk's blocks fill in order.
+    caller's thread just before it is yielded.  With one, the first block
+    is filled the same way, and each later block is filled ahead on the
+    pool into a second buffer while the caller steps the block before it;
+    a buffer is refilled only after the caller has asked for the block
+    that follows the one it held, and at most one fill runs at a time, so
+    a chunk's blocks fill in order.
     """
     n_bufs = 2 if pool is not None else 1
     plan = []
@@ -644,25 +674,16 @@ def _noise_blocks(sizes, n_steps, fill, pool, budget):
         _, n, _, k = plan[i]
         return bufs[i % n_bufs][:n * k].reshape(n, k)
 
-    if n_bufs == 1:
-        for i, (c, _, done, _) in enumerate(plan):
-            out = view(i)
-            fill(out, c, done)
-            yield out
-        return
-
-    def start(i):
-        c, _, done, _ = plan[i]
-        out = view(i)
-        return out, pool.submit(fill, out, c, done)
-
-    ahead = start(0) if plan else None
-    for i in range(1, len(plan) + 1):
-        out, fut = ahead
-        fut.result()
-        if i < len(plan):
-            ahead = start(i)
-        yield out
+    ahead = None  # the pool's fill of block i, when there is one
+    for i, (c, _, done, _) in enumerate(plan):
+        if ahead is None:
+            fill(view(i), c, done)
+        else:
+            ahead.result()
+        if pool is not None and i + 1 < len(plan):
+            c_next, _, done_next, _ = plan[i + 1]
+            ahead = pool.submit(fill, view(i + 1), c_next, done_next)
+        yield view(i)
 
 
 def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> BatchResult:

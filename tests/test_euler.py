@@ -15,8 +15,9 @@ from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            replicate_stream, simulate_batch, simulate_euler,
                            simulate_reference)
 from ergosim.config import parse_config
-from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional,
-                            builtin_model, invariant_density_1d)
+from ergosim.models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec,
+                            OuDrift, Polynomial, PolynomialFunctional, builtin_model,
+                            invariant_density_1d)
 from ergosim.variance import mf_autocorrelation_form
 
 SQRT2 = math.sqrt(2.0)
@@ -171,8 +172,10 @@ def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
                 for name in r1.__dataclass_fields__:
                     assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
                 if m is gompertz:
-                    # every fill ran on the one helper thread
-                    helpers = {ident for ident, _ in fills}
+                    # the first block filled in the caller's thread, with no
+                    # hand-off to wait for; every later one on the one helper
+                    assert fills[0][0] == threading.get_ident()
+                    helpers = {ident for ident, _ in fills[1:]}
                     assert threading.get_ident() not in helpers and len(helpers) == 1
                     assert sum(rows * k for (rows, k) in (shape for _, shape in fills)) \
                         == 250 * n_steps
@@ -675,6 +678,161 @@ def test_models_without_a_descriptor_run_the_numpy_kernel(numpy_kernel_calls, ca
     res = simulate_batch(m, sched, f, 1.0, master_seed=29, n_replicates=5, threads=2)
     assert numpy_kernel_calls[0] == 1
     _assert_matches_stepper(res, _stepper(m, sched, f, 1.0, 29, 5))
+
+
+# ---------------------------------------------------- the two native paths
+
+
+def test_native_path_is_picked_from_the_cpu():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+    flags = next((set(l.split(":", 1)[1].split()) for l in lines if l.startswith("flags")), set())
+    want = "avx512" if {"avx512f", "avx512dq"} <= flags else "portable"
+    assert euler.NATIVE_PATH == want
+    assert want in euler._NATIVE_PATHS
+
+
+@pytest.fixture
+def native_paths():
+    """``{path: (philox_normal_fill_<path>, euler_rows_<path>)}`` for both paths."""
+    if euler.NATIVE_PATH != "avx512":
+        pytest.skip("this CPU lacks avx512f or avx512dq, so the library picked the "
+                    "portable path and the AVX-512 path cannot run here")
+    lib = euler._native()
+    return {p: (getattr(lib, f"philox_normal_fill_{p}"), getattr(lib, f"euler_rows_{p}"))
+            for p in euler._NATIVE_PATHS}
+
+
+def _fill_on_both_paths(native_paths, state, width):
+    """Fill ``width`` normals per row from copies of ``state`` on each path;
+    both must give numpy's normals and leave numpy's Philox state behind,
+    which is returned."""
+    runs = []
+    for fill, _ in native_paths.values():
+        rows = state.copy()
+        out = np.empty((len(rows), width))
+        fill(rows.ctypes.data, len(rows), out.ctypes.data, width)
+        runs.append((out, rows))
+    (out, rows), (out_2, rows_2) = runs
+    assert out.tobytes() == out_2.tobytes() and rows.tobytes() == rows_2.tobytes(), width
+    for j, row in enumerate(state):
+        bg = _numpy_philox(row)
+        want = np.random.Generator(bg).standard_normal(width)
+        assert out[j].tobytes() == want.tobytes(), (j, width)
+        assert rows[j].tobytes() == euler._philox_row(bg).tobytes(), (j, width)
+    return rows
+
+
+def test_both_paths_fill_alike(native_paths):
+    # every buffer position and the empty buffer, with calls one after
+    # another on the same rows; widths that end inside a block, at a
+    # 64-word segment's end, inside the next segment and well on
+    state = _hand_set_rows(13, np.random.default_rng(5))
+    for width in (1, 2, 3, 5, 9, 31, 32, 33, 63, 64, 65, 70, 130, 1000):
+        state = _fill_on_both_paths(native_paths, state, width)
+
+
+def _slow_words(key):
+    """Stream positions ``q`` of draws whose first word the ziggurat's fast
+    path does not accept, each after 8 accepted words, keyed by (``q % 4``,
+    whether the word goes to the tail): one of each kind."""
+    bg = np.random.Philox(key=key)
+    gen = np.random.Generator(bg)
+    words = np.random.Philox(key=key).random_raw(600_000)
+    consumed = lambda: (int(bg.state["state"]["counter"][0]) - 1) * 4 + bg.state["buffer_pos"]
+    found, fast_run = {}, 0
+    while len(found) < 8:
+        before = consumed()
+        gen.standard_normal()
+        if consumed() - before == 1:
+            fast_run += 1
+            continue
+        if fast_run >= 8:
+            # the tail draws from layer 0 only
+            found.setdefault((before % 4, int(words[before]) & 0xFF == 0), before)
+        fast_run = 0
+    return found
+
+
+def test_both_paths_take_slow_words_at_every_lane(native_paths):
+    # start a row one or two blocks before a slow word, so that it is word
+    # 4*b + q%4 of the first 64-word segment and sits at lane (4*b + q%4) % 8
+    # of the vector fast path: wedge and tail words at each of the 8 lanes,
+    # with the fill ending on the slow word and in the next segment
+    key = np.random.SeedSequence(21).generate_state(2, np.uint64)
+    lanes = {False: set(), True: set()}
+    for (offset, tail), q in _slow_words(key).items():
+        for b in (0, 1):
+            start = np.random.Philox(key=key)
+            start.random_raw(4 * (q // 4 - b))
+            row = euler._philox_row(start)[None].copy()
+            for width in (4 * b + offset + 1, 70):
+                _fill_on_both_paths(native_paths, row, width)
+            lanes[tail].add((4 * b + offset) % 8)
+    assert lanes == {False: set(range(8)), True: set(range(8))}
+
+
+_DRIFTS = {"ou": OuDrift(2.0, 1.0), "cir": CirDrift(2.0, 1.0),
+           "poly": Polynomial([0.5, -1.0, 0.0, -0.2])}
+_DIFFUSIONS = {"constant": ConstantDiffusion(0.8), "cir": CirDiffusion(0.8),
+               "poly": Polynomial([0.8, 0.0, 0.1])}
+_PSI_LONG = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=2.0, horizon=2.9)
+
+
+def _rows_on_both_paths(native_paths, spec, seed, first, n):
+    """``euler_rows`` of each path on ``n`` rows; both must give the same
+    outputs and end row states, and write nothing past row ``n``."""
+    runs = []
+    for _, rows_fn in native_paths.values():
+        state = np.full((n + 8, euler._STATE_WORDS), 7, np.uint64)
+        euler._start_streams(state[:n], seed, first)
+        out = np.full((4, n + 8), -7.0)
+        fail = np.full(n + 8, -7, np.int64)
+        rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
+                fail.ctypes.data)
+        assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7) and np.all(state[n:] == 7)
+        runs.append((out, fail, state))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+    return runs[0]
+
+
+@pytest.mark.parametrize("drift", sorted(_DRIFTS))
+@pytest.mark.parametrize("diffusion", sorted(_DIFFUSIONS))
+@pytest.mark.parametrize("control", [None, _PSI_LONG])
+def test_both_paths_step_alike(native_paths, drift, diffusion, control):
+    # each kind pair on 1 to 17 rows and 41, from replicate 0 and 5: every
+    # group size of the 8-row vector path and of the 4-row portable path;
+    # 262 steps cross a 256-step fill and end mid-way through an 8-step tile
+    m = type(ou())(**{**ou().__dict__, "drift": _DRIFTS[drift],
+                      "diffusion": _DIFFUSIONS[diffusion], "initial_state": 0.3})
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    sched = StepSchedule.from_policy(0.165, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
+    assert sched.n_steps(2.9) == 262
+    spec = euler._native_spec(m, sched, f, 2.9, 1e8, control)
+    for first in (0, 5):
+        for n in (*range(1, 18), 41):
+            _rows_on_both_paths(native_paths, spec, 2**70 + 3, first, n)
+
+
+def test_both_paths_fail_and_clamp_alike(native_paths):
+    # a cubic drift whose rows blow up at many different steps, or never,
+    # and CIR rows that fall below 0 (the cases of the plain-stepper tests)
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
+    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
+    spec = euler._native_spec(boom, sched, f, 3.0, 1e8, None)
+    _, fail, _ = _rows_on_both_paths(native_paths, spec, 0, 0, 300)
+    assert 20 < (fail > 0).sum() < 300 and len(set(fail[fail > 0].tolist())) > 20
+    cir = builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0, x0=0.02))
+    sched = StepSchedule(epsilon=0.1, delta_step=0.03, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
+    spec = euler._native_spec(cir, sched, f, 1.0, 1e8, None)
+    _rows_on_both_paths(native_paths, spec, 3, 0, 40)
 
 
 # ---------------------------------------------------------------- control
