@@ -833,6 +833,7 @@ def test_both_paths_fail_and_clamp_alike(native_paths):
                          policy=SchedulePolicy(2.0))
     spec = euler._native_spec(cir, sched, f, 1.0, 1e8, None)
     _rows_on_both_paths(native_paths, spec, 3, 0, 40)
+    assert np.sum(_stepper(cir, sched, f, 1.0, 3, 40)["lowest"] < 0.0) >= 3
 
 
 # ---------------------------------------------------------------- control
