@@ -32,11 +32,18 @@
  * numpy kernel's, in the same association order; the build turns FMA
  * contraction off.
  *
- * Both entry points come in two paths that give the same bits:
- *  - portable (philox_normal_fill_portable, euler_rows_portable): two
- *    counter blocks per Philox call so that the two dependent 10-round
- *    chains overlap, one ziggurat word at a time, four rows stepped
- *    together in scalar arithmetic;
+ * autocorr_steps runs a block of whole steps of the autocorrelation route
+ * of M_f (variance.py): all paths draw from one stream row, and each step
+ * fills that step's normal of every path with the same fill, then steps
+ * and observes every path and leaves f(X_0) f(X_s) in a row of a block
+ * that the caller sums.  Its arithmetic is the numpy loop's of that route.
+ *
+ * The entry points come in two paths that give the same bits:
+ *  - portable (philox_normal_fill_portable, euler_rows_portable,
+ *    autocorr_steps_portable): two counter blocks per Philox call so that
+ *    the two dependent 10-round chains overlap, one ziggurat word at a
+ *    time, four rows stepped together in scalar arithmetic, one path at a
+ *    time in autocorr_steps;
  *  - avx512 (x86-64 only, compiled for avx512f and avx512dq by target
  *    attributes, so the build flags stay the same): a segment's 16 blocks
  *    are two 8-lane Philox runs, one block per 64-bit lane, each 64x64 ->
@@ -46,10 +53,12 @@
  *    in one vector, with lane masks in place of the scalar path's
  *    branches (sup_abs, the blow-up check, spare and failed rows); each
  *    8-step tile of the rows' normals is transposed in registers, so that
- *    a vector holds one step of all 8 rows.
- * philox_normal_fill and euler_rows take the avx512 path when the CPU has
- * both extensions, checked once when the library is loaded, and the
- * portable path otherwise; native_path names the one picked.
+ *    a vector holds one step of all 8 rows; autocorr_steps steps 8 paths
+ *    per vector.
+ * philox_normal_fill, euler_rows and autocorr_steps take the avx512 path
+ * when the CPU has both extensions, checked once when the library is
+ * loaded, and the portable path otherwise; native_path names the one
+ * picked.
  */
 #include <math.h>
 #include <stdint.h>
@@ -613,6 +622,53 @@ void euler_rows_portable(const euler_spec *m, row_state *rows, int64_t n_rows, d
 #undef RUN
 }
 
+/* ------------------------------------------------------- autocorrelation */
+
+/* Steps first+1 .. first+k of the autocorrelation route of M_f: n paths,
+ * their states in y, their normals all from the one stream row, step j
+ * after the n normals of step j-1.  Step first+1+r fills its n normals
+ * into row r of the C-contiguous (k, n) array prod with this path's fill,
+ * then for each path i steps y[i] with (y + h*b) + (sqrt_h*s)*xi,
+ * observes fs = f(y[i]), adds fs to acc[i] (0.5*fs at step m->n_steps)
+ * and writes f0[i]*fs over the normal.  Returns the first step after which some
+ * |y[i]| <= m->blow_up fails (NaN included), with that step finished for
+ * every path, or -1 if none does. */
+static inline __attribute__((always_inline)) int64_t
+autocorr_block(const euler_spec *m, int dk, int sk, row_state *row, int64_t n, int64_t first,
+               int64_t k, double *y, const double *f0, double *acc, double *prod)
+{
+    const double h = m->h, sqrt_h = m->sqrt_h, blow_up = m->blow_up;
+    for (int64_t r = 0; r < k; r++) {
+        const int64_t step = first + r + 1;
+        const double w = step < m->n_steps ? 1.0 : 0.5; /* 1.0 * fs is fs */
+        double *p = prod + r * n;
+        philox_normal_fill_portable(row, 1, p, n);
+        int bad = 0;
+        for (int64_t i = 0; i < n; i++) {
+            double x = y[i];
+            double x1 = (x + h * drift(m, dk, x)) + (sqrt_h * diffusion(m, sk, x)) * p[i];
+            double fs = polyval(m->f, m->n_f, x1) - m->f_c0;
+            acc[i] = acc[i] + w * fs;
+            p[i] = f0[i] * fs;
+            y[i] = x1;
+            bad |= !(fabs(x1) <= blow_up);
+        }
+        if (bad)
+            return step;
+    }
+    return -1;
+}
+
+int64_t autocorr_steps_portable(const euler_spec *m, row_state *row, int64_t n, int64_t first,
+                                int64_t k, double *y, const double *f0, double *acc,
+                                double *prod)
+{
+#define RUN(dk, sk) return autocorr_block(m, dk, sk, row, n, first, k, y, f0, acc, prod)
+    SWITCH_KINDS(RUN)
+#undef RUN
+    return -1; /* not reached: euler.py passes only the kinds above */
+}
+
 #if defined(__x86_64__)
 
 #define LANES 8 /* rows per vector, and per group on this path */
@@ -769,6 +825,51 @@ AVX512 void euler_rows_avx512(const euler_spec *m, row_state *rows, int64_t n_ro
 #undef RUN
 }
 
+/* autocorr_block with 8 paths per vector, the last vector masked */
+AVX512 static inline __attribute__((always_inline)) int64_t
+autocorr_block8(const euler_spec *m, int dk, int sk, row_state *row, int64_t n, int64_t first,
+                int64_t k, double *y, const double *f0, double *acc, double *prod)
+{
+    const __m512d h = _mm512_set1_pd(m->h), sqrt_h = _mm512_set1_pd(m->sqrt_h);
+    const __m512d blow_up = _mm512_set1_pd(m->blow_up), f_c0 = _mm512_set1_pd(m->f_c0);
+    for (int64_t r = 0; r < k; r++) {
+        const int64_t step = first + r + 1;
+        const __m512d w = _mm512_set1_pd(step < m->n_steps ? 1.0 : 0.5);
+        double *p = prod + r * n;
+        philox_normal_fill_avx512(row, 1, p, n);
+        __mmask8 bad = 0;
+        for (int64_t i = 0; i < n; i += LANES) {
+            const __mmask8 live = n - i >= LANES ? 0xff : (__mmask8)((1u << (n - i)) - 1);
+            __m512d x = _mm512_maskz_loadu_pd(live, y + i);
+            __m512d xi = _mm512_maskz_loadu_pd(live, p + i);
+            __m512d s = diffusion8(m, sk, x);
+            __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
+            __m512d x1 = _mm512_add_pd(drifted, _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), xi));
+            __m512d fs = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
+            __m512d a = _mm512_add_pd(_mm512_maskz_loadu_pd(live, acc + i), _mm512_mul_pd(w, fs));
+            __m512d g = _mm512_mul_pd(_mm512_maskz_loadu_pd(live, f0 + i), fs);
+            _mm512_mask_storeu_pd(acc + i, live, a);
+            _mm512_mask_storeu_pd(p + i, live, g);
+            _mm512_mask_storeu_pd(y + i, live, x1);
+            bad |= live & ~_mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
+        }
+        if (bad)
+            return step;
+    }
+    return -1;
+}
+
+/* autocorr_steps_portable's contract and bits */
+AVX512 int64_t autocorr_steps_avx512(const euler_spec *m, row_state *row, int64_t n,
+                                     int64_t first, int64_t k, double *y, const double *f0,
+                                     double *acc, double *prod)
+{
+#define RUN(dk, sk) return autocorr_block8(m, dk, sk, row, n, first, k, y, f0, acc, prod)
+    SWITCH_KINDS(RUN)
+#undef RUN
+    return -1;
+}
+
 #endif /* __x86_64__ */
 
 /* ------------------------------------------------------------- dispatch */
@@ -776,9 +877,12 @@ AVX512 void euler_rows_avx512(const euler_spec *m, row_state *rows, int64_t n_ro
 typedef void fill_fn(row_state *, int64_t, double *, int64_t);
 typedef void euler_fn(const euler_spec *, row_state *, int64_t, double *, double *, double *,
                       double *, int64_t *);
+typedef int64_t autocorr_fn(const euler_spec *, row_state *, int64_t, int64_t, int64_t,
+                            double *, const double *, double *, double *);
 
 static fill_fn *fill_path = philox_normal_fill_portable;
 static euler_fn *euler_path = euler_rows_portable;
+static autocorr_fn *autocorr_path = autocorr_steps_portable;
 static const char *path_name = "portable";
 
 /* Pick the path for this CPU, once, when the library is loaded. */
@@ -789,12 +893,13 @@ __attribute__((constructor)) static void pick_path(void)
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
         fill_path = philox_normal_fill_avx512;
         euler_path = euler_rows_avx512;
+        autocorr_path = autocorr_steps_avx512;
         path_name = "avx512";
     }
 #endif
 }
 
-/* "avx512" or "portable": the path philox_normal_fill and euler_rows take */
+/* "avx512" or "portable": the path the routed entry points below take */
 const char *native_path(void)
 {
     return path_name;
@@ -809,4 +914,10 @@ void euler_rows(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi
                 double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
 {
     euler_path(m, rows, n_rows, xi_c, xi_r, sup_abs, terminal, fail_step);
+}
+
+int64_t autocorr_steps(const euler_spec *m, row_state *row, int64_t n, int64_t first, int64_t k,
+                       double *y, const double *f0, double *acc, double *prod)
+{
+    return autocorr_path(m, row, n, first, k, y, f0, acc, prod);
 }

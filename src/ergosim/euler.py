@@ -32,6 +32,10 @@ control, in both of its kernels:
   Rows that failed in a block are replayed from the block's start, so
   ``fail_step`` is exact there too.
 
+The native library's third entry point, ``autocorr_steps``, steps the
+autocorrelation route of ``M_f`` (:mod:`ergosim.variance`) on the same
+rule (:func:`_runs_native`) and the same coefficient helpers.
+
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
 depend on execution order, chunking, or thread count.
@@ -47,8 +51,8 @@ function when the library is loaded, and a filled row is then compared
 with ``replicate_stream`` (:class:`NativeBuildError` if they differ), so
 both kernels draw exactly the numbers of ``replicate_stream``.  The
 library is compiled with gcc (flags ``_CFLAGS``) on first use into a
-per-user cache and runs without the GIL.  Its fill and its Euler kernel
-each come in a portable and an AVX-512 path with the same bits; the
+per-user cache and runs without the GIL.  Each of its three entry
+points comes in a portable and an AVX-512 path with the same bits; the
 library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
 names it.  With ``threads >= 2`` the native kernel splits the rows into
 ``threads`` contiguous ranges, one GIL-free call each, the last in the
@@ -288,7 +292,8 @@ _lib = None
 
 
 def _native():
-    """The compiled ``_philox_fill.c``: ``philox_normal_fill`` and ``euler_rows``.
+    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows`` and
+    ``autocorr_steps``.
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
@@ -340,15 +345,20 @@ def _native():
     dll.philox_probe_tables()
     dll.native_path.argtypes = ()
     dll.native_path.restype = ctypes.c_char_p
-    fill_args = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-    rows_args = (ctypes.POINTER(_EulerSpec), ctypes.c_void_p, ctypes.c_int64,
-                 *[ctypes.c_void_p] * 5)
+    spec = ctypes.POINTER(_EulerSpec)
+    signatures = {  # name: (argtypes, restype)
+        "philox_normal_fill": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                ctypes.c_int64), None),
+        "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 5), None),
+        "autocorr_steps": ((spec, ctypes.c_void_p, *[ctypes.c_int64] * 3,
+                            *[ctypes.c_void_p] * 4), ctypes.c_int64),
+    }
     # the routed entry points and each path's own (no avx512 path off x86-64)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
-        for name, args in (("philox_normal_fill", fill_args), ("euler_rows", rows_args)):
+        for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)
             if fn is not None:
-                fn.argtypes, fn.restype = args, None
+                fn.argtypes, fn.restype = args, restype
     _check_fill(dll.philox_normal_fill)
     _lib = dll
     return dll
@@ -453,7 +463,7 @@ def simulate_euler(
         def fill(out, chunk, done):
             out[0] = noise[done:done + out.shape[1], 0]
     res = _run_paths(model, schedule, f, horizon, blow_up, control, 1,
-                     _noise_blocks([1], n_steps, fill, None, _NOISE_BUDGET))
+                     _noise_blocks([1], n_steps, fill, None))
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
     return res
@@ -558,7 +568,7 @@ def simulate_batch(
 
     n_steps = schedule.n_steps(horizon)
     with ThreadPoolExecutor(1) if threads >= 2 else contextlib.nullcontext() as pool:
-        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool, _NOISE_BUDGET)
+        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool)
         parts = [_run_paths(model, schedule, f, horizon, blow_up, control, n, blocks)
                  for _, n in chunks]
     return BatchResult._concat(parts)
@@ -594,28 +604,49 @@ def _params(coef) -> np.ndarray:
     return np.array(dataclasses.astuple(coef), dtype=float)
 
 
-def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_EulerSpec]:
-    """The native kernel's description of this batch, or None if it has none."""
-    drift_kind = _DRIFT_KINDS.get(type(model.drift))
-    diffusion_kind = _DIFFUSION_KINDS.get(type(model.diffusion))
-    if (model.sim_drift is not None or drift_kind is None or diffusion_kind is None
-            or not isinstance(f.value, PolynomialFunctional)):
-        return None
-    dt = schedule.delta_step
-    n_steps = schedule.n_steps(horizon)
+def _runs_native(model: SdeModel, f: FunctionalSpec) -> bool:
+    """Whether the native library steps ``model`` and observes ``f``.
+
+    It does for OU, CIR and polynomial drift and diffusion descriptors,
+    stepped in the model's own coordinate, and a
+    :class:`~ergosim.models.PolynomialFunctional`.  :func:`simulate_batch`
+    and the autocorrelation route of ``M_f`` both follow this rule.
+    """
+    return (model.sim_drift is None and model.state_map is None
+            and type(model.drift) in _DRIFT_KINDS and type(model.diffusion) in _DIFFUSION_KINDS
+            and isinstance(f.value, PolynomialFunctional))
+
+
+def _euler_spec(model, f, h, dt, n_steps, blow_up, control=None) -> _EulerSpec:
+    """The ``euler_spec`` of a model and functional that :func:`_runs_native`:
+    step ``h``, functional weight ``dt``, and ``control`` (per-step tilts
+    ``ctrl_coef * psi(t_k)``) or None."""
     arrays = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
     if control is not None:
-        # the numpy kernel's tilt, ctrl_coef * psi(t_k), for every step
-        ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
-        arrays.append(np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
-                                for k in range(n_steps)]))
+        arrays.append(control)
     spec = _EulerSpec(
-        drift_kind, diffusion_kind, len(arrays[0]), len(arrays[1]), len(arrays[2]),
+        _DRIFT_KINDS[type(model.drift)], _DIFFUSION_KINDS[type(model.diffusion)],
+        len(arrays[0]), len(arrays[1]), len(arrays[2]),
         arrays[0].ctypes.data, arrays[1].ctypes.data, arrays[2].ctypes.data,
-        f.value.c0, model.initial_state, schedule.h, math.sqrt(schedule.h), dt, blow_up,
+        f.value.c0, model.initial_state, h, math.sqrt(h), dt, blow_up,
         n_steps, arrays[3].ctypes.data if control is not None else None)
     spec.arrays = arrays
     return spec
+
+
+def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_EulerSpec]:
+    """The native kernel's description of this batch, or None if it has none."""
+    if not _runs_native(model, f):
+        return None
+    dt = schedule.delta_step
+    n_steps = schedule.n_steps(horizon)
+    tilts = None
+    if control is not None:
+        # the numpy kernel's tilt, ctrl_coef * psi(t_k), for every step
+        ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
+        tilts = np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
+                          for k in range(n_steps)])
+    return _euler_spec(model, f, schedule.h, dt, n_steps, blow_up, tilts)
 
 
 def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResult:
@@ -647,26 +678,27 @@ def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResul
     return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
 
 
-def _noise_blocks(sizes, n_steps, fill, pool, budget):
+def _noise_blocks(sizes, n_steps, fill, pool):
     """Yield the noise block of every (chunk, block) in stepping order.
 
     Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
     blocks of at most the noise budget; ``fill(out, c, done)`` writes the
     normals of steps ``done, done+1, ...`` into ``out``.  Blocks are
     C-contiguous views of buffers allocated once here, together at most
-    ``budget`` floats unless one step of a chunk needs more (a block holds
-    at least one step).  Without a pool each block is filled in the
-    caller's thread just before it is yielded.  With one, the first block
-    is filled the same way, and each later block is filled ahead on the
-    pool into a second buffer while the caller steps the block before it;
-    a buffer is refilled only after the caller has asked for the block
-    that follows the one it held, and at most one fill runs at a time, so
-    a chunk's blocks fill in order.
+    ``_NOISE_BUDGET`` floats (read when the first block is drawn) unless
+    one step of a chunk needs more (a block holds at least one step).
+    Without a pool each block is filled in the caller's thread just
+    before it is yielded.  With one, the first block is filled the same
+    way, and each later block is filled ahead on the pool into a second
+    buffer while the caller steps the block before it; a buffer is
+    refilled only after the caller has asked for the block that follows
+    the one it held, and at most one fill runs at a time, so a chunk's
+    blocks fill in order.
     """
     n_bufs = 2 if pool is not None else 1
     plan = []
     for c, n in enumerate(sizes):
-        block = max(1, min(n_steps, budget // n_bufs // n))
+        block = max(1, min(n_steps, _NOISE_BUDGET // n_bufs // n))
         plan += [(c, n, done, min(block, n_steps - done)) for done in range(0, n_steps, block)]
     bufs = [np.empty(max((n * k for _, n, _, k in plan), default=0)) for _ in range(n_bufs)]
 

@@ -12,27 +12,32 @@ since the second route never touches the Poisson equation.
 
 The autocorrelation route draws every number from one Philox stream
 keyed by ``master_seed``: the start uniforms from a numpy generator,
-then the normals of all steps, continued from that generator's state,
-from the package's native Philox fill (:func:`euler._philox_normals`),
-a block of whole steps per call.  One helper thread fills the next block
-into a second buffer while the caller steps the current one, so the
-estimate is the one a per-step ``standard_normal(n_paths)`` loop gives,
-bit for bit.  It does not run on the Euler kernel, whose per-replicate
-streams and trapezoid order would give other numbers.
+then the normals of each step, continued from that generator's state, as
+the ``n_paths`` numbers that follow those of the step before.  A model and
+functional the native library steps (:func:`euler._runs_native`: OU, CIR
+or polynomial coefficients and a polynomial ``f``) run on its
+``autocorr_steps``, one call per block of whole steps that fills, steps
+and observes every path and leaves each step's products ``f(X_0)f(X_s)``
+in a block that numpy sums.  Every other model runs a numpy loop that
+draws one step of normals at a time from the native fill
+(:func:`euler._philox_normals`).  Either way the estimate is the one a
+per-step ``standard_normal(n_paths)`` loop gives, bit for bit.  It does
+not run on the Euler kernel, whose per-replicate streams and trapezoid
+order would give other numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import euler
-from .models import ConstantDiffusion, FunctionalSpec, InvariantDensity1D, SdeModel
+from .models import FunctionalSpec, InvariantDensity1D, SdeModel
 from .poisson1d import PoissonSolution
 
 
@@ -72,8 +77,10 @@ class CovarianceCurve:
 TAIL_MASS_LIMIT = 0.01
 # pi-mass quantile delimiting the far-tail region used by the decay screen
 TAIL_QUANTILE = 1e-6
-# floats in the two noise buffers of the autocorrelation route, 1 MB each
-_AUTOCORR_BUDGET = 2**18
+# floats in the autocorrelation route's native block of products, 2 MB
+_PRODUCT_BLOCK = 2**18
+# the native route's blow-up bound: |y| <= _FINITE fails exactly where y is not finite
+_FINITE = sys.float_info.max
 
 
 def mf_gradient_form(
@@ -151,16 +158,19 @@ def mf_autocorrelation_form(
 
     The normals of step ``k`` are the ``n_paths`` numbers that follow those
     of step ``k - 1`` on the Philox stream of ``master_seed``, after the
-    ``n_paths`` start uniforms.  They come from the native fill in blocks
-    of whole steps, each at most ``_AUTOCORR_BUDGET / 2`` floats or one
-    step, filled ahead on one helper thread; a constant diffusion is
-    folded into the block.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
-    in that order.  Raises :class:`~ergosim.euler.NativeBuildError` if
-    the fill cannot be built; there is no pure-Python fallback.
+    ``n_paths`` start uniforms.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
+    in that order.  When :func:`euler._runs_native` holds for ``model`` and
+    ``f``, the native ``autocorr_steps`` fills, steps and observes a block
+    of whole steps per call, at most ``_PRODUCT_BLOCK`` floats of products
+    or one step; otherwise a numpy loop steps one step at a time on
+    normals from the native fill.  Raises
+    :class:`~ergosim.euler.NativeBuildError` if the native library cannot
+    be built; there is no pure-Python fallback.
 
     Raises :class:`VarianceError` unless ``n_paths >= 2`` (the standard
     error needs two paths), ``dt`` is finite and positive, and ``horizon``
-    is finite and at least ``dt``.
+    is finite and at least ``dt``; and, naming the step and the number of
+    paths, at the first step after which a path's state is not finite.
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
@@ -170,15 +180,13 @@ def mf_autocorrelation_form(
         raise VarianceError(f"dt must be finite and > 0, got {dt}")
     if not (math.isfinite(horizon) and horizon >= dt):
         raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
-    euler._native()  # a failed build raises here, before any sampling
+    lib = euler._native()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
     # the stream carries on from here in the native fill, one row long
     state = euler._philox_row(rng.bit_generator).reshape(1, -1)
 
-    drift = model.sim_drift or model.drift
-    diff = model.sim_diffusion or model.diffusion
     smap = model.state_map
     if smap is not None:
         # simulate in the transformed coordinate, observe through the map
@@ -199,32 +207,16 @@ def mf_autocorrelation_form(
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
     se_tail = math.nan  # Monte Carlo SE of the autocorrelation at the window start
-    sq_dt = math.sqrt(dt)
-    # a constant diffusion is folded into the block: it then holds
-    # (sigma*sq_dt)*xi, the product the step would form
-    fold = isinstance(diff, ConstantDiffusion)
-    prod = np.empty(n_paths)  # f0 * fs of the current step
-
-    def fill(out, chunk, done):
-        # steps done, done+1, ... as one row: the order the per-step
-        # standard_normal(n_paths) draws would take them
-        euler._philox_normals(state, out.reshape(1, -1))
-
-    k = 0
-    with ThreadPoolExecutor(1) as pool:
-        for block in euler._noise_blocks([n_paths], n_steps, fill, pool, _AUTOCORR_BUDGET):
-            steps = block.reshape(-1, n_paths)  # row r: the normals of step k + 1 + r
-            if fold:
-                steps *= diff.sigma * sq_dt
-            for xi in steps:
-                k += 1
-                y = y + drift(y) * dt + (xi if fold else diff(y) * sq_dt * xi)
-                fs = observe(y)
-                acc += fs if k < n_steps else 0.5 * fs
-                np.multiply(f0, fs, out=prod)
-                corr_sum[k] = float(prod.sum())
-                if k == i_tail:
-                    se_tail = float(np.std(prod, ddof=1)) / math.sqrt(n_paths)
+    if euler._runs_native(model, f):
+        blocks = _native_blocks(lib, euler._euler_spec(model, f, dt, dt, n_steps, _FINITE),
+                                state, y, f0, acc)
+    else:
+        blocks = _numpy_steps(model, observe, dt, n_steps, state, y, f0, acc)
+    for done, prod in blocks:
+        # row r of prod holds f0 * fs of step done + 1 + r
+        corr_sum[done + 1:done + 1 + len(prod)] = prod.sum(axis=1)
+        if done < i_tail <= done + len(prod):
+            se_tail = float(np.std(prod[i_tail - done - 1], ddof=1)) / math.sqrt(n_paths)
     A = f0 * acc * dt
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
@@ -259,6 +251,49 @@ def mf_autocorrelation_form(
         std_error=np.array([se]),
         detail=detail,
     )
+
+
+def _non_finite(step: int, n_steps: int, y: np.ndarray) -> VarianceError:
+    return VarianceError(
+        f"{np.count_nonzero(~np.isfinite(y))} of {len(y)} autocorrelation paths are not "
+        f"finite after step {step} of {n_steps}: dt is too coarse for this drift")
+
+
+def _native_blocks(lib, spec, state, y, f0, acc) -> Iterator[tuple]:
+    """``(done, prod)`` for each block of whole steps of ``autocorr_steps``:
+    ``prod`` is the ``(k, n_paths)`` block of products of steps ``done + 1``
+    to ``done + k``, read only until the next block is drawn.  ``acc`` is
+    advanced in place."""
+    y = np.array(y, dtype=float)  # stepped in place
+    n, n_steps = len(y), spec.n_steps
+    k_max = max(1, min(n_steps, _PRODUCT_BLOCK // n))
+    buf = np.empty(k_max * n)
+    for done in range(0, n_steps, k_max):
+        prod = buf[:min(k_max, n_steps - done) * n].reshape(-1, n)
+        step = lib.autocorr_steps(spec, state.ctypes.data, n, done, len(prod), y.ctypes.data,
+                                  f0.ctypes.data, acc.ctypes.data, prod.ctypes.data)
+        if step >= 0:
+            raise _non_finite(step, n_steps, y)
+        yield done, prod
+
+
+def _numpy_steps(model, observe, dt, n_steps, state, y, f0, acc) -> Iterator[tuple]:
+    """``(k - 1, prod)`` for each step ``k``, ``prod`` the ``(1, n_paths)``
+    products of that step, on normals from the native fill.  ``acc`` is
+    advanced in place; ``y`` and ``f0`` are never written."""
+    drift = model.sim_drift or model.drift
+    diff = model.sim_diffusion or model.diffusion
+    sq_dt = math.sqrt(dt)
+    xi = np.empty((1, len(y)))
+    for k in range(1, n_steps + 1):
+        euler._philox_normals(state, xi)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+            y = y + drift(y) * dt + diff(y) * sq_dt * xi[0]
+        if not np.isfinite(y).all():
+            raise _non_finite(k, n_steps, y)
+        fs = observe(y)
+        acc += fs if k < n_steps else 0.5 * fs
+        yield k - 1, (f0 * fs).reshape(1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -836,6 +836,57 @@ def test_both_paths_fail_and_clamp_alike(native_paths):
     assert np.sum(_stepper(cir, sched, f, 1.0, 3, 40)["lowest"] < 0.0) >= 3
 
 
+def _autocorr_on_both_paths(native_paths, spec, y0, blocks):
+    """``autocorr_steps`` of each path on the paths ``y0``, ``f = y0``, over
+    consecutive blocks of ``blocks`` steps from one stream row; both must
+    return the same steps and leave the same products, sums, states and
+    stream row, and write nothing past the last path.  Returns the
+    returned steps."""
+    lib = euler._native()
+    n = len(y0)
+    runs = []
+    for p in native_paths:
+        fn = getattr(lib, f"autocorr_steps_{p}")
+        row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 11, 4)
+        y, acc = np.full(n + 8, -7.0), np.full(n + 8, -7.0)
+        y[:n], acc[:n] = y0, 0.5 * y0
+        done, steps, prods = 0, [], []
+        for k in blocks:
+            prod = np.full(k * n + 8, -7.0)
+            steps.append(fn(spec, row.ctypes.data, n, done, k, y.ctypes.data, y0.ctypes.data,
+                            acc.ctypes.data, prod.ctypes.data))
+            assert np.all(prod[k * n:] == -7.0) and np.all(y[n:] == -7.0)
+            assert np.all(acc[n:] == -7.0)
+            prods.append(prod)
+            done += k
+        runs.append((steps, [*prods, y, acc, row]))
+    (steps, arrays), (steps_2, arrays_2) = runs
+    assert steps == steps_2
+    for a, a_2 in zip(arrays, arrays_2):
+        assert a.tobytes() == a_2.tobytes()
+    return steps
+
+
+@pytest.mark.parametrize("family", ["ou", "cir"])
+def test_both_paths_autocorrelate_alike(native_paths, family):
+    # 1 to 17 paths and 41: every tail of the 8-path vector; blocks of 1,
+    # 5 and 9 steps, the last step weighted 1/2; CIR paths started near 0
+    # fall below it
+    m = (ou() if family == "ou"
+         else builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0)))
+    f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
+    spec = euler._euler_spec(m, f, 0.03, 0.03, 15, np.finfo(float).max)
+    rng = np.random.default_rng(2)
+    for n in (*range(1, 18), 41):
+        y0 = rng.uniform(0.0, 0.05, n) if family == "cir" else rng.normal(0.0, 1.0, n)
+        assert _autocorr_on_both_paths(native_paths, spec, y0, (1, 5, 9)) == [-1, -1, -1]
+    # a cubic drift that overshoots: both paths stop at the same step
+    boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=0.0)
+    spec = euler._euler_spec(boom, f, 0.1, 0.1, 20, np.finfo(float).max)
+    steps = _autocorr_on_both_paths(native_paths, spec, rng.normal(0.0, 1.5, 300), (20,))
+    assert 1 < steps[0] < 20
+
+
 # ---------------------------------------------------------------- control
 
 

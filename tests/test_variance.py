@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ergosim.models import (FunctionalSpec, builtin_model, centralize,
+from ergosim import euler
+from ergosim.models import (FunctionalSpec, Polynomial, builtin_model, centralize,
                             invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
 from ergosim.variance import (SingularCovarianceError, VarianceError,
@@ -197,20 +199,35 @@ def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
     return m_hat, se, detail
 
 
+def _custom_model():
+    # polynomial coefficients, as the config's custom family builds them
+    ou = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
+    return dataclasses.replace(ou, drift=Polynomial([0.2, -1.0, 0.0, -0.5]),
+                               diffusion=Polynomial([1.0, 0.0, 0.1]), name="custom")
+
+
 @pytest.mark.parametrize("family, kw", [
-    # 300 steps in blocks of 65: the last block is short
+    # 300 steps in blocks of 131: the last block is short
     ("ou", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("gompertz", dict(n_paths=2000, horizon=3.0, dt=0.01)),
-    # more paths than one noise buffer holds: one step per block
+    # more paths than one block of products holds: one step per block
     ("ou", dict(n_paths=2**17 + 5, horizon=0.05, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01, tail_extrapolate=False)),
     # f returns its own input array: the step must not write into it
     ("ou_identity", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    ("custom", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    ("power_drift", dict(n_paths=2000, horizon=3.0, dt=0.01)),
+    # the fewest paths: one partial vector, and all 300 steps in one block
+    ("ou", dict(n_paths=2, horizon=3.0, dt=0.01)),
+    ("gompertz", dict(n_paths=2, horizon=3.0, dt=0.01)),
 ])
-def test_autocorrelation_matches_per_step_loop(ou_pipeline, cir_pipeline, family, kw):
-    if family == "gompertz":
-        m = builtin_model("gompertz", dict(kappa=1.0, mu=0.5, sigma=0.5))
+def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pipeline,
+                                               family, kw):
+    if family in ("gompertz", "power_drift", "custom"):
+        m = (_custom_model() if family == "custom" else builtin_model(
+            family, dict(kappa=1.0, mu=0.5, sigma=0.5) if family == "gompertz"
+            else dict(alpha=1.5)))
         pi = invariant_density_1d(m)
         f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
     elif family == "ou_identity":
@@ -218,11 +235,37 @@ def test_autocorrelation_matches_per_step_loop(ou_pipeline, cir_pipeline, family
         f = FunctionalSpec(value=lambda t, x: x, growth_p0=1.0, centralized=True)
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
+    # the numpy loop draws each step's normals from the native fill; the
+    # native call fills its own
+    fills = []
+    fill = euler._philox_normals
+    monkeypatch.setattr(euler, "_philox_normals", lambda state, out: (fills.append(out.shape),
+                                                                       fill(state, out)))
     got = mf_autocorrelation_form(m, pi, f, master_seed=3, **kw)
+    n_steps = int(round(kw["horizon"] / kw["dt"]))
+    native = family in ("ou", "cir", "custom")  # OU, CIR, Polynomial and a polynomial f
+    assert fills == ([] if native else [(1, kw["n_paths"])] * n_steps)
     m_hat, se, detail = _autocorrelation_per_step(m, pi, f, master_seed=3, **kw)
     assert got.values.tobytes() == np.array([m_hat]).tobytes()
     assert got.std_error.tobytes() == np.array([se]).tobytes()
     assert repr(got.detail) == repr(detail)
+
+
+def test_autocorrelation_raises_on_non_finite_paths(ou_pipeline):
+    # a cubic drift that overshoots from |x| > sqrt(0.5 / dt) ~ 2.2 and
+    # runs off to inf: the native call (a Polynomial drift) and the numpy
+    # loop (the same drift as a callable) stop at the same step
+    m, pi, f, _ = ou_pipeline
+    cubic = Polynomial([0.0, 0.0, 0.0, -4.0])
+    messages = []
+    for drift in (cubic, lambda x: cubic(x)):
+        bad = dataclasses.replace(m, drift=drift)
+        with pytest.raises(VarianceError, match=r"^\d+ of 1000 autocorrelation paths "
+                           r"are not finite after step \d+ of 20:") as exc:
+            mf_autocorrelation_form(bad, pi, f, n_paths=1000, horizon=2.0, dt=0.1,
+                                    master_seed=0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_cross_route_agreement_quadratic(ou_pipeline):
