@@ -59,6 +59,11 @@
  * when the CPU has both extensions, checked once when the library is
  * loaded, and the portable path otherwise; native_path names the one
  * picked.
+ *
+ * antiderivative_eval answers the queries of quadrature.Antiderivative:
+ * per point a clip, the panel np.searchsorted would give, and the panel's
+ * degree-7 Legendre series in the association order of numpy's legval.
+ * It has one plain path and no routing.
  */
 #include <math.h>
 #include <stdint.h>
@@ -920,4 +925,72 @@ int64_t autocorr_steps(const euler_spec *m, row_state *row, int64_t n, int64_t f
                        double *y, const double *f0, double *acc, double *prod)
 {
     return autocorr_path(m, row, n, first, k, y, f0, acc, prod);
+}
+
+/* ------------------------------------------- tabulated antiderivative */
+
+/* (nd - 1) / nd and (2 nd - 1) / nd for nd = 7 down to 2, as doubles */
+static const double LEG_A[8] = {0, 0, 1.0 / 2, 2.0 / 3, 3.0 / 4, 4.0 / 5, 5.0 / 6, 6.0 / 7};
+static const double LEG_B[8] = {0, 0, 3.0 / 2, 5.0 / 3, 7.0 / 4, 9.0 / 5, 11.0 / 6, 13.0 / 7};
+
+/* The degree-7 Legendre series c at x, in the association order of
+ * numpy's legval. */
+static inline double legval8(const double *c, double x)
+{
+    double c0 = c[6], c1 = c[7];
+    for (int nd = 7; nd >= 2; nd--) {
+        double tmp = c0;
+        c0 = c[nd - 2] - c1 * LEG_A[nd];
+        c1 = tmp + c1 * x * LEG_B[nd];
+    }
+    return c0 + c1 * x;
+}
+
+/* Queries of quadrature.Antiderivative on a grid of n_nodes >= 2 sorted
+ * nodes.  Each point is clipped to [nodes[0], nodes[n_nodes - 1]] as
+ * np.clip clips it (NaN stays NaN) and given the panel index of
+ * np.searchsorted(nodes, z, side) - 1 clipped to the panels, where side is
+ * "right" for from_left and "left" for from_right and NaN sorts last; a
+ * uniform-grid guess, moved to the neighbouring node where it is off,
+ * finds it.  The value is cum[idx] + s L(s - 1) (from_left) or
+ * cum[idx + 1] + s R(1 - s) (from_right), with coef the panel-major
+ * (n_panels, 8) Legendre coefficients of L or R. */
+void antiderivative_eval(const double *nodes, int64_t n_nodes, double half, const double *cum,
+                         const double *coef, int from_right, const double *z, int64_t n,
+                         double *out)
+{
+    const int64_t last = n_nodes - 2; /* the last panel */
+    const double lo = nodes[0], hi = nodes[n_nodes - 1];
+    const double per_panel = (double)(n_nodes - 1) / (hi - lo);
+    for (int64_t i = 0; i < n; i++) {
+        double zc = z[i];
+        int64_t g = last;
+        if (zc == zc) {
+            zc = zc > lo ? zc : lo;
+            zc = zc < hi ? zc : hi;
+            double guess = (zc - lo) * per_panel;
+            g = guess < last + 1 ? (int64_t)guess : last + 1;
+            if (from_right) { /* the last node below zc, -1 for none */
+                while (g >= 0 && nodes[g] >= zc)
+                    g--;
+                while (g <= last && nodes[g + 1] < zc)
+                    g++;
+                g = g > 0 ? g : 0;
+            } else { /* the last node at or below zc */
+                while (g > 0 && nodes[g] > zc)
+                    g--;
+                while (g <= last && nodes[g + 1] <= zc)
+                    g++;
+            }
+            g = g < last ? g : last;
+        }
+        const double *c = coef + 8 * g;
+        if (from_right) {
+            double s = (nodes[g + 1] - zc) / half; /* 1 - x, exactly 0 on the right node */
+            out[i] = cum[g + 1] + s * legval8(c, 1.0 - s);
+        } else {
+            double s = (zc - nodes[g]) / half; /* x + 1, exactly 0 on the left node */
+            out[i] = cum[g] + s * legval8(c, s - 1.0);
+        }
+    }
 }

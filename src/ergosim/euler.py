@@ -34,7 +34,10 @@ control, in both of its kernels:
 
 The native library's third entry point, ``autocorr_steps``, steps the
 autocorrelation route of ``M_f`` (:mod:`ergosim.variance`) on the same
-rule (:func:`_runs_native`) and the same coefficient helpers.
+rule (:func:`_runs_native`) and the same coefficient helpers.  Its
+fourth, ``antiderivative_eval``, answers the queries of
+:class:`~ergosim.quadrature.Antiderivative`, so the density, the Poisson
+solution and the gradient form of ``M_f`` load the library too.
 
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
@@ -51,9 +54,9 @@ function when the library is loaded, and a filled row is then compared
 with ``replicate_stream`` (:class:`NativeBuildError` if they differ), so
 both kernels draw exactly the numbers of ``replicate_stream``.  The
 library is compiled with gcc (flags ``_CFLAGS``) on first use into a
-per-user cache and runs without the GIL.  Each of its three entry
-points comes in a portable and an AVX-512 path with the same bits; the
-library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
+per-user cache and runs without the GIL.  Each of its three simulation
+entry points comes in a portable and an AVX-512 path with the same bits;
+the library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
 names it.  With ``threads >= 2`` the native kernel splits the rows into
 ``threads`` contiguous ranges, one GIL-free call each, the last in the
 caller's thread; the numpy kernel fills each batch's first noise block
@@ -292,8 +295,9 @@ _lib = None
 
 
 def _native():
-    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows`` and
-    ``autocorr_steps``.
+    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows``,
+    ``autocorr_steps`` and ``antiderivative_eval`` (the queries of
+    :class:`~ergosim.quadrature.Antiderivative`).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
@@ -352,8 +356,12 @@ def _native():
         "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 5), None),
         "autocorr_steps": ((spec, ctypes.c_void_p, *[ctypes.c_int64] * 3,
                             *[ctypes.c_void_p] * 4), ctypes.c_int64),
+        "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
+                                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
     }
-    # the routed entry points and each path's own (no avx512 path off x86-64)
+    # the routed entry points and each path's own (no avx512 path off x86-64;
+    # antiderivative_eval has one path)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
         for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)

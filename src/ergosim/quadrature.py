@@ -10,7 +10,10 @@ node grid; the grid, not an error estimate, sets the resolution.
   so a query inside a panel evaluates a polynomial and never calls the
   integrand again.  Right-tail queries are accumulated from the right so
   that tiny tail integrals are not computed as the difference of two
-  nearly equal numbers.
+  nearly equal numbers.  A query is one loop in the native library of
+  :mod:`ergosim.euler` (``antiderivative_eval`` in ``_philox_fill.c``);
+  it has no numpy fallback, so a failed build raises
+  :class:`~ergosim.euler.NativeBuildError` here too.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ class Antiderivative:
     from the left node and ``(1 - x) R(x)`` from the right node in the
     panel coordinate ``x`` in [-1, 1].  The factored forms make a query
     exactly on a node return exactly the cumulative sum.
+
+    ``from_left`` and ``from_right`` are one call each into the native
+    library.  Per point it clips ``z`` to [lo, hi] (NaN stays NaN), finds the
+    panel that ``np.searchsorted`` would give, and evaluates the panel's
+    Legendre series in the association order of numpy's ``legval``, so the
+    values are those of that numpy expression to the bit.  The coefficients
+    are stored panel-major, ``(n_panels, 8)``.  A 0-d query returns a numpy
+    float64; any other keeps the shape of ``z``.
     """
 
     def __init__(self, g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_panels: int):
@@ -87,9 +98,9 @@ class Antiderivative:
         panels = half * vals @ _GL_WEIGHTS
         self._cum_left = np.concatenate(([0.0], np.cumsum(panels)))
         self._cum_right = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
-        # (8, n_panels) Legendre coefficients of L and R, times the half-width
-        self._left = half * (_LEFT_MAP @ vals.T)
-        self._right = half * (_RIGHT_MAP @ vals.T)
+        # (n_panels, 8) Legendre coefficients of L and R, times the half-width
+        self._left = np.ascontiguousarray((half * (_LEFT_MAP @ vals.T)).T)
+        self._right = np.ascontiguousarray((half * (_RIGHT_MAP @ vals.T)).T)
 
     @property
     def lo(self) -> float:
@@ -105,14 +116,19 @@ class Antiderivative:
 
     def from_left(self, z) -> np.ndarray:
         """Integral from lo to z (vectorized)."""
-        zc = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.nodes, zc, side="right") - 1, 0, len(self.nodes) - 2)
-        s = (zc - self.nodes[idx]) / self._half  # x + 1, exactly 0 on the left node
-        return self._cum_left[idx] + s * leg.legval(s - 1.0, self._left[:, idx], tensor=False)
+        return self._query(z, self._cum_left, self._left, 0)
 
     def from_right(self, z) -> np.ndarray:
         """Integral from z to hi (vectorized), accumulated from the right."""
-        zc = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.nodes, zc, side="left") - 1, 0, len(self.nodes) - 2)
-        s = (self.nodes[idx + 1] - zc) / self._half  # 1 - x, exactly 0 on the right node
-        return self._cum_right[idx + 1] + s * leg.legval(1.0 - s, self._right[:, idx], tensor=False)
+        return self._query(z, self._cum_right, self._right, 1)
+
+    def _query(self, z, cum: np.ndarray, coef: np.ndarray, from_right: int):
+        from . import euler  # not at import time: euler imports models, which imports us
+
+        z = np.asarray(z, dtype=float)
+        flat = z.ravel()  # C-contiguous, copied only if z is not
+        out = np.empty(z.shape)
+        euler._native().antiderivative_eval(
+            self.nodes.ctypes.data, len(self.nodes), self._half, cum.ctypes.data,
+            coef.ctypes.data, from_right, flat.ctypes.data, flat.size, out.ctypes.data)
+        return out if out.ndim else out[()]

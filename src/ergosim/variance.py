@@ -169,8 +169,11 @@ def mf_autocorrelation_form(
 
     Raises :class:`VarianceError` unless ``n_paths >= 2`` (the standard
     error needs two paths), ``dt`` is finite and positive, and ``horizon``
-    is finite and at least ``dt``; and, naming the step and the number of
-    paths, at the first step after which a path's state is not finite.
+    is finite and at least ``dt``; naming the step and the number of
+    paths, at the first step after which a path's state is not finite;
+    and, naming the first such step, when the paths stay finite but a sum
+    of products f(X_0) f(X_s) or a path's integral of f is not (checked
+    once, after the last step).
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
@@ -217,6 +220,8 @@ def mf_autocorrelation_form(
         corr_sum[done + 1:done + 1 + len(prod)] = prod.sum(axis=1)
         if done < i_tail <= done + len(prod):
             se_tail = float(np.std(prod[i_tail - done - 1], ddof=1)) / math.sqrt(n_paths)
+    if not (np.isfinite(corr_sum).all() and np.isfinite(acc).all()):
+        raise _non_finite_f(corr_sum, n_steps)
     A = f0 * acc * dt
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
@@ -257,6 +262,16 @@ def _non_finite(step: int, n_steps: int, y: np.ndarray) -> VarianceError:
     return VarianceError(
         f"{np.count_nonzero(~np.isfinite(y))} of {len(y)} autocorrelation paths are not "
         f"finite after step {step} of {n_steps}: dt is too coarse for this drift")
+
+
+def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
+    # a non-finite f(X_0) makes corr_sum[0] non-finite; a running integral
+    # that overflowed on finite products shows only at the end
+    bad = np.flatnonzero(~np.isfinite(corr_sum))
+    step = int(bad[0]) if bad.size else n_steps
+    return VarianceError(
+        f"the autocorrelation sums of f are not finite at step {step} of {n_steps}: "
+        "f overflows on these paths")
 
 
 def _native_blocks(lib, spec, state, y, f0, acc) -> Iterator[tuple]:

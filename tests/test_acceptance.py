@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
+from ergosim import euler
 from ergosim.cli import main as cli_main
 from ergosim.euler import SchedulePolicy
 from ergosim.harness import (ExperimentSpec, mdp_closed_form_rate,
@@ -25,6 +26,13 @@ from ergosim.variance import (mf_autocorrelation_form, mf_gradient_form,
                               CovarianceCurve, optimal_control, rate_function)
 
 SQRT2 = math.sqrt(2.0)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def native_library():
+    # the density's table queries and the simulators run in the native
+    # library: its one-time compile on a cold cache is no criterion's runtime
+    euler._native()
 
 
 @pytest.fixture

@@ -206,16 +206,21 @@ def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
 
 
 def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
+    m, f = ou(), f_identity()
+    pi = invariant_density_1d(m)  # built while the library still loads
     monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(euler, "_CC", "no-such-compiler")
-    m, f = ou(), f_identity()
+    missing = "compiler 'no-such-compiler' \\(No such file"
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    with pytest.raises(euler.NativeBuildError, match="compiler 'no-such-compiler' \\(No such file"):
+    with pytest.raises(euler.NativeBuildError, match=missing):
         simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=4)
     # the autocorrelation route of M_f draws from the same fill, with no fallback
-    with pytest.raises(euler.NativeBuildError, match="compiler 'no-such-compiler' \\(No such file"):
-        mf_autocorrelation_form(m, invariant_density_1d(m), f, horizon=0.1, n_paths=10)
+    with pytest.raises(euler.NativeBuildError, match=missing):
+        mf_autocorrelation_form(m, pi, f, horizon=0.1, n_paths=10)
+    # and the density's antiderivative table is queried in the same library
+    with pytest.raises(euler.NativeBuildError, match=missing):
+        invariant_density_1d(m)
     assert issubclass(euler.NativeBuildError, SimulationError)
     assert list((tmp_path / "cache").iterdir()) == []  # no partial file left
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergosim.quadrature import Antiderivative, panel_integral
@@ -98,3 +98,49 @@ class TestAntiderivative:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             Antiderivative(lambda x: x, 1.0, 1.0, 10)
+
+
+def _reference_query(tab, z, from_right):
+    """The numpy query the native one replaces: ``searchsorted`` for the panel
+    and the degree-7 Legendre recurrence written out in the association order
+    of numpy's ``legval`` (as of numpy 2.4; other versions may associate it
+    differently, so it is not called here)."""
+    zc = np.clip(np.asarray(z, dtype=float), tab.lo, tab.hi)
+    side = "left" if from_right else "right"
+    idx = np.clip(np.searchsorted(tab.nodes, zc, side=side) - 1, 0, len(tab.nodes) - 2)
+    if from_right:
+        s = (tab.nodes[idx + 1] - zc) / tab._half
+        x, cum, c = 1.0 - s, tab._cum_right[idx + 1], tab._right[idx]
+    else:
+        s = (zc - tab.nodes[idx]) / tab._half
+        x, cum, c = s - 1.0, tab._cum_left[idx], tab._left[idx]
+    c0, c1 = c[..., 6], c[..., 7]
+    for nd in range(7, 1, -1):
+        c0, c1 = c[..., nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return cum + s * (c0 + c1 * x)
+
+
+@given(lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 100.0),
+       n_panels=st.sampled_from([1, 2, 4096, 6000]), seed=st.integers(0, 2**32 - 1))
+@example(lo=0.0, width=1.0, n_panels=1, seed=0)  # -0.0 clipped to a +0.0 bound
+@example(lo=-1.0, width=2.0, n_panels=2, seed=0)  # -0.0 on the middle node
+@settings(max_examples=30, deadline=None)
+def test_native_queries_match_numpy_reference_bitwise(lo, width, n_panels, seed):
+    hi = lo + width
+    tab = Antiderivative(lambda x: np.exp(-0.5 * x * x) * np.cos(3.0 * x) + 0.1 * x,
+                         lo, hi, n_panels)
+    nodes = tab.nodes
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([
+        rng.uniform(lo - 0.25 * width, hi + 0.25 * width, 3000),
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [-1e308, lo - width, hi + width, 1e308, -np.inf, np.inf, np.nan, -0.0, 0.0]])
+    rng.shuffle(pts)
+    inputs = [pts, pts[::3], pts[:600].reshape(20, 30), pts[:600].reshape(20, 30).T,
+              np.float64(-0.0), np.nan, -np.inf, float(pts[0]), np.asarray(pts[1])]
+    for z in inputs:
+        for from_right, query in ((False, tab.from_left), (True, tab.from_right)):
+            got, want = query(z), _reference_query(tab, z, from_right)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want) == np.shape(z)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

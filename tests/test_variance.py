@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ergosim import euler
-from ergosim.models import (FunctionalSpec, Polynomial, builtin_model, centralize,
-                            invariant_density_1d)
+from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional, builtin_model,
+                            centralize, invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
 from ergosim.variance import (SingularCovarianceError, VarianceError,
                               CovarianceCurve, mf_autocorrelation_form,
@@ -264,6 +264,25 @@ def test_autocorrelation_raises_on_non_finite_paths(ou_pipeline):
                            r"are not finite after step \d+ of 20:") as exc:
             mf_autocorrelation_form(bad, pi, f, n_paths=1000, horizon=2.0, dt=0.1,
                                     master_seed=0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_autocorrelation_raises_on_overflowing_f(ou_pipeline):
+    # the paths stay finite but f(X_0)^2 = X_0^600 overflows wherever
+    # |X_0| > 3.3: the native call (a polynomial f) and the numpy loop (the
+    # same f as a callable) raise the same error instead of returning inf
+    m, pi, _, _ = ou_pipeline
+    poly = PolynomialFunctional([0.0] * 300 + [1.0])
+    messages = []
+    for value, native in ((poly, True), (lambda t, x: poly(t, x), False)):
+        f = FunctionalSpec(value=value, growth_p0=300.0, centralized=True)
+        assert euler._runs_native(m, f) is native
+        with pytest.raises(VarianceError, match=r"^the autocorrelation sums of f are not "
+                           r"finite at step 0 of 50: f overflows") as exc:
+            mf_autocorrelation_form(m, pi, f, n_paths=2000, horizon=0.5, dt=0.01)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
