@@ -9,21 +9,30 @@
  *
  * philox_normal_fill runs one fused loop per row.  It takes the row's
  * buffered words first, then generates the next words into an on-stack
- * segment of SEG_WORDS words.  Each word becomes a normal inline through
- * the fast path of numpy's ziggurat: idx = w & 0xff, the sign bit, rabs =
- * 52 bits; the word is accepted when rabs < ki[idx] and gives rabs *
- * wi[idx] with its sign bit set by an xor, which is exactly numpy's -x.  A
- * word that is not accepted (about 1.5%, the tail included) is handed to
- * numpy's own random_standard_normal from numpy/random/lib/libnpyrandom.a:
- * the row state is pointed at that word (its block's counter, its 4-word
- * buffer and its position), numpy redraws it and runs its own wedge and
- * tail code, and the loop resumes at the word after the last one numpy
- * consumed.
+ * segment of SEG_WORDS words.  Each word becomes a normal inline by numpy's
+ * ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), in the order
+ * and arithmetic of numpy's random_standard_normal
+ * (numpy/random/src/distributions/distributions.c):
+ *  - fast path: idx = w & 0xff, the sign bit, rabs = 52 bits; the word is
+ *    accepted when rabs < ki[idx] and gives rabs * wi[idx] with its sign
+ *    bit set by an xor, which is exactly numpy's -x;
+ *  - wedge (idx > 0, about 1.5% of words with the tail): the next word
+ *    gives U = (w >> 11) * 2^-53, and x is accepted when
+ *    (fi[idx-1] - fi[idx]) * U + fi[idx] < exp(-0.5*x*x); otherwise the
+ *    draw starts over with the word after U;
+ *  - tail (idx 0): pairs of words give xx = -r_inv * log1p(-U1) and
+ *    yy = -log1p(-U2) until yy + yy > xx*xx, and the normal is r + xx
+ *    with the sign of bit 8 of rabs.
+ * A slow draw takes its further words from the segment, and past its end
+ * from the row state, which stands after the segment; the row state left
+ * behind is numpy's.  exp and log1p are libm's, which numpy's library calls
+ * too, and the build turns FMA contraction off.
  *
- * ki and wi are numpy's tables, read out of random_standard_normal itself
- * by philox_probe_tables with scripted words, once per process; the
- * loader compares a filled row with numpy's stream before the fill is
- * used.  No Python object is touched, so the caller may release the GIL.
+ * The tables ki_double, wi_double and fi_double are numpy's own, linked in
+ * from numpy/random/lib/libnpyrandom.a (euler.py makes their local symbols
+ * global in a copy of it); no numpy function is called.  The loader
+ * compares a filled row with numpy's stream before the fill is used.  No
+ * Python object is touched, so the caller may release the GIL.
  *
  * euler_rows runs the scaled Euler kernel on whole rows: for a group of
  * rows at a time it fills the next SEG normals of each row into an
@@ -47,14 +56,19 @@
  *  - avx512 (x86-64 only, compiled for avx512f and avx512dq by target
  *    attributes, so the build flags stay the same): a segment's 16 blocks
  *    are two 8-lane Philox runs, one block per 64-bit lane, each 64x64 ->
- *    128-bit product built from four 32x32 -> 64-bit ones; the ziggurat
- *    fast path takes 8 words per step, its table lookups gathered, up to
- *    the first word it does not accept; and the Euler step moves 8 rows
+ *    128-bit product built from four 32x32 -> 64-bit ones (a segment of
+ *    at most 4 blocks, the end of a row's fill, takes the portable path's
+ *    pairs instead of a run of 8); the ziggurat fast path takes 8 words
+ *    per step, its table lookups gathered, up to the first word it does
+ *    not accept; and the Euler step moves 8 rows
  *    in one vector, with lane masks in place of the scalar path's
- *    branches (sup_abs, the blow-up check, spare and failed rows); each
- *    8-step tile of the rows' normals is transposed in registers, so that
- *    a vector holds one step of all 8 rows; autocorr_steps steps 8 paths
- *    per vector.
+ *    branches (sup_abs, the blow-up check, spare and failed rows), two
+ *    vectors (16 rows) to a group, so that their step chains overlap;
+ *    each 8-step tile of a vector's normals is transposed in registers,
+ *    so that the vector holds one step of its 8 rows; autocorr_steps
+ *    steps 8 paths per vector.
+ * Both paths take a word their fast path does not accept through the same
+ * scalar wedge and tail code.
  * philox_normal_fill, euler_rows and autocorr_steps take the avx512 path
  * when the CPU has both extensions, checked once when the library is
  * loaded, and the portable path otherwise; native_path names the one
@@ -69,14 +83,10 @@
 #include <stdint.h>
 #include <string.h>
 
-#include "numpy/random/bitgen.h"
-
 #if defined(__x86_64__)
 #include <immintrin.h>
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
 #endif
-
-double random_standard_normal(bitgen_t *bitgen_state);
 
 typedef struct {
     uint64_t ctr[4], key[2], buf[4], pos;
@@ -89,8 +99,14 @@ _Static_assert(sizeof(row_state) == 11 * sizeof(uint64_t),
 #define SEG_WORDS (4 * SEG_BLOCKS)
 #define RABS_END (1ULL << 52)
 
-static uint64_t ki[256];
-static double wi[256];
+/* numpy's ziggurat tables (numpy/random/src/distributions/ziggurat_constants.h) */
+extern const uint64_t ki_double[256];
+extern const double wi_double[256];
+extern const double fi_double[256];
+
+/* numpy's ziggurat_nor_r and ziggurat_nor_inv_r */
+#define ZIGGURAT_NOR_R 3.6541528853610087963519472518
+#define ZIGGURAT_NOR_INV_R 0.27366123732975827203338247596
 
 /* ---------------------------------------------------------------- Philox */
 
@@ -157,10 +173,9 @@ static inline void philox_pair(const uint64_t ca[4], const uint64_t cb[4],
     memcpy(out + 4, b, sizeof b);
 }
 
-/* numpy's philox_next64 on a row state: the slow path's bit generator */
-static uint64_t next64(void *st)
+/* numpy's philox_next64 on a row state */
+static uint64_t next64(row_state *r)
 {
-    row_state *r = st;
     if (r->pos < 4)
         return r->buf[r->pos++];
     ctr_inc(r->ctr);
@@ -169,9 +184,10 @@ static uint64_t next64(void *st)
     return r->buf[0];
 }
 
-static double next_double(void *st)
+/* numpy's next_double of word w: 53 bits in [0, 1) */
+static inline double uniform(uint64_t w)
 {
-    return (next64(st) >> 11) * (1.0 / 9007199254740992.0);
+    return (w >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* ------------------------------------------------------------- ziggurat */
@@ -181,67 +197,46 @@ static inline int ziggurat_fast(uint64_t w, double *x)
 {
     unsigned idx = w & 0xff;
     uint64_t rabs = (w >> 9) & (RABS_END - 1);
-    double v = (double)(int64_t)rabs * wi[idx];
+    double v = (double)(int64_t)rabs * wi_double[idx];
     uint64_t bits;
     memcpy(&bits, &v, sizeof bits);
     bits ^= ((w >> 8) & 1) << 63;
     memcpy(x, &bits, sizeof bits);
-    return rabs < ki[idx];
+    return rabs < ki_double[idx];
 }
 
-/* A bit generator that hands out one scripted word, then words and doubles
- * that numpy's ziggurat accepts at once, and counts the draws. */
-typedef struct {
-    uint64_t word;
-    int draws;
-} probe_state;
-
-static uint64_t probe_next64(void *st)
+/* The next word of a fill: word *s of the segment seg[0..n), then, once *s
+ * is past n, the next word of r, which stands after the segment. */
+static inline uint64_t next_word(const uint64_t *seg, int *s, int n, row_state *r)
 {
-    probe_state *p = st;
-    return p->draws++ ? 0 : p->word; /* word 0: idx 0, rabs 0 < ki[0] */
+    return (*s)++ < n ? seg[*s - 1] : next64(r);
 }
 
-static double probe_next_double(void *st)
+/* numpy's random_standard_normal from its first word w on, which the fast
+ * path did not accept, with x the fast path's value of w; further words
+ * come from next_word. */
+static double ziggurat_slow(uint64_t w, double x, const uint64_t *seg, int *s, int n,
+                            row_state *r)
 {
-    ((probe_state *)st)->draws++;
-    return 0.5; /* ends the tail loop at its first pass */
-}
-
-static double probe(uint64_t word, int *draws)
-{
-    probe_state p = {word, 0};
-    bitgen_t gen = {0};
-    gen.state = &p;
-    gen.next_uint64 = probe_next64;
-    gen.next_double = probe_next_double;
-    gen.next_raw = probe_next64;
-    double x = random_standard_normal(&gen);
-    *draws = p.draws;
-    return x;
-}
-
-/* Read ki and wi out of numpy's random_standard_normal.  ki[idx] is the
- * smallest rabs not accepted in one word (binary search, since acceptance
- * is rabs < ki[idx]); wi[idx] is the value returned for rabs = 1.  When
- * ki[idx] <= 1 that value comes from the wedge test, which returns the
- * same rabs * wi[idx] when it accepts. */
-void philox_probe_tables(void)
-{
-    for (unsigned idx = 0; idx < 256; idx++) {
-        uint64_t lo = 0, hi = RABS_END;
-        while (lo < hi) {
-            uint64_t mid = lo + (hi - lo) / 2;
-            int draws;
-            probe(mid << 9 | idx, &draws);
-            if (draws == 1)
-                lo = mid + 1;
-            else
-                hi = mid;
+    for (;;) {
+        unsigned idx = w & 0xff;
+        if (idx == 0) {
+            /* the tail: its sign is bit 8 of rabs, not the word's sign bit */
+            uint64_t rabs = (w >> 9) & (RABS_END - 1);
+            for (;;) {
+                double xx = -ZIGGURAT_NOR_INV_R * log1p(-uniform(next_word(seg, s, n, r)));
+                double yy = -log1p(-uniform(next_word(seg, s, n, r)));
+                if (yy + yy > xx * xx)
+                    return (rabs >> 8) & 1 ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
+            }
         }
-        ki[idx] = lo;
-        int draws;
-        wi[idx] = probe(1ULL << 9 | idx, &draws);
+        double u = uniform(next_word(seg, s, n, r));
+        if ((fi_double[idx - 1] - fi_double[idx]) * u + fi_double[idx] < exp(-0.5 * x * x))
+            return x;
+        /* a wedge reject: start over with the next word */
+        w = next_word(seg, s, n, r);
+        if (ziggurat_fast(w, &x))
+            return x;
     }
 }
 
@@ -252,8 +247,9 @@ void philox_probe_tables(void)
 typedef void segment_fn(const uint64_t base[4], const uint64_t key[2], int n_blocks,
                         uint64_t *seg);
 
-/* The fast-path normals of words w[0..m) into o[0..m), up to the first word
- * the fast path does not accept; returns how many it accepted (m if all). */
+/* The fast-path normals of words w[0..m) into o[0..m), up to and including
+ * the first word the fast path does not accept; returns how many it
+ * accepted (m if all). */
 typedef int accept_fn(const uint64_t *w, int m, double *o);
 
 static inline void segment_portable(const uint64_t base[4], const uint64_t key[2],
@@ -288,17 +284,17 @@ static void point_at(row_state *r, const uint64_t base[4], const uint64_t *seg, 
 /* The next width normals of the stream in r into o, a path's segments and
  * fast-path words coming from segment and accept. */
 static inline __attribute__((always_inline)) void
-fill_row(bitgen_t *gen, row_state *r, double *o, int64_t width, segment_fn *segment,
-         accept_fn *accept)
+fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn *accept)
 {
     uint64_t seg[SEG_WORDS];
     int64_t i = 0;
-    gen->state = r;
     while (i < width) {
         if (r->pos < 4) {
-            if (!ziggurat_fast(r->buf[r->pos++], o + i)) {
-                r->pos--;
-                o[i] = random_standard_normal(gen);
+            /* a buffered word; a slow draw's further words come from r */
+            uint64_t w = r->buf[r->pos++];
+            if (!ziggurat_fast(w, o + i)) {
+                int none = 0;
+                o[i] = ziggurat_slow(w, o[i], NULL, &none, 0, r);
             }
             i++;
             continue;
@@ -310,6 +306,8 @@ fill_row(bitgen_t *gen, row_state *r, double *o, int64_t width, segment_fn *segm
         int n_blocks = need >= SEG_BLOCKS ? SEG_BLOCKS : (int)((need + 1) & ~1);
         segment(base, r->key, n_blocks, seg);
         int n_words = 4 * n_blocks, s = 0;
+        /* r stands after the segment, where a slow draw goes on past its end */
+        point_at(r, base, seg, n_words - 1), r->pos = 4;
         while (s < n_words && i < width) {
             /* accepted words up to the first slow one, the segment's end
              * or the row's end */
@@ -318,32 +316,22 @@ fill_row(bitgen_t *gen, row_state *r, double *o, int64_t width, segment_fn *segm
             s += k, i += k;
             if (k == m)
                 break;
-            point_at(r, base, seg, s);
-            o[i++] = random_standard_normal(gen);
-            /* resume after numpy's last word, a few blocks on at most */
-            s = (int)((r->ctr[0] - base[0] - 1) * 4 + r->pos);
+            uint64_t w = seg[s++];
+            o[i] = ziggurat_slow(w, o[i], seg, &s, n_words, r);
+            i++;
         }
-        /* s > n_words: numpy drew past the segment and r is current */
-        if (s <= n_words)
+        /* s >= n_words: r stands after the segment, or after the last word
+         * a slow draw took past it (numpy's state: a used-up block, pos 4) */
+        if (s < n_words)
             point_at(r, base, seg, s - 1), r->pos++;
     }
-}
-
-static bitgen_t row_generator(void)
-{
-    bitgen_t gen = {0};
-    gen.next_uint64 = next64;
-    gen.next_double = next_double;
-    gen.next_raw = next64;
-    return gen;
 }
 
 /* Fill row j of the C-contiguous (n_rows, width) array out from rows[j]. */
 void philox_normal_fill_portable(row_state *rows, int64_t n_rows, double *out, int64_t width)
 {
-    bitgen_t gen = row_generator();
     for (int64_t j = 0; j < n_rows; j++)
-        fill_row(&gen, rows + j, out + j * width, width, segment_portable, accept_portable);
+        fill_row(rows + j, out + j * width, width, segment_portable, accept_portable);
 }
 
 #if defined(__x86_64__)
@@ -432,14 +420,18 @@ philox8(const uint64_t base[4], const uint64_t key[2], int runs, uint64_t *seg)
     }
 }
 
-/* segment_fn: both 8-block runs, or the first alone when it covers n_blocks */
+/* segment_fn: both 8-block runs, or the first alone when it covers n_blocks;
+ * up to 4 blocks, the last few a row's fill needs, take scalar pairs, which
+ * cost less than a run's 8 blocks */
 AVX512 static void segment_avx512(const uint64_t base[4], const uint64_t key[2], int n_blocks,
                                   uint64_t *seg)
 {
     if (n_blocks > 8)
         philox8(base, key, 2, seg);
-    else
+    else if (n_blocks > 4)
         philox8(base, key, 1, seg);
+    else
+        segment_portable(base, key, n_blocks, seg);
 }
 
 /* accept_fn, 8 words per step: ziggurat_fast's arithmetic on each lane */
@@ -453,8 +445,8 @@ AVX512 static int accept_avx512(const uint64_t *w, int m, double *o)
         __m512i word = _mm512_maskz_loadu_epi64(live, w + k);
         __m512i idx = _mm512_and_si512(word, low_byte);
         __m512i rabs = _mm512_and_si512(_mm512_srli_epi64(word, 9), rabs_mask);
-        __m512i kis = _mm512_i64gather_epi64(idx, (const void *)ki, 8);
-        __m512d wis = _mm512_i64gather_pd(idx, (const void *)wi, 8);
+        __m512i kis = _mm512_i64gather_epi64(idx, (const void *)ki_double, 8);
+        __m512d wis = _mm512_i64gather_pd(idx, (const void *)wi_double, 8);
         __m512d v = _mm512_mul_pd(_mm512_cvtepi64_pd(rabs), wis);
         /* v's bits ^ (bit 8 of the word, moved to the sign bit) */
         __m512i x = _mm512_ternarylogic_epi64(_mm512_castpd_si512(v),
@@ -470,9 +462,8 @@ AVX512 static int accept_avx512(const uint64_t *w, int m, double *o)
 AVX512 void philox_normal_fill_avx512(row_state *rows, int64_t n_rows, double *out,
                                       int64_t width)
 {
-    bitgen_t gen = row_generator();
     for (int64_t j = 0; j < n_rows; j++)
-        fill_row(&gen, rows + j, out + j * width, width, segment_avx512, accept_avx512);
+        fill_row(rows + j, out + j * width, width, segment_avx512, accept_avx512);
 }
 
 #endif /* __x86_64__ */
@@ -536,7 +527,7 @@ diffusion(const euler_spec *m, int kind, double x)
 
 /* Rows [0, n) of a group, n <= GROUP; spare lanes step zero noise, unread. */
 static inline __attribute__((always_inline)) void
-step_group(const euler_spec *m, int dk, int sk, bitgen_t *gen, row_state *rows, int n,
+step_group(const euler_spec *m, int dk, int sk, row_state *rows, int n,
            double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
 {
     double noise[GROUP][SEG];
@@ -555,7 +546,7 @@ step_group(const euler_spec *m, int dk, int sk, bitgen_t *gen, row_state *rows, 
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (fail[r] < 0)
-                fill_row(gen, rows + r, noise[r], width, segment_portable, accept_portable);
+                fill_row(rows + r, noise[r], width, segment_portable, accept_portable);
         for (int k = 0; k < width; k++) {
             const double c = m->control ? m->control[k0 + k] : 0.0;
             for (int r = 0; r < GROUP; r++) {
@@ -591,10 +582,9 @@ static inline __attribute__((always_inline)) void
 run_rows(const euler_spec *m, int dk, int sk, row_state *rows, int64_t n_rows,
          double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
 {
-    bitgen_t gen = row_generator();
     for (int64_t j = 0; j < n_rows; j += GROUP) {
         int n = n_rows - j < GROUP ? (int)(n_rows - j) : GROUP;
-        step_group(m, dk, sk, &gen, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
+        step_group(m, dk, sk, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
                    terminal + j, fail_step + j);
     }
 }
@@ -676,7 +666,8 @@ int64_t autocorr_steps_portable(const euler_spec *m, row_state *row, int64_t n, 
 
 #if defined(__x86_64__)
 
-#define LANES 8 /* rows per vector, and per group on this path */
+#define LANES 8 /* rows per vector */
+#define VECS 2  /* vectors of rows stepped together in a full group */
 
 /* polyval, lane by lane */
 AVX512 static inline __attribute__((always_inline)) __m512d
@@ -744,79 +735,101 @@ transpose8(const double *rows, __m512d col[LANES])
     }
 }
 
-/* step_group on rows [0, n) of a group, n <= LANES, lane r holding row r;
- * spare and failed lanes are masked out of the blow-up check and the
- * outputs. */
+/* step_group on rows [0, n) of a group of v vectors, n <= v * LANES, lane r
+ * of vector q holding row q * LANES + r, so that the vectors' dependency
+ * chains interleave; spare and failed lanes are masked out of the blow-up
+ * check and the outputs. */
 AVX512 static inline __attribute__((always_inline)) void
-step_group8(const euler_spec *m, int dk, int sk, bitgen_t *gen, row_state *rows, int n,
+step_group8(const euler_spec *m, int dk, int sk, int v, row_state *rows, int n,
             double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
 {
-    _Alignas(64) double noise[LANES][SEG];
+    _Alignas(64) double noise[VECS * LANES][SEG];
     const __m512d h = _mm512_set1_pd(m->h), sqrt_h = _mm512_set1_pd(m->sqrt_h);
     const __m512d dt = _mm512_set1_pd(m->dt), blow_up = _mm512_set1_pd(m->blow_up);
     const __m512d half = _mm512_set1_pd(0.5), f_c0 = _mm512_set1_pd(m->f_c0);
-    /* a spare lane counts as failed from the start */
-    const __mmask8 rows_in = (__mmask8)((1u << n) - 1);
-    __mmask8 alive = rows_in;
-    __m512i fail = _mm512_mask_mov_epi64(_mm512_setzero_si512(), alive, _mm512_set1_epi64(-1));
-    __m512d z = _mm512_set1_pd(m->x0);
-    __m512d fp = _mm512_set1_pd(polyval(m->f, m->n_f, m->x0) - m->f_c0);
-    __m512d xc = _mm512_setzero_pd(), xr = xc, sup = xc;
+    /* bit r: row r, lane r % LANES of vector r / LANES */
+    const unsigned rows_in = (1u << n) - 1;
+    unsigned alive = rows_in;
+    __m512i fail[VECS];
+    __m512d z[VECS], fp[VECS], xc[VECS], xr[VECS], sup[VECS];
+    for (int q = 0; q < v; q++) {
+        /* a spare lane counts as failed from the start */
+        fail[q] = _mm512_mask_mov_epi64(_mm512_setzero_si512(), (__mmask8)(rows_in >> q * LANES),
+                                        _mm512_set1_epi64(-1));
+        z[q] = _mm512_set1_pd(m->x0);
+        fp[q] = _mm512_set1_pd(polyval(m->f, m->n_f, m->x0) - m->f_c0);
+        xc[q] = xr[q] = sup[q] = _mm512_setzero_pd();
+    }
     /* spare rows step zero noise; a tile past width reads defined columns */
-    memset(noise, 0, sizeof noise);
+    memset(noise, 0, sizeof noise[0] * LANES * v);
     for (int64_t k0 = 0; k0 < m->n_steps && alive; k0 += SEG) {
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (alive >> r & 1)
-                fill_row(gen, rows + r, noise[r], width, segment_avx512, accept_avx512);
+                fill_row(rows + r, noise[r], width, segment_avx512, accept_avx512);
         for (int k = 0; k < width; k += LANES) {
             int cols = width - k < LANES ? width - k : LANES;
-            __m512d col[LANES];
-            transpose8(&noise[0][k], col);
-            for (int j = 0; j < cols; j++) {
-                __m512d x = z;
-                __m512d s = diffusion8(m, sk, x);
-                __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
-                __m512d x1 =
-                    _mm512_add_pd(drifted, _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), col[j]));
-                if (m->control) {
-                    __m512d c = _mm512_set1_pd(m->control[k0 + k + j]);
-                    x1 = _mm512_add_pd(x1, _mm512_mul_pd(c, s));
+            __m512d col[VECS][LANES];
+            for (int q = 0; q < v; q++)
+                transpose8(&noise[q * LANES][k], col[q]);
+            for (int j = 0; j < cols; j++)
+                for (int q = 0; q < v; q++) {
+                    __m512d x = z[q];
+                    __m512d s = diffusion8(m, sk, x);
+                    __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
+                    __m512d x1 = _mm512_add_pd(drifted,
+                                               _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), col[q][j]));
+                    if (m->control) {
+                        __m512d c = _mm512_set1_pd(m->control[k0 + k + j]);
+                        x1 = _mm512_add_pd(x1, _mm512_mul_pd(c, s));
+                    }
+                    __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
+                    xr[q] = _mm512_add_pd(xr[q], _mm512_mul_pd(fp[q], dt));
+                    __m512d mid = _mm512_mul_pd(half, _mm512_add_pd(fp[q], f1));
+                    xc[q] = _mm512_add_pd(xc[q], _mm512_mul_pd(mid, dt));
+                    /* sup where a <= sup, else a: numpy's maximum, a NaN wins */
+                    __m512d a = _mm512_abs_pd(xc[q]);
+                    sup[q] = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, sup[q], _CMP_LE_OQ), a,
+                                                  sup[q]);
+                    fp[q] = f1;
+                    z[q] = x1;
+                    __mmask8 kept = _mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
+                    __mmask8 gone = (__mmask8)(alive >> q * LANES) & ~kept;
+                    fail[q] = _mm512_mask_mov_epi64(fail[q], gone,
+                                                    _mm512_set1_epi64(k0 + k + j + 1));
+                    alive &= ~((unsigned)gone << q * LANES);
                 }
-                __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
-                xr = _mm512_add_pd(xr, _mm512_mul_pd(fp, dt));
-                __m512d mid = _mm512_mul_pd(half, _mm512_add_pd(fp, f1));
-                xc = _mm512_add_pd(xc, _mm512_mul_pd(mid, dt));
-                /* sup where a <= sup, else a: numpy's maximum, a NaN wins */
-                __m512d a = _mm512_abs_pd(xc);
-                sup = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, sup, _CMP_LE_OQ), a, sup);
-                fp = f1;
-                z = x1;
-                __mmask8 kept = _mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
-                __mmask8 gone = alive & ~kept;
-                fail = _mm512_mask_mov_epi64(fail, gone, _mm512_set1_epi64(k0 + k + j + 1));
-                alive &= ~gone;
-            }
         }
     }
     const __m512d nan = _mm512_set1_pd(NAN);
-    const __mmask8 ok = _mm512_cmplt_epi64_mask(fail, _mm512_setzero_si512());
-    _mm512_mask_storeu_pd(xi_c, rows_in, _mm512_mask_blend_pd(ok, nan, xc));
-    _mm512_mask_storeu_pd(xi_r, rows_in, _mm512_mask_blend_pd(ok, nan, xr));
-    _mm512_mask_storeu_pd(sup_abs, rows_in, _mm512_mask_blend_pd(ok, nan, sup));
-    _mm512_mask_storeu_pd(terminal, rows_in, _mm512_mask_blend_pd(ok, nan, z));
-    _mm512_mask_storeu_epi64(fail_step, rows_in, fail);
+    for (int q = 0; q < v; q++) {
+        const __mmask8 ok = _mm512_cmplt_epi64_mask(fail[q], _mm512_setzero_si512());
+        const __mmask8 in = (__mmask8)(rows_in >> q * LANES);
+        const int o = q * LANES;
+        _mm512_mask_storeu_pd(xi_c + o, in, _mm512_mask_blend_pd(ok, nan, xc[q]));
+        _mm512_mask_storeu_pd(xi_r + o, in, _mm512_mask_blend_pd(ok, nan, xr[q]));
+        _mm512_mask_storeu_pd(sup_abs + o, in, _mm512_mask_blend_pd(ok, nan, sup[q]));
+        _mm512_mask_storeu_pd(terminal + o, in, _mm512_mask_blend_pd(ok, nan, z[q]));
+        _mm512_mask_storeu_epi64(fail_step + o, in, fail[q]);
+    }
 }
 
+/* groups of VECS vectors of rows, and one vector for the last LANES rows or
+ * fewer; two call sites, so that each inlined body has v fixed */
 AVX512 static inline __attribute__((always_inline)) void
 run_rows8(const euler_spec *m, int dk, int sk, row_state *rows, int64_t n_rows,
           double *xi_c, double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step)
 {
-    bitgen_t gen = row_generator();
-    for (int64_t j = 0; j < n_rows; j += LANES) {
-        int n = n_rows - j < LANES ? (int)(n_rows - j) : LANES;
-        step_group8(m, dk, sk, &gen, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
-                    terminal + j, fail_step + j);
+    for (int64_t j = 0; j < n_rows;) {
+        int64_t left = n_rows - j;
+        int n = left < VECS * LANES ? (int)left : VECS * LANES;
+        if (n > LANES)
+            step_group8(m, dk, sk, VECS, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
+                        terminal + j, fail_step + j);
+        else
+            step_group8(m, dk, sk, 1, rows + j, n, xi_c + j, xi_r + j, sup_abs + j,
+                        terminal + j, fail_step + j);
+        j += n;
     }
 }
 

@@ -47,14 +47,16 @@ depend on execution order, chunking, or thread count.
 caller derives the keys of all rows at once (:func:`_replicate_keys`)
 and keeps numpy's Philox4x64-10 state per row in a uint64 array; the C
 fill generates each row's words 16 counter blocks at a time and turns
-each into a normal with the fast path of numpy's ziggurat, handing the
-rare word it does not accept to numpy's own ``random_standard_normal``
-from ``libnpyrandom.a``.  The ziggurat tables are probed out of that
-function when the library is loaded, and a filled row is then compared
-with ``replicate_stream`` (:class:`NativeBuildError` if they differ), so
-both kernels draw exactly the numbers of ``replicate_stream``.  The
-library is compiled with gcc (flags ``_CFLAGS``) on first use into a
-per-user cache and runs without the GIL.  Each of its three simulation
+them into normals with numpy's ziggurat, its fast path and, for the rare
+word that path does not accept, its wedge and tail code, in numpy's
+order and arithmetic and with libm's ``exp`` and ``log1p``, as numpy's
+``random_standard_normal`` does.  The ziggurat tables are numpy's own,
+linked in from ``libnpyrandom.a``; no numpy function is called.  When
+the library is loaded a filled row is compared with ``replicate_stream``
+(:class:`NativeBuildError` if they differ), so both kernels draw exactly
+the numbers of ``replicate_stream``.  The library is compiled with gcc
+(flags ``_CFLAGS``) on first use into a per-user cache and runs without
+the GIL.  Each of its three simulation
 entry points comes in a portable and an AVX-512 path with the same bits;
 the library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
 names it.  With ``threads >= 2`` the native kernel splits the rows into
@@ -72,6 +74,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -282,10 +285,15 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CC = "gcc"
+_OBJCOPY = "objcopy"
 # compiler flags of the shipped library (it is also linked with -shared);
 # FMA contraction would change the Euler kernel's bits
 _CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
+_NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+# numpy's ziggurat tables: local symbols of _NPYRANDOM, made global in a
+# copy of it so that the fill can link them
+_ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
 _CACHE_DIR = Path.home() / ".cache" / "ergosim"
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
 # the library's paths, each exported under its own suffix; it picks one
@@ -301,52 +309,44 @@ def _native():
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
-    ``libnpyrandom.a`` and of the compiler flags.  It is compiled to a
-    temporary name and renamed into place, so concurrent first uses never
-    load a partial file.  Once per process the library probes its
-    ziggurat tables out of numpy, and its fill, on the path it picked for
-    this CPU, passes :func:`_check_fill`.
+    ``libnpyrandom.a`` and of the build flags.  Its ziggurat tables are
+    numpy's own: ``_OBJCOPY`` makes their local symbols
+    (``_ZIGGURAT_TABLES``) global in a temporary copy of that archive, and
+    the library is linked against the copy; no numpy function is called.
+    It is built under a temporary name and renamed into place, so
+    concurrent first uses never load a partial file.  Once per process the
+    fill, on the path the library picked for this CPU, passes
+    :func:`_check_fill`.
     """
     global _lib
     if _lib is not None:
         return _lib
-    lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    lib = _NPYRANDOM
     if not lib.is_file():
         raise NativeBuildError(
             f"cannot build the native Philox fill: numpy's static library {lib} is missing")
-    flags = [*_CFLAGS, "-shared", "-I", np.get_include()]
+    # -z defs: a table the archive lacks fails the link, not the load
+    flags = [*_CFLAGS, "-shared", "-Wl,-z,defs"]
     digest = hashlib.sha256(_FILL_SOURCE.read_bytes() + lib.read_bytes()
                             + " ".join(flags).encode()).hexdigest()[:16]
     target = _CACHE_DIR / f"philox_fill-{digest}.so"
     if not target.is_file():
         try:
             _CACHE_DIR.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE_DIR)
+            work = tempfile.TemporaryDirectory(dir=_CACHE_DIR)
         except OSError as exc:
             raise NativeBuildError(
                 f"cannot build the native Philox fill: cache directory {_CACHE_DIR} "
                 f"is not writable ({exc.strerror})") from None
-        os.close(fd)
-        try:
-            try:
-                proc = subprocess.run(
-                    [_CC, *flags, str(_FILL_SOURCE), str(lib), "-lm", "-o", tmp],
-                    capture_output=True, text=True)
-            except OSError as exc:
-                raise NativeBuildError(
-                    f"cannot build the native Philox fill: cannot run compiler {_CC!r} "
-                    f"({exc.strerror})") from None
-            if proc.returncode != 0:
-                raise NativeBuildError(
-                    f"cannot build the native Philox fill: {_CC} failed:\n{proc.stderr.strip()}")
+        with work:
+            archive, tmp = Path(work.name) / lib.name, Path(work.name) / "philox_fill.so"
+            _build_step("objcopy", _OBJCOPY, [
+                *(f"--globalize-symbol={name}" for name in _ZIGGURAT_TABLES), str(lib),
+                str(archive)])
+            _build_step("compiler", _CC, [
+                *flags, str(_FILL_SOURCE), str(archive), "-lm", "-o", str(tmp)])
             os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
     dll = ctypes.CDLL(str(target))
-    dll.philox_probe_tables.argtypes = ()
-    dll.philox_probe_tables.restype = None
-    dll.philox_probe_tables()
     dll.native_path.argtypes = ()
     dll.native_path.restype = ctypes.c_char_p
     spec = ctypes.POINTER(_EulerSpec)
@@ -372,6 +372,27 @@ def _native():
     return dll
 
 
+def _build_step(what: str, tool: str, args) -> None:
+    """Run ``tool args``, one step of the build of :func:`_native`; raise
+    :class:`NativeBuildError` naming the cause if it cannot be run or fails."""
+    try:
+        proc = subprocess.run([tool, *args], capture_output=True, text=True)
+    except OSError as exc:
+        raise NativeBuildError(
+            f"cannot build the native Philox fill: cannot run {what} {tool!r} "
+            f"({exc.strerror})") from None
+    if proc.returncode == 0:
+        return
+    missing = [name for name in _ZIGGURAT_TABLES
+               if re.search(f"undefined reference to .{name}'", proc.stderr)]
+    if missing:
+        raise NativeBuildError(
+            f"cannot build the native Philox fill: numpy's {_NPYRANDOM} has no ziggurat "
+            f"table {', '.join(missing)} (numpy {np.__version__})")
+    raise NativeBuildError(
+        f"cannot build the native Philox fill: {tool} failed:\n{proc.stderr.strip()}")
+
+
 def __getattr__(name):
     # NATIVE_PATH: the path the native library picked on this CPU, one of
     # _NATIVE_PATHS; reading it loads (and if need be builds) the library
@@ -380,16 +401,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the self-check row: its 1654th normal comes from the ziggurat's tail
-_CHECK_SEED, _CHECK_INDEX, _CHECK_WIDTH = 0, 6, 2000
+# the self-check row: among its normals are a wedge accept, a wedge reject
+# and restart, a tail draw accepted on its first pair of uniforms and one
+# that rejects a pair, all within the first 339
+_CHECK_SEED, _CHECK_INDEX, _CHECK_WIDTH = 0, 1326, 2000
 
 
 def _check_fill(fn) -> None:
     """Raise :class:`NativeBuildError` unless ``fn`` fills one row exactly as
     :func:`replicate_stream` draws it and leaves numpy's Philox state behind.
 
-    The fill's ziggurat tables are probed out of numpy at load time; a
-    numpy whose ziggurat changed shows here, not as different streams.
+    The fill links numpy's ziggurat tables but runs numpy's slow path
+    itself; a numpy whose ziggurat changed shows here, not as different
+    streams.
     """
     state = _start_streams(np.empty((1, _STATE_WORDS), np.uint64), _CHECK_SEED, _CHECK_INDEX)
     out = np.empty((1, _CHECK_WIDTH))

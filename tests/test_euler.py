@@ -1,5 +1,7 @@
+import ctypes
 import math
 import sys
+import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -225,6 +227,24 @@ def test_failed_native_build_raises_typed_error(monkeypatch, tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []  # no partial file left
 
 
+def test_native_build_names_a_missing_objcopy_or_table(monkeypatch, tmp_path):
+    monkeypatch.setattr(euler, "_lib", None)
+    monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path / "cache")
+    # numpy's archive with the ziggurat tables stripped out: the link fails
+    # and the error names the tables, not the linker's output
+    stripped = tmp_path / "libnpyrandom.a"
+    subprocess.run([euler._OBJCOPY, *(f"--strip-symbol={t}" for t in euler._ZIGGURAT_TABLES),
+                    str(euler._NPYRANDOM), str(stripped)], check=True)
+    monkeypatch.setattr(euler, "_NPYRANDOM", stripped)
+    with pytest.raises(euler.NativeBuildError,
+                       match="libnpyrandom.a has no ziggurat table ki_double, wi_double, fi_double"):
+        euler._native()
+    monkeypatch.setattr(euler, "_OBJCOPY", "no-such-objcopy")
+    with pytest.raises(euler.NativeBuildError, match="objcopy 'no-such-objcopy' \\(No such file"):
+        euler._native()
+    assert list((tmp_path / "cache").iterdir()) == []  # no partial file left
+
+
 def test_native_build_into_empty_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path)
@@ -235,12 +255,12 @@ def test_native_build_into_empty_cache(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("first", [0, 2**32 - 3])
 def test_native_fill_matches_replicate_stream(first):
-    # 2**20 normals in blocks of 37, 50 and the rest, rows split across two
+    # 2**23 normals in blocks of 37, 50 and the rest, rows split across two
     # threads: the 4-word Philox buffer position carries between blocks, and
     # the ziggurat's tail branch (|x| > 3.654) is reached
     seed = 2**70 + 11
     n = 3 if first else 64
-    widths = (37, 50, 2**20 // n - 87)
+    widths = (37, 50, 2**23 // n - 87)
     state = euler._start_streams(np.empty((n, euler._STATE_WORDS), np.uint64), seed, first)
     parts = []
     for width in widths:
@@ -249,12 +269,11 @@ def test_native_fill_matches_replicate_stream(first):
         with ThreadPoolExecutor(2) as ex:
             list(ex.map(lambda r: euler._philox_normals(state[r], out[r]), halves))
         parts.append(out)
-    got = np.concatenate(parts, axis=1)
-    want = np.array([replicate_stream(seed, first + j).standard_normal(got.shape[1])
-                     for j in range(n)])
-    assert got.size >= 2**20 - n
-    assert got.tobytes() == want.tobytes()
-    assert np.abs(got).max() > 3.6
+    assert n * sum(widths) >= 2**23 - n
+    for j in range(n):  # row by row, so that no second copy of all normals is held
+        want = replicate_stream(seed, first + j).standard_normal(sum(widths))
+        assert np.concatenate([out[j] for out in parts]).tobytes() == want.tobytes(), j
+    assert max(np.abs(out).max() for out in parts) > 3.6
 
 
 def _numpy_philox(row):
@@ -266,12 +285,17 @@ def _numpy_philox(row):
     return bg
 
 
-def _fill_and_compare(state, width):
+def _fill_and_compare(state, width, fill=None):
     """One native fill of ``width`` normals per row, checked against numpy's
-    Philox started from the same row state: the normals and the state after."""
+    Philox started from the same row state: the normals and the state after.
+    ``fill`` is one path's ``philox_normal_fill_<path>``, or None for the
+    path the library picked."""
     bgs = [_numpy_philox(row) for row in state]
     out = np.empty((len(state), width))
-    euler._philox_normals(state, out)
+    if fill is None:
+        euler._philox_normals(state, out)
+    else:
+        fill(state.ctypes.data, len(state), out.ctypes.data, width)
     for j, bg in enumerate(bgs):
         want = np.random.Generator(bg).standard_normal(width)
         assert out[j].tobytes() == want.tobytes(), (j, width)
@@ -307,40 +331,109 @@ def test_fill_carries_the_counter_like_numpy(counter):
         _fill_and_compare(state, width)
 
 
+# numpy's ziggurat_nor_inv_r
+_ZIGGURAT_INV_R = 0.27366123732975827203338247596
+# what the first word of a draw the ziggurat's fast path does not accept
+# leads to: a wedge accept; a wedge reject, after which the draw starts over
+# at the word after the uniform; a tail draw accepted on its first pair of
+# uniforms; a tail draw that rejects a pair
+_SLOW_KINDS = ("wedge", "wedge_restart", "tail", "tail_retry")
+
+
+def _ziggurat_tables():
+    """numpy's ziggurat tables ``ki``, ``wi`` and ``fi``, as lists, read out of
+    the native library, which links them."""
+    lib = euler._native()
+    return [np.ctypeslib.as_array((ctype * 256).in_dll(lib, name)).tolist()
+            for ctype, name in zip((ctypes.c_uint64, ctypes.c_double, ctypes.c_double),
+                                   euler._ZIGGURAT_TABLES)]
+
+
+def _slow_draws(words):
+    """The draws of numpy's ziggurat on the Philox words ``words``, read
+    from the start of a draw, whose first word the fast path does not
+    accept, as ``(q, kind, idx, run)``: the position of that word, the
+    draw's kind (one of ``_SLOW_KINDS``), the word's layer ``w & 0xff``
+    and the number of one-word draws since the draw before.
+
+    Each draw follows numpy's random_standard_normal step by step in
+    Python floats, with libm's exp and log1p through ``math``, so its
+    decisions are numpy's.  Draws from the last 64 words are left out.
+    """
+    ki, wi, fi = _ziggurat_tables()
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    uniform = lambda q: (int(words[q]) >> 11) * 2.0**-53
+
+    def end_of(p):
+        """The kind of the draw from word p, and the position after its last word."""
+        kind = None
+        while True:
+            i, ra = int(idx[p]), int(rabs[p])
+            if kind is not None and ra < ki[i]:
+                return kind, p + 1  # the restart word is accepted at once
+            if i == 0:
+                q, pairs = p + 1, 0
+                while True:
+                    xx = -_ZIGGURAT_INV_R * math.log1p(-uniform(q))
+                    yy = -math.log1p(-uniform(q + 1))
+                    q, pairs = q + 2, pairs + 1
+                    if yy + yy > xx * xx:
+                        return kind or ("tail" if pairs == 1 else "tail_retry"), q
+            x = ra * wi[i]
+            if (fi[i - 1] - fi[i]) * uniform(p + 1) + fi[i] < math.exp(-0.5 * x * x):
+                return kind or "wedge", p + 2
+            kind, p = kind or "wedge_restart", p + 2
+
+    found, start = [], 0  # start: where the next draw begins
+    for p in np.flatnonzero(rabs >= np.array(ki, np.uint64)[idx]).tolist():
+        if p >= len(words) - 64:
+            break
+        if p >= start:
+            kind, end = end_of(p)
+            found.append((p, kind, int(idx[p]), p - start))
+            start = end
+    return found
+
+
 def test_fill_slow_path_at_every_call_position():
-    # find a word the ziggurat does not accept at once (its draw consumes
-    # more than one word) that is the last word of its Philox block and
-    # follows 90 accepted words; then start a call d words before it for
-    # d = 0..89, so the slow word is the last word of a block, of a 64-word
-    # segment (d = 63 from an empty buffer) and of the call itself
+    # for each kind of slow draw, one whose first word follows 90 accepted
+    # words and is the last word of its Philox block (q % 4 = 3), and one
+    # whose uniform is (q % 4 = 2); then start a call d words before that
+    # word for d = 0..89, so that the word and its uniform are the last
+    # buffered word, the last word of a 64-word segment (d = 63 and 62 from
+    # an empty buffer) or past it, and the last word of the call or past it;
+    # on the portable path, and on the AVX-512 path where the CPU has it
+    lib = euler._native()
+    fills = [getattr(lib, f"philox_normal_fill_{p}") for p in euler._NATIVE_PATHS
+             if p == "portable" or euler.NATIVE_PATH == "avx512"]
     key = np.random.SeedSequence(9).generate_state(2, np.uint64)
-    bg = np.random.Philox(key=key)
-    gen = np.random.Generator(bg)
-    consumed = lambda: (int(bg.state["state"]["counter"][0]) - 1) * 4 + bg.state["buffer_pos"]
-    fast_run, slow = 0, None
-    while slow is None:
-        before = consumed()
-        gen.standard_normal()
-        if consumed() - before == 1:
-            fast_run += 1
-        elif fast_run >= 90 and before % 4 == 3:
-            slow = before
-        else:
-            fast_run = 0
-    for d in range(90):
-        start = np.random.Philox(key=key)
-        start.random_raw(slow - d)
-        row = euler._philox_row(start)[None].copy()
-        _fill_and_compare(row.copy(), d + 1)
-        _fill_and_compare(row, d + 12)
+    draws = {}
+    for q, kind, _, run in _slow_draws(np.random.Philox(key=key).random_raw(2**21)):
+        if run >= 90 and q % 4 >= 2:
+            draws.setdefault((q % 4, kind), q)
+    assert sorted(draws) == sorted((o, kind) for o in (2, 3) for kind in _SLOW_KINDS)
+    for q in draws.values():
+        for d in range(90):
+            start = np.random.Philox(key=key)
+            start.random_raw(q - d)
+            row = euler._philox_row(start)[None].copy()
+            for fill in fills:
+                _fill_and_compare(row.copy(), d + 1, fill)
+                _fill_and_compare(row.copy(), d + 12, fill)
 
 
 def test_fill_self_check_rejects_a_wrong_reference(monkeypatch):
-    # the loader's check row includes a tail draw, and a fill that differs
-    # from the reference stream raises a typed error at load time
-    tail = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX).standard_normal(
-        euler._CHECK_WIDTH)
-    assert np.abs(tail).max() > 3.6541528853610088
+    # the loader's check row takes every kind of slow draw, and a fill that
+    # differs from the reference stream raises a typed error at load time
+    key = euler._replicate_keys(euler._CHECK_SEED, euler._CHECK_INDEX, 1)[0]
+    kinds, n_draws = set(), 0
+    for _, kind, _, run in _slow_draws(np.random.Philox(key=key).random_raw(
+            2 * euler._CHECK_WIDTH)):
+        n_draws += run + 1
+        if n_draws <= euler._CHECK_WIDTH:
+            kinds.add(kind)
+    assert kinds == set(_SLOW_KINDS)
     monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "replicate_stream",
                         lambda seed, index: replicate_stream(seed + 1, index))
@@ -740,44 +833,40 @@ def test_both_paths_fill_alike(native_paths):
         state = _fill_on_both_paths(native_paths, state, width)
 
 
-def _slow_words(key):
-    """Stream positions ``q`` of draws whose first word the ziggurat's fast
-    path does not accept, each after 8 accepted words, keyed by (``q % 4``,
-    whether the word goes to the tail): one of each kind."""
-    bg = np.random.Philox(key=key)
-    gen = np.random.Generator(bg)
-    words = np.random.Philox(key=key).random_raw(600_000)
-    consumed = lambda: (int(bg.state["state"]["counter"][0]) - 1) * 4 + bg.state["buffer_pos"]
-    found, fast_run = {}, 0
-    while len(found) < 8:
-        before = consumed()
-        gen.standard_normal()
-        if consumed() - before == 1:
-            fast_run += 1
-            continue
-        if fast_run >= 8:
-            # the tail draws from layer 0 only
-            found.setdefault((before % 4, int(words[before]) & 0xFF == 0), before)
-        fast_run = 0
-    return found
-
-
 def test_both_paths_take_slow_words_at_every_lane(native_paths):
-    # start a row one or two blocks before a slow word, so that it is word
-    # 4*b + q%4 of the first 64-word segment and sits at lane (4*b + q%4) % 8
-    # of the vector fast path: wedge and tail words at each of the 8 lanes,
-    # with the fill ending on the slow word and in the next segment
+    # for each kind of slow draw and each q % 4, one draw after 8 accepted
+    # words; start a row b blocks before its first word's block, so that
+    # the word is word 4*b + q%4 of the first 64-word segment: with b = 0
+    # and 1 it sits at each of the 8 lanes of the vector fast path, and
+    # with b = 15 the word or its uniform is the segment's last word.  Each
+    # row is filled up to the slow word, whose uniforms then lie past the
+    # call's width, and on into the next segment
     key = np.random.SeedSequence(21).generate_state(2, np.uint64)
-    lanes = {False: set(), True: set()}
-    for (offset, tail), q in _slow_words(key).items():
-        for b in (0, 1):
+    draws, layers = {}, {}
+    for q, kind, idx, run in _slow_draws(np.random.Philox(key=key).random_raw(2**20)):
+        if run >= 8 and q >= 64:
+            draws.setdefault((q % 4, kind), q)
+            layers.setdefault(idx, q)
+    assert sorted(draws) == sorted((o, kind) for o in range(4) for kind in _SLOW_KINDS)
+    lanes = {kind: set() for kind in _SLOW_KINDS}
+    for (offset, kind), q in draws.items():
+        for b in (0, 1, 15):
             start = np.random.Philox(key=key)
             start.random_raw(4 * (q // 4 - b))
             row = euler._philox_row(start)[None].copy()
             for width in (4 * b + offset + 1, 70):
                 _fill_on_both_paths(native_paths, row, width)
-            lanes[tail].add((4 * b + offset) % 8)
-    assert lanes == {False: set(range(8)), True: set(range(8))}
+            lanes[kind].add((4 * b + offset) % 8)
+    assert lanes == {kind: set(range(8)) for kind in _SLOW_KINDS}
+    # the wedge at both ends of the table: every word of layer 1 is slow
+    # (ki[1] = 0), and layer 255 uses fi[254] and fi[255]
+    assert _ziggurat_tables()[0][1] == 0
+    for idx in (1, 255):
+        start = np.random.Philox(key=key)
+        start.random_raw(layers[idx] - 8)
+        row = euler._philox_row(start)[None].copy()
+        for width in (9, 70):
+            _fill_on_both_paths(native_paths, row, width)
 
 
 _DRIFTS = {"ou": OuDrift(2.0, 1.0), "cir": CirDrift(2.0, 1.0),
@@ -810,7 +899,8 @@ def _rows_on_both_paths(native_paths, spec, seed, first, n):
 @pytest.mark.parametrize("control", [None, _PSI_LONG])
 def test_both_paths_step_alike(native_paths, drift, diffusion, control):
     # each kind pair on 1 to 17 rows and 41, from replicate 0 and 5: every
-    # group size of the 8-row vector path and of the 4-row portable path;
+    # group size of the vector path (one 8-row vector, or two in a group of
+    # up to 16 rows) and of the 4-row portable path;
     # 262 steps cross a 256-step fill and end mid-way through an 8-step tile
     m = type(ou())(**{**ou().__dict__, "drift": _DRIFTS[drift],
                       "diffusion": _DIFFUSIONS[diffusion], "initial_state": 0.3})
