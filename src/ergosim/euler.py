@@ -22,15 +22,12 @@ control, in both of its kernels:
   blow-up bound at every step, so a failed row stops at its exact step.
   It is built without FMA contraction, so it gives the numpy kernel's
   bits.
-* the numpy kernel ``_run_paths`` runs everything else (state maps such
+* the numpy kernel ``_step_paths`` runs everything else (state maps such
   as Gompertz's log space, ``pow``/``exp``/``log`` coefficients, whose
   numpy SIMD results can differ from libm's in the last bit, and
-  arbitrary callables), and :func:`simulate_euler`.  It steps a block
-  of normals at a time (one row per replicate), copying each
-  ``_TILE``-step window into a contiguous tile; a
-  :class:`~ergosim.models.ConstantDiffusion` is folded into that copy.
-  Rows that failed in a block are replayed from the block's start, so
-  ``fail_step`` is exact there too.
+  arbitrary callables), and :func:`simulate_euler`.  It steps all rows
+  one step at a time, on normals drawn ``_TILE`` steps at a time into one
+  buffer, and checks the blow-up bound at every step too.
 
 The native library's third entry point, ``autocorr_steps``, steps the
 autocorrelation route of ``M_f`` (:mod:`ergosim.variance`) on the same
@@ -61,16 +58,14 @@ entry points comes in a portable and an AVX-512 path with the same bits;
 the library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
 names it.  With ``threads >= 2`` the native kernel splits the rows into
 ``threads`` contiguous ranges, one GIL-free call each, the last in the
-caller's thread; the numpy kernel fills each batch's first noise block
-in the caller's thread and has one helper thread fill each later block
-while the caller's thread steps the one before it.
+caller's thread; the numpy kernel runs in the caller's thread alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -472,11 +467,11 @@ def simulate_euler(
     noise: Optional[np.ndarray] = None,
     control: Optional[ControlFunction] = None,
 ) -> BatchResult:
-    """One path of the Euler kernel; returns its 1-replicate :class:`BatchResult`.
+    """One path of the numpy kernel; returns its 1-replicate :class:`BatchResult`.
 
-    The normals come from ``rng``, or from ``noise`` (shape
-    ``(n_steps, 1)``) when given, which is how coupled-refinement
-    convergence checks share a Brownian path.  ``control`` adds the tilt
+    The normals come from ``rng``, or from ``noise`` (shape ``(k,)`` or
+    ``(k, 1)``, ``k >= n_steps``) when given, which is how
+    coupled-refinement convergence checks share a Brownian path.  ``control`` adds the tilt
     drift ``(delta/eps) * sigma * psi(t) * Delta`` after each step; it
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
     at the first step where the path leaves ``[-blow_up, blow_up]``.
@@ -484,18 +479,24 @@ def simulate_euler(
     _check_control(schedule, control)
     n_steps = schedule.n_steps(horizon)
     if noise is None:
-        def fill(out, chunk, done):
-            rng.standard_normal(out=out[0])
+        def draw(out):
+            rng.standard_normal(out=out)
     else:
-        noise = np.asarray(noise, dtype=float).reshape(len(noise), -1)
+        noise = np.asarray(noise, dtype=float)
+        if noise.ndim not in (1, 2) or noise.shape[1:] not in ((), (1,)):
+            raise SimulationError(
+                f"injected noise has shape {noise.shape}; it must be (k,) or (k, 1)")
+        noise = noise.reshape(-1)
         if len(noise) < n_steps:
             raise SimulationError(
                 f"injected noise has {len(noise)} steps; the schedule needs {n_steps}")
+        done = 0
 
-        def fill(out, chunk, done):
-            out[0] = noise[done:done + out.shape[1], 0]
-    res = _run_paths(model, schedule, f, horizon, blow_up, control, 1,
-                     _noise_blocks([1], n_steps, fill, None))
+        def draw(out):
+            nonlocal done
+            out[0] = noise[done:done + out.shape[1]]
+            done += out.shape[1]
+    res = _step_paths(model, schedule, f, horizon, blow_up, control, 1, draw)
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
     return res
@@ -534,10 +535,9 @@ def simulate_reference(
 # batched replicates, and the numpy kernel
 # ---------------------------------------------------------------------------
 
-# the numpy kernel's sizes; results depend on none of them
-_CHUNK = 4096
-_NOISE_BUDGET = 8_000_000  # floats across all noise buffers of one run
-_TILE = 32  # steps per contiguous noise tile
+# the numpy kernel's sizes; results depend on neither
+_CHUNK = 4096  # rows stepped together
+_TILE = 32  # steps of normals drawn at a time
 
 
 @dataclass
@@ -573,36 +573,29 @@ def simulate_batch(
     :class:`~ergosim.models.PolynomialFunctional` run on the native kernel
     ``euler_rows``: with ``threads >= 2`` the rows are split into
     ``threads`` contiguous ranges, each stepped by one GIL-free call.
-    Any other model or functional runs on the numpy kernel in fixed-size
-    chunks, one after another, in the caller's thread; with ``threads >=
-    2`` one helper thread fills each noise block after the first (of this
-    chunk or the next) while the one before it steps.  Both kernels give
-    the same numbers to the bit, and the output is a deterministic
-    function of (model, schedule, f, horizon, master_seed, n_replicates),
-    whatever ``threads``.
+    Any other model or functional runs on the numpy kernel in chunks of
+    ``_CHUNK`` rows, one after another, in the caller's thread, whatever
+    ``threads``.  Both kernels give the same numbers to the bit, and the
+    output is a deterministic function of (model, schedule, f, horizon,
+    master_seed, n_replicates), whatever ``threads``.  ``n_replicates =
+    0`` gives empty arrays; a negative count raises
+    :class:`SimulationError`.
     """
+    if n_replicates < 0:
+        raise SimulationError(f"n_replicates must be >= 0, got {n_replicates}")
     lib = _native()  # a failed build raises here, in the caller's thread
     _check_control(schedule, control)
     spec = _native_spec(model, schedule, f, horizon, blow_up, control)
     if spec is not None:
         return _native_batch(lib, spec, master_seed, n_replicates, threads, first_index)
-    chunks = [(first_index + i, min(_CHUNK, n_replicates - i))
-              for i in range(0, n_replicates, _CHUNK)]
-    # one stream state per row of the largest chunk, reset at each chunk's
-    # first block; fills run one block at a time, so rows never race
-    state = np.empty((min(_CHUNK, n_replicates), _STATE_WORDS), np.uint64)
-
-    def fill(out, chunk, done):
-        rows = state[:len(out)]
-        if done == 0:
-            _start_streams(rows, master_seed, chunks[chunk][0])
-        _philox_normals(rows, out)
-
-    n_steps = schedule.n_steps(horizon)
-    with ThreadPoolExecutor(1) if threads >= 2 else contextlib.nullcontext() as pool:
-        blocks = _noise_blocks([n for _, n in chunks], n_steps, fill, pool)
-        parts = [_run_paths(model, schedule, f, horizon, blow_up, control, n, blocks)
-                 for _, n in chunks]
+    parts = []
+    # no replicates: one empty chunk, so the arrays still get their dtypes
+    for first in range(0, max(n_replicates, 1), _CHUNK):
+        n = min(_CHUNK, n_replicates - first)
+        state = _start_streams(np.empty((n, _STATE_WORDS), np.uint64), master_seed,
+                               first_index + first)
+        parts.append(_step_paths(model, schedule, f, horizon, blow_up, control, n,
+                                 functools.partial(_philox_normals, state)))
     return BatchResult._concat(parts)
 
 
@@ -710,133 +703,61 @@ def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResul
     return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
 
 
-def _noise_blocks(sizes, n_steps, fill, pool):
-    """Yield the noise block of every (chunk, block) in stepping order.
+def _step_paths(model, schedule, f, horizon, blow_up, control, n, draw) -> BatchResult:
+    """Step ``n`` 1D paths together, one step at a time over all rows.
 
-    Chunk ``c`` has ``sizes[c]`` rows and ``n_steps`` steps, cut into
-    blocks of at most the noise budget; ``fill(out, c, done)`` writes the
-    normals of steps ``done, done+1, ...`` into ``out``.  Blocks are
-    C-contiguous views of buffers allocated once here, together at most
-    ``_NOISE_BUDGET`` floats (read when the first block is drawn) unless
-    one step of a chunk needs more (a block holds at least one step).
-    Without a pool each block is filled in the caller's thread just
-    before it is yielded.  With one, the first block is filled the same
-    way, and each later block is filled ahead on the pool into a second
-    buffer while the caller steps the block before it; a buffer is
-    refilled only after the caller has asked for the block that follows
-    the one it held, and at most one fill runs at a time, so a chunk's
-    blocks fill in order.
-    """
-    n_bufs = 2 if pool is not None else 1
-    plan = []
-    for c, n in enumerate(sizes):
-        block = max(1, min(n_steps, _NOISE_BUDGET // n_bufs // n))
-        plan += [(c, n, done, min(block, n_steps - done)) for done in range(0, n_steps, block)]
-    bufs = [np.empty(max((n * k for _, n, _, k in plan), default=0)) for _ in range(n_bufs)]
-
-    def view(i):
-        _, n, _, k = plan[i]
-        return bufs[i % n_bufs][:n * k].reshape(n, k)
-
-    ahead = None  # the pool's fill of block i, when there is one
-    for i, (c, _, done, _) in enumerate(plan):
-        if ahead is None:
-            fill(view(i), c, done)
-        else:
-            ahead.result()
-        if pool is not None and i + 1 < len(plan):
-            c_next, _, done_next, _ = plan[i + 1]
-            ahead = pool.submit(fill, view(i + 1), c_next, done_next)
-        yield view(i)
-
-
-def _run_paths(model, schedule, f, horizon, blow_up, control, n, blocks) -> BatchResult:
-    """Step ``n`` 1D paths together on the noise blocks drawn from the
-    iterator ``blocks``: each is an ``(n, kblk)`` array of the normals of
-    the next ``kblk`` steps, read only until the next block is drawn.
-
-    Rows that failed in a noise block are replayed from the block's start,
-    so ``fail_step`` is exact; a failed path restarts at ``x0`` and ends
+    ``draw(out)`` writes the normals of the next ``out.shape[1]`` steps of
+    every row into the C-contiguous ``(n, k)`` array ``out``, ``k <=
+    _TILE``.  A path whose state leaves ``[-blow_up, blow_up]`` (or turns
+    NaN) records that step in ``fail_step`` and restarts at ``x0``; it ends
     with NaN functionals, ``sup_abs`` and terminal state.
     """
     # coefficients and state map in the coordinates actually stepped
     drift, diffusion, state_map, x0 = (
         (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state)
         if model.sim_drift is not None
-        else (model.drift, model.diffusion, None, model.initial_state))
+        else (model.drift, model.diffusion, lambda y: y, model.initial_state))
     h = schedule.h
     sqrt_h = math.sqrt(h)
     dt = schedule.delta_step
     n_steps = schedule.n_steps(horizon)
     ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
-    # a constant diffusion is folded into the tile: the tile holds
-    # scale*xi = (sqrt_h*sigma)*xi, and no step calls the diffusion
-    fold = isinstance(diffusion, ConstantDiffusion)
-    sigma = float(diffusion.sigma) if fold else None
-    scale = sqrt_h * sigma if fold else 1.0
 
-    def advance(z, w, t):
-        # w is the step's normal times scale; z + h*b is a new array, so
-        # the in-place adds keep the order (z + h*b) + (sqrt_h*s)*xi
-        s = sigma if fold else diffusion(z)
-        z = z + h * drift(z)
-        z += w if fold else sqrt_h * s * w
-        if control is not None:
-            z += (ctrl_coef * float(np.asarray(control.psi(t)))) * s
-        return z
+    def observe(t, y):
+        return np.asarray(f.value(t, state_map(y)), dtype=float)
 
     z = np.full(n, x0)
-    observe = (lambda t, s: np.asarray(f.value(t, state_map(s)), dtype=float)) \
-        if state_map is not None else (lambda t, s: np.asarray(f.value(t, s), dtype=float))
     f_prev = observe(0.0, z)
     xi_c = np.zeros(n)
     xi_r = np.zeros(n)
     sup = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=np.int64)
-
-    tile = np.empty((n, _TILE))
-    done = 0
+    buf = np.empty(n * _TILE)  # the normals of the next _TILE steps, row by row
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_steps:
-            noise = next(blocks)
-            kblk = noise.shape[1]
-            # a copy: keeping the block's own z array alive instead raised a
-            # 2-thread 102,400-replicate MDP CLI run's peak RSS from 92 to 122 MB
-            z_start = z.copy()
-            for j in range(0, kblk, _TILE):
-                width = min(_TILE, kblk - j)
-                # one contiguous copy per tile, not a strided column read per step
-                np.multiply(noise[:, j:j + width], scale, out=tile[:, :width])
-                for k in range(width):
-                    t_k = (done + j + k) * dt
-                    xi_r += f_prev * dt
-                    z = advance(z, tile[:, k], t_k)
-                    f_new = observe(t_k + dt, z)
-                    xi_c += 0.5 * (f_prev + f_new) * dt
-                    np.maximum(sup, np.abs(xi_c), out=sup)
-                    f_prev = f_new
-            newly = ~(np.abs(z) <= blow_up) & ~failed
-            if np.any(newly):
-                rows = np.flatnonzero(newly)
-                z_rows = z_start[rows]
-                for k in range(kblk):
-                    z_rows = advance(z_rows, scale * noise[rows, k], (done + k) * dt)
-                    gone = ~(np.abs(z_rows) <= blow_up)
-                    fail_step[rows[gone]] = done + k + 1
-                    rows, z_rows = rows[~gone], z_rows[~gone]
-                    if rows.size == 0:
-                        break
-                failed |= newly
-                z = np.where(failed, x0, z)
-                xi_c = np.where(failed, np.nan, xi_c)
-                xi_r = np.where(failed, np.nan, xi_r)
-                f_prev = observe((done + kblk) * dt, z)
-            done += kblk
-    terminal = state_map(z) if state_map is not None else z
-    # a failed path has no terminal state or running sup: where it restarted,
-    # and whether a later block turned its sup NaN, depend on the noise
-    # block size, and so on the thread count
-    terminal = np.where(failed, np.nan, terminal)
-    sup = np.where(failed, np.nan, sup)
-    return BatchResult(xi_c, xi_r, sup, terminal, failed, fail_step)
+        for done in range(0, n_steps, _TILE):
+            width = min(_TILE, n_steps - done)
+            xi = buf[:n * width].reshape(n, width)
+            draw(xi)
+            for j in range(width):
+                k = done + j
+                xi_r += f_prev * dt
+                s = diffusion(z)
+                # z + h*b is a new array, so the in-place adds keep the
+                # order (z + h*b) + (sqrt_h*s)*xi
+                z = z + h * drift(z)
+                z += sqrt_h * s * xi[:, j]
+                if control is not None:
+                    z += (ctrl_coef * float(np.asarray(control.psi(k * dt)))) * s
+                if not np.abs(z).max(initial=0.0) <= blow_up:  # NaN fails too
+                    gone = ~(np.abs(z) <= blow_up)
+                    fail_step[gone & (fail_step < 0)] = k + 1
+                    z[gone] = x0
+                    xi_c[gone] = np.nan
+                    xi_r[gone] = np.nan
+                f_new = observe(k * dt + dt, z)
+                xi_c += 0.5 * (f_prev + f_new) * dt
+                np.maximum(sup, np.abs(xi_c), out=sup)
+                f_prev = f_new
+    failed = fail_step >= 0
+    return BatchResult(xi_c, xi_r, np.where(failed, np.nan, sup),
+                       np.where(failed, np.nan, state_map(z)), failed, fail_step)

@@ -534,12 +534,12 @@ def centralize(f: FunctionalSpec, pi: InvariantDensity1D) -> FunctionalSpec:
 
 @dataclass(frozen=True)
 class ConstantDiffusion:
-    """The diffusion sigma(x) = sigma; the numpy Euler kernel folds it into the noise."""
+    """The diffusion sigma(x) = sigma."""
 
     sigma: float
 
     def __call__(self, x):
-        return self.sigma * np.ones_like(np.asarray(x, dtype=float))
+        return np.full_like(np.asarray(x, dtype=float), self.sigma)
 
 
 # The builtin coefficients as data: small frozen classes whose calls are

@@ -56,12 +56,12 @@ def custom_model(drift_coeffs, diffusion_coeffs, x0):
 def numpy_kernel_calls(monkeypatch):
     """The number of chunks the numpy kernel stepped, as a one-element list."""
     calls = [0]
-    run_paths = euler._run_paths
+    step_paths = euler._step_paths
 
     def counted(*args):
         calls[0] += 1
-        return run_paths(*args)
-    monkeypatch.setattr(euler, "_run_paths", counted)
+        return step_paths(*args)
+    monkeypatch.setattr(euler, "_step_paths", counted)
     return calls
 
 
@@ -137,14 +137,11 @@ def test_batch_matches_scalar_path():
 
 
 def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
-    # 100-replicate chunks and 2000-float noise buffers: 250 replicates make
-    # chunks of 100, 100 and 50 rows and 161 steps make several blocks per
-    # chunk, so the numpy kernel at threads > 1 fills ahead both within a
-    # chunk and into the next.  OU with a polynomial f runs on the native
-    # kernel, which splits rows and calls no fill; Gompertz (log space) runs
-    # on the numpy kernel and its fill-ahead
+    # 100-replicate chunks: 250 replicates make chunks of 100, 100 and 50
+    # rows.  OU with a polynomial f runs on the native kernel, which splits
+    # rows and calls no fill; Gompertz (log space) runs on the numpy kernel,
+    # which fills at most _TILE steps at a time in the caller's thread
     monkeypatch.setattr(euler, "_CHUNK", 100)
-    monkeypatch.setattr(euler, "_NOISE_BUDGET", 2000)
     fills = []
     native = euler._philox_normals
 
@@ -156,37 +153,30 @@ def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
     f = f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     n_steps = sched.n_steps(0.3)
-    assert n_steps > 3 * 2000 // 2 // 100
+    assert n_steps > 3 * euler._TILE
     kw = dict(master_seed=123, n_replicates=250)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the GIL over often, to shake out races
     try:
         for m in (ou(), gompertz):
-            fills.clear()
             numpy_kernel_calls[0] = 0
-            r1 = simulate_batch(m, sched, f, 0.3, threads=1, **kw)
-            assert numpy_kernel_calls[0] == (3 if m is gompertz else 0)
-            assert {ident for ident, _ in fills} == ({threading.get_ident()} if m is gompertz
-                                                      else set())
-            for threads in (2, 4):
+            for threads in (1, 2, 4):
                 fills.clear()
                 rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
+                if threads == 1:
+                    r1 = rt
+                    assert numpy_kernel_calls[0] == (3 if m is gompertz else 0)
                 for name in r1.__dataclass_fields__:
                     assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
                 if m is gompertz:
-                    # the first block filled in the caller's thread, with no
-                    # hand-off to wait for; every later one on the one helper
-                    assert fills[0][0] == threading.get_ident()
-                    helpers = {ident for ident, _ in fills[1:]}
-                    assert threading.get_ident() not in helpers and len(helpers) == 1
-                    assert sum(rows * k for (rows, k) in (shape for _, shape in fills)) \
-                        == 250 * n_steps
+                    assert {ident for ident, _ in fills} == {threading.get_ident()}
+                    assert max(k for _, (_, k) in fills) == euler._TILE
+                    assert sum(rows * k for _, (rows, k) in fills) == 250 * n_steps
                 else:
                     assert fills == []
     finally:
         sys.setswitchinterval(switch)
-    # a failing batch replays its failed rows from the block being stepped
-    # while the next block fills: fail_step does not depend on threads
+    # a failing batch: fail_step and every output do not depend on threads
     m = ou()
     bad = type(m)(**{**m.__dict__, "drift": lambda x: np.asarray(x, float) ** 3,
                      "initial_state": 0.5})
@@ -196,11 +186,6 @@ def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
     two = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=250, threads=2)
     assert one.failed.sum() > 100 and len(set(one.fail_step.tolist())) > 20
     assert two.fail_step.tolist() == one.fail_step.tolist()
-    # some 100-row path fails in the last 20-step block at 1 thread but in the
-    # second-last 10-step block at 2 threads: only there could its sup_abs
-    # differ, as a later block turns the sup of a failed row NaN
-    n_steps = sched.n_steps(0.16)
-    assert np.any((one.fail_step[:200] > n_steps - 20) & (one.fail_step[:200] <= n_steps - 10))
     for name in r1.__dataclass_fields__:
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
     for name in ("terminal", "sup_abs", "xi_continuous", "xi_riemann"):
@@ -481,16 +466,15 @@ def test_batch_matches_scalar_across_chunk_boundary(numpy_kernel_calls):
 
 
 @pytest.mark.parametrize("with_control", [False, True])
-def test_batch_matches_scalar_across_noise_blocks(monkeypatch, numpy_kernel_calls,
-                                                  with_control):
-    # 64 floats over 5 replicates: the numpy kernel steps 12-step noise
-    # blocks, so every path carries its stream on from its row state many
-    # times; the native kernel carries it on every 256 normals
-    monkeypatch.setattr(euler, "_NOISE_BUDGET", 64)
+def test_batch_matches_scalar_across_fill_tiles(numpy_kernel_calls, with_control):
+    # the numpy kernel fills _TILE steps at a time, so every path carries
+    # its stream on from its row state many times, and the last tile is
+    # short; the native kernel carries it on every 256 normals
     m = ou()
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     ctrl = ControlFunction(psi=lambda s: 0.7, l2_bound=1.0, horizon=1.0) if with_control else None
-    assert sched.n_steps(0.5) > max(3 * (64 // 5), 256)
+    n_steps = sched.n_steps(0.5)
+    assert n_steps > max(3 * euler._TILE, 256) and n_steps % euler._TILE != 0
     for f, chunks in ((f_lambda(), 1), (f_identity(), 0)):
         numpy_kernel_calls[0] = 0
         batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5,
@@ -498,6 +482,24 @@ def test_batch_matches_scalar_across_noise_blocks(monkeypatch, numpy_kernel_call
         assert numpy_kernel_calls[0] == chunks
         _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5),
                                   control=ctrl)
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_empty_and_negative_batches(numpy_kernel_calls, kernel):
+    # OU with a polynomial f runs on the native kernel, Gompertz on numpy's
+    m = ou() if kernel == "native" else builtin_model("gompertz", dict(kappa=1.0, mu=1.0,
+                                                                       sigma=1.0))
+    f = f_identity()
+    sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
+    full = simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=3)
+    for threads in (1, 2):
+        empty = simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=0, threads=threads)
+        for name in empty.__dataclass_fields__:
+            got, want = getattr(empty, name), getattr(full, name)
+            assert got.shape == (0,) and got.dtype == want.dtype, name
+        with pytest.raises(SimulationError, match="n_replicates must be >= 0, got -2"):
+            simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=-2, threads=threads)
+    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 3)
 
 
 def test_first_index_offsets_streams():
@@ -590,7 +592,7 @@ def test_trajectory_explosion_scalar():
         simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, 0))
 
 
-def test_batch_flags_failures(monkeypatch):
+def test_batch_flags_failures():
     m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
     bad = type(m)(**{**m.__dict__,
                      "drift": lambda x: np.asarray(x, float) ** 3,
@@ -602,7 +604,7 @@ def test_batch_flags_failures(monkeypatch):
     assert np.all(res.fail_step > 0)
     assert np.all(np.isnan(res.xi_continuous))
     # from x0 = 0.5 the paths leave at different steps; fail_step is the
-    # first step with |Z| > blow_up whatever the noise block size
+    # first step with |Z| > blow_up
     bad = type(m)(**{**bad.__dict__, "initial_state": 0.5})
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
@@ -611,10 +613,8 @@ def test_batch_flags_failures(monkeypatch):
         with pytest.raises(TrajectoryExplodedError) as err:
             simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, i))
         assert err.value.step == step
-    for budget in (euler._NOISE_BUDGET, 60, 12):
-        monkeypatch.setattr(euler, "_NOISE_BUDGET", budget)
-        res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=6)
-        assert res.fail_step.tolist() == steps, budget
+    res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=6)
+    assert res.fail_step.tolist() == steps
 
 
 
@@ -624,8 +624,10 @@ def test_batch_flags_failures(monkeypatch):
 def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first=0):
     """The Euler update written out plainly, one step at a time over all rows.
 
-    Returns the BatchResult fields by name, a failed row's outputs NaN, and
-    under ``"lowest"`` the lowest state each row visited.
+    A row that leaves ``[-blow_up, blow_up]`` restarts at ``x0``.  Returns
+    the BatchResult fields by name, a failed row's outputs NaN, under
+    ``"lowest"`` the lowest state each row visited and under ``"failures"``
+    how many times each row left the bound.
     """
     sim = model.sim_drift is not None
     drift = model.sim_drift if sim else model.drift
@@ -634,10 +636,11 @@ def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first
     h, dt, n_steps = sched.h, sched.delta_step, sched.n_steps(horizon)
     xi = np.array([replicate_stream(seed, first + i).standard_normal(n_steps)
                    for i in range(n)])
-    z = np.full(n, model.sim_initial_state if sim else model.initial_state)
+    x0 = model.sim_initial_state if sim else model.initial_state
+    z = np.full(n, x0)
     f_prev = np.asarray(f.value(0.0, state(z)), dtype=float)
     xi_c, xi_r, sup = np.zeros(n), np.zeros(n), np.zeros(n)
-    fail_step, lowest = np.full(n, -1), z.copy()
+    fail_step, lowest, failures = np.full(n, -1), z.copy(), np.zeros(n, int)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t = k * dt
@@ -646,16 +649,20 @@ def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first
             z = z + h * drift(z) + math.sqrt(h) * s * xi[:, k]
             if control is not None:
                 z = z + (sched.mdp_scale / sched.epsilon * dt * float(control.psi(t))) * s
+            out = ~(np.abs(z) <= blow_up)
+            fail_step[(fail_step < 0) & out] = k + 1
+            failures += out
+            z = np.where(out, x0, z)
             f_new = np.asarray(f.value(t + dt, state(z)), dtype=float)
             xi_c += 0.5 * (f_prev + f_new) * dt
             sup = np.maximum(sup, np.abs(xi_c))
-            fail_step[(fail_step < 0) & ~(np.abs(z) <= blow_up)] = k + 1
             lowest = np.minimum(lowest, z)
             f_prev = f_new
     failed = fail_step >= 0
     nan = lambda a: np.where(failed, np.nan, a)
     return dict(xi_continuous=nan(xi_c), xi_riemann=nan(xi_r), sup_abs=nan(sup),
-                terminal=nan(state(z)), failed=failed, fail_step=fail_step, lowest=lowest)
+                terminal=nan(state(z)), failed=failed, fail_step=fail_step, lowest=lowest,
+                failures=failures)
 
 
 def _assert_matches_stepper(res, ref):
@@ -666,25 +673,25 @@ def _assert_matches_stepper(res, ref):
 _PSI = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=1.0, horizon=1.0)
 
 
-@pytest.mark.parametrize("family, regime, theta, control, horizon, budget", [
+@pytest.mark.parametrize("family, regime, theta, control, horizon, tile", [
     ("ou", "CLT", 2.5, None, 1.0, None),  # constant diffusion
     ("power_drift", "LLN", 2.0, None, 1.0, None),  # constant diffusion, numpy kernel
     ("cir", "LLN", 2.0, None, 1.0, None),  # diffusion depends on the state
     ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, state map, numpy kernel
     ("ou", "MDP", 2.5, None, 0.6, None),
     ("ou", "MDP", 2.5, _PSI, 1.0, None),
-    ("ou", "MDP", 2.5, _PSI, 1.0, 5 * 45),  # 45-step blocks end mid-tile
-    ("cir", "MDP", 3.5, _PSI, 1.0, 5 * 45),
+    ("ou", "MDP", 2.5, _PSI, 1.0, 225),  # the native kernel draws no tiles
+    ("cir", "MDP", 3.5, _PSI, 1.0, 225),
     ("custom", "CLT", 2.5, None, 1.0, None),  # polynomial drift and diffusion
     ("custom", "MDP", 2.5, _PSI, 1.0, None),
     # the same models with f behind a callable, on the numpy kernel
-    ("numpy:ou", "CLT", 2.5, None, 1.0, None),  # folded diffusion; 90 steps, 2 tiles + 26
-    ("numpy:ou", "MDP", 2.5, _PSI, 1.0, 5 * 45),  # 45-step blocks end mid-tile
-    ("numpy:cir", "MDP", 3.5, _PSI, 1.0, 5 * 45),
-    ("numpy:custom", "MDP", 2.5, _PSI, 1.0, 5 * 45),
+    ("numpy:ou", "CLT", 2.5, None, 1.0, None),  # 90 steps: 2 tiles + 26
+    ("numpy:ou", "MDP", 2.5, _PSI, 1.0, 225),  # one draw of all 90 steps
+    ("numpy:cir", "MDP", 3.5, _PSI, 1.0, 225),  # 548 steps: 2 tiles + 98
+    ("numpy:custom", "MDP", 2.5, _PSI, 1.0, 225),
 ])
 def test_kernel_matches_plain_stepper(monkeypatch, numpy_kernel_calls, family, regime,
-                                      theta, control, horizon, budget):
+                                      theta, control, horizon, tile):
     numpy_f = family.startswith("numpy:")
     family = family.removeprefix("numpy:")
     if family == "custom":
@@ -699,8 +706,8 @@ def test_kernel_matches_plain_stepper(monkeypatch, numpy_kernel_calls, family, r
     pol = SchedulePolicy(theta, gamma_mdp=0.35 if regime == "MDP" else None)
     sched = StepSchedule.from_policy(0.165, regime, pol, m.holder_nu)
     assert sched.n_steps(horizon) % 32 != 0
-    if budget is not None:
-        monkeypatch.setattr(euler, "_NOISE_BUDGET", budget)
+    if tile is not None:
+        monkeypatch.setattr(euler, "_TILE", tile)
     res = simulate_batch(m, sched, f, horizon, master_seed=29, n_replicates=5, control=control)
     assert numpy_kernel_calls[0] == (numpy_f or family in ("power_drift", "gompertz"))
     _assert_matches_stepper(res, _stepper(m, sched, f, horizon, 29, 5, control))
@@ -720,25 +727,30 @@ def test_native_kernel_matches_plain_stepper_at_the_cir_boundary(numpy_kernel_ca
     _assert_matches_stepper(res, ref)
 
 
-def test_native_kernel_stops_failed_rows_at_their_step(numpy_kernel_calls):
+@pytest.mark.parametrize("kernel, threads", [("native", 1), ("numpy", 1), ("numpy", 2)])
+def test_kernels_stop_failed_rows_at_their_step(numpy_kernel_calls, kernel, threads):
     # test_batch_flags_failures' cubic drift as a polynomial descriptor: the
-    # native kernel finds the same failing steps without a replay
+    # native kernel stops a row at its failing step, and the numpy kernel
+    # (f behind a callable) checks the bound at every step
     m = ou()
     bad = type(m)(**{**m.__dict__, "drift": Polynomial([0.0, 0.0, 0.0, 1.0]),
                      "initial_state": 0.5})
-    f = f_identity()
+    f = f_identity() if kernel == "native" else f_lambda()
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    res = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=6)
+    res = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=6, threads=threads)
     assert res.fail_step.tolist() == [27, 34, 19, 61, 61, 20]
-    # a custom model whose paths fail at many different steps, or never
+    # a custom model whose paths fail at many different steps, or never;
+    # on the numpy kernel a failed row restarts at x0, and some leave the
+    # bound again, which must not move their fail_step
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    res = simulate_batch(boom, sched, f, 1.0, master_seed=0, n_replicates=41)
+    res = simulate_batch(boom, sched, f, 1.0, master_seed=0, n_replicates=41, threads=threads)
     ref = _stepper(boom, sched, f, 1.0, 0, 41)
-    assert numpy_kernel_calls[0] == 0
+    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2)
     assert 5 < res.failed.sum() < 41 and len(set(res.fail_step[res.failed].tolist())) > 5
+    assert np.sum(ref["failures"] > 1) >= 3
     _assert_matches_stepper(res, ref)
 
 
@@ -1056,3 +1068,18 @@ def test_short_injected_noise_rejected():
                          regime="LLN", policy=SchedulePolicy(2.0))
     with pytest.raises(SimulationError, match="injected noise has 99 steps"):
         simulate_euler(m, sched, f, 1.0, None, noise=np.zeros((99, 1)))
+
+
+@pytest.mark.parametrize("shape", [(100, 3), (100, 1, 1), (1, 100), ()])
+def test_malformed_injected_noise_rejected(shape):
+    m, f = ou(), f_identity()
+    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0,
+                         regime="LLN", policy=SchedulePolicy(2.0))
+    with pytest.raises(SimulationError, match=r"must be \(k,\) or \(k, 1\)"):
+        simulate_euler(m, sched, f, 1.0, None, noise=np.zeros(shape))
+    # (k,) and (k, 1) give the same path
+    noise = replicate_stream(3, 0).standard_normal(100)
+    flat = simulate_euler(m, sched, f, 1.0, None, noise=noise)
+    column = simulate_euler(m, sched, f, 1.0, None, noise=noise[:, None])
+    for name in flat.__dataclass_fields__:
+        assert getattr(flat, name).tobytes() == getattr(column, name).tobytes(), name
