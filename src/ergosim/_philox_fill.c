@@ -44,15 +44,24 @@
  * autocorr_steps runs a block of whole steps of the autocorrelation route
  * of M_f (variance.py): all paths draw from one stream row, and each step
  * fills that step's normal of every path with the same fill, then steps
- * and observes every path and leaves f(X_0) f(X_s) in a row of a block
- * that the caller sums.  Its arithmetic is the numpy loop's of that route.
+ * and observes every path, leaves f(X_0) f(X_s) in an n-float row and sums
+ * it in the order of numpy's pairwise sum.  Its arithmetic is the numpy
+ * loop's of that route.  With threads >= 2 a large enough call is split
+ * (route_split) on POSIX threads it starts and joins itself: the paths
+ * into the top subtrees of that pairwise sum, and the stream's normals
+ * into ranges that helpers fill speculatively from the lowest word their
+ * first normal can have, logging their multi-word draws, so that the
+ * caller keeps a helper's normals from the first that starts where the
+ * range before ended (two ziggurat parses that meet stay together); the
+ * sums, states and row state are those of one thread, bit for bit.
+ * split_fill_probe runs one such split of a fill, for the tests.
  *
  * The entry points come in two paths that give the same bits:
  *  - portable (philox_normal_fill_portable, euler_rows_portable,
- *    autocorr_steps_portable): two counter blocks per Philox call so that
- *    the two dependent 10-round chains overlap, one ziggurat word at a
- *    time, four rows stepped together in scalar arithmetic, one path at a
- *    time in autocorr_steps;
+ *    autocorr_steps_portable, split_fill_probe_portable): two counter
+ *    blocks per Philox call so that the two dependent 10-round chains
+ *    overlap, one ziggurat word at a time, four rows stepped together in
+ *    scalar arithmetic, one path at a time in autocorr_steps;
  *  - avx512 (x86-64 only, compiled for avx512f and avx512dq by target
  *    attributes, so the build flags stay the same): a segment's 16 blocks
  *    are two 8-lane Philox runs, one block per 64-bit lane, each 64x64 ->
@@ -66,21 +75,27 @@
  *    vectors (16 rows) to a group, so that their step chains overlap;
  *    each 8-step tile of a vector's normals is transposed in registers,
  *    so that the vector holds one step of its 8 rows; autocorr_steps
- *    steps 8 paths per vector.
+ *    steps 8 paths per vector and keeps a pairwise leaf's 8 accumulators
+ *    in one vector.
  * Both paths take a word their fast path does not accept through the same
  * scalar wedge and tail code.
- * philox_normal_fill, euler_rows and autocorr_steps take the avx512 path
- * when the CPU has both extensions, checked once when the library is
- * loaded, and the portable path otherwise; native_path names the one
- * picked.
+ * philox_normal_fill, euler_rows, autocorr_steps and split_fill_probe take
+ * the avx512 path when the CPU has both extensions, checked once when the
+ * library is loaded, and the portable path otherwise; native_path names
+ * the one picked.
  *
  * antiderivative_eval answers the queries of quadrature.Antiderivative:
  * per point a clip, the panel np.searchsorted would give, and the panel's
  * degree-7 Legendre series in the association order of numpy's legval.
  * It has one plain path and no routing.
  */
+#define _GNU_SOURCE /* sched_getcpu, CPU_CLR and pthread_attr_setaffinity_np */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__)
@@ -281,10 +296,33 @@ static void point_at(row_state *r, const uint64_t base[4], const uint64_t *seg, 
     r->pos = (uint64_t)(s % 4);
 }
 
+/* The multi-word draws of a logged fill: normal idx[e] took 1 + extra[e]
+ * words, in the order of idx, normal i of a fill being normal base + i; a
+ * fill stops once len reaches cap. */
+typedef struct {
+    int64_t *idx, *extra;
+    int64_t len, cap, base;
+} draw_log;
+
+/* Log normal i's extra words, if any; 0 once the log is full. */
+static inline int log_draw(draw_log *log, int64_t i, int64_t extra)
+{
+    if (extra > 0) {
+        log->idx[log->len] = log->base + i;
+        log->extra[log->len] = extra;
+        log->len++;
+    }
+    return log->len < log->cap;
+}
+
 /* The next width normals of the stream in r into o, a path's segments and
- * fast-path words coming from segment and accept. */
-static inline __attribute__((always_inline)) void
-fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn *accept)
+ * fast-path words coming from segment and accept; returns width.  With a
+ * log, every slow draw's extra words are logged, and the fill stops after
+ * the draw that fills the log, returning the normals made so far and
+ * leaving r undefined. */
+static inline __attribute__((always_inline)) int64_t
+fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn *accept,
+         draw_log *log)
 {
     uint64_t seg[SEG_WORDS];
     int64_t i = 0;
@@ -293,8 +331,10 @@ fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn 
             /* a buffered word; a slow draw's further words come from r */
             uint64_t w = r->buf[r->pos++];
             if (!ziggurat_fast(w, o + i)) {
-                int none = 0;
-                o[i] = ziggurat_slow(w, o[i], NULL, &none, 0, r);
+                int extra = 0;
+                o[i] = ziggurat_slow(w, o[i], NULL, &extra, 0, r);
+                if (log && !log_draw(log, i, extra))
+                    return i + 1;
             }
             i++;
             continue;
@@ -316,8 +356,11 @@ fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn 
             s += k, i += k;
             if (k == m)
                 break;
+            int start = s;
             uint64_t w = seg[s++];
             o[i] = ziggurat_slow(w, o[i], seg, &s, n_words, r);
+            if (log && !log_draw(log, i, s - start - 1))
+                return i + 1;
             i++;
         }
         /* s >= n_words: r stands after the segment, or after the last word
@@ -325,13 +368,14 @@ fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn 
         if (s < n_words)
             point_at(r, base, seg, s - 1), r->pos++;
     }
+    return width;
 }
 
 /* Fill row j of the C-contiguous (n_rows, width) array out from rows[j]. */
 void philox_normal_fill_portable(row_state *rows, int64_t n_rows, double *out, int64_t width)
 {
     for (int64_t j = 0; j < n_rows; j++)
-        fill_row(rows + j, out + j * width, width, segment_portable, accept_portable);
+        fill_row(rows + j, out + j * width, width, segment_portable, accept_portable, NULL);
 }
 
 #if defined(__x86_64__)
@@ -463,7 +507,7 @@ AVX512 void philox_normal_fill_avx512(row_state *rows, int64_t n_rows, double *o
                                       int64_t width)
 {
     for (int64_t j = 0; j < n_rows; j++)
-        fill_row(rows + j, out + j * width, width, segment_avx512, accept_avx512);
+        fill_row(rows + j, out + j * width, width, segment_avx512, accept_avx512, NULL);
 }
 
 #endif /* __x86_64__ */
@@ -546,7 +590,7 @@ step_group(const euler_spec *m, int dk, int sk, row_state *rows, int n,
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (fail[r] < 0)
-                fill_row(rows + r, noise[r], width, segment_portable, accept_portable);
+                fill_row(rows + r, noise[r], width, segment_portable, accept_portable, NULL);
         for (int k = 0; k < width; k++) {
             const double c = m->control ? m->control[k0 + k] : 0.0;
             for (int r = 0; r < GROUP; r++) {
@@ -619,50 +663,88 @@ void euler_rows_portable(const euler_spec *m, row_state *rows, int64_t n_rows, d
 
 /* ------------------------------------------------------- autocorrelation */
 
-/* Steps first+1 .. first+k of the autocorrelation route of M_f: n paths,
- * their states in y, their normals all from the one stream row, step j
- * after the n normals of step j-1.  Step first+1+r fills its n normals
- * into row r of the C-contiguous (k, n) array prod with this path's fill,
- * then for each path i steps y[i] with (y + h*b) + (sqrt_h*s)*xi,
- * observes fs = f(y[i]), adds fs to acc[i] (0.5*fs at step m->n_steps)
- * and writes f0[i]*fs over the normal.  Returns the first step after which some
- * |y[i]| <= m->blow_up fails (NaN included), with that step finished for
- * every path, or -1 if none does. */
-static inline __attribute__((always_inline)) int64_t
-autocorr_block(const euler_spec *m, int dk, int sk, row_state *row, int64_t n, int64_t first,
-               int64_t k, double *y, const double *f0, double *acc, double *prod)
+#define PW_BLOCK 128 /* numpy's PW_BLOCKSIZE: the largest leaf of its pairwise sum */
+
+/* numpy's pairwise sum of a[0..n) (pairwise_sum in
+ * numpy/_core/src/umath/loops_utils.h.src): below 8 a running sum from
+ * -0.0; up to PW_BLOCK, 8 accumulators over whole 8-blocks, combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one at a time; above,
+ * the sums of both halves, split at n/2 rounded down to a multiple of 8.
+ * np.sum(a) is 0.0 plus this sum. */
+static double pairwise_portable(const double *a, int64_t n)
 {
-    const double h = m->h, sqrt_h = m->sqrt_h, blow_up = m->blow_up;
-    for (int64_t r = 0; r < k; r++) {
-        const int64_t step = first + r + 1;
-        const double w = step < m->n_steps ? 1.0 : 0.5; /* 1.0 * fs is fs */
-        double *p = prod + r * n;
-        philox_normal_fill_portable(row, 1, p, n);
-        int bad = 0;
-        for (int64_t i = 0; i < n; i++) {
-            double x = y[i];
-            double x1 = (x + h * drift(m, dk, x)) + (sqrt_h * diffusion(m, sk, x)) * p[i];
-            double fs = polyval(m->f, m->n_f, x1) - m->f_c0;
-            acc[i] = acc[i] + w * fs;
-            p[i] = f0[i] * fs;
-            y[i] = x1;
-            bad |= !(fabs(x1) <= blow_up);
-        }
-        if (bad)
-            return step;
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
     }
-    return -1;
+    if (n <= PW_BLOCK) {
+        double r[8];
+        int64_t i;
+        memcpy(r, a, sizeof r);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_portable(a, n2) + pairwise_portable(a + n2, n - n2);
 }
 
-int64_t autocorr_steps_portable(const euler_spec *m, row_state *row, int64_t n, int64_t first,
-                                int64_t k, double *y, const double *f0, double *acc,
-                                double *prod)
+/* One step of paths [lo, hi) of the route: y[i] steps with
+ * (y + h*b) + (sqrt_h*s)*xi[i - lo], fs = f(y[i]), acc[i] += w*fs and
+ * prod[i] = f0[i]*fs; xi may be prod + lo.  Returns whether some
+ * |y[i]| <= m->blow_up fails (NaN included). */
+static inline __attribute__((always_inline)) int
+step_paths(const euler_spec *m, int dk, int sk, int64_t lo, int64_t hi, const double *xi,
+           double w, double *y, const double *f0, double *acc, double *prod)
 {
-#define RUN(dk, sk) return autocorr_block(m, dk, sk, row, n, first, k, y, f0, acc, prod)
+    const double h = m->h, sqrt_h = m->sqrt_h, blow_up = m->blow_up;
+    int bad = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        double x = y[i];
+        double x1 = (x + h * drift(m, dk, x)) + (sqrt_h * diffusion(m, sk, x)) * xi[i - lo];
+        double fs = polyval(m->f, m->n_f, x1) - m->f_c0;
+        acc[i] = acc[i] + w * fs; /* 1.0 * fs is fs */
+        prod[i] = f0[i] * fs;
+        y[i] = x1;
+        bad |= !(fabs(x1) <= blow_up);
+    }
+    return bad;
+}
+
+/* A path's kernels of the route, the kind pair switched once per call */
+typedef int64_t route_fill_fn(row_state *, double *, int64_t, draw_log *);
+typedef int route_step_fn(const euler_spec *, int64_t, int64_t, const double *, double, double *,
+                          const double *, double *, double *);
+typedef struct {
+    route_fill_fn *fill;
+    route_step_fn *step;
+    double (*sum)(const double *, int64_t);
+} route_ops;
+
+static int64_t fill_portable(row_state *r, double *o, int64_t width, draw_log *log)
+{
+    if (!log)
+        return fill_row(r, o, width, segment_portable, accept_portable, NULL);
+    return fill_row(r, o, width, segment_portable, accept_portable, log);
+}
+
+static int step_portable(const euler_spec *m, int64_t lo, int64_t hi, const double *xi, double w,
+                         double *y, const double *f0, double *acc, double *prod)
+{
+#define RUN(dk, sk) return step_paths(m, dk, sk, lo, hi, xi, w, y, f0, acc, prod)
     SWITCH_KINDS(RUN)
 #undef RUN
-    return -1; /* not reached: euler.py passes only the kinds above */
+    return 0; /* not reached: euler.py passes only the kinds above */
 }
+
+static const route_ops ops_portable = {fill_portable, step_portable, pairwise_portable};
 
 #if defined(__x86_64__)
 
@@ -766,7 +848,7 @@ step_group8(const euler_spec *m, int dk, int sk, int v, row_state *rows, int n,
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (alive >> r & 1)
-                fill_row(rows + r, noise[r], width, segment_avx512, accept_avx512);
+                fill_row(rows + r, noise[r], width, segment_avx512, accept_avx512, NULL);
         for (int k = 0; k < width; k += LANES) {
             int cols = width - k < LANES ? width - k : LANES;
             __m512d col[VECS][LANES];
@@ -843,49 +925,635 @@ AVX512 void euler_rows_avx512(const euler_spec *m, row_state *rows, int64_t n_ro
 #undef RUN
 }
 
-/* autocorr_block with 8 paths per vector, the last vector masked */
-AVX512 static inline __attribute__((always_inline)) int64_t
-autocorr_block8(const euler_spec *m, int dk, int sk, row_state *row, int64_t n, int64_t first,
-                int64_t k, double *y, const double *f0, double *acc, double *prod)
+/* pairwise_portable's order and bits, the 8 accumulators of a leaf in one
+ * vector */
+AVX512 static double pairwise_avx512(const double *a, int64_t n)
+{
+    if (n < 8)
+        return pairwise_portable(a, n);
+    if (n <= PW_BLOCK) {
+        __m512d acc = _mm512_loadu_pd(a);
+        int64_t i;
+        for (i = 8; i < n - n % 8; i += 8)
+            acc = _mm512_add_pd(acc, _mm512_loadu_pd(a + i));
+        double r[8];
+        _mm512_storeu_pd(r, acc);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_avx512(a, n2) + pairwise_avx512(a + n2, n - n2);
+}
+
+/* step_paths with 8 paths per vector, the last vector masked */
+AVX512 static inline __attribute__((always_inline)) int
+step_paths8(const euler_spec *m, int dk, int sk, int64_t lo, int64_t hi, const double *xi,
+            double w, double *y, const double *f0, double *acc, double *prod)
 {
     const __m512d h = _mm512_set1_pd(m->h), sqrt_h = _mm512_set1_pd(m->sqrt_h);
     const __m512d blow_up = _mm512_set1_pd(m->blow_up), f_c0 = _mm512_set1_pd(m->f_c0);
+    const __m512d wv = _mm512_set1_pd(w);
+    __mmask8 bad = 0;
+    for (int64_t i = lo; i < hi; i += LANES) {
+        const __mmask8 live = hi - i >= LANES ? 0xff : (__mmask8)((1u << (hi - i)) - 1);
+        __m512d x = _mm512_maskz_loadu_pd(live, y + i);
+        __m512d z = _mm512_maskz_loadu_pd(live, xi + (i - lo));
+        __m512d s = diffusion8(m, sk, x);
+        __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
+        __m512d x1 = _mm512_add_pd(drifted, _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), z));
+        __m512d fs = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
+        __m512d a = _mm512_add_pd(_mm512_maskz_loadu_pd(live, acc + i), _mm512_mul_pd(wv, fs));
+        __m512d g = _mm512_mul_pd(_mm512_maskz_loadu_pd(live, f0 + i), fs);
+        _mm512_mask_storeu_pd(acc + i, live, a);
+        _mm512_mask_storeu_pd(prod + i, live, g);
+        _mm512_mask_storeu_pd(y + i, live, x1);
+        bad |= live & ~_mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
+    }
+    return bad != 0;
+}
+
+AVX512 static int64_t fill_avx512(row_state *r, double *o, int64_t width, draw_log *log)
+{
+    if (!log)
+        return fill_row(r, o, width, segment_avx512, accept_avx512, NULL);
+    return fill_row(r, o, width, segment_avx512, accept_avx512, log);
+}
+
+AVX512 static int step_avx512(const euler_spec *m, int64_t lo, int64_t hi, const double *xi,
+                              double w, double *y, const double *f0, double *acc, double *prod)
+{
+#define RUN(dk, sk) return step_paths8(m, dk, sk, lo, hi, xi, w, y, f0, acc, prod)
+    SWITCH_KINDS(RUN)
+#undef RUN
+    return 0;
+}
+
+static const route_ops ops_avx512 = {fill_avx512, step_avx512, pairwise_avx512};
+
+#endif /* __x86_64__ */
+
+/* ------------------------------------------------ running the route */
+
+#define SPLIT_MIN_NORMALS (1 << 16) /* a call with fewer normals runs on one thread */
+#define SUB_NORMALS (1 << 17)   /* normals a split call fills per sub-block, about */
+#define MAX_THREADS 64
+#define MAX_DEPTH 8  /* at most 2^MAX_DEPTH chunks */
+#define MAX_CHUNKS (1 << MAX_DEPTH)
+#define PIECE 4096   /* normals a helper fills between looks at its stop flag */
+
+/* The paths of y[0..n) that fail |y| <= m->blow_up (NaN included). */
+static int64_t count_bad(const euler_spec *m, const double *y, int64_t n)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        bad += !(fabs(y[i]) <= m->blow_up);
+    return bad;
+}
+
+/* Steps first+1 .. first+k on one thread: each step fills its n normals
+ * into prod, steps every path over them and leaves its products there,
+ * and sums them into corr. */
+static int64_t route_serial(const route_ops *ops, const euler_spec *m, row_state *row, int64_t n,
+                            int64_t first, int64_t k, double *y, const double *f0, double *acc,
+                            double *corr, double *prod, int64_t *n_bad)
+{
     for (int64_t r = 0; r < k; r++) {
         const int64_t step = first + r + 1;
-        const __m512d w = _mm512_set1_pd(step < m->n_steps ? 1.0 : 0.5);
-        double *p = prod + r * n;
-        philox_normal_fill_avx512(row, 1, p, n);
-        __mmask8 bad = 0;
-        for (int64_t i = 0; i < n; i += LANES) {
-            const __mmask8 live = n - i >= LANES ? 0xff : (__mmask8)((1u << (n - i)) - 1);
-            __m512d x = _mm512_maskz_loadu_pd(live, y + i);
-            __m512d xi = _mm512_maskz_loadu_pd(live, p + i);
-            __m512d s = diffusion8(m, sk, x);
-            __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
-            __m512d x1 = _mm512_add_pd(drifted, _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), xi));
-            __m512d fs = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
-            __m512d a = _mm512_add_pd(_mm512_maskz_loadu_pd(live, acc + i), _mm512_mul_pd(w, fs));
-            __m512d g = _mm512_mul_pd(_mm512_maskz_loadu_pd(live, f0 + i), fs);
-            _mm512_mask_storeu_pd(acc + i, live, a);
-            _mm512_mask_storeu_pd(p + i, live, g);
-            _mm512_mask_storeu_pd(y + i, live, x1);
-            bad |= live & ~_mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
-        }
-        if (bad)
+        ops->fill(row, prod, n, NULL);
+        int bad = ops->step(m, 0, n, prod, step < m->n_steps ? 1.0 : 0.5, y, f0, acc, prod);
+        corr[r] = 0.0 + ops->sum(prod, n);
+        if (bad) {
+            *n_bad = count_bad(m, y, n);
             return step;
+        }
     }
     return -1;
 }
 
-/* autocorr_steps_portable's contract and bits */
-AVX512 int64_t autocorr_steps_avx512(const euler_spec *m, row_state *row, int64_t n,
-                                     int64_t first, int64_t k, double *y, const double *f0,
-                                     double *acc, double *prod)
+/* Word positions count from the counter c0 of the row at a call's start:
+ * word p is word p % 4 of the Philox block at counter c0 + p / 4, and that
+ * row's next word is word min(pos, 4). */
+
+/* The word r hands out next. */
+static int64_t word_pos(const row_state *r, const row_state *origin)
 {
-#define RUN(dk, sk) return autocorr_block8(m, dk, sk, row, n, first, k, y, f0, acc, prod)
-    SWITCH_KINDS(RUN)
-#undef RUN
-    return -1;
+    return (int64_t)(4 * (r->ctr[0] - origin->ctr[0]) + r->pos);
+}
+
+/* Point r at word p. */
+static void seek(row_state *r, const row_state *origin, int64_t p)
+{
+    memcpy(r->key, origin->key, sizeof r->key);
+    ctr_add(r->ctr, origin->ctr, (uint64_t)(p / 4));
+    philox_block(r->ctr, r->key, r->buf);
+    r->pos = (uint64_t)(p % 4);
+}
+
+/* numpy's state once the words before p are used: the block of word
+ * p - 1, used up to it. */
+static void settle(row_state *r, const row_state *origin, int64_t p)
+{
+    if (p == word_pos(origin, origin)) {
+        *r = *origin;
+        return;
+    }
+    seek(r, origin, p - 1);
+    r->pos++;
+}
+
+/* n normals from word p into out; returns the word after them. */
+static int64_t fill_at(const route_ops *ops, const row_state *origin, int64_t p, double *out,
+                       int64_t n)
+{
+    row_state r;
+    seek(&r, origin, p);
+    ops->fill(&r, out, n, NULL);
+    return word_pos(&r, origin);
+}
+
+/* A speculative fill: up to cap normals from word q into out, logged;
+ * returns how many it made. */
+static int64_t fill_logged(const route_ops *ops, const row_state *origin, int64_t q, double *out,
+                           int64_t cap, draw_log *log)
+{
+    row_state r;
+    seek(&r, origin, q);
+    log->len = log->base = 0;
+    return ops->fill(&r, out, cap, log);
+}
+
+/* The first word of normal j of a logged fill from word q. */
+static int64_t start_of(int64_t q, const draw_log *log, int64_t j)
+{
+    for (int64_t e = 0; e < log->len && log->idx[e] < j; e++)
+        q += log->extra[e];
+    return q + j;
+}
+
+/* The normal of a logged fill of got normals from word q that starts at
+ * word p, or -1 if none does. */
+static int64_t match_start(int64_t q, const draw_log *log, int64_t got, int64_t p)
+{
+    for (int64_t e = 0, lo = 0;; e++) {
+        /* normals lo .. hi start at word q + j */
+        int64_t hi = e < log->len ? log->idx[e] : got - 1, j = p - q;
+        if (j < lo)
+            return -1; /* p is inside draw lo - 1, or before the fill */
+        if (j <= hi)
+            return j;
+        if (e == log->len)
+            return -1; /* p is past the fill */
+        q += log->extra[e];
+        lo = hi + 1;
+    }
+}
+
+enum { MATCHED, UNMATCHED, TOPPED_UP };
+
+/* The caller's side of a range of len normals that starts at word *p,
+ * whose got normals a speculative fill from word q left in buf: from the
+ * first that starts at *p, topped up from the words after them if they
+ * come up short; all of the range's normals afresh if none starts there.
+ * The range's normals end at buf + *off + len, and *p after them. */
+static int resolve_range(const route_ops *ops, const row_state *origin, int64_t *p, int64_t q,
+                         const draw_log *log, double *buf, int64_t got, int64_t len,
+                         int64_t *off)
+{
+    int64_t j = match_start(q, log, got, *p);
+    if (j < 0) {
+        *off = 0;
+        *p = fill_at(ops, origin, *p, buf, len);
+        return UNMATCHED;
+    }
+    if (j + len <= got) {
+        *off = j;
+        *p = start_of(q, log, j + len);
+        return MATCHED;
+    }
+    memmove(buf, buf + j, (got - j) * sizeof *buf);
+    *off = 0;
+    *p = fill_at(ops, origin, start_of(q, log, got), buf + got - j, len - (got - j));
+    return TOPPED_UP;
+}
+
+/* ---- a split call: the caller and threads - 1 helpers */
+
+enum { FREE, CALLER, HELPER, DONE }; /* the claim of a range */
+
+/* One sub-block: its normals, flat index r * n + i for step r and path i,
+ * in one range [g[t], g[t + 1]) per thread, a resolved range's normals at
+ * buf[t] + off[t]; and its steps first + 1 .. first + ks, on chunks of
+ * paths. */
+typedef struct {
+    int64_t start; /* the word of the sub-block's first normal */
+    int64_t g[MAX_THREADS + 1], cap[MAX_THREADS], got[MAX_THREADS], off[MAX_THREADS];
+    _Atomic int claim[MAX_THREADS], stop[MAX_THREADS];
+    double *buf[MAX_THREADS];
+    draw_log log[MAX_THREADS];
+    int64_t first, ks;
+    _Atomic int next_chunk, chunks_done;
+    double *parts; /* (ks, n_chunks): each chunk's sum of each step */
+    int64_t fail[MAX_CHUNKS], bad[MAX_CHUNKS];
+} sub_block;
+
+typedef struct {
+    const route_ops *ops;
+    const euler_spec *m;
+    int64_t n;
+    double *y, *acc, *prod;
+    const double *f0;
+    row_state origin;
+    int threads;
+    /* chunk c: paths [lo[c], lo[c + 1]), the top subtrees of numpy's
+     * pairwise sum */
+    int n_chunks;
+    int64_t lo[MAX_CHUNKS + 1];
+    /* post s (gen = s + 1) opens the fill of sub-block s in sub[s % 2] and
+     * the steps of sub-block s - 1 in the other */
+    sub_block sub[2];
+    _Atomic int gen, exiting;
+    /* the waits of the job sleep on wake, under lock */
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+} split_job;
+
+/* Return once *a is no longer v: sleep on the job's condition variable. */
+static void wait_while(split_job *J, _Atomic int *a, int v)
+{
+    pthread_mutex_lock(&J->lock);
+    while (atomic_load(a) == v)
+        pthread_cond_wait(&J->wake, &J->lock);
+    pthread_mutex_unlock(&J->lock);
+}
+
+/* Wake the job's waits after a store to what they wait on: the store comes
+ * before the lock is taken, so a waiter either sees it or sleeps first. */
+static void wake_all(split_job *J)
+{
+    pthread_mutex_lock(&J->lock);
+    pthread_mutex_unlock(&J->lock);
+    pthread_cond_broadcast(&J->wake);
+}
+
+/* A helper's fill: free ranges from the last down, each filled
+ * speculatively, PIECE normals at a time, from the lowest word its first
+ * normal can have (every normal takes a word at least), until the caller
+ * stops it or claims a range first. */
+static void helper_fill(split_job *J, sub_block *B)
+{
+    for (int t = J->threads - 1; t >= 1; t--) {
+        int seen = FREE;
+        if (!atomic_compare_exchange_strong_explicit(&B->claim[t], &seen, HELPER,
+                                                     memory_order_acq_rel, memory_order_acquire)) {
+            if (seen == CALLER)
+                return;
+            continue;
+        }
+        row_state r;
+        draw_log *log = &B->log[t];
+        int64_t got = 0;
+        seek(&r, &J->origin, B->start + B->g[t]);
+        log->len = 0;
+        while (got < B->cap[t] && !atomic_load_explicit(&B->stop[t], memory_order_relaxed)) {
+            int64_t want = B->cap[t] - got < PIECE ? B->cap[t] - got : PIECE;
+            log->base = got;
+            int64_t made = J->ops->fill(&r, B->buf[t] + got, want, log);
+            got += made;
+            if (made < want || log->len == log->cap)
+                break; /* the log is full, perhaps on the piece's last normal */
+        }
+        B->got[t] = got;
+        atomic_store_explicit(&B->claim[t], DONE, memory_order_release);
+        wake_all(J);
+    }
+}
+
+/* The caller's fill: the ranges in order from word *p, each filled afresh
+ * if no helper has claimed it, else resolved once its helper has stopped
+ * (at its next piece); *p ends after the sub-block's normals. */
+static void caller_fill(split_job *J, sub_block *B, int64_t *p)
+{
+    for (int t = 0; t < J->threads; t++) {
+        const int64_t len = B->g[t + 1] - B->g[t];
+        int seen = FREE;
+        if (atomic_compare_exchange_strong_explicit(&B->claim[t], &seen, CALLER,
+                                                    memory_order_acq_rel, memory_order_acquire)) {
+            B->off[t] = 0;
+            *p = fill_at(J->ops, &J->origin, *p, B->buf[t], len);
+            continue;
+        }
+        atomic_store_explicit(&B->stop[t], 1, memory_order_relaxed);
+        wait_while(J, &B->claim[t], HELPER);
+        resolve_range(J->ops, &J->origin, p, B->start + B->g[t], &B->log[t], B->buf[t],
+                      B->got[t], len, &B->off[t]);
+    }
+}
+
+/* The normals of flat indices [a, b): in place in one range, else
+ * gathered into dst. */
+static const double *flat_normals(const sub_block *B, int64_t a, int64_t b, double *dst)
+{
+    int t = 0;
+    while (B->g[t + 1] <= a)
+        t++;
+    if (b <= B->g[t + 1])
+        return B->buf[t] + B->off[t] + (a - B->g[t]);
+    for (double *d = dst; a < b; t++) {
+        int64_t e = b < B->g[t + 1] ? b : B->g[t + 1];
+        memcpy(d, B->buf[t] + B->off[t] + (a - B->g[t]), (e - a) * sizeof *d);
+        d += e - a;
+        a = e;
+    }
+    return dst;
+}
+
+/* The steps of a sub-block, for the caller and the helpers alike: chunks
+ * in turn, each stepped up to the first step after which one of its paths
+ * fails. */
+static void run_chunks(split_job *J, sub_block *B)
+{
+    const int64_t n = J->n;
+    for (int c; (c = atomic_fetch_add_explicit(&B->next_chunk, 1, memory_order_acq_rel))
+                < J->n_chunks;) {
+        const int64_t lo = J->lo[c], hi = J->lo[c + 1];
+        B->fail[c] = -1;
+        for (int64_t r = 0; r < B->ks; r++) {
+            const int64_t step = B->first + r + 1;
+            const double *xi = flat_normals(B, r * n + lo, r * n + hi, J->prod + lo);
+            int bad = J->ops->step(J->m, lo, hi, xi, step < J->m->n_steps ? 1.0 : 0.5, J->y,
+                                   J->f0, J->acc, J->prod);
+            B->parts[r * J->n_chunks + c] = J->ops->sum(J->prod + lo, hi - lo);
+            if (bad) {
+                B->fail[c] = r;
+                B->bad[c] = count_bad(J->m, J->y + lo, hi - lo);
+                break;
+            }
+        }
+        if (atomic_fetch_add_explicit(&B->chunks_done, 1, memory_order_acq_rel) + 1 == J->n_chunks)
+            wake_all(J);
+    }
+}
+
+/* A helper: at each post, the steps it opens, then the fill. */
+static void *helper_main(void *arg)
+{
+    split_job *J = arg;
+    for (int seen = 0;;) {
+        wait_while(J, &J->gen, seen);
+        seen = atomic_load_explicit(&J->gen, memory_order_acquire);
+        if (atomic_load_explicit(&J->exiting, memory_order_acquire))
+            return NULL;
+        run_chunks(J, &J->sub[seen % 2]);
+        helper_fill(J, &J->sub[(seen - 1) % 2]);
+    }
+}
+
+/* Keep the helpers off the caller's CPU, on the others this thread may
+ * run on: a kernel that does not balance load across those CPUs (a cpuset
+ * with sched_load_balance off) would otherwise run every thread where the
+ * caller runs. */
+static void spread_helpers(pthread_attr_t *attr)
+{
+#if defined(__linux__)
+    cpu_set_t cpus;
+    int here = sched_getcpu();
+    if (here < 0 || sched_getaffinity(0, sizeof cpus, &cpus) != 0 || CPU_COUNT(&cpus) < 2
+        || !CPU_ISSET(here, &cpus))
+        return;
+    CPU_CLR(here, &cpus);
+    pthread_attr_setaffinity_np(attr, sizeof cpus, &cpus);
+#else
+    (void)attr;
+#endif
+}
+
+/* The top subtrees of numpy's pairwise sum of n numbers, at most
+ * max_depth levels down and above its leaves, as bounds lo[0..count];
+ * returns count. */
+static int subtrees(int64_t n, int max_depth, int64_t *lo)
+{
+    int count = 1;
+    lo[0] = 0, lo[1] = n;
+    for (int d = 0; d < max_depth; d++) {
+        for (int c = 0; c < count; c++)
+            if (lo[c + 1] - lo[c] <= PW_BLOCK)
+                return count;
+        for (int c = count - 1; c >= 0; c--) {
+            int64_t a = lo[c], b = lo[c + 1], n2 = (b - a) / 2;
+            lo[2 * c + 2] = b;
+            lo[2 * c + 1] = a + n2 - n2 % 8;
+            lo[2 * c] = a;
+        }
+        count *= 2;
+    }
+    return count;
+}
+
+/* v[0..count) as the levels of numpy's pairwise recursion add them:
+ * neighbours, then neighbours of those sums; count a power of 2. */
+static double tree_sum(double *v, int count)
+{
+    for (; count > 1; count /= 2)
+        for (int c = 0; c < count / 2; c++)
+            v[c] = v[2 * c] + v[2 * c + 1];
+    return v[0];
+}
+
+/* route_serial's contract and bits on threads threads (2 .. MAX_THREADS),
+ * in sub-blocks of about SUB_NORMALS normals, the two latest in the two
+ * sub_blocks of the job.  Post s opens the steps of sub-block s - 1, on
+ * chunks of paths (4 * threads or so), and the fill of sub-block s, in
+ * one range per thread; each thread steps whichever chunk is next until
+ * none is left, then fills.  The caller fills the first range from the
+ * word where the sub-block starts, and each helper a later range
+ * speculatively from its lowest word; the caller then keeps a helper's
+ * normals from the first that starts where the range before ended, tops
+ * them up if the helper has not got to the end, or fills the range afresh
+ * (resolve_range).  Each step's chunk sums are added in numpy's order.
+ * After a failing step, the paths of a chunk that did not fail there may
+ * have stepped on; n_bad counts the others. */
+static int64_t route_split(const route_ops *ops, const euler_spec *m, row_state *row, int64_t n,
+                           int64_t first, int64_t k, double *y, const double *f0, double *acc,
+                           double *corr, double *prod, int threads, int64_t *n_bad)
+{
+    split_job *J = calloc(1, sizeof *J);
+    int64_t ks = SUB_NORMALS / n > 1 ? SUB_NORMALS / n : 1;
+    ks = ks < k ? ks : k;
+    int depth = 0;
+    while ((1 << depth) < 4 * threads && depth < MAX_DEPTH)
+        depth++;
+    /* a range's first normal starts at most 1/40 of the normals before it
+     * past its lowest word (2.2% is the mean), else it is topped up */
+    const int64_t most = ks * n, cap = most / threads + 1 + most / 40 + 64;
+    const int64_t log_cap = cap / 16 + 16;
+    double *bufs = malloc(2 * threads * cap * sizeof *bufs);
+    int64_t *logs = malloc(4 * threads * log_cap * sizeof *logs);
+    double *parts = malloc(2 * ks * MAX_CHUNKS * sizeof *parts);
+    if (!J || !bufs || !logs || !parts) {
+        free(J), free(bufs), free(logs), free(parts);
+        return -2;
+    }
+    J->ops = ops, J->m = m, J->n = n, J->y = y, J->acc = acc, J->prod = prod, J->f0 = f0;
+    J->origin = *row, J->threads = threads;
+    pthread_mutex_init(&J->lock, NULL);
+    pthread_cond_init(&J->wake, NULL);
+    J->n_chunks = subtrees(n, depth, J->lo);
+    for (int b = 0; b < 2; b++) {
+        sub_block *B = &J->sub[b];
+        B->parts = parts + b * ks * MAX_CHUNKS;
+        for (int t = 0; t < threads; t++) {
+            const int64_t i = b * threads + t;
+            B->buf[t] = bufs + i * cap;
+            B->log[t] = (draw_log){logs + 2 * i * log_cap, logs + (2 * i + 1) * log_cap, 0,
+                                   log_cap, 0};
+            B->claim[t] = DONE;
+        }
+        B->next_chunk = J->n_chunks;
+    }
+    pthread_t helper[MAX_THREADS];
+    pthread_attr_t attr;
+    const int have_attr = pthread_attr_init(&attr) == 0;
+    int helpers = 0;
+    if (have_attr)
+        spread_helpers(&attr);
+    for (int h = 1; h < threads; h++)
+        helpers += pthread_create(&helper[helpers], have_attr ? &attr : NULL, helper_main, J) == 0;
+    if (have_attr)
+        pthread_attr_destroy(&attr);
+
+    const int64_t n_subs = (k + ks - 1) / ks;
+    int64_t p = word_pos(row, row), result = -1;
+    for (int64_t s = 0; s <= n_subs; s++) {
+        sub_block *B = &J->sub[s % 2], *A = &J->sub[(s + 1) % 2]; /* s and s - 1 */
+        if (s < n_subs) {
+            const int64_t total = (k - s * ks < ks ? k - s * ks : ks) * n;
+            B->start = p;
+            for (int t = 0; t <= threads; t++)
+                B->g[t] = total * t / threads;
+            for (int t = 0; t < threads; t++) {
+                B->cap[t] = B->g[t + 1] - B->g[t] + B->g[t] / 40 + 64;
+                atomic_store_explicit(&B->stop[t], 0, memory_order_relaxed);
+                atomic_store_explicit(&B->claim[t], FREE, memory_order_release);
+            }
+        }
+        if (s > 0) {
+            A->first = first + (s - 1) * ks;
+            A->ks = k - (s - 1) * ks < ks ? k - (s - 1) * ks : ks;
+            atomic_store_explicit(&A->chunks_done, 0, memory_order_relaxed);
+            atomic_store_explicit(&A->next_chunk, 0, memory_order_release);
+        }
+        atomic_store_explicit(&J->gen, (int)s + 1, memory_order_release);
+        wake_all(J);
+        if (s > 0)
+            run_chunks(J, A);
+        if (s < n_subs)
+            caller_fill(J, B, &p);
+        if (s == 0)
+            continue;
+        for (int v; (v = atomic_load_explicit(&A->chunks_done, memory_order_acquire)) != J->n_chunks;)
+            wait_while(J, &A->chunks_done, v);
+        int64_t r_fail = -1;
+        for (int c = 0; c < J->n_chunks; c++)
+            if (A->fail[c] >= 0 && (r_fail < 0 || A->fail[c] < r_fail))
+                r_fail = A->fail[c];
+        if (r_fail >= 0) {
+            *n_bad = 0;
+            for (int c = 0; c < J->n_chunks; c++)
+                *n_bad += A->fail[c] == r_fail ? A->bad[c] : 0;
+            result = A->first + r_fail + 1;
+            break;
+        }
+        for (int64_t r = 0; r < A->ks; r++)
+            corr[A->first - first + r] = 0.0 + tree_sum(A->parts + r * J->n_chunks, J->n_chunks);
+    }
+    atomic_store_explicit(&J->exiting, 1, memory_order_release);
+    atomic_fetch_add_explicit(&J->gen, 1, memory_order_release);
+    wake_all(J);
+    for (int h = 0; h < helpers; h++)
+        pthread_join(helper[h], NULL);
+    settle(row, &J->origin, p);
+    pthread_mutex_destroy(&J->lock);
+    pthread_cond_destroy(&J->wake);
+    free(J), free(bufs), free(logs), free(parts);
+    return result;
+}
+
+/* Steps first+1 .. first+k of the autocorrelation route of M_f: n paths,
+ * their states in y, their normals all from the one stream row, step j's
+ * after the n normals of step j-1.  Each step steps every path i with
+ * (y + h*b) + (sqrt_h*s)*xi, observes fs = f(y[i]), adds fs to acc[i]
+ * (0.5*fs at step m->n_steps), and sums the products f0[i]*fs into corr,
+ * as np.sum sums them; prod (n floats) holds the products of the last
+ * step.  With threads >= 2, a call of more than PW_BLOCK paths and at
+ * least SPLIT_MIN_NORMALS normals is split (route_split), to the same bits
+ * and row state.  Returns the first step after which some
+ * |y[i]| <= m->blow_up fails (NaN included), with the number of such paths
+ * in *n_bad; -1 if none does, and -2 if memory runs out. */
+static int64_t route(const route_ops *ops, const euler_spec *m, row_state *row, int64_t n,
+                     int64_t first, int64_t k, double *y, const double *f0, double *acc,
+                     double *corr, double *prod, int64_t threads, int64_t *n_bad)
+{
+    threads = threads < MAX_THREADS ? threads : MAX_THREADS;
+    if (threads < 2 || n <= PW_BLOCK || k * n < SPLIT_MIN_NORMALS)
+        return route_serial(ops, m, row, n, first, k, y, f0, acc, corr, prod, n_bad);
+    return route_split(ops, m, row, n, first, k, y, f0, acc, corr, prod, (int)threads, n_bad);
+}
+
+/* A split of a fill of width normals of the stream in row into out, at
+ * normal n0: the speculative side fills up to cap normals from word q
+ * (counted as in route_split), the caller's side fills normals 0 .. n0
+ * and resolves the rest with resolve_range, whose outcome it returns (-2
+ * if memory runs out); row is left after the width normals. */
+static int64_t split_probe(const route_ops *ops, row_state *row, int64_t width, int64_t n0,
+                           int64_t q, int64_t cap, double *out)
+{
+    const row_state origin = *row;
+    const int64_t len = width - n0, log_cap = cap / 16 + 16;
+    double *buf = malloc((cap > len ? cap : len) * sizeof *buf);
+    int64_t *logs = malloc(2 * log_cap * sizeof *logs), off;
+    if (!buf || !logs) {
+        free(buf), free(logs);
+        return -2;
+    }
+    draw_log log = {logs, logs + log_cap, 0, log_cap, 0};
+    int64_t got = fill_logged(ops, &origin, q, buf, cap, &log);
+    int64_t p = fill_at(ops, &origin, word_pos(&origin, &origin), out, n0);
+    int outcome = resolve_range(ops, &origin, &p, q, &log, buf, got, len, &off);
+    memcpy(out + n0, buf + off, len * sizeof *out);
+    settle(row, &origin, p);
+    free(buf), free(logs);
+    return outcome;
+}
+
+int64_t autocorr_steps_portable(const euler_spec *m, row_state *row, int64_t n, int64_t first,
+                                int64_t k, double *y, const double *f0, double *acc,
+                                double *corr, double *prod, int64_t threads, int64_t *n_bad)
+{
+    return route(&ops_portable, m, row, n, first, k, y, f0, acc, corr, prod, threads, n_bad);
+}
+
+int64_t split_fill_probe_portable(row_state *row, int64_t width, int64_t n0, int64_t q,
+                                  int64_t cap, double *out)
+{
+    return split_probe(&ops_portable, row, width, n0, q, cap, out);
+}
+
+#if defined(__x86_64__)
+
+int64_t autocorr_steps_avx512(const euler_spec *m, row_state *row, int64_t n, int64_t first,
+                              int64_t k, double *y, const double *f0, double *acc, double *corr,
+                              double *prod, int64_t threads, int64_t *n_bad)
+{
+    return route(&ops_avx512, m, row, n, first, k, y, f0, acc, corr, prod, threads, n_bad);
+}
+
+int64_t split_fill_probe_avx512(row_state *row, int64_t width, int64_t n0, int64_t q,
+                                int64_t cap, double *out)
+{
+    return split_probe(&ops_avx512, row, width, n0, q, cap, out);
 }
 
 #endif /* __x86_64__ */
@@ -895,12 +1563,9 @@ AVX512 int64_t autocorr_steps_avx512(const euler_spec *m, row_state *row, int64_
 typedef void fill_fn(row_state *, int64_t, double *, int64_t);
 typedef void euler_fn(const euler_spec *, row_state *, int64_t, double *, double *, double *,
                       double *, int64_t *);
-typedef int64_t autocorr_fn(const euler_spec *, row_state *, int64_t, int64_t, int64_t,
-                            double *, const double *, double *, double *);
-
 static fill_fn *fill_path = philox_normal_fill_portable;
 static euler_fn *euler_path = euler_rows_portable;
-static autocorr_fn *autocorr_path = autocorr_steps_portable;
+static const route_ops *route_path = &ops_portable;
 static const char *path_name = "portable";
 
 /* Pick the path for this CPU, once, when the library is loaded. */
@@ -911,7 +1576,7 @@ __attribute__((constructor)) static void pick_path(void)
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
         fill_path = philox_normal_fill_avx512;
         euler_path = euler_rows_avx512;
-        autocorr_path = autocorr_steps_avx512;
+        route_path = &ops_avx512;
         path_name = "avx512";
     }
 #endif
@@ -935,9 +1600,16 @@ void euler_rows(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi
 }
 
 int64_t autocorr_steps(const euler_spec *m, row_state *row, int64_t n, int64_t first, int64_t k,
-                       double *y, const double *f0, double *acc, double *prod)
+                       double *y, const double *f0, double *acc, double *corr, double *prod,
+                       int64_t threads, int64_t *n_bad)
 {
-    return autocorr_path(m, row, n, first, k, y, f0, acc, prod);
+    return route(route_path, m, row, n, first, k, y, f0, acc, corr, prod, threads, n_bad);
+}
+
+int64_t split_fill_probe(row_state *row, int64_t width, int64_t n0, int64_t q, int64_t cap,
+                         double *out)
+{
+    return split_probe(route_path, row, width, n0, q, cap, out);
 }
 
 /* ------------------------------------------- tabulated antiderivative */

@@ -84,7 +84,7 @@ def cmd_mf(args) -> int:
     pi, f, sol, grad = _prepare(cfg, args)
     auto = mf_autocorrelation_form(
         cfg.spec.model, pi, f, n_paths=args.mf_paths, horizon=args.mf_horizon,
-        master_seed=cfg.spec.master_seed,
+        master_seed=cfg.spec.master_seed, threads=cfg.spec.threads,
     )
     g, a, se = grad.values[0], auto.values[0], auto.std_error[0]
     gap = abs(g - a)

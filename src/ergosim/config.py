@@ -24,13 +24,12 @@ is solved for the centred functional.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .euler import REGIMES, SchedulePolicy, StepSchedule
+from .euler import REGIMES, SchedulePolicy, StepSchedule, _usable_cpus
 from .harness import KIND_REGIME, KINDS, ExperimentSpec, spec_problems
 from .models import FunctionalSpec, Polynomial, SdeModel, builtin_model
 
@@ -173,9 +172,7 @@ def _model_numbers(sec: dict, keys: tuple, errors: list) -> Optional[dict]:
 def _threads(raw, errors: list) -> Optional[int]:
     """``[run] threads``: a count, or ``auto`` for the CPUs this process may run on."""
     if str(raw).lower() == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return _usable_cpus()
     return _number(raw, "[run] threads", errors, int)
 
 

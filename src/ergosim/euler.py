@@ -31,8 +31,11 @@ control, in both of its kernels:
 
 The native library's third entry point, ``autocorr_steps``, steps the
 autocorrelation route of ``M_f`` (:mod:`ergosim.variance`) on the same
-rule (:func:`_runs_native`) and the same coefficient helpers.  Its
-fourth, ``antiderivative_eval``, answers the queries of
+rule (:func:`_runs_native`) and the same coefficient helpers, and sums
+each step's products in numpy's pairwise order; it splits a call across
+POSIX threads of its own, to the same bits (``split_fill_probe`` runs one
+split of its fill, for the tests).  Its fourth, ``antiderivative_eval``,
+answers the queries of
 :class:`~ergosim.quadrature.Antiderivative`, so the density, the Poisson
 solution and the gradient form of ``M_f`` load the library too.
 
@@ -56,9 +59,9 @@ the numbers of ``replicate_stream``.  The library is compiled with gcc
 the GIL.  Each of its three simulation
 entry points comes in a portable and an AVX-512 path with the same bits;
 the library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
-names it.  With ``threads >= 2`` the native kernel splits the rows into
-``threads`` contiguous ranges, one GIL-free call each, the last in the
-caller's thread; the numpy kernel runs in the caller's thread alone.
+names it.  With ``threads >= 2`` the native Euler kernel splits the rows
+into ``threads`` contiguous ranges, one GIL-free call each, the last in
+the caller's thread; the numpy kernel runs in the caller's thread alone.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import operator
 import os
 import re
 import subprocess
@@ -282,8 +286,9 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
 _CC = "gcc"
 _OBJCOPY = "objcopy"
 # compiler flags of the shipped library (it is also linked with -shared);
-# FMA contraction would change the Euler kernel's bits
-_CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
+# FMA contraction would change the Euler kernel's bits, and the
+# autocorrelation route's split calls start POSIX threads
+_CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-pthread")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
 _NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # numpy's ziggurat tables: local symbols of _NPYRANDOM, made global in a
@@ -299,7 +304,8 @@ _lib = None
 
 def _native():
     """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows``,
-    ``autocorr_steps`` and ``antiderivative_eval`` (the queries of
+    ``autocorr_steps`` (with its test hook ``split_fill_probe``) and
+    ``antiderivative_eval`` (the queries of
     :class:`~ergosim.quadrature.Antiderivative`).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
@@ -350,7 +356,10 @@ def _native():
                                 ctypes.c_int64), None),
         "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 5), None),
         "autocorr_steps": ((spec, ctypes.c_void_p, *[ctypes.c_int64] * 3,
-                            *[ctypes.c_void_p] * 4), ctypes.c_int64),
+                            *[ctypes.c_void_p] * 5, ctypes.c_int64, ctypes.c_void_p),
+                           ctypes.c_int64),
+        "split_fill_probe": ((ctypes.c_void_p, *[ctypes.c_int64] * 4, ctypes.c_void_p),
+                             ctypes.c_int64),
         "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
                                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
@@ -471,7 +480,9 @@ def simulate_euler(
 
     The normals come from ``rng``, or from ``noise`` (shape ``(k,)`` or
     ``(k, 1)``, ``k >= n_steps``) when given, which is how
-    coupled-refinement convergence checks share a Brownian path.  ``control`` adds the tilt
+    coupled-refinement convergence checks share a Brownian path; without
+    ``noise``, ``rng`` must be a numpy ``Generator``
+    (:class:`SimulationError` otherwise).  ``control`` adds the tilt
     drift ``(delta/eps) * sigma * psi(t) * Delta`` after each step; it
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
     at the first step where the path leaves ``[-blow_up, blow_up]``.
@@ -479,6 +490,10 @@ def simulate_euler(
     _check_control(schedule, control)
     n_steps = schedule.n_steps(horizon)
     if noise is None:
+        if not isinstance(rng, np.random.Generator):
+            raise SimulationError(
+                f"rng must be a numpy Generator when no noise is injected, got {rng!r}")
+
         def draw(out):
             rng.standard_normal(out=out)
     else:
@@ -578,9 +593,14 @@ def simulate_batch(
     ``threads``.  Both kernels give the same numbers to the bit, and the
     output is a deterministic function of (model, schedule, f, horizon,
     master_seed, n_replicates), whatever ``threads``.  ``n_replicates =
-    0`` gives empty arrays; a negative count raises
+    0`` gives empty arrays; a negative or non-integer count raises
     :class:`SimulationError`.
     """
+    try:
+        n_replicates = operator.index(n_replicates)
+    except TypeError:
+        raise SimulationError(
+            f"n_replicates must be an integer, got {n_replicates!r}") from None
     if n_replicates < 0:
         raise SimulationError(f"n_replicates must be >= 0, got {n_replicates}")
     lib = _native()  # a failed build raises here, in the caller's thread
@@ -672,6 +692,15 @@ def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_Eul
         tilts = np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
                           for k in range(n_steps)])
     return _euler_spec(model, f, schedule.h, dt, n_steps, blow_up, tilts)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), else the
+    machine's count: ``[run] threads = auto`` and the default ``threads``
+    of the autocorrelation route of ``M_f``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResult:

@@ -16,10 +16,10 @@ then the normals of each step, continued from that generator's state, as
 the ``n_paths`` numbers that follow those of the step before.  A model and
 functional the native library steps (:func:`euler._runs_native`: OU, CIR
 or polynomial coefficients and a polynomial ``f``) run on its
-``autocorr_steps``, one call per block of whole steps that fills, steps
-and observes every path and leaves each step's products ``f(X_0)f(X_s)``
-in a block that numpy sums.  Every other model runs a numpy loop that
-draws one step of normals at a time from the native fill
+``autocorr_steps``, which fills, steps and observes every path and sums
+each step's products ``f(X_0)f(X_s)`` in numpy's pairwise order, split
+across ``threads`` threads to the same bits.  Every other model runs a
+numpy loop that draws one step of normals at a time from the native fill
 (:func:`euler._philox_normals`).  Either way the estimate is the one a
 per-step ``standard_normal(n_paths)`` loop gives, bit for bit.  It does
 not run on the Euler kernel, whose per-replicate streams and trapezoid
@@ -28,11 +28,13 @@ order would give other numbers.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,8 +79,6 @@ class CovarianceCurve:
 TAIL_MASS_LIMIT = 0.01
 # pi-mass quantile delimiting the far-tail region used by the decay screen
 TAIL_QUANTILE = 1e-6
-# floats in the autocorrelation route's native block of products, 2 MB
-_PRODUCT_BLOCK = 2**18
 # the native route's blow-up bound: |y| <= _FINITE fails exactly where y is not finite
 _FINITE = sys.float_info.max
 
@@ -142,6 +142,7 @@ def mf_autocorrelation_form(
     dt: float = 0.005,
     master_seed: int = 0,
     tail_extrapolate: bool = True,
+    threads: Optional[int] = None,
 ) -> CovarianceCurve:
     """Monte Carlo estimate 2 int_0^S E[f(X_0) f(X_s)] ds from stationary start.
 
@@ -159,21 +160,26 @@ def mf_autocorrelation_form(
     The normals of step ``k`` are the ``n_paths`` numbers that follow those
     of step ``k - 1`` on the Philox stream of ``master_seed``, after the
     ``n_paths`` start uniforms.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
-    in that order.  When :func:`euler._runs_native` holds for ``model`` and
-    ``f``, the native ``autocorr_steps`` fills, steps and observes a block
-    of whole steps per call, at most ``_PRODUCT_BLOCK`` floats of products
-    or one step; otherwise a numpy loop steps one step at a time on
-    normals from the native fill.  Raises
+    in that order, and each step's products f(X_0) f(X_s) are summed as
+    ``np.sum`` sums them.  When :func:`euler._runs_native` holds for
+    ``model`` and ``f``, the native ``autocorr_steps`` fills, steps,
+    observes and sums every step, in two calls (up to the first step of
+    the tail window, then the rest); with ``threads >= 2`` it splits the
+    paths and the stream's normals across that many threads, to the same
+    bits.  ``threads`` defaults to the CPUs this process may run on.
+    Otherwise a numpy loop steps one step at a time on normals from the
+    native fill, in the caller's thread.  Raises
     :class:`~ergosim.euler.NativeBuildError` if the native library cannot
     be built; there is no pure-Python fallback.
 
     Raises :class:`VarianceError` unless ``n_paths >= 2`` (the standard
-    error needs two paths), ``dt`` is finite and positive, and ``horizon``
-    is finite and at least ``dt``; naming the step and the number of
-    paths, at the first step after which a path's state is not finite;
-    and, naming the first such step, when the paths stay finite but a sum
-    of products f(X_0) f(X_s) or a path's integral of f is not (checked
-    once, after the last step).
+    error needs two paths), ``dt`` is finite and positive, ``horizon``
+    is finite and at least ``dt``, and ``threads`` is None or an integer
+    of at least 1; naming the step and the number of paths, at the first
+    step after which a path's state is not finite; and, naming the first
+    such step, when the paths stay finite but a sum of products
+    f(X_0) f(X_s) or a path's integral of f is not (checked once, after
+    the last step).
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
@@ -183,6 +189,7 @@ def mf_autocorrelation_form(
         raise VarianceError(f"dt must be finite and > 0, got {dt}")
     if not (math.isfinite(horizon) and horizon >= dt):
         raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
+    threads = _thread_count(threads)
     lib = euler._native()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
@@ -209,17 +216,16 @@ def mf_autocorrelation_form(
     i_tail = int(np.argmax(tail_idx))
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
-    se_tail = math.nan  # Monte Carlo SE of the autocorrelation at the window start
     if euler._runs_native(model, f):
-        blocks = _native_blocks(lib, euler._euler_spec(model, f, dt, dt, n_steps, _FINITE),
-                                state, y, f0, acc)
+        spec = euler._euler_spec(model, f, dt, dt, n_steps, _FINITE)
+        prod_tail = _native_route(lib, spec, state, y, f0, acc, corr_sum, i_tail, threads)
     else:
-        blocks = _numpy_steps(model, observe, dt, n_steps, state, y, f0, acc)
-    for done, prod in blocks:
-        # row r of prod holds f0 * fs of step done + 1 + r
-        corr_sum[done + 1:done + 1 + len(prod)] = prod.sum(axis=1)
-        if done < i_tail <= done + len(prod):
-            se_tail = float(np.std(prod[i_tail - done - 1], ddof=1)) / math.sqrt(n_paths)
+        prod_tail = _numpy_route(model, observe, dt, n_steps, state, y, f0, acc, corr_sum,
+                                 i_tail)
+    # Monte Carlo SE of the autocorrelation at the window start; NaN when the
+    # window starts at s = 0 (a single step shorter than 3/4 of the horizon)
+    se_tail = (math.nan if prod_tail is None
+               else float(np.std(prod_tail, ddof=1)) / math.sqrt(n_paths))
     if not (np.isfinite(corr_sum).all() and np.isfinite(acc).all()):
         raise _non_finite_f(corr_sum, n_steps)
     A = f0 * acc * dt
@@ -258,9 +264,23 @@ def mf_autocorrelation_form(
     )
 
 
-def _non_finite(step: int, n_steps: int, y: np.ndarray) -> VarianceError:
+def _thread_count(threads) -> int:
+    """``threads`` as a count of at least 1; None means the CPUs this
+    process may run on, as ``[run] threads = auto`` does."""
+    if threads is None:
+        return euler._usable_cpus()
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise VarianceError(f"threads must be an integer, got {threads!r}") from None
+    if threads < 1:
+        raise VarianceError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
+def _non_finite(step: int, n_steps: int, n_bad: int, n: int) -> VarianceError:
     return VarianceError(
-        f"{np.count_nonzero(~np.isfinite(y))} of {len(y)} autocorrelation paths are not "
+        f"{n_bad} of {n} autocorrelation paths are not "
         f"finite after step {step} of {n_steps}: dt is too coarse for this drift")
 
 
@@ -274,41 +294,54 @@ def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
         "f overflows on these paths")
 
 
-def _native_blocks(lib, spec, state, y, f0, acc) -> Iterator[tuple]:
-    """``(done, prod)`` for each block of whole steps of ``autocorr_steps``:
-    ``prod`` is the ``(k, n_paths)`` block of products of steps ``done + 1``
-    to ``done + k``, read only until the next block is drawn.  ``acc`` is
-    advanced in place."""
+def _native_route(lib, spec, state, y, f0, acc, corr_sum, i_tail,
+                  threads) -> Optional[np.ndarray]:
+    """Steps 1 to ``spec.n_steps`` on ``autocorr_steps``, one call up to step
+    ``i_tail`` and one after it, summing step ``k``'s products into
+    ``corr_sum[k]``; returns the products of step ``i_tail`` (None when
+    ``i_tail`` is 0).  ``acc`` is advanced in place; ``y`` is not written."""
     y = np.array(y, dtype=float)  # stepped in place
     n, n_steps = len(y), spec.n_steps
-    k_max = max(1, min(n_steps, _PRODUCT_BLOCK // n))
-    buf = np.empty(k_max * n)
-    for done in range(0, n_steps, k_max):
-        prod = buf[:min(k_max, n_steps - done) * n].reshape(-1, n)
-        step = lib.autocorr_steps(spec, state.ctypes.data, n, done, len(prod), y.ctypes.data,
-                                  f0.ctypes.data, acc.ctypes.data, prod.ctypes.data)
+    prod, n_bad = np.empty(n), ctypes.c_int64()
+    prod_tail = None
+    for first, last in ((0, i_tail), (i_tail, n_steps)):
+        if last == first:
+            continue
+        step = lib.autocorr_steps(spec, state.ctypes.data, n, first, last - first,
+                                  y.ctypes.data, f0.ctypes.data, acc.ctypes.data,
+                                  corr_sum[first + 1:].ctypes.data, prod.ctypes.data, threads,
+                                  ctypes.byref(n_bad))
+        if step == -2:
+            raise MemoryError("autocorrelation route: out of memory for the split buffers")
         if step >= 0:
-            raise _non_finite(step, n_steps, y)
-        yield done, prod
+            raise _non_finite(step, n_steps, n_bad.value, n)
+        if last == i_tail:
+            prod_tail = prod.copy()
+    return prod_tail
 
 
-def _numpy_steps(model, observe, dt, n_steps, state, y, f0, acc) -> Iterator[tuple]:
-    """``(k - 1, prod)`` for each step ``k``, ``prod`` the ``(1, n_paths)``
-    products of that step, on normals from the native fill.  ``acc`` is
-    advanced in place; ``y`` and ``f0`` are never written."""
+def _numpy_route(model, observe, dt, n_steps, state, y, f0, acc, corr_sum,
+                 i_tail) -> Optional[np.ndarray]:
+    """:func:`_native_route`'s contract on a numpy loop, one step at a time
+    on normals from the native fill; ``y`` and ``f0`` are never written."""
     drift = model.sim_drift or model.drift
     diff = model.sim_diffusion or model.diffusion
     sq_dt = math.sqrt(dt)
     xi = np.empty((1, len(y)))
+    prod_tail = None
     for k in range(1, n_steps + 1):
         euler._philox_normals(state, xi)
         with np.errstate(over="ignore", invalid="ignore"):  # raised on below
             y = y + drift(y) * dt + diff(y) * sq_dt * xi[0]
         if not np.isfinite(y).all():
-            raise _non_finite(k, n_steps, y)
+            raise _non_finite(k, n_steps, np.count_nonzero(~np.isfinite(y)), len(y))
         fs = observe(y)
         acc += fs if k < n_steps else 0.5 * fs
-        yield k - 1, (f0 * fs).reshape(1, -1)
+        prod = f0 * fs
+        corr_sum[k] = prod.sum()
+        if k == i_tail:
+            prod_tail = prod
+    return prod_tail
 
 
 # ---------------------------------------------------------------------------

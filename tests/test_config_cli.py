@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ergosim
-from ergosim import config, harness
+from ergosim import cli, config, euler, harness
 from ergosim.cli import (EXIT_CONFIG_ERROR, EXIT_PASS, EXIT_RUNTIME_ERROR,
                          EXIT_VERDICT_FAIL, main)
 from ergosim.config import ConfigError, parse_config, parse_text, validate
@@ -108,10 +108,10 @@ def test_validate_defaults(tmp_path):
 
 def test_auto_threads_count_usable_cpus(monkeypatch):
     auto = OU_CLT.replace("threads = 1\n", "")
-    monkeypatch.setattr(config.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(config.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(euler.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(euler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parse_config(auto, inline=True).spec.threads == 1
-    monkeypatch.delattr(config.os, "sched_getaffinity")
+    monkeypatch.delattr(euler.os, "sched_getaffinity")
     assert parse_config(auto, inline=True).spec.threads == 8
     assert parse_config(auto + "threads = 3\n", inline=True).spec.threads == 3
 
@@ -431,6 +431,24 @@ def test_cli_mf_cross_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_PASS
     assert "PASS" in out
+
+
+def test_cli_mf_same_lines_at_any_thread_count(tmp_path, capsys, monkeypatch):
+    # --threads, else [run] threads, reaches the autocorrelation route, whose
+    # figures do not depend on it
+    seen = []
+    route = cli.mf_autocorrelation_form
+    monkeypatch.setattr(cli, "mf_autocorrelation_form",
+                        lambda *a, **kw: (seen.append(kw["threads"]), route(*a, **kw))[1])
+    lines = []
+    for flags, text in ((["--threads", "1"], OU_CLT), (["--threads", "2"], OU_CLT),
+                        ([], OU_CLT.replace("threads = 1", "threads = 3"))):
+        rc = main(["--config", write(tmp_path, text), "--quiet", *flags, "mf",
+                   "--mf-paths", "20000", "--mf-horizon", "8.0"])
+        assert rc == EXIT_PASS
+        lines.append(capsys.readouterr().out)
+    assert seen == [1, 2, 3]
+    assert lines[0] == lines[1] == lines[2]
 
 
 @pytest.mark.parametrize("option, value", [("--mf-paths", "0"), ("--mf-paths", "1"),

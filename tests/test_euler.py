@@ -943,35 +943,42 @@ def test_both_paths_fail_and_clamp_alike(native_paths):
     assert np.sum(_stepper(cir, sched, f, 1.0, 3, 40)["lowest"] < 0.0) >= 3
 
 
-def _autocorr_on_both_paths(native_paths, spec, y0, blocks):
-    """``autocorr_steps`` of each path on the paths ``y0``, ``f = y0``, over
-    consecutive blocks of ``blocks`` steps from one stream row; both must
-    return the same steps and leave the same products, sums, states and
-    stream row, and write nothing past the last path.  Returns the
-    returned steps."""
+def _autocorr_on_both_paths(native_paths, spec, y0, blocks, threads=(1,)):
+    """``autocorr_steps`` of each path at each of ``threads`` on the paths
+    ``y0``, ``f = y0``, over consecutive blocks of ``blocks`` steps from one
+    stream row; all must return the same steps and leave the same sums,
+    last products, states and stream row, and write nothing past the last
+    path or step.  After a failing step a split call's chunks may have
+    stepped on, so a call on more than one thread then matches only in the
+    step and the count of failed paths.  Returns the returned steps."""
     lib = euler._native()
     n = len(y0)
     runs = []
     for p in native_paths:
         fn = getattr(lib, f"autocorr_steps_{p}")
-        row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 11, 4)
-        y, acc = np.full(n + 8, -7.0), np.full(n + 8, -7.0)
-        y[:n], acc[:n] = y0, 0.5 * y0
-        done, steps, prods = 0, [], []
-        for k in blocks:
-            prod = np.full(k * n + 8, -7.0)
-            steps.append(fn(spec, row.ctypes.data, n, done, k, y.ctypes.data, y0.ctypes.data,
-                            acc.ctypes.data, prod.ctypes.data))
-            assert np.all(prod[k * n:] == -7.0) and np.all(y[n:] == -7.0)
-            assert np.all(acc[n:] == -7.0)
-            prods.append(prod)
-            done += k
-        runs.append((steps, [*prods, y, acc, row]))
-    (steps, arrays), (steps_2, arrays_2) = runs
-    assert steps == steps_2
-    for a, a_2 in zip(arrays, arrays_2):
-        assert a.tobytes() == a_2.tobytes()
-    return steps
+        for t in threads:
+            row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 11, 4)
+            y, acc, prod = np.full(n + 8, -7.0), np.full(n + 8, -7.0), np.full(n + 8, -7.0)
+            y[:n], acc[:n] = y0, 0.5 * y0
+            corr = np.full(sum(blocks) + 8, -7.0)
+            done, steps, n_bad = 0, [], ctypes.c_int64(-1)
+            for k in blocks:
+                steps.append(fn(spec, row.ctypes.data, n, done, k, y.ctypes.data, y0.ctypes.data,
+                                acc.ctypes.data, corr[done:].ctypes.data, prod.ctypes.data, t,
+                                ctypes.byref(n_bad)))
+                assert np.all(y[n:] == -7.0) and np.all(acc[n:] == -7.0)
+                assert np.all(prod[n:] == -7.0)
+                done += k
+            assert np.all(corr[done:] == -7.0)
+            full = t == 1 or max(steps) < 0
+            runs.append((steps, n_bad.value if max(steps) >= 0 else None,
+                         [corr, prod, y, acc, row] if full else None))
+    assert runs[0][2] is not None
+    for steps, n_bad, arrays in runs[1:]:
+        assert (steps, n_bad) == runs[0][:2]
+        for a, a_0 in zip(arrays or [], runs[0][2]):
+            assert a.tobytes() == a_0.tobytes()
+    return runs[0][0]
 
 
 @pytest.mark.parametrize("family", ["ou", "cir"])
@@ -987,11 +994,144 @@ def test_both_paths_autocorrelate_alike(native_paths, family):
     for n in (*range(1, 18), 41):
         y0 = rng.uniform(0.0, 0.05, n) if family == "cir" else rng.normal(0.0, 1.0, n)
         assert _autocorr_on_both_paths(native_paths, spec, y0, (1, 5, 9)) == [-1, -1, -1]
-    # a cubic drift that overshoots: both paths stop at the same step
+    # split calls: 1,003 paths (an odd tail) over 70 and 30 steps, at 1 to 3
+    # threads, the same bits as one thread
+    spec = euler._euler_spec(m, f, 0.03, 0.03, 100, np.finfo(float).max)
+    y0 = rng.uniform(0.0, 0.05, 1003) if family == "cir" else rng.normal(0.0, 1.0, 1003)
+    assert _autocorr_on_both_paths(native_paths, spec, y0, (70, 30),
+                                   threads=(1, 2, 3)) == [-1, -1]
+    # a cubic drift that overshoots: both paths stop at the same step, and
+    # a split call counts the same failed paths
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=0.0)
     spec = euler._euler_spec(boom, f, 0.1, 0.1, 20, np.finfo(float).max)
     steps = _autocorr_on_both_paths(native_paths, spec, rng.normal(0.0, 1.5, 300), (20,))
     assert 1 < steps[0] < 20
+    steps = _autocorr_on_both_paths(native_paths, spec, rng.normal(0.0, 1.2, 6000), (20,),
+                                    threads=(1, 2, 3))
+    assert 1 < steps[0] < 20
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 128, 129, 8191, 8192, 8193])
+def test_both_paths_sum_rows_as_numpy(native_paths, n):
+    # each step's sum of products is np.sum of that step's row, bit for bit:
+    # below 8 a running sum, one leaf of 8 accumulators up to 128, and the
+    # pairwise halves above; one call per step leaves each row to compare
+    m = ou()
+    f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
+    spec = euler._euler_spec(m, f, 0.03, 0.03, 4, np.finfo(float).max)
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(0.0, 1.0, n)
+    for f0 in (rng.normal(0.0, 1.0, n), np.full(n, -0.0)):
+        rows, sums = {}, {}
+        for p in native_paths:
+            fn = getattr(euler._native(), f"autocorr_steps_{p}")
+            row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 3, n)
+            y, acc = y0.copy(), np.zeros(n)
+            rows[p], sums[p] = np.empty((4, n)), np.empty(4)
+            for k in range(4):
+                prod = np.empty(n)
+                assert fn(spec, row.ctypes.data, n, k, 1, y.ctypes.data, f0.ctypes.data,
+                          acc.ctypes.data, sums[p][k:].ctypes.data, prod.ctypes.data, 1,
+                          None) == -1
+                rows[p][k] = prod
+            assert sums[p].tobytes() == rows[p].sum(axis=1).tobytes()
+        assert len({r.tobytes() for r in rows.values()}) == 1
+        assert len({v.tobytes() for v in sums.values()}) == 1
+
+
+# the outcomes of split_fill_probe: the speculative normals kept from a
+# match, a range filled afresh, and kept normals topped up
+_MATCHED, _UNMATCHED, _TOPPED_UP = 0, 1, 2
+
+
+def _check_stream_draws():
+    """The first word of each of the check row's first 340 normals, as
+    ``split_fill_probe`` counts words, and its slow draws: the normals that
+    took more than one word, each with its kind."""
+    gen = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX)
+    words = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX).bit_generator.random_raw(
+        2000)
+    starts = []
+    for _ in range(341):
+        st = gen.bit_generator.state
+        starts.append(4 * int(st["state"]["counter"][0]) + st["buffer_pos"])
+        gen.standard_normal()
+    draws = {}
+    for j in range(340):
+        used = starts[j + 1] - starts[j]
+        if used > 1:
+            # word p is raw word p - 4: the fresh stream's first block is counter 1
+            idx = int(words[starts[j] - 4]) & 0xFF
+            draws[j] = "tail" if idx == 0 else "wedge accept" if used == 2 else "wedge reject"
+    return starts, draws
+
+
+@pytest.mark.parametrize("path", ["routed", *euler._NATIVE_PATHS])
+def test_split_fill_resolves_across_slow_draws(path):
+    # a speculative fill that starts inside a wedge accept, a wedge reject or
+    # a tail draw of the check row joins the stream, is topped up when it
+    # comes up short, and is filled afresh when nothing starts where the
+    # range before ended: the same normals and row state as one fill
+    if path == "avx512" and euler.NATIVE_PATH != "avx512":
+        pytest.skip("this CPU lacks avx512f or avx512dq")
+    lib = euler._native()
+    probe = lib.split_fill_probe if path == "routed" else getattr(lib, f"split_fill_probe_{path}")
+    starts, draws = _check_stream_draws()
+    assert set(draws.values()) == {"tail", "wedge accept", "wedge reject"}
+    width = 400
+    ref = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX)
+    want = ref.standard_normal(width)
+    want_row = euler._philox_row(ref.bit_generator)
+
+    def split(n0, q, cap):
+        row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64),
+                                   euler._CHECK_SEED, euler._CHECK_INDEX)
+        out = np.empty(width)
+        outcome = probe(row.ctypes.data, width, n0, q, cap, out.ctypes.data)
+        assert out.tobytes() == want.tobytes(), (n0, q, cap)
+        assert row[0].tobytes() == want_row.tobytes(), (n0, q, cap)
+        return outcome
+
+    outcomes = {}
+    for j, kind in draws.items():
+        for inside in range(1, starts[j + 1] - starts[j]):
+            # the range after draw j, or a few normals later, its speculative
+            # fill starting on a word inside the draw
+            for n0 in (j + 1, j + 3):
+                got = split(n0, starts[j] + inside, width)
+                outcomes.setdefault(kind, set()).add(got)
+                assert got in (_MATCHED, _UNMATCHED)
+    assert _MATCHED in set.union(*outcomes.values())
+    for n0 in (1, 100, 340):
+        # a fill from exactly where the range starts matches at once
+        assert split(n0, starts[n0], width) == _MATCHED
+        # one that starts a word late has no normal there
+        assert split(n0, starts[n0] + 1, width) == _UNMATCHED
+        # one too short is topped up
+        assert split(n0, starts[n0], (width - n0) // 2) == _TOPPED_UP
+
+
+def test_float_replicate_count_rejected(numpy_kernel_calls):
+    # a count is an integer on both kernels, as config's counts are
+    m = ou()
+    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
+    for f in (f_identity(), f_lambda()):
+        for count in (2.0, "2", None):
+            with pytest.raises(SimulationError, match=r"^n_replicates must be an integer"):
+                simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=count)
+    assert numpy_kernel_calls == [0]
+    # a numpy integer is an integer
+    res = simulate_batch(m, sched, f_lambda(), 0.2, master_seed=0, n_replicates=np.int64(3))
+    assert len(res.xi_continuous) == 3 and numpy_kernel_calls == [1]
+
+
+def test_missing_generator_rejected():
+    m, f = ou(), f_identity()
+    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
+    for rng in (None, np.random.default_rng(0).bit_generator):
+        with pytest.raises(SimulationError, match=r"^rng must be a numpy Generator"):
+            simulate_euler(m, sched, f, 1.0, rng)
 
 
 # ---------------------------------------------------------------- control

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ergosim import euler
+from ergosim import euler, variance
 from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional, builtin_model,
                             centralize, invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
@@ -105,6 +105,10 @@ def test_autocorrelation_requires_centralized(ou_pipeline):
     (dict(dt=0.0), "dt"),
     (dict(dt=-0.005), "dt"),
     (dict(dt=math.nan), "dt"),
+    (dict(threads=0), "threads"),
+    (dict(threads=-2), "threads"),
+    (dict(threads=2.0), "threads"),
+    (dict(threads="2"), "threads"),
 ])
 def test_autocorrelation_rejects_bad_arguments(ou_pipeline, kw, name):
     m, pi, f, _ = ou_pipeline
@@ -145,7 +149,9 @@ def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline
 def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
                               dt=0.005, master_seed=0, tail_extrapolate=True):
     """The autocorrelation route as a plain per-step loop: one
-    ``standard_normal(n_paths)`` call and one full Euler update per step."""
+    ``standard_normal(n_paths)`` call and one full Euler update per step.
+    Returns ``M_f``, its standard error, the detail, the sums of products
+    of each step and the stream's row state after the last step."""
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
@@ -196,7 +202,7 @@ def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
                     detail["warning"] = "horizon too short: tail correction above 1% of estimate"
         else:
             detail["tail_correction"] = 0.0
-    return m_hat, se, detail
+    return m_hat, se, detail, corr_sum, euler._philox_row(rng.bit_generator)
 
 
 def _custom_model():
@@ -221,6 +227,10 @@ def _custom_model():
     # the fewest paths: one partial vector, and all 300 steps in one block
     ("ou", dict(n_paths=2, horizon=3.0, dt=0.01)),
     ("gompertz", dict(n_paths=2, horizon=3.0, dt=0.01)),
+    # one step, shorter than 3/4 of the horizon: the tail window starts at
+    # s = 0, its standard error is NaN and the tail is left unresolved
+    ("ou", dict(n_paths=2000, horizon=0.007, dt=0.005)),
+    ("gompertz", dict(n_paths=2000, horizon=0.007, dt=0.005)),
 ])
 def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pipeline,
                                                family, kw):
@@ -245,10 +255,80 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
     n_steps = int(round(kw["horizon"] / kw["dt"]))
     native = family in ("ou", "cir", "custom")  # OU, CIR, Polynomial and a polynomial f
     assert fills == ([] if native else [(1, kw["n_paths"])] * n_steps)
-    m_hat, se, detail = _autocorrelation_per_step(m, pi, f, master_seed=3, **kw)
+    m_hat, se, detail, _, _ = _autocorrelation_per_step(m, pi, f, master_seed=3, **kw)
     assert got.values.tobytes() == np.array([m_hat]).tobytes()
     assert got.std_error.tobytes() == np.array([se]).tobytes()
     assert repr(got.detail) == repr(detail)
+
+
+@pytest.mark.parametrize("family", ["ou", "cir", "custom"])
+@pytest.mark.parametrize("n_paths", [2, 7, 8, 9, 128, 129, 4097, 20_000])
+def test_autocorrelation_same_bits_at_every_thread_count(monkeypatch, ou_pipeline, cir_pipeline,
+                                                         family, n_paths):
+    # 1,000 steps in calls of 750 and 250: from 129 paths up a call splits
+    # its paths and its normals across 2 or 3 threads, and each step's sum,
+    # the estimate and the stream state after the route are the per-step
+    # loop's at every thread count
+    if family == "custom":
+        m = _custom_model()
+        pi = invariant_density_1d(m)
+        f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    else:
+        m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
+    kw = dict(n_paths=n_paths, horizon=10.0, dt=0.01, master_seed=5)
+    m_hat, se, detail, corr_sum, row = _autocorrelation_per_step(m, pi, f, **kw)
+    seen = []
+    route = variance._native_route
+
+    def recorded(lib, spec, state, y, f0, acc, corr, *args):
+        out = route(lib, spec, state, y, f0, acc, corr, *args)
+        seen.append((corr.copy(), state[0].copy()))
+        return out
+    monkeypatch.setattr(variance, "_native_route", recorded)
+    for threads in (1, 2, 3):
+        got = mf_autocorrelation_form(m, pi, f, threads=threads, **kw)
+        assert got.values.tobytes() == np.array([m_hat]).tobytes(), threads
+        assert got.std_error.tobytes() == np.array([se]).tobytes(), threads
+        assert repr(got.detail) == repr(detail), threads
+        assert seen[-1][0].tobytes() == corr_sum.tobytes(), threads
+        assert seen[-1][1].tobytes() == row.tobytes(), threads
+
+
+def test_autocorrelation_more_threads_than_cpus(ou_pipeline):
+    # helpers that outnumber the CPUs and miss their turns still leave the
+    # one-thread bits, call after call
+    m, pi, f, _ = ou_pipeline
+    kw = dict(n_paths=4097, horizon=10.0, dt=0.01, master_seed=9)
+    want = mf_autocorrelation_form(m, pi, f, threads=1, **kw)
+    for threads in (5, 8, 5, 8):
+        got = mf_autocorrelation_form(m, pi, f, threads=threads, **kw)
+        assert got.values.tobytes() == want.values.tobytes(), threads
+        assert got.std_error.tobytes() == want.std_error.tobytes(), threads
+        assert repr(got.detail) == repr(want.detail), threads
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_autocorrelation_fails_alike_at_every_thread_count(ou_pipeline):
+    # paths that run off to inf in a split call (5,000 paths, 15 steps
+    # before the tail window) and an f whose square overflows: the same
+    # message at 1, 2 and 3 threads
+    m, pi, f, _ = ou_pipeline
+    cubic = dataclasses.replace(m, drift=Polynomial([0.0, 0.0, 0.0, -4.0]))
+    huge = FunctionalSpec(value=PolynomialFunctional([0.0] * 300 + [1.0]), growth_p0=300.0,
+                          centralized=True)
+    cases = [(cubic, f, dict(horizon=2.0, dt=0.1), r"^\d+ of 5000 autocorrelation paths are "
+              r"not finite after step \d+ of 20:"),
+             (m, huge, dict(horizon=0.5, dt=0.01), r"^the autocorrelation sums of f are not "
+              r"finite at step 0 of 50: f overflows")]
+    for model, func, kw, pattern in cases:
+        messages = set()
+        for threads in (1, 2, 3):
+            with pytest.raises(VarianceError, match=pattern) as exc:
+                mf_autocorrelation_form(model, pi, func, n_paths=5000, master_seed=0,
+                                        threads=threads, **kw)
+            messages.add(str(exc.value))
+        assert len(messages) == 1, messages
 
 
 def test_autocorrelation_raises_on_non_finite_paths(ou_pipeline):
