@@ -29,13 +29,12 @@ control, in both of its kernels:
   one step at a time, on normals drawn ``_TILE`` steps at a time into one
   buffer, and checks the blow-up bound at every step too.
 
-The native library's third entry point, ``autocorr_steps``, steps the
-autocorrelation route of ``M_f`` (:mod:`ergosim.variance`) on the same
-rule (:func:`_runs_native`) and the same coefficient helpers, and sums
-each step's products in numpy's pairwise order; it splits a call across
-POSIX threads of its own, to the same bits (``split_fill_probe`` runs one
-split of its fill, for the tests).  Its fourth, ``antiderivative_eval``,
-answers the queries of
+``euler_rows`` also runs the autocorrelation route of ``M_f``
+(:mod:`ergosim.variance`) on the same rule (:func:`_runs_native`), in an
+observe mode: each row starts from its own state, and each step's sum of
+``w_i * f(X_k)`` over the rows is taken in row order within chunks of
+``_SUM_ROWS`` rows, then over the chunks in order.  The library's other
+entry point, ``antiderivative_eval``, answers the queries of
 :class:`~ergosim.quadrature.Antiderivative`, so the density, the Poisson
 solution and the gradient form of ``M_f`` load the library too.
 
@@ -56,12 +55,13 @@ the library is loaded a filled row is compared with ``replicate_stream``
 (:class:`NativeBuildError` if they differ), so both kernels draw exactly
 the numbers of ``replicate_stream``.  The library is compiled with gcc
 (flags ``_CFLAGS``) on first use into a per-user cache and runs without
-the GIL.  Each of its three simulation
-entry points comes in a portable and an AVX-512 path with the same bits;
-the library picks one for the CPU when it is loaded, and ``NATIVE_PATH``
-names it.  With ``threads >= 2`` the native Euler kernel splits the rows
-into ``threads`` contiguous ranges, one GIL-free call each, the last in
-the caller's thread; the numpy kernel runs in the caller's thread alone.
+the GIL.  Its fill and its Euler kernel each come in a portable and an
+AVX-512 path with the same bits; the library picks one for the CPU when
+it is loaded, and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its rows
+``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1`` POSIX
+threads of its own, placed off the caller's CPU and joined before it
+returns, so that neither its rows nor its sums depend on the thread
+count; the numpy kernel runs in the caller's thread alone.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ import os
 import re
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -247,7 +246,7 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
     sequence is computed once and only the last mixing round and the
     output hash run per replicate, in vectorised uint32 arithmetic.
     """
-    master_seed = int(master_seed)
+    master_seed = operator.index(master_seed)
     if first < 0 or first + n > 2**32:
         raise SimulationError(
             "replicate indices must lie in [0, 2**32) for bulk stream derivation")
@@ -286,8 +285,8 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
 _CC = "gcc"
 _OBJCOPY = "objcopy"
 # compiler flags of the shipped library (it is also linked with -shared);
-# FMA contraction would change the Euler kernel's bits, and the
-# autocorrelation route's split calls start POSIX threads
+# FMA contraction would change the Euler kernel's bits, and the kernel
+# starts POSIX threads
 _CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-pthread")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
 _NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
@@ -303,9 +302,8 @@ _lib = None
 
 
 def _native():
-    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows``,
-    ``autocorr_steps`` (with its test hook ``split_fill_probe``) and
-    ``antiderivative_eval`` (the queries of
+    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows``
+    and ``antiderivative_eval`` (the queries of
     :class:`~ergosim.quadrature.Antiderivative`).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
@@ -354,12 +352,8 @@ def _native():
     signatures = {  # name: (argtypes, restype)
         "philox_normal_fill": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                                 ctypes.c_int64), None),
-        "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 5), None),
-        "autocorr_steps": ((spec, ctypes.c_void_p, *[ctypes.c_int64] * 3,
-                            *[ctypes.c_void_p] * 5, ctypes.c_int64, ctypes.c_void_p),
-                           ctypes.c_int64),
-        "split_fill_probe": ((ctypes.c_void_p, *[ctypes.c_int64] * 4, ctypes.c_void_p),
-                             ctypes.c_int64),
+        "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 6,
+                        ctypes.c_int64), ctypes.c_int64),
         "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
                                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
@@ -517,35 +511,6 @@ def simulate_euler(
     return res
 
 
-def simulate_reference(
-    model: SdeModel,
-    epsilon: float,
-    fine_factor: int,
-    f: FunctionalSpec,
-    horizon: float,
-    rng: np.random.Generator,
-    base_delta: Optional[float] = None,
-    **kw,
-) -> BatchResult:
-    """Fine-grid Euler proxy for the undiscretized fast process.
-
-    The reference step is the working step divided by ``fine_factor``
-    (>= 10), so the same machinery doubles as an approximation of the
-    continuous-time functional.
-    """
-    if fine_factor < 10:
-        raise ValueError("fine_factor must be >= 10")
-    delta = (base_delta if base_delta is not None else epsilon**2) / fine_factor
-    sched = StepSchedule(
-        epsilon=epsilon,
-        delta_step=delta,
-        mdp_scale=1.0,
-        regime=LLN,
-        policy=SchedulePolicy(theta_step=2.0),
-    )
-    return simulate_euler(model, sched, f, horizon, rng, **kw)
-
-
 # ---------------------------------------------------------------------------
 # batched replicates, and the numpy kernel
 # ---------------------------------------------------------------------------
@@ -553,6 +518,9 @@ def simulate_reference(
 # the numpy kernel's sizes; results depend on neither
 _CHUNK = 4096  # rows stepped together
 _TILE = 32  # steps of normals drawn at a time
+# the rows of one partial sum of euler_rows' observe mode (CHUNK of
+# _philox_fill.c), which fixes the order of the sums
+_SUM_ROWS = 256
 
 
 @dataclass
@@ -586,28 +554,26 @@ def simulate_batch(
 
     A model with OU, CIR or polynomial coefficients (no state map) and a
     :class:`~ergosim.models.PolynomialFunctional` run on the native kernel
-    ``euler_rows``: with ``threads >= 2`` the rows are split into
-    ``threads`` contiguous ranges, each stepped by one GIL-free call.
-    Any other model or functional runs on the numpy kernel in chunks of
-    ``_CHUNK`` rows, one after another, in the caller's thread, whatever
-    ``threads``.  Both kernels give the same numbers to the bit, and the
-    output is a deterministic function of (model, schedule, f, horizon,
-    master_seed, n_replicates), whatever ``threads``.  ``n_replicates =
-    0`` gives empty arrays; a negative or non-integer count raises
-    :class:`SimulationError`.
+    ``euler_rows``, in one GIL-free call that takes the rows on ``threads``
+    threads.  Any other model or functional runs on the numpy kernel in
+    chunks of ``_CHUNK`` rows, one after another, in the caller's thread,
+    whatever ``threads``.  Both kernels give the same numbers to the bit,
+    and the output is a deterministic function of (model, schedule, f,
+    horizon, master_seed, n_replicates), whatever ``threads``.
+    ``n_replicates = 0`` gives empty arrays.  :class:`SimulationError` is
+    raised for a count, seed or thread count that is not an integer, a
+    negative count or seed, and fewer than one thread.
     """
-    try:
-        n_replicates = operator.index(n_replicates)
-    except TypeError:
-        raise SimulationError(
-            f"n_replicates must be an integer, got {n_replicates!r}") from None
-    if n_replicates < 0:
-        raise SimulationError(f"n_replicates must be >= 0, got {n_replicates}")
+    n_replicates = _integer("n_replicates", n_replicates, 0)
+    master_seed = _integer("master_seed", master_seed, 0)
+    threads = _integer("threads", threads, 1)
     lib = _native()  # a failed build raises here, in the caller's thread
     _check_control(schedule, control)
     spec = _native_spec(model, schedule, f, horizon, blow_up, control)
     if spec is not None:
-        return _native_batch(lib, spec, master_seed, n_replicates, threads, first_index)
+        state = _start_streams(np.empty((n_replicates, _STATE_WORDS), np.uint64), master_seed,
+                               first_index)
+        return _euler_rows(lib, spec, state, threads)
     parts = []
     # no replicates: one empty chunk, so the arrays still get their dtypes
     for first in range(0, max(n_replicates, 1), _CHUNK):
@@ -639,7 +605,8 @@ class _EulerSpec(ctypes.Structure):
                 ("f_c0", ctypes.c_double), ("x0", ctypes.c_double), ("h", ctypes.c_double),
                 ("sqrt_h", ctypes.c_double), ("dt", ctypes.c_double),
                 ("blow_up", ctypes.c_double),
-                ("n_steps", ctypes.c_int64), ("control", ctypes.c_void_p)]
+                ("n_steps", ctypes.c_int64), ("control", ctypes.c_void_p),
+                ("start", ctypes.c_void_p), ("weight", ctypes.c_void_p)]
 
 
 def _params(coef) -> np.ndarray:
@@ -662,20 +629,22 @@ def _runs_native(model: SdeModel, f: FunctionalSpec) -> bool:
             and isinstance(f.value, PolynomialFunctional))
 
 
-def _euler_spec(model, f, h, dt, n_steps, blow_up, control=None) -> _EulerSpec:
+def _euler_spec(model, f, h, dt, n_steps, blow_up, control=None, start=None,
+                weight=None) -> _EulerSpec:
     """The ``euler_spec`` of a model and functional that :func:`_runs_native`:
-    step ``h``, functional weight ``dt``, and ``control`` (per-step tilts
-    ``ctrl_coef * psi(t_k)``) or None."""
-    arrays = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
-    if control is not None:
-        arrays.append(control)
+    step ``h``, functional weight ``dt``, ``control`` (per-step tilts
+    ``ctrl_coef * psi(t_k)``), ``start`` (each row's start state, in place of
+    the model's) and ``weight`` (each row's weight in the observe mode's
+    sums), each None or a float array."""
+    coeffs = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
+    rows = [None if a is None else np.ascontiguousarray(a, dtype=float)
+            for a in (control, start, weight)]
     spec = _EulerSpec(
         _DRIFT_KINDS[type(model.drift)], _DIFFUSION_KINDS[type(model.diffusion)],
-        len(arrays[0]), len(arrays[1]), len(arrays[2]),
-        arrays[0].ctypes.data, arrays[1].ctypes.data, arrays[2].ctypes.data,
-        f.value.c0, model.initial_state, h, math.sqrt(h), dt, blow_up,
-        n_steps, arrays[3].ctypes.data if control is not None else None)
-    spec.arrays = arrays
+        *map(len, coeffs), *(a.ctypes.data for a in coeffs),
+        f.value.c0, model.initial_state, h, math.sqrt(h), dt, blow_up, n_steps,
+        *(None if a is None else a.ctypes.data for a in rows))
+    spec.arrays = coeffs + rows
     return spec
 
 
@@ -703,32 +672,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _native_batch(lib, spec, master_seed, n, threads, first_index) -> BatchResult:
-    """Rows ``first_index ..`` of ``n`` on ``euler_rows``, split into ``threads`` ranges.
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an integer of at least ``least``, else :class:`SimulationError`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise SimulationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise SimulationError(f"{name} must be >= {least}, got {value}")
+    return value
 
-    Each range is one long call that holds no GIL; the last runs in the
-    caller's thread and the others on a pool, so that no more calls run
-    at once than there are CPUs.
-    """
-    state = _start_streams(np.empty((n, _STATE_WORDS), np.uint64), master_seed, first_index)
+
+def _euler_rows(lib, spec, state, threads, corr=None) -> BatchResult:
+    """The rows of ``state`` on ``euler_rows``, advanced in place, on ``threads``
+    threads; ``corr`` (``spec.n_steps`` floats) takes the sums of the observe
+    mode, which a ``spec`` with weights asks for."""
+    n = len(state)
     out = np.empty((4, n))
     fail_step = np.empty(n, np.int64)
-
-    def run(lo, hi):
-        lib.euler_rows(spec, state[lo:].ctypes.data, hi - lo,
-                       *[out[i, lo:].ctypes.data for i in range(4)], fail_step[lo:].ctypes.data)
-
-    parts = max(1, min(threads, n))
-    bounds = [n * i // parts for i in range(parts + 1)]
-    workers = min(parts, os.cpu_count() or 1) - 1  # besides the caller's thread
-    if workers == 0:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            run(lo, hi)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            others = pool.map(run, bounds[:-2], bounds[1:-1])
-            run(bounds[-2], n)
-            list(others)
+    if lib.euler_rows(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
+                      fail_step.ctypes.data, None if corr is None else corr.ctypes.data,
+                      threads):
+        raise MemoryError("euler_rows: out of memory for the partial sums")
     return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
 
 

@@ -264,26 +264,6 @@ def audit_mdp_exponents(alpha: float, measured: ExponentSet) -> ExponentAudit:
     return ExponentAudit(alpha, e, all(detail.values()), detail)
 
 
-def multidim_exponent_bounds(
-    p0: float, q0: float, alpha: float, alpha_bar: float
-) -> ExponentSet:
-    """Sufficient (not tight) exponent bounds for d > 1 models.
-
-    p1 = (p0-alpha+1)^+, p2 = max(p1+2*abar, p0), q1 = (q0-alpha+1)^+,
-    q2 = max(q1+2*abar, q0), p3 = max(p0+2*abar, p1+4*abar).
-    """
-    p1 = max(p0 - alpha + 1.0, 0.0)
-    q1 = max(q0 - alpha + 1.0, 0.0)
-    return ExponentSet(
-        p1=p1,
-        p2=max(p1 + 2.0 * alpha_bar, p0),
-        p3=max(p0 + 2.0 * alpha_bar, p1 + 4.0 * alpha_bar),
-        q0=q0,
-        q1=q1,
-        q2=max(q1 + 2.0 * alpha_bar, q0),
-    )
-
-
 def exponents_from_solution(sol: PoissonSolution, constant_diffusion: bool) -> ExponentSet:
     """Package fitted tail exponents for the audit (homogeneous functionals)."""
     fits = sol.fitted_exponents or fit_tail_exponents(sol)

@@ -10,25 +10,24 @@ Two independent routes to the scalar covariance are provided:
 Their agreement is the main cross-validation of the whole pipeline,
 since the second route never touches the Poisson equation.
 
-The autocorrelation route draws every number from one Philox stream
-keyed by ``master_seed``: the start uniforms from a numpy generator,
-then the normals of each step, continued from that generator's state, as
-the ``n_paths`` numbers that follow those of the step before.  A model and
-functional the native library steps (:func:`euler._runs_native`: OU, CIR
-or polynomial coefficients and a polynomial ``f``) run on its
-``autocorr_steps``, which fills, steps and observes every path and sums
-each step's products ``f(X_0)f(X_s)`` in numpy's pairwise order, split
-across ``threads`` threads to the same bits.  Every other model runs a
-numpy loop that draws one step of normals at a time from the native fill
-(:func:`euler._philox_normals`).  Either way the estimate is the one a
-per-step ``standard_normal(n_paths)`` loop gives, bit for bit.  It does
-not run on the Euler kernel, whose per-replicate streams and trapezoid
-order would give other numbers.
+The autocorrelation route draws its start uniforms from one Philox
+stream keyed by ``master_seed`` and steps path ``i`` on the normals of
+``euler.replicate_stream(master_seed, i)``, as :func:`euler.simulate_batch`
+steps row ``i``.  A model and functional the native library steps
+(:func:`euler._runs_native`: OU, CIR or polynomial coefficients and a
+polynomial ``f``) run on the observe mode of its Euler kernel
+``euler_rows``, which steps the paths from their start states on
+``threads`` threads and sums each step's products ``f(X_0) f(X_s)``; every
+other model runs a numpy loop on normals from the native fill
+(:func:`euler._philox_normals`).  Both take each step's sum in row order
+within chunks of ``euler._SUM_ROWS`` paths and then over the chunks in
+order, and the path integrals by the Euler kernel's trapezoid, so they
+give the same bits at every thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
+import functools
 import json
 import math
 import operator
@@ -157,33 +156,37 @@ def mf_autocorrelation_form(
     errors above zero; otherwise the correction is 0 and
     ``detail["tail_resolved"]`` is False.
 
-    The normals of step ``k`` are the ``n_paths`` numbers that follow those
-    of step ``k - 1`` on the Philox stream of ``master_seed``, after the
-    ``n_paths`` start uniforms.  The step is ``(y + b*dt) + (s*sqrt(dt))*xi``
-    in that order, and each step's products f(X_0) f(X_s) are summed as
-    ``np.sum`` sums them.  When :func:`euler._runs_native` holds for
-    ``model`` and ``f``, the native ``autocorr_steps`` fills, steps,
-    observes and sums every step, in two calls (up to the first step of
-    the tail window, then the rest); with ``threads >= 2`` it splits the
-    paths and the stream's normals across that many threads, to the same
-    bits.  ``threads`` defaults to the CPUs this process may run on.
-    Otherwise a numpy loop steps one step at a time on normals from the
-    native fill, in the caller's thread.  Raises
+    Path ``i`` steps on ``euler.replicate_stream(master_seed, i)``, after
+    the start uniforms drawn from ``master_seed``'s own stream.  The step is
+    ``(y + b*dt) + (s*sqrt(dt))*xi`` in that order; each step's products
+    f(X_0) f(X_s) are summed in path order within chunks of
+    ``euler._SUM_ROWS`` paths and then over the chunks in order; and the
+    integral of f along a path is the Euler kernel's trapezoid sum, taken
+    in two legs, up to the first step of the tail window and then the
+    rest.  When :func:`euler._runs_native` holds for ``model`` and ``f``,
+    each leg is one call of the native ``euler_rows``, on ``threads``
+    threads (default: the CPUs this process may run on); otherwise a numpy
+    loop steps one step at a time on normals from the native fill, in the
+    caller's thread.  The figures do not depend on ``threads``.  Raises
     :class:`~ergosim.euler.NativeBuildError` if the native library cannot
     be built; there is no pure-Python fallback.
 
-    Raises :class:`VarianceError` unless ``n_paths >= 2`` (the standard
-    error needs two paths), ``dt`` is finite and positive, ``horizon``
-    is finite and at least ``dt``, and ``threads`` is None or an integer
-    of at least 1; naming the step and the number of paths, at the first
-    step after which a path's state is not finite; and, naming the first
-    such step, when the paths stay finite but a sum of products
-    f(X_0) f(X_s) or a path's integral of f is not (checked once, after
-    the last step).
+    Raises :class:`VarianceError` unless ``n_paths`` is an integer of at
+    least 2 (the standard error needs two paths), ``dt`` is finite and
+    positive, ``horizon`` is finite and at least ``dt``, and ``threads`` is
+    None or an integer of at least 1; naming the step and the number of
+    paths, at the first step after which a path's state is not finite;
+    and, naming the first such step, when the paths stay finite but a sum
+    of products f(X_0) f(X_s) or a path's integral of f is not (checked
+    once, after the last step).
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
-    if not n_paths >= 2:
+    try:
+        n_paths = operator.index(n_paths)
+    except TypeError:
+        raise VarianceError(f"n_paths must be an integer, got {n_paths!r}") from None
+    if n_paths < 2:
         raise VarianceError(f"n_paths must be at least 2, got {n_paths}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise VarianceError(f"dt must be finite and > 0, got {dt}")
@@ -194,8 +197,9 @@ def mf_autocorrelation_form(
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
-    # the stream carries on from here in the native fill, one row long
-    state = euler._philox_row(rng.bit_generator).reshape(1, -1)
+    # path i's normals: the stream of simulate_batch's row i
+    state = euler._start_streams(np.empty((n_paths, euler._STATE_WORDS), np.uint64),
+                                 master_seed, 0)
 
     smap = model.state_map
     if smap is not None:
@@ -210,25 +214,32 @@ def mf_autocorrelation_form(
         return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
 
     f0 = observe(y)
-    acc = 0.5 * f0  # trapezoid: half weight at s = 0
     s_grid = dt * np.arange(n_steps + 1)
     tail_idx = s_grid >= 0.75 * horizon  # window of the tail fit
     i_tail = int(np.argmax(tail_idx))
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
     if euler._runs_native(model, f):
-        spec = euler._euler_spec(model, f, dt, dt, n_steps, _FINITE)
-        prod_tail = _native_route(lib, spec, state, y, f0, acc, corr_sum, i_tail, threads)
+        leg = functools.partial(_native_leg, lib, model, f, dt, threads)
     else:
-        prod_tail = _numpy_route(model, observe, dt, n_steps, state, y, f0, acc, corr_sum,
-                                 i_tail)
+        leg = functools.partial(_numpy_leg, model, observe, dt)
+    # the integral of f along each path, in two legs: steps 1 to i_tail,
+    # whose last state gives the products at the tail window's start, then
+    # the rest; a leg of no steps is skipped
+    xi = prod_tail = None
+    for first, last in ((0, i_tail), (i_tail, n_steps)):
+        if last > first:
+            part, y = leg(state, y, f0, corr_sum[first + 1:last + 1], first, n_steps)
+            xi = part if xi is None else xi + part
+            if last == i_tail:
+                prod_tail = f0 * observe(y)
     # Monte Carlo SE of the autocorrelation at the window start; NaN when the
     # window starts at s = 0 (a single step shorter than 3/4 of the horizon)
     se_tail = (math.nan if prod_tail is None
                else float(np.std(prod_tail, ddof=1)) / math.sqrt(n_paths))
-    if not (np.isfinite(corr_sum).all() and np.isfinite(acc).all()):
+    if not (np.isfinite(corr_sum).all() and np.isfinite(xi).all()):
         raise _non_finite_f(corr_sum, n_steps)
-    A = f0 * acc * dt
+    A = f0 * xi
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
 
@@ -294,54 +305,61 @@ def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
         "f overflows on these paths")
 
 
-def _native_route(lib, spec, state, y, f0, acc, corr_sum, i_tail,
-                  threads) -> Optional[np.ndarray]:
-    """Steps 1 to ``spec.n_steps`` on ``autocorr_steps``, one call up to step
-    ``i_tail`` and one after it, summing step ``k``'s products into
-    ``corr_sum[k]``; returns the products of step ``i_tail`` (None when
-    ``i_tail`` is 0).  ``acc`` is advanced in place; ``y`` is not written."""
-    y = np.array(y, dtype=float)  # stepped in place
-    n, n_steps = len(y), spec.n_steps
-    prod, n_bad = np.empty(n), ctypes.c_int64()
-    prod_tail = None
-    for first, last in ((0, i_tail), (i_tail, n_steps)):
-        if last == first:
-            continue
-        step = lib.autocorr_steps(spec, state.ctypes.data, n, first, last - first,
-                                  y.ctypes.data, f0.ctypes.data, acc.ctypes.data,
-                                  corr_sum[first + 1:].ctypes.data, prod.ctypes.data, threads,
-                                  ctypes.byref(n_bad))
-        if step == -2:
-            raise MemoryError("autocorrelation route: out of memory for the split buffers")
-        if step >= 0:
-            raise _non_finite(step, n_steps, n_bad.value, n)
-        if last == i_tail:
-            prod_tail = prod.copy()
-    return prod_tail
+def _native_leg(lib, model, f, dt, threads, state, y, f0, corr, first,
+                n_steps) -> tuple:
+    """Steps ``first + 1`` to ``first + len(corr)`` of the paths from ``y`` on
+    the observe mode of ``euler_rows``, path ``i`` on row ``i`` of ``state``
+    (advanced in place): writes each step's sum of ``f0 * f(X_s)`` into
+    ``corr`` and returns each path's trapezoid integral of ``f`` over the leg
+    and its last state.  Raises :class:`VarianceError` at the first step
+    after which a path's state is not finite."""
+    spec = euler._euler_spec(model, f, dt, dt, len(corr), _FINITE, start=y, weight=f0)
+    res = euler._euler_rows(lib, spec, state, threads, corr)
+    if res.failed.any():
+        step = int(res.fail_step[res.failed].min())
+        raise _non_finite(first + step, n_steps, int(np.sum(res.fail_step == step)), len(y))
+    return res.xi_continuous, res.terminal
 
 
-def _numpy_route(model, observe, dt, n_steps, state, y, f0, acc, corr_sum,
-                 i_tail) -> Optional[np.ndarray]:
-    """:func:`_native_route`'s contract on a numpy loop, one step at a time
-    on normals from the native fill; ``y`` and ``f0`` are never written."""
+def _numpy_leg(model, observe, dt, state, y, f0, corr, first, n_steps) -> tuple:
+    """:func:`_native_leg`'s contract on a numpy loop, one step at a time on
+    ``euler._TILE`` steps of normals at a time from the native fill; ``y``
+    and ``f0`` are never written."""
     drift = model.sim_drift or model.drift
     diff = model.sim_diffusion or model.diffusion
     sq_dt = math.sqrt(dt)
-    xi = np.empty((1, len(y)))
-    prod_tail = None
-    for k in range(1, n_steps + 1):
-        euler._philox_normals(state, xi)
-        with np.errstate(over="ignore", invalid="ignore"):  # raised on below
-            y = y + drift(y) * dt + diff(y) * sq_dt * xi[0]
-        if not np.isfinite(y).all():
-            raise _non_finite(k, n_steps, np.count_nonzero(~np.isfinite(y)), len(y))
-        fs = observe(y)
-        acc += fs if k < n_steps else 0.5 * fs
-        prod = f0 * fs
-        corr_sum[k] = prod.sum()
-        if k == i_tail:
-            prod_tail = prod
-    return prod_tail
+    n = len(y)
+    f_prev, xi = observe(y), np.zeros(n)
+    buf = np.empty(n * euler._TILE)
+    prod = np.empty((euler._TILE, n))
+    for done in range(0, len(corr), euler._TILE):
+        width = min(euler._TILE, len(corr) - done)
+        tile = buf[:n * width].reshape(n, width)
+        euler._philox_normals(state, tile)
+        for j in range(width):
+            with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+                y = y + drift(y) * dt + diff(y) * sq_dt * tile[:, j]
+            if not np.isfinite(y).all():
+                raise _non_finite(first + done + j + 1, n_steps,
+                                  np.count_nonzero(~np.isfinite(y)), n)
+            fs = observe(y)
+            xi = xi + 0.5 * (f_prev + fs) * dt
+            np.multiply(f0, fs, out=prod[j])
+            f_prev = fs
+        corr[done:done + width] = _chunk_sums(prod[:width])
+    return xi, y
+
+
+def _chunk_sums(prod: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``prod`` in the order of the observe mode of
+    ``euler_rows``: in order within chunks of ``euler._SUM_ROWS`` columns,
+    then over the chunks in order."""
+    k, n = prod.shape
+    rows = euler._SUM_ROWS
+    padded = np.full((k, -(-n // rows) * rows), -0.0)  # -0.0 + x is x
+    padded[:, :n] = prod
+    chunks = np.cumsum(padded.reshape(k, -1, rows), axis=2)[:, :, -1]
+    return np.cumsum(chunks, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from ergosim import euler
 from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            SimulationError, StepSchedule,
                            TrajectoryExplodedError, grid_floor,
-                           replicate_stream, simulate_batch, simulate_euler,
-                           simulate_reference)
+                           replicate_stream, simulate_batch, simulate_euler)
 from ergosim.config import parse_config
 from ergosim.models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec,
                             OuDrift, Polynomial, PolynomialFunctional, builtin_model,
@@ -755,20 +754,33 @@ def test_kernels_stop_failed_rows_at_their_step(numpy_kernel_calls, kernel, thre
 
 
 def test_native_rows_split_across_threads(numpy_kernel_calls):
-    # 41 rows from replicate 7 on, split into 1, 2 and 3 ranges (of 41, 20 +
-    # 21 and 13 + 14 + 14 rows, so groups of 4 rows end mid-range); the
-    # custom model's rows fail at different steps
+    # 809 rows from replicate 7 on: three chunks and a short fourth (41
+    # rows, so groups of 16 and of 4 rows end mid-chunk), taken on 1, 2, 3
+    # and 5 threads; the custom model's rows fail at different steps
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
-    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0,
-                         regime="LLN", policy=SchedulePolicy(2.0))
+    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    n = 3 * euler._SUM_ROWS + 41
     for m in (ou(), boom):
-        runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=41,
-                               threads=threads, first_index=7) for threads in (1, 2, 3)]
+        runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=n,
+                               threads=threads, first_index=7) for threads in (1, 2, 3, 5)]
         for name in runs[0].__dataclass_fields__:
             assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
-        _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, 41, first=7))
+        _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, n, first=7))
     assert runs[0].failed.any() and not runs[0].failed.all()
+    assert numpy_kernel_calls[0] == 0
+
+
+def test_native_rows_more_threads_than_rows(numpy_kernel_calls):
+    # 3 rows on 5 threads: one chunk, taken by the caller alone
+    m, f = ou(), FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    sched = StepSchedule.from_policy(0.165, "CLT", SchedulePolicy(2.5), 1.0)
+    runs = [simulate_batch(m, sched, f, 1.0, master_seed=4, n_replicates=3, threads=threads)
+            for threads in (1, 5)]
+    for name in runs[0].__dataclass_fields__:
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+    _assert_matches_stepper(runs[1], _stepper(m, sched, f, 1.0, 4, 3))
     assert numpy_kernel_calls[0] == 0
 
 
@@ -897,8 +909,8 @@ def _rows_on_both_paths(native_paths, spec, seed, first, n):
         euler._start_streams(state[:n], seed, first)
         out = np.full((4, n + 8), -7.0)
         fail = np.full(n + 8, -7, np.int64)
-        rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
-                fail.ctypes.data)
+        assert rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
+                       fail.ctypes.data, None, 1) == 0
         assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7) and np.all(state[n:] == 7)
         runs.append((out, fail, state))
     for a, b in zip(*runs):
@@ -943,172 +955,104 @@ def test_both_paths_fail_and_clamp_alike(native_paths):
     assert np.sum(_stepper(cir, sched, f, 1.0, 3, 40)["lowest"] < 0.0) >= 3
 
 
-def _autocorr_on_both_paths(native_paths, spec, y0, blocks, threads=(1,)):
-    """``autocorr_steps`` of each path at each of ``threads`` on the paths
-    ``y0``, ``f = y0``, over consecutive blocks of ``blocks`` steps from one
-    stream row; all must return the same steps and leave the same sums,
-    last products, states and stream row, and write nothing past the last
-    path or step.  After a failing step a split call's chunks may have
-    stepped on, so a call on more than one thread then matches only in the
-    step and the count of failed paths.  Returns the returned steps."""
-    lib = euler._native()
+def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=0.03):
+    """The observe mode of ``euler_rows`` on each path at each of ``threads``:
+    rows started at ``y0`` with weights ``w``, over consecutive legs of
+    ``legs`` steps, each leg from the last one's terminal states on the
+    same stream rows, up to a leg in which a row fails.  All must give the
+    same outputs, fail steps, stream rows and sums, the sums up to the first
+    failing step (later ones are undefined), and write nothing past the
+    last row or step.  Returns the first run's ``(sums, outputs, fail
+    steps)`` of each leg."""
     n = len(y0)
     runs = []
-    for p in native_paths:
-        fn = getattr(lib, f"autocorr_steps_{p}")
+    for _, rows_fn in native_paths.values():
         for t in threads:
-            row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 11, 4)
-            y, acc, prod = np.full(n + 8, -7.0), np.full(n + 8, -7.0), np.full(n + 8, -7.0)
-            y[:n], acc[:n] = y0, 0.5 * y0
-            corr = np.full(sum(blocks) + 8, -7.0)
-            done, steps, n_bad = 0, [], ctypes.c_int64(-1)
-            for k in blocks:
-                steps.append(fn(spec, row.ctypes.data, n, done, k, y.ctypes.data, y0.ctypes.data,
-                                acc.ctypes.data, corr[done:].ctypes.data, prod.ctypes.data, t,
-                                ctypes.byref(n_bad)))
-                assert np.all(y[n:] == -7.0) and np.all(acc[n:] == -7.0)
-                assert np.all(prod[n:] == -7.0)
-                done += k
-            assert np.all(corr[done:] == -7.0)
-            full = t == 1 or max(steps) < 0
-            runs.append((steps, n_bad.value if max(steps) >= 0 else None,
-                         [corr, prod, y, acc, row] if full else None))
-    assert runs[0][2] is not None
-    for steps, n_bad, arrays in runs[1:]:
-        assert (steps, n_bad) == runs[0][:2]
-        for a, a_0 in zip(arrays or [], runs[0][2]):
-            assert a.tobytes() == a_0.tobytes()
-    return runs[0][0]
+            state = np.full((n + 8, euler._STATE_WORDS), 7, np.uint64)
+            euler._start_streams(state[:n], 11, 4)
+            y, done = y0, []
+            for k in legs:
+                spec = euler._euler_spec(model, f, h, h, k, np.finfo(float).max, start=y,
+                                         weight=w)
+                out, fail = np.full((4, n + 8), -7.0), np.full(n + 8, -7, np.int64)
+                corr = np.full(k + 8, -7.0)
+                assert rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
+                               fail.ctypes.data, corr.ctypes.data, t) == 0
+                assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7)
+                assert np.all(corr[k:] == -7.0) and np.all(state[n:] == 7)
+                done.append((corr[:k], out[:, :n], fail[:n]))
+                if np.any(fail[:n] >= 0):
+                    break
+                y = out[3, :n].copy()
+            runs.append((done, state))
+    first, first_state = runs[0]
+    for done, state in runs[1:]:
+        assert state.tobytes() == first_state.tobytes() and len(done) == len(first)
+        for (corr, out, fail), (corr_0, out_0, fail_0) in zip(done, first):
+            assert out.tobytes() == out_0.tobytes() and fail.tobytes() == fail_0.tobytes()
+            upto = fail_0[fail_0 >= 0].min() if np.any(fail_0 >= 0) else len(corr_0)
+            assert corr[:upto].tobytes() == corr_0[:upto].tobytes()
+    return first
 
 
 @pytest.mark.parametrize("family", ["ou", "cir"])
 def test_both_paths_autocorrelate_alike(native_paths, family):
-    # 1 to 17 paths and 41: every tail of the 8-path vector; blocks of 1,
-    # 5 and 9 steps, the last step weighted 1/2; CIR paths started near 0
-    # fall below it
+    # the observe mode that runs the autocorrelation route of M_f: 1 to 17
+    # rows and 41, every tail of a 16-row vector group and of a 4-row
+    # group, over legs of 1, 5 and 9 steps; CIR rows started near 0 fall
+    # below it
     m = (ou() if family == "ou"
          else builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0)))
     f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
-    spec = euler._euler_spec(m, f, 0.03, 0.03, 15, np.finfo(float).max)
     rng = np.random.default_rng(2)
+
+    def starts(n, spread=None):
+        if spread is not None:
+            return rng.normal(0.0, spread, n)
+        return rng.uniform(0.0, 0.05, n) if family == "cir" else rng.normal(0.0, 1.0, n)
     for n in (*range(1, 18), 41):
-        y0 = rng.uniform(0.0, 0.05, n) if family == "cir" else rng.normal(0.0, 1.0, n)
-        assert _autocorr_on_both_paths(native_paths, spec, y0, (1, 5, 9)) == [-1, -1, -1]
-    # split calls: 1,003 paths (an odd tail) over 70 and 30 steps, at 1 to 3
-    # threads, the same bits as one thread
-    spec = euler._euler_spec(m, f, 0.03, 0.03, 100, np.finfo(float).max)
-    y0 = rng.uniform(0.0, 0.05, 1003) if family == "cir" else rng.normal(0.0, 1.0, 1003)
-    assert _autocorr_on_both_paths(native_paths, spec, y0, (70, 30),
-                                   threads=(1, 2, 3)) == [-1, -1]
-    # a cubic drift that overshoots: both paths stop at the same step, and
-    # a split call counts the same failed paths
+        y0 = starts(n)
+        _observe_on_both_paths(native_paths, m, f, y0, f.value(0.0, y0), (1, 5, 9))
+    # 1,003 rows, four chunks of partial sums with a short last one, over
+    # 70 and 30 steps on 1, 2, 3 and 5 threads
+    y0 = starts(1003)
+    legs = _observe_on_both_paths(native_paths, m, f, y0, f.value(0.0, y0), (70, 30),
+                                  threads=(1, 2, 3, 5))
+    assert len(legs) == 2 and not np.any(legs[1][2] >= 0)
+    # a cubic drift that overshoots: the same rows fail at the same steps,
+    # with the same sums up to the first, on every path and thread count
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=0.0)
-    spec = euler._euler_spec(boom, f, 0.1, 0.1, 20, np.finfo(float).max)
-    steps = _autocorr_on_both_paths(native_paths, spec, rng.normal(0.0, 1.5, 300), (20,))
-    assert 1 < steps[0] < 20
-    steps = _autocorr_on_both_paths(native_paths, spec, rng.normal(0.0, 1.2, 6000), (20,),
-                                    threads=(1, 2, 3))
-    assert 1 < steps[0] < 20
+    for spread, n in ((1.5, 300), (1.2, 6000)):
+        y0 = starts(n, spread)
+        (_, _, fail), = _observe_on_both_paths(native_paths, boom, f, y0, f.value(0.0, y0),
+                                               (20,), threads=(1, 2, 3, 5), h=0.1)
+        assert 1 < fail[fail >= 0].min() < 20 and np.any(fail < 0)
+
+
+def _chunked_sum(p):
+    """The sum of ``p`` in the order of the observe mode, by ``np.cumsum``: in
+    row order within chunks of ``euler._SUM_ROWS`` rows, then over the chunks
+    in order."""
+    rows = euler._SUM_ROWS
+    return np.cumsum([np.cumsum(p[a:a + rows])[-1] for a in range(0, len(p), rows)])[-1]
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), 128, 129, 8191, 8192, 8193])
 def test_both_paths_sum_rows_as_numpy(native_paths, n):
-    # each step's sum of products is np.sum of that step's row, bit for bit:
-    # below 8 a running sum, one leaf of 8 accumulators up to 128, and the
-    # pairwise halves above; one call per step leaves each row to compare
+    # each step's sum of products is np.cumsum's within chunks of rows and
+    # then over the chunks, bit for bit, for one chunk, a chunk and a bit,
+    # and 32 chunks either side of a whole number; one step per leg leaves
+    # each step's products to compare, from random and all -0.0 weights
     m = ou()
     f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
-    spec = euler._euler_spec(m, f, 0.03, 0.03, 4, np.finfo(float).max)
     rng = np.random.default_rng(n)
     y0 = rng.normal(0.0, 1.0, n)
-    for f0 in (rng.normal(0.0, 1.0, n), np.full(n, -0.0)):
-        rows, sums = {}, {}
-        for p in native_paths:
-            fn = getattr(euler._native(), f"autocorr_steps_{p}")
-            row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64), 3, n)
-            y, acc = y0.copy(), np.zeros(n)
-            rows[p], sums[p] = np.empty((4, n)), np.empty(4)
-            for k in range(4):
-                prod = np.empty(n)
-                assert fn(spec, row.ctypes.data, n, k, 1, y.ctypes.data, f0.ctypes.data,
-                          acc.ctypes.data, sums[p][k:].ctypes.data, prod.ctypes.data, 1,
-                          None) == -1
-                rows[p][k] = prod
-            assert sums[p].tobytes() == rows[p].sum(axis=1).tobytes()
-        assert len({r.tobytes() for r in rows.values()}) == 1
-        assert len({v.tobytes() for v in sums.values()}) == 1
-
-
-# the outcomes of split_fill_probe: the speculative normals kept from a
-# match, a range filled afresh, and kept normals topped up
-_MATCHED, _UNMATCHED, _TOPPED_UP = 0, 1, 2
-
-
-def _check_stream_draws():
-    """The first word of each of the check row's first 340 normals, as
-    ``split_fill_probe`` counts words, and its slow draws: the normals that
-    took more than one word, each with its kind."""
-    gen = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX)
-    words = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX).bit_generator.random_raw(
-        2000)
-    starts = []
-    for _ in range(341):
-        st = gen.bit_generator.state
-        starts.append(4 * int(st["state"]["counter"][0]) + st["buffer_pos"])
-        gen.standard_normal()
-    draws = {}
-    for j in range(340):
-        used = starts[j + 1] - starts[j]
-        if used > 1:
-            # word p is raw word p - 4: the fresh stream's first block is counter 1
-            idx = int(words[starts[j] - 4]) & 0xFF
-            draws[j] = "tail" if idx == 0 else "wedge accept" if used == 2 else "wedge reject"
-    return starts, draws
-
-
-@pytest.mark.parametrize("path", ["routed", *euler._NATIVE_PATHS])
-def test_split_fill_resolves_across_slow_draws(path):
-    # a speculative fill that starts inside a wedge accept, a wedge reject or
-    # a tail draw of the check row joins the stream, is topped up when it
-    # comes up short, and is filled afresh when nothing starts where the
-    # range before ended: the same normals and row state as one fill
-    if path == "avx512" and euler.NATIVE_PATH != "avx512":
-        pytest.skip("this CPU lacks avx512f or avx512dq")
-    lib = euler._native()
-    probe = lib.split_fill_probe if path == "routed" else getattr(lib, f"split_fill_probe_{path}")
-    starts, draws = _check_stream_draws()
-    assert set(draws.values()) == {"tail", "wedge accept", "wedge reject"}
-    width = 400
-    ref = replicate_stream(euler._CHECK_SEED, euler._CHECK_INDEX)
-    want = ref.standard_normal(width)
-    want_row = euler._philox_row(ref.bit_generator)
-
-    def split(n0, q, cap):
-        row = euler._start_streams(np.empty((1, euler._STATE_WORDS), np.uint64),
-                                   euler._CHECK_SEED, euler._CHECK_INDEX)
-        out = np.empty(width)
-        outcome = probe(row.ctypes.data, width, n0, q, cap, out.ctypes.data)
-        assert out.tobytes() == want.tobytes(), (n0, q, cap)
-        assert row[0].tobytes() == want_row.tobytes(), (n0, q, cap)
-        return outcome
-
-    outcomes = {}
-    for j, kind in draws.items():
-        for inside in range(1, starts[j + 1] - starts[j]):
-            # the range after draw j, or a few normals later, its speculative
-            # fill starting on a word inside the draw
-            for n0 in (j + 1, j + 3):
-                got = split(n0, starts[j] + inside, width)
-                outcomes.setdefault(kind, set()).add(got)
-                assert got in (_MATCHED, _UNMATCHED)
-    assert _MATCHED in set.union(*outcomes.values())
-    for n0 in (1, 100, 340):
-        # a fill from exactly where the range starts matches at once
-        assert split(n0, starts[n0], width) == _MATCHED
-        # one that starts a word late has no normal there
-        assert split(n0, starts[n0] + 1, width) == _UNMATCHED
-        # one too short is topped up
-        assert split(n0, starts[n0], (width - n0) // 2) == _TOPPED_UP
+    for w in (rng.normal(0.0, 1.0, n), np.full(n, -0.0)):
+        legs = _observe_on_both_paths(native_paths, m, f, y0, w, (1, 1, 1, 1), threads=(1, 3))
+        assert len(legs) == 4
+        for corr, out, _ in legs:
+            prod = w * f.value(0.0, out[3])
+            assert corr.tobytes() == np.array([_chunked_sum(prod)]).tobytes()
 
 
 def test_float_replicate_count_rejected(numpy_kernel_calls):
@@ -1123,6 +1067,24 @@ def test_float_replicate_count_rejected(numpy_kernel_calls):
     # a numpy integer is an integer
     res = simulate_batch(m, sched, f_lambda(), 0.2, master_seed=0, n_replicates=np.int64(3))
     assert len(res.xi_continuous) == 3 and numpy_kernel_calls == [1]
+
+
+@pytest.mark.parametrize("kw, message", [
+    pytest.param(dict(master_seed=1.5), r"^master_seed must be an integer, got 1.5",
+                 id="float-seed"),
+    pytest.param(dict(master_seed=-1), r"^master_seed must be >= 0, got -1", id="negative-seed"),
+    pytest.param(dict(threads=0), r"^threads must be >= 1, got 0", id="zero-threads"),
+    pytest.param(dict(threads=-3), r"^threads must be >= 1, got -3", id="negative-threads"),
+    pytest.param(dict(threads=2.0), r"^threads must be an integer, got 2.0", id="float-threads"),
+])
+def test_bad_seed_or_thread_count_rejected(numpy_kernel_calls, kw, message):
+    # on both kernels, before any stream is derived or thread started
+    m = ou()
+    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
+    for f in (f_identity(), f_lambda()):
+        with pytest.raises(SimulationError, match=message):
+            simulate_batch(m, sched, f, 0.2, **{"master_seed": 0, "n_replicates": 2, **kw})
+    assert numpy_kernel_calls == [0]
 
 
 def test_missing_generator_rejected():
@@ -1174,32 +1136,6 @@ def test_nonzero_control_shifts_mean():
     tilted = simulate_batch(m, sched, f, 1.0, master_seed=8, n_replicates=200, control=psi)
     shift = float(np.mean(tilted.xi_continuous) - np.mean(plain.xi_continuous))
     assert shift > 5 * sched.mdp_scale * 0.1  # visibly tilted upward
-
-
-# -------------------------------------------------------------- reference
-
-
-def test_reference_requires_fine_factor():
-    m, f = ou(), f_identity()
-    with pytest.raises(ValueError, match="fine_factor"):
-        simulate_reference(m, 0.1, 5, f, 0.5, replicate_stream(0, 0))
-
-
-def test_reference_agrees_with_coarse_on_shared_noise():
-    # same Brownian increments, refined grid: functionals should be close
-    m, f = ou(), f_identity()
-    eps = 0.1
-    sched = StepSchedule(epsilon=eps, delta_step=0.01, mdp_scale=1.0,
-                         regime="LLN", policy=SchedulePolicy(2.0))
-    rng = replicate_stream(42, 0)
-    n = sched.n_steps(1.0)
-    noise = rng.standard_normal((n, 1))
-    coarse = simulate_euler(m, sched, f, 1.0, rng, noise=noise)
-    # refine 10x, splitting each increment into 10 scaled pieces
-    fine_noise = (noise[:, 0][:, None] * np.full(10, 1.0 / math.sqrt(10.0))).reshape(-1, 1)
-    ref = simulate_reference(m, eps, 10, f, 1.0, rng, base_delta=0.01,
-                             noise=fine_noise)
-    assert abs(coarse.xi_continuous[0] - ref.xi_continuous[0]) < 0.15
 
 
 def test_short_injected_noise_rejected():

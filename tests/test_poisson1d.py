@@ -8,7 +8,7 @@ from ergosim.models import (FunctionalSpec, builtin_model, centralize,
                             invariant_density_1d)
 from ergosim.poisson1d import (ExponentSet, PoissonError, audit_mdp_exponents,
                                exponents_from_solution, fit_tail_exponents,
-                               multidim_exponent_bounds, solve_poisson_1d)
+                               solve_poisson_1d)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,17 +141,6 @@ def test_audit_q_group():
     bad = audit_mdp_exponents(1.0, ExponentSet(p1=0.5, p2=0.0, p3=None, q0=3.0))
     assert not bad.verdict_mdp
     assert not bad.verdict_detail["(iii) max(q0/2, q2) <= alpha"]
-
-
-def test_multidim_bound_formulas():
-    e = multidim_exponent_bounds(p0=3.0, q0=1.0, alpha=1.0, alpha_bar=1.0)
-    assert e.p1 == 3.0
-    assert e.p2 == 5.0
-    assert e.p3 == 7.0
-    assert e.q1 == 1.0
-    assert e.q2 == 3.0
-    # positive-part clamp
-    assert multidim_exponent_bounds(0.0, 0.0, 2.0, 1.0).p1 == 0.0
 
 
 def test_exponents_from_solution_roundtrip(ou_setup):

@@ -109,6 +109,7 @@ def test_autocorrelation_requires_centralized(ou_pipeline):
     (dict(threads=-2), "threads"),
     (dict(threads=2.0), "threads"),
     (dict(threads="2"), "threads"),
+    (dict(n_paths=2000.0), "n_paths"),
 ])
 def test_autocorrelation_rejects_bad_arguments(ou_pipeline, kw, name):
     m, pi, f, _ = ou_pipeline
@@ -146,41 +147,55 @@ def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline
     assert 0.8 < auto.detail["fitted_decay_rate"] < 1.25
 
 
-def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
+def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
                               dt=0.005, master_seed=0, tail_extrapolate=True):
-    """The autocorrelation route as a plain per-step loop: one
-    ``standard_normal(n_paths)`` call and one full Euler update per step.
-    Returns ``M_f``, its standard error, the detail, the sums of products
-    of each step and the stream's row state after the last step."""
+    """The autocorrelation route as a plain per-path reference: path ``i``
+    steps on ``replicate_stream(master_seed, i)``, one step at a time, the
+    paths in chunks of ``euler._SUM_ROWS``.  Each step's products are summed
+    by ``np.cumsum`` within a chunk and the chunk sums by ``np.cumsum`` in
+    chunk order, and each path's trapezoid integral of f is taken in two
+    legs, up to the first step of the tail window and then the rest.
+    Returns ``M_f``, its standard error, the detail and the sums of
+    products of each step."""
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
     drift = model.sim_drift or model.drift
     diff = model.sim_diffusion or model.diffusion
     smap = model.state_map
-    y = np.log(x) if smap is not None else x
+    y0 = np.log(x) if smap is not None else x
 
     def observe(y_arr):
         return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
 
-    f0 = observe(y)
-    acc = 0.5 * f0
+    f0 = observe(y0)
     s_grid = dt * np.arange(n_steps + 1)
     tail_idx = s_grid >= 0.75 * horizon
     i_tail = int(np.argmax(tail_idx))
+    sq_dt = math.sqrt(dt)
+    rows = euler._SUM_ROWS
+    chunk_sums = np.empty((-(-n_paths // rows), n_steps))
+    xi, prod_tail = np.empty(n_paths), np.empty(n_paths)
+    for c, a in enumerate(range(0, n_paths, rows)):
+        b = min(a + rows, n_paths)
+        noise = np.array([euler.replicate_stream(master_seed, i).standard_normal(n_steps)
+                          for i in range(a, b)])
+        y, w = y0[a:b], f0[a:b]
+        f_prev, legs = w, [np.zeros(b - a), np.zeros(b - a)]
+        for k in range(1, n_steps + 1):
+            y = y + drift(y) * dt + diff(y) * sq_dt * noise[:, k - 1]
+            fs = observe(y)
+            legs[k > i_tail] = legs[k > i_tail] + 0.5 * (f_prev + fs) * dt
+            chunk_sums[c, k - 1] = np.cumsum(w * fs)[-1]
+            if k == i_tail:
+                prod_tail[a:b] = w * fs
+            f_prev = fs
+        xi[a:b] = legs[0] + legs[1]  # 0.0 + x is x: a leg never sums to -0.0
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
-    se_tail = math.nan
-    sq_dt = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        xi = rng.standard_normal(n_paths)
-        y = y + drift(y) * dt + diff(y) * sq_dt * xi
-        fs = observe(y)
-        acc += fs if k < n_steps else 0.5 * fs
-        corr_sum[k] = float(np.sum(f0 * fs))
-        if k == i_tail:
-            se_tail = float(np.std(f0 * fs, ddof=1)) / math.sqrt(n_paths)
-    A = f0 * acc * dt
+    corr_sum[1:] = np.cumsum(chunk_sums, axis=0)[-1]
+    se_tail = math.nan if i_tail == 0 else float(np.std(prod_tail, ddof=1)) / math.sqrt(n_paths)
+    A = f0 * xi
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
     detail = {"horizon": horizon, "n_paths": n_paths, "dt": dt}
@@ -202,7 +217,12 @@ def _autocorrelation_per_step(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
                     detail["warning"] = "horizon too short: tail correction above 1% of estimate"
         else:
             detail["tail_correction"] = 0.0
-    return m_hat, se, detail, corr_sum, euler._philox_row(rng.bit_generator)
+    return m_hat, se, detail, corr_sum
+
+
+def _native_paths():
+    """The native paths this CPU runs: both on an AVX-512 CPU."""
+    return euler._NATIVE_PATHS if euler.NATIVE_PATH == "avx512" else ("portable",)
 
 
 def _custom_model():
@@ -213,18 +233,18 @@ def _custom_model():
 
 
 @pytest.mark.parametrize("family, kw", [
-    # 300 steps in blocks of 131: the last block is short
+    # 300 steps in legs of 225 and 75: the numpy loop's last tile is short
     ("ou", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("gompertz", dict(n_paths=2000, horizon=3.0, dt=0.01)),
-    # more paths than one block of products holds: one step per block
+    # 513 chunks of partial sums, the last of 5 paths, over 5 steps
     ("ou", dict(n_paths=2**17 + 5, horizon=0.05, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01, tail_extrapolate=False)),
     # f returns its own input array: the step must not write into it
     ("ou_identity", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("custom", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("power_drift", dict(n_paths=2000, horizon=3.0, dt=0.01)),
-    # the fewest paths: one partial vector, and all 300 steps in one block
+    # the fewest paths: one partial group of rows
     ("ou", dict(n_paths=2, horizon=3.0, dt=0.01)),
     ("gompertz", dict(n_paths=2, horizon=3.0, dt=0.01)),
     # one step, shorter than 3/4 of the horizon: the tail window starts at
@@ -245,17 +265,21 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
         f = FunctionalSpec(value=lambda t, x: x, growth_p0=1.0, centralized=True)
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
-    # the numpy loop draws each step's normals from the native fill; the
-    # native call fills its own
+    # the numpy loop draws the normals of up to euler._TILE steps of every
+    # path at a time from the native fill, leg by leg; the native calls
+    # fill their own
     fills = []
     fill = euler._philox_normals
     monkeypatch.setattr(euler, "_philox_normals", lambda state, out: (fills.append(out.shape),
                                                                        fill(state, out)))
     got = mf_autocorrelation_form(m, pi, f, master_seed=3, **kw)
     n_steps = int(round(kw["horizon"] / kw["dt"]))
+    i_tail = int(np.argmax(kw["dt"] * np.arange(n_steps + 1) >= 0.75 * kw["horizon"]))
     native = family in ("ou", "cir", "custom")  # OU, CIR, Polynomial and a polynomial f
-    assert fills == ([] if native else [(1, kw["n_paths"])] * n_steps)
-    m_hat, se, detail, _, _ = _autocorrelation_per_step(m, pi, f, master_seed=3, **kw)
+    tiles = [(kw["n_paths"], min(euler._TILE, steps - done))
+             for steps in (i_tail, n_steps - i_tail) for done in range(0, steps, euler._TILE)]
+    assert fills == ([] if native else tiles)
+    m_hat, se, detail, _ = _autocorrelation_per_path(m, pi, f, master_seed=3, **kw)
     assert got.values.tobytes() == np.array([m_hat]).tobytes()
     assert got.std_error.tobytes() == np.array([se]).tobytes()
     assert repr(got.detail) == repr(detail)
@@ -265,10 +289,9 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
 @pytest.mark.parametrize("n_paths", [2, 7, 8, 9, 128, 129, 4097, 20_000])
 def test_autocorrelation_same_bits_at_every_thread_count(monkeypatch, ou_pipeline, cir_pipeline,
                                                          family, n_paths):
-    # 1,000 steps in calls of 750 and 250: from 129 paths up a call splits
-    # its paths and its normals across 2 or 3 threads, and each step's sum,
-    # the estimate and the stream state after the route are the per-step
-    # loop's at every thread count
+    # 1,000 steps in legs of 750 and 250, on 1, 2, 3 and 5 threads and on
+    # each native path: each step's sum and the estimate are the per-path
+    # reference's
     if family == "custom":
         m = _custom_model()
         pi = invariant_density_1d(m)
@@ -276,27 +299,30 @@ def test_autocorrelation_same_bits_at_every_thread_count(monkeypatch, ou_pipelin
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
     kw = dict(n_paths=n_paths, horizon=10.0, dt=0.01, master_seed=5)
-    m_hat, se, detail, corr_sum, row = _autocorrelation_per_step(m, pi, f, **kw)
-    seen = []
-    route = variance._native_route
+    m_hat, se, detail, corr_sum = _autocorrelation_per_path(m, pi, f, **kw)
+    sums = []
+    leg = variance._native_leg
 
-    def recorded(lib, spec, state, y, f0, acc, corr, *args):
-        out = route(lib, spec, state, y, f0, acc, corr, *args)
-        seen.append((corr.copy(), state[0].copy()))
+    def recorded(*args):
+        out = leg(*args)
+        sums.append(args[8].copy())  # the leg's sums
         return out
-    monkeypatch.setattr(variance, "_native_route", recorded)
-    for threads in (1, 2, 3):
-        got = mf_autocorrelation_form(m, pi, f, threads=threads, **kw)
-        assert got.values.tobytes() == np.array([m_hat]).tobytes(), threads
-        assert got.std_error.tobytes() == np.array([se]).tobytes(), threads
-        assert repr(got.detail) == repr(detail), threads
-        assert seen[-1][0].tobytes() == corr_sum.tobytes(), threads
-        assert seen[-1][1].tobytes() == row.tobytes(), threads
+    monkeypatch.setattr(variance, "_native_leg", recorded)
+    lib = euler._native()
+    for path in _native_paths():
+        monkeypatch.setattr(lib, "euler_rows", getattr(lib, f"euler_rows_{path}"))
+        for threads in (1, 2, 3, 5):
+            sums.clear()
+            got = mf_autocorrelation_form(m, pi, f, threads=threads, **kw)
+            assert got.values.tobytes() == np.array([m_hat]).tobytes(), (path, threads)
+            assert got.std_error.tobytes() == np.array([se]).tobytes(), (path, threads)
+            assert repr(got.detail) == repr(detail), (path, threads)
+            assert np.concatenate(sums).tobytes() == corr_sum[1:].tobytes(), (path, threads)
 
 
 def test_autocorrelation_more_threads_than_cpus(ou_pipeline):
-    # helpers that outnumber the CPUs and miss their turns still leave the
-    # one-thread bits, call after call
+    # helpers that outnumber the CPUs still leave the one-thread bits, call
+    # after call
     m, pi, f, _ = ou_pipeline
     kw = dict(n_paths=4097, horizon=10.0, dt=0.01, master_seed=9)
     want = mf_autocorrelation_form(m, pi, f, threads=1, **kw)
@@ -309,10 +335,10 @@ def test_autocorrelation_more_threads_than_cpus(ou_pipeline):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_autocorrelation_fails_alike_at_every_thread_count(ou_pipeline):
-    # paths that run off to inf in a split call (5,000 paths, 15 steps
-    # before the tail window) and an f whose square overflows: the same
-    # message at 1, 2 and 3 threads
+def test_autocorrelation_fails_alike_at_every_thread_count(monkeypatch, ou_pipeline):
+    # paths that run off to inf (5,000 paths, 15 steps before the tail
+    # window) and an f whose square overflows: the same message at 1, 2, 3
+    # and 5 threads and on each native path
     m, pi, f, _ = ou_pipeline
     cubic = dataclasses.replace(m, drift=Polynomial([0.0, 0.0, 0.0, -4.0]))
     huge = FunctionalSpec(value=PolynomialFunctional([0.0] * 300 + [1.0]), growth_p0=300.0,
@@ -321,13 +347,16 @@ def test_autocorrelation_fails_alike_at_every_thread_count(ou_pipeline):
               r"not finite after step \d+ of 20:"),
              (m, huge, dict(horizon=0.5, dt=0.01), r"^the autocorrelation sums of f are not "
               r"finite at step 0 of 50: f overflows")]
+    lib = euler._native()
     for model, func, kw, pattern in cases:
         messages = set()
-        for threads in (1, 2, 3):
-            with pytest.raises(VarianceError, match=pattern) as exc:
-                mf_autocorrelation_form(model, pi, func, n_paths=5000, master_seed=0,
-                                        threads=threads, **kw)
-            messages.add(str(exc.value))
+        for path in _native_paths():
+            monkeypatch.setattr(lib, "euler_rows", getattr(lib, f"euler_rows_{path}"))
+            for threads in (1, 2, 3, 5):
+                with pytest.raises(VarianceError, match=pattern) as exc:
+                    mf_autocorrelation_form(model, pi, func, n_paths=5000, master_seed=0,
+                                            threads=threads, **kw)
+                messages.add(str(exc.value))
         assert len(messages) == 1, messages
 
 
