@@ -25,18 +25,20 @@ control, in both of its kernels:
 * the numpy kernel ``_step_paths`` runs everything else (state maps such
   as Gompertz's log space, ``pow``/``exp``/``log`` coefficients, whose
   numpy SIMD results can differ from libm's in the last bit, and
-  arbitrary callables), and :func:`simulate_euler`.  It steps all rows
-  one step at a time, on normals drawn ``_TILE`` steps at a time into one
-  buffer, and checks the blow-up bound at every step too.
+  arbitrary callables), and :func:`simulate_euler`.  It steps the rows
+  of a chunk of ``_CHUNK`` one step at a time, on normals drawn ``_TILE``
+  steps at a time into one buffer, and checks the blow-up bound at every
+  step too.
 
-``euler_rows`` also runs the autocorrelation route of ``M_f``
-(:mod:`ergosim.variance`) on the same rule (:func:`_runs_native`), in an
-observe mode: each row starts from its own state, and each step's sum of
-``w_i * f(X_k)`` over the rows is taken in row order within chunks of
-``_SUM_ROWS`` rows, then over the chunks in order.  The library's other
-entry point, ``antiderivative_eval``, answers the queries of
-:class:`~ergosim.quadrature.Antiderivative`, so the density, the Poisson
-solution and the gradient form of ``M_f`` load the library too.
+One private runner, :func:`_run_rows`, picks the kernel by
+:func:`_runs_native` for :func:`simulate_batch` and for the
+autocorrelation route of ``M_f`` (:mod:`ergosim.variance`).  Both kernels
+have the route's observe mode: each row starts from its own state, and
+each step's sum of ``w_i * f(X_k)`` over the rows is taken in row order
+within chunks of ``_SUM_ROWS`` rows, then over the chunks in order.  The
+library's other entry point, ``antiderivative_eval``, answers the queries
+of :class:`~ergosim.quadrature.Antiderivative`, so the density, the
+Poisson solution and the gradient form of ``M_f`` load the library too.
 
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
@@ -455,11 +457,6 @@ def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:
     _native().philox_normal_fill(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
 
 
-def _check_control(schedule: StepSchedule, control: Optional[ControlFunction]) -> None:
-    if control is not None and schedule.regime != MDP:
-        raise ScheduleError("controlled simulation requires an MDP schedule")
-
-
 def simulate_euler(
     model: SdeModel,
     schedule: StepSchedule,
@@ -481,8 +478,8 @@ def simulate_euler(
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
     at the first step where the path leaves ``[-blow_up, blow_up]``.
     """
-    _check_control(schedule, control)
     n_steps = schedule.n_steps(horizon)
+    tilts = _tilts(schedule, control, n_steps)
     if noise is None:
         if not isinstance(rng, np.random.Generator):
             raise SimulationError(
@@ -505,10 +502,10 @@ def simulate_euler(
             nonlocal done
             out[0] = noise[done:done + out.shape[1]]
             done += out.shape[1]
-    res = _step_paths(model, schedule, f, horizon, blow_up, control, 1, draw)
+    res = _step_paths(model, f, schedule.h, schedule.delta_step, n_steps, blow_up, tilts, 1, draw)
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
-    return res
+    return _mapped(model, res)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +515,8 @@ def simulate_euler(
 # the numpy kernel's sizes; results depend on neither
 _CHUNK = 4096  # rows stepped together
 _TILE = 32  # steps of normals drawn at a time
-# the rows of one partial sum of euler_rows' observe mode (CHUNK of
-# _philox_fill.c), which fixes the order of the sums
+# the rows of one partial sum of the observe mode (CHUNK of
+# _philox_fill.c), which fixes the order of the sums in both kernels
 _SUM_ROWS = 256
 
 
@@ -567,21 +564,66 @@ def simulate_batch(
     n_replicates = _integer("n_replicates", n_replicates, 0)
     master_seed = _integer("master_seed", master_seed, 0)
     threads = _integer("threads", threads, 1)
-    lib = _native()  # a failed build raises here, in the caller's thread
-    _check_control(schedule, control)
-    spec = _native_spec(model, schedule, f, horizon, blow_up, control)
-    if spec is not None:
-        state = _start_streams(np.empty((n_replicates, _STATE_WORDS), np.uint64), master_seed,
-                               first_index)
-        return _euler_rows(lib, spec, state, threads)
+    _native()  # a failed build raises here, in the caller's thread
+    n_steps = schedule.n_steps(horizon)
+    tilts = _tilts(schedule, control, n_steps)
+    state = _start_streams(np.empty((n_replicates, _STATE_WORDS), np.uint64), master_seed,
+                           first_index)
+    return _mapped(model, _run_rows(model, f, schedule.h, schedule.delta_step, n_steps,
+                                    blow_up, state, threads, tilts))
+
+
+def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],
+           n_steps: int) -> Optional[np.ndarray]:
+    """The tilt ``ctrl_coef * psi(t_k)`` of each step, None without a
+    control; a control requires an MDP schedule (:class:`ScheduleError`)."""
+    if control is None:
+        return None
+    if schedule.regime != MDP:
+        raise ScheduleError("controlled simulation requires an MDP schedule")
+    dt = schedule.delta_step
+    ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
+    return np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
+                     for k in range(n_steps)])
+
+
+def _mapped(model: SdeModel, res: BatchResult) -> BatchResult:
+    """``res`` with its terminal states mapped from the stepped coordinate
+    to the model's own."""
+    if model.sim_drift is not None:
+        res.terminal = np.where(res.failed, np.nan, model.state_map(res.terminal))
+    return res
+
+
+def _run_rows(model, f, h, dt, n_steps, blow_up, state, threads, tilts=None, start=None,
+              weight=None, corr=None) -> BatchResult:
+    """Step the rows of ``state`` (advanced in place) on ``euler_rows`` when
+    :func:`_runs_native` holds, else on ``_step_paths`` in chunks of
+    ``_CHUNK`` rows in the caller's thread; the arguments are those of
+    :func:`_euler_spec`.  ``corr`` (``n_steps`` floats) takes the observe
+    mode's sums, which ``weight`` asks for.  Terminal states are left in
+    the stepped coordinate."""
+    n = len(state)
+    if _runs_native(model, f):
+        spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
+        out = np.empty((4, n))
+        fail_step = np.empty(n, np.int64)
+        if _native().euler_rows(spec, state.ctypes.data, n,
+                                *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
+                                None if corr is None else corr.ctypes.data, threads):
+            raise MemoryError("euler_rows: out of memory for the partial sums")
+        return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
+    if corr is not None:
+        corr[:] = -0.0  # -0.0 + x is x: each step's sum starts at its first chunk's
     parts = []
-    # no replicates: one empty chunk, so the arrays still get their dtypes
-    for first in range(0, max(n_replicates, 1), _CHUNK):
-        n = min(_CHUNK, n_replicates - first)
-        state = _start_streams(np.empty((n, _STATE_WORDS), np.uint64), master_seed,
-                               first_index + first)
-        parts.append(_step_paths(model, schedule, f, horizon, blow_up, control, n,
-                                 functools.partial(_philox_normals, state)))
+    # no rows: one empty chunk, so the arrays still get their dtypes
+    for first in range(0, max(n, 1), _CHUNK):
+        rows = slice(first, first + _CHUNK)
+        parts.append(_step_paths(
+            model, f, h, dt, n_steps, blow_up, tilts, len(state[rows]),
+            functools.partial(_philox_normals, state[rows]),
+            None if start is None else start[rows], None if weight is None else weight[rows],
+            corr))
     return BatchResult._concat(parts)
 
 
@@ -629,16 +671,16 @@ def _runs_native(model: SdeModel, f: FunctionalSpec) -> bool:
             and isinstance(f.value, PolynomialFunctional))
 
 
-def _euler_spec(model, f, h, dt, n_steps, blow_up, control=None, start=None,
+def _euler_spec(model, f, h, dt, n_steps, blow_up, tilts=None, start=None,
                 weight=None) -> _EulerSpec:
     """The ``euler_spec`` of a model and functional that :func:`_runs_native`:
-    step ``h``, functional weight ``dt``, ``control`` (per-step tilts
-    ``ctrl_coef * psi(t_k)``), ``start`` (each row's start state, in place of
-    the model's) and ``weight`` (each row's weight in the observe mode's
-    sums), each None or a float array."""
+    step ``h``, functional weight ``dt``, ``tilts`` (:func:`_tilts`),
+    ``start`` (each row's start state, in place of the model's) and
+    ``weight`` (each row's weight in the observe mode's sums), each None or
+    a float array."""
     coeffs = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
     rows = [None if a is None else np.ascontiguousarray(a, dtype=float)
-            for a in (control, start, weight)]
+            for a in (tilts, start, weight)]
     spec = _EulerSpec(
         _DRIFT_KINDS[type(model.drift)], _DIFFUSION_KINDS[type(model.diffusion)],
         *map(len, coeffs), *(a.ctypes.data for a in coeffs),
@@ -646,21 +688,6 @@ def _euler_spec(model, f, h, dt, n_steps, blow_up, control=None, start=None,
         *(None if a is None else a.ctypes.data for a in rows))
     spec.arrays = coeffs + rows
     return spec
-
-
-def _native_spec(model, schedule, f, horizon, blow_up, control) -> Optional[_EulerSpec]:
-    """The native kernel's description of this batch, or None if it has none."""
-    if not _runs_native(model, f):
-        return None
-    dt = schedule.delta_step
-    n_steps = schedule.n_steps(horizon)
-    tilts = None
-    if control is not None:
-        # the numpy kernel's tilt, ctrl_coef * psi(t_k), for every step
-        ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
-        tilts = np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
-                          for k in range(n_steps)])
-    return _euler_spec(model, f, schedule.h, dt, n_steps, blow_up, tilts)
 
 
 def _usable_cpus() -> int:
@@ -672,61 +699,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an integer of at least ``least``, else :class:`SimulationError`."""
+def _integer(name: str, value, least: int, error: type = SimulationError) -> int:
+    """``value`` as an integer of at least ``least``, else ``error`` naming ``name``."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise SimulationError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if value < least:
-        raise SimulationError(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be >= {least}, got {value}")
     return value
 
 
-def _euler_rows(lib, spec, state, threads, corr=None) -> BatchResult:
-    """The rows of ``state`` on ``euler_rows``, advanced in place, on ``threads``
-    threads; ``corr`` (``spec.n_steps`` floats) takes the sums of the observe
-    mode, which a ``spec`` with weights asks for."""
-    n = len(state)
-    out = np.empty((4, n))
-    fail_step = np.empty(n, np.int64)
-    if lib.euler_rows(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
-                      fail_step.ctypes.data, None if corr is None else corr.ctypes.data,
-                      threads):
-        raise MemoryError("euler_rows: out of memory for the partial sums")
-    return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
-
-
-def _step_paths(model, schedule, f, horizon, blow_up, control, n, draw) -> BatchResult:
+def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, weight=None,
+                corr=None) -> BatchResult:
     """Step ``n`` 1D paths together, one step at a time over all rows.
 
     ``draw(out)`` writes the normals of the next ``out.shape[1]`` steps of
     every row into the C-contiguous ``(n, k)`` array ``out``, ``k <=
     _TILE``.  A path whose state leaves ``[-blow_up, blow_up]`` (or turns
     NaN) records that step in ``fail_step`` and restarts at ``x0``; it ends
-    with NaN functionals, ``sup_abs`` and terminal state.
+    with NaN functionals, ``sup_abs`` and terminal state.  The terminal
+    state is left in the stepped coordinate.  The other arguments are those
+    of :func:`_run_rows`; ``corr[k]`` adds each chunk of ``_SUM_ROWS``
+    rows' sum of ``weight * f(X_{k+1})``, in row order, to its running sum.
     """
     # coefficients and state map in the coordinates actually stepped
     drift, diffusion, state_map, x0 = (
         (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state)
         if model.sim_drift is not None
         else (model.drift, model.diffusion, lambda y: y, model.initial_state))
-    h = schedule.h
     sqrt_h = math.sqrt(h)
-    dt = schedule.delta_step
-    n_steps = schedule.n_steps(horizon)
-    ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt if control is not None else 0.0
 
     def observe(t, y):
         return np.asarray(f.value(t, state_map(y)), dtype=float)
 
-    z = np.full(n, x0)
+    z = np.full(n, x0) if start is None else np.array(start, dtype=float)
     f_prev = observe(0.0, z)
     xi_c = np.zeros(n)
     xi_r = np.zeros(n)
     sup = np.zeros(n)
     fail_step = np.full(n, -1, dtype=np.int64)
     buf = np.empty(n * _TILE)  # the normals of the next _TILE steps, row by row
+    # the next _TILE steps' products, padded with -0.0 to whole chunks of rows
+    prod = None if weight is None else np.full((_TILE, -(-n // _SUM_ROWS) * _SUM_ROWS), -0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_steps, _TILE):
             width = min(_TILE, n_steps - done)
@@ -740,8 +755,8 @@ def _step_paths(model, schedule, f, horizon, blow_up, control, n, draw) -> Batch
                 # order (z + h*b) + (sqrt_h*s)*xi
                 z = z + h * drift(z)
                 z += sqrt_h * s * xi[:, j]
-                if control is not None:
-                    z += (ctrl_coef * float(np.asarray(control.psi(k * dt)))) * s
+                if tilts is not None:
+                    z += tilts[k] * s
                 if not np.abs(z).max(initial=0.0) <= blow_up:  # NaN fails too
                     gone = ~(np.abs(z) <= blow_up)
                     fail_step[gone & (fail_step < 0)] = k + 1
@@ -751,7 +766,13 @@ def _step_paths(model, schedule, f, horizon, blow_up, control, n, draw) -> Batch
                 f_new = observe(k * dt + dt, z)
                 xi_c += 0.5 * (f_prev + f_new) * dt
                 np.maximum(sup, np.abs(xi_c), out=sup)
+                if prod is not None:
+                    np.multiply(weight, f_new, out=prod[j, :n])
                 f_prev = f_new
+            if prod is not None:
+                chunks = prod[:width].reshape(width, -1, _SUM_ROWS)
+                for c in np.cumsum(chunks, axis=2)[:, :, -1].T:
+                    corr[done:done + width] += c
     failed = fail_step >= 0
-    return BatchResult(xi_c, xi_r, np.where(failed, np.nan, sup),
-                       np.where(failed, np.nan, state_map(z)), failed, fail_step)
+    return BatchResult(xi_c, xi_r, np.where(failed, np.nan, sup), np.where(failed, np.nan, z),
+                       failed, fail_step)

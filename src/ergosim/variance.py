@@ -13,24 +13,20 @@ since the second route never touches the Poisson equation.
 The autocorrelation route draws its start uniforms from one Philox
 stream keyed by ``master_seed`` and steps path ``i`` on the normals of
 ``euler.replicate_stream(master_seed, i)``, as :func:`euler.simulate_batch`
-steps row ``i``.  A model and functional the native library steps
-(:func:`euler._runs_native`: OU, CIR or polynomial coefficients and a
-polynomial ``f``) run on the observe mode of its Euler kernel
-``euler_rows``, which steps the paths from their start states on
-``threads`` threads and sums each step's products ``f(X_0) f(X_s)``; every
-other model runs a numpy loop on normals from the native fill
-(:func:`euler._philox_normals`).  Both take each step's sum in row order
-within chunks of ``euler._SUM_ROWS`` paths and then over the chunks in
-order, and the path integrals by the Euler kernel's trapezoid, so they
-give the same bits at every thread count.
+steps row ``i``.  It runs on the observe mode of the Euler kernel that
+``simulate_batch`` would pick, through the same private runner
+``euler._run_rows``: the paths start from their own states, and each
+step's products ``f(X_0) f(X_s)`` are summed in path order within chunks
+of 256 paths and then over the chunks in order, and the path integrals
+are the kernel's trapezoid, so the figures are the same on either kernel
+and at every thread count.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import euler
-from .models import FunctionalSpec, InvariantDensity1D, SdeModel
+from .models import FunctionalSpec, InvariantDensity1D, PolynomialFunctional, SdeModel
 from .poisson1d import PoissonSolution
 
 
@@ -78,7 +74,7 @@ class CovarianceCurve:
 TAIL_MASS_LIMIT = 0.01
 # pi-mass quantile delimiting the far-tail region used by the decay screen
 TAIL_QUANTILE = 1e-6
-# the native route's blow-up bound: |y| <= _FINITE fails exactly where y is not finite
+# the route's blow-up bound: |y| <= _FINITE fails exactly where y is not finite
 _FINITE = sys.float_info.max
 
 
@@ -159,41 +155,39 @@ def mf_autocorrelation_form(
     Path ``i`` steps on ``euler.replicate_stream(master_seed, i)``, after
     the start uniforms drawn from ``master_seed``'s own stream.  The step is
     ``(y + b*dt) + (s*sqrt(dt))*xi`` in that order; each step's products
-    f(X_0) f(X_s) are summed in path order within chunks of
-    ``euler._SUM_ROWS`` paths and then over the chunks in order; and the
-    integral of f along a path is the Euler kernel's trapezoid sum, taken
-    in two legs, up to the first step of the tail window and then the
-    rest.  When :func:`euler._runs_native` holds for ``model`` and ``f``,
-    each leg is one call of the native ``euler_rows``, on ``threads``
-    threads (default: the CPUs this process may run on); otherwise a numpy
-    loop steps one step at a time on normals from the native fill, in the
-    caller's thread.  The figures do not depend on ``threads``.  Raises
+    f(X_0) f(X_s) are summed in path order within chunks of 256 paths and
+    then over the chunks in order; and the integral of f along a path is
+    the Euler kernel's trapezoid sum, taken in two legs, up to the first
+    step of the tail window and then the rest.  Each leg is one call of
+    the Euler kernels' runner in its observe mode: the native
+    ``euler_rows`` on ``threads`` threads (default: the CPUs this process
+    may run on) where ``simulate_batch`` runs it, else the numpy kernel in
+    the caller's thread.  A path goes on from leg to leg in the coordinate
+    the kernel steps (Gompertz's log space), and f is observed at ``t`` on
+    every step.  The figures do not depend on ``threads``.  Raises
     :class:`~ergosim.euler.NativeBuildError` if the native library cannot
     be built; there is no pure-Python fallback.
 
     Raises :class:`VarianceError` unless ``n_paths`` is an integer of at
-    least 2 (the standard error needs two paths), ``dt`` is finite and
-    positive, ``horizon`` is finite and at least ``dt``, and ``threads`` is
-    None or an integer of at least 1; naming the step and the number of
-    paths, at the first step after which a path's state is not finite;
-    and, naming the first such step, when the paths stay finite but a sum
-    of products f(X_0) f(X_s) or a path's integral of f is not (checked
-    once, after the last step).
+    least 2 (the standard error needs two paths), ``master_seed`` is an
+    integer of at least 0, ``dt`` is finite and positive, ``horizon`` is
+    finite and at least ``dt``, and ``threads`` is None or an integer of
+    at least 1; naming the step and the number of paths, at the first step
+    after which a path's state is not finite; and, naming the first such
+    step, when the paths stay finite but a sum of products f(X_0) f(X_s)
+    or a path's integral of f is not (checked once, after the last step).
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
-    try:
-        n_paths = operator.index(n_paths)
-    except TypeError:
-        raise VarianceError(f"n_paths must be an integer, got {n_paths!r}") from None
-    if n_paths < 2:
-        raise VarianceError(f"n_paths must be at least 2, got {n_paths}")
+    n_paths = euler._integer("n_paths", n_paths, 2, VarianceError)  # the SE needs two paths
+    master_seed = euler._integer("master_seed", master_seed, 0, VarianceError)
     if not (math.isfinite(dt) and dt > 0.0):
         raise VarianceError(f"dt must be finite and > 0, got {dt}")
     if not (math.isfinite(horizon) and horizon >= dt):
         raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
-    threads = _thread_count(threads)
-    lib = euler._native()  # a failed build raises here, before any sampling
+    threads = (euler._usable_cpus() if threads is None
+               else euler._integer("threads", threads, 1, VarianceError))
+    euler._native()  # a failed build raises here, before any sampling
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
@@ -209,6 +203,10 @@ def mf_autocorrelation_form(
             raise VarianceError("stationary start unsupported for this state_map")
     else:
         y = x
+    if not isinstance(f.value, PolynomialFunctional):
+        # the legs observe f at each step's time; the route's f is f(t, .)
+        value = f.value
+        f = dataclasses.replace(f, value=lambda _s, z: value(t, z))
 
     def observe(y_arr):
         return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
@@ -219,18 +217,22 @@ def mf_autocorrelation_form(
     i_tail = int(np.argmax(tail_idx))
     corr_sum = np.zeros(n_steps + 1)
     corr_sum[0] = float(np.sum(f0 * f0))
-    if euler._runs_native(model, f):
-        leg = functools.partial(_native_leg, lib, model, f, dt, threads)
-    else:
-        leg = functools.partial(_numpy_leg, model, observe, dt)
     # the integral of f along each path, in two legs: steps 1 to i_tail,
     # whose last state gives the products at the tail window's start, then
     # the rest; a leg of no steps is skipped
     xi = prod_tail = None
     for first, last in ((0, i_tail), (i_tail, n_steps)):
         if last > first:
-            part, y = leg(state, y, f0, corr_sum[first + 1:last + 1], first, n_steps)
-            xi = part if xi is None else xi + part
+            res = euler._run_rows(model, f, dt, dt, last - first, _FINITE, state, threads,
+                                  start=y, weight=f0, corr=corr_sum[first + 1:last + 1])
+            if res.failed.any():
+                step = int(res.fail_step[res.failed].min())
+                raise VarianceError(
+                    f"{int(np.sum(res.fail_step == step))} of {n_paths} autocorrelation paths "
+                    f"are not finite after step {first + step} of {n_steps}: dt is too "
+                    "coarse for this drift")
+            y = res.terminal
+            xi = res.xi_continuous if xi is None else xi + res.xi_continuous
             if last == i_tail:
                 prod_tail = f0 * observe(y)
     # Monte Carlo SE of the autocorrelation at the window start; NaN when the
@@ -275,26 +277,6 @@ def mf_autocorrelation_form(
     )
 
 
-def _thread_count(threads) -> int:
-    """``threads`` as a count of at least 1; None means the CPUs this
-    process may run on, as ``[run] threads = auto`` does."""
-    if threads is None:
-        return euler._usable_cpus()
-    try:
-        threads = operator.index(threads)
-    except TypeError:
-        raise VarianceError(f"threads must be an integer, got {threads!r}") from None
-    if threads < 1:
-        raise VarianceError(f"threads must be at least 1, got {threads}")
-    return threads
-
-
-def _non_finite(step: int, n_steps: int, n_bad: int, n: int) -> VarianceError:
-    return VarianceError(
-        f"{n_bad} of {n} autocorrelation paths are not "
-        f"finite after step {step} of {n_steps}: dt is too coarse for this drift")
-
-
 def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
     # a non-finite f(X_0) makes corr_sum[0] non-finite; a running integral
     # that overflowed on finite products shows only at the end
@@ -303,63 +285,6 @@ def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
     return VarianceError(
         f"the autocorrelation sums of f are not finite at step {step} of {n_steps}: "
         "f overflows on these paths")
-
-
-def _native_leg(lib, model, f, dt, threads, state, y, f0, corr, first,
-                n_steps) -> tuple:
-    """Steps ``first + 1`` to ``first + len(corr)`` of the paths from ``y`` on
-    the observe mode of ``euler_rows``, path ``i`` on row ``i`` of ``state``
-    (advanced in place): writes each step's sum of ``f0 * f(X_s)`` into
-    ``corr`` and returns each path's trapezoid integral of ``f`` over the leg
-    and its last state.  Raises :class:`VarianceError` at the first step
-    after which a path's state is not finite."""
-    spec = euler._euler_spec(model, f, dt, dt, len(corr), _FINITE, start=y, weight=f0)
-    res = euler._euler_rows(lib, spec, state, threads, corr)
-    if res.failed.any():
-        step = int(res.fail_step[res.failed].min())
-        raise _non_finite(first + step, n_steps, int(np.sum(res.fail_step == step)), len(y))
-    return res.xi_continuous, res.terminal
-
-
-def _numpy_leg(model, observe, dt, state, y, f0, corr, first, n_steps) -> tuple:
-    """:func:`_native_leg`'s contract on a numpy loop, one step at a time on
-    ``euler._TILE`` steps of normals at a time from the native fill; ``y``
-    and ``f0`` are never written."""
-    drift = model.sim_drift or model.drift
-    diff = model.sim_diffusion or model.diffusion
-    sq_dt = math.sqrt(dt)
-    n = len(y)
-    f_prev, xi = observe(y), np.zeros(n)
-    buf = np.empty(n * euler._TILE)
-    prod = np.empty((euler._TILE, n))
-    for done in range(0, len(corr), euler._TILE):
-        width = min(euler._TILE, len(corr) - done)
-        tile = buf[:n * width].reshape(n, width)
-        euler._philox_normals(state, tile)
-        for j in range(width):
-            with np.errstate(over="ignore", invalid="ignore"):  # raised on below
-                y = y + drift(y) * dt + diff(y) * sq_dt * tile[:, j]
-            if not np.isfinite(y).all():
-                raise _non_finite(first + done + j + 1, n_steps,
-                                  np.count_nonzero(~np.isfinite(y)), n)
-            fs = observe(y)
-            xi = xi + 0.5 * (f_prev + fs) * dt
-            np.multiply(f0, fs, out=prod[j])
-            f_prev = fs
-        corr[done:done + width] = _chunk_sums(prod[:width])
-    return xi, y
-
-
-def _chunk_sums(prod: np.ndarray) -> np.ndarray:
-    """The sum of each row of ``prod`` in the order of the observe mode of
-    ``euler_rows``: in order within chunks of ``euler._SUM_ROWS`` columns,
-    then over the chunks in order."""
-    k, n = prod.shape
-    rows = euler._SUM_ROWS
-    padded = np.full((k, -(-n // rows) * rows), -0.0)  # -0.0 + x is x
-    padded[:, :n] = prod
-    chunks = np.cumsum(padded.reshape(k, -1, rows), axis=2)[:, :, -1]
-    return np.cumsum(chunks, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

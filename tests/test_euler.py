@@ -931,7 +931,8 @@ def test_both_paths_step_alike(native_paths, drift, diffusion, control):
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
     sched = StepSchedule.from_policy(0.165, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     assert sched.n_steps(2.9) == 262
-    spec = euler._native_spec(m, sched, f, 2.9, 1e8, control)
+    spec = euler._euler_spec(m, f, sched.h, sched.delta_step, 262, 1e8,
+                             euler._tilts(sched, control, 262))
     for first in (0, 5):
         for n in (*range(1, 18), 41):
             _rows_on_both_paths(native_paths, spec, 2**70 + 3, first, n)
@@ -944,13 +945,17 @@ def test_both_paths_fail_and_clamp_alike(native_paths):
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0, regime="LLN",
                          policy=SchedulePolicy(2.0))
-    spec = euler._native_spec(boom, sched, f, 3.0, 1e8, None)
+    n_steps = sched.n_steps(3.0)
+    spec = euler._euler_spec(boom, f, sched.h, sched.delta_step, n_steps, 1e8,
+                             euler._tilts(sched, None, n_steps))
     _, fail, _ = _rows_on_both_paths(native_paths, spec, 0, 0, 300)
     assert 20 < (fail > 0).sum() < 300 and len(set(fail[fail > 0].tolist())) > 20
     cir = builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0, x0=0.02))
     sched = StepSchedule(epsilon=0.1, delta_step=0.03, mdp_scale=1.0, regime="LLN",
                          policy=SchedulePolicy(2.0))
-    spec = euler._native_spec(cir, sched, f, 1.0, 1e8, None)
+    n_steps = sched.n_steps(1.0)
+    spec = euler._euler_spec(cir, f, sched.h, sched.delta_step, n_steps, 1e8,
+                             euler._tilts(sched, None, n_steps))
     _rows_on_both_paths(native_paths, spec, 3, 0, 40)
     assert np.sum(_stepper(cir, sched, f, 1.0, 3, 40)["lowest"] < 0.0) >= 3
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ergosim import euler, variance
+from ergosim import euler
 from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional, builtin_model,
                             centralize, invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
@@ -110,6 +110,8 @@ def test_autocorrelation_requires_centralized(ou_pipeline):
     (dict(threads=2.0), "threads"),
     (dict(threads="2"), "threads"),
     (dict(n_paths=2000.0), "n_paths"),
+    (dict(master_seed=1.5), "master_seed"),
+    (dict(master_seed=-1), "master_seed"),
 ])
 def test_autocorrelation_rejects_bad_arguments(ou_pipeline, kw, name):
     m, pi, f, _ = ou_pipeline
@@ -251,6 +253,11 @@ def _custom_model():
     # s = 0, its standard error is NaN and the tail is left unresolved
     ("ou", dict(n_paths=2000, horizon=0.007, dt=0.005)),
     ("gompertz", dict(n_paths=2000, horizon=0.007, dt=0.005)),
+    # f(t, x) = cos(3t) x observed at its frozen time t, not at each step's
+    ("ou_cos", dict(n_paths=2000, horizon=3.0, dt=0.01, t=0.5)),
+    # two whole numpy chunks of rows and a part: each step's sum runs on
+    # across them
+    ("gompertz", dict(n_paths=2 * 4096 + 300, horizon=3.0, dt=0.01)),
 ])
 def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pipeline,
                                                family, kw):
@@ -263,26 +270,41 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
     elif family == "ou_identity":
         m, pi, _, _ = ou_pipeline
         f = FunctionalSpec(value=lambda t, x: x, growth_p0=1.0, centralized=True)
+    elif family == "ou_cos":
+        m, pi, _, _ = ou_pipeline
+        f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
+                           growth_p0=1.0, time_homogeneous=False, centralized=True)
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
-    # the numpy loop draws the normals of up to euler._TILE steps of every
-    # path at a time from the native fill, leg by leg; the native calls
-    # fill their own
+    # the numpy kernel draws the normals of up to euler._TILE steps of every
+    # path of a chunk of euler._CHUNK paths at a time from the native fill,
+    # leg by leg and chunk by chunk; the native calls fill their own
     fills = []
     fill = euler._philox_normals
     monkeypatch.setattr(euler, "_philox_normals", lambda state, out: (fills.append(out.shape),
                                                                        fill(state, out)))
+    sums = []
+    run_rows = euler._run_rows
+
+    def recorded(*args, **kwargs):
+        out = run_rows(*args, **kwargs)
+        sums.append(kwargs["corr"].copy())  # the leg's sums
+        return out
+    monkeypatch.setattr(euler, "_run_rows", recorded)
     got = mf_autocorrelation_form(m, pi, f, master_seed=3, **kw)
     n_steps = int(round(kw["horizon"] / kw["dt"]))
     i_tail = int(np.argmax(kw["dt"] * np.arange(n_steps + 1) >= 0.75 * kw["horizon"]))
     native = family in ("ou", "cir", "custom")  # OU, CIR, Polynomial and a polynomial f
-    tiles = [(kw["n_paths"], min(euler._TILE, steps - done))
-             for steps in (i_tail, n_steps - i_tail) for done in range(0, steps, euler._TILE)]
+    n = kw["n_paths"]
+    tiles = [(min(euler._CHUNK, n - first), min(euler._TILE, steps - done))
+             for steps in (i_tail, n_steps - i_tail) for first in range(0, n, euler._CHUNK)
+             for done in range(0, steps, euler._TILE)]
     assert fills == ([] if native else tiles)
-    m_hat, se, detail, _ = _autocorrelation_per_path(m, pi, f, master_seed=3, **kw)
+    m_hat, se, detail, corr_sum = _autocorrelation_per_path(m, pi, f, master_seed=3, **kw)
     assert got.values.tobytes() == np.array([m_hat]).tobytes()
     assert got.std_error.tobytes() == np.array([se]).tobytes()
     assert repr(got.detail) == repr(detail)
+    assert np.concatenate(sums).tobytes() == corr_sum[1:].tobytes()
 
 
 @pytest.mark.parametrize("family", ["ou", "cir", "custom"])
@@ -301,13 +323,13 @@ def test_autocorrelation_same_bits_at_every_thread_count(monkeypatch, ou_pipelin
     kw = dict(n_paths=n_paths, horizon=10.0, dt=0.01, master_seed=5)
     m_hat, se, detail, corr_sum = _autocorrelation_per_path(m, pi, f, **kw)
     sums = []
-    leg = variance._native_leg
+    run_rows = euler._run_rows
 
-    def recorded(*args):
-        out = leg(*args)
-        sums.append(args[8].copy())  # the leg's sums
+    def recorded(*args, **kwargs):
+        out = run_rows(*args, **kwargs)
+        sums.append(kwargs["corr"].copy())  # the leg's sums
         return out
-    monkeypatch.setattr(variance, "_native_leg", recorded)
+    monkeypatch.setattr(euler, "_run_rows", recorded)
     lib = euler._native()
     for path in _native_paths():
         monkeypatch.setattr(lib, "euler_rows", getattr(lib, f"euler_rows_{path}"))
