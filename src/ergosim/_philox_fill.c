@@ -7,6 +7,16 @@
  * philox_next increments the counter (with carry) before each new 4-word
  * block and hands the block's words out one at a time.
  *
+ * A row's stream is replicate_stream(master_seed, i) of euler.py, keyed by
+ * SeedSequence(entropy=master_seed, spawn_key=(i,)).  Its spawn word i
+ * (below 2**32) is hashed into the entropy pool after every word of the
+ * master seed, so euler.py computes the pool and the hash constant at the
+ * spawn word once per call (stream_keys), and start_row runs the rest per
+ * row: SeedSequence's last mixing round and generate_state's output hash,
+ * about 40 integer operations.  philox_start_rows starts rows into a state
+ * array; euler_rows, given no state array, starts each row on the stack of
+ * the thread that steps it.
+ *
  * philox_normal_fill runs one fused loop per row.  It takes the row's
  * buffered words first, then generates the next words into an on-stack
  * segment of SEG_WORDS words.  Each word becomes a normal inline by numpy's
@@ -31,13 +41,15 @@
  * The tables ki_double, wi_double and fi_double are numpy's own, linked in
  * from numpy/random/lib/libnpyrandom.a (euler.py makes their local symbols
  * global in a copy of it); no numpy function is called.  The loader
- * compares a filled row with numpy's stream before the fill is used.  No
- * Python object is touched, so the caller may release the GIL.
+ * compares a row started and filled here with numpy's stream before the
+ * library is used.  No Python object is touched, so the caller may release
+ * the GIL.
  *
- * euler_rows runs the scaled Euler kernel on whole rows: for a group of
- * rows at a time it fills the next SEG normals of each row into an
- * on-stack block with the same fill, then steps and observes the rows
- * together, so their dependency chains interleave.  Its arithmetic is the
+ * euler_rows runs the scaled Euler kernel on whole rows, from their states
+ * or from their stream keys: for a group of rows at a time it fills the
+ * next SEG normals of each row into an on-stack block with the same fill,
+ * then steps and observes the rows together, so their dependency chains
+ * interleave.  Its arithmetic is the
  * numpy kernel's, in the same association order; the build turns FMA
  * contraction off.  One call takes its rows CHUNK at a time on the
  * caller's thread and threads - 1 POSIX threads it starts, places off the
@@ -45,7 +57,8 @@
  * autocorrelation route of M_f (variance.py): each row starts from its own
  * state with a weight w, and each step's sum of w f(X_k) over the rows is
  * taken in row order within each chunk and then over the chunks in order,
- * so that no bit of it depends on the thread count or the path.
+ * so that no bit of it depends on the thread count or the path; the route
+ * reads no xi_r or sup_abs, so this mode skips both and writes NaN.
  *
  * The fill and the Euler kernel come in two paths that give the same bits:
  *  - portable (philox_normal_fill_portable, euler_rows_portable): two
@@ -184,6 +197,76 @@ static uint64_t next64(row_state *r)
     philox_block(r->ctr, r->key, r->buf);
     r->pos = 1;
     return r->buf[0];
+}
+
+/* -------------------------------------------------------------- streams */
+
+/* numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) */
+#define MULT_A 0x931E8875u
+#define INIT_B 0x8B51F9DDu
+#define MULT_B 0x58F38DEDu
+#define MIX_MULT_L 0xCA01F9DDu
+#define MIX_MULT_R 0x4973F715u
+
+/* The streams replicate_stream(master_seed, first + j) of rows j in [0, n);
+ * euler.py's _StreamKeys.  pool is the entropy pool of the unspawned
+ * SeedSequence(entropy=master_seed) and hash_a the hashmix constant at which
+ * the spawn word is mixed in; euler.py computes both once per call. */
+typedef struct {
+    uint32_t pool[4];
+    uint32_t hash_a;
+    int64_t first, n;
+} stream_keys;
+
+/* Row j's state at the start of its stream: the spawn word first + j
+ * (below 2**32) mixed into the pool, SeedSequence's last mixing round,
+ * then generate_state's output hash of the pool as the Philox key, a zero
+ * counter and an empty buffer, so the first draw increments the counter. */
+static inline void start_row(const stream_keys *k, int64_t j, row_state *r)
+{
+    const uint32_t spawn = (uint32_t)(k->first + j);
+    uint32_t hash_a = k->hash_a, hash_b = INIT_B, w[4];
+    for (int i = 0; i < 4; i++) {
+        uint32_t v = spawn ^ hash_a;
+        hash_a *= MULT_A;
+        v *= hash_a;
+        v ^= v >> 16;
+        uint32_t x = MIX_MULT_L * k->pool[i] - MIX_MULT_R * v;
+        x ^= x >> 16;
+        x ^= hash_b;
+        hash_b *= MULT_B;
+        x *= hash_b;
+        w[i] = x ^ x >> 16;
+    }
+    memset(r, 0, sizeof *r);
+    r->key[0] = w[0] | (uint64_t)w[1] << 32;
+    r->key[1] = w[2] | (uint64_t)w[3] << 32;
+    r->pos = 4;
+}
+
+/* Rows j0 .. j0+n_rows-1 of k started into rows[0, n_rows). */
+void philox_start_rows(const stream_keys *k, int64_t j0, row_state *rows, int64_t n_rows)
+{
+    for (int64_t j = 0; j < n_rows; j++)
+        start_row(k, j0 + j, rows + j);
+}
+
+/* The streams of a call's rows: row j's state at state[j], advanced in
+ * place, or, with state NULL, started from keys on the stack of the thread
+ * that steps row j. */
+typedef struct {
+    row_state *state;
+    const stream_keys *keys;
+} row_streams;
+
+/* The states of rows i0 .. i0+n-1 of s: in s->state, or started into own. */
+static inline row_state *group_states(const row_streams *s, int64_t i0, int n, row_state *own)
+{
+    if (s->state)
+        return s->state + i0;
+    for (int r = 0; r < n; r++)
+        start_row(s->keys, i0 + r, own + r);
+    return own;
 }
 
 /* numpy's next_double of word w: 53 bits in [0, 1) */
@@ -541,11 +624,14 @@ diffusion(const euler_spec *m, int kind, double x)
 
 /* Rows i0 .. i0+n-1 as one group, n <= GROUP; spare lanes step zero noise,
  * unread.  With obs, step k adds the rows' products w * f(X_k), in row
- * order, to sum[k - 1]. */
+ * order, to sum[k - 1]; xi_r and sup_abs, which the sums' caller does not
+ * read, are then not accumulated and come out NaN. */
 static inline __attribute__((always_inline)) void
-step_group(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t i0, int n,
-           const rows_out *o, double *sum)
+step_group(const euler_spec *m, int dk, int sk, int obs, const row_streams *streams, int64_t i0,
+           int n, const rows_out *o, double *sum)
 {
+    row_state own[GROUP];
+    row_state *rows = group_states(streams, i0, n, own);
     double noise[GROUP][SEG];
     double z[GROUP], fp[GROUP], w[GROUP], xc[GROUP], xr[GROUP], sup[GROUP];
     int64_t fail[GROUP];
@@ -564,7 +650,7 @@ step_group(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (fail[r] < 0)
-                philox_normal_fill_portable(rows + i0 + r, 1, noise[r], width);
+                philox_normal_fill_portable(rows + r, 1, noise[r], width);
         for (int k = 0; k < width; k++) {
             const double c = m->control ? m->control[k0 + k] : 0.0;
             double p[GROUP];
@@ -575,10 +661,11 @@ step_group(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_
                 if (m->control)
                     x1 = x1 + c * s;
                 double f1 = polyval(m->f, m->n_f, x1) - m->f_c0;
-                xr[r] = xr[r] + fp[r] * dt;
+                if (!obs)
+                    xr[r] = xr[r] + fp[r] * dt;
                 xc[r] = xc[r] + 0.5 * (fp[r] + f1) * dt;
                 double a = fabs(xc[r]);
-                if (!(a <= sup[r])) /* numpy's maximum: a NaN wins */
+                if (!obs && !(a <= sup[r])) /* numpy's maximum: a NaN wins */
                     sup[r] = a;
                 fp[r] = f1;
                 z[r] = x1;
@@ -598,8 +685,8 @@ step_group(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_
     for (int r = 0; r < n; r++) {
         int ok = fail[r] < 0;
         o->xi_c[i0 + r] = ok ? xc[r] : NAN;
-        o->xi_r[i0 + r] = ok ? xr[r] : NAN;
-        o->sup_abs[i0 + r] = ok ? sup[r] : NAN;
+        o->xi_r[i0 + r] = ok && !obs ? xr[r] : NAN;
+        o->sup_abs[i0 + r] = ok && !obs ? sup[r] : NAN;
         o->terminal[i0 + r] = ok ? z[r] : NAN;
         o->fail_step[i0 + r] = fail[r];
     }
@@ -621,13 +708,13 @@ step_group(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_
 
 /* Rows i0 .. i0+n-1 of a call on one path, in the observe mode when sum is
  * given: the chunk's sum of each step, which starts at -0.0. */
-typedef void chunk_fn(const euler_spec *m, row_state *rows, int64_t i0, int64_t n,
+typedef void chunk_fn(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                       const rows_out *o, double *sum);
 
 /* Rows i0 .. i0+n-1 of one chunk, GROUP at a time */
 static inline __attribute__((always_inline)) void
-run_rows(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t i0, int64_t n,
-         const rows_out *o, double *sum)
+run_rows(const euler_spec *m, int dk, int sk, int obs, const row_streams *rows, int64_t i0,
+         int64_t n, const rows_out *o, double *sum)
 {
     for (int64_t i = i0; i < i0 + n; i += GROUP)
         step_group(m, dk, sk, obs, rows, i, i0 + n - i < GROUP ? (int)(i0 + n - i) : GROUP, o, sum);
@@ -635,7 +722,7 @@ run_rows(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t 
 
 /* The plain kernel is compiled for each kind pair; the observe mode apart
  * from it, once, with the kind pair read at run time. */
-static void chunk_portable(const euler_spec *m, row_state *rows, int64_t i0, int64_t n,
+static void chunk_portable(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                            const rows_out *o, double *sum)
 {
     if (sum) {
@@ -723,9 +810,11 @@ transpose8(const double *rows, __m512d col[LANES])
  * interleave; spare and failed lanes are masked out of the blow-up check
  * and the outputs, and spare lanes out of the sums. */
 AVX512 static inline __attribute__((always_inline)) void
-step_group8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t i0, int n,
-            const rows_out *o, double *sum)
+step_group8(const euler_spec *m, int dk, int sk, int obs, const row_streams *streams,
+            int64_t i0, int n, const rows_out *o, double *sum)
 {
+    row_state own[VECS * LANES];
+    row_state *rows = group_states(streams, i0, n, own);
     _Alignas(64) double noise[VECS * LANES][SEG];
     _Alignas(64) double prod[LANES][VECS * LANES]; /* a tile's products, step by row */
     const __m512d h = _mm512_set1_pd(m->h), sqrt_h = _mm512_set1_pd(m->sqrt_h);
@@ -754,7 +843,7 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64
         int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
         for (int r = 0; r < n; r++)
             if (alive >> r & 1)
-                philox_normal_fill_avx512(rows + i0 + r, 1, noise[r], width);
+                philox_normal_fill_avx512(rows + r, 1, noise[r], width);
         for (int k = 0; k < width; k += LANES) {
             int cols = width - k < LANES ? width - k : LANES;
             __m512d col[VECS][LANES];
@@ -772,13 +861,16 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64
                         x1 = _mm512_add_pd(x1, _mm512_mul_pd(c, s));
                     }
                     __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
-                    xr[q] = _mm512_add_pd(xr[q], _mm512_mul_pd(fp[q], dt));
+                    if (!obs)
+                        xr[q] = _mm512_add_pd(xr[q], _mm512_mul_pd(fp[q], dt));
                     __m512d mid = _mm512_mul_pd(half, _mm512_add_pd(fp[q], f1));
                     xc[q] = _mm512_add_pd(xc[q], _mm512_mul_pd(mid, dt));
-                    /* sup where a <= sup, else a: numpy's maximum, a NaN wins */
-                    __m512d a = _mm512_abs_pd(xc[q]);
-                    sup[q] = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, sup[q], _CMP_LE_OQ), a,
-                                                  sup[q]);
+                    if (!obs) {
+                        /* sup where a <= sup, else a: numpy's maximum, a NaN wins */
+                        __m512d a = _mm512_abs_pd(xc[q]);
+                        sup[q] = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, sup[q], _CMP_LE_OQ),
+                                                      a, sup[q]);
+                    }
                     fp[q] = f1;
                     z[q] = x1;
                     __mmask8 kept = _mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
@@ -801,11 +893,12 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64
     const __m512d nan = _mm512_set1_pd(NAN);
     for (int q = 0; q < VECS; q++) {
         const __mmask8 ok = _mm512_cmplt_epi64_mask(fail[q], _mm512_setzero_si512());
+        const __mmask8 kept = obs ? 0 : ok; /* xi_r and sup_abs, NaN in the observe mode */
         const __mmask8 in = (__mmask8)(rows_in >> q * LANES);
         const int64_t at = i0 + q * LANES;
         _mm512_mask_storeu_pd(o->xi_c + at, in, _mm512_mask_blend_pd(ok, nan, xc[q]));
-        _mm512_mask_storeu_pd(o->xi_r + at, in, _mm512_mask_blend_pd(ok, nan, xr[q]));
-        _mm512_mask_storeu_pd(o->sup_abs + at, in, _mm512_mask_blend_pd(ok, nan, sup[q]));
+        _mm512_mask_storeu_pd(o->xi_r + at, in, _mm512_mask_blend_pd(kept, nan, xr[q]));
+        _mm512_mask_storeu_pd(o->sup_abs + at, in, _mm512_mask_blend_pd(kept, nan, sup[q]));
         _mm512_mask_storeu_pd(o->terminal + at, in, _mm512_mask_blend_pd(ok, nan, z[q]));
         _mm512_mask_storeu_epi64(o->fail_step + at, in, fail[q]);
     }
@@ -813,8 +906,8 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64
 
 /* run_rows, VECS * LANES rows at a time */
 AVX512 static inline __attribute__((always_inline)) void
-run_rows8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t i0, int64_t n,
-          const rows_out *o, double *sum)
+run_rows8(const euler_spec *m, int dk, int sk, int obs, const row_streams *rows, int64_t i0,
+          int64_t n, const rows_out *o, double *sum)
 {
     for (int64_t i = i0; i < i0 + n; i += VECS * LANES)
         step_group8(m, dk, sk, obs, rows, i,
@@ -822,8 +915,8 @@ run_rows8(const euler_spec *m, int dk, int sk, int obs, row_state *rows, int64_t
 }
 
 /* chunk_portable's contract and bits */
-AVX512 static void chunk_avx512(const euler_spec *m, row_state *rows, int64_t i0, int64_t n,
-                                const rows_out *o, double *sum)
+AVX512 static void chunk_avx512(const euler_spec *m, const row_streams *rows, int64_t i0,
+                                int64_t n, const rows_out *o, double *sum)
 {
     if (sum) {
         run_rows8(m, (int)m->drift_kind, (int)m->diffusion_kind, 1, rows, i0, n, o, sum);
@@ -845,7 +938,7 @@ AVX512 static void chunk_avx512(const euler_spec *m, row_state *rows, int64_t i0
 typedef struct {
     chunk_fn *run;
     const euler_spec *m;
-    row_state *rows;
+    row_streams rows;
     int64_t n_rows;
     rows_out out;
     double *sums;         /* observe mode: (chunks, n_steps), each chunk's sums */
@@ -861,7 +954,7 @@ static void *take_chunks(void *arg)
         double *sum = J->sums ? J->sums + c * n_steps : NULL;
         for (int64_t k = 0; sum && k < n_steps; k++)
             sum[k] = -0.0; /* -0.0 + x is x: the sum starts at the chunk's first product */
-        J->run(J->m, J->rows, i0, left < CHUNK ? left : CHUNK, &J->out, sum);
+        J->run(J->m, &J->rows, i0, left < CHUNK ? left : CHUNK, &J->out, sum);
     }
     return NULL;
 }
@@ -885,8 +978,9 @@ static void spread_helpers(pthread_attr_t *attr)
 #endif
 }
 
-/* Step rows[0, n_rows) through m->n_steps Euler steps, each row on its own
- * stream from x0 (or its m->start), chunk by chunk with run, and write the
+/* Step rows [0, n_rows) through m->n_steps Euler steps, row j on its own
+ * stream, rows[j] or, with rows NULL, row j of keys (see row_streams), from
+ * x0 (or its m->start), chunk by chunk with run, and write the
  * path functionals of row j to element j of the outputs.  A row stops at
  * the first step after which |Z| <= blow_up fails (NaN included):
  * fail_step is that step's number, counted from 1, and its other outputs
@@ -898,11 +992,12 @@ static void spread_helpers(pthread_attr_t *attr)
  * undefined.  The chunks are taken in turn by the caller's thread and up to
  * threads - 1 helpers placed off its CPU, joined before the return.
  * Returns 0, or -1 if memory runs out. */
-static int64_t split_rows(chunk_fn *run, const euler_spec *m, row_state *rows, int64_t n_rows,
-                          rows_out out, double *corr, int64_t threads)
+static int64_t split_rows(chunk_fn *run, const euler_spec *m, row_state *rows,
+                          const stream_keys *keys, int64_t n_rows, rows_out out, double *corr,
+                          int64_t threads)
 {
     const int64_t n_chunks = (n_rows + CHUNK - 1) / CHUNK, n_steps = m->n_steps;
-    rows_job J = {run, m, rows, n_rows, out, NULL, 0};
+    rows_job J = {run, m, {rows, keys}, n_rows, out, NULL, 0};
     if (m->weight && n_chunks * n_steps > 0
         && !(J.sums = malloc(n_chunks * n_steps * sizeof *J.sums)))
         return -1;
@@ -935,21 +1030,21 @@ static int64_t split_rows(chunk_fn *run, const euler_spec *m, row_state *rows, i
     return 0;
 }
 
-int64_t euler_rows_portable(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi_c,
-                            double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step,
-                            double *corr, int64_t threads)
+int64_t euler_rows_portable(const euler_spec *m, row_state *rows, const stream_keys *keys,
+                            int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
+                            double *terminal, int64_t *fail_step, double *corr, int64_t threads)
 {
-    return split_rows(chunk_portable, m, rows, n_rows,
+    return split_rows(chunk_portable, m, rows, keys, n_rows,
                       (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
 }
 
 #if defined(__x86_64__)
 
-int64_t euler_rows_avx512(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi_c,
-                          double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step,
-                          double *corr, int64_t threads)
+int64_t euler_rows_avx512(const euler_spec *m, row_state *rows, const stream_keys *keys,
+                          int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
+                          double *terminal, int64_t *fail_step, double *corr, int64_t threads)
 {
-    return split_rows(chunk_avx512, m, rows, n_rows,
+    return split_rows(chunk_avx512, m, rows, keys, n_rows,
                       (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
 }
 
@@ -986,11 +1081,11 @@ void philox_normal_fill(row_state *rows, int64_t n_rows, double *out, int64_t wi
     fill_path(rows, n_rows, out, width);
 }
 
-int64_t euler_rows(const euler_spec *m, row_state *rows, int64_t n_rows, double *xi_c,
-                   double *xi_r, double *sup_abs, double *terminal, int64_t *fail_step,
-                   double *corr, int64_t threads)
+int64_t euler_rows(const euler_spec *m, row_state *rows, const stream_keys *keys,
+                   int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
+                   double *terminal, int64_t *fail_step, double *corr, int64_t threads)
 {
-    return split_rows(chunk_path, m, rows, n_rows,
+    return split_rows(chunk_path, m, rows, keys, n_rows,
                       (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
 }
 

@@ -35,7 +35,9 @@ One private runner, :func:`_run_rows`, picks the kernel by
 autocorrelation route of ``M_f`` (:mod:`ergosim.variance`).  Both kernels
 have the route's observe mode: each row starts from its own state, and
 each step's sum of ``w_i * f(X_k)`` over the rows is taken in row order
-within chunks of ``_SUM_ROWS`` rows, then over the chunks in order.  The
+within chunks of ``_SUM_ROWS`` rows, then over the chunks in order; the
+route reads only the trapezoid integrals and terminal states, so the
+observe mode leaves ``xi_riemann`` and ``sup_abs`` NaN.  The
 library's other entry point, ``antiderivative_eval``, answers the queries
 of :class:`~ergosim.quadrature.Antiderivative`, so the density, the
 Poisson solution and the gradient form of ``M_f`` load the library too.
@@ -44,25 +46,32 @@ Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
 depend on execution order, chunking, or thread count.
 :func:`replicate_stream` is the reference: a Philox generator keyed by
-``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  The batched
-caller derives the keys of all rows at once (:func:`_replicate_keys`)
-and keeps numpy's Philox4x64-10 state per row in a uint64 array; the C
-fill generates each row's words 16 counter blocks at a time and turns
-them into normals with numpy's ziggurat, its fast path and, for the rare
-word that path does not accept, its wedge and tail code, in numpy's
-order and arithmetic and with libm's ``exp`` and ``log1p``, as numpy's
-``random_standard_normal`` does.  The ziggurat tables are numpy's own,
-linked in from ``libnpyrandom.a``; no numpy function is called.  When
-the library is loaded a filled row is compared with ``replicate_stream``
+``SeedSequence(entropy=master_seed, spawn_key=(i,))``.  Since the spawn
+word is hashed in after the master seed, a batched call computes the
+master seed's entropy pool and the hash constant at the spawn word once
+(:func:`_stream_keys`), and the library derives each row's key and
+numpy's Philox4x64-10 start state (11 uint64 words) from them where the
+row is used: ``euler_rows`` on the stack of the thread that steps the
+row, so :func:`simulate_batch` holds no per-replicate stream state, and
+``philox_start_rows`` into a state array for the numpy kernel, one chunk
+at a time, and for the autocorrelation route, which carries its streams
+from one leg to the next.  The C fill generates each row's words 16
+counter blocks at a time and turns them into normals with numpy's
+ziggurat, its fast path and, for the rare word that path does not
+accept, its wedge and tail code, in numpy's order and arithmetic and
+with libm's ``exp`` and ``log1p``, as numpy's ``random_standard_normal``
+does.  The ziggurat tables are numpy's own, linked in from
+``libnpyrandom.a``; no numpy function is called.  When the library is
+loaded a row it started and filled is compared with ``replicate_stream``
 (:class:`NativeBuildError` if they differ), so both kernels draw exactly
 the numbers of ``replicate_stream``.  The library is compiled with gcc
 (flags ``_CFLAGS``) on first use into a per-user cache and runs without
 the GIL.  Its fill and its Euler kernel each come in a portable and an
 AVX-512 path with the same bits; the library picks one for the CPU when
-it is loaded, and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its rows
-``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1`` POSIX
-threads of its own, placed off the caller's CPU and joined before it
-returns, so that neither its rows nor its sums depend on the thread
+it is loaded, and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its
+rows ``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1``
+POSIX threads of its own, placed off the caller's CPU and joined before
+it returns, so that neither its rows nor its sums depend on the thread
 count; the numpy kernel runs in the caller's thread alone.
 """
 
@@ -232,23 +241,34 @@ def replicate_stream(master_seed: int, replicate_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(seq))
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# numpy's SeedSequence hashmix constants (numpy/random/bit_generator.pyx);
+# _philox_fill.c holds the rest
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
-def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
-    """Philox keys of ``replicate_stream(master_seed, i)`` for i in [first, first + n).
+class _StreamKeys(ctypes.Structure):
+    """``stream_keys`` of ``_philox_fill.c``: the streams
+    ``replicate_stream(master_seed, first + j)`` of rows ``j`` in ``[0, n)``,
+    each started where it is used (:func:`_stream_keys`)."""
 
-    Row ``j`` equals ``SeedSequence(entropy=master_seed, spawn_key=(first + j,))
-    .generate_state(2, np.uint64)``.  The spawn word enters the entropy pool
-    after every word of the master seed, so the pool of the unspawned
-    sequence is computed once and only the last mixing round and the
-    output hash run per replicate, in vectorised uint32 arithmetic.
+    _fields_ = [("pool", ctypes.c_uint32 * 4), ("hash_a", ctypes.c_uint32),
+                ("first", ctypes.c_int64), ("n", ctypes.c_int64)]
+
+    def __len__(self):
+        return self.n
+
+
+def _stream_keys(master_seed: int, first: int, n: int) -> _StreamKeys:
+    """The :class:`_StreamKeys` of ``replicate_stream(master_seed, i)`` for i in
+    [first, first + n).
+
+    Row ``j``'s Philox key is ``SeedSequence(entropy=master_seed,
+    spawn_key=(first + j,)).generate_state(2, np.uint64)``.  The spawn word
+    enters the entropy pool after every word of the master seed, so the pool
+    of the unspawned sequence and the hash constant at which the spawn word
+    is mixed in are computed once, here; the last mixing round and the
+    output hash run per row, in C (``start_row``).
     """
-    master_seed = operator.index(master_seed)
     if first < 0 or first + n > 2**32:
         raise SimulationError(
             "replicate indices must lie in [0, 2**32) for bulk stream derivation")
@@ -257,27 +277,8 @@ def _replicate_keys(master_seed: int, first: int, n: int) -> np.ndarray:
     # hashmix calls before the spawn word: fill the pool, mix it all-pairs,
     # then four per master-seed word beyond the pool size
     n_calls = len(pool) ** 2 + len(pool) * max(0, seed_words - len(pool))
-    hash_a = _INIT_A * pow(_MULT_A, n_calls, 2**32) & _MASK32
-    hash_b = _INIT_B
-    spawn = np.arange(first, first + n, dtype=np.uint64).astype(np.uint32)
-    words = []
-    for p in pool:
-        v = spawn ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        v *= np.uint32(hash_a)
-        v ^= v >> np.uint32(16)
-        m = np.uint32(_MIX_MULT_L * int(p) & _MASK32) - np.uint32(_MIX_MULT_R) * v
-        m ^= m >> np.uint32(16)
-        # generate_state's output hash of this pool word
-        m ^= np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        m *= np.uint32(hash_b)
-        m ^= m >> np.uint32(16)
-        words.append(m.astype(np.uint64))
-    keys = np.empty((n, 2), dtype=np.uint64)
-    keys[:, 0] = words[0] | (words[1] << np.uint64(32))
-    keys[:, 1] = words[2] | (words[3] << np.uint64(32))
-    return keys
+    hash_a = _INIT_A * pow(_MULT_A, n_calls, 2**32) % 2**32
+    return _StreamKeys((ctypes.c_uint32 * 4)(*pool), hash_a, first, n)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,9 @@ _lib = None
 
 
 def _native():
-    """The compiled ``_philox_fill.c``: ``philox_normal_fill``, ``euler_rows``
-    and ``antiderivative_eval`` (the queries of
-    :class:`~ergosim.quadrature.Antiderivative`).
+    """The compiled ``_philox_fill.c``: ``philox_start_rows``,
+    ``philox_normal_fill``, ``euler_rows`` and ``antiderivative_eval`` (the
+    queries of :class:`~ergosim.quadrature.Antiderivative`).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
@@ -316,8 +317,8 @@ def _native():
     the library is linked against the copy; no numpy function is called.
     It is built under a temporary name and renamed into place, so
     concurrent first uses never load a partial file.  Once per process the
-    fill, on the path the library picked for this CPU, passes
-    :func:`_check_fill`.
+    stream start and the fill, on the path the library picked for this CPU,
+    pass :func:`_check_fill`.
     """
     global _lib
     if _lib is not None:
@@ -350,24 +351,25 @@ def _native():
     dll = ctypes.CDLL(str(target))
     dll.native_path.argtypes = ()
     dll.native_path.restype = ctypes.c_char_p
-    spec = ctypes.POINTER(_EulerSpec)
+    spec, keys = ctypes.POINTER(_EulerSpec), ctypes.POINTER(_StreamKeys)
     signatures = {  # name: (argtypes, restype)
+        "philox_start_rows": ((keys, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64), None),
         "philox_normal_fill": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                                 ctypes.c_int64), None),
-        "euler_rows": ((spec, ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 6,
+        "euler_rows": ((spec, ctypes.c_void_p, keys, ctypes.c_int64, *[ctypes.c_void_p] * 6,
                         ctypes.c_int64), ctypes.c_int64),
         "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
                                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
     }
     # the routed entry points and each path's own (no avx512 path off x86-64;
-    # antiderivative_eval has one path)
+    # philox_start_rows and antiderivative_eval have one path)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
         for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)
             if fn is not None:
                 fn.argtypes, fn.restype = args, restype
-    _check_fill(dll.philox_normal_fill)
+    _check_fill(dll)
     _lib = dll
     return dll
 
@@ -407,17 +409,19 @@ def __getattr__(name):
 _CHECK_SEED, _CHECK_INDEX, _CHECK_WIDTH = 0, 1326, 2000
 
 
-def _check_fill(fn) -> None:
-    """Raise :class:`NativeBuildError` unless ``fn`` fills one row exactly as
-    :func:`replicate_stream` draws it and leaves numpy's Philox state behind.
+def _check_fill(lib) -> None:
+    """Raise :class:`NativeBuildError` unless the library ``lib`` starts a
+    row on :func:`replicate_stream`'s key and fills it exactly as that
+    stream draws, leaving numpy's Philox state behind.
 
     The fill links numpy's ziggurat tables but runs numpy's slow path
     itself; a numpy whose ziggurat changed shows here, not as different
     streams.
     """
-    state = _start_streams(np.empty((1, _STATE_WORDS), np.uint64), _CHECK_SEED, _CHECK_INDEX)
+    state = np.empty((1, _STATE_WORDS), np.uint64)
+    lib.philox_start_rows(_stream_keys(_CHECK_SEED, _CHECK_INDEX, 1), 0, state.ctypes.data, 1)
     out = np.empty((1, _CHECK_WIDTH))
-    fn(state.ctypes.data, 1, out.ctypes.data, _CHECK_WIDTH)
+    lib.philox_normal_fill(state.ctypes.data, 1, out.ctypes.data, _CHECK_WIDTH)
     ref = replicate_stream(_CHECK_SEED, _CHECK_INDEX)
     want = ref.standard_normal(_CHECK_WIDTH)
     if (out[0].tobytes() != want.tobytes()
@@ -427,11 +431,15 @@ def _check_fill(fn) -> None:
             f"ziggurat may have changed (numpy {np.__version__})")
 
 
-def _start_streams(state: np.ndarray, master_seed: int, first: int) -> np.ndarray:
-    """Reset row ``j`` of ``state`` to the start of ``replicate_stream(master_seed, first + j)``."""
-    state[:] = 0
-    state[:, 4:6] = _replicate_keys(master_seed, first, len(state))
-    state[:, 10] = 4  # empty buffer: the first draw increments the counter
+def _start_streams(state: np.ndarray, keys: _StreamKeys, j0: int = 0) -> np.ndarray:
+    """Set row ``j`` of ``state``, a C-contiguous ``(n, _STATE_WORDS)`` uint64
+    array, to the start of the stream of row ``j0 + j`` of ``keys``; returns
+    ``state``."""
+    if not (state.dtype == np.uint64 and state.ndim == 2 and state.shape[1] == _STATE_WORDS
+            and state.flags.c_contiguous and 0 <= j0 and j0 + len(state) <= len(keys)):
+        raise ValueError("the stream start needs a C-contiguous uint64 (n, 11) state "
+                         "of rows within the keys")
+    _native().philox_start_rows(keys, j0, state.ctypes.data, len(state))
     return state
 
 
@@ -557,20 +565,23 @@ def simulate_batch(
     whatever ``threads``.  Both kernels give the same numbers to the bit,
     and the output is a deterministic function of (model, schedule, f,
     horizon, master_seed, n_replicates), whatever ``threads``.
-    ``n_replicates = 0`` gives empty arrays.  :class:`SimulationError` is
-    raised for a count, seed or thread count that is not an integer, a
-    negative count or seed, and fewer than one thread.
+    Replicate ``j`` runs on ``replicate_stream(master_seed, first_index + j)``,
+    keyed where its row is stepped, so the call holds no per-replicate
+    stream state beyond a chunk.  ``n_replicates = 0`` gives empty arrays.
+    :class:`SimulationError` is raised for a count, seed, first index or
+    thread count that is not an integer, a negative count, seed or first
+    index, fewer than one thread, and replicate indices of ``2**32`` or more.
     """
     n_replicates = _integer("n_replicates", n_replicates, 0)
     master_seed = _integer("master_seed", master_seed, 0)
+    first_index = _integer("first_index", first_index, 0)
     threads = _integer("threads", threads, 1)
+    keys = _stream_keys(master_seed, first_index, n_replicates)
     _native()  # a failed build raises here, in the caller's thread
     n_steps = schedule.n_steps(horizon)
     tilts = _tilts(schedule, control, n_steps)
-    state = _start_streams(np.empty((n_replicates, _STATE_WORDS), np.uint64), master_seed,
-                           first_index)
     return _mapped(model, _run_rows(model, f, schedule.h, schedule.delta_step, n_steps,
-                                    blow_up, state, threads, tilts))
+                                    blow_up, keys, threads, tilts))
 
 
 def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],
@@ -595,20 +606,25 @@ def _mapped(model: SdeModel, res: BatchResult) -> BatchResult:
     return res
 
 
-def _run_rows(model, f, h, dt, n_steps, blow_up, state, threads, tilts=None, start=None,
+def _run_rows(model, f, h, dt, n_steps, blow_up, streams, threads, tilts=None, start=None,
               weight=None, corr=None) -> BatchResult:
-    """Step the rows of ``state`` (advanced in place) on ``euler_rows`` when
-    :func:`_runs_native` holds, else on ``_step_paths`` in chunks of
-    ``_CHUNK`` rows in the caller's thread; the arguments are those of
-    :func:`_euler_spec`.  ``corr`` (``n_steps`` floats) takes the observe
-    mode's sums, which ``weight`` asks for.  Terminal states are left in
-    the stepped coordinate."""
-    n = len(state)
+    """Step the rows of ``streams`` on ``euler_rows`` when :func:`_runs_native`
+    holds, else on ``_step_paths`` in chunks of ``_CHUNK`` rows in the
+    caller's thread.  ``streams`` is an ``(n, _STATE_WORDS)`` uint64 state
+    array, advanced in place, or a :class:`_StreamKeys`, whose rows are
+    started where they are stepped: by ``euler_rows`` on the stack of the
+    thread that steps them, or chunk by chunk for ``_step_paths``.  The other
+    arguments are those of :func:`_euler_spec`.  ``corr`` (``n_steps``
+    floats) takes the observe mode's sums, which ``weight`` asks for.
+    Terminal states are left in the stepped coordinate."""
+    n = len(streams)
+    keyed = isinstance(streams, _StreamKeys)
     if _runs_native(model, f):
         spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
         out = np.empty((4, n))
         fail_step = np.empty(n, np.int64)
-        if _native().euler_rows(spec, state.ctypes.data, n,
+        if _native().euler_rows(spec, None if keyed else streams.ctypes.data,
+                                streams if keyed else None, n,
                                 *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
                                 None if corr is None else corr.ctypes.data, threads):
             raise MemoryError("euler_rows: out of memory for the partial sums")
@@ -619,9 +635,12 @@ def _run_rows(model, f, h, dt, n_steps, blow_up, state, threads, tilts=None, sta
     # no rows: one empty chunk, so the arrays still get their dtypes
     for first in range(0, max(n, 1), _CHUNK):
         rows = slice(first, first + _CHUNK)
+        count = min(_CHUNK, n - first)
+        state = (_start_streams(np.empty((count, _STATE_WORDS), np.uint64), streams, first)
+                 if keyed else streams[rows])
         parts.append(_step_paths(
-            model, f, h, dt, n_steps, blow_up, tilts, len(state[rows]),
-            functools.partial(_philox_normals, state[rows]),
+            model, f, h, dt, n_steps, blow_up, tilts, count,
+            functools.partial(_philox_normals, state),
             None if start is None else start[rows], None if weight is None else weight[rows],
             corr))
     return BatchResult._concat(parts)
@@ -722,6 +741,8 @@ def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, w
     state is left in the stepped coordinate.  The other arguments are those
     of :func:`_run_rows`; ``corr[k]`` adds each chunk of ``_SUM_ROWS``
     rows' sum of ``weight * f(X_{k+1})``, in row order, to its running sum.
+    With ``weight``, the observe mode, ``xi_riemann`` and ``sup_abs`` are
+    not accumulated, since its caller reads neither, and are NaN.
     """
     # coefficients and state map in the coordinates actually stepped
     drift, diffusion, state_map, x0 = (
@@ -749,7 +770,8 @@ def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, w
             draw(xi)
             for j in range(width):
                 k = done + j
-                xi_r += f_prev * dt
+                if prod is None:
+                    xi_r += f_prev * dt
                 s = diffusion(z)
                 # z + h*b is a new array, so the in-place adds keep the
                 # order (z + h*b) + (sqrt_h*s)*xi
@@ -765,8 +787,9 @@ def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, w
                     xi_r[gone] = np.nan
                 f_new = observe(k * dt + dt, z)
                 xi_c += 0.5 * (f_prev + f_new) * dt
-                np.maximum(sup, np.abs(xi_c), out=sup)
-                if prod is not None:
+                if prod is None:
+                    np.maximum(sup, np.abs(xi_c), out=sup)
+                else:
                     np.multiply(weight, f_new, out=prod[j, :n])
                 f_prev = f_new
             if prod is not None:
@@ -774,5 +797,7 @@ def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, w
                 for c in np.cumsum(chunks, axis=2)[:, :, -1].T:
                     corr[done:done + width] += c
     failed = fail_step >= 0
+    if prod is not None:
+        xi_r, sup = np.full(n, np.nan), np.full(n, np.nan)
     return BatchResult(xi_c, xi_r, np.where(failed, np.nan, sup), np.where(failed, np.nan, z),
                        failed, fail_step)

@@ -303,6 +303,7 @@ def run_lln_rate(spec: ExperimentSpec) -> ExperimentReport:
         sched = spec.schedule(eps)
         res = _run_eps(spec, sched)
         row = _base_row(sched, res)
+        del res  # each epsilon's batch is freed before the next one runs
         report.rows.append(row)
         sup_means.append(row["sup_mean"])
     sup_means = np.asarray(sup_means)
@@ -341,6 +342,7 @@ def run_clt_normality(spec: ExperimentSpec, mf_target: float) -> ExperimentRepor
             row[tag + "ks_threshold"] = st["ks_threshold"]
             row[tag + "var_ok"] = st["var_ok"]
             row[tag + "ks_ok"] = st["ks_ok"]
+        del res, ok, vals  # each epsilon's batch is freed before the next one runs
         report.rows.append(row)
     last = report.rows[-1]
     report.verdicts["clt_variance"] = bool(last["var_ok"])
@@ -401,6 +403,7 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
             else:
                 speeds[x].append(sched.beta * math.log(p_hat))
                 row[f"beta_log_p_{x:g}"] = speeds[x][-1]
+        del res, ok, ups  # each epsilon's batch is freed before the next one runs
         report.rows.append(row)
     for x in spec.mdp_levels:
         i_x = rate_target[x]
@@ -459,6 +462,7 @@ def run_schedule_violation(
             row[tag + "theta"] = sched.policy.theta_step
             if tag == "valid_":
                 row.update(_base_row(sched, res))
+            del res, ok  # each batch is freed before the next one runs
         report.rows.append(row)
     last = report.rows[-1]
     report.verdicts["valid_schedule_variance"] = (

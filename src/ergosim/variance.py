@@ -192,8 +192,9 @@ def mf_autocorrelation_form(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
     # path i's normals: the stream of simulate_batch's row i
+    # (the legs carry them from one to the next, so they are held as states)
     state = euler._start_streams(np.empty((n_paths, euler._STATE_WORDS), np.uint64),
-                                 master_seed, 0)
+                                 euler._stream_keys(master_seed, 0, n_paths))
 
     smap = model.state_map
     if smap is not None:

@@ -3,6 +3,7 @@ import math
 import sys
 import subprocess
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -245,7 +246,8 @@ def test_native_fill_matches_replicate_stream(first):
     seed = 2**70 + 11
     n = 3 if first else 64
     widths = (37, 50, 2**23 // n - 87)
-    state = euler._start_streams(np.empty((n, euler._STATE_WORDS), np.uint64), seed, first)
+    state = euler._start_streams(np.empty((n, euler._STATE_WORDS), np.uint64),
+                                 euler._stream_keys(seed, first, n))
     parts = []
     for width in widths:
         out = np.empty((n, width))
@@ -410,7 +412,8 @@ def test_fill_slow_path_at_every_call_position():
 def test_fill_self_check_rejects_a_wrong_reference(monkeypatch):
     # the loader's check row takes every kind of slow draw, and a fill that
     # differs from the reference stream raises a typed error at load time
-    key = euler._replicate_keys(euler._CHECK_SEED, euler._CHECK_INDEX, 1)[0]
+    key = np.random.SeedSequence(euler._CHECK_SEED, spawn_key=(euler._CHECK_INDEX,)
+                                 ).generate_state(2, np.uint64)
     kinds, n_draws = set(), 0
     for _, kind, _, run in _slow_draws(np.random.Philox(key=key).random_raw(
             2 * euler._CHECK_WIDTH)):
@@ -429,15 +432,52 @@ def test_fill_self_check_rejects_a_wrong_reference(monkeypatch):
        st.sampled_from([0, 1, 4094, 4095, 4096, 4097, 2**32 - 3]))
 @settings(max_examples=60, deadline=None)
 def test_replicate_keys_match_seed_sequence(master_seed, first):
-    keys = euler._replicate_keys(master_seed, first, 3)
+    # the row states the native library starts from the once-per-call pool
+    # and hash constant: numpy's Philox state of replicate_stream, key and all
+    keys = euler._stream_keys(master_seed, first, 3)
+    state = np.full((5, euler._STATE_WORDS), 7, np.uint64)
+    euler._start_streams(state[1:4], keys)
+    assert np.all(state[0] == 7) and np.all(state[4] == 7)
     for j in range(3):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(first + j,))
-        assert np.array_equal(keys[j], seq.generate_state(2, np.uint64))
+        assert np.array_equal(state[1 + j, 4:6], seq.generate_state(2, np.uint64))
+        bg = replicate_stream(master_seed, first + j).bit_generator
+        assert state[1 + j].tobytes() == euler._philox_row(bg).tobytes()
+    # rows started from an offset into the keys, as the numpy kernel's chunks are
+    tail = euler._start_streams(np.empty((2, euler._STATE_WORDS), np.uint64), keys, 1)
+    assert tail.tobytes() == state[2:4].tobytes()
+
+
+@pytest.mark.parametrize("master_seed", [2**128, 2**150 + 2**40 + 9, 2**200 - 1])
+def test_replicate_keys_of_seeds_wider_than_the_pool(master_seed):
+    # a master seed of more than four 32-bit words shifts the hash constant
+    # at which the spawn word is mixed in; the filled rows and the batch
+    # rows stepped on keys started in the kernel are replicate_stream's
+    first = 2**32 - 5
+    state = euler._start_streams(np.empty((5, euler._STATE_WORDS), np.uint64),
+                                 euler._stream_keys(master_seed, first, 5))
+    out = np.empty((5, 300))
+    euler._philox_normals(state, out)
+    for j in range(5):
+        want = replicate_stream(master_seed, first + j).standard_normal(300)
+        assert out[j].tobytes() == want.tobytes(), j
+    m, f = ou(), f_identity()
+    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
+    batch = simulate_batch(m, sched, f, 0.3, master_seed=master_seed, n_replicates=5,
+                           first_index=first)
+    _assert_rows_match_scalar(batch, m, sched, f, 0.3, master_seed, first, range(5))
 
 
 def test_replicate_keys_reject_two_word_indices():
     with pytest.raises(SimulationError, match="2\\*\\*32"):
-        euler._replicate_keys(0, 2**32 - 1, 2)
+        euler._stream_keys(0, 2**32 - 1, 2)
+    m = ou()
+    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
+    for f in (f_identity(), f_lambda()):
+        with pytest.raises(SimulationError, match="2\\*\\*32"):
+            simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=2,
+                           first_index=2**32 - 1)
+        simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=1, first_index=2**32 - 1)
 
 
 def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, control=None):
@@ -772,6 +812,61 @@ def test_native_rows_split_across_threads(numpy_kernel_calls):
     assert numpy_kernel_calls[0] == 0
 
 
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, kernel):
+    # rows that end at replicate 2**32 - 1, the last index one spawn word
+    # keys: 3 rows from 2**32 - 3, and 809 rows from 2**32 - 809 (three
+    # 256-row chunks of the native kernel and a short fourth; three 300-row
+    # chunks of the numpy kernel, each keyed from its offset), on 1, 2, 3 and
+    # 5 threads; the custom model's rows fail at different steps.  Every
+    # array is byte-equal across thread counts and matches the per-step
+    # reference on replicate_stream
+    monkeypatch.setattr(euler, "_CHUNK", 300)
+    boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
+    sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0, regime="LLN",
+                         policy=SchedulePolicy(2.0))
+    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
+    if kernel == "numpy":
+        poly = f.value
+        f = FunctionalSpec(value=lambda t, x: poly(t, x), growth_p0=2.0)
+    for m in (ou(), boom):
+        for n in (3, 809):
+            first = 2**32 - n
+            runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=n,
+                                   threads=threads, first_index=first)
+                    for threads in (1, 2, 3, 5)]
+            for name in runs[0].__dataclass_fields__:
+                assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
+            _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, n,
+                                                      first=first))
+    assert runs[0].failed.any() and not runs[0].failed.all()
+    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2 * 4 * (1 + 3))
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_batch_holds_no_per_replicate_stream_state(kernel):
+    # 100,000 rows: the native kernel's call allocates its outputs alone
+    # (41 B a replicate) and keys each row on the thread that steps it; the
+    # numpy kernel keys each chunk as it reaches it and holds its chunks'
+    # outputs and their concatenation.  An (n, 11) stream state array would
+    # add 88 B a replicate
+    m = ou()
+    f = f_identity() if kernel == "native" else f_lambda()
+    sched = StepSchedule.from_policy(0.2, "CLT", SchedulePolicy(2.5), 1.0)
+    n = 100_000
+    simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=1)  # the library loads untraced
+    tracemalloc.start()
+    try:
+        simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=n, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if kernel == "native":
+        assert peak < 48 * n + 2**20
+    else:
+        assert peak < 2 * 48 * n + 4 * 2**20
+
+
 def test_native_rows_more_threads_than_rows(numpy_kernel_calls):
     # 3 rows on 5 threads: one chunk, taken by the caller alone
     m, f = ou(), FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
@@ -901,21 +996,31 @@ _PSI_LONG = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=2.0, horiz
 
 
 def _rows_on_both_paths(native_paths, spec, seed, first, n):
-    """``euler_rows`` of each path on ``n`` rows; both must give the same
-    outputs and end row states, and write nothing past row ``n``."""
-    runs = []
+    """``euler_rows`` of each path on ``n`` rows, from a state array and from
+    keys started in the kernel; all must give the same outputs, the state
+    arrays the same end row states, and none may write past row ``n``.
+    Returns the first run's ``(outputs, fail steps, end states)``."""
+    keys = euler._stream_keys(seed, first, n)
+    runs, states = [], []
     for _, rows_fn in native_paths.values():
-        state = np.full((n + 8, euler._STATE_WORDS), 7, np.uint64)
-        euler._start_streams(state[:n], seed, first)
-        out = np.full((4, n + 8), -7.0)
-        fail = np.full(n + 8, -7, np.int64)
-        assert rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
-                       fail.ctypes.data, None, 1) == 0
-        assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7) and np.all(state[n:] == 7)
-        runs.append((out, fail, state))
-    for a, b in zip(*runs):
-        assert a.tobytes() == b.tobytes()
-    return runs[0]
+        for keyed in (False, True):
+            # from a state array, and from keys started where each row is stepped
+            state = np.full((n + 8, euler._STATE_WORDS), 7, np.uint64)
+            euler._start_streams(state[:n], keys)
+            out = np.full((4, n + 8), -7.0)
+            fail = np.full(n + 8, -7, np.int64)
+            assert rows_fn(spec, None if keyed else state.ctypes.data, keys if keyed else None,
+                           n, *[out[i].ctypes.data for i in range(4)], fail.ctypes.data, None,
+                           1) == 0
+            assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7)
+            assert np.all(state[n:] == 7)
+            runs.append((out, fail))
+            if not keyed:
+                states.append(state)
+    for out, fail in runs[1:]:
+        assert out.tobytes() == runs[0][0].tobytes() and fail.tobytes() == runs[0][1].tobytes()
+    assert states[0].tobytes() == states[1].tobytes()
+    return (*runs[0], states[0])
 
 
 @pytest.mark.parametrize("drift", sorted(_DRIFTS))
@@ -974,17 +1079,19 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
     for _, rows_fn in native_paths.values():
         for t in threads:
             state = np.full((n + 8, euler._STATE_WORDS), 7, np.uint64)
-            euler._start_streams(state[:n], 11, 4)
+            euler._start_streams(state[:n], euler._stream_keys(11, 4, n))
             y, done = y0, []
             for k in legs:
                 spec = euler._euler_spec(model, f, h, h, k, np.finfo(float).max, start=y,
                                          weight=w)
                 out, fail = np.full((4, n + 8), -7.0), np.full(n + 8, -7, np.int64)
                 corr = np.full(k + 8, -7.0)
-                assert rows_fn(spec, state.ctypes.data, n, *[out[i].ctypes.data for i in range(4)],
-                               fail.ctypes.data, corr.ctypes.data, t) == 0
+                assert rows_fn(spec, state.ctypes.data, None, n,
+                               *[out[i].ctypes.data for i in range(4)], fail.ctypes.data,
+                               corr.ctypes.data, t) == 0
                 assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7)
                 assert np.all(corr[k:] == -7.0) and np.all(state[n:] == 7)
+                assert np.isnan(out[1:3, :n]).all()  # xi_riemann and sup_abs are not kept
                 done.append((corr[:k], out[:, :n], fail[:n]))
                 if np.any(fail[:n] >= 0):
                     break
@@ -998,6 +1105,30 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
             upto = fail_0[fail_0 >= 0].min() if np.any(fail_0 >= 0) else len(corr_0)
             assert corr[:upto].tobytes() == corr_0[:upto].tobytes()
     return first
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_observe_mode_keeps_no_riemann_or_sup(numpy_kernel_calls, kernel):
+    # the observe mode accumulates neither xi_riemann nor sup_abs, which the
+    # autocorrelation route discards, and leaves both NaN; the paths, their
+    # trapezoid integrals and fail steps are the plain mode's
+    m = ou()
+    f = f_identity() if kernel == "native" else f_lambda()
+    n, n_steps, h = 300, 40, 0.03
+    y0 = np.random.default_rng(6).normal(0.0, 1.0, n)
+    runs = []
+    for weight in (None, y0):
+        state = euler._start_streams(np.empty((n, euler._STATE_WORDS), np.uint64),
+                                     euler._stream_keys(8, 0, n))
+        corr = None if weight is None else np.empty(n_steps)
+        runs.append(euler._run_rows(m, f, h, h, n_steps, 1e8, state, 1, start=y0, weight=weight,
+                                    corr=corr))
+    plain, observed = runs
+    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2)
+    assert np.isnan(observed.xi_riemann).all() and np.isnan(observed.sup_abs).all()
+    assert np.isfinite(plain.xi_riemann).all() and np.isfinite(plain.sup_abs).all()
+    for name in ("xi_continuous", "terminal", "fail_step"):
+        assert getattr(observed, name).tobytes() == getattr(plain, name).tobytes(), name
 
 
 @pytest.mark.parametrize("family", ["ou", "cir"])
@@ -1081,6 +1212,10 @@ def test_float_replicate_count_rejected(numpy_kernel_calls):
     pytest.param(dict(threads=0), r"^threads must be >= 1, got 0", id="zero-threads"),
     pytest.param(dict(threads=-3), r"^threads must be >= 1, got -3", id="negative-threads"),
     pytest.param(dict(threads=2.0), r"^threads must be an integer, got 2.0", id="float-threads"),
+    pytest.param(dict(first_index=1.5), r"^first_index must be an integer, got 1.5",
+                 id="float-first-index"),
+    pytest.param(dict(first_index=-1), r"^first_index must be >= 0, got -1",
+                 id="negative-first-index"),
 ])
 def test_bad_seed_or_thread_count_rejected(numpy_kernel_calls, kw, message):
     # on both kernels, before any stream is derived or thread started

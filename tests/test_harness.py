@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ergosim import euler
+from ergosim import euler, harness
 from ergosim.euler import SchedulePolicy
 from ergosim.harness import (CLT_NORMALITY, KINDS, KS_COEFF, LLN_RATE, MDP_TAIL,
                              RIEMANN_VS_CONTINUOUS, SCHEDULE_VIOLATION,
@@ -259,6 +260,34 @@ def test_mdp_censoring_is_reported(ou_setup):
     assert not rep.verdicts["mdp_level_3"]
     assert any("censored" in n for n in rep.notes)
     assert rep.rows[0].get(f"censored_{x:g}") is True
+
+
+@pytest.mark.parametrize("kind", [LLN_RATE, CLT_NORMALITY, MDP_TAIL, SCHEDULE_VIOLATION])
+def test_one_batch_held_at_a_time(monkeypatch, ou_setup, kind):
+    # each epsilon's batch (41 B a replicate) and the arrays derived from it
+    # are freed before the next batch runs: the traced memory held when a
+    # batch starts is what was held when the first one started
+    m, f = ou_setup
+    n = 100_000
+    kw = dict(kind=kind, replicates=n, horizon=0.5, master_seed=2, epsilon_list=(0.2, 0.1))
+    if kind == LLN_RATE:
+        kw.update(policy=SchedulePolicy(theta_step=1.5), epsilon_list=(0.2, 0.1, 0.05))
+    if kind == MDP_TAIL:
+        kw.update(policy=SchedulePolicy(theta_step=2.5, gamma_mdp=0.3), mdp_levels=(1.0,))
+    held = []
+    simulate_batch = harness.simulate_batch
+
+    def recorded(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return simulate_batch(*args, **kwargs)
+    monkeypatch.setattr(harness, "simulate_batch", recorded)
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentSpec(**spec_kw(m, f, **kw)), mf_target=2.0)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == (3 if kind == LLN_RATE else 4 if kind == SCHEDULE_VIOLATION else 2)
+    assert max(held) < held[0] + 8 * n
 
 
 def test_schedule_violation_informative(ou_setup):
