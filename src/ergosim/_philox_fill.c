@@ -49,16 +49,18 @@
  * or from their stream keys: for a group of rows at a time it fills the
  * next SEG normals of each row into an on-stack block with the same fill,
  * then steps and observes the rows together, so their dependency chains
- * interleave.  Its arithmetic is the
- * numpy kernel's, in the same association order; the build turns FMA
- * contraction off.  One call takes its rows CHUNK at a time on the
- * caller's thread and threads - 1 POSIX threads it starts, places off the
- * caller's CPU and joins itself.  Its observe mode runs the
+ * interleave.  Each path compiles its step once: the drift and diffusion
+ * kinds and the mode (plain or observe) are read at run time.  Its
+ * arithmetic is the numpy kernel's, in the same association order; the
+ * build turns FMA contraction off.  One call takes its rows CHUNK at a
+ * time on the caller's thread and threads - 1 POSIX threads it starts,
+ * places off the caller's CPU and joins itself.  Its observe mode runs the
  * autocorrelation route of M_f (variance.py): each row starts from its own
  * state with a weight w, and each step's sum of w f(X_k) over the rows is
  * taken in row order within each chunk and then over the chunks in order,
  * so that no bit of it depends on the thread count or the path; the route
- * reads no xi_r or sup_abs, so this mode skips both and writes NaN.
+ * reads no xi_r or sup_abs, so this mode writes both NaN (the AVX-512 path
+ * also skips their arithmetic).
  *
  * The fill and the Euler kernel come in two paths that give the same bits:
  *  - portable (philox_normal_fill_portable, euler_rows_portable): two
@@ -412,11 +414,8 @@ fill_row(row_state *r, double *o, int64_t width, segment_fn *segment, accept_fn 
     }
 }
 
-/* Fill row j of the C-contiguous (n_rows, width) array out from rows[j].
- * Never inlined: the Euler kernel calls it for each row's next SEG normals,
- * and each of its compiled kind pairs would otherwise carry a copy. */
-__attribute__((noinline)) void philox_normal_fill_portable(row_state *rows, int64_t n_rows,
-                                                        double *out, int64_t width)
+/* Fill row j of the C-contiguous (n_rows, width) array out from rows[j]. */
+void philox_normal_fill_portable(row_state *rows, int64_t n_rows, double *out, int64_t width)
 {
     for (int64_t j = 0; j < n_rows; j++)
         fill_row(rows + j, out + j * width, width, segment_portable, accept_portable);
@@ -547,8 +546,8 @@ AVX512 static int accept_avx512(const uint64_t *w, int m, double *o)
     return m;
 }
 
-AVX512 __attribute__((noinline)) void philox_normal_fill_avx512(row_state *rows, int64_t n_rows,
-                                                              double *out, int64_t width)
+AVX512 void philox_normal_fill_avx512(row_state *rows, int64_t n_rows, double *out,
+                                     int64_t width)
 {
     for (int64_t j = 0; j < n_rows; j++)
         fill_row(rows + j, out + j * width, width, segment_avx512, accept_avx512);
@@ -595,14 +594,29 @@ static inline double polyval(const double *c, int64_t n, double x)
     return y;
 }
 
+/* The rate and mean of an OU or CIR drift, read once before a step loop
+ * (a load under the step's kind switch is not hoisted out of the loop):
+ * OU's drift is rate (x - mean) with rate -kappa, CIR's rate (mean - x)
+ * with rate kappa; a polynomial drift has neither. */
+typedef struct {
+    double rate, mean;
+} linear_drift;
+
+static inline linear_drift drift_params(const euler_spec *m)
+{
+    if (m->drift_kind == DRIFT_POLY)
+        return (linear_drift){0.0, 0.0};
+    return (linear_drift){m->drift_kind == DRIFT_OU ? -m->drift[0] : m->drift[0], m->drift[1]};
+}
+
 static inline __attribute__((always_inline)) double
-drift(const euler_spec *m, int kind, double x)
+drift(const euler_spec *m, int kind, linear_drift p, double x)
 {
     switch (kind) {
     case DRIFT_OU:
-        return (-m->drift[0]) * (x - m->drift[1]);
+        return p.rate * (x - p.mean);
     case DRIFT_CIR:
-        return m->drift[0] * (m->drift[1] - x);
+        return p.rate * (p.mean - x);
     default:
         return polyval(m->drift, m->n_drift, x);
     }
@@ -623,13 +637,18 @@ diffusion(const euler_spec *m, int kind, double x)
 }
 
 /* Rows i0 .. i0+n-1 as one group, n <= GROUP; spare lanes step zero noise,
- * unread.  With obs, step k adds the rows' products w * f(X_k), in row
- * order, to sum[k - 1]; xi_r and sup_abs, which the sums' caller does not
- * read, are then not accumulated and come out NaN. */
+ * unread.  In the observe mode, with sum given, step k adds the rows'
+ * products w * f(X_k), in row order, to sum[k - 1]; xi_r and sup_abs, which
+ * the sums' caller does not read, then come out NaN.  The kind pair and the
+ * mode are read at run time, so the step is compiled once; the per-row
+ * update does the work of both modes, since a branch on the mode there
+ * cost the plain mode more than the extra work costs the observe mode. */
 static inline __attribute__((always_inline)) void
-step_group(const euler_spec *m, int dk, int sk, int obs, const row_streams *streams, int64_t i0,
-           int n, const rows_out *o, double *sum)
+step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
+           const rows_out *o, double *sum)
 {
+    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, obs = sum != NULL;
+    const linear_drift lin = drift_params(m);
     row_state own[GROUP];
     row_state *rows = group_states(streams, i0, n, own);
     double noise[GROUP][SEG];
@@ -657,22 +676,20 @@ step_group(const euler_spec *m, int dk, int sk, int obs, const row_streams *stre
             for (int r = 0; r < GROUP; r++) {
                 double x = z[r];
                 double s = diffusion(m, sk, x);
-                double x1 = (x + h * drift(m, dk, x)) + (sqrt_h * s) * noise[r][k];
+                double x1 = (x + h * drift(m, dk, lin, x)) + (sqrt_h * s) * noise[r][k];
                 if (m->control)
                     x1 = x1 + c * s;
                 double f1 = polyval(m->f, m->n_f, x1) - m->f_c0;
-                if (!obs)
-                    xr[r] = xr[r] + fp[r] * dt;
+                xr[r] = xr[r] + fp[r] * dt;
                 xc[r] = xc[r] + 0.5 * (fp[r] + f1) * dt;
                 double a = fabs(xc[r]);
-                if (!obs && !(a <= sup[r])) /* numpy's maximum: a NaN wins */
+                if (!(a <= sup[r])) /* numpy's maximum: a NaN wins */
                     sup[r] = a;
                 fp[r] = f1;
                 z[r] = x1;
                 if (!(fabs(x1) <= blow_up) && fail[r] < 0)
                     fail[r] = k0 + k + 1, alive--;
-                if (obs)
-                    p[r] = w[r] * f1;
+                p[r] = w[r] * f1;
             }
             if (obs) {
                 double s = sum[k0 + k];
@@ -692,46 +709,17 @@ step_group(const euler_spec *m, int dk, int sk, int obs, const row_streams *stre
     }
 }
 
-/* run(dk, sk) for the batch's kind pair, each pair compiled on its own */
-#define SWITCH_KINDS(run)                                                          \
-    switch (m->drift_kind * 3 + m->diffusion_kind) {                               \
-    case DRIFT_OU * 3 + DIFFUSION_CONSTANT: run(DRIFT_OU, DIFFUSION_CONSTANT); break; \
-    case DRIFT_OU * 3 + DIFFUSION_CIR: run(DRIFT_OU, DIFFUSION_CIR); break;           \
-    case DRIFT_OU * 3 + DIFFUSION_POLY: run(DRIFT_OU, DIFFUSION_POLY); break;         \
-    case DRIFT_CIR * 3 + DIFFUSION_CONSTANT: run(DRIFT_CIR, DIFFUSION_CONSTANT); break; \
-    case DRIFT_CIR * 3 + DIFFUSION_CIR: run(DRIFT_CIR, DIFFUSION_CIR); break;         \
-    case DRIFT_CIR * 3 + DIFFUSION_POLY: run(DRIFT_CIR, DIFFUSION_POLY); break;       \
-    case DRIFT_POLY * 3 + DIFFUSION_CONSTANT: run(DRIFT_POLY, DIFFUSION_CONSTANT); break; \
-    case DRIFT_POLY * 3 + DIFFUSION_CIR: run(DRIFT_POLY, DIFFUSION_CIR); break;       \
-    case DRIFT_POLY * 3 + DIFFUSION_POLY: run(DRIFT_POLY, DIFFUSION_POLY); break;     \
-    }
-
 /* Rows i0 .. i0+n-1 of a call on one path, in the observe mode when sum is
  * given: the chunk's sum of each step, which starts at -0.0. */
 typedef void chunk_fn(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                       const rows_out *o, double *sum);
 
-/* Rows i0 .. i0+n-1 of one chunk, GROUP at a time */
-static inline __attribute__((always_inline)) void
-run_rows(const euler_spec *m, int dk, int sk, int obs, const row_streams *rows, int64_t i0,
-         int64_t n, const rows_out *o, double *sum)
-{
-    for (int64_t i = i0; i < i0 + n; i += GROUP)
-        step_group(m, dk, sk, obs, rows, i, i0 + n - i < GROUP ? (int)(i0 + n - i) : GROUP, o, sum);
-}
-
-/* The plain kernel is compiled for each kind pair; the observe mode apart
- * from it, once, with the kind pair read at run time. */
+/* chunk_fn, GROUP rows at a time */
 static void chunk_portable(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                            const rows_out *o, double *sum)
 {
-    if (sum) {
-        run_rows(m, (int)m->drift_kind, (int)m->diffusion_kind, 1, rows, i0, n, o, sum);
-        return;
-    }
-#define RUN(dk, sk) run_rows(m, dk, sk, 0, rows, i0, n, o, NULL)
-    SWITCH_KINDS(RUN)
-#undef RUN
+    for (int64_t i = i0; i < i0 + n; i += GROUP)
+        step_group(m, rows, i, i0 + n - i < GROUP ? (int)(i0 + n - i) : GROUP, o, sum);
 }
 
 #if defined(__x86_64__)
@@ -749,16 +737,15 @@ polyval8(const double *c, int64_t n, __m512d x)
     return y;
 }
 
+/* drift, lane by lane, with rate and mean broadcast */
 AVX512 static inline __attribute__((always_inline)) __m512d
-drift8(const euler_spec *m, int kind, __m512d x)
+drift8(const euler_spec *m, int kind, __m512d rate, __m512d mean, __m512d x)
 {
     switch (kind) {
     case DRIFT_OU:
-        return _mm512_mul_pd(_mm512_set1_pd(-m->drift[0]),
-                             _mm512_sub_pd(x, _mm512_set1_pd(m->drift[1])));
+        return _mm512_mul_pd(rate, _mm512_sub_pd(x, mean));
     case DRIFT_CIR:
-        return _mm512_mul_pd(_mm512_set1_pd(m->drift[0]),
-                             _mm512_sub_pd(_mm512_set1_pd(m->drift[1]), x));
+        return _mm512_mul_pd(rate, _mm512_sub_pd(mean, x));
     default:
         return polyval8(m->drift, m->n_drift, x);
     }
@@ -810,9 +797,12 @@ transpose8(const double *rows, __m512d col[LANES])
  * interleave; spare and failed lanes are masked out of the blow-up check
  * and the outputs, and spare lanes out of the sums. */
 AVX512 static inline __attribute__((always_inline)) void
-step_group8(const euler_spec *m, int dk, int sk, int obs, const row_streams *streams,
-            int64_t i0, int n, const rows_out *o, double *sum)
+step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
+            const rows_out *o, double *sum)
 {
+    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, obs = sum != NULL;
+    const linear_drift lin = drift_params(m);
+    const __m512d rate = _mm512_set1_pd(lin.rate), mean = _mm512_set1_pd(lin.mean);
     row_state own[VECS * LANES];
     row_state *rows = group_states(streams, i0, n, own);
     _Alignas(64) double noise[VECS * LANES][SEG];
@@ -853,7 +843,8 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, const row_streams *str
                 for (int q = 0; q < VECS; q++) {
                     __m512d x = z[q];
                     __m512d s = diffusion8(m, sk, x);
-                    __m512d drifted = _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, x)));
+                    __m512d drifted =
+                        _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, rate, mean, x)));
                     __m512d x1 = _mm512_add_pd(drifted,
                                                _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), col[q][j]));
                     if (m->control) {
@@ -904,27 +895,13 @@ step_group8(const euler_spec *m, int dk, int sk, int obs, const row_streams *str
     }
 }
 
-/* run_rows, VECS * LANES rows at a time */
-AVX512 static inline __attribute__((always_inline)) void
-run_rows8(const euler_spec *m, int dk, int sk, int obs, const row_streams *rows, int64_t i0,
-          int64_t n, const rows_out *o, double *sum)
-{
-    for (int64_t i = i0; i < i0 + n; i += VECS * LANES)
-        step_group8(m, dk, sk, obs, rows, i,
-                    i0 + n - i < VECS * LANES ? (int)(i0 + n - i) : VECS * LANES, o, sum);
-}
-
-/* chunk_portable's contract and bits */
+/* chunk_portable's contract and bits, VECS * LANES rows at a time */
 AVX512 static void chunk_avx512(const euler_spec *m, const row_streams *rows, int64_t i0,
                                 int64_t n, const rows_out *o, double *sum)
 {
-    if (sum) {
-        run_rows8(m, (int)m->drift_kind, (int)m->diffusion_kind, 1, rows, i0, n, o, sum);
-        return;
-    }
-#define RUN(dk, sk) run_rows8(m, dk, sk, 0, rows, i0, n, o, NULL)
-    SWITCH_KINDS(RUN)
-#undef RUN
+    for (int64_t i = i0; i < i0 + n; i += VECS * LANES)
+        step_group8(m, rows, i, i0 + n - i < VECS * LANES ? (int)(i0 + n - i) : VECS * LANES, o,
+                    sum);
 }
 
 #endif /* __x86_64__ */

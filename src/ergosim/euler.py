@@ -89,7 +89,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -195,20 +195,6 @@ class StepSchedule:
     def n_steps(self, horizon: float) -> int:
         # horizon snapped down to the grid; the truncation is reported upstream
         return int(math.floor(horizon / self.delta_step + 1e-9))
-
-
-def grid_floor(t: float, delta: float) -> float:
-    """Largest grid point k*delta <= t; exact on grid points."""
-    if t < 0 or delta <= 0:
-        raise ValueError("require t >= 0 and delta > 0")
-    q = t / delta
-    k = math.floor(q)
-    if q - k > 1.0 - 1e-9:
-        k += 1
-    kd = k * delta
-    if abs(kd - t) <= 1e-12 * delta:
-        return t
-    return kd
 
 
 _CONTROL_PANELS = 64  # Gauss-Legendre panels on [0, horizon] for the L2 budget
@@ -537,11 +523,6 @@ class BatchResult:
     failed: np.ndarray  # bool
     fail_step: np.ndarray  # int, -1 where ok
 
-    @classmethod
-    def _concat(cls, parts: Sequence["BatchResult"]) -> "BatchResult":
-        return cls(*[np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in cls.__dataclass_fields__.values()])  # type: ignore[arg-type]
-
 
 def simulate_batch(
     model: SdeModel,
@@ -587,12 +568,17 @@ def simulate_batch(
 def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],
            n_steps: int) -> Optional[np.ndarray]:
     """The tilt ``ctrl_coef * psi(t_k)`` of each step, None without a
-    control; a control requires an MDP schedule (:class:`ScheduleError`)."""
+    control; a control requires an MDP schedule and ``n_steps`` steps within
+    its horizon, the grid's slack included (:class:`ScheduleError`)."""
     if control is None:
         return None
     if schedule.regime != MDP:
         raise ScheduleError("controlled simulation requires an MDP schedule")
     dt = schedule.delta_step
+    if n_steps > schedule.n_steps(control.horizon):
+        raise ScheduleError(
+            f"the simulation runs to t = {n_steps * dt:.6g}, past the control's horizon "
+            f"{control.horizon:.6g}, beyond which its L2 budget is not checked")
     ctrl_coef = schedule.mdp_scale / schedule.epsilon * dt
     return np.array([ctrl_coef * float(np.asarray(control.psi(k * dt)))
                      for k in range(n_steps)])
@@ -619,31 +605,32 @@ def _run_rows(model, f, h, dt, n_steps, blow_up, streams, threads, tilts=None, s
     Terminal states are left in the stepped coordinate."""
     n = len(streams)
     keyed = isinstance(streams, _StreamKeys)
+    out = np.empty((4, n))  # xi_continuous, xi_riemann, sup_abs, terminal
+    fail_step = np.empty(n, np.int64)
     if _runs_native(model, f):
         spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
-        out = np.empty((4, n))
-        fail_step = np.empty(n, np.int64)
         if _native().euler_rows(spec, None if keyed else streams.ctypes.data,
                                 streams if keyed else None, n,
                                 *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
                                 None if corr is None else corr.ctypes.data, threads):
             raise MemoryError("euler_rows: out of memory for the partial sums")
-        return BatchResult(out[0], out[1], out[2], out[3], fail_step >= 0, fail_step)
+        return BatchResult(*out, fail_step >= 0, fail_step)
     if corr is not None:
         corr[:] = -0.0  # -0.0 + x is x: each step's sum starts at its first chunk's
-    parts = []
-    # no rows: one empty chunk, so the arrays still get their dtypes
-    for first in range(0, max(n, 1), _CHUNK):
+    for first in range(0, n, _CHUNK):
         rows = slice(first, first + _CHUNK)
         count = min(_CHUNK, n - first)
         state = (_start_streams(np.empty((count, _STATE_WORDS), np.uint64), streams, first)
                  if keyed else streams[rows])
-        parts.append(_step_paths(
+        chunk = _step_paths(
             model, f, h, dt, n_steps, blow_up, tilts, count,
             functools.partial(_philox_normals, state),
             None if start is None else start[rows], None if weight is None else weight[rows],
-            corr))
-    return BatchResult._concat(parts)
+            corr)
+        out[:, rows] = chunk.xi_continuous, chunk.xi_riemann, chunk.sup_abs, chunk.terminal
+        fail_step[rows] = chunk.fail_step
+        del chunk  # freed before the next chunk runs
+    return BatchResult(*out, fail_step >= 0, fail_step)
 
 
 # ---------------------------------------------------------------------------

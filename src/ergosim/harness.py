@@ -12,7 +12,6 @@ the moderately rescaled functional (moderate deviations).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -168,11 +167,6 @@ class ExperimentReport:
             "notes": self.notes,
             "provenance": self.provenance,
         }
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     def to_csv(self, path: str) -> None:
         cols = ["epsilon", "delta_step", "delta_scale", "n", "n_failed",

@@ -25,7 +25,6 @@ and at every thread count.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -58,17 +57,6 @@ class CovarianceCurve:
 
     def at(self, t: float) -> float:
         return float(np.interp(t, self.t_grid, self.values))
-
-    def to_json(self, path: str) -> None:
-        payload = {
-            "method": self.method,
-            "t_grid": self.t_grid.tolist(),
-            "values": self.values.tolist(),
-            "std_error": None if self.std_error is None else self.std_error.tolist(),
-            "detail": self.detail,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
 
 
 TAIL_MASS_LIMIT = 0.01

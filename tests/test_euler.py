@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ergosim import euler
 from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
                            SimulationError, StepSchedule,
-                           TrajectoryExplodedError, grid_floor,
+                           TrajectoryExplodedError,
                            replicate_stream, simulate_batch, simulate_euler)
 from ergosim.config import parse_config
 from ergosim.models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec,
@@ -100,27 +100,6 @@ def test_schedule_scaling_values():
 def test_negative_epsilon_rejected():
     with pytest.raises(ScheduleError, match="positive"):
         StepSchedule.from_policy(-0.1, "LLN", SchedulePolicy(1.5), 1.0)
-
-
-def test_grid_floor_on_grid_points():
-    assert grid_floor(0.3, 0.1) == 0.3
-    assert grid_floor(0.0, 0.1) == 0.0
-    assert grid_floor(0.35, 0.1) == pytest.approx(0.3)
-
-
-@given(st.integers(0, 10_000), st.floats(1e-4, 0.5))
-@settings(max_examples=50, deadline=None)
-def test_grid_floor_exact_on_multiples(k, delta):
-    t = k * delta
-    assert grid_floor(t, delta) == t
-
-
-@given(st.floats(0, 100), st.floats(1e-4, 0.5))
-@settings(max_examples=50, deadline=None)
-def test_grid_floor_below_t(t, delta):
-    g = grid_floor(t, delta)
-    assert g <= t + 1e-9 * delta
-    assert t - g < delta
 
 
 # ----------------------------------------------------------- determinism
@@ -538,7 +517,8 @@ def test_empty_and_negative_batches(numpy_kernel_calls, kernel):
             assert got.shape == (0,) and got.dtype == want.dtype, name
         with pytest.raises(SimulationError, match="n_replicates must be >= 0, got -2"):
             simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=-2, threads=threads)
-    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 3)
+    # the full batch's one chunk; no rows step no chunk
+    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 1)
 
 
 def test_first_index_offsets_streams():
@@ -847,9 +827,8 @@ def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, 
 def test_batch_holds_no_per_replicate_stream_state(kernel):
     # 100,000 rows: the native kernel's call allocates its outputs alone
     # (41 B a replicate) and keys each row on the thread that steps it; the
-    # numpy kernel keys each chunk as it reaches it and holds its chunks'
-    # outputs and their concatenation.  An (n, 11) stream state array would
-    # add 88 B a replicate
+    # numpy kernel keys each chunk as it reaches it.  An (n, 11) stream
+    # state array would add 88 B a replicate
     m = ou()
     f = f_identity() if kernel == "native" else f_lambda()
     sched = StepSchedule.from_policy(0.2, "CLT", SchedulePolicy(2.5), 1.0)
@@ -865,6 +844,25 @@ def test_batch_holds_no_per_replicate_stream_state(kernel):
         assert peak < 48 * n + 2**20
     else:
         assert peak < 2 * 48 * n + 4 * 2**20
+
+
+def test_numpy_kernel_holds_one_chunk_beside_its_outputs(numpy_kernel_calls):
+    # the numpy kernel writes each chunk into the call's outputs (41 B a
+    # replicate) and frees it before the next chunk runs; holding every
+    # chunk until a concatenation at the end peaks near twice the outputs
+    m, f = ou(), f_lambda()
+    sched = StepSchedule.from_policy(0.2, "CLT", SchedulePolicy(2.5), 1.0)
+    assert sched.n_steps(0.075) == 4
+    n = 400_000
+    simulate_batch(m, sched, f, 0.075, master_seed=1, n_replicates=1)  # the library loads untraced
+    tracemalloc.start()
+    try:
+        simulate_batch(m, sched, f, 0.075, master_seed=1, n_replicates=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert numpy_kernel_calls[0] == 1 + -(-n // euler._CHUNK)
+    assert peak < 60 * n
 
 
 def test_native_rows_more_threads_than_rows(numpy_kernel_calls):
@@ -1165,6 +1163,25 @@ def test_both_paths_autocorrelate_alike(native_paths, family):
         assert 1 < fail[fail >= 0].min() < 20 and np.any(fail < 0)
 
 
+@pytest.mark.parametrize("drift", sorted(_DRIFTS))
+@pytest.mark.parametrize("diffusion", sorted(_DIFFUSIONS))
+def test_both_paths_autocorrelate_every_kind_pair(native_paths, drift, diffusion):
+    # the observe mode runs on the plain mode's compiled step, which reads
+    # the kind pair at run time: each pair on every tail of a 16-row vector
+    # group and of a 4-row group, over legs of 1 and 5 steps, and on 300
+    # rows over 40 and 20 steps at 1 and 3 threads
+    m = type(ou())(**{**ou().__dict__, "drift": _DRIFTS[drift],
+                      "diffusion": _DIFFUSIONS[diffusion], "initial_state": 0.3})
+    f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
+    rng = np.random.default_rng(3)
+    for n in (*range(1, 18), 300):
+        y0 = rng.uniform(0.0, 1.0, n)
+        legs = _observe_on_both_paths(native_paths, m, f, y0, f.value(0.0, y0),
+                                      (1, 5) if n < 300 else (40, 20),
+                                      threads=(1,) if n < 300 else (1, 3))
+        assert not np.any(legs[-1][2] >= 0)
+
+
 def _chunked_sum(p):
     """The sum of ``p`` in the order of the observe mode, by ``np.cumsum``: in
     row order within chunks of ``euler._SUM_ROWS`` rows, then over the chunks
@@ -1254,6 +1271,30 @@ def test_control_requires_mdp_schedule():
     psi = ControlFunction(psi=lambda s: 0.0, l2_bound=1.0, horizon=1.0)
     with pytest.raises(ScheduleError, match="MDP"):
         simulate_euler(m, sched, f, 1.0, replicate_stream(0, 0), control=psi)
+
+
+def test_control_past_its_horizon_rejected():
+    # the L2 budget is checked on [0, horizon] alone, so no simulation may
+    # step the control past its horizon; up to it, the grid's slack
+    # included, the control runs
+    m, f = ou(), f_identity()
+    sched = StepSchedule.from_policy(0.165, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
+    psi = ControlFunction(psi=lambda s: 0.5, l2_bound=1.0, horizon=0.5)
+    both = r"runs to t = 0\.99\d*, past the control's horizon 0\.5\b"
+    with pytest.raises(ScheduleError, match=both):
+        simulate_batch(m, sched, f, 1.0, master_seed=0, n_replicates=2, control=psi)
+    with pytest.raises(ScheduleError, match=both):
+        simulate_euler(m, sched, f, 1.0, replicate_stream(0, 0), control=psi)
+    n = sched.n_steps(0.5)
+    on_grid = n * sched.delta_step
+    assert on_grid < 0.5 and sched.n_steps(on_grid) == n
+    for horizon in (0.5, on_grid, 0.5 + 0.5 * sched.delta_step):
+        assert sched.n_steps(horizon) == n
+        simulate_batch(m, sched, f, horizon, master_seed=0, n_replicates=2, control=psi)
+        simulate_euler(m, sched, f, horizon, replicate_stream(0, 0), control=psi)
+    with pytest.raises(ScheduleError, match="past the control's horizon"):
+        simulate_batch(m, sched, f, (n + 1) * sched.delta_step, master_seed=0, n_replicates=2,
+                       control=psi)
 
 
 def test_control_budget_enforced():

@@ -520,14 +520,3 @@ def test_control_feedback_shape(ou_pipeline):
     # psi = sigma u' xi_dot / M = sqrt(2)*1*1/2 everywhere for OU f=x
     val = ctrl.psi(np.array([0.3]), 0.5)
     assert abs(float(val[0]) - SQRT2 / 2.0) < 1e-8
-
-
-def test_curve_json_roundtrip(tmp_path, ou_pipeline):
-    import json
-    m, pi, f, sol = ou_pipeline
-    mf = mf_gradient_form(m, pi, sol)
-    p = tmp_path / "mf.json"
-    mf.to_json(str(p))
-    data = json.loads(p.read_text())
-    assert data["method"] == "gradient_form"
-    assert abs(data["values"][0] - 2.0) < 1e-8
