@@ -13,8 +13,7 @@ from .euler import (ControlFunction, SchedulePolicy, SimulationError,
                     replicate_stream, simulate_batch, simulate_euler)
 from .harness import (ExperimentReport, ExperimentSpec, ks_distance,
                       mdp_closed_form_rate, run_clt_normality, run_experiment,
-                      run_lln_rate, run_mdp_tail, run_riemann_vs_continuous,
-                      run_schedule_violation)
+                      run_lln_rate, run_mdp_tail, run_schedule_violation)
 from .models import (FunctionalSpec, InvariantDensity1D, ModelError, SdeModel,
                      builtin_model, centralize, invariant_density_1d,
                      validate_conditions)

@@ -60,11 +60,11 @@ counter blocks at a time and turns them into normals with numpy's
 ziggurat, its fast path and, for the rare word that path does not
 accept, its wedge and tail code, in numpy's order and arithmetic and
 with libm's ``exp`` and ``log1p``, as numpy's ``random_standard_normal``
-does.  The ziggurat tables are numpy's own, linked in from
-``libnpyrandom.a``; no numpy function is called.  When the library is
-loaded a row it started and filled is compared with ``replicate_stream``
-(:class:`NativeBuildError` if they differ), so both kernels draw exactly
-the numbers of ``replicate_stream``.  The library is compiled with gcc
+does.  The ziggurat tables are numpy's own: of ``libnpyrandom.a`` the
+library links the read-only data of the member that holds them and no
+numpy function.  When the library is loaded a row it started and filled
+is compared with ``replicate_stream`` (:class:`NativeBuildError` if they
+differ), so both kernels draw exactly the numbers of ``replicate_stream``.  The library is compiled with gcc
 (flags ``_CFLAGS``) on first use into a per-user cache and runs without
 the GIL.  Its fill and its Euler kernel each come in a portable and an
 AVX-512 path with the same bits; the library picks one for the CPU when
@@ -282,6 +282,10 @@ _NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # numpy's ziggurat tables: local symbols of _NPYRANDOM, made global in a
 # copy of it so that the fill can link them
 _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
+# the copy keeps only the archive's read-only data and its non-executable
+# stack note (without it ld marks the stack executable): no numpy function
+_OBJCOPY_ARGS = ("--only-section=.rodata*", "--only-section=.note.GNU-stack",
+                 *(f"--globalize-symbol={name}" for name in _ZIGGURAT_TABLES))
 _CACHE_DIR = Path.home() / ".cache" / "ergosim"
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
 # the library's paths, each exported under its own suffix; it picks one
@@ -297,10 +301,10 @@ def _native():
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     under a name keyed by a hash of the C source, of numpy's
-    ``libnpyrandom.a`` and of the build flags.  Its ziggurat tables are
-    numpy's own: ``_OBJCOPY`` makes their local symbols
-    (``_ZIGGURAT_TABLES``) global in a temporary copy of that archive, and
-    the library is linked against the copy; no numpy function is called.
+    ``libnpyrandom.a`` and of the ``_OBJCOPY`` and build flags.  Its
+    ziggurat tables are numpy's own: ``_OBJCOPY`` copies that archive's
+    read-only data, with the tables' local symbols made global, into a
+    temporary archive, and the library is linked against the copy.
     It is built under a temporary name and renamed into place, so
     concurrent first uses never load a partial file.  Once per process the
     stream start and the fill, on the path the library picked for this CPU,
@@ -316,7 +320,7 @@ def _native():
     # -z defs: a table the archive lacks fails the link, not the load
     flags = [*_CFLAGS, "-shared", "-Wl,-z,defs"]
     digest = hashlib.sha256(_FILL_SOURCE.read_bytes() + lib.read_bytes()
-                            + " ".join(flags).encode()).hexdigest()[:16]
+                            + " ".join([*_OBJCOPY_ARGS, *flags]).encode()).hexdigest()[:16]
     target = _CACHE_DIR / f"philox_fill-{digest}.so"
     if not target.is_file():
         try:
@@ -328,9 +332,7 @@ def _native():
                 f"is not writable ({exc.strerror})") from None
         with work:
             archive, tmp = Path(work.name) / lib.name, Path(work.name) / "philox_fill.so"
-            _build_step("objcopy", _OBJCOPY, [
-                *(f"--globalize-symbol={name}" for name in _ZIGGURAT_TABLES), str(lib),
-                str(archive)])
+            _build_step("objcopy", _OBJCOPY, [*_OBJCOPY_ARGS, str(lib), str(archive)])
             _build_step("compiler", _CC, [
                 *flags, str(_FILL_SOURCE), str(archive), "-lm", "-o", str(tmp)])
             os.replace(tmp, target)

@@ -31,7 +31,6 @@ LLN_RATE = "LLN_RATE"
 CLT_NORMALITY = "CLT_NORMALITY"
 MDP_TAIL = "MDP_TAIL"
 SCHEDULE_VIOLATION = "SCHEDULE_VIOLATION"
-RIEMANN_VS_CONTINUOUS = "RIEMANN_VS_CONTINUOUS"
 
 # the one list of experiment kinds, each with the regime its schedule must use
 KIND_REGIME = {
@@ -39,7 +38,6 @@ KIND_REGIME = {
     CLT_NORMALITY: euler.CLT,
     MDP_TAIL: euler.MDP,
     SCHEDULE_VIOLATION: euler.CLT,
-    RIEMANN_VS_CONTINUOUS: euler.CLT,
 }
 KINDS = tuple(KIND_REGIME)
 # the broken schedule SCHEDULE_VIOLATION runs next to the valid one
@@ -48,7 +46,7 @@ INVALID_POLICY = SchedulePolicy(theta_step=1.0)
 FAILURE_ABORT_FRACTION = 0.01
 # LLN_RATE fits a log-log slope through this many points at least
 LLN_RATE_MIN_EPSILONS = 3
-# the KS and tail-frequency kinds judge a sample of at least this size
+# the KS, tail-frequency and variance kinds judge a sample of at least this size
 MIN_SAMPLE_REPLICATES = 100
 KS_LEVEL = 0.01
 # asymptotic Kolmogorov quantile: sqrt(-ln(alpha/2)/2) at alpha = 0.01
@@ -83,7 +81,8 @@ def spec_problems(kind, eps, horizon, replicates, levels, threads) -> list:
     if replicates is not None:
         if replicates < 1:
             problems.append("replicates must be >= 1")
-        elif kind in (CLT_NORMALITY, MDP_TAIL) and replicates < MIN_SAMPLE_REPLICATES:
+        elif (kind in (CLT_NORMALITY, MDP_TAIL, SCHEDULE_VIOLATION)
+              and replicates < MIN_SAMPLE_REPLICATES):
             problems.append(f"{kind} requires at least {MIN_SAMPLE_REPLICATES} "
                             f"replicates, got {replicates}")
     if kind == MDP_TAIL and levels == ():
@@ -317,10 +316,12 @@ def run_clt_normality(spec: ExperimentSpec, mf_target: float) -> ExperimentRepor
     """Check normality of eps^{-1/2} Xi_eps(f)(T) against variance T*M_f.
 
     Both the trapezoid functional and its left-endpoint Riemann variant
-    are tested; the verdict uses the smallest epsilon in the list.
+    are tested, and each row carries ``estimator_gap``, the distance
+    between their scaled variances; the verdict uses the smallest epsilon
+    in the list.
     """
-    if spec.kind not in (CLT_NORMALITY, RIEMANN_VS_CONTINUOUS):
-        raise HarnessError(f"expected a CLT-kind spec, got {spec.kind}")
+    if spec.kind != CLT_NORMALITY:
+        raise HarnessError(f"expected kind CLT_NORMALITY, got {spec.kind}")
     target = spec.horizon * mf_target
     report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
     for eps in spec.epsilon_list:
@@ -336,6 +337,7 @@ def run_clt_normality(spec: ExperimentSpec, mf_target: float) -> ExperimentRepor
             row[tag + "ks_threshold"] = st["ks_threshold"]
             row[tag + "var_ok"] = st["var_ok"]
             row[tag + "ks_ok"] = st["ks_ok"]
+        row["estimator_gap"] = abs(row["scaled_var"] - row["riemann_scaled_var"])
         del res, ok, vals  # each epsilon's batch is freed before the next one runs
         report.rows.append(row)
     last = report.rows[-1]
@@ -469,16 +471,6 @@ def run_schedule_violation(
     return report
 
 
-def run_riemann_vs_continuous(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
-    """CLT comparison of the trapezoid and Riemann functionals (alias kind)."""
-    if spec.kind != RIEMANN_VS_CONTINUOUS:
-        raise HarnessError(f"expected kind RIEMANN_VS_CONTINUOUS, got {spec.kind}")
-    report = run_clt_normality(spec, mf_target)
-    for row in report.rows:
-        row["estimator_gap"] = abs(row["scaled_var"] - row["riemann_scaled_var"])
-    return report
-
-
 def run_experiment(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
     """Run ``spec.kind`` with every target it needs derived from ``M_f``.
 
@@ -492,6 +484,4 @@ def run_experiment(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
     if spec.kind == MDP_TAIL:
         return run_mdp_tail(spec, {x: mdp_closed_form_rate(x, spec.horizon, mf_target)
                                    for x in spec.mdp_levels})
-    if spec.kind == SCHEDULE_VIOLATION:
-        return run_schedule_violation(spec, INVALID_POLICY, mf_target)
-    return run_riemann_vs_continuous(spec, mf_target)
+    return run_schedule_violation(spec, INVALID_POLICY, mf_target)

@@ -104,9 +104,11 @@ def solve_poisson_1d(
         z = np.atleast_1d(np.asarray(z, dtype=float))
         w = w_of_z(z)
         denom = a_pi(z)
-        left = -2.0 * table.from_left(w)
-        right = 2.0 * table.from_right(w)
-        num = np.where(z <= pi.anchor, left, right)
+        # each point queries only the side it returns; NaN goes right
+        left = z <= pi.anchor
+        num = np.empty(z.shape)
+        num[left] = -2.0 * table.from_left(w[left])
+        num[~left] = 2.0 * table.from_right(w[~left])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = num / denom
         return out

@@ -256,6 +256,10 @@ def experiment_config(base, **fields):
 _BAD_EXPERIMENTS = [
     pytest.param("CLT_NORMALITY", dict(kind="BOGUS"),
                  f"kind must be one of {harness.KINDS}, got 'BOGUS'", id="unknown-kind"),
+    # every CLT_NORMALITY row carries the alias's estimator_gap column
+    pytest.param("CLT_NORMALITY", dict(kind="RIEMANN_VS_CONTINUOUS"),
+                 f"kind must be one of {harness.KINDS}, got 'RIEMANN_VS_CONTINUOUS'",
+                 id="deleted-alias-kind"),
     pytest.param("CLT_NORMALITY", dict(epsilon_list=()), "epsilon_list must be nonempty",
                  id="no-epsilons"),
     pytest.param("CLT_NORMALITY", dict(epsilon_list=(0.1, -0.05)),
@@ -273,6 +277,9 @@ _BAD_EXPERIMENTS = [
                  "CLT_NORMALITY requires at least 100 replicates, got 50", id="clt-50"),
     pytest.param("MDP_TAIL", dict(replicates=99),
                  "MDP_TAIL requires at least 100 replicates, got 99", id="mdp-99"),
+    pytest.param("SCHEDULE_VIOLATION", dict(replicates=99),
+                 "SCHEDULE_VIOLATION requires at least 100 replicates, got 99",
+                 id="schedule-violation-99"),
     pytest.param("MDP_TAIL", dict(mdp_levels=()), "MDP_TAIL requires at least one level",
                  id="mdp-no-levels"),
 ]

@@ -8,13 +8,11 @@ import pytest
 from ergosim import euler, harness
 from ergosim.euler import SchedulePolicy
 from ergosim.harness import (CLT_NORMALITY, KINDS, KS_COEFF, LLN_RATE, MDP_TAIL,
-                             RIEMANN_VS_CONTINUOUS, SCHEDULE_VIOLATION,
-                             ExperimentReport, ExperimentSpec, HarnessError,
+                             SCHEDULE_VIOLATION, ExperimentReport, ExperimentSpec, HarnessError,
                              clt_statistics, gaussian_tail_probability,
                              ks_distance, ks_threshold, mdp_closed_form_rate,
                              normal_cdf, run_clt_normality, run_experiment,
-                             run_lln_rate, run_mdp_tail,
-                             run_riemann_vs_continuous, run_schedule_violation)
+                             run_lln_rate, run_mdp_tail, run_schedule_violation)
 from ergosim.models import FunctionalSpec, builtin_model, centralize, invariant_density_1d
 
 SQRT2 = math.sqrt(2.0)
@@ -206,6 +204,10 @@ def test_clt_small_scale_columns_and_verdicts(ou_setup):
                                  "clt_riemann_variance", "clt_riemann_ks"}
     assert 1.2 < row["scaled_var"] < 2.8
     assert row["ks"] < 0.2
+    assert row["estimator_gap"] == abs(row["scaled_var"] - row["riemann_scaled_var"])
+    assert row["estimator_gap"] >= 0.0
+    # the two estimators differ by one trapezoid end correction
+    assert row["estimator_gap"] < 0.5
 
 
 def test_clt_kind_mismatch(ou_setup):
@@ -213,7 +215,7 @@ def test_clt_kind_mismatch(ou_setup):
     s = ExperimentSpec(**spec_kw(m, f, kind=LLN_RATE,
                                  policy=SchedulePolicy(theta_step=1.5),
                                  epsilon_list=(0.2, 0.1, 0.05), replicates=50))
-    with pytest.raises(HarnessError, match="CLT-kind"):
+    with pytest.raises(HarnessError, match="expected kind CLT_NORMALITY"):
         run_clt_normality(s, mf_target=2.0)
     with pytest.raises(HarnessError, match="LLN_RATE"):
         run_lln_rate(ExperimentSpec(**spec_kw(m, f)))
@@ -304,17 +306,6 @@ def test_schedule_violation_informative(ou_setup):
     assert any("informative" in n for n in rep.notes)
 
 
-def test_riemann_vs_continuous_gap_column(ou_setup):
-    m, f = ou_setup
-    s = ExperimentSpec(**spec_kw(m, f, kind=RIEMANN_VS_CONTINUOUS,
-                                 epsilon_list=(0.05,), replicates=400,
-                                 master_seed=9))
-    rep = run_riemann_vs_continuous(s, mf_target=2.0)
-    assert rep.rows[0]["estimator_gap"] >= 0.0
-    # the two estimators differ by one trapezoid end correction
-    assert rep.rows[0]["estimator_gap"] < 0.5
-
-
 DISPATCH_KW = {
     LLN_RATE: dict(policy=SchedulePolicy(theta_step=1.5),
                    epsilon_list=(0.2, 0.1, 0.05), replicates=50),
@@ -323,7 +314,6 @@ DISPATCH_KW = {
                    epsilon_list=(0.2, 0.1), replicates=150, horizon=0.5,
                    mdp_levels=(1.0,)),
     SCHEDULE_VIOLATION: dict(epsilon_list=(0.1,), replicates=150),
-    RIEMANN_VS_CONTINUOUS: dict(epsilon_list=(0.1,), replicates=150),
 }
 
 

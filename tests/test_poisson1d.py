@@ -9,6 +9,7 @@ from ergosim.models import (FunctionalSpec, builtin_model, centralize,
 from ergosim.poisson1d import (ExponentSet, PoissonError, audit_mdp_exponents,
                                exponents_from_solution, fit_tail_exponents,
                                solve_poisson_1d)
+from ergosim.quadrature import Antiderivative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,6 +35,39 @@ def test_ou_identity_u_prime_is_one(ou_setup):
     sol = solve_poisson_1d(m, pi, f, 0.0, np.linspace(-4, 4, 81))
     assert np.max(np.abs(sol.u_prime - 1.0)) < 1e-6
     assert np.max(np.abs(sol.u - sol.grid)) < 1e-6
+
+
+def two_sided_u_prime(m, pi, f, t, z, n_panels=6000):
+    """u' by the formula that queries both sides of every point and keeps
+    one with ``np.where``: -2 F_left / (a pi) up to the anchor, 2 F_right / (a pi)
+    beyond it and at NaN, with F the tabulated integral of f pi."""
+    def f_pi_w(w):
+        x = pi._z_of_w(w)
+        return np.asarray(f.value(t, x), dtype=float) * pi.density(x) * pi._dz_dw(w)
+    table = Antiderivative(f_pi_w, float(pi._w_nodes[0]), float(pi._w_nodes[-1]), n_panels)
+    w = pi._w_of_z(z)
+    num = np.where(z <= pi.anchor, -2.0 * table.from_left(w), 2.0 * table.from_right(w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / (m.a(z) * pi.density(z))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("ou", dict(kappa=1.0, mu=0.5, sigma=SQRT2)),
+    ("cir", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+    ("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+])
+def test_u_prime_queries_one_side_with_the_two_sided_bits(family, params):
+    m = builtin_model(family, params)
+    pi = invariant_density_1d(m)
+    f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0, 1.0]), pi)
+    sol = solve_poisson_1d(m, pi, f, 0.0, np.linspace(0.2, 3.0, 15))
+    a = pi.anchor
+    # both sides of the anchor, the anchor itself, its float neighbours and NaN
+    z = np.array([0.3 * a, 0.9 * a, np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf),
+                  1.1 * a + 0.1, 2.0 * a + 1.0, np.nan])
+    got = sol.u_prime_fn(z)
+    np.testing.assert_array_equal(got, two_sided_u_prime(m, pi, f, 0.0, z))
+    assert np.all(np.isfinite(got[:-1])) and np.isnan(got[-1])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
