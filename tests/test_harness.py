@@ -210,6 +210,20 @@ def test_clt_small_scale_columns_and_verdicts(ou_setup):
     assert row["estimator_gap"] < 0.5
 
 
+def test_riemann_vs_continuous_gap_column(ou_setup):
+    # the gap between the continuous and Riemann estimators is a column of
+    # every CLT_NORMALITY row, not a kind of its own
+    m, f = ou_setup
+    s = ExperimentSpec(**spec_kw(m, f, epsilon_list=(0.05,), replicates=400,
+                                 master_seed=9))
+    rep = run_clt_normality(s, mf_target=2.0)
+    row = rep.rows[0]
+    assert row["estimator_gap"] == abs(row["scaled_var"] - row["riemann_scaled_var"])
+    assert row["estimator_gap"] >= 0.0
+    # the two estimators differ by one trapezoid end correction
+    assert row["estimator_gap"] < 0.5
+
+
 def test_clt_kind_mismatch(ou_setup):
     m, f = ou_setup
     s = ExperimentSpec(**spec_kw(m, f, kind=LLN_RATE,
