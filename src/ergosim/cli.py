@@ -14,7 +14,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config
 from .harness import HarnessError, run_experiment
 from .models import centralize, invariant_density_1d, validate_conditions
-from .poisson1d import solve_poisson_1d
+from .poisson1d import PoissonError, fit_tail_exponents, solve_poisson_1d
 from .variance import (mf_autocorrelation_form, mf_gradient_form,
                        optimal_control, rate_function)
 
@@ -74,8 +74,13 @@ def cmd_poisson(args) -> int:
     out = _run_dir(cfg)
     sol.to_csv(str(out / "poisson_solution.csv"))
     _log(args, f"wrote {out / 'poisson_solution.csv'}")
-    exps = {k: v.effective() for k, v in sol.fitted_exponents.items()}
-    _log(args, f"fitted tail exponents: {exps}")
+    if not args.quiet:  # the fit is only printed
+        try:
+            fits = fit_tail_exponents(sol)
+            exps = ", ".join(f"{k}={v.effective():.6g}" for k, v in fits.items())
+        except PoissonError as exc:
+            exps = f"not fitted ({exc})"
+        print(f"fitted tail exponents: {exps}")
     return EXIT_PASS
 
 

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .euler import REGIMES, SchedulePolicy, StepSchedule, _usable_cpus
 from .harness import KIND_REGIME, KINDS, ExperimentSpec, spec_problems
 from .models import FunctionalSpec, Polynomial, SdeModel, builtin_model
@@ -46,7 +44,7 @@ _SECTIONS = {
     "model": {"family", "kappa", "mu", "sigma", "alpha", "x0",
               "drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
               "recurrence_gamma", "recurrence_radius", "holder_nu",
-              "alpha_bar", "support_lo"},
+              "alpha_bar"},
     "functional": {"coeffs", "centralize", "name"},
     "schedule": {"regime", "theta", "c_step", "gamma_mdp"},
     "experiment": {"kind", "epsilon_list", "horizon", "replicates", "levels"},
@@ -57,7 +55,7 @@ _SECTIONS = {
 # the numeric [model] keys that builtin_model and the custom family read
 _BUILTIN_PARAMS = ("kappa", "mu", "sigma", "alpha", "x0")
 _CUSTOM_SCALARS = ("recurrence_alpha", "recurrence_gamma", "recurrence_radius",
-                   "holder_nu", "alpha_bar", "x0", "support_lo")
+                   "holder_nu", "alpha_bar", "x0")
 
 
 @dataclass
@@ -177,6 +175,7 @@ def _threads(raw, errors: list) -> Optional[int]:
 
 
 def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
+    """The ``custom`` family: polynomial drift and diffusion on the full line."""
     need = ("drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
             "recurrence_gamma", "recurrence_radius", "holder_nu", "alpha_bar")
     missing = [k for k in need if k not in sec]
@@ -185,14 +184,9 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
         return None
     bc = _numbers(sec["drift_coeffs"], "[model] drift_coeffs", errors)
     sc = _numbers(sec["diffusion_coeffs"], "[model] diffusion_coeffs", errors)
-    # support_lo = -inf is the same as leaving the key out
-    num = _model_numbers(sec, tuple(k for k in _CUSTOM_SCALARS
-                                    if not (k == "support_lo" and sec.get(k) == -math.inf)),
-                         errors)
+    num = _model_numbers(sec, _CUSTOM_SCALARS, errors)
     if bc is None or sc is None or num is None:
         return None
-    lo = num.get("support_lo")
-    probes = np.asarray([abs(v) for v in sc])
     try:
         return SdeModel(
             drift=Polynomial(bc),
@@ -200,13 +194,10 @@ def _build_custom_model(sec: dict, errors: list) -> Optional[SdeModel]:
             recurrence_alpha=num["recurrence_alpha"],
             recurrence_gamma=num["recurrence_gamma"],
             recurrence_radius=num["recurrence_radius"],
-            ellipticity_bounds=(max(min(probes[probes > 0], default=1.0) ** 2 * 0.01, 1e-6),
-                                max(np.sum(probes), 1.0) ** 2 * 100.0),
             holder_nu=num["holder_nu"],
             drift_growth_alpha_bar=num["alpha_bar"],
             initial_state=num.get("x0", 0.0),
             name="custom",
-            support=(lo, math.inf) if lo is not None else (-math.inf, math.inf),
         )
     except Exception as exc:
         errors.append(f"[model] {exc}")

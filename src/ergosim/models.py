@@ -32,10 +32,15 @@ class SdeModel:
     """A 1-D diffusion dX = b(X)dt + sigma(X)dW with declared regularity metadata.
 
     The state and the noise are scalar.  ``drift`` and ``diffusion`` must
-    be numpy-vectorized over the state.  ``sim_drift``/``sim_diffusion``/
-    ``state_map`` describe an alternative coordinate system in which the
-    process is actually simulated (the geometric mean-reversion model is
-    stepped in log space and mapped back through ``state_map``).
+    be numpy-vectorized over the state.  The recurrence, Hoelder and
+    drift-growth constants are declared; the ellipticity bounds are not,
+    since :func:`validate_conditions` measures them on its probe grid.
+    ``support`` is the full line or a half-line ``(lo, inf)`` (CIR,
+    Gompertz); a half-line model's ``probe_range`` must lie inside it.
+    ``sim_drift``/``sim_diffusion``/``state_map`` describe an alternative
+    coordinate system in which the process is actually simulated (the
+    geometric mean-reversion model is stepped in log space and mapped back
+    through ``state_map``).
     """
 
     drift: Callable
@@ -43,7 +48,6 @@ class SdeModel:
     recurrence_alpha: float
     recurrence_gamma: float
     recurrence_radius: float
-    ellipticity_bounds: tuple
     holder_nu: float
     drift_growth_alpha_bar: float
     initial_state: float
@@ -61,9 +65,6 @@ class SdeModel:
         if not (0.0 < self.holder_nu <= 1.0):
             # nu = 0 admits no valid step schedule; rejected here.
             raise ModelError("holder_nu must lie in (0, 1]")
-        l1, l2 = self.ellipticity_bounds
-        if not (0.0 < l1 <= l2):
-            raise ModelError("ellipticity bounds must satisfy 0 < lambda1 <= lambda2")
         object.__setattr__(self, "initial_state", float(self.initial_state))
         if self.sim_initial_state is not None:
             object.__setattr__(self, "sim_initial_state", float(self.sim_initial_state))
@@ -181,7 +182,7 @@ def validate_conditions(model: SdeModel, probe_grid: Sequence) -> ConditionRepor
             lam1 > 1e-12,
             lam1,
             float(probes[int(np.argmin(a_vals))]),
-            detail=f"observed [{lam1:.4g}, {lam2:.4g}], declared {model.ellipticity_bounds}",
+            detail=f"observed [{lam1:.4g}, {lam2:.4g}]",
         )
     )
 
@@ -270,7 +271,8 @@ class InvariantDensity1D:
     The density is represented through a tabulated antiderivative of
     2 b/a in a working coordinate (log-space for half-line supports) and
     normalized by the composite Gauss-Legendre rule over the same node
-    table.
+    table.  ``cdf`` is the trapezoid CDF on those nodes, which
+    :meth:`sample` inverts and the gradient-form decay screen reads.
     """
 
     support: tuple
@@ -282,7 +284,12 @@ class InvariantDensity1D:
     _dz_dw: Callable = field(repr=False)
     _w_nodes: np.ndarray = field(repr=False)
     _log_shift: float = 0.0
-    _cdf: np.ndarray = field(default=None, repr=False)
+    cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pdf_w = self.density(self.z_nodes) * self._dz_dw(self._w_nodes)
+        c = np.concatenate(([0.0], np.cumsum(0.5 * (pdf_w[1:] + pdf_w[:-1]) * np.diff(self._w_nodes))))
+        self.cdf = c / c[-1]
 
     def density(self, z):
         z = np.asarray(z, dtype=float)
@@ -315,38 +322,24 @@ class InvariantDensity1D:
 
         return panel_integral(gw, self._w_nodes)
 
-    def _ensure_cdf(self):
-        if self._cdf is None:
-            zn = self.z_nodes
-            pdf_w = self.density(zn) * self._dz_dw(self._w_nodes)
-            c = np.concatenate(([0.0], np.cumsum(0.5 * (pdf_w[1:] + pdf_w[:-1]) * np.diff(self._w_nodes))))
-            self._cdf = c / c[-1]
-
     def sample(self, u):
         """Inverse-CDF transform of uniforms in (0,1) to pi-distributed states."""
-        self._ensure_cdf()
         u = np.asarray(u, dtype=float)
-        w = np.interp(u, self._cdf, self._w_nodes)
+        w = np.interp(u, self.cdf, self._w_nodes)
         return self._z_of_w(w)
 
 
-def invariant_density_1d(
-    model: SdeModel,
-    support: Optional[tuple] = None,
-    n_panels: int = 4096,
-) -> InvariantDensity1D:
+def invariant_density_1d(model: SdeModel, n_panels: int = 4096) -> InvariantDensity1D:
     """Compute the 1D invariant density pi ~ (1/a) exp(2 int b/a) numerically.
 
-    The cumulative exponent is tabulated on a working range grown outward
-    until the unnormalized log-density has dropped far enough below its
-    maximum for the tails to underflow; failure to decay raises
-    :class:`NotPositiveRecurrentError`.
+    The density lives on ``model.support``.  The cumulative exponent is
+    tabulated on a working range grown outward until the unnormalized
+    log-density has dropped far enough below its maximum for the tails to
+    underflow; failure to decay raises :class:`NotPositiveRecurrentError`.
     """
-    support = support or model.support
-    lo_s, hi_s = support
-    half_line = math.isfinite(lo_s)
+    half_line = model.is_half_line
     if half_line:
-        edge = lo_s
+        edge = model.support[0]
         w_of_z = lambda z: np.log(np.asarray(z, dtype=float) - edge)
         z_of_w = lambda w: edge + np.exp(np.asarray(w, dtype=float))
         dz_dw = lambda w: np.exp(np.asarray(w, dtype=float))
@@ -398,7 +391,7 @@ def invariant_density_1d(
     if not (mass > 0.0) or not math.isfinite(mass):
         raise NotPositiveRecurrentError("model not positive recurrent on support")
     return InvariantDensity1D(
-        support=support,
+        support=model.support,
         anchor=anchor,
         normalizer=1.0 / mass,
         _log_un=log_un_z,
@@ -417,14 +410,16 @@ def invariant_density_1d(
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """A test functional f(t, x) with growth metadata.
+    """A test functional f(t, x).
 
     ``value`` must be numpy-vectorized over the state argument.
+    ``time_homogeneous`` lets :func:`centralize` subtract one pi-mean
+    rather than one per time; ``centralized`` marks a functional whose
+    pi-mean has been subtracted, as the Poisson solver and the
+    autocorrelation route require.
     """
 
     value: Callable
-    growth_p0: float
-    modulus_q0: float = 0.0
     time_homogeneous: bool = True
     centralized: bool = False
     name: str = "f"
@@ -434,9 +429,7 @@ class FunctionalSpec:
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[float], name: str = "poly") -> "FunctionalSpec":
-        value = PolynomialFunctional(coeffs)
-        deg = max((i for i, v in enumerate(value.coeffs) if v != 0.0), default=0)
-        return cls(value=value, growth_p0=float(deg), name=name)
+        return cls(value=PolynomialFunctional(coeffs), name=name)
 
 
 def _horner(coeffs: tuple, x):
@@ -638,7 +631,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             recurrence_alpha=1.0,
             recurrence_gamma=kappa if mu == 0 else kappa / 2.0,
             recurrence_radius=radius,
-            ellipticity_bounds=(sigma**2, sigma**2),
             holder_nu=1.0,
             drift_growth_alpha_bar=1.0,
             initial_state=params.get("x0", mu),
@@ -659,7 +651,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             recurrence_alpha=1.0,
             recurrence_gamma=kappa / 2.0,
             recurrence_radius=2.0 * mu,
-            ellipticity_bounds=(sigma**2 * lo, sigma**2 * hi),
             holder_nu=0.5,
             drift_growth_alpha_bar=1.0,
             initial_state=params.get("x0", mu),
@@ -680,7 +671,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             recurrence_alpha=1.0,
             recurrence_gamma=kappa,
             recurrence_radius=radius,
-            ellipticity_bounds=(sigma**2 * 0.04, sigma**2 * (2.0 * radius) ** 2),
             holder_nu=1.0,  # of the log-space OU actually simulated
             drift_growth_alpha_bar=1.0,
             initial_state=x0,
@@ -703,7 +693,6 @@ def builtin_model(name: str, params: dict) -> SdeModel:
             recurrence_alpha=alpha,
             recurrence_gamma=1.0,
             recurrence_radius=0.0,
-            ellipticity_bounds=(sigma**2, sigma**2),
             holder_nu=min(alpha, 1.0),
             drift_growth_alpha_bar=min(alpha, 1.0),
             initial_state=params.get("x0", 0.0),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ class PoissonError(Exception):
 
 
 FIT_FLOOR = 1e-12
+TAIL_FRACTION = 0.25  # outer share of |grid| that the exponent fits read
 
 
 @dataclass
@@ -49,14 +50,13 @@ class TailFit:
 
 @dataclass
 class PoissonSolution:
-    """u, u', u'' on a grid plus measured tail growth exponents."""
+    """u, u', u'' on a grid; :func:`fit_tail_exponents` measures their tail growth."""
 
     grid: np.ndarray
     u: np.ndarray
     u_prime: np.ndarray
     u_double_prime: np.ndarray
     time_parameter: float
-    fitted_exponents: dict = field(default_factory=dict)
     u_prime_fn: Callable = None
     half_line: bool = False
 
@@ -146,7 +146,7 @@ def solve_poisson_1d(
     if grid_kept.size < 3:
         raise PoissonError("fewer than 3 grid points survive the underflow filter")
 
-    sol = PoissonSolution(
+    return PoissonSolution(
         grid=grid_kept,
         u=u_val(grid_kept),
         u_prime=u_prime(grid_kept),
@@ -155,11 +155,6 @@ def solve_poisson_1d(
         u_prime_fn=u_prime,
         half_line=model.is_half_line,
     )
-    try:
-        sol.fitted_exponents = fit_tail_exponents(sol)
-    except PoissonError:
-        sol.fitted_exponents = {}
-    return sol
 
 
 def _fit_one(x: np.ndarray, vals: np.ndarray) -> TailFit:
@@ -180,18 +175,18 @@ def _fit_one(x: np.ndarray, vals: np.ndarray) -> TailFit:
     return TailFit(float(slope))
 
 
-def fit_tail_exponents(sol: PoissonSolution, tail_fraction: float = 0.25) -> dict:
+def fit_tail_exponents(sol: PoissonSolution) -> dict:
     """Log-log tail slopes of |u|, |u'|, |u''| over the outer grid fraction.
 
-    Returns a dict with keys ``p1``, ``p2``, ``p3`` mapping to
-    :class:`TailFit` records; for full-line supports the slope is
-    maximized over the two tails, for half-line supports the right tail
-    is used.
+    The tails are the grid points whose |x| is in the top
+    ``TAIL_FRACTION`` of the grid's.  Returns a dict with keys ``p1``,
+    ``p2``, ``p3`` mapping to :class:`TailFit` records; for full-line
+    supports the slope is maximized over the two tails, for half-line
+    supports the right tail is used.  Raises :class:`PoissonError` when a
+    tail has fewer than 20 grid points.
     """
-    if not (0.0 < tail_fraction <= 0.5):
-        raise ValueError("tail_fraction must lie in (0, 0.5]")
     x = sol.grid
-    hi_cut = np.quantile(np.abs(x), 1.0 - tail_fraction)
+    hi_cut = np.quantile(np.abs(x), 1.0 - TAIL_FRACTION)
     sides = [np.abs(x) >= hi_cut] if sol.half_line else [
         (x >= hi_cut), (x <= -hi_cut)
     ]
@@ -268,7 +263,7 @@ def audit_mdp_exponents(alpha: float, measured: ExponentSet) -> ExponentAudit:
 
 def exponents_from_solution(sol: PoissonSolution, constant_diffusion: bool) -> ExponentSet:
     """Package fitted tail exponents for the audit (homogeneous functionals)."""
-    fits = sol.fitted_exponents or fit_tail_exponents(sol)
+    fits = fit_tail_exponents(sol)
     return ExponentSet(
         p1=fits["p1"].effective(),
         p2=fits["p2"].effective(),

@@ -55,9 +55,6 @@ class CovarianceCurve:
     std_error: Optional[np.ndarray] = None
     detail: dict = field(default_factory=dict)
 
-    def at(self, t: float) -> float:
-        return float(np.interp(t, self.t_grid, self.values))
-
 
 TAIL_MASS_LIMIT = 0.01
 # pi-mass quantile delimiting the far-tail region used by the decay screen
@@ -80,10 +77,9 @@ def mf_gradient_form(
     (the functional grows too fast for this route).
     """
     t = float(solution.time_parameter)
-    pi._ensure_cdf()
     wn = pi._w_nodes
-    left_tail = pi._cdf <= TAIL_QUANTILE
-    right_tail = pi._cdf >= 1.0 - TAIL_QUANTILE
+    left_tail = pi.cdf <= TAIL_QUANTILE
+    right_tail = pi.cdf >= 1.0 - TAIL_QUANTILE
     u_prime = solution.u_prime_fn
 
     def integrand(z):
@@ -124,7 +120,6 @@ def mf_autocorrelation_form(
     n_paths: int = 100_000,
     dt: float = 0.005,
     master_seed: int = 0,
-    tail_extrapolate: bool = True,
     threads: Optional[int] = None,
 ) -> CovarianceCurve:
     """Monte Carlo estimate 2 int_0^S E[f(X_0) f(X_s)] ds from stationary start.
@@ -138,7 +133,10 @@ def mf_autocorrelation_form(
     reported as too short.  The fit is made only when the autocorrelation
     at the start of that window is more than 3 Monte Carlo standard
     errors above zero; otherwise the correction is 0 and
-    ``detail["tail_resolved"]`` is False.
+    ``detail["tail_resolved"]`` is False.  The correction added to the
+    returned value is ``detail.get("tail_correction", 0.0)`` (the key is
+    absent when the fitted tail does not decay), so the uncorrected
+    estimate is ``values[0]`` minus it.
 
     Path ``i`` steps on ``euler.replicate_stream(master_seed, i)``, after
     the start uniforms drawn from ``master_seed``'s own stream.  The step is
@@ -235,28 +233,27 @@ def mf_autocorrelation_form(
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
 
     detail = {"horizon": horizon, "n_paths": n_paths, "dt": dt}
-    if tail_extrapolate:
-        g = corr_sum / n_paths
-        gt = g[tail_idx]
-        pos = gt > 0
-        # fit only a tail the data resolve: at the window start the
-        # autocorrelation must exceed 3 of its Monte Carlo standard errors,
-        # else the positive values are noise and the fitted decay is ~0
-        resolved = bool(g[i_tail] > 3.0 * se_tail)
-        detail["tail_resolved"] = resolved
-        if resolved and np.sum(pos) >= 10:
-            slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
-            if slope < 0:
-                # integral of c e^{slope s} from S to infinity
-                c_end = math.exp(icpt + slope * horizon)
-                tail = 2.0 * c_end / (-slope)
-                detail["tail_correction"] = tail
-                detail["fitted_decay_rate"] = -slope
-                m_hat += tail
-                if abs(tail) > TAIL_MASS_LIMIT * abs(m_hat):
-                    detail["warning"] = "horizon too short: tail correction above 1% of estimate"
-        else:
-            detail["tail_correction"] = 0.0
+    g = corr_sum / n_paths
+    gt = g[tail_idx]
+    pos = gt > 0
+    # fit only a tail the data resolve: at the window start the
+    # autocorrelation must exceed 3 of its Monte Carlo standard errors,
+    # else the positive values are noise and the fitted decay is ~0
+    resolved = bool(g[i_tail] > 3.0 * se_tail)
+    detail["tail_resolved"] = resolved
+    if resolved and np.sum(pos) >= 10:
+        slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
+        if slope < 0:
+            # integral of c e^{slope s} from S to infinity
+            c_end = math.exp(icpt + slope * horizon)
+            tail = 2.0 * c_end / (-slope)
+            detail["tail_correction"] = tail
+            detail["fitted_decay_rate"] = -slope
+            m_hat += tail
+            if abs(tail) > TAIL_MASS_LIMIT * abs(m_hat):
+                detail["warning"] = "horizon too short: tail correction above 1% of estimate"
+    else:
+        detail["tail_correction"] = 0.0
     return CovarianceCurve(
         t_grid=np.array([t]),
         values=np.array([m_hat]),
@@ -328,7 +325,6 @@ class OptimalControl:
 
     psi: Callable  # psi(x, s)
     l2_cost: float
-    rate: float
 
 
 def optimal_control(
@@ -340,10 +336,9 @@ def optimal_control(
 ) -> OptimalControl:
     """Construct psi(x, s) = sigma(x) u'(x) xi'(s) / M_f(s) for a target path.
 
-    The expected quadratic cost E_pi int |psi|^2 ds equals twice the
-    action of the path; this identity is returned alongside the control
-    and is exact up to quadrature error, which makes it a sharp internal
-    consistency check.
+    The expected quadratic cost E_pi int |psi|^2 ds, returned with the
+    control, equals twice the action ``path.rate`` up to quadrature
+    error, which makes it a sharp internal consistency check.
     """
     m_at = np.interp(path.t_knots, mf.t_grid, mf.values)
     if np.any(m_at <= 1e-14):
@@ -375,4 +370,4 @@ def optimal_control(
             # int dt / m(s)^2 for linear m: dt (1/m0 - 1/m1) / (m1 - m0)
             seg = dt * (1.0 / m0 - 1.0 / m1) / (m1 - m0)
         cost += q * slopes[i] ** 2 * seg
-    return OptimalControl(psi=psi, l2_cost=cost, rate=path.rate)
+    return OptimalControl(psi=psi, l2_cost=cost)

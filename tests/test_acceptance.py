@@ -57,7 +57,7 @@ def hermite_functional(k):
     c[k] = 1.0
     return FunctionalSpec(
         value=lambda t, x, c=c: hermeval(np.asarray(x, dtype=float), c),
-        growth_p0=float(k), centralized=True, name=f"He{k}",
+        centralized=True, name=f"He{k}",
     )
 
 
@@ -256,8 +256,7 @@ def test_criterion_9_exponent_audit_boundary(criterion):
     ok_true = audit_mdp_exponents(1.0, e1).verdict_mdp
 
     f15 = centralize(FunctionalSpec(
-        value=lambda t, x: np.abs(np.asarray(x, float)) ** 1.5,
-        growth_p0=1.5), pi)
+        value=lambda t, x: np.abs(np.asarray(x, float)) ** 1.5), pi)
     sol15 = solve_poisson_1d(m, pi, f15, 0.0, grid)
     e15 = exponents_from_solution(sol15, constant_diffusion=True)
     ok_false = not audit_mdp_exponents(1.0, e15).verdict_mdp

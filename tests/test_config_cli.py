@@ -359,7 +359,7 @@ def test_validate_mdp_needs_levels():
     assert cfg.spec.mdp_levels == (1.5,)
 
 
-def test_custom_model_family():
+def test_custom_model_family(tmp_path, capsys):
     text = OU_CLT.replace(
         "family = ou\nkappa = 1.0\nmu = 0.0\nsigma = 1.4142135623730951",
         "family = custom\ndrift_coeffs = [0.0, -1.0]\ndiffusion_coeffs = [1.4142135623730951]\n"
@@ -370,13 +370,14 @@ def test_custom_model_family():
     assert cfg.spec.model.name == "custom"
     # b(2) = -2 for the configured linear drift
     assert abs(float(cfg.spec.model.drift(np.array([2.0]))[0]) + 2.0) < 1e-15
-    # support_lo = -inf means no lower bound, as when the key is left out
-    with_lo = lambda v: text.replace("alpha_bar = 1.0", f"alpha_bar = 1.0\nsupport_lo = {v}")
-    assert (parse_config(with_lo("-inf"), inline=True).spec.model.support
-            == (-math.inf, math.inf))
+    # custom models are full-line: no key sets a support bound
+    assert cfg.spec.model.support == (-math.inf, math.inf)
+    with_lo = text.replace("alpha_bar = 1.0", "alpha_bar = 1.0\nsupport_lo = 0.0")
     with pytest.raises(ConfigError) as ei:
-        parse_config(with_lo("nan"), inline=True)
-    assert ei.value.errors == ["[model] support_lo must be a finite number, got nan"]
+        parse_config(with_lo, inline=True)
+    assert ei.value.errors == ["unknown key 'support_lo' in section [model]"]
+    assert main(["--config", write(tmp_path, with_lo), "validate"]) == EXIT_CONFIG_ERROR
+    assert "unknown key 'support_lo'" in capsys.readouterr().err
 
 
 def test_custom_model_missing_keys():
@@ -396,6 +397,27 @@ def test_cli_validate_pass(tmp_path, capsys):
     assert rc == EXIT_PASS
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_poisson_prints_exponents_or_why_not(tmp_path, capsys):
+    # the 81-point grid leaves a full-line model (OU) fewer than 20 points
+    # in each tail, and a half-line model (CIR) enough in its one tail
+    cir = OU_CLT.replace("family = ou\nkappa = 1.0\nmu = 0.0\nsigma = 1.4142135623730951",
+                         "family = cir\nkappa = 1.0\nmu = 1.0\nsigma = 1.0"
+                         ).replace("theta = 2.5", "theta = 3.5")  # CIR is Hoelder-1/2
+    lines = {}
+    for name, text in (("ou", OU_CLT), ("cir", cir)):
+        rc = main(["--config", write(tmp_path, text, f"{name}.cfg"),
+                   "--out", str(tmp_path / "runs"), "poisson"])
+        assert rc == EXIT_PASS
+        lines[name] = [ln for ln in capsys.readouterr().out.splitlines()
+                       if ln.startswith("fitted tail exponents:")]
+    assert lines["ou"] == ["fitted tail exponents: not fitted (need at least 20 tail "
+                           "points per side for exponent fits)"]
+    number = r"-?\d+(\.\d+)?(e[-+]\d+)?"
+    assert len(lines["cir"]) == 1
+    assert re.fullmatch(f"fitted tail exponents: p1={number}, p2={number}, p3={number}",
+                        lines["cir"][0]), lines["cir"]
 
 
 def test_cli_validate_fails_sign_flipped_drift(tmp_path, capsys):

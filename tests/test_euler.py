@@ -31,14 +31,13 @@ def ou():
 
 def f_identity():
     # a polynomial: OU batches with it run on the native kernel
-    return FunctionalSpec(value=PolynomialFunctional([0.0, 1.0]), growth_p0=1.0,
-                          centralized=True, name="x")
+    return FunctionalSpec(value=PolynomialFunctional([0.0, 1.0]), centralized=True, name="x")
 
 
 def f_lambda():
     # a plain callable: every batch with it runs on the numpy kernel
     return FunctionalSpec(value=lambda t, x: np.asarray(x, dtype=float),
-                          growth_p0=1.0, centralized=True, name="x")
+                          centralized=True, name="x")
 
 
 def custom_model(drift_coeffs, diffusion_coeffs, x0):
@@ -721,7 +720,7 @@ def test_kernel_matches_plain_stepper(monkeypatch, numpy_kernel_calls, family, r
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
     if numpy_f:
         poly = f.value
-        f = FunctionalSpec(value=lambda t, x: poly(t, x), growth_p0=f.growth_p0)
+        f = FunctionalSpec(value=lambda t, x: poly(t, x))
     pol = SchedulePolicy(theta, gamma_mdp=0.35 if regime == "MDP" else None)
     sched = StepSchedule.from_policy(0.165, regime, pol, m.holder_nu)
     assert sched.n_steps(horizon) % 32 != 0
@@ -808,7 +807,7 @@ def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, 
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
     if kernel == "numpy":
         poly = f.value
-        f = FunctionalSpec(value=lambda t, x: poly(t, x), growth_p0=2.0)
+        f = FunctionalSpec(value=lambda t, x: poly(t, x))
     for m in (ou(), boom):
         for n in (3, 809):
             first = 2**32 - n
@@ -885,7 +884,7 @@ def test_models_without_a_descriptor_run_the_numpy_kernel(numpy_kernel_calls, ca
         m = builtin_model("gompertz", dict(kappa=2.0, mu=1.0, sigma=0.8))
     elif case == "time-inhomogeneous-f":
         f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
-                           growth_p0=1.0, time_homogeneous=False)
+                           time_homogeneous=False)
     else:
         m = type(m)(**{**m.__dict__, "drift": lambda x: -1.0 * (np.asarray(x, float) - 0.5),
                        "diffusion": lambda x: 0.8 + 0.0 * np.asarray(x, float)})

@@ -28,7 +28,7 @@ def ou_setup():
 
 def zero_functional():
     return FunctionalSpec(value=lambda t, x: np.zeros_like(np.asarray(x, float)),
-                          growth_p0=0.0, centralized=True, name="zero")
+                          centralized=True, name="zero")
 
 
 # ------------------------------------------------------- statistics layer

@@ -84,7 +84,7 @@ def test_non_recurrent_drift_rejected():
         drift=lambda x: +np.asarray(x, dtype=float),  # repelling
         diffusion=m.diffusion,
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
-        ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
+        holder_nu=1.0, drift_growth_alpha_bar=1.0,
         initial_state=0.0,
     )
     with pytest.raises(NotPositiveRecurrentError, match="not positive recurrent"):
@@ -122,7 +122,7 @@ def test_sign_flipped_drift_fails_recurrence():
         drift=lambda x: np.asarray(x, dtype=float),
         diffusion=m.diffusion,
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
-        ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
+        holder_nu=1.0, drift_growth_alpha_bar=1.0,
         initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
@@ -136,7 +136,7 @@ def test_degenerate_diffusion_fails_ellipticity():
         drift=m.drift,
         diffusion=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
-        ellipticity_bounds=(1.0, 1.0), holder_nu=1.0, drift_growth_alpha_bar=1.0,
+        holder_nu=1.0, drift_growth_alpha_bar=1.0,
         initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
@@ -150,7 +150,7 @@ def test_overdeclared_smoothness_fails():
         drift=lambda x: -np.sign(np.asarray(x, float)) * np.abs(np.asarray(x, float)) ** 0.5,
         diffusion=lambda x: SQRT2 * np.ones_like(np.asarray(x, float)),
         recurrence_alpha=0.5, recurrence_gamma=1.0, recurrence_radius=0.0,
-        ellipticity_bounds=(2.0, 2.0), holder_nu=1.0, drift_growth_alpha_bar=0.5,
+        holder_nu=1.0, drift_growth_alpha_bar=0.5,
         initial_state=0.0,
     )
     report = validate_conditions(bad, np.linspace(-5, 5, 41))
@@ -182,7 +182,7 @@ def test_zero_holder_exponent_rejected():
         SdeModel(
             drift=m.drift, diffusion=m.diffusion,
             recurrence_alpha=1.0, recurrence_gamma=1.0, recurrence_radius=0.0,
-            ellipticity_bounds=(2.0, 2.0), holder_nu=0.0, drift_growth_alpha_bar=1.0,
+            holder_nu=0.0, drift_growth_alpha_bar=1.0,
             initial_state=0.0,
         )
 
@@ -216,8 +216,7 @@ def test_centralize_idempotent():
 
 def test_centralize_non_integrable():
     pi = invariant_density_1d(make_ou())
-    f = FunctionalSpec(value=lambda t, x: np.exp(np.asarray(x, float) ** 2),
-                       growth_p0=2.0)
+    f = FunctionalSpec(value=lambda t, x: np.exp(np.asarray(x, float) ** 2))
     with pytest.raises(CentralizationError, match="not pi-integrable"):
         centralize(f, pi)
 
@@ -236,7 +235,6 @@ def test_expectation_counts_non_finite_points_only_where_density_underflowed():
 
 def test_polynomial_degree_metadata():
     f = FunctionalSpec.from_polynomial([3.0, 0.0, 2.0])
-    assert f.growth_p0 == 2.0
     assert f.value(0.0, 2.0) == 11.0
 
 

@@ -25,7 +25,7 @@ def hermite_functional(k):
     c[k] = 1.0
     return FunctionalSpec(
         value=lambda t, x, c=c: hermeval(np.asarray(x, dtype=float), c),
-        growth_p0=float(k), centralized=True, name=f"He{k}",
+        centralized=True, name=f"He{k}",
     )
 
 
@@ -89,7 +89,7 @@ def test_hermite_cubic_exponents(ou_setup):
     m, pi = ou_setup
     f = hermite_functional(3)  # x^3 - 3x, already centralized
     sol = solve_poisson_1d(m, pi, f, 0.0, np.linspace(-12, 12, 241))
-    fits = sol.fitted_exponents
+    fits = fit_tail_exponents(sol)
     assert abs(fits["p1"].exponent - 3.0) < 0.15
     assert abs(fits["p2"].exponent - 2.0) < 0.15
 
@@ -97,9 +97,9 @@ def test_hermite_cubic_exponents(ou_setup):
 def test_zero_functional_flagged_bounded(ou_setup):
     m, pi = ou_setup
     f = FunctionalSpec(value=lambda t, x: np.zeros_like(np.asarray(x, float)),
-                       growth_p0=0.0, centralized=True)
+                       centralized=True)
     sol = solve_poisson_1d(m, pi, f, 0.0, np.linspace(-12, 12, 241))
-    assert sol.fitted_exponents["p1"].bounded
+    assert fit_tail_exponents(sol)["p1"].bounded
 
 
 def test_uncentralized_rejected(ou_setup):

@@ -82,7 +82,7 @@ def test_autocorrelation_ou(ou_pipeline):
 def test_autocorrelation_zero_functional(ou_pipeline):
     m, pi, _, _ = ou_pipeline
     f0 = FunctionalSpec(value=lambda t, x: np.zeros_like(np.asarray(x, float)),
-                        growth_p0=0.0, centralized=True)
+                        centralized=True)
     mf = mf_autocorrelation_form(m, pi, f0, n_paths=500, horizon=2.0, master_seed=1)
     assert mf.values[0] == 0.0
     assert mf.std_error[0] == 0.0
@@ -150,7 +150,7 @@ def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline
 
 
 def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
-                              dt=0.005, master_seed=0, tail_extrapolate=True):
+                              dt=0.005, master_seed=0):
     """The autocorrelation route as a plain per-path reference: path ``i``
     steps on ``replicate_stream(master_seed, i)``, one step at a time, the
     paths in chunks of ``euler._SUM_ROWS``.  Each step's products are summed
@@ -201,24 +201,23 @@ def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
     m_hat = 2.0 * float(np.mean(A))
     se = 2.0 * float(np.std(A, ddof=1)) / math.sqrt(n_paths)
     detail = {"horizon": horizon, "n_paths": n_paths, "dt": dt}
-    if tail_extrapolate:
-        g = corr_sum / n_paths
-        gt = g[tail_idx]
-        pos = gt > 0
-        resolved = bool(g[i_tail] > 3.0 * se_tail)
-        detail["tail_resolved"] = resolved
-        if resolved and np.sum(pos) >= 10:
-            slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
-            if slope < 0:
-                c_end = math.exp(icpt + slope * horizon)
-                tail = 2.0 * c_end / (-slope)
-                detail["tail_correction"] = tail
-                detail["fitted_decay_rate"] = -slope
-                m_hat += tail
-                if abs(tail) > 0.01 * abs(m_hat):
-                    detail["warning"] = "horizon too short: tail correction above 1% of estimate"
-        else:
-            detail["tail_correction"] = 0.0
+    g = corr_sum / n_paths
+    gt = g[tail_idx]
+    pos = gt > 0
+    resolved = bool(g[i_tail] > 3.0 * se_tail)
+    detail["tail_resolved"] = resolved
+    if resolved and np.sum(pos) >= 10:
+        slope, icpt = np.polyfit(s_grid[tail_idx][pos], np.log(gt[pos]), 1)
+        if slope < 0:
+            c_end = math.exp(icpt + slope * horizon)
+            tail = 2.0 * c_end / (-slope)
+            detail["tail_correction"] = tail
+            detail["fitted_decay_rate"] = -slope
+            m_hat += tail
+            if abs(tail) > 0.01 * abs(m_hat):
+                detail["warning"] = "horizon too short: tail correction above 1% of estimate"
+    else:
+        detail["tail_correction"] = 0.0
     return m_hat, se, detail, corr_sum
 
 
@@ -241,7 +240,7 @@ def _custom_model():
     ("gompertz", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     # 513 chunks of partial sums, the last of 5 paths, over 5 steps
     ("ou", dict(n_paths=2**17 + 5, horizon=0.05, dt=0.01)),
-    ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01, tail_extrapolate=False)),
+    ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01)),
     # f returns its own input array: the step must not write into it
     ("ou_identity", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("custom", dict(n_paths=2000, horizon=3.0, dt=0.01)),
@@ -269,11 +268,11 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
         f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
     elif family == "ou_identity":
         m, pi, _, _ = ou_pipeline
-        f = FunctionalSpec(value=lambda t, x: x, growth_p0=1.0, centralized=True)
+        f = FunctionalSpec(value=lambda t, x: x, centralized=True)
     elif family == "ou_cos":
         m, pi, _, _ = ou_pipeline
         f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
-                           growth_p0=1.0, time_homogeneous=False, centralized=True)
+                           time_homogeneous=False, centralized=True)
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
     # the numpy kernel draws the normals of up to euler._TILE steps of every
@@ -363,8 +362,7 @@ def test_autocorrelation_fails_alike_at_every_thread_count(monkeypatch, ou_pipel
     # and 5 threads and on each native path
     m, pi, f, _ = ou_pipeline
     cubic = dataclasses.replace(m, drift=Polynomial([0.0, 0.0, 0.0, -4.0]))
-    huge = FunctionalSpec(value=PolynomialFunctional([0.0] * 300 + [1.0]), growth_p0=300.0,
-                          centralized=True)
+    huge = FunctionalSpec(value=PolynomialFunctional([0.0] * 300 + [1.0]), centralized=True)
     cases = [(cubic, f, dict(horizon=2.0, dt=0.1), r"^\d+ of 5000 autocorrelation paths are "
               r"not finite after step \d+ of 20:"),
              (m, huge, dict(horizon=0.5, dt=0.01), r"^the autocorrelation sums of f are not "
@@ -409,7 +407,7 @@ def test_autocorrelation_raises_on_overflowing_f(ou_pipeline):
     poly = PolynomialFunctional([0.0] * 300 + [1.0])
     messages = []
     for value, native in ((poly, True), (lambda t, x: poly(t, x), False)):
-        f = FunctionalSpec(value=value, growth_p0=300.0, centralized=True)
+        f = FunctionalSpec(value=value, centralized=True)
         assert euler._runs_native(m, f) is native
         with pytest.raises(VarianceError, match=r"^the autocorrelation sums of f are not "
                            r"finite at step 0 of 50: f overflows") as exc:
@@ -434,7 +432,7 @@ def test_gradient_tail_guard(ou_pipeline):
     m, pi, _, _ = ou_pipeline
     fast = FunctionalSpec(
         value=lambda t, x: np.exp(0.26 * np.asarray(x, float) ** 2) - 6.7114,
-        growth_p0=2.0, centralized=True,
+        centralized=True,
     )
     sol = solve_poisson_1d(m, pi, fast, 0.0, np.linspace(-4, 4, 41))
     with pytest.raises(VarianceError):
