@@ -82,14 +82,19 @@
  *    so that the vector holds one step of its 8 rows.
  * Both paths take a word their fast path does not accept through the same
  * scalar wedge and tail code.
- * philox_normal_fill and euler_rows take the avx512 path when the CPU has
- * both extensions, checked once when the library is loaded, and the
- * portable path otherwise; native_path names the one picked.
+ * philox_normal_fill and euler_rows (and antiderivative_eval, below) take
+ * the avx512 path when the CPU has both extensions, checked once when the
+ * library is loaded, and the portable path otherwise; native_path names
+ * the one picked.
  *
  * antiderivative_eval answers the queries of quadrature.Antiderivative:
  * per point a clip, the panel np.searchsorted would give, and the panel's
  * degree-7 Legendre series in the association order of numpy's legval.
- * It has one plain path and no routing.
+ * It too comes in two paths with the same bits, picked with the others:
+ * the portable one takes a point at a time; the avx512 one takes 8 points
+ * per vector, gathering each point's nodes, cumulative sum and
+ * coefficients, and sends a block holding a NaN, or one whose uniform-grid
+ * guess is not the searchsorted panel, through the portable code.
  */
 #define _GNU_SOURCE /* sched_getcpu, CPU_CLR and pthread_attr_setaffinity_np */
 #include <math.h>
@@ -1027,11 +1032,183 @@ int64_t euler_rows_avx512(const euler_spec *m, row_state *rows, const stream_key
 
 #endif /* __x86_64__ */
 
+/* ------------------------------------------- tabulated antiderivative */
+
+/* (nd - 1) / nd and (2 nd - 1) / nd for nd = 7 down to 2, as doubles */
+static const double LEG_A[8] = {0, 0, 1.0 / 2, 2.0 / 3, 3.0 / 4, 4.0 / 5, 5.0 / 6, 6.0 / 7};
+static const double LEG_B[8] = {0, 0, 3.0 / 2, 5.0 / 3, 7.0 / 4, 9.0 / 5, 11.0 / 6, 13.0 / 7};
+
+/* The degree-7 Legendre series c at x, in the association order of
+ * numpy's legval. */
+static inline double legval8(const double *c, double x)
+{
+    double c0 = c[6], c1 = c[7];
+    for (int nd = 7; nd >= 2; nd--) {
+        double tmp = c0;
+        c0 = c[nd - 2] - c1 * LEG_A[nd];
+        c1 = tmp + c1 * x * LEG_B[nd];
+    }
+    return c0 + c1 * x;
+}
+
+/* One call's table: n_nodes >= 2 sorted nodes, the cumulative sums cum and
+ * the panel-major (n_panels, 8) Legendre coefficients coef of L or R. */
+typedef struct {
+    const double *nodes, *cum, *coef;
+    int64_t last; /* the last panel */
+    double lo, hi, half, per_panel;
+    int from_right;
+} table_query;
+
+static inline table_query query_of(const double *nodes, int64_t n_nodes, double half,
+                                   const double *cum, const double *coef, int from_right)
+{
+    const double lo = nodes[0], hi = nodes[n_nodes - 1];
+    return (table_query){nodes, cum, coef, n_nodes - 2, lo, hi, half,
+                         (double)(n_nodes - 1) / (hi - lo), from_right};
+}
+
+/* One query of quadrature.Antiderivative.  The point is clipped to
+ * [nodes[0], nodes[n_nodes - 1]] as np.clip clips it (NaN stays NaN) and
+ * given the panel index of np.searchsorted(nodes, z, side) - 1 clipped to
+ * the panels, where side is "right" for from_left and "left" for
+ * from_right and NaN sorts last; a uniform-grid guess, moved to the
+ * neighbouring node where it is off, finds it.  The value is
+ * cum[idx] + s L(s - 1) (from_left) or cum[idx + 1] + s R(1 - s)
+ * (from_right). */
+static inline double query_point(const table_query *q, double zc)
+{
+    const int64_t last = q->last;
+    const double *nodes = q->nodes;
+    int64_t g = last;
+    if (zc == zc) {
+        zc = zc > q->lo ? zc : q->lo;
+        zc = zc < q->hi ? zc : q->hi;
+        double guess = (zc - q->lo) * q->per_panel;
+        g = guess < last + 1 ? (int64_t)guess : last + 1;
+        if (q->from_right) { /* the last node below zc, -1 for none */
+            while (g >= 0 && nodes[g] >= zc)
+                g--;
+            while (g <= last && nodes[g + 1] < zc)
+                g++;
+            g = g > 0 ? g : 0;
+        } else { /* the last node at or below zc */
+            while (g > 0 && nodes[g] > zc)
+                g--;
+            while (g <= last && nodes[g + 1] <= zc)
+                g++;
+        }
+        g = g < last ? g : last;
+    }
+    const double *c = q->coef + 8 * g;
+    if (q->from_right) {
+        double s = (nodes[g + 1] - zc) / q->half; /* 1 - x, exactly 0 on the right node */
+        return q->cum[g + 1] + s * legval8(c, 1.0 - s);
+    }
+    double s = (zc - nodes[g]) / q->half; /* x + 1, exactly 0 on the left node */
+    return q->cum[g] + s * legval8(c, s - 1.0);
+}
+
+/* The queries z[0 .. n-1] into out, one point at a time. */
+void antiderivative_eval_portable(const double *nodes, int64_t n_nodes, double half,
+                                  const double *cum, const double *coef, int from_right,
+                                  const double *z, int64_t n, double *out)
+{
+    const table_query q = query_of(nodes, n_nodes, half, cum, coef, from_right);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = query_point(&q, z[i]);
+}
+
+#if defined(__x86_64__)
+
+/* legval8, lane by lane, on the coefficients of panel p[lane] */
+AVX512 static inline __attribute__((always_inline)) __m512d
+legval8x8(const double *coef, __m512i p, __m512d x)
+{
+    const __m512i at = _mm512_slli_epi64(p, 3); /* 8 p: the panel's first coefficient */
+    __m512d c0 = _mm512_i64gather_pd(at, coef + 6, 8), c1 = _mm512_i64gather_pd(at, coef + 7, 8);
+    for (int nd = 7; nd >= 2; nd--) {
+        __m512d tmp = c0;
+        c0 = _mm512_sub_pd(_mm512_i64gather_pd(at, coef + nd - 2, 8),
+                           _mm512_mul_pd(c1, _mm512_set1_pd(LEG_A[nd])));
+        c1 = _mm512_add_pd(tmp, _mm512_mul_pd(_mm512_mul_pd(c1, x), _mm512_set1_pd(LEG_B[nd])));
+    }
+    return _mm512_add_pd(c0, _mm512_mul_pd(c1, x));
+}
+
+/* The queries of antiderivative_eval_portable, LANES points per vector:
+ * the clip is max and min, whose equal or NaN operands give the second
+ * one, as query_point's ternaries do; the guess, capped at the last panel,
+ * is the searchsorted panel when it passes that panel's defining test
+ * (from_left: nodes[g] <= zc and, below the last panel, zc < nodes[g+1];
+ * from_right: nodes[g] < zc unless g = 0 and, below the last panel,
+ * zc <= nodes[g+1]), which on sorted nodes only that panel passes.  A
+ * block holding a NaN or a guess that fails, and the last n % LANES
+ * points, go through query_point. */
+AVX512 void antiderivative_eval_avx512(const double *nodes, int64_t n_nodes, double half,
+                                       const double *cum, const double *coef, int from_right,
+                                       const double *z, int64_t n, double *out)
+{
+    const table_query q = query_of(nodes, n_nodes, half, cum, coef, from_right);
+    const __m512d lo = _mm512_set1_pd(q.lo), hi = _mm512_set1_pd(q.hi);
+    const __m512d per_panel = _mm512_set1_pd(q.per_panel), halves = _mm512_set1_pd(q.half);
+    const __m512d one = _mm512_set1_pd(1.0), beyond = _mm512_set1_pd((double)(q.last + 1));
+    const __m512i last = _mm512_set1_epi64(q.last), zero = _mm512_setzero_si512();
+    const __m512i next = _mm512_set1_epi64(1);
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES) {
+        __m512d zc = _mm512_loadu_pd(z + i);
+        if (_mm512_cmp_pd_mask(zc, zc, _CMP_UNORD_Q) == 0) {
+            zc = _mm512_min_pd(_mm512_max_pd(zc, lo), hi);
+            __m512d guess = _mm512_mul_pd(_mm512_sub_pd(zc, lo), per_panel);
+            /* guess < last + 1 ? (int64_t)guess : last + 1, then capped at last */
+            __m512i g = _mm512_mask_mov_epi64(
+                _mm512_add_epi64(last, next), _mm512_cmp_pd_mask(guess, beyond, _CMP_LT_OQ),
+                _mm512_cvttpd_epi64(guess));
+            g = _mm512_min_epi64(g, last);
+            const __m512i g1 = _mm512_add_epi64(g, next);
+            const __m512d left = _mm512_i64gather_pd(g, nodes, 8);
+            const __m512d right = _mm512_i64gather_pd(g1, nodes, 8);
+            const __mmask8 at_last = _mm512_cmpeq_epi64_mask(g, last);
+            __mmask8 ok;
+            if (from_right)
+                ok = (_mm512_cmp_pd_mask(left, zc, _CMP_LT_OQ) | _mm512_cmpeq_epi64_mask(g, zero))
+                     & (_mm512_cmp_pd_mask(right, zc, _CMP_GE_OQ) | at_last);
+            else
+                ok = _mm512_cmp_pd_mask(left, zc, _CMP_LE_OQ)
+                     & (_mm512_cmp_pd_mask(right, zc, _CMP_GT_OQ) | at_last);
+            if (ok == 0xFF) {
+                __m512d s, v;
+                if (from_right) {
+                    s = _mm512_div_pd(_mm512_sub_pd(right, zc), halves);
+                    v = _mm512_add_pd(_mm512_i64gather_pd(g1, cum, 8),
+                                      _mm512_mul_pd(s, legval8x8(coef, g, _mm512_sub_pd(one, s))));
+                } else {
+                    s = _mm512_div_pd(_mm512_sub_pd(zc, left), halves);
+                    v = _mm512_add_pd(_mm512_i64gather_pd(g, cum, 8),
+                                      _mm512_mul_pd(s, legval8x8(coef, g, _mm512_sub_pd(s, one))));
+                }
+                _mm512_storeu_pd(out + i, v);
+                continue;
+            }
+        }
+        for (int k = 0; k < LANES; k++)
+            out[i + k] = query_point(&q, z[i + k]);
+    }
+    for (; i < n; i++)
+        out[i] = query_point(&q, z[i]);
+}
+
+#endif /* __x86_64__ */
+
 /* ------------------------------------------------------------- dispatch */
 
 typedef void fill_fn(row_state *, int64_t, double *, int64_t);
+typedef void query_fn(const double *, int64_t, double, const double *, const double *, int,
+                      const double *, int64_t, double *);
 static fill_fn *fill_path = philox_normal_fill_portable;
 static chunk_fn *chunk_path = chunk_portable;
+static query_fn *query_path = antiderivative_eval_portable;
 static const char *path_name = "portable";
 
 /* Pick the path for this CPU, once, when the library is loaded. */
@@ -1042,6 +1219,7 @@ __attribute__((constructor)) static void pick_path(void)
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
         fill_path = philox_normal_fill_avx512;
         chunk_path = chunk_avx512;
+        query_path = antiderivative_eval_avx512;
         path_name = "avx512";
     }
 #endif
@@ -1066,70 +1244,9 @@ int64_t euler_rows(const euler_spec *m, row_state *rows, const stream_keys *keys
                       (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
 }
 
-/* ------------------------------------------- tabulated antiderivative */
-
-/* (nd - 1) / nd and (2 nd - 1) / nd for nd = 7 down to 2, as doubles */
-static const double LEG_A[8] = {0, 0, 1.0 / 2, 2.0 / 3, 3.0 / 4, 4.0 / 5, 5.0 / 6, 6.0 / 7};
-static const double LEG_B[8] = {0, 0, 3.0 / 2, 5.0 / 3, 7.0 / 4, 9.0 / 5, 11.0 / 6, 13.0 / 7};
-
-/* The degree-7 Legendre series c at x, in the association order of
- * numpy's legval. */
-static inline double legval8(const double *c, double x)
-{
-    double c0 = c[6], c1 = c[7];
-    for (int nd = 7; nd >= 2; nd--) {
-        double tmp = c0;
-        c0 = c[nd - 2] - c1 * LEG_A[nd];
-        c1 = tmp + c1 * x * LEG_B[nd];
-    }
-    return c0 + c1 * x;
-}
-
-/* Queries of quadrature.Antiderivative on a grid of n_nodes >= 2 sorted
- * nodes.  Each point is clipped to [nodes[0], nodes[n_nodes - 1]] as
- * np.clip clips it (NaN stays NaN) and given the panel index of
- * np.searchsorted(nodes, z, side) - 1 clipped to the panels, where side is
- * "right" for from_left and "left" for from_right and NaN sorts last; a
- * uniform-grid guess, moved to the neighbouring node where it is off,
- * finds it.  The value is cum[idx] + s L(s - 1) (from_left) or
- * cum[idx + 1] + s R(1 - s) (from_right), with coef the panel-major
- * (n_panels, 8) Legendre coefficients of L or R. */
 void antiderivative_eval(const double *nodes, int64_t n_nodes, double half, const double *cum,
                          const double *coef, int from_right, const double *z, int64_t n,
                          double *out)
 {
-    const int64_t last = n_nodes - 2; /* the last panel */
-    const double lo = nodes[0], hi = nodes[n_nodes - 1];
-    const double per_panel = (double)(n_nodes - 1) / (hi - lo);
-    for (int64_t i = 0; i < n; i++) {
-        double zc = z[i];
-        int64_t g = last;
-        if (zc == zc) {
-            zc = zc > lo ? zc : lo;
-            zc = zc < hi ? zc : hi;
-            double guess = (zc - lo) * per_panel;
-            g = guess < last + 1 ? (int64_t)guess : last + 1;
-            if (from_right) { /* the last node below zc, -1 for none */
-                while (g >= 0 && nodes[g] >= zc)
-                    g--;
-                while (g <= last && nodes[g + 1] < zc)
-                    g++;
-                g = g > 0 ? g : 0;
-            } else { /* the last node at or below zc */
-                while (g > 0 && nodes[g] > zc)
-                    g--;
-                while (g <= last && nodes[g + 1] <= zc)
-                    g++;
-            }
-            g = g < last ? g : last;
-        }
-        const double *c = coef + 8 * g;
-        if (from_right) {
-            double s = (nodes[g + 1] - zc) / half; /* 1 - x, exactly 0 on the right node */
-            out[i] = cum[g + 1] + s * legval8(c, 1.0 - s);
-        } else {
-            double s = (zc - nodes[g]) / half; /* x + 1, exactly 0 on the left node */
-            out[i] = cum[g] + s * legval8(c, s - 1.0);
-        }
-    }
+    query_path(nodes, n_nodes, half, cum, coef, from_right, z, n, out);
 }

@@ -277,6 +277,8 @@ _OBJCOPY = "objcopy"
 # FMA contraction would change the Euler kernel's bits, and the kernel
 # starts POSIX threads
 _CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-pthread")
+# -z defs: a table the archive lacks fails the link, not the load
+_LINK_FLAGS = (*_CFLAGS, "-shared", "-Wl,-z,defs")
 _FILL_SOURCE = Path(__file__).with_name("_philox_fill.c")
 _NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # numpy's ziggurat tables: local symbols of _NPYRANDOM, made global in a
@@ -287,6 +289,9 @@ _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
 _OBJCOPY_ARGS = ("--only-section=.rodata*", "--only-section=.note.GNU-stack",
                  *(f"--globalize-symbol={name}" for name in _ZIGGURAT_TABLES))
 _CACHE_DIR = Path.home() / ".cache" / "ergosim"
+# a library named by one hash of source, archive and flags, as earlier
+# versions of this package built it; no build writes or loads that name now
+_LEGACY_NAME = re.compile(r"philox_fill-[0-9a-f]{16}\.so")
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
 # the library's paths, each exported under its own suffix; it picks one
 # for the CPU when it is loaded
@@ -300,13 +305,18 @@ def _native():
     queries of :class:`~ergosim.quadrature.Antiderivative`).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
-    under a name keyed by a hash of the C source, of numpy's
-    ``libnpyrandom.a`` and of the ``_OBJCOPY`` and build flags.  Its
+    as ``philox_fill-<environment>-<source>.so``: ``<environment>`` is a
+    hash of numpy's ``libnpyrandom.a`` and of the ``_OBJCOPY`` and build
+    flags, ``<source>`` a hash of those and of the C source.  Its
     ziggurat tables are numpy's own: ``_OBJCOPY`` copies that archive's
     read-only data, with the tables' local symbols made global, into a
     temporary archive, and the library is linked against the copy.
     It is built under a temporary name and renamed into place, so
-    concurrent first uses never load a partial file.  Once per process the
+    concurrent first uses never load a partial file.  Once it is loaded, a
+    build removes the environment's libraries of other sources but the
+    newest, and those named by one hash alone, the layout of earlier
+    versions: the cache holds at most two libraries per environment, and
+    two environments sharing it keep their own.  Once per process the
     stream start and the fill, on the path the library picked for this CPU,
     pass :func:`_check_fill`.
     """
@@ -317,12 +327,9 @@ def _native():
     if not lib.is_file():
         raise NativeBuildError(
             f"cannot build the native Philox fill: numpy's static library {lib} is missing")
-    # -z defs: a table the archive lacks fails the link, not the load
-    flags = [*_CFLAGS, "-shared", "-Wl,-z,defs"]
-    digest = hashlib.sha256(_FILL_SOURCE.read_bytes() + lib.read_bytes()
-                            + " ".join([*_OBJCOPY_ARGS, *flags]).encode()).hexdigest()[:16]
-    target = _CACHE_DIR / f"philox_fill-{digest}.so"
-    if not target.is_file():
+    prefix, target = _library_path()
+    build = not target.is_file()
+    if build:
         try:
             _CACHE_DIR.mkdir(parents=True, exist_ok=True)
             work = tempfile.TemporaryDirectory(dir=_CACHE_DIR)
@@ -334,9 +341,18 @@ def _native():
             archive, tmp = Path(work.name) / lib.name, Path(work.name) / "philox_fill.so"
             _build_step("objcopy", _OBJCOPY, [*_OBJCOPY_ARGS, str(lib), str(archive)])
             _build_step("compiler", _CC, [
-                *flags, str(_FILL_SOURCE), str(archive), "-lm", "-o", str(tmp)])
+                *_LINK_FLAGS, str(_FILL_SOURCE), str(archive), "-lm", "-o", str(tmp)])
             os.replace(tmp, target)
     dll = ctypes.CDLL(str(target))
+    if build:
+        # loaded, so no other build's removal can take it away first; the
+        # newest other library of this environment stays, so two source
+        # trees in use (a parent and its change) do not rebuild in turn
+        others = sorted((p for p in _CACHE_DIR.glob(f"{prefix}*.so") if p != target),
+                        key=_built_at, reverse=True)
+        legacy = [p for p in _CACHE_DIR.glob("philox_fill-*.so") if _LEGACY_NAME.fullmatch(p.name)]
+        for stale in (*others[1:], *legacy):
+            stale.unlink(missing_ok=True)
     dll.native_path.argtypes = ()
     dll.native_path.restype = ctypes.c_char_p
     spec, keys = ctypes.POINTER(_EulerSpec), ctypes.POINTER(_StreamKeys)
@@ -351,7 +367,7 @@ def _native():
                                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
     }
     # the routed entry points and each path's own (no avx512 path off x86-64;
-    # philox_start_rows and antiderivative_eval have one path)
+    # philox_start_rows has one path)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
         for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)
@@ -360,6 +376,24 @@ def _native():
     _check_fill(dll)
     _lib = dll
     return dll
+
+
+def _library_path() -> tuple:
+    """The cache name prefix of this environment (numpy's archive and the
+    flags), and the path under it of the library built from this source."""
+    environment = _NPYRANDOM.read_bytes() + " ".join([*_OBJCOPY_ARGS, *_LINK_FLAGS]).encode()
+    prefix = f"philox_fill-{hashlib.sha256(environment).hexdigest()[:16]}-"
+    source = hashlib.sha256(_FILL_SOURCE.read_bytes() + environment).hexdigest()[:16]
+    return prefix, _CACHE_DIR / f"{prefix}{source}.so"
+
+
+def _built_at(path: Path) -> float:
+    """The modification time of a cached library, or -inf once a
+    concurrent build has removed it."""
+    try:
+        return path.stat().st_mtime
+    except FileNotFoundError:
+        return -math.inf
 
 
 def _build_step(what: str, tool: str, args) -> None:

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import Antiderivative, QuadratureError, panel_integral
+from .quadrature import Antiderivative, QuadratureError, panel_integral, panel_points, panel_sum
 
 
 class ModelError(Exception):
@@ -273,6 +273,13 @@ class InvariantDensity1D:
     normalized by the composite Gauss-Legendre rule over the same node
     table.  ``cdf`` is the trapezoid CDF on those nodes, which
     :meth:`sample` inverts and the gradient-form decay screen reads.
+
+    pi is evaluated once at the node table ``z_nodes`` and once at the
+    rule points of its panels, where :meth:`expectation` integrates; both
+    point sets and their values are stored read-only, and :meth:`density`
+    returns the stored values when it is handed one of the two point
+    arrays itself (an identity check, so a copy is evaluated afresh, to the
+    same bits).
     """
 
     support: tuple
@@ -285,14 +292,28 @@ class InvariantDensity1D:
     _w_nodes: np.ndarray = field(repr=False)
     _log_shift: float = 0.0
     cdf: np.ndarray = field(init=False, repr=False)
+    z_nodes: np.ndarray = field(init=False, repr=False)
+    _panel_z: np.ndarray = field(init=False, repr=False)  # the rule points of the panels, in z
+    _stored: tuple = field(init=False, repr=False, default=())  # (points, pi) pairs
 
     def __post_init__(self):
+        self.z_nodes = self._z_of_w(self._w_nodes)
+        self._panel_z = self._z_of_w(panel_points(self._w_nodes))
+        stored = []
+        for z in (self.z_nodes, self._panel_z):
+            pi = self.density(z)
+            z.flags.writeable = pi.flags.writeable = False
+            stored.append((z, pi))
+        self._stored = tuple(stored)
         pdf_w = self.density(self.z_nodes) * self._dz_dw(self._w_nodes)
         c = np.concatenate(([0.0], np.cumsum(0.5 * (pdf_w[1:] + pdf_w[:-1]) * np.diff(self._w_nodes))))
         self.cdf = c / c[-1]
 
     def density(self, z):
         z = np.asarray(z, dtype=float)
+        for points, pi in self._stored:
+            if z is points:
+                return pi
         lo, hi = self.support
         inside = (z > lo) & (z < hi)
         out = np.zeros_like(z)
@@ -303,24 +324,19 @@ class InvariantDensity1D:
     def __call__(self, z):
         return self.density(z)
 
-    @property
-    def z_nodes(self) -> np.ndarray:
-        return self._z_of_w(self._w_nodes)
-
     def expectation(self, g: Callable) -> float:
-        # fixed panel rule in the working coordinate
-        def gw(w):
-            z = self._z_of_w(w)
-            dens = self.density(z)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.asarray(g(z), dtype=float) * dens * self._dz_dw(w)
-            bad = ~np.isfinite(v)
-            if np.any(bad & (dens > UNDERFLOW_FLOOR)):
-                raise QuadratureError("integrand overflows where the density is positive")
-            # the remaining non-finite points are noise against an underflowed tail
-            return np.where(bad, 0.0, v)
-
-        return panel_integral(gw, self._w_nodes)
+        # fixed panel rule in the working coordinate, at the stored rule points
+        z = self._panel_z
+        dens = self.density(z)
+        # dz/dw is computed per call, not held beside z and pi (256 KB a density)
+        dz_dw = self._dz_dw(panel_points(self._w_nodes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(g(z), dtype=float) * dens * dz_dw
+        bad = ~np.isfinite(v)
+        if np.any(bad & (dens > UNDERFLOW_FLOOR)):
+            raise QuadratureError("integrand overflows where the density is positive")
+        # the remaining non-finite points are noise against an underflowed tail
+        return panel_sum(np.where(bad, 0.0, v), self._w_nodes)
 
     def sample(self, u):
         """Inverse-CDF transform of uniforms in (0,1) to pi-distributed states."""
@@ -380,6 +396,7 @@ def invariant_density_1d(model: SdeModel, n_panels: int = 4096) -> InvariantDens
     else:
         raise NotPositiveRecurrentError("model not positive recurrent on support")
 
+    table.keep_left_only()  # the density reads the exponent from the left alone
     i_max = int(np.argmax(vals))
     anchor = float(z_of_w(wn[i_max]))
     shift = m

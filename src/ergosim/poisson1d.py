@@ -50,7 +50,11 @@ class TailFit:
 
 @dataclass
 class PoissonSolution:
-    """u, u', u'' on a grid; :func:`fit_tail_exponents` measures their tail growth."""
+    """u, u', u'' on a grid; :func:`fit_tail_exponents` measures their tail growth.
+
+    ``u_prime_fn`` evaluates u' at any points; it is 0.0 outside the open
+    support, where pi is 0.
+    """
 
     grid: np.ndarray
     u: np.ndarray
@@ -100,8 +104,7 @@ def solve_poisson_1d(
     def a_pi(z):
         return model.a(z) * pi.density(z)
 
-    def u_prime(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+    def u_prime_within(z):
         w = w_of_z(z)
         denom = a_pi(z)
         # each point queries only the side it returns; NaN goes right
@@ -113,6 +116,18 @@ def solve_poisson_1d(
             out = num / denom
         return out
 
+    lo, hi = pi.support
+
+    def u_prime(z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        outside = (z <= lo) | (z >= hi)
+        if not outside.any():
+            return u_prime_within(z)
+        # 0 where pi is 0, as pi.density gives, and no log of z - edge <= 0
+        out = np.zeros(z.shape)
+        out[~outside] = u_prime_within(z[~outside])
+        return out
+
     # u anchored at the density anchor: u(anchor) = 0.  The u table only
     # spans the sub-range where a*pi has not underflowed; beyond it u' is
     # 0/0 numerically, and those grid points are dropped anyway.
@@ -120,7 +135,7 @@ def solve_poisson_1d(
         v = u_prime(z_of_w(w)) * dz_dw(w)
         return np.where(np.isfinite(v), v, 0.0)
 
-    valid = a_pi(z_of_w(wn)) >= UNDERFLOW_FLOOR
+    valid = a_pi(pi.z_nodes) >= UNDERFLOW_FLOOR
     if np.sum(valid) < 3:
         raise PoissonError("a*pi underflows on nearly all of the working range")
     wu_lo = float(wn[np.argmax(valid)])

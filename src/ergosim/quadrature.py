@@ -3,16 +3,20 @@
 Both primitives use the 8-point Gauss-Legendre rule on every panel of a
 node grid; the grid, not an error estimate, sets the resolution.
 
-* :func:`panel_integral` -- the composite rule over a given node grid.
+* :func:`panel_integral` -- the composite rule over a given node grid,
+  also split into :func:`panel_points` and :func:`panel_sum` for a caller
+  that keeps the integrand's values at the rule points.
 * :class:`Antiderivative` -- a cumulative-integral table on a uniform
   grid, queried from either end.  Each panel also stores the integral of
   the degree-7 interpolant of the integrand through its 8 rule points,
   so a query inside a panel evaluates a polynomial and never calls the
   integrand again.  Right-tail queries are accumulated from the right so
   that tiny tail integrals are not computed as the difference of two
-  nearly equal numbers.  A query is one loop in the native library of
-  :mod:`ergosim.euler` (``antiderivative_eval`` in ``_philox_fill.c``);
-  it has no numpy fallback, so a failed build raises
+  nearly equal numbers.  Each end's table is built when that end is first
+  queried.  A query is one call into the native library of
+  :mod:`ergosim.euler` (``antiderivative_eval`` in ``_philox_fill.c``,
+  whose portable and AVX-512 paths give the same bits); it has no numpy
+  fallback, so a failed build raises
   :class:`~ergosim.euler.NativeBuildError` here too.
 """
 
@@ -52,6 +56,23 @@ _LEFT_MAP = _quotient_map(-1.0, [1.0, 1.0])
 _RIGHT_MAP = _quotient_map(1.0, [-1.0, 1.0])
 
 
+def panel_points(nodes) -> np.ndarray:
+    """The 8 rule points of every panel of ``nodes``, panel by panel: the
+    points at which :func:`panel_integral` calls its integrand."""
+    nodes = np.asarray(nodes, dtype=float)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    half = 0.5 * np.diff(nodes)
+    return (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+
+
+def panel_sum(values, nodes) -> float:
+    """The composite rule over ``nodes`` from the integrand's ``values`` at
+    :func:`panel_points`."""
+    half = 0.5 * np.diff(np.asarray(nodes, dtype=float))
+    values = np.asarray(values, dtype=float).reshape(len(half), _GL_NODES.size)
+    return float(np.sum((values @ _GL_WEIGHTS) * half))
+
+
 def panel_integral(g: Callable[[np.ndarray], np.ndarray], nodes) -> float:
     """Composite 8-point Gauss-Legendre integral of vectorized ``g``.
 
@@ -60,12 +81,7 @@ def panel_integral(g: Callable[[np.ndarray], np.ndarray], nodes) -> float:
     sampled, so an integrand vanishing at a few probe points cannot hide
     its mass; the node grid must resolve the integrand.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    half = 0.5 * np.diff(nodes)
-    pts = mid[:, None] + half[:, None] * _GL_NODES
-    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
-    return float(np.sum((vals @ _GL_WEIGHTS) * half))
+    return panel_sum(g(panel_points(nodes)), nodes)
 
 
 class Antiderivative:
@@ -76,7 +92,10 @@ class Antiderivative:
     the integral of that panel's interpolant, stored as ``(x + 1) L(x)``
     from the left node and ``(1 - x) R(x)`` from the right node in the
     panel coordinate ``x`` in [-1, 1].  The factored forms make a query
-    exactly on a node return exactly the cumulative sum.
+    exactly on a node return exactly the cumulative sum.  Each end's
+    cumulative sums and coefficients are built when that end is first
+    queried, and ``g``'s values are dropped once both ends are built (or
+    by :meth:`keep_left_only`, for a table never queried from the right).
 
     ``from_left`` and ``from_right`` are one call each into the native
     library.  Per point it clips ``z`` to [lo, hi] (NaN stays NaN), finds the
@@ -94,13 +113,8 @@ class Antiderivative:
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         self._half = half = 0.5 * (self.nodes[1] - self.nodes[0])
         pts = mid[:, None] + half * _GL_NODES[None, :]
-        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
-        panels = half * vals @ _GL_WEIGHTS
-        self._cum_left = np.concatenate(([0.0], np.cumsum(panels)))
-        self._cum_right = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
-        # (n_panels, 8) Legendre coefficients of L and R, times the half-width
-        self._left = np.ascontiguousarray((half * (_LEFT_MAP @ vals.T)).T)
-        self._right = np.ascontiguousarray((half * (_RIGHT_MAP @ vals.T)).T)
+        self._vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
+        self._sides = {}  # from_right -> (cumulative sums, coefficients)
 
     @property
     def lo(self) -> float:
@@ -112,19 +126,46 @@ class Antiderivative:
 
     @property
     def total(self) -> float:
-        return float(self._cum_left[-1])
+        return float(self._side(0)[0][-1])
 
     def from_left(self, z) -> np.ndarray:
         """Integral from lo to z (vectorized)."""
-        return self._query(z, self._cum_left, self._left, 0)
+        return self._query(z, 0)
 
     def from_right(self, z) -> np.ndarray:
         """Integral from z to hi (vectorized), accumulated from the right."""
-        return self._query(z, self._cum_right, self._right, 1)
+        return self._query(z, 1)
 
-    def _query(self, z, cum: np.ndarray, coef: np.ndarray, from_right: int):
+    def keep_left_only(self) -> None:
+        """Build the left end and drop what only a right query needs, the
+        integrand's values; ``from_right`` then raises ``ValueError``."""
+        self._side(0)
+        self._sides.pop(1, None)
+        self._vals = None
+
+    def _side(self, from_right: int) -> tuple:
+        """The cumulative sums and the ``(n_panels, 8)`` Legendre coefficients
+        of L (from the left) or R (from the right), times the half-width."""
+        side = self._sides.get(from_right)
+        if side is None:
+            if self._vals is None:
+                raise ValueError("this table keeps only its left end")
+            panels = self._half * self._vals @ _GL_WEIGHTS
+            if from_right:
+                cum = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+                coef = self._half * (_RIGHT_MAP @ self._vals.T)
+            else:
+                cum = np.concatenate(([0.0], np.cumsum(panels)))
+                coef = self._half * (_LEFT_MAP @ self._vals.T)
+            side = self._sides[from_right] = (cum, np.ascontiguousarray(coef.T))
+            if len(self._sides) == 2:
+                self._vals = None
+        return side
+
+    def _query(self, z, from_right: int):
         from . import euler  # not at import time: euler imports models, which imports us
 
+        cum, coef = self._side(from_right)
         z = np.asarray(z, dtype=float)
         flat = z.ravel()  # C-contiguous, copied only if z is not
         out = np.empty(z.shape)

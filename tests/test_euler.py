@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 import sys
 import subprocess
 import threading
@@ -211,9 +212,25 @@ def test_native_build_names_a_missing_objcopy_or_table(monkeypatch, tmp_path):
 def test_native_build_into_empty_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(euler, "_lib", None)
     monkeypatch.setattr(euler, "_CACHE_DIR", tmp_path)
+    # no library of this source, but two of other sources in this environment,
+    # one under the one-hash name of earlier versions and one of another
+    # environment: the build removes the older of the first two and the third
+    prefix, target = euler._library_path()
+    older, newer = (tmp_path / f"{prefix}{digit * 16}.so" for digit in "01")
+    legacy = tmp_path / "philox_fill-0000000000000000.so"
+    elsewhere = tmp_path / "philox_fill-0000000000000000-0000000000000000.so"
+    for path in (older, newer, legacy, elsewhere, tmp_path / "notes.txt"):
+        path.write_bytes(b"not this build's library")
+    os.utime(older, (1e9, 1e9))
     euler._native()
-    built = [p.name for p in tmp_path.iterdir()]
-    assert len(built) == 1 and built[0].startswith("philox_fill-") and built[0].endswith(".so")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [target.name, newer.name, elsewhere.name, "notes.txt"])
+    # a load from the cache builds nothing, so it removes nothing
+    for path in (older, legacy):
+        path.write_bytes(b"not this build's library")
+    monkeypatch.setattr(euler, "_lib", None)
+    euler._native()
+    assert len(list(tmp_path.iterdir())) == 6
 
 
 @pytest.mark.parametrize("first", [0, 2**32 - 3])

@@ -13,7 +13,7 @@ from ergosim.models import (CentralizationError, ConstantDiffusion,
                             PolynomialFunctional, SdeModel, UNDERFLOW_FLOOR,
                             builtin_model, centralize, invariant_density_1d,
                             validate_conditions)
-from ergosim.quadrature import QuadratureError
+from ergosim.quadrature import QuadratureError, panel_integral
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,6 +76,46 @@ def test_density_zero_outside_support():
     m = builtin_model("cir", dict(kappa=1.0, mu=1.0, sigma=1.0))
     pi = invariant_density_1d(m)
     assert pi.density(np.array([-1.0, -0.5]).copy()).tolist() == [0.0, 0.0]
+
+
+BUILTINS = [
+    ("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2)),
+    ("cir", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+    ("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+    ("power_drift", dict(alpha=1.5)),
+]
+
+
+@pytest.mark.parametrize("name, params", BUILTINS)
+def test_stored_density_equals_a_fresh_evaluation(name, params):
+    pi = invariant_density_1d(builtin_model(name, params))
+    for points in (pi.z_nodes, pi._panel_z):
+        stored = pi.density(points)
+        assert pi.density(points) is stored  # read, not evaluated again
+        assert not (stored.flags.writeable or points.flags.writeable)
+        assert stored.tobytes() == pi.density(points.copy()).tobytes()
+
+
+@pytest.mark.parametrize("name, params", BUILTINS)
+def test_expectation_has_the_bits_of_the_integrand_on_the_panel_nodes(name, params):
+    # the integrand in the working coordinate w, pi evaluated afresh at
+    # z(w) and dz/dw computed at w, integrated by the panel rule over w
+    pi = invariant_density_1d(builtin_model(name, params))
+
+    def reference(g):
+        def gw(w):
+            z = pi._z_of_w(w)
+            dens = pi.density(np.array(z))
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.asarray(g(z), dtype=float) * dens * pi._dz_dw(w)
+            return np.where(np.isfinite(v), v, 0.0)
+        return panel_integral(gw, pi._w_nodes)
+
+    # the last g is infinite wherever pi has underflowed, so that the
+    # masking of non-finite values is on the path
+    for g in (lambda z: z, lambda z: z * z - 3.0 * np.cos(z),
+              lambda z: np.where(pi.density(np.array(z)) > UNDERFLOW_FLOOR, z, np.inf)):
+        assert pi.expectation(g).hex() == reference(g).hex()
 
 
 def test_non_recurrent_drift_rejected():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ def test_u_prime_queries_one_side_with_the_two_sided_bits(family, params):
     got = sol.u_prime_fn(z)
     np.testing.assert_array_equal(got, two_sided_u_prime(m, pi, f, 0.0, z))
     assert np.all(np.isfinite(got[:-1])) and np.isnan(got[-1])
+
+
+def test_u_prime_is_zero_outside_a_half_line_support():
+    m = builtin_model("cir", dict(kappa=1.0, mu=1.0, sigma=1.0))
+    pi = invariant_density_1d(m)
+    f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    sol = solve_poisson_1d(m, pi, f, 0.0, m.default_probe_grid(81))
+    inside = np.linspace(0.05, 6.0, 37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log of z - edge <= 0
+        out = sol.u_prime_fn(np.array([-1.0, -0.0, 0.0]))
+        mixed = sol.u_prime_fn(np.concatenate([[-3.0, 0.0], inside, [-0.0]]))
+    assert out.tobytes() == np.zeros(3).tobytes()
+    assert mixed[[0, 1, -1]].tobytes() == np.zeros(3).tobytes()
+    # the points inside keep the bits they have on their own
+    assert mixed[2:-1].tobytes() == sol.u_prime_fn(inside).tobytes()
+    assert np.all(np.isfinite(mixed[2:-1]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergosim import euler, quadrature
 from ergosim.quadrature import Antiderivative, panel_integral
 
 
@@ -77,8 +78,8 @@ class TestAntiderivative:
     def test_exact_on_nodes(self):
         assert float(self.tab.from_left(self.tab.lo)) == 0.0
         assert float(self.tab.from_right(self.tab.hi)) == 0.0
-        assert np.array_equal(self.tab.from_left(self.tab.nodes), self.tab._cum_left)
-        assert np.array_equal(self.tab.from_right(self.tab.nodes), self.tab._cum_right)
+        assert np.array_equal(self.tab.from_left(self.tab.nodes), self.tab._side(0)[0])
+        assert np.array_equal(self.tab.from_right(self.tab.nodes), self.tab._side(1)[0])
 
     def test_queries_never_call_integrand(self):
         calls = []
@@ -108,12 +109,13 @@ def _reference_query(tab, z, from_right):
     zc = np.clip(np.asarray(z, dtype=float), tab.lo, tab.hi)
     side = "left" if from_right else "right"
     idx = np.clip(np.searchsorted(tab.nodes, zc, side=side) - 1, 0, len(tab.nodes) - 2)
+    cum, coef = tab._side(int(from_right))
     if from_right:
         s = (tab.nodes[idx + 1] - zc) / tab._half
-        x, cum, c = 1.0 - s, tab._cum_right[idx + 1], tab._right[idx]
+        x, cum, c = 1.0 - s, cum[idx + 1], coef[idx]
     else:
         s = (zc - tab.nodes[idx]) / tab._half
-        x, cum, c = s - 1.0, tab._cum_left[idx], tab._left[idx]
+        x, cum, c = s - 1.0, cum[idx], coef[idx]
     c0, c1 = c[..., 6], c[..., 7]
     for nd in range(7, 1, -1):
         c0, c1 = c[..., nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
@@ -144,3 +146,84 @@ def test_native_queries_match_numpy_reference_bitwise(lo, width, n_panels, seed)
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want) == np.shape(z)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _bumpy(x):
+    return np.exp(-0.5 * x * x) * np.cos(3.0 * x) + 0.1 * x
+
+
+def _eager_sides(g, lo, hi, n_panels):
+    """Both ends' cumulative sums and coefficients, built at once from the
+    integrand's values as a table built them before either end waited for
+    its first query."""
+    nodes = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    half = 0.5 * (nodes[1] - nodes[0])
+    pts = mid[:, None] + half * quadrature._GL_NODES[None, :]
+    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, 8)
+    panels = half * vals @ quadrature._GL_WEIGHTS
+    left = (np.concatenate(([0.0], np.cumsum(panels))),
+            np.ascontiguousarray((half * (quadrature._LEFT_MAP @ vals.T)).T))
+    right = (np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0])),
+             np.ascontiguousarray((half * (quadrature._RIGHT_MAP @ vals.T)).T))
+    return left, right
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_sides_built_on_first_use_equal_the_eager_ones(first):
+    eager = _eager_sides(_bumpy, -2.0, 3.5, 300)
+    tab = Antiderivative(_bumpy, -2.0, 3.5, 300)
+    queries = (tab.from_left, tab.from_right)
+    z = np.linspace(-2.5, 4.0, 1001)
+    assert tab._sides == {}
+    queries[first](z)
+    assert list(tab._sides) == [first] and tab._vals is not None
+    queries[1 - first](z)
+    assert tab._vals is None  # dropped once both ends exist
+    for side in (0, 1):
+        for got, want in zip(tab._side(side), eager[side]):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_left_only_table_keeps_the_left_bits():
+    z = np.linspace(-2.5, 4.0, 1001)
+    want = Antiderivative(_bumpy, -2.0, 3.5, 300).from_left(z)
+    tab = Antiderivative(_bumpy, -2.0, 3.5, 300)
+    tab.keep_left_only()
+    assert tab._vals is None
+    assert tab.from_left(z).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="keeps only its left end"):
+        tab.from_right(z)
+
+
+@pytest.mark.parametrize("lo, hi, n_panels", [(0.0, 3.0, 5), (-2.0, 3.0, 1000), (-1.0, 1.0, 1)])
+def test_both_native_query_paths_give_the_same_bits(lo, hi, n_panels):
+    # the AVX-512 path answers 8 points a vector and sends a block with a NaN
+    # or a missed guess, and the last n % 8 points, through the portable loop
+    if euler.NATIVE_PATH != "avx512":
+        pytest.skip("this CPU lacks avx512f or avx512dq, so the library picked the "
+                    "portable path and the AVX-512 path cannot run here")
+    lib = euler._native()
+    paths = [getattr(lib, f"antiderivative_eval_{p}") for p in euler._NATIVE_PATHS]
+    tab = Antiderivative(_bumpy, lo, hi, n_panels)
+    nodes = tab.nodes
+    rng = np.random.default_rng(7)
+    inside = np.sort(rng.uniform(lo, hi, 64))
+    special = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, lo - 1.0, hi + 1.0, -1e308, 1e308])
+    mixed = rng.permutation(np.concatenate([
+        inside[:16], special, nodes[:20], np.nextafter(nodes[:20], -np.inf),
+        np.nextafter(nodes[:20], np.inf)]))
+    cases = ([inside[:n] for n in range(18)] + [mixed[:n] for n in range(18)]
+             + [mixed, nodes, np.concatenate([inside, mixed, inside])])
+    for from_right in (0, 1):
+        cum, coef = tab._side(from_right)
+        for z in cases:
+            z = np.ascontiguousarray(z)
+            outs = []
+            for k, fn in enumerate(paths):
+                out = np.full(z.size, float(k))  # a point left unwritten differs
+                fn(nodes.ctypes.data, len(nodes), tab._half, cum.ctypes.data, coef.ctypes.data,
+                   from_right, z.ctypes.data, z.size, out.ctypes.data)
+                outs.append(out.tobytes())
+            assert outs[0] == outs[1], (from_right, z)
+            assert outs[0] == _reference_query(tab, z, from_right).tobytes(), (from_right, z)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ergosim import euler
-from ergosim.models import (FunctionalSpec, Polynomial, PolynomialFunctional, builtin_model,
-                            centralize, invariant_density_1d)
+from ergosim.models import (FunctionalSpec, InvariantDensity1D, Polynomial, PolynomialFunctional,
+                            builtin_model, centralize, invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
 from ergosim.variance import (SingularCovarianceError, VarianceError,
                               CovarianceCurve, mf_autocorrelation_form,
@@ -518,3 +518,33 @@ def test_control_feedback_shape(ou_pipeline):
     # psi = sigma u' xi_dot / M = sqrt(2)*1*1/2 everywhere for OU f=x
     val = ctrl.psi(np.array([0.3]), 0.5)
     assert abs(float(val[0]) - SQRT2 / 2.0) < 1e-8
+
+
+def _analytic_chain(name, params):
+    """pi's CDF, c0, u, u', u'', M_f and the control cost of f(x) = x."""
+    m = builtin_model(name, params)
+    pi = invariant_density_1d(m)
+    f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    sol = solve_poisson_1d(m, pi, f, 0.0, m.default_probe_grid(81))
+    mf = mf_gradient_form(m, pi, sol)
+    path = rate_function(mf, [0.0, 0.4, 1.0], [0.0, 0.8, 1.5])
+    cost = optimal_control(m, pi, sol, mf, path).l2_cost
+    return dict(cdf=pi.cdf, c0=f.value.c0, u=sol.u, u_prime=sol.u_prime,
+                u_double_prime=sol.u_double_prime, mf=mf.values, cost=cost)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2)),
+    ("cir", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+    ("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0)),
+    ("power_drift", dict(alpha=1.5)),
+])
+def test_chain_has_the_bits_of_pi_evaluated_afresh(monkeypatch, name, params):
+    stored = _analytic_chain(name, params)
+    density = InvariantDensity1D.density
+    # a copy is never one of the stored point arrays, so every call evaluates pi
+    monkeypatch.setattr(InvariantDensity1D, "density",
+                        lambda self, z: density(self, np.array(z, dtype=float)))
+    fresh = _analytic_chain(name, params)
+    for key, value in stored.items():
+        assert np.asarray(value).tobytes() == np.asarray(fresh[key]).tobytes(), key
