@@ -54,7 +54,8 @@ def _prepare(cfg: RunConfig, args):
     _log(args, f"model: {model.name}")
     pi = invariant_density_1d(model)
     f = centralize(cfg.spec.functional, pi)
-    sol = solve_poisson_1d(model, pi, f, 0.0, model.default_probe_grid(81))
+    # 161 points give the exponent fit 20 points in each tail of a full-line model
+    sol = solve_poisson_1d(model, pi, f, 0.0, model.default_probe_grid(161))
     mf = mf_gradient_form(model, pi, sol)
     _log(args, f"M_f (gradient form): {mf.values[0]:.6g}")
     return pi, f, sol, mf

@@ -12,13 +12,13 @@ Validation is whole-file: every problem found is reported, not just the
 first, and unknown keys are named together with their section.  This
 module parses types and checks the schedule against the model and the
 regime; what makes an experiment runnable (kind, epsilons, horizon,
-replicates, levels, threads) is decided by :func:`harness.spec_problems`,
-whose problems are reported here as ``[experiment]`` lines (``[run]`` for
-the thread count).  A valid config carries the
-:class:`harness.ExperimentSpec` it describes, with ``threads = auto``
-resolved to the CPUs this process may run on.
-``[functional] centralize`` accepts only ``true``: the Poisson equation
-is solved for the centred functional.
+replicates, levels, seed, threads) is decided by
+:func:`harness.spec_problems`, whose problems are reported here as
+``[experiment]`` lines (``[run]`` for the seed and the thread count).  A
+valid config carries the :class:`harness.ExperimentSpec` it describes,
+with ``threads = auto`` resolved to the CPUs this process may run on.
+The functional is always centred: the Poisson equation is solved for
+the centred functional, and no key turns that off.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _SECTIONS = {
               "drift_coeffs", "diffusion_coeffs", "recurrence_alpha",
               "recurrence_gamma", "recurrence_radius", "holder_nu",
               "alpha_bar"},
-    "functional": {"coeffs", "centralize", "name"},
+    "functional": {"coeffs", "name"},
     "schedule": {"regime", "theta", "c_step", "gamma_mdp"},
     "experiment": {"kind", "epsilon_list", "horizon", "replicates", "levels"},
     "output": {"directory", "formats"},
@@ -242,9 +242,6 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
             )
         except Exception as exc:
             errors.append(f"[functional] {exc}")
-    if not fsec.get("centralize", True):
-        errors.append("[functional] centralize must be true: the Poisson equation is "
-                      f"solved for the centred functional, got {fsec['centralize']!r}")
 
     ssec = sec("schedule")
     regime = str(ssec.get("regime", "")).upper()
@@ -273,8 +270,8 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
     rsec = sec("run")
     seed = _number(rsec.get("seed", 0), "[run] seed", errors, int)
     threads = _threads(rsec.get("threads", "auto"), errors)
-    errors += [f"[{'run' if p.startswith('threads') else 'experiment'}] {p}"
-               for p in spec_problems(kind, eps, horizon, replicates, levels, threads)]
+    errors += [f"[{'run' if p.startswith(('seed', 'threads')) else 'experiment'}] {p}"
+               for p in spec_problems(kind, eps, horizon, replicates, levels, seed, threads)]
 
     # cross-field: the schedule must actually be valid for the model/regime
     if model is not None and policy is not None and regime in REGIMES and eps:

@@ -64,14 +64,15 @@ does.  The ziggurat tables are numpy's own: of ``libnpyrandom.a`` the
 library links the read-only data of the member that holds them and no
 numpy function.  When the library is loaded a row it started and filled
 is compared with ``replicate_stream`` (:class:`NativeBuildError` if they
-differ), so both kernels draw exactly the numbers of ``replicate_stream``.  The library is compiled with gcc
-(flags ``_CFLAGS``) on first use into a per-user cache and runs without
-the GIL.  Its fill and its Euler kernel each come in a portable and an
-AVX-512 path with the same bits; the library picks one for the CPU when
-it is loaded, and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its
-rows ``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1``
-POSIX threads of its own, placed off the caller's CPU and joined before
-it returns, so that neither its rows nor its sums depend on the thread
+differ), so both kernels draw exactly the numbers of ``replicate_stream``.
+The library is compiled with gcc (flags ``_CFLAGS``) on first use into a
+per-user cache and runs without the GIL.  Its fill, its Euler kernel and
+its antiderivative queries each come in a portable and an AVX-512 path
+with the same bits; the library picks one for the CPU when it is loaded,
+and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its rows
+``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1`` POSIX
+threads of its own, placed off the caller's CPU and joined before it
+returns, so that neither its rows nor its sums depend on the thread
 count; the numpy kernel runs in the caller's thread alone.
 """
 
@@ -487,13 +488,16 @@ def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:
     _native().philox_normal_fill(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
 
 
+# a path of simulate_euler or simulate_batch fails where |Z| first exceeds this
+BLOW_UP = 1e8
+
+
 def simulate_euler(
     model: SdeModel,
     schedule: StepSchedule,
     f: FunctionalSpec,
     horizon: float,
     rng: np.random.Generator,
-    blow_up: float = 1e8,
     noise: Optional[np.ndarray] = None,
     control: Optional[ControlFunction] = None,
 ) -> BatchResult:
@@ -506,7 +510,7 @@ def simulate_euler(
     (:class:`SimulationError` otherwise).  ``control`` adds the tilt
     drift ``(delta/eps) * sigma * psi(t) * Delta`` after each step; it
     requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
-    at the first step where the path leaves ``[-blow_up, blow_up]``.
+    at the first step where the path leaves ``[-BLOW_UP, BLOW_UP]``.
     """
     n_steps = schedule.n_steps(horizon)
     tilts = _tilts(schedule, control, n_steps)
@@ -532,7 +536,7 @@ def simulate_euler(
             nonlocal done
             out[0] = noise[done:done + out.shape[1]]
             done += out.shape[1]
-    res = _step_paths(model, f, schedule.h, schedule.delta_step, n_steps, blow_up, tilts, 1, draw)
+    res = _step_paths(model, f, schedule.h, schedule.delta_step, n_steps, BLOW_UP, tilts, 1, draw)
     if res.failed[0]:
         raise TrajectoryExplodedError(int(res.fail_step[0]))
     return _mapped(model, res)
@@ -568,9 +572,7 @@ def simulate_batch(
     master_seed: int,
     n_replicates: int,
     threads: int = 1,
-    blow_up: float = 1e8,
     control: Optional[ControlFunction] = None,
-    first_index: int = 0,
 ) -> BatchResult:
     """Run ``n_replicates`` independent 1D paths with per-replicate streams.
 
@@ -582,23 +584,23 @@ def simulate_batch(
     whatever ``threads``.  Both kernels give the same numbers to the bit,
     and the output is a deterministic function of (model, schedule, f,
     horizon, master_seed, n_replicates), whatever ``threads``.
-    Replicate ``j`` runs on ``replicate_stream(master_seed, first_index + j)``,
-    keyed where its row is stepped, so the call holds no per-replicate
-    stream state beyond a chunk.  ``n_replicates = 0`` gives empty arrays.
-    :class:`SimulationError` is raised for a count, seed, first index or
-    thread count that is not an integer, a negative count, seed or first
-    index, fewer than one thread, and replicate indices of ``2**32`` or more.
+    Replicate ``j`` runs on ``replicate_stream(master_seed, j)``, keyed
+    where its row is stepped, so the call holds no per-replicate stream
+    state beyond a chunk.  A path fails at the first step where it leaves
+    ``[-BLOW_UP, BLOW_UP]``.  ``n_replicates = 0`` gives empty arrays.
+    :class:`SimulationError` is raised for a count, seed or thread count
+    that is not an integer, a negative count or seed, fewer than one
+    thread, and more than ``2**32`` replicates.
     """
     n_replicates = _integer("n_replicates", n_replicates, 0)
     master_seed = _integer("master_seed", master_seed, 0)
-    first_index = _integer("first_index", first_index, 0)
     threads = _integer("threads", threads, 1)
-    keys = _stream_keys(master_seed, first_index, n_replicates)
+    keys = _stream_keys(master_seed, 0, n_replicates)
     _native()  # a failed build raises here, in the caller's thread
     n_steps = schedule.n_steps(horizon)
     tilts = _tilts(schedule, control, n_steps)
     return _mapped(model, _run_rows(model, f, schedule.h, schedule.delta_step, n_steps,
-                                    blow_up, keys, threads, tilts))
+                                    BLOW_UP, keys, threads, tilts))
 
 
 def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],

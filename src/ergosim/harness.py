@@ -57,7 +57,7 @@ MDP_GAP_TOL = 0.35
 MIN_PREDICTED_HITS = 10.0
 
 
-def spec_problems(kind, eps, horizon, replicates, levels, threads) -> list:
+def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list:
     """Every experiment rule these fields break, one message each.
 
     The one statement of what can run: :class:`ExperimentSpec` raises on
@@ -87,6 +87,8 @@ def spec_problems(kind, eps, horizon, replicates, levels, threads) -> list:
                             f"replicates, got {replicates}")
     if kind == MDP_TAIL and levels == ():
         problems.append(f"{MDP_TAIL} requires at least one level")
+    if seed is not None and seed < 0:
+        problems.append(f"seed must be >= 0, got {seed}")
     if threads is not None and threads < 1:
         problems.append(f"threads must be >= 1, got {threads}")
     return problems
@@ -99,7 +101,8 @@ class ExperimentSpec:
     Construction checks every rule of :func:`spec_problems` and raises
     one :class:`HarnessError` naming all that fail, so a spec that exists
     can run; ``epsilon_list`` and ``mdp_levels`` are stored as float
-    tuples.  ``threads`` is the worker count of each Euler batch, at least 1.
+    tuples.  ``master_seed`` is at least 0 and ``threads``, the worker
+    count of each Euler batch, at least 1.
     """
 
     kind: str
@@ -117,7 +120,7 @@ class ExperimentSpec:
         eps = tuple(float(e) for e in self.epsilon_list)
         levels = tuple(float(x) for x in self.mdp_levels)
         problems = spec_problems(self.kind, eps, self.horizon, self.replicates, levels,
-                                 self.threads)
+                                 self.master_seed, self.threads)
         if problems:
             raise HarnessError("invalid experiment: " + "; ".join(problems))
         object.__setattr__(self, "epsilon_list", eps)
@@ -368,22 +371,15 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
     for x in spec.mdp_levels:
         if x not in rate_target:
             raise HarnessError(f"no rate target supplied for level {x}")
-    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
-    report.notes.append("calibration-grade: 35% gap tolerance is artifact calibration")
-    speeds = {x: [] for x in spec.mdp_levels}
+    # every level's precondition, before the first batch runs: the
+    # Gaussian-predicted exceedance count, Upsilon ~ N(0, beta * T * M)
+    # when I = x^2/(2TM)
     for eps in spec.epsilon_list:
-        sched = spec.schedule(eps)
-        # Gaussian-predicted exceedance probability at this eps for the
-        # level precondition: Upsilon ~ N(0, beta * T * M) when I = x^2/(2TM)
-        res = _run_eps(spec, sched)
-        ok = ~res.failed
-        ups = np.abs(res.xi_continuous[ok]) / sched.mdp_scale
-        row = _base_row(sched, res)
-        row["beta"] = sched.beta
+        beta = spec.schedule(eps).beta
         for x in spec.mdp_levels:
             i_x = rate_target[x]
-            var_pred = spec.horizon * (x * x / (2.0 * i_x)) / sched.beta if i_x > 0 else None
             if i_x > 0:
+                var_pred = spec.horizon * (x * x / (2.0 * i_x)) / beta
                 p_pred = gaussian_tail_probability(x, var_pred)
                 if p_pred * spec.replicates < MIN_PREDICTED_HITS:
                     raise HarnessError(
@@ -391,6 +387,17 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
                         f"(< {MIN_PREDICTED_HITS:g}) at eps={eps}; choose a smaller level "
                         "or more replicates"
                     )
+    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
+    report.notes.append("calibration-grade: 35% gap tolerance is artifact calibration")
+    speeds = {x: [] for x in spec.mdp_levels}
+    for eps in spec.epsilon_list:
+        sched = spec.schedule(eps)
+        res = _run_eps(spec, sched)
+        ok = ~res.failed
+        ups = np.abs(res.xi_continuous[ok]) / sched.mdp_scale
+        row = _base_row(sched, res)
+        row["beta"] = sched.beta
+        for x in spec.mdp_levels:
             p_hat = float(np.mean(ups > x))
             row[f"tail_freq_{x:g}"] = p_hat
             if p_hat == 0.0:
@@ -425,15 +432,13 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
     return report
 
 
-def run_schedule_violation(
-    spec: ExperimentSpec, invalid_policy: SchedulePolicy, mf_target: float
-) -> ExperimentReport:
+def run_schedule_violation(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
     """Side-by-side CLT variance under a valid schedule and a broken one.
 
-    The invalid schedule (e.g. theta = 1) is run by constructing the step
-    triple directly, bypassing the regime validation it would fail; the
-    resulting deviation from T*M_f is recorded but not asserted, since no
-    limit theorem covers it.
+    The invalid schedule (:data:`INVALID_POLICY`, theta = 1) is run by
+    constructing the step triple directly, bypassing the regime validation
+    it would fail; the resulting deviation from T*M_f is recorded but not
+    asserted, since no limit theorem covers it.
     """
     if spec.kind != SCHEDULE_VIOLATION:
         raise HarnessError(f"expected kind SCHEDULE_VIOLATION, got {spec.kind}")
@@ -443,10 +448,10 @@ def run_schedule_violation(
         valid = spec.schedule(eps)
         broken = StepSchedule(
             epsilon=eps,
-            delta_step=invalid_policy.c_step * eps**invalid_policy.theta_step,
+            delta_step=INVALID_POLICY.c_step * eps**INVALID_POLICY.theta_step,
             mdp_scale=math.sqrt(eps),
             regime=euler.CLT,
-            policy=invalid_policy,
+            policy=INVALID_POLICY,
         )
         row = {}
         for tag, sched in (("valid_", valid), ("invalid_", broken)):
@@ -484,4 +489,4 @@ def run_experiment(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
     if spec.kind == MDP_TAIL:
         return run_mdp_tail(spec, {x: mdp_closed_form_rate(x, spec.horizon, mf_target)
                                    for x in spec.mdp_levels})
-    return run_schedule_violation(spec, INVALID_POLICY, mf_target)
+    return run_schedule_violation(spec, mf_target)

@@ -259,6 +259,7 @@ def _fitted_check(name, ratios, probes, detail) -> ConditionCheck:
 
 _LOG_CUTOFF = 760.0  # exp() fully underflows below max - cutoff
 _LOG_CUTOFF_HALF_LINE_EDGE = 60.0  # boundary tails decay slowly in log-space
+_DENSITY_PANELS = 4096  # panels of the exponent table on the working range
 # a density (or a*pi) at or below this has underflowed: what it multiplies is
 # rounding noise there, so such points are dropped or counted as 0
 UNDERFLOW_FLOOR = 1e-300
@@ -321,9 +322,6 @@ class InvariantDensity1D:
             out[inside] = self.normalizer * np.exp(self._log_un(z[inside]) - self._log_shift)
         return out if out.ndim else float(out)
 
-    def __call__(self, z):
-        return self.density(z)
-
     def expectation(self, g: Callable) -> float:
         # fixed panel rule in the working coordinate, at the stored rule points
         z = self._panel_z
@@ -345,7 +343,7 @@ class InvariantDensity1D:
         return self._z_of_w(w)
 
 
-def invariant_density_1d(model: SdeModel, n_panels: int = 4096) -> InvariantDensity1D:
+def invariant_density_1d(model: SdeModel) -> InvariantDensity1D:
     """Compute the 1D invariant density pi ~ (1/a) exp(2 int b/a) numerically.
 
     The density lives on ``model.support``.  The cumulative exponent is
@@ -371,7 +369,7 @@ def invariant_density_1d(model: SdeModel, n_panels: int = 4096) -> InvariantDens
     p_lo, p_hi = model.probe_range
     w_lo, w_hi = float(w_of_z(p_lo)), float(w_of_z(p_hi))
     for attempt in range(80):
-        table = Antiderivative(exponent_integrand, w_lo, w_hi, n_panels)
+        table = Antiderivative(exponent_integrand, w_lo, w_hi, _DENSITY_PANELS)
         wn = table.nodes
 
         def log_un_w(w):

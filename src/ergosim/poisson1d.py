@@ -33,6 +33,7 @@ class PoissonError(Exception):
 
 FIT_FLOOR = 1e-12
 TAIL_FRACTION = 0.25  # outer share of |grid| that the exponent fits read
+_POISSON_PANELS = 6000  # panels of the f*pi and u' tables
 
 
 @dataclass
@@ -78,7 +79,6 @@ def solve_poisson_1d(
     f: FunctionalSpec,
     t: float,
     grid,
-    n_panels: int = 6000,
 ) -> PoissonSolution:
     """Solve Lu = -f(t, .) on a 1D model via the antiderivative representation.
 
@@ -99,7 +99,7 @@ def solve_poisson_1d(
         z = z_of_w(w)
         return np.asarray(f.value(t, z), dtype=float) * pi.density(z) * dz_dw(w)
 
-    table = Antiderivative(f_pi_w, w_lo, w_hi, n_panels)
+    table = Antiderivative(f_pi_w, w_lo, w_hi, _POISSON_PANELS)
 
     def a_pi(z):
         return model.a(z) * pi.density(z)
@@ -140,7 +140,7 @@ def solve_poisson_1d(
         raise PoissonError("a*pi underflows on nearly all of the working range")
     wu_lo = float(wn[np.argmax(valid)])
     wu_hi = float(wn[len(valid) - 1 - np.argmax(valid[::-1])])
-    u_table = Antiderivative(u_prime_w, wu_lo, wu_hi, n_panels)
+    u_table = Antiderivative(u_prime_w, wu_lo, wu_hi, _POISSON_PANELS)
     w_anchor = float(w_of_z(pi.anchor))
     u_offset = float(u_table.from_left(np.array([w_anchor]))[0])
 

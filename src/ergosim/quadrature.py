@@ -116,18 +116,6 @@ class Antiderivative:
         self._vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
         self._sides = {}  # from_right -> (cumulative sums, coefficients)
 
-    @property
-    def lo(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def total(self) -> float:
-        return float(self._side(0)[0][-1])
-
     def from_left(self, z) -> np.ndarray:
         """Integral from lo to z (vectorized)."""
         return self._query(z, 0)

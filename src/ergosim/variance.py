@@ -47,11 +47,10 @@ class SingularCovarianceError(VarianceError):
 
 @dataclass
 class CovarianceCurve:
-    """M_f(t) on a time grid, with method provenance and uncertainty."""
+    """M_f(t) on a time grid, with its uncertainty."""
 
     t_grid: np.ndarray
     values: np.ndarray  # shape (len(t_grid),) scalar case
-    method: str
     std_error: Optional[np.ndarray] = None
     detail: dict = field(default_factory=dict)
 
@@ -108,7 +107,7 @@ def mf_gradient_form(
     bulk = pi.expectation(lambda z: u_prime(z) ** 2 * model.a(z))
     if bulk <= 0.0 or not math.isfinite(bulk):
         raise VarianceError(f"gradient-form integral failed at t={t}: got {bulk}")
-    return CovarianceCurve(t_grid=np.array([t]), values=np.array([bulk]), method="gradient_form")
+    return CovarianceCurve(t_grid=np.array([t]), values=np.array([bulk]))
 
 
 def mf_autocorrelation_form(
@@ -257,7 +256,6 @@ def mf_autocorrelation_form(
     return CovarianceCurve(
         t_grid=np.array([t]),
         values=np.array([m_hat]),
-        method="autocorrelation_form",
         std_error=np.array([se]),
         detail=detail,
     )

@@ -189,7 +189,7 @@ def test_criterion_6_mdp_trend(criterion):
 def test_criterion_7_rate_and_control_identities(criterion):
     t0 = time.perf_counter()
     curve = CovarianceCurve(t_grid=np.array([0.0, 1.0]),
-                            values=np.array([2.0, 2.0]), method="oracle")
+                            values=np.array([2.0, 2.0]))
     path = rate_function(curve, [0.0, 1.0], [0.0, 1.5])
     closed_gap = abs(path.rate - mdp_closed_form_rate(1.5, 1.0, 2.0))
     worst_rel = 0.0

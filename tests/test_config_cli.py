@@ -50,11 +50,11 @@ def write(tmp_path, text, name="run.cfg"):
 
 def test_parse_text_value_types():
     data = parse_text("[run]\nseed = 7\nthreads = auto\n"
-                      "[functional]\ncentralize = true\n[output]\ndirectory = out/x\n"
+                      "[functional]\nname = true\n[output]\ndirectory = out/x\n"
                       "[experiment]\nepsilon_list = [0.1, 0.05]\nhorizon = 2.5\n")
     assert data["run"]["seed"] == 7
     assert data["run"]["threads"] == "auto"
-    assert data["functional"]["centralize"] is True
+    assert data["functional"]["name"] is True
     assert data["output"]["directory"] == "out/x"
     assert data["experiment"]["epsilon_list"] == [0.1, 0.05]
     assert data["experiment"]["horizon"] == 2.5
@@ -325,22 +325,41 @@ def test_cli_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     assert ei.value.errors == [f"[run] threads must be >= 1, got {threads}"]
 
 
-def test_centralize_false_is_a_config_error(tmp_path, capsys):
-    # the Poisson equation is solved for the centred functional only
-    text = OU_CLT.replace("coeffs = [0.0, 1.0]", "coeffs = [0.0, 1.0]\ncentralize = false")
+@pytest.mark.parametrize("seed", [-1, -2**70])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, seed):
+    # [run] seed, the --seed override and the spec itself refuse a negative
+    # seed, stated once in harness.spec_problems: exit 2 and no run directory
+    out = tmp_path / "runs"
+    text = OU_CLT.replace("seed = 5", f"seed = {seed}")
     with pytest.raises(ConfigError) as ei:
         parse_config(text, inline=True)
-    assert ei.value.errors == ["[functional] centralize must be true: the Poisson equation "
-                               "is solved for the centred functional, got False"]
+    assert ei.value.errors == [f"[run] seed must be >= 0, got {seed}"]
+    for argv in (["--config", write(tmp_path, text, "negative.cfg")],
+                 ["--config", write(tmp_path, OU_CLT), "--seed", str(seed)]):
+        for command in ("validate", "experiment"):
+            assert main([*argv, "--quiet", "--out", str(out), command]) == EXIT_CONFIG_ERROR
+            assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(harness.HarnessError, match=re.escape(f"seed must be >= 0, got {seed}")):
+        dataclasses.replace(parse_config(OU_CLT, inline=True).spec, master_seed=seed)
+
+
+def test_centralize_false_is_a_config_error(tmp_path, capsys):
+    # the functional is always centred, so no key says so
+    for value in ("false", "true"):
+        text = OU_CLT.replace("coeffs = [0.0, 1.0]",
+                              f"coeffs = [0.0, 1.0]\ncentralize = {value}")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text, inline=True)
+        assert ei.value.errors == ["unknown key 'centralize' in section [functional]"]
     knots = tmp_path / "knots.csv"
     knots.write_text("t,xi_1\n0.0,0.0\n1.0,0.0\n")
-    path = write(tmp_path, text)
+    path = write(tmp_path, text.replace("= true", "= false"))
     for command in (["poisson"], ["mf"], ["experiment"], ["rate", "--knots", str(knots)]):
         assert main(["--config", path, "--quiet", "--out", str(tmp_path / "runs")]
                     + command) == EXIT_CONFIG_ERROR
-        assert "[functional] centralize must be true" in capsys.readouterr().err
+        assert "unknown key 'centralize'" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
-    parse_config(text.replace("= false", "= true"), inline=True)  # true still parses
 
 
 def test_validate_missing_builtin_parameter():
@@ -400,24 +419,25 @@ def test_cli_validate_pass(tmp_path, capsys):
 
 
 def test_cli_poisson_prints_exponents_or_why_not(tmp_path, capsys):
-    # the 81-point grid leaves a full-line model (OU) fewer than 20 points
-    # in each tail, and a half-line model (CIR) enough in its one tail
+    # the 161-point grid gives a full-line model (OU) 20 points in each
+    # tail and a half-line model (CIR) enough in its one tail; OU's u is
+    # linear, so p1 = 1
     cir = OU_CLT.replace("family = ou\nkappa = 1.0\nmu = 0.0\nsigma = 1.4142135623730951",
                          "family = cir\nkappa = 1.0\nmu = 1.0\nsigma = 1.0"
                          ).replace("theta = 2.5", "theta = 3.5")  # CIR is Hoelder-1/2
-    lines = {}
+    number = r"-?\d+(\.\d+)?(e[-+]\d+)?"
     for name, text in (("ou", OU_CLT), ("cir", cir)):
         rc = main(["--config", write(tmp_path, text, f"{name}.cfg"),
                    "--out", str(tmp_path / "runs"), "poisson"])
         assert rc == EXIT_PASS
-        lines[name] = [ln for ln in capsys.readouterr().out.splitlines()
-                       if ln.startswith("fitted tail exponents:")]
-    assert lines["ou"] == ["fitted tail exponents: not fitted (need at least 20 tail "
-                           "points per side for exponent fits)"]
-    number = r"-?\d+(\.\d+)?(e[-+]\d+)?"
-    assert len(lines["cir"]) == 1
-    assert re.fullmatch(f"fitted tail exponents: p1={number}, p2={number}, p3={number}",
-                        lines["cir"][0]), lines["cir"]
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("fitted tail exponents:")]
+        assert len(lines) == 1
+        fit = re.fullmatch(f"fitted tail exponents: p1=({number}), p2={number}, p3={number}",
+                           lines[0])
+        assert fit, lines
+        if name == "ou":
+            assert abs(float(fit.group(1)) - 1.0) < 1e-6
 
 
 def test_cli_validate_fails_sign_flipped_drift(tmp_path, capsys):

@@ -52,6 +52,13 @@ def custom_model(drift_coeffs, diffusion_coeffs, x0):
     return parse_config(text, inline=True).spec.model
 
 
+def rows_from(model, sched, f, horizon, seed, first, n, threads=1):
+    """simulate_batch's rows on ``replicate_stream(seed, first + j)``: the
+    runner under it, on keys that start at replicate ``first``."""
+    return euler._run_rows(model, f, sched.h, sched.delta_step, sched.n_steps(horizon),
+                           euler.BLOW_UP, euler._stream_keys(seed, first, n), threads)
+
+
 @pytest.fixture
 def numpy_kernel_calls(monkeypatch):
     """The number of chunks the numpy kernel stepped, as a one-element list."""
@@ -458,21 +465,21 @@ def test_replicate_keys_of_seeds_wider_than_the_pool(master_seed):
         assert out[j].tobytes() == want.tobytes(), j
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
-    batch = simulate_batch(m, sched, f, 0.3, master_seed=master_seed, n_replicates=5,
-                           first_index=first)
+    batch = rows_from(m, sched, f, 0.3, master_seed, first, 5)
     _assert_rows_match_scalar(batch, m, sched, f, 0.3, master_seed, first, range(5))
 
 
-def test_replicate_keys_reject_two_word_indices():
+def test_replicate_keys_reject_two_word_indices(numpy_kernel_calls):
     with pytest.raises(SimulationError, match="2\\*\\*32"):
         euler._stream_keys(0, 2**32 - 1, 2)
     m = ou()
     sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
     for f in (f_identity(), f_lambda()):
+        # refused before any allocation: the batch would need 2**32 + 1 rows
         with pytest.raises(SimulationError, match="2\\*\\*32"):
-            simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=2,
-                           first_index=2**32 - 1)
-        simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=1, first_index=2**32 - 1)
+            simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=2**32 + 1)
+        rows_from(m, sched, f, 0.2, 0, 2**32 - 1, 1)
+    assert numpy_kernel_calls == [1]
 
 
 def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, control=None):
@@ -492,10 +499,9 @@ def test_batch_matches_scalar_across_chunk_boundary(numpy_kernel_calls):
     n = euler._CHUNK + 3
     for f, chunks in ((f_lambda(), 2), (f_identity(), 0)):
         numpy_kernel_calls[0] = 0
-        batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2,
-                               first_index=5)
+        batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2)
         assert numpy_kernel_calls[0] == chunks
-        _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 5,
+        _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 0,
                                   (0, euler._CHUNK - 1, euler._CHUNK, n - 1))
 
 
@@ -537,14 +543,6 @@ def test_empty_and_negative_batches(numpy_kernel_calls, kernel):
     assert numpy_kernel_calls[0] == (0 if kernel == "native" else 1)
 
 
-def test_first_index_offsets_streams():
-    m, f = ou(), f_identity()
-    sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    full = simulate_batch(m, sched, f, 0.3, master_seed=9, n_replicates=10)
-    tail = simulate_batch(m, sched, f, 0.3, master_seed=9, n_replicates=4, first_index=6)
-    assert np.array_equal(full.xi_continuous[6:], tail.xi_continuous)
-
-
 def test_different_seeds_differ():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
@@ -562,8 +560,7 @@ def test_driftless_variance_grows_like_t_over_eps():
     eps = 0.1
     sched = StepSchedule(epsilon=eps, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    res = simulate_batch(m, sched, f_identity(), 1.0, master_seed=21,
-                         n_replicates=4000, blow_up=1e12)
+    res = simulate_batch(m, sched, f_identity(), 1.0, master_seed=21, n_replicates=4000)
     v = float(np.var(res.terminal))
     assert abs(v - 1.0 / eps) < 0.6
 
@@ -639,7 +636,7 @@ def test_batch_flags_failures():
     assert np.all(res.fail_step > 0)
     assert np.all(np.isnan(res.xi_continuous))
     # from x0 = 0.5 the paths leave at different steps; fail_step is the
-    # first step with |Z| > blow_up
+    # first step with |Z| > BLOW_UP
     bad = type(m)(**{**bad.__dict__, "initial_state": 0.5})
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
@@ -656,10 +653,10 @@ def test_batch_flags_failures():
 # ------------------------------------------------------ kernel reference
 
 
-def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first=0):
+def _stepper(model, sched, f, horizon, seed, n, control=None, first=0):
     """The Euler update written out plainly, one step at a time over all rows.
 
-    A row that leaves ``[-blow_up, blow_up]`` restarts at ``x0``.  Returns
+    A row that leaves ``[-1e8, 1e8]`` restarts at ``x0``.  Returns
     the BatchResult fields by name, a failed row's outputs NaN, under
     ``"lowest"`` the lowest state each row visited and under ``"failures"``
     how many times each row left the bound.
@@ -684,7 +681,7 @@ def _stepper(model, sched, f, horizon, seed, n, control=None, blow_up=1e8, first
             z = z + h * drift(z) + math.sqrt(h) * s * xi[:, k]
             if control is not None:
                 z = z + (sched.mdp_scale / sched.epsilon * dt * float(control.psi(t))) * s
-            out = ~(np.abs(z) <= blow_up)
+            out = ~(np.abs(z) <= 1e8)
             fail_step[(fail_step < 0) & out] = k + 1
             failures += out
             z = np.where(out, x0, z)
@@ -799,8 +796,8 @@ def test_native_rows_split_across_threads(numpy_kernel_calls):
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
     n = 3 * euler._SUM_ROWS + 41
     for m in (ou(), boom):
-        runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=n,
-                               threads=threads, first_index=7) for threads in (1, 2, 3, 5)]
+        runs = [rows_from(m, sched, f, 1.0, 2**70 + 1, 7, n, threads)
+                for threads in (1, 2, 3, 5)]
         for name in runs[0].__dataclass_fields__:
             assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
         _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, n, first=7))
@@ -828,8 +825,7 @@ def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, 
     for m in (ou(), boom):
         for n in (3, 809):
             first = 2**32 - n
-            runs = [simulate_batch(m, sched, f, 1.0, master_seed=2**70 + 1, n_replicates=n,
-                                   threads=threads, first_index=first)
+            runs = [rows_from(m, sched, f, 1.0, 2**70 + 1, first, n, threads)
                     for threads in (1, 2, 3, 5)]
             for name in runs[0].__dataclass_fields__:
                 assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
@@ -1245,10 +1241,6 @@ def test_float_replicate_count_rejected(numpy_kernel_calls):
     pytest.param(dict(threads=0), r"^threads must be >= 1, got 0", id="zero-threads"),
     pytest.param(dict(threads=-3), r"^threads must be >= 1, got -3", id="negative-threads"),
     pytest.param(dict(threads=2.0), r"^threads must be an integer, got 2.0", id="float-threads"),
-    pytest.param(dict(first_index=1.5), r"^first_index must be an integer, got 1.5",
-                 id="float-first-index"),
-    pytest.param(dict(first_index=-1), r"^first_index must be >= 0, got -1",
-                 id="negative-first-index"),
 ])
 def test_bad_seed_or_thread_count_rejected(numpy_kernel_calls, kw, message):
     # on both kernels, before any stream is derived or thread started

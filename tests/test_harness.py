@@ -260,12 +260,22 @@ def test_mdp_requires_levels_and_targets(ou_setup):
         run_mdp_tail(mdp_spec(m, f, (1.0,)), {})
 
 
-def test_mdp_precondition_rejects_starved_level(ou_setup):
+def test_mdp_precondition_rejects_starved_level(monkeypatch, ou_setup):
     m, f = ou_setup
-    # honest rate target for a far level: predicted hits are far below 10
+    calls = []
+    simulate_batch = harness.simulate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate_batch(*args, **kwargs)
+    monkeypatch.setattr(harness, "simulate_batch", counted)
+    # honest rate target for a far level: predicted hits are far below 10;
+    # it is refused before the first epsilon's batch is simulated
     x = 5.0
     with pytest.raises(HarnessError, match="exceedances"):
-        run_mdp_tail(mdp_spec(m, f, (x,)), {x: mdp_closed_form_rate(x, 0.5, 2.0)})
+        run_mdp_tail(mdp_spec(m, f, (1.0, x)), {1.0: mdp_closed_form_rate(1.0, 0.5, 2.0),
+                                                x: mdp_closed_form_rate(x, 0.5, 2.0)})
+    assert calls == []
 
 
 def test_mdp_censoring_is_reported(ou_setup):
@@ -312,7 +322,7 @@ def test_schedule_violation_informative(ou_setup):
     s = ExperimentSpec(**spec_kw(m, f, kind=SCHEDULE_VIOLATION,
                                  epsilon_list=(0.05,), replicates=600,
                                  master_seed=5))
-    rep = run_schedule_violation(s, SchedulePolicy(theta_step=1.0), mf_target=2.0)
+    rep = run_schedule_violation(s, mf_target=2.0)
     assert set(rep.verdicts) == {"valid_schedule_variance"}
     row = rep.rows[0]
     assert row["invalid_theta"] == 1.0

@@ -444,7 +444,7 @@ def test_gradient_tail_guard(ou_pipeline):
 
 def constant_curve(value):
     return CovarianceCurve(t_grid=np.array([0.0, 1.0]),
-                           values=np.array([value, value]), method="test")
+                           values=np.array([value, value]))
 
 
 def test_rate_closed_form():
@@ -474,7 +474,7 @@ def test_rate_scaling_in_path():
 def test_rate_varying_covariance_log_form():
     # M(s) = 1 + s on [0,1], slope 1: I = (1/2) ln 2
     curve = CovarianceCurve(t_grid=np.array([0.0, 1.0]),
-                            values=np.array([1.0, 2.0]), method="test")
+                            values=np.array([1.0, 2.0]))
     path = rate_function(curve, [0.0, 1.0], [0.0, 1.0])
     assert abs(path.rate - 0.5 * math.log(2.0)) < 1e-12
 
