@@ -9,8 +9,7 @@ moderate deviation principle with a quadratic action.
 
 from ._version import __version__
 from .euler import (ControlFunction, SchedulePolicy, SimulationError,
-                    StepSchedule, TrajectoryExplodedError,
-                    replicate_stream, simulate_batch, simulate_euler)
+                    StepSchedule, replicate_stream, simulate_batch)
 from .harness import (ExperimentReport, ExperimentSpec, ks_distance,
                       mdp_closed_form_rate, run_clt_normality, run_experiment,
                       run_lln_rate, run_mdp_tail, run_schedule_violation)

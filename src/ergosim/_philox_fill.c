@@ -45,14 +45,17 @@
  * library is used.  No Python object is touched, so the caller may release
  * the GIL.
  *
- * euler_rows runs the scaled Euler kernel on whole rows, from their states
- * or from their stream keys: for a group of rows at a time it fills the
- * next SEG normals of each row into an on-stack block with the same fill,
- * then steps and observes the rows together, so their dependency chains
- * interleave.  Each path compiles its step once: the drift and diffusion
- * kinds and the mode (plain or observe) are read at run time.  Its
- * arithmetic is the numpy kernel's, in the same association order; the
- * build turns FMA contraction off.  One call takes its rows CHUNK at a
+ * euler_rows runs the scaled Euler kernel, the only one of the package, on
+ * whole rows, from their states or from their stream keys: for a group of
+ * rows at a time it fills the next SEG normals of each row into an
+ * on-stack block with the same fill, then steps and observes the rows
+ * together, so their dependency chains interleave.  Each path compiles its
+ * step once: the drift, diffusion and state-map kinds and the mode (plain
+ * or observe) are read at run time.  Its arithmetic is that of the plain
+ * numpy expressions of the step, in their association order, with libm's
+ * pow (the power drift) and exp (Gompertz's map from log space), called
+ * once per lane on the AVX-512 path too; the build turns FMA contraction
+ * off.  One call takes its rows CHUNK at a
  * time on the caller's thread and threads - 1 POSIX threads it starts,
  * places off the caller's CPU and joins itself.  Its observe mode runs the
  * autocorrelation route of M_f (variance.py): each row starts from its own
@@ -562,15 +565,18 @@ AVX512 void philox_normal_fill_avx512(row_state *rows, int64_t n_rows, double *o
 
 /* ---------------------------------------------------------------- Euler */
 
-/* coefficient kinds; euler.py's _DRIFT_KINDS and _DIFFUSION_KINDS */
-enum { DRIFT_OU, DRIFT_CIR, DRIFT_POLY };
+/* coefficient and state-map kinds; euler.py's _DRIFT_KINDS, _DIFFUSION_KINDS
+ * and _MAP_KINDS */
+enum { DRIFT_OU, DRIFT_CIR, DRIFT_POLY, DRIFT_POWER };
 enum { DIFFUSION_CONSTANT, DIFFUSION_CIR, DIFFUSION_POLY };
+enum { MAP_NONE, MAP_EXP };
 
 /* The model, functional and schedule of one batch; euler.py's _EulerSpec. */
 typedef struct {
     int64_t drift_kind, diffusion_kind;
+    int64_t map_kind; /* the state map from the stepped coordinate to the model's */
     int64_t n_drift, n_diffusion, n_f; /* parameter counts */
-    const double *drift;     /* OU, CIR: (kappa, mu); polynomial: coefficients */
+    const double *drift;     /* OU, CIR: (kappa, mu); polynomial: coefficients; power: (alpha) */
     const double *diffusion; /* constant, CIR: (sigma); polynomial: coefficients */
     const double *f;         /* polynomial coefficients of the functional */
     double f_c0, x0, h, sqrt_h, dt, blow_up;
@@ -609,9 +615,23 @@ typedef struct {
 
 static inline linear_drift drift_params(const euler_spec *m)
 {
-    if (m->drift_kind == DRIFT_POLY)
+    if (m->drift_kind != DRIFT_OU && m->drift_kind != DRIFT_CIR)
         return (linear_drift){0.0, 0.0};
     return (linear_drift){m->drift_kind == DRIFT_OU ? -m->drift[0] : m->drift[0], m->drift[1]};
+}
+
+/* The power drift -sign(x) |x|^alpha in numpy's order, with libm's pow;
+ * numpy's sign is 0.0 at -0.0 and NaN at NaN. */
+static inline double power_drift(double alpha, double x)
+{
+    double sign = x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : x == 0.0 ? 0.0 : x;
+    return -sign * pow(fabs(x), alpha);
+}
+
+/* The model's state at the stepped state x: x, or libm's exp of it. */
+static inline double state_of(int map, double x)
+{
+    return map == MAP_EXP ? exp(x) : x;
 }
 
 static inline __attribute__((always_inline)) double
@@ -622,6 +642,8 @@ drift(const euler_spec *m, int kind, linear_drift p, double x)
         return p.rate * (x - p.mean);
     case DRIFT_CIR:
         return p.rate * (p.mean - x);
+    case DRIFT_POWER:
+        return power_drift(m->drift[0], x);
     default:
         return polyval(m->drift, m->n_drift, x);
     }
@@ -642,17 +664,21 @@ diffusion(const euler_spec *m, int kind, double x)
 }
 
 /* Rows i0 .. i0+n-1 as one group, n <= GROUP; spare lanes step zero noise,
- * unread.  In the observe mode, with sum given, step k adds the rows'
- * products w * f(X_k), in row order, to sum[k - 1]; xi_r and sup_abs, which
- * the sums' caller does not read, then come out NaN.  The kind pair and the
- * mode are read at run time, so the step is compiled once; the per-row
- * update does the work of both modes, since a branch on the mode there
- * cost the plain mode more than the extra work costs the observe mode. */
+ * unread.  f is observed at the state map of the stepped state, and the
+ * terminal state is mapped too.  In the observe mode, with sum given, step
+ * k adds the rows' products w * f(X_k), in row order, to sum[k - 1]; xi_r
+ * and sup_abs, which the sums' caller does not read, then come out NaN,
+ * and the terminal state is left in the stepped coordinate, where the
+ * caller's next call starts.  The kinds and the mode are read at run time,
+ * so the step is compiled once; the per-row update does the work of both
+ * modes, since a branch on the mode there cost the plain mode more than
+ * the extra work costs the observe mode. */
 static inline __attribute__((always_inline)) void
 step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
            const rows_out *o, double *sum)
 {
-    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, obs = sum != NULL;
+    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, mk = (int)m->map_kind;
+    const int obs = sum != NULL;
     const linear_drift lin = drift_params(m);
     row_state own[GROUP];
     row_state *rows = group_states(streams, i0, n, own);
@@ -663,7 +689,7 @@ step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
     for (int r = 0; r < GROUP; r++) {
         /* a spare lane starts at x0 and counts as failed from the start */
         z[r] = m->start && r < n ? m->start[i0 + r] : m->x0;
-        fp[r] = polyval(m->f, m->n_f, z[r]) - m->f_c0;
+        fp[r] = polyval(m->f, m->n_f, state_of(mk, z[r])) - m->f_c0;
         w[r] = obs && r < n ? m->weight[i0 + r] : 0.0;
         xc[r] = xr[r] = sup[r] = 0.0, fail[r] = r < n ? -1 : 0;
         if (r >= n)
@@ -684,7 +710,7 @@ step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
                 double x1 = (x + h * drift(m, dk, lin, x)) + (sqrt_h * s) * noise[r][k];
                 if (m->control)
                     x1 = x1 + c * s;
-                double f1 = polyval(m->f, m->n_f, x1) - m->f_c0;
+                double f1 = polyval(m->f, m->n_f, state_of(mk, x1)) - m->f_c0;
                 xr[r] = xr[r] + fp[r] * dt;
                 xc[r] = xc[r] + 0.5 * (fp[r] + f1) * dt;
                 double a = fabs(xc[r]);
@@ -709,7 +735,7 @@ step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
         o->xi_c[i0 + r] = ok ? xc[r] : NAN;
         o->xi_r[i0 + r] = ok && !obs ? xr[r] : NAN;
         o->sup_abs[i0 + r] = ok && !obs ? sup[r] : NAN;
-        o->terminal[i0 + r] = ok ? z[r] : NAN;
+        o->terminal[i0 + r] = ok ? (obs ? z[r] : state_of(mk, z[r])) : NAN;
         o->fail_step[i0 + r] = fail[r];
     }
 }
@@ -742,6 +768,23 @@ polyval8(const double *c, int64_t n, __m512d x)
     return y;
 }
 
+/* power_drift(alpha, x) with power, else state_of(MAP_EXP, x), lane by
+ * lane: one libm call per lane, so the lanes get the portable path's bits */
+AVX512 static inline __m512d libm8(int power, double alpha, __m512d x)
+{
+    _Alignas(64) double v[LANES];
+    _mm512_store_pd(v, x);
+    for (int r = 0; r < LANES; r++)
+        v[r] = power ? power_drift(alpha, v[r]) : exp(v[r]);
+    return _mm512_load_pd(v);
+}
+
+/* state_of, lane by lane */
+AVX512 static inline __attribute__((always_inline)) __m512d state8(int map, __m512d x)
+{
+    return map == MAP_EXP ? libm8(0, 0.0, x) : x;
+}
+
 /* drift, lane by lane, with rate and mean broadcast */
 AVX512 static inline __attribute__((always_inline)) __m512d
 drift8(const euler_spec *m, int kind, __m512d rate, __m512d mean, __m512d x)
@@ -751,6 +794,8 @@ drift8(const euler_spec *m, int kind, __m512d rate, __m512d mean, __m512d x)
         return _mm512_mul_pd(rate, _mm512_sub_pd(x, mean));
     case DRIFT_CIR:
         return _mm512_mul_pd(rate, _mm512_sub_pd(mean, x));
+    case DRIFT_POWER:
+        return libm8(1, m->drift[0], x);
     default:
         return polyval8(m->drift, m->n_drift, x);
     }
@@ -805,7 +850,8 @@ AVX512 static inline __attribute__((always_inline)) void
 step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
             const rows_out *o, double *sum)
 {
-    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, obs = sum != NULL;
+    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, mk = (int)m->map_kind;
+    const int obs = sum != NULL;
     const linear_drift lin = drift_params(m);
     const __m512d rate = _mm512_set1_pd(lin.rate), mean = _mm512_set1_pd(lin.mean);
     row_state own[VECS * LANES];
@@ -828,7 +874,7 @@ step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
         z[q] = _mm512_set1_pd(m->x0);
         if (m->start)
             z[q] = _mm512_mask_loadu_pd(z[q], in, m->start + at);
-        fp[q] = _mm512_sub_pd(polyval8(m->f, m->n_f, z[q]), f_c0);
+        fp[q] = _mm512_sub_pd(polyval8(m->f, m->n_f, state8(mk, z[q])), f_c0);
         w[q] = obs ? _mm512_maskz_loadu_pd(in, m->weight + at) : _mm512_setzero_pd();
         xc[q] = xr[q] = sup[q] = _mm512_setzero_pd();
     }
@@ -856,7 +902,7 @@ step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
                         __m512d c = _mm512_set1_pd(m->control[k0 + k + j]);
                         x1 = _mm512_add_pd(x1, _mm512_mul_pd(c, s));
                     }
-                    __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, x1), f_c0);
+                    __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, state8(mk, x1)), f_c0);
                     if (!obs)
                         xr[q] = _mm512_add_pd(xr[q], _mm512_mul_pd(fp[q], dt));
                     __m512d mid = _mm512_mul_pd(half, _mm512_add_pd(fp[q], f1));
@@ -895,7 +941,8 @@ step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
         _mm512_mask_storeu_pd(o->xi_c + at, in, _mm512_mask_blend_pd(ok, nan, xc[q]));
         _mm512_mask_storeu_pd(o->xi_r + at, in, _mm512_mask_blend_pd(kept, nan, xr[q]));
         _mm512_mask_storeu_pd(o->sup_abs + at, in, _mm512_mask_blend_pd(kept, nan, sup[q]));
-        _mm512_mask_storeu_pd(o->terminal + at, in, _mm512_mask_blend_pd(ok, nan, z[q]));
+        const __m512d end = obs ? z[q] : state8(mk, z[q]);
+        _mm512_mask_storeu_pd(o->terminal + at, in, _mm512_mask_blend_pd(ok, nan, end));
         _mm512_mask_storeu_epi64(o->fail_step + at, in, fail[q]);
     }
 }
@@ -963,8 +1010,10 @@ static void spread_helpers(pthread_attr_t *attr)
 /* Step rows [0, n_rows) through m->n_steps Euler steps, row j on its own
  * stream, rows[j] or, with rows NULL, row j of keys (see row_streams), from
  * x0 (or its m->start), chunk by chunk with run, and write the
- * path functionals of row j to element j of the outputs.  A row stops at
- * the first step after which |Z| <= blow_up fails (NaN included):
+ * path functionals of row j to element j of the outputs, its terminal
+ * state mapped by m->map_kind (left stepped in the observe mode).  A row
+ * stops at the first step after which |Z| <= blow_up fails (NaN included),
+ * Z the stepped state:
  * fail_step is that step's number, counted from 1, and its other outputs
  * are NaN.  fail_step is -1 for a row that never fails.
  * With m->weight, the observe mode, corr[k - 1] is step k's sum of

@@ -4,7 +4,9 @@ Grammar (one construct per line):
 
     [section]            sections: model, functional, schedule,
                          experiment, output, run
-    key = value          scalars: int, float, bool (true/false), string
+    key = value          scalars: int, float, bool (true/false), string;
+                         the text keys (family, regime, kind, [functional]
+                         name, [output] directory) keep the text as written
     key = [v1, v2, ...]  arrays of numbers
     # comment            full-line comments; blank lines ignored
 
@@ -51,6 +53,11 @@ _SECTIONS = {
     "output": {"directory", "formats"},
     "run": {"seed", "threads"},
 }
+
+# the keys whose value is text, kept as written: ``name = 1e3`` names the
+# functional '1e3', not '1000.0'
+_TEXT_KEYS = {("model", "family"), ("functional", "name"), ("schedule", "regime"),
+              ("experiment", "kind"), ("output", "directory")}
 
 # the numeric [model] keys that builtin_model and the custom family read
 _BUILTIN_PARAMS = ("kappa", "mu", "sigma", "alpha", "x0")
@@ -126,7 +133,7 @@ def _parse_sections(text: str):
         if key not in _SECTIONS[section]:
             errors.append(f"unknown key {key!r} in section [{section}]")
             continue
-        data[section][key] = _parse_value(val)
+        data[section][key] = val.strip() if (section, key) in _TEXT_KEYS else _parse_value(val)
     return data, errors
 
 

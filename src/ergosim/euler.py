@@ -10,30 +10,29 @@ Path functionals (running integral of f along the path, and its
 left-endpoint Riemann variant) are accumulated online; full trajectories
 are never stored.  The step keeps one association order,
 ``(z + h*b) + (sqrt(h)*s)*xi`` and then ``+ (ctrl_coef*psi)*s`` for a
-control, in both of its kernels:
+control.
 
-* the native kernel ``euler_rows`` of ``_philox_fill.c`` runs
-  :func:`simulate_batch` when the model's drift and diffusion are OU, CIR
-  or polynomial descriptors (:mod:`ergosim.models`) and the functional
-  is a :class:`~ergosim.models.PolynomialFunctional`.  Per row it fills
-  a short on-stack block of normals from the row's stream, then steps,
-  observes and accumulates a group of rows together (8 rows in one
-  AVX-512 vector, or 4 scalar rows on the portable path); it checks the
-  blow-up bound at every step, so a failed row stops at its exact step.
-  It is built without FMA contraction, so it gives the numpy kernel's
-  bits.
-* the numpy kernel ``_step_paths`` runs everything else (state maps such
-  as Gompertz's log space, ``pow``/``exp``/``log`` coefficients, whose
-  numpy SIMD results can differ from libm's in the last bit, and
-  arbitrary callables), and :func:`simulate_euler`.  It steps the rows
-  of a chunk of ``_CHUNK`` one step at a time, on normals drawn ``_TILE``
-  steps at a time into one buffer, and checks the blow-up bound at every
-  step too.
+One kernel runs every simulation: ``euler_rows`` of ``_philox_fill.c``.
+It steps OU, CIR, polynomial and power drifts and constant, CIR and
+polynomial diffusions (the descriptors of :mod:`ergosim.models`), in the
+model's own coordinate or, for Gompertz, in log space with ``f`` observed
+at ``exp`` of the stepped state; it observes a
+:class:`~ergosim.models.PolynomialFunctional`.  Power drift's ``pow`` and
+the ``exp`` map are libm's, called once per row and step on both paths.
+:func:`_stepped` checks a model and functional while the kernel's spec is
+built and raises :class:`SimulationError` naming the drift, diffusion,
+state map or functional it has no kind for (a callable, or a
+time-inhomogeneous ``f``), before any row is stepped.  Per row the kernel
+fills a short on-stack block of normals from the row's stream, then
+steps, observes and accumulates a group of rows together (8 rows in one
+AVX-512 vector, or 4 scalar rows on the portable path); it checks the
+blow-up bound at every step, so a failed row stops at its exact step.
+It is built without FMA contraction, so its bits are those of the plain
+numpy expressions of the step with libm's ``exp`` and ``pow``.
 
-One private runner, :func:`_run_rows`, picks the kernel by
-:func:`_runs_native` for :func:`simulate_batch` and for the
-autocorrelation route of ``M_f`` (:mod:`ergosim.variance`).  Both kernels
-have the route's observe mode: each row starts from its own state, and
+One private runner, :func:`_run_rows`, calls it for :func:`simulate_batch`
+and for the autocorrelation route of ``M_f`` (:mod:`ergosim.variance`),
+which runs its observe mode: each row starts from its own state, and
 each step's sum of ``w_i * f(X_k)`` over the rows is taken in row order
 within chunks of ``_SUM_ROWS`` rows, then over the chunks in order; the
 route reads only the trapezoid integrals and terminal states, so the
@@ -53,34 +52,32 @@ master seed's entropy pool and the hash constant at the spawn word once
 numpy's Philox4x64-10 start state (11 uint64 words) from them where the
 row is used: ``euler_rows`` on the stack of the thread that steps the
 row, so :func:`simulate_batch` holds no per-replicate stream state, and
-``philox_start_rows`` into a state array for the numpy kernel, one chunk
-at a time, and for the autocorrelation route, which carries its streams
-from one leg to the next.  The C fill generates each row's words 16
-counter blocks at a time and turns them into normals with numpy's
-ziggurat, its fast path and, for the rare word that path does not
-accept, its wedge and tail code, in numpy's order and arithmetic and
-with libm's ``exp`` and ``log1p``, as numpy's ``random_standard_normal``
-does.  The ziggurat tables are numpy's own: of ``libnpyrandom.a`` the
-library links the read-only data of the member that holds them and no
-numpy function.  When the library is loaded a row it started and filled
-is compared with ``replicate_stream`` (:class:`NativeBuildError` if they
-differ), so both kernels draw exactly the numbers of ``replicate_stream``.
-The library is compiled with gcc (flags ``_CFLAGS``) on first use into a
-per-user cache and runs without the GIL.  Its fill, its Euler kernel and
-its antiderivative queries each come in a portable and an AVX-512 path
-with the same bits; the library picks one for the CPU when it is loaded,
-and ``NATIVE_PATH`` names it.  ``euler_rows`` takes its rows
-``_SUM_ROWS`` at a time on the caller's thread and ``threads - 1`` POSIX
-threads of its own, placed off the caller's CPU and joined before it
-returns, so that neither its rows nor its sums depend on the thread
-count; the numpy kernel runs in the caller's thread alone.
+``philox_start_rows`` into a state array for the autocorrelation route,
+which carries its streams from one leg to the next.  The C fill
+generates each row's words 16 counter blocks at a time and turns them
+into normals with numpy's ziggurat, its fast path and, for the rare word
+that path does not accept, its wedge and tail code, in numpy's order and
+arithmetic and with libm's ``exp`` and ``log1p``, as numpy's
+``random_standard_normal`` does.  The ziggurat tables are numpy's own: of
+``libnpyrandom.a`` the library links the read-only data of the member
+that holds them and no numpy function.  When the library is loaded a row
+it started and filled is compared with ``replicate_stream``
+(:class:`NativeBuildError` if they differ), so the kernel draws exactly
+the numbers of ``replicate_stream``.  The library is compiled with gcc
+(flags ``_CFLAGS``) on first use into a per-user cache and runs without
+the GIL.  Its fill, its Euler kernel and its antiderivative queries each
+come in a portable and an AVX-512 path with the same bits; the library
+picks one for the CPU when it is loaded, and ``NATIVE_PATH`` names it.
+``euler_rows`` takes its rows ``_SUM_ROWS`` at a time on the caller's
+thread and ``threads - 1`` POSIX threads of its own, placed off the
+caller's CPU and joined before it returns, so that neither its rows nor
+its sums depend on the thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
-import functools
 import hashlib
 import math
 import operator
@@ -95,21 +92,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec, OuDrift,
-                     Polynomial, PolynomialFunctional, SdeModel)
+                     Polynomial, PolynomialFunctional, PowerDrift, SdeModel)
 from .quadrature import panel_integral
 
 
 class SimulationError(Exception):
     pass
-
-
-class TrajectoryExplodedError(SimulationError):
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(
-            f"trajectory exploded at step {step}; "
-            "the step schedule is too coarse for this drift"
-        )
 
 
 class NativeBuildError(SimulationError):
@@ -473,84 +461,16 @@ def _philox_row(bit_generator: np.random.Philox) -> np.ndarray:
                      *st["buffer"], st["buffer_pos"]], dtype=np.uint64)
 
 
-def _philox_normals(state: np.ndarray, out: np.ndarray) -> None:
-    """Fill row ``j`` of ``out`` with the next normals of the stream in ``state[j]``.
-
-    ``out`` is a C-contiguous float64 ``(n, k)`` array and ``state`` a
-    C-contiguous ``(n, _STATE_WORDS)`` uint64 array, advanced in place; the
-    fill holds no GIL.
-    """
-    if not (out.dtype == np.float64 and out.ndim == 2 and out.flags.c_contiguous
-            and state.dtype == np.uint64 and state.shape == (len(out), _STATE_WORDS)
-            and state.flags.c_contiguous):
-        raise ValueError("the Philox fill needs C-contiguous float64 (n, k) output "
-                         "and uint64 (n, 11) state")
-    _native().philox_normal_fill(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
-
-
-# a path of simulate_euler or simulate_batch fails where |Z| first exceeds this
+# a path of simulate_batch fails where |Z| first exceeds this
 BLOW_UP = 1e8
 
 
-def simulate_euler(
-    model: SdeModel,
-    schedule: StepSchedule,
-    f: FunctionalSpec,
-    horizon: float,
-    rng: np.random.Generator,
-    noise: Optional[np.ndarray] = None,
-    control: Optional[ControlFunction] = None,
-) -> BatchResult:
-    """One path of the numpy kernel; returns its 1-replicate :class:`BatchResult`.
-
-    The normals come from ``rng``, or from ``noise`` (shape ``(k,)`` or
-    ``(k, 1)``, ``k >= n_steps``) when given, which is how
-    coupled-refinement convergence checks share a Brownian path; without
-    ``noise``, ``rng`` must be a numpy ``Generator``
-    (:class:`SimulationError` otherwise).  ``control`` adds the tilt
-    drift ``(delta/eps) * sigma * psi(t) * Delta`` after each step; it
-    requires an MDP schedule.  Raises :class:`TrajectoryExplodedError`
-    at the first step where the path leaves ``[-BLOW_UP, BLOW_UP]``.
-    """
-    n_steps = schedule.n_steps(horizon)
-    tilts = _tilts(schedule, control, n_steps)
-    if noise is None:
-        if not isinstance(rng, np.random.Generator):
-            raise SimulationError(
-                f"rng must be a numpy Generator when no noise is injected, got {rng!r}")
-
-        def draw(out):
-            rng.standard_normal(out=out)
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.ndim not in (1, 2) or noise.shape[1:] not in ((), (1,)):
-            raise SimulationError(
-                f"injected noise has shape {noise.shape}; it must be (k,) or (k, 1)")
-        noise = noise.reshape(-1)
-        if len(noise) < n_steps:
-            raise SimulationError(
-                f"injected noise has {len(noise)} steps; the schedule needs {n_steps}")
-        done = 0
-
-        def draw(out):
-            nonlocal done
-            out[0] = noise[done:done + out.shape[1]]
-            done += out.shape[1]
-    res = _step_paths(model, f, schedule.h, schedule.delta_step, n_steps, BLOW_UP, tilts, 1, draw)
-    if res.failed[0]:
-        raise TrajectoryExplodedError(int(res.fail_step[0]))
-    return _mapped(model, res)
-
-
 # ---------------------------------------------------------------------------
-# batched replicates, and the numpy kernel
+# batched replicates
 # ---------------------------------------------------------------------------
 
-# the numpy kernel's sizes; results depend on neither
-_CHUNK = 4096  # rows stepped together
-_TILE = 32  # steps of normals drawn at a time
 # the rows of one partial sum of the observe mode (CHUNK of
-# _philox_fill.c), which fixes the order of the sums in both kernels
+# _philox_fill.c), which fixes the order of its sums
 _SUM_ROWS = 256
 
 
@@ -576,21 +496,18 @@ def simulate_batch(
 ) -> BatchResult:
     """Run ``n_replicates`` independent 1D paths with per-replicate streams.
 
-    A model with OU, CIR or polynomial coefficients (no state map) and a
-    :class:`~ergosim.models.PolynomialFunctional` run on the native kernel
-    ``euler_rows``, in one GIL-free call that takes the rows on ``threads``
-    threads.  Any other model or functional runs on the numpy kernel in
-    chunks of ``_CHUNK`` rows, one after another, in the caller's thread,
-    whatever ``threads``.  Both kernels give the same numbers to the bit,
-    and the output is a deterministic function of (model, schedule, f,
-    horizon, master_seed, n_replicates), whatever ``threads``.
-    Replicate ``j`` runs on ``replicate_stream(master_seed, j)``, keyed
-    where its row is stepped, so the call holds no per-replicate stream
-    state beyond a chunk.  A path fails at the first step where it leaves
-    ``[-BLOW_UP, BLOW_UP]``.  ``n_replicates = 0`` gives empty arrays.
-    :class:`SimulationError` is raised for a count, seed or thread count
-    that is not an integer, a negative count or seed, fewer than one
-    thread, and more than ``2**32`` replicates.
+    The paths run on the kernel ``euler_rows``, in one GIL-free call that
+    takes the rows on ``threads`` threads; the output is a deterministic
+    function of (model, schedule, f, horizon, master_seed, n_replicates),
+    whatever ``threads``.  Replicate ``j`` runs on
+    ``replicate_stream(master_seed, j)``, keyed where its row is stepped,
+    so the call holds no per-replicate stream state.  A path fails at the
+    first step where its stepped state leaves ``[-BLOW_UP, BLOW_UP]``.
+    Terminal states are in the model's coordinate.  ``n_replicates = 0``
+    gives empty arrays.  :class:`SimulationError` is raised for a count,
+    seed or thread count that is not an integer, a negative count or
+    seed, fewer than one thread, more than ``2**32`` replicates, and a
+    model or functional the kernel has no kind for (:func:`_stepped`).
     """
     n_replicates = _integer("n_replicates", n_replicates, 0)
     master_seed = _integer("master_seed", master_seed, 0)
@@ -599,8 +516,8 @@ def simulate_batch(
     _native()  # a failed build raises here, in the caller's thread
     n_steps = schedule.n_steps(horizon)
     tilts = _tilts(schedule, control, n_steps)
-    return _mapped(model, _run_rows(model, f, schedule.h, schedule.delta_step, n_steps,
-                                    BLOW_UP, keys, threads, tilts))
+    return _run_rows(model, f, schedule.h, schedule.delta_step, n_steps, BLOW_UP, keys,
+                     threads, tilts)
 
 
 def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],
@@ -622,52 +539,25 @@ def _tilts(schedule: StepSchedule, control: Optional[ControlFunction],
                      for k in range(n_steps)])
 
 
-def _mapped(model: SdeModel, res: BatchResult) -> BatchResult:
-    """``res`` with its terminal states mapped from the stepped coordinate
-    to the model's own."""
-    if model.sim_drift is not None:
-        res.terminal = np.where(res.failed, np.nan, model.state_map(res.terminal))
-    return res
-
-
 def _run_rows(model, f, h, dt, n_steps, blow_up, streams, threads, tilts=None, start=None,
               weight=None, corr=None) -> BatchResult:
-    """Step the rows of ``streams`` on ``euler_rows`` when :func:`_runs_native`
-    holds, else on ``_step_paths`` in chunks of ``_CHUNK`` rows in the
-    caller's thread.  ``streams`` is an ``(n, _STATE_WORDS)`` uint64 state
-    array, advanced in place, or a :class:`_StreamKeys`, whose rows are
-    started where they are stepped: by ``euler_rows`` on the stack of the
-    thread that steps them, or chunk by chunk for ``_step_paths``.  The other
-    arguments are those of :func:`_euler_spec`.  ``corr`` (``n_steps``
-    floats) takes the observe mode's sums, which ``weight`` asks for.
-    Terminal states are left in the stepped coordinate."""
+    """Step the rows of ``streams`` on ``euler_rows``.  ``streams`` is an
+    ``(n, _STATE_WORDS)`` uint64 state array, advanced in place, or a
+    :class:`_StreamKeys`, whose rows are started on the stack of the thread
+    that steps them.  The other arguments are those of :func:`_euler_spec`.
+    ``corr`` (``n_steps`` floats) takes the observe mode's sums, which
+    ``weight`` asks for; that mode leaves terminal states in the stepped
+    coordinate."""
+    spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
     n = len(streams)
     keyed = isinstance(streams, _StreamKeys)
     out = np.empty((4, n))  # xi_continuous, xi_riemann, sup_abs, terminal
     fail_step = np.empty(n, np.int64)
-    if _runs_native(model, f):
-        spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
-        if _native().euler_rows(spec, None if keyed else streams.ctypes.data,
-                                streams if keyed else None, n,
-                                *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
-                                None if corr is None else corr.ctypes.data, threads):
-            raise MemoryError("euler_rows: out of memory for the partial sums")
-        return BatchResult(*out, fail_step >= 0, fail_step)
-    if corr is not None:
-        corr[:] = -0.0  # -0.0 + x is x: each step's sum starts at its first chunk's
-    for first in range(0, n, _CHUNK):
-        rows = slice(first, first + _CHUNK)
-        count = min(_CHUNK, n - first)
-        state = (_start_streams(np.empty((count, _STATE_WORDS), np.uint64), streams, first)
-                 if keyed else streams[rows])
-        chunk = _step_paths(
-            model, f, h, dt, n_steps, blow_up, tilts, count,
-            functools.partial(_philox_normals, state),
-            None if start is None else start[rows], None if weight is None else weight[rows],
-            corr)
-        out[:, rows] = chunk.xi_continuous, chunk.xi_riemann, chunk.sup_abs, chunk.terminal
-        fail_step[rows] = chunk.fail_step
-        del chunk  # freed before the next chunk runs
+    if _native().euler_rows(spec, None if keyed else streams.ctypes.data,
+                            streams if keyed else None, n,
+                            *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
+                            None if corr is None else corr.ctypes.data, threads):
+        raise MemoryError("euler_rows: out of memory for the partial sums")
     return BatchResult(*out, fail_step >= 0, fail_step)
 
 
@@ -675,17 +565,19 @@ def _run_rows(model, f, h, dt, n_steps, blow_up, streams, threads, tilts=None, s
 # the native kernel: model descriptors passed to euler_rows
 # ---------------------------------------------------------------------------
 
-# coefficient classes with a native kind: the enums of _philox_fill.c
-_DRIFT_KINDS = {OuDrift: 0, CirDrift: 1, Polynomial: 2}
+# coefficient classes and state maps with a native kind: the enums of
+# _philox_fill.c
+_DRIFT_KINDS = {OuDrift: 0, CirDrift: 1, Polynomial: 2, PowerDrift: 3}
 _DIFFUSION_KINDS = {ConstantDiffusion: 0, CirDiffusion: 1, Polynomial: 2}
+_MAP_KINDS = {None: 0, np.exp: 1}
 
 
 class _EulerSpec(ctypes.Structure):
     """``euler_spec`` of ``_philox_fill.c``; ``arrays`` keeps its pointees alive."""
 
     _fields_ = [("drift_kind", ctypes.c_int64), ("diffusion_kind", ctypes.c_int64),
-                ("n_drift", ctypes.c_int64), ("n_diffusion", ctypes.c_int64),
-                ("n_f", ctypes.c_int64),
+                ("map_kind", ctypes.c_int64), ("n_drift", ctypes.c_int64),
+                ("n_diffusion", ctypes.c_int64), ("n_f", ctypes.c_int64),
                 ("drift", ctypes.c_void_p), ("diffusion", ctypes.c_void_p),
                 ("f", ctypes.c_void_p),
                 ("f_c0", ctypes.c_double), ("x0", ctypes.c_double), ("h", ctypes.c_double),
@@ -702,33 +594,53 @@ def _params(coef) -> np.ndarray:
     return np.array(dataclasses.astuple(coef), dtype=float)
 
 
-def _runs_native(model: SdeModel, f: FunctionalSpec) -> bool:
-    """Whether the native library steps ``model`` and observes ``f``.
+def _stepped(model: SdeModel, f: FunctionalSpec) -> tuple:
+    """The drift, diffusion, state map and start of the coordinate
+    ``euler_rows`` steps ``model`` in: the model's own, or its ``sim_*``
+    coordinate when it has a ``sim_drift``.
 
-    It does for OU, CIR and polynomial drift and diffusion descriptors,
-    stepped in the model's own coordinate, and a
-    :class:`~ergosim.models.PolynomialFunctional`.  :func:`simulate_batch`
-    and the autocorrelation route of ``M_f`` both follow this rule.
+    Raises :class:`SimulationError` naming the drift, diffusion, state map
+    or functional the kernel has no kind for: it steps the coefficient
+    classes of ``_DRIFT_KINDS`` and ``_DIFFUSION_KINDS``, maps through
+    ``np.exp`` or nothing, and observes a
+    :class:`~ergosim.models.PolynomialFunctional`.
     """
-    return (model.sim_drift is None and model.state_map is None
-            and type(model.drift) in _DRIFT_KINDS and type(model.diffusion) in _DIFFUSION_KINDS
-            and isinstance(f.value, PolynomialFunctional))
+    parts = ((model.drift, model.diffusion, None, model.initial_state)
+             if model.sim_drift is None
+             else (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state))
+    for what, part, kinds in (("drift", parts[0], _DRIFT_KINDS),
+                              ("diffusion", parts[1], _DIFFUSION_KINDS)):
+        if type(part) not in kinds:
+            raise SimulationError(
+                f"the Euler kernel has no kind for the {what} {part!r}; it steps "
+                f"{', '.join(k.__name__ for k in kinds)} {what}s")
+    if parts[2] not in _MAP_KINDS:
+        raise SimulationError(
+            f"the Euler kernel has no kind for the state_map {parts[2]!r}; it maps through "
+            "np.exp or nothing")
+    if not isinstance(f.value, PolynomialFunctional):
+        inhomogeneous = "" if f.time_homogeneous else "time-inhomogeneous "
+        raise SimulationError(
+            f"the Euler kernel cannot observe the {inhomogeneous}functional {f.name!r} "
+            f"({f.value!r}); it observes a PolynomialFunctional")
+    return parts
 
 
 def _euler_spec(model, f, h, dt, n_steps, blow_up, tilts=None, start=None,
                 weight=None) -> _EulerSpec:
-    """The ``euler_spec`` of a model and functional that :func:`_runs_native`:
+    """The ``euler_spec`` of a model and functional (:func:`_stepped`):
     step ``h``, functional weight ``dt``, ``tilts`` (:func:`_tilts`),
-    ``start`` (each row's start state, in place of the model's) and
-    ``weight`` (each row's weight in the observe mode's sums), each None or
-    a float array."""
-    coeffs = [_params(model.drift), _params(model.diffusion), np.array(f.value.coeffs)]
+    ``start`` (each row's start state, in the stepped coordinate, in place
+    of the model's) and ``weight`` (each row's weight in the observe mode's
+    sums), each None or a float array."""
+    drift, diffusion, state_map, x0 = _stepped(model, f)
+    coeffs = [_params(drift), _params(diffusion), np.array(f.value.coeffs)]
     rows = [None if a is None else np.ascontiguousarray(a, dtype=float)
             for a in (tilts, start, weight)]
     spec = _EulerSpec(
-        _DRIFT_KINDS[type(model.drift)], _DIFFUSION_KINDS[type(model.diffusion)],
+        _DRIFT_KINDS[type(drift)], _DIFFUSION_KINDS[type(diffusion)], _MAP_KINDS[state_map],
         *map(len, coeffs), *(a.ctypes.data for a in coeffs),
-        f.value.c0, model.initial_state, h, math.sqrt(h), dt, blow_up, n_steps,
+        f.value.c0, x0, h, math.sqrt(h), dt, blow_up, n_steps,
         *(None if a is None else a.ctypes.data for a in rows))
     spec.arrays = coeffs + rows
     return spec
@@ -752,77 +664,3 @@ def _integer(name: str, value, least: int, error: type = SimulationError) -> int
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
     return value
-
-
-def _step_paths(model, f, h, dt, n_steps, blow_up, tilts, n, draw, start=None, weight=None,
-                corr=None) -> BatchResult:
-    """Step ``n`` 1D paths together, one step at a time over all rows.
-
-    ``draw(out)`` writes the normals of the next ``out.shape[1]`` steps of
-    every row into the C-contiguous ``(n, k)`` array ``out``, ``k <=
-    _TILE``.  A path whose state leaves ``[-blow_up, blow_up]`` (or turns
-    NaN) records that step in ``fail_step`` and restarts at ``x0``; it ends
-    with NaN functionals, ``sup_abs`` and terminal state.  The terminal
-    state is left in the stepped coordinate.  The other arguments are those
-    of :func:`_run_rows`; ``corr[k]`` adds each chunk of ``_SUM_ROWS``
-    rows' sum of ``weight * f(X_{k+1})``, in row order, to its running sum.
-    With ``weight``, the observe mode, ``xi_riemann`` and ``sup_abs`` are
-    not accumulated, since its caller reads neither, and are NaN.
-    """
-    # coefficients and state map in the coordinates actually stepped
-    drift, diffusion, state_map, x0 = (
-        (model.sim_drift, model.sim_diffusion, model.state_map, model.sim_initial_state)
-        if model.sim_drift is not None
-        else (model.drift, model.diffusion, lambda y: y, model.initial_state))
-    sqrt_h = math.sqrt(h)
-
-    def observe(t, y):
-        return np.asarray(f.value(t, state_map(y)), dtype=float)
-
-    z = np.full(n, x0) if start is None else np.array(start, dtype=float)
-    f_prev = observe(0.0, z)
-    xi_c = np.zeros(n)
-    xi_r = np.zeros(n)
-    sup = np.zeros(n)
-    fail_step = np.full(n, -1, dtype=np.int64)
-    buf = np.empty(n * _TILE)  # the normals of the next _TILE steps, row by row
-    # the next _TILE steps' products, padded with -0.0 to whole chunks of rows
-    prod = None if weight is None else np.full((_TILE, -(-n // _SUM_ROWS) * _SUM_ROWS), -0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, n_steps, _TILE):
-            width = min(_TILE, n_steps - done)
-            xi = buf[:n * width].reshape(n, width)
-            draw(xi)
-            for j in range(width):
-                k = done + j
-                if prod is None:
-                    xi_r += f_prev * dt
-                s = diffusion(z)
-                # z + h*b is a new array, so the in-place adds keep the
-                # order (z + h*b) + (sqrt_h*s)*xi
-                z = z + h * drift(z)
-                z += sqrt_h * s * xi[:, j]
-                if tilts is not None:
-                    z += tilts[k] * s
-                if not np.abs(z).max(initial=0.0) <= blow_up:  # NaN fails too
-                    gone = ~(np.abs(z) <= blow_up)
-                    fail_step[gone & (fail_step < 0)] = k + 1
-                    z[gone] = x0
-                    xi_c[gone] = np.nan
-                    xi_r[gone] = np.nan
-                f_new = observe(k * dt + dt, z)
-                xi_c += 0.5 * (f_prev + f_new) * dt
-                if prod is None:
-                    np.maximum(sup, np.abs(xi_c), out=sup)
-                else:
-                    np.multiply(weight, f_new, out=prod[j, :n])
-                f_prev = f_new
-            if prod is not None:
-                chunks = prod[:width].reshape(width, -1, _SUM_ROWS)
-                for c in np.cumsum(chunks, axis=2)[:, :, -1].T:
-                    corr[done:done + width] += c
-    failed = fail_step >= 0
-    if prod is not None:
-        xi_r, sup = np.full(n, np.nan), np.full(n, np.nan)
-    return BatchResult(xi_c, xi_r, np.where(failed, np.nan, sup), np.where(failed, np.nan, z),
-                       failed, fail_step)

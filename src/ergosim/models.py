@@ -40,7 +40,7 @@ class SdeModel:
     ``sim_drift``/``sim_diffusion``/``state_map`` describe an alternative
     coordinate system in which the process is actually simulated (the
     geometric mean-reversion model is stepped in log space and mapped back
-    through ``state_map``).
+    through ``state_map``, which the Euler kernel takes only as ``np.exp``).
     """
 
     drift: Callable
@@ -427,7 +427,9 @@ def invariant_density_1d(model: SdeModel) -> InvariantDensity1D:
 class FunctionalSpec:
     """A test functional f(t, x).
 
-    ``value`` must be numpy-vectorized over the state argument.
+    ``value`` must be numpy-vectorized over the state argument; the
+    analytic chain takes any such callable, and the Euler kernel a
+    :class:`PolynomialFunctional`.
     ``time_homogeneous`` lets :func:`centralize` subtract one pi-mean
     rather than one per time; ``centralized`` marks a functional whose
     pi-mean has been subtracted, as the Poisson solver and the
@@ -551,8 +553,9 @@ class ConstantDiffusion:
 
 
 # The builtin coefficients as data: small frozen classes whose calls are
-# the numpy expressions of each family, so models pickle and the native
-# Euler kernel can read them (OU, CIR and polynomial coefficients).
+# the numpy expressions of each family, so models pickle and the Euler
+# kernel can read them (all but Gompertz's own drift and diffusion, which
+# it steps in log space as an OU drift and a constant diffusion).
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,16 @@ since the second route never touches the Poisson equation.
 The autocorrelation route draws its start uniforms from one Philox
 stream keyed by ``master_seed`` and steps path ``i`` on the normals of
 ``euler.replicate_stream(master_seed, i)``, as :func:`euler.simulate_batch`
-steps row ``i``.  It runs on the observe mode of the Euler kernel that
-``simulate_batch`` would pick, through the same private runner
-``euler._run_rows``: the paths start from their own states, and each
-step's products ``f(X_0) f(X_s)`` are summed in path order within chunks
-of 256 paths and then over the chunks in order, and the path integrals
-are the kernel's trapezoid, so the figures are the same on either kernel
-and at every thread count.
+steps row ``i``.  It runs on the observe mode of the Euler kernel, through
+``simulate_batch``'s private runner ``euler._run_rows``: the paths start
+from their own states, and each step's products ``f(X_0) f(X_s)`` are
+summed in path order within chunks of 256 paths and then over the chunks
+in order, and the path integrals are the kernel's trapezoid, so the
+figures are the same on either native path and at every thread count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import euler
-from .models import FunctionalSpec, InvariantDensity1D, PolynomialFunctional, SdeModel
+from .models import FunctionalSpec, InvariantDensity1D, SdeModel
 from .poisson1d import PoissonSolution
 
 
@@ -144,14 +142,15 @@ def mf_autocorrelation_form(
     then over the chunks in order; and the integral of f along a path is
     the Euler kernel's trapezoid sum, taken in two legs, up to the first
     step of the tail window and then the rest.  Each leg is one call of
-    the Euler kernels' runner in its observe mode: the native
-    ``euler_rows`` on ``threads`` threads (default: the CPUs this process
-    may run on) where ``simulate_batch`` runs it, else the numpy kernel in
-    the caller's thread.  A path goes on from leg to leg in the coordinate
-    the kernel steps (Gompertz's log space), and f is observed at ``t`` on
-    every step.  The figures do not depend on ``threads``.  Raises
+    ``euler_rows`` in its observe mode, on ``threads`` threads (default:
+    the CPUs this process may run on).  A path goes on from leg to leg in
+    the coordinate the kernel steps (Gompertz's log space, from the log of
+    its start).  The figures do not depend on ``threads``.  Raises
     :class:`~ergosim.euler.NativeBuildError` if the native library cannot
-    be built; there is no pure-Python fallback.
+    be built; there is no pure-Python fallback.  Raises
+    :class:`~ergosim.euler.SimulationError`, before any start is sampled,
+    for a model or ``f`` the kernel has no kind for (a callable
+    coefficient, state map or ``f``, or a time-inhomogeneous ``f``).
 
     Raises :class:`VarianceError` unless ``n_paths`` is an integer of at
     least 2 (the standard error needs two paths), ``master_seed`` is an
@@ -172,7 +171,10 @@ def mf_autocorrelation_form(
         raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
     threads = (euler._usable_cpus() if threads is None
                else euler._integer("threads", threads, 1, VarianceError))
-    euler._native()  # a failed build raises here, before any sampling
+    # a model or f the kernel cannot run, or a failed build, raises here,
+    # before any sampling
+    state_map = euler._stepped(model, f)[2]
+    euler._native()
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
@@ -180,24 +182,9 @@ def mf_autocorrelation_form(
     # (the legs carry them from one to the next, so they are held as states)
     state = euler._start_streams(np.empty((n_paths, euler._STATE_WORDS), np.uint64),
                                  euler._stream_keys(master_seed, 0, n_paths))
-
-    smap = model.state_map
-    if smap is not None:
-        # simulate in the transformed coordinate, observe through the map
-        y = np.log(x) if smap is np.exp else None
-        if y is None:
-            raise VarianceError("stationary start unsupported for this state_map")
-    else:
-        y = x
-    if not isinstance(f.value, PolynomialFunctional):
-        # the legs observe f at each step's time; the route's f is f(t, .)
-        value = f.value
-        f = dataclasses.replace(f, value=lambda _s, z: value(t, z))
-
-    def observe(y_arr):
-        return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
-
-    f0 = observe(y)
+    # the paths are stepped in the kernel's coordinate: log space for np.exp
+    y = x if state_map is None else np.log(x)
+    f0 = f.value(t, x)
     s_grid = dt * np.arange(n_steps + 1)
     tail_idx = s_grid >= 0.75 * horizon  # window of the tail fit
     i_tail = int(np.argmax(tail_idx))
@@ -220,7 +207,7 @@ def mf_autocorrelation_form(
             y = res.terminal
             xi = res.xi_continuous if xi is None else xi + res.xi_continuous
             if last == i_tail:
-                prod_tail = f0 * observe(y)
+                prod_tail = f0 * f.value(t, y if state_map is None else state_map(y))
     # Monte Carlo SE of the autocorrelation at the window start; NaN when the
     # window starts at s = 0 (a single step shorter than 3/4 of the horizon)
     se_tail = (math.nan if prod_tail is None

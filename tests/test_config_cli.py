@@ -54,10 +54,30 @@ def test_parse_text_value_types():
                       "[experiment]\nepsilon_list = [0.1, 0.05]\nhorizon = 2.5\n")
     assert data["run"]["seed"] == 7
     assert data["run"]["threads"] == "auto"
-    assert data["functional"]["name"] is True
+    assert data["functional"]["name"] == "true"  # a text key keeps its text
     assert data["output"]["directory"] == "out/x"
     assert data["experiment"]["epsilon_list"] == [0.1, 0.05]
     assert data["experiment"]["horizon"] == 2.5
+
+
+_TEXT_KEY_SECTIONS = {"family": "[model]", "name": "[functional]", "regime": "[schedule]",
+                      "kind": "[experiment]", "directory": "[output]"}
+
+
+@pytest.mark.parametrize("key, text", [
+    ("name", "true"), ("name", "1e3"), ("directory", "007"), ("directory", "1e3"),
+    ("family", "OU"), ("regime", "clt"), ("kind", "clt_normality"),
+])
+def test_text_keys_keep_the_text_as_written(key, text):
+    # a text key is not typed as a number or a bool first: the functional's
+    # name reaches report.json, and the directory is where the run writes
+    lines = [l for l in (OU_CLT + "[output]\n").splitlines() if not l.startswith(f"{key} = ")]
+    lines.insert(lines.index(_TEXT_KEY_SECTIONS[key]) + 1, f"{key} = {text}")
+    cfg = parse_config("\n".join(lines), inline=True)
+    assert cfg.raw[_TEXT_KEY_SECTIONS[key][1:-1]][key] == text
+    assert cfg.spec.functional.name == (text if key == "name" else "poly")
+    assert cfg.out_dir == (text if key == "directory" else "runs")
+    assert (cfg.spec.model.name, cfg.spec.kind) == ("ou", "CLT_NORMALITY")
 
 
 def test_parse_text_comments_and_blank_lines():

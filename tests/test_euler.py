@@ -1,9 +1,9 @@
 import ctypes
+import dataclasses
 import math
+import re
 import os
-import sys
 import subprocess
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 from ergosim import euler
 from ergosim.euler import (ControlFunction, SchedulePolicy, ScheduleError,
-                           SimulationError, StepSchedule,
-                           TrajectoryExplodedError,
-                           replicate_stream, simulate_batch, simulate_euler)
+                           SimulationError, StepSchedule, replicate_stream, simulate_batch)
 from ergosim.config import parse_config
 from ergosim.models import (CirDiffusion, CirDrift, ConstantDiffusion, FunctionalSpec,
-                            OuDrift, Polynomial, PolynomialFunctional, builtin_model,
-                            invariant_density_1d)
+                            OuDrift, Polynomial, PolynomialFunctional, PowerDrift,
+                            builtin_model, invariant_density_1d)
 from ergosim.variance import mf_autocorrelation_form
 
 SQRT2 = math.sqrt(2.0)
@@ -31,14 +29,13 @@ def ou():
 
 
 def f_identity():
-    # a polynomial: OU batches with it run on the native kernel
     return FunctionalSpec(value=PolynomialFunctional([0.0, 1.0]), centralized=True, name="x")
 
 
-def f_lambda():
-    # a plain callable: every batch with it runs on the numpy kernel
-    return FunctionalSpec(value=lambda t, x: np.asarray(x, dtype=float),
-                          centralized=True, name="x")
+def cubic(m, x0):
+    """``m`` with the drift x^3, which blows up, started at ``x0``."""
+    return type(m)(**{**m.__dict__, "drift": Polynomial([0.0, 0.0, 0.0, 1.0]),
+                      "initial_state": x0})
 
 
 def custom_model(drift_coeffs, diffusion_coeffs, x0):
@@ -59,17 +56,11 @@ def rows_from(model, sched, f, horizon, seed, first, n, threads=1):
                            euler.BLOW_UP, euler._stream_keys(seed, first, n), threads)
 
 
-@pytest.fixture
-def numpy_kernel_calls(monkeypatch):
-    """The number of chunks the numpy kernel stepped, as a one-element list."""
-    calls = [0]
-    step_paths = euler._step_paths
-
-    def counted(*args):
-        calls[0] += 1
-        return step_paths(*args)
-    monkeypatch.setattr(euler, "_step_paths", counted)
-    return calls
+def _fill(state, out):
+    """The next normals of the stream in ``state[j]`` into row ``j`` of the
+    C-contiguous ``(n, k)`` array ``out``, on the path the library picked."""
+    assert state.shape == (len(out), euler._STATE_WORDS) and out.flags.c_contiguous
+    euler._native().philox_normal_fill(state.ctypes.data, len(out), out.ctypes.data, out.shape[1])
 
 
 # ------------------------------------------------------------- schedules
@@ -116,60 +107,30 @@ def test_batch_matches_scalar_path():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     batch = simulate_batch(m, sched, f, 0.5, master_seed=7, n_replicates=5)
-    acc = simulate_euler(m, sched, f, 0.5, replicate_stream(7, 3))
-    assert batch.xi_continuous[3] == acc.xi_continuous[0]
-    assert batch.xi_riemann[3] == acc.xi_riemann[0]
-    assert batch.sup_abs[3] == acc.sup_abs[0]
+    _assert_rows_match_scalar(batch, m, sched, f, 0.5, 7, 0, [3])
 
 
-def test_thread_count_invariance(monkeypatch, numpy_kernel_calls):
-    # 100-replicate chunks: 250 replicates make chunks of 100, 100 and 50
-    # rows.  OU with a polynomial f runs on the native kernel, which splits
-    # rows and calls no fill; Gompertz (log space) runs on the numpy kernel,
-    # which fills at most _TILE steps at a time in the caller's thread
-    monkeypatch.setattr(euler, "_CHUNK", 100)
-    fills = []
-    native = euler._philox_normals
-
-    def recorded(state, out):
-        fills.append((threading.get_ident(), out.shape))
-        native(state, out)
-    monkeypatch.setattr(euler, "_philox_normals", recorded)
+def test_thread_count_invariance():
+    # 809 replicates: three 256-row chunks and a short fourth, on 1, 2 and 4
+    # threads, for a model stepped in its own coordinate, one stepped in log
+    # space and one with libm's pow in its drift
     gompertz = builtin_model("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0))
+    power = builtin_model("power_drift", dict(alpha=1.5))
     f = f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    n_steps = sched.n_steps(0.3)
-    assert n_steps > 3 * euler._TILE
-    kw = dict(master_seed=123, n_replicates=250)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # hand the GIL over often, to shake out races
-    try:
-        for m in (ou(), gompertz):
-            numpy_kernel_calls[0] = 0
-            for threads in (1, 2, 4):
-                fills.clear()
-                rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
-                if threads == 1:
-                    r1 = rt
-                    assert numpy_kernel_calls[0] == (3 if m is gompertz else 0)
-                for name in r1.__dataclass_fields__:
-                    assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
-                if m is gompertz:
-                    assert {ident for ident, _ in fills} == {threading.get_ident()}
-                    assert max(k for _, (_, k) in fills) == euler._TILE
-                    assert sum(rows * k for _, (rows, k) in fills) == 250 * n_steps
-                else:
-                    assert fills == []
-    finally:
-        sys.setswitchinterval(switch)
+    kw = dict(master_seed=123, n_replicates=3 * euler._SUM_ROWS + 41)
+    for m in (ou(), gompertz, power):
+        r1 = simulate_batch(m, sched, f, 0.3, **kw)
+        for threads in (2, 4):
+            rt = simulate_batch(m, sched, f, 0.3, threads=threads, **kw)
+            for name in r1.__dataclass_fields__:
+                assert np.array_equal(getattr(r1, name), getattr(rt, name)), name
     # a failing batch: fail_step and every output do not depend on threads
-    m = ou()
-    bad = type(m)(**{**m.__dict__, "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": 0.5})
+    bad = cubic(ou(), 0.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    one = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=250)
-    two = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=250, threads=2)
+    one = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=300)
+    two = simulate_batch(bad, sched, f, 0.16, master_seed=0, n_replicates=300, threads=2)
     assert one.failed.sum() > 100 and len(set(one.fail_step.tolist())) > 20
     assert two.fail_step.tolist() == one.fail_step.tolist()
     for name in r1.__dataclass_fields__:
@@ -255,7 +216,7 @@ def test_native_fill_matches_replicate_stream(first):
         out = np.empty((n, width))
         halves = (slice(0, n // 2), slice(n // 2, n))
         with ThreadPoolExecutor(2) as ex:
-            list(ex.map(lambda r: euler._philox_normals(state[r], out[r]), halves))
+            list(ex.map(lambda r: _fill(state[r], out[r]), halves))
         parts.append(out)
     assert n * sum(widths) >= 2**23 - n
     for j in range(n):  # row by row, so that no second copy of all normals is held
@@ -281,7 +242,7 @@ def _fill_and_compare(state, width, fill=None):
     bgs = [_numpy_philox(row) for row in state]
     out = np.empty((len(state), width))
     if fill is None:
-        euler._philox_normals(state, out)
+        _fill(state, out)
     else:
         fill(state.ctypes.data, len(state), out.ctypes.data, width)
     for j, bg in enumerate(bgs):
@@ -445,7 +406,7 @@ def test_replicate_keys_match_seed_sequence(master_seed, first):
         assert np.array_equal(state[1 + j, 4:6], seq.generate_state(2, np.uint64))
         bg = replicate_stream(master_seed, first + j).bit_generator
         assert state[1 + j].tobytes() == euler._philox_row(bg).tobytes()
-    # rows started from an offset into the keys, as the numpy kernel's chunks are
+    # rows started from an offset into the keys
     tail = euler._start_streams(np.empty((2, euler._STATE_WORDS), np.uint64), keys, 1)
     assert tail.tobytes() == state[2:4].tobytes()
 
@@ -459,7 +420,7 @@ def test_replicate_keys_of_seeds_wider_than_the_pool(master_seed):
     state = euler._start_streams(np.empty((5, euler._STATE_WORDS), np.uint64),
                                  euler._stream_keys(master_seed, first, 5))
     out = np.empty((5, 300))
-    euler._philox_normals(state, out)
+    _fill(state, out)
     for j in range(5):
         want = replicate_stream(master_seed, first + j).standard_normal(300)
         assert out[j].tobytes() == want.tobytes(), j
@@ -469,66 +430,55 @@ def test_replicate_keys_of_seeds_wider_than_the_pool(master_seed):
     _assert_rows_match_scalar(batch, m, sched, f, 0.3, master_seed, first, range(5))
 
 
-def test_replicate_keys_reject_two_word_indices(numpy_kernel_calls):
+def test_replicate_keys_reject_two_word_indices():
     with pytest.raises(SimulationError, match="2\\*\\*32"):
         euler._stream_keys(0, 2**32 - 1, 2)
-    m = ou()
+    m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
-    for f in (f_identity(), f_lambda()):
-        # refused before any allocation: the batch would need 2**32 + 1 rows
-        with pytest.raises(SimulationError, match="2\\*\\*32"):
-            simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=2**32 + 1)
-        rows_from(m, sched, f, 0.2, 0, 2**32 - 1, 1)
-    assert numpy_kernel_calls == [1]
+    # refused before any allocation: the batch would need 2**32 + 1 rows
+    with pytest.raises(SimulationError, match="2\\*\\*32"):
+        simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=2**32 + 1)
+    rows_from(m, sched, f, 0.2, 0, 2**32 - 1, 1)
 
 
 def _assert_rows_match_scalar(batch, m, sched, f, horizon, seed, first, rows, control=None):
+    """Rows ``rows`` of ``batch``, keyed from replicate ``first``, are the
+    plain stepper's, each run alone on its replicate's stream."""
     for i in rows:
-        acc = simulate_euler(m, sched, f, horizon, replicate_stream(seed, first + i),
-                             control=control)
-        assert batch.xi_continuous[i] == acc.xi_continuous[0]
-        assert batch.xi_riemann[i] == acc.xi_riemann[0]
-        assert batch.sup_abs[i] == acc.sup_abs[0]
+        ref = _stepper(m, sched, f, horizon, seed, 1, control, first=first + i)
+        for name in ("xi_continuous", "xi_riemann", "sup_abs", "terminal"):
+            assert getattr(batch, name)[i] == ref[name][0], (i, name)
 
 
-def test_batch_matches_scalar_across_chunk_boundary(numpy_kernel_calls):
-    # the numpy kernel restarts the streams at each chunk's first row; the
-    # native kernel splits the same rows into two ranges
-    m = ou()
+def test_batch_matches_scalar_across_chunk_boundary():
+    # the kernel takes its rows a chunk of _SUM_ROWS at a time, here on two
+    # threads
+    m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
-    n = euler._CHUNK + 3
-    for f, chunks in ((f_lambda(), 2), (f_identity(), 0)):
-        numpy_kernel_calls[0] = 0
-        batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2)
-        assert numpy_kernel_calls[0] == chunks
-        _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 0,
-                                  (0, euler._CHUNK - 1, euler._CHUNK, n - 1))
+    n = euler._SUM_ROWS + 3
+    batch = simulate_batch(m, sched, f, 0.05, master_seed=31, n_replicates=n, threads=2)
+    _assert_rows_match_scalar(batch, m, sched, f, 0.05, 31, 0,
+                              (0, euler._SUM_ROWS - 1, euler._SUM_ROWS, n - 1))
 
 
 @pytest.mark.parametrize("with_control", [False, True])
-def test_batch_matches_scalar_across_fill_tiles(numpy_kernel_calls, with_control):
-    # the numpy kernel fills _TILE steps at a time, so every path carries
-    # its stream on from its row state many times, and the last tile is
-    # short; the native kernel carries it on every 256 normals
-    m = ou()
+def test_batch_matches_scalar_across_fill_tiles(with_control):
+    # the kernel fills 256 normals of a row at a time and steps them in
+    # 8-step tiles on the AVX-512 path, so every path carries its stream on
+    # from its row state, and the last fill and tile are short
+    m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     ctrl = ControlFunction(psi=lambda s: 0.7, l2_bound=1.0, horizon=1.0) if with_control else None
     n_steps = sched.n_steps(0.5)
-    assert n_steps > max(3 * euler._TILE, 256) and n_steps % euler._TILE != 0
-    for f, chunks in ((f_lambda(), 1), (f_identity(), 0)):
-        numpy_kernel_calls[0] = 0
-        batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5,
-                               control=ctrl)
-        assert numpy_kernel_calls[0] == chunks
-        _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5),
-                                  control=ctrl)
+    assert n_steps > 256 and n_steps % 256 % 8 != 0
+    batch = simulate_batch(m, sched, f, 0.5, master_seed=2**70 + 9, n_replicates=5, control=ctrl)
+    _assert_rows_match_scalar(batch, m, sched, f, 0.5, 2**70 + 9, 0, range(5), control=ctrl)
 
 
-@pytest.mark.parametrize("kernel", ["native", "numpy"])
-def test_empty_and_negative_batches(numpy_kernel_calls, kernel):
-    # OU with a polynomial f runs on the native kernel, Gompertz on numpy's
-    m = ou() if kernel == "native" else builtin_model("gompertz", dict(kappa=1.0, mu=1.0,
-                                                                       sigma=1.0))
+@pytest.mark.parametrize("family", ["ou", "gompertz"])
+def test_empty_and_negative_batches(family):
+    # a model stepped in its own coordinate, and one stepped in log space
+    m = ou() if family == "ou" else builtin_model("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0))
     f = f_identity()
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.1), 1.0)
     full = simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=3)
@@ -539,8 +489,6 @@ def test_empty_and_negative_batches(numpy_kernel_calls, kernel):
             assert got.shape == (0,) and got.dtype == want.dtype, name
         with pytest.raises(SimulationError, match="n_replicates must be >= 0, got -2"):
             simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=-2, threads=threads)
-    # the full batch's one chunk; no rows step no chunk
-    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 1)
 
 
 def test_different_seeds_differ():
@@ -614,21 +562,19 @@ def test_gompertz_stepped_in_log_space():
 
 
 def test_trajectory_explosion_scalar():
-    m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
-    bad = type(m)(**{**m.__dict__,
-                     "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": 2.0})
+    # one path that blows up records the step and leaves NaN outputs
+    bad = cubic(ou(), 2.0)
     sched = StepSchedule(epsilon=0.01, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    with pytest.raises(TrajectoryExplodedError, match="exploded at step"):
-        simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, 0))
+    res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=1)
+    assert res.failed.tolist() == [True] and res.fail_step[0] > 0
+    for name in ("xi_continuous", "xi_riemann", "sup_abs", "terminal"):
+        assert np.isnan(getattr(res, name)[0]), name
 
 
 def test_batch_flags_failures():
-    m = builtin_model("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2))
-    bad = type(m)(**{**m.__dict__,
-                     "drift": lambda x: np.asarray(x, float) ** 3,
-                     "initial_state": 2.0})
+    m = ou()
+    bad = cubic(m, 2.0)
     sched = StepSchedule(epsilon=0.01, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=4)
@@ -636,39 +582,55 @@ def test_batch_flags_failures():
     assert np.all(res.fail_step > 0)
     assert np.all(np.isnan(res.xi_continuous))
     # from x0 = 0.5 the paths leave at different steps; fail_step is the
-    # first step with |Z| > BLOW_UP
-    bad = type(m)(**{**bad.__dict__, "initial_state": 0.5})
+    # first step with |Z| > BLOW_UP, as each path run alone records it
+    bad = cubic(m, 0.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     steps = [27, 34, 19, 61, 61, 20]
     for i, step in enumerate(steps):
-        with pytest.raises(TrajectoryExplodedError) as err:
-            simulate_euler(bad, sched, f_identity(), 1.0, replicate_stream(0, i))
-        assert err.value.step == step
+        one = rows_from(bad, sched, f_identity(), 1.0, 0, i, 1)
+        assert one.fail_step.tolist() == [step]
     res = simulate_batch(bad, sched, f_identity(), 1.0, master_seed=0, n_replicates=6)
     assert res.fail_step.tolist() == steps
-
 
 
 # ------------------------------------------------------ kernel reference
 
 
+def _libm(fn):
+    """``fn`` of :mod:`math` element by element: libm's results, which
+    numpy's SIMD ``exp`` and ``**`` can differ from in the last bit."""
+    return np.vectorize(fn, otypes=[float])
+
+
+def _libm_coordinate(model):
+    """The drift, diffusion, state map and start of the coordinate the
+    kernel steps ``model`` in, with libm's ``pow`` and ``exp``."""
+    if model.sim_drift is None:
+        drift, diffusion, state, x0 = (model.drift, model.diffusion, lambda y: y,
+                                       model.initial_state)
+    else:
+        drift, diffusion, state, x0 = (model.sim_drift, model.sim_diffusion, _libm(math.exp),
+                                       model.sim_initial_state)
+    if isinstance(drift, PowerDrift):
+        alpha = drift.alpha
+        drift = lambda x: -np.sign(x) * _libm(math.pow)(np.abs(x), alpha)
+    return drift, diffusion, state, x0
+
+
 def _stepper(model, sched, f, horizon, seed, n, control=None, first=0):
     """The Euler update written out plainly, one step at a time over all rows.
 
-    A row that leaves ``[-1e8, 1e8]`` restarts at ``x0``.  Returns
-    the BatchResult fields by name, a failed row's outputs NaN, under
-    ``"lowest"`` the lowest state each row visited and under ``"failures"``
-    how many times each row left the bound.
+    Row ``i`` steps on ``replicate_stream(seed, first + i)``.  A row that
+    leaves ``[-1e8, 1e8]`` restarts at ``x0``.  Returns the BatchResult
+    fields by name, a failed row's outputs NaN, under ``"lowest"`` the
+    lowest state each row visited and under ``"failures"`` how many times
+    each row left the bound.
     """
-    sim = model.sim_drift is not None
-    drift = model.sim_drift if sim else model.drift
-    diffusion = model.sim_diffusion if sim else model.diffusion
-    state = model.state_map if sim else (lambda y: y)
+    drift, diffusion, state, x0 = _libm_coordinate(model)
     h, dt, n_steps = sched.h, sched.delta_step, sched.n_steps(horizon)
     xi = np.array([replicate_stream(seed, first + i).standard_normal(n_steps)
                    for i in range(n)])
-    x0 = model.sim_initial_state if sim else model.initial_state
     z = np.full(n, x0)
     f_prev = np.asarray(f.value(0.0, state(z)), dtype=float)
     xi_c, xi_r, sup = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -702,50 +664,56 @@ def _assert_matches_stepper(res, ref):
         assert getattr(res, name).tobytes() == ref[name].tobytes(), name
 
 
+def _each_path(monkeypatch):
+    """Route ``euler_rows`` to each exported path this CPU runs in turn
+    (both on an AVX-512 CPU), yielding the path's name."""
+    lib = euler._native()
+    for path in euler._NATIVE_PATHS:
+        if path == "portable" or euler.NATIVE_PATH == "avx512":
+            monkeypatch.setattr(lib, "euler_rows", getattr(lib, f"euler_rows_{path}"))
+            yield path
+
+
 _PSI = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=1.0, horizon=1.0)
 
 
-@pytest.mark.parametrize("family, regime, theta, control, horizon, tile", [
+@pytest.mark.parametrize("family, regime, theta, control, horizon, rows", [
     ("ou", "CLT", 2.5, None, 1.0, None),  # constant diffusion
-    ("power_drift", "LLN", 2.0, None, 1.0, None),  # constant diffusion, numpy kernel
+    ("power_drift", "LLN", 2.0, None, 1.0, None),  # libm's pow in the drift
     ("cir", "LLN", 2.0, None, 1.0, None),  # diffusion depends on the state
-    ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, state map, numpy kernel
+    ("gompertz", "LLN", 2.0, None, 1.0, None),  # log space, f at libm's exp
     ("ou", "MDP", 2.5, None, 0.6, None),
     ("ou", "MDP", 2.5, _PSI, 1.0, None),
-    ("ou", "MDP", 2.5, _PSI, 1.0, 225),  # the native kernel draws no tiles
+    ("ou", "MDP", 2.5, _PSI, 1.0, 225),  # one chunk of 14 vector groups and a row
     ("cir", "MDP", 3.5, _PSI, 1.0, 225),
     ("custom", "CLT", 2.5, None, 1.0, None),  # polynomial drift and diffusion
     ("custom", "MDP", 2.5, _PSI, 1.0, None),
-    # the same models with f behind a callable, on the numpy kernel
-    ("numpy:ou", "CLT", 2.5, None, 1.0, None),  # 90 steps: 2 tiles + 26
-    ("numpy:ou", "MDP", 2.5, _PSI, 1.0, 225),  # one draw of all 90 steps
-    ("numpy:cir", "MDP", 3.5, _PSI, 1.0, 225),  # 548 steps: 2 tiles + 98
-    ("numpy:custom", "MDP", 2.5, _PSI, 1.0, 225),
+    ("power_drift", "MDP", 2.5, _PSI, 1.0, None),
+    ("gompertz", "MDP", 2.5, _PSI, 1.0, None),
 ])
-def test_kernel_matches_plain_stepper(monkeypatch, numpy_kernel_calls, family, regime,
-                                      theta, control, horizon, tile):
-    numpy_f = family.startswith("numpy:")
-    family = family.removeprefix("numpy:")
+def test_kernel_matches_plain_stepper(monkeypatch, family, regime, theta, control, horizon,
+                                      rows):
+    # rows: None for three 256-row chunks and a short fourth of 41; every
+    # batch on each exported path at 1, 2, 3 and 5 threads
     if family == "custom":
         m = custom_model([0.5, -1.0, 0.0, -0.2], [0.8, 0.0, 0.1], x0=0.3)
     else:
         m = builtin_model(family, dict(alpha=1.5) if family == "power_drift"
                           else dict(kappa=2.0, mu=1.0, sigma=0.8))
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
-    if numpy_f:
-        poly = f.value
-        f = FunctionalSpec(value=lambda t, x: poly(t, x))
     pol = SchedulePolicy(theta, gamma_mdp=0.35 if regime == "MDP" else None)
     sched = StepSchedule.from_policy(0.165, regime, pol, m.holder_nu)
-    assert sched.n_steps(horizon) % 32 != 0
-    if tile is not None:
-        monkeypatch.setattr(euler, "_TILE", tile)
-    res = simulate_batch(m, sched, f, horizon, master_seed=29, n_replicates=5, control=control)
-    assert numpy_kernel_calls[0] == (numpy_f or family in ("power_drift", "gompertz"))
-    _assert_matches_stepper(res, _stepper(m, sched, f, horizon, 29, 5, control))
+    assert sched.n_steps(horizon) % 8 != 0
+    n = rows or 3 * euler._SUM_ROWS + 41
+    ref = _stepper(m, sched, f, horizon, 29, n, control)
+    for path in _each_path(monkeypatch):
+        for threads in (1, 2, 3, 5):
+            res = simulate_batch(m, sched, f, horizon, master_seed=29, n_replicates=n,
+                                 threads=threads, control=control)
+            _assert_matches_stepper(res, ref)
 
 
-def test_native_kernel_matches_plain_stepper_at_the_cir_boundary(numpy_kernel_calls):
+def test_native_kernel_matches_plain_stepper_at_the_cir_boundary():
     # from x0 = 0.02 with h = 0.3 some Euler iterates fall below 0, where the
     # clamped diffusion sigma * sqrt(max(x, 0)) is 0
     m = builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0, x0=0.02))
@@ -754,39 +722,34 @@ def test_native_kernel_matches_plain_stepper_at_the_cir_boundary(numpy_kernel_ca
                          policy=SchedulePolicy(2.0))
     res = simulate_batch(m, sched, f, 1.0, master_seed=3, n_replicates=40)
     ref = _stepper(m, sched, f, 1.0, 3, 40)
-    assert numpy_kernel_calls[0] == 0
     assert np.sum(ref["lowest"] < 0.0) >= 3
     _assert_matches_stepper(res, ref)
 
 
-@pytest.mark.parametrize("kernel, threads", [("native", 1), ("numpy", 1), ("numpy", 2)])
-def test_kernels_stop_failed_rows_at_their_step(numpy_kernel_calls, kernel, threads):
-    # test_batch_flags_failures' cubic drift as a polynomial descriptor: the
-    # native kernel stops a row at its failing step, and the numpy kernel
-    # (f behind a callable) checks the bound at every step
-    m = ou()
-    bad = type(m)(**{**m.__dict__, "drift": Polynomial([0.0, 0.0, 0.0, 1.0]),
-                     "initial_state": 0.5})
-    f = f_identity() if kernel == "native" else f_lambda()
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernels_stop_failed_rows_at_their_step(threads):
+    # test_batch_flags_failures' cubic drift: the kernel stops a row at its
+    # failing step
+    bad = cubic(ou(), 0.5)
+    f = f_identity()
     sched = StepSchedule(epsilon=0.05, delta_step=0.002, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
     res = simulate_batch(bad, sched, f, 1.0, master_seed=0, n_replicates=6, threads=threads)
     assert res.fail_step.tolist() == [27, 34, 19, 61, 61, 20]
-    # a custom model whose paths fail at many different steps, or never;
-    # on the numpy kernel a failed row restarts at x0, and some leave the
+    # a custom model whose paths fail at many different steps, or never; in
+    # the plain stepper a failed row restarts at x0, and some leave the
     # bound again, which must not move their fail_step
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0,
                          regime="LLN", policy=SchedulePolicy(2.0))
-    res = simulate_batch(boom, sched, f, 1.0, master_seed=0, n_replicates=41, threads=threads)
-    ref = _stepper(boom, sched, f, 1.0, 0, 41)
-    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2)
-    assert 5 < res.failed.sum() < 41 and len(set(res.fail_step[res.failed].tolist())) > 5
+    res = simulate_batch(boom, sched, f, 1.0, master_seed=0, n_replicates=300, threads=threads)
+    ref = _stepper(boom, sched, f, 1.0, 0, 300)
+    assert 5 < res.failed.sum() < 300 and len(set(res.fail_step[res.failed].tolist())) > 5
     assert np.sum(ref["failures"] > 1) >= 3
     _assert_matches_stepper(res, ref)
 
 
-def test_native_rows_split_across_threads(numpy_kernel_calls):
+def test_native_rows_split_across_threads():
     # 809 rows from replicate 7 on: three chunks and a short fourth (41
     # rows, so groups of 16 and of 4 rows end mid-chunk), taken on 1, 2, 3
     # and 5 threads; the custom model's rows fail at different steps
@@ -802,26 +765,19 @@ def test_native_rows_split_across_threads(numpy_kernel_calls):
             assert len({getattr(r, name).tobytes() for r in runs}) == 1, name
         _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, n, first=7))
     assert runs[0].failed.any() and not runs[0].failed.all()
-    assert numpy_kernel_calls[0] == 0
 
 
-@pytest.mark.parametrize("kernel", ["native", "numpy"])
-def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, kernel):
+def test_batch_rows_at_the_last_stream_indices():
     # rows that end at replicate 2**32 - 1, the last index one spawn word
     # keys: 3 rows from 2**32 - 3, and 809 rows from 2**32 - 809 (three
-    # 256-row chunks of the native kernel and a short fourth; three 300-row
-    # chunks of the numpy kernel, each keyed from its offset), on 1, 2, 3 and
-    # 5 threads; the custom model's rows fail at different steps.  Every
-    # array is byte-equal across thread counts and matches the per-step
-    # reference on replicate_stream
-    monkeypatch.setattr(euler, "_CHUNK", 300)
+    # 256-row chunks and a short fourth), on 1, 2, 3 and 5 threads; the
+    # custom model's rows fail at different steps.  Every array is
+    # byte-equal across thread counts and matches the per-step reference
+    # on replicate_stream
     boom = custom_model([0.0, 0.0, 0.0, -4.0], [1.0], x0=1.5)
     sched = StepSchedule(epsilon=0.05, delta_step=0.01, mdp_scale=1.0, regime="LLN",
                          policy=SchedulePolicy(2.0))
     f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
-    if kernel == "numpy":
-        poly = f.value
-        f = FunctionalSpec(value=lambda t, x: poly(t, x))
     for m in (ou(), boom):
         for n in (3, 809):
             first = 2**32 - n
@@ -832,17 +788,13 @@ def test_batch_rows_at_the_last_stream_indices(monkeypatch, numpy_kernel_calls, 
             _assert_matches_stepper(runs[0], _stepper(m, sched, f, 1.0, 2**70 + 1, n,
                                                       first=first))
     assert runs[0].failed.any() and not runs[0].failed.all()
-    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2 * 4 * (1 + 3))
 
 
-@pytest.mark.parametrize("kernel", ["native", "numpy"])
-def test_batch_holds_no_per_replicate_stream_state(kernel):
-    # 100,000 rows: the native kernel's call allocates its outputs alone
-    # (41 B a replicate) and keys each row on the thread that steps it; the
-    # numpy kernel keys each chunk as it reaches it.  An (n, 11) stream
-    # state array would add 88 B a replicate
-    m = ou()
-    f = f_identity() if kernel == "native" else f_lambda()
+def test_batch_holds_no_per_replicate_stream_state():
+    # 100,000 rows: the call allocates its outputs alone (41 B a replicate)
+    # and keys each row on the thread that steps it; an (n, 11) stream state
+    # array would add 88 B a replicate
+    m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.2, "CLT", SchedulePolicy(2.5), 1.0)
     n = 100_000
     simulate_batch(m, sched, f, 0.3, master_seed=1, n_replicates=1)  # the library loads untraced
@@ -852,32 +804,10 @@ def test_batch_holds_no_per_replicate_stream_state(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if kernel == "native":
-        assert peak < 48 * n + 2**20
-    else:
-        assert peak < 2 * 48 * n + 4 * 2**20
+    assert peak < 48 * n + 2**20
 
 
-def test_numpy_kernel_holds_one_chunk_beside_its_outputs(numpy_kernel_calls):
-    # the numpy kernel writes each chunk into the call's outputs (41 B a
-    # replicate) and frees it before the next chunk runs; holding every
-    # chunk until a concatenation at the end peaks near twice the outputs
-    m, f = ou(), f_lambda()
-    sched = StepSchedule.from_policy(0.2, "CLT", SchedulePolicy(2.5), 1.0)
-    assert sched.n_steps(0.075) == 4
-    n = 400_000
-    simulate_batch(m, sched, f, 0.075, master_seed=1, n_replicates=1)  # the library loads untraced
-    tracemalloc.start()
-    try:
-        simulate_batch(m, sched, f, 0.075, master_seed=1, n_replicates=n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert numpy_kernel_calls[0] == 1 + -(-n // euler._CHUNK)
-    assert peak < 60 * n
-
-
-def test_native_rows_more_threads_than_rows(numpy_kernel_calls):
+def test_native_rows_more_threads_than_rows():
     # 3 rows on 5 threads: one chunk, taken by the caller alone
     m, f = ou(), FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
     sched = StepSchedule.from_policy(0.165, "CLT", SchedulePolicy(2.5), 1.0)
@@ -886,25 +816,51 @@ def test_native_rows_more_threads_than_rows(numpy_kernel_calls):
     for name in runs[0].__dataclass_fields__:
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
     _assert_matches_stepper(runs[1], _stepper(m, sched, f, 1.0, 4, 3))
-    assert numpy_kernel_calls[0] == 0
 
 
-@pytest.mark.parametrize("case", ["gompertz", "time-inhomogeneous-f", "lambda-model"])
-def test_models_without_a_descriptor_run_the_numpy_kernel(numpy_kernel_calls, case):
-    m = ou()
-    f = FunctionalSpec.from_polynomial([0.3, -1.0, 0.5])
-    if case == "gompertz":
-        m = builtin_model("gompertz", dict(kappa=2.0, mu=1.0, sigma=0.8))
-    elif case == "time-inhomogeneous-f":
-        f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
-                           time_homogeneous=False)
-    else:
-        m = type(m)(**{**m.__dict__, "drift": lambda x: -1.0 * (np.asarray(x, float) - 0.5),
-                       "diffusion": lambda x: 0.8 + 0.0 * np.asarray(x, float)})
+def _without_a_kind(case):
+    """OU and a polynomial f, with one part the kernel has no kind for, and
+    the words of the error that names it."""
+    m, f = ou(), FunctionalSpec.from_polynomial([0.3, -1.0, 0.5], name="g")
+    if case == "lambda-drift":
+        m = type(m)(**{**m.__dict__, "drift": lambda x: -1.0 * (np.asarray(x, float) - 0.5)})
+        return m, f, "the drift <function"
+    if case == "lambda-diffusion":
+        m = type(m)(**{**m.__dict__, "diffusion": lambda x: 0.8 + 0.0 * np.asarray(x, float)})
+        return m, f, "the diffusion <function"
+    if case == "state-map":
+        gompertz = builtin_model("gompertz", dict(kappa=2.0, mu=1.0, sigma=0.8))
+        m = type(gompertz)(**{**gompertz.__dict__, "state_map": np.expm1})
+        return m, f, "the state_map <ufunc 'expm1'>"
+    if case == "lambda-f":
+        f = FunctionalSpec(value=lambda t, x: np.asarray(x, float), name="g")
+        return m, f, "the functional 'g' (<function"
+    f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
+                       time_homogeneous=False, name="g")
+    return m, f, "the time-inhomogeneous functional 'g'"
+
+
+_NO_KIND = ["lambda-drift", "lambda-diffusion", "state-map", "lambda-f", "time-inhomogeneous-f"]
+
+
+@pytest.mark.parametrize("case", _NO_KIND)
+def test_models_without_a_kind_are_refused(monkeypatch, case):
+    # simulate_batch and the autocorrelation route name the part the kernel
+    # cannot run, before any row is stepped or any start sampled
+    m, f, words = _without_a_kind(case)
     sched = StepSchedule.from_policy(0.165, "CLT", SchedulePolicy(2.5), m.holder_nu)
-    res = simulate_batch(m, sched, f, 1.0, master_seed=29, n_replicates=5, threads=2)
-    assert numpy_kernel_calls[0] == 1
-    _assert_matches_stepper(res, _stepper(m, sched, f, 1.0, 29, 5))
+    lib = euler._native()
+    monkeypatch.setattr(lib, "euler_rows", None)  # a call would raise TypeError
+    with pytest.raises(SimulationError, match=f"^the Euler kernel .*{re.escape(words)}"):
+        simulate_batch(m, sched, f, 1.0, master_seed=29, n_replicates=5, threads=2)
+    pi = invariant_density_1d(ou())
+
+    def no_sample(self, u):
+        raise AssertionError("a start was sampled")
+    monkeypatch.setattr(type(pi), "sample", no_sample)
+    f = dataclasses.replace(f, centralized=True)
+    with pytest.raises(SimulationError, match=f"^the Euler kernel .*{re.escape(words)}"):
+        mf_autocorrelation_form(m, pi, f, n_paths=10, horizon=0.1)
 
 
 # ---------------------------------------------------- the two native paths
@@ -999,7 +955,7 @@ def test_both_paths_take_slow_words_at_every_lane(native_paths):
 
 
 _DRIFTS = {"ou": OuDrift(2.0, 1.0), "cir": CirDrift(2.0, 1.0),
-           "poly": Polynomial([0.5, -1.0, 0.0, -0.2])}
+           "poly": Polynomial([0.5, -1.0, 0.0, -0.2]), "power": PowerDrift(1.5)}
 _DIFFUSIONS = {"constant": ConstantDiffusion(0.8), "cir": CirDiffusion(0.8),
                "poly": Polynomial([0.8, 0.0, 0.1])}
 _PSI_LONG = ControlFunction(psi=lambda s: 0.7 * math.cos(s), l2_bound=2.0, horizon=2.9)
@@ -1117,13 +1073,15 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
     return first
 
 
-@pytest.mark.parametrize("kernel", ["native", "numpy"])
-def test_observe_mode_keeps_no_riemann_or_sup(numpy_kernel_calls, kernel):
+@pytest.mark.parametrize("family", ["ou", "gompertz"])
+def test_observe_mode_keeps_no_riemann_or_sup(family):
     # the observe mode accumulates neither xi_riemann nor sup_abs, which the
     # autocorrelation route discards, and leaves both NaN; the paths, their
-    # trapezoid integrals and fail steps are the plain mode's
-    m = ou()
-    f = f_identity() if kernel == "native" else f_lambda()
+    # trapezoid integrals and fail steps are the plain mode's, and its
+    # terminal states stay in the stepped coordinate (Gompertz's log space),
+    # where the plain mode maps them
+    m = ou() if family == "ou" else builtin_model("gompertz", dict(kappa=1.0, mu=1.0, sigma=1.0))
+    f = f_identity()
     n, n_steps, h = 300, 40, 0.03
     y0 = np.random.default_rng(6).normal(0.0, 1.0, n)
     runs = []
@@ -1134,11 +1092,12 @@ def test_observe_mode_keeps_no_riemann_or_sup(numpy_kernel_calls, kernel):
         runs.append(euler._run_rows(m, f, h, h, n_steps, 1e8, state, 1, start=y0, weight=weight,
                                     corr=corr))
     plain, observed = runs
-    assert numpy_kernel_calls[0] == (0 if kernel == "native" else 2)
     assert np.isnan(observed.xi_riemann).all() and np.isnan(observed.sup_abs).all()
     assert np.isfinite(plain.xi_riemann).all() and np.isfinite(plain.sup_abs).all()
-    for name in ("xi_continuous", "terminal", "fail_step"):
+    for name in ("xi_continuous", "fail_step"):
         assert getattr(observed, name).tobytes() == getattr(plain, name).tobytes(), name
+    state = _libm_coordinate(m)[2]
+    assert plain.terminal.tobytes() == state(observed.terminal).tobytes()
 
 
 @pytest.mark.parametrize("family", ["ou", "cir"])
@@ -1220,18 +1179,16 @@ def test_both_paths_sum_rows_as_numpy(native_paths, n):
             assert corr.tobytes() == np.array([_chunked_sum(prod)]).tobytes()
 
 
-def test_float_replicate_count_rejected(numpy_kernel_calls):
-    # a count is an integer on both kernels, as config's counts are
-    m = ou()
+def test_float_replicate_count_rejected():
+    # a count is an integer, as config's counts are
+    m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
-    for f in (f_identity(), f_lambda()):
-        for count in (2.0, "2", None):
-            with pytest.raises(SimulationError, match=r"^n_replicates must be an integer"):
-                simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=count)
-    assert numpy_kernel_calls == [0]
+    for count in (2.0, "2", None):
+        with pytest.raises(SimulationError, match=r"^n_replicates must be an integer"):
+            simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=count)
     # a numpy integer is an integer
-    res = simulate_batch(m, sched, f_lambda(), 0.2, master_seed=0, n_replicates=np.int64(3))
-    assert len(res.xi_continuous) == 3 and numpy_kernel_calls == [1]
+    res = simulate_batch(m, sched, f, 0.2, master_seed=0, n_replicates=np.int64(3))
+    assert len(res.xi_continuous) == 3
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -1242,23 +1199,13 @@ def test_float_replicate_count_rejected(numpy_kernel_calls):
     pytest.param(dict(threads=-3), r"^threads must be >= 1, got -3", id="negative-threads"),
     pytest.param(dict(threads=2.0), r"^threads must be an integer, got 2.0", id="float-threads"),
 ])
-def test_bad_seed_or_thread_count_rejected(numpy_kernel_calls, kw, message):
-    # on both kernels, before any stream is derived or thread started
-    m = ou()
-    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
-    for f in (f_identity(), f_lambda()):
-        with pytest.raises(SimulationError, match=message):
-            simulate_batch(m, sched, f, 0.2, **{"master_seed": 0, "n_replicates": 2, **kw})
-    assert numpy_kernel_calls == [0]
-
-
-def test_missing_generator_rejected():
+def test_bad_seed_or_thread_count_rejected(monkeypatch, kw, message):
+    # before any stream is derived or thread started
     m, f = ou(), f_identity()
-    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0, regime="LLN",
-                         policy=SchedulePolicy(2.0))
-    for rng in (None, np.random.default_rng(0).bit_generator):
-        with pytest.raises(SimulationError, match=r"^rng must be a numpy Generator"):
-            simulate_euler(m, sched, f, 1.0, rng)
+    sched = StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5), 1.0)
+    monkeypatch.setattr(euler._native(), "euler_rows", None)  # a call would raise TypeError
+    with pytest.raises(SimulationError, match=message):
+        simulate_batch(m, sched, f, 0.2, **{"master_seed": 0, "n_replicates": 2, **kw})
 
 
 # ---------------------------------------------------------------- control
@@ -1268,9 +1215,10 @@ def test_zero_control_is_bitwise_identical():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.05, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     psi = ControlFunction(psi=lambda s: 0.0, l2_bound=1.0, horizon=1.0)
-    plain = simulate_euler(m, sched, f, 1.0, replicate_stream(11, 0))
-    ctrl = simulate_euler(m, sched, f, 1.0, replicate_stream(11, 0), control=psi)
-    assert plain.xi_continuous[0] == ctrl.xi_continuous[0]
+    plain = simulate_batch(m, sched, f, 1.0, master_seed=11, n_replicates=3)
+    ctrl = simulate_batch(m, sched, f, 1.0, master_seed=11, n_replicates=3, control=psi)
+    for name in plain.__dataclass_fields__:
+        assert getattr(plain, name).tobytes() == getattr(ctrl, name).tobytes(), name
 
 
 def test_control_requires_mdp_schedule():
@@ -1278,7 +1226,7 @@ def test_control_requires_mdp_schedule():
     sched = StepSchedule.from_policy(0.05, "CLT", SchedulePolicy(2.5), 1.0)
     psi = ControlFunction(psi=lambda s: 0.0, l2_bound=1.0, horizon=1.0)
     with pytest.raises(ScheduleError, match="MDP"):
-        simulate_euler(m, sched, f, 1.0, replicate_stream(0, 0), control=psi)
+        simulate_batch(m, sched, f, 1.0, master_seed=0, n_replicates=1, control=psi)
 
 
 def test_control_past_its_horizon_rejected():
@@ -1288,18 +1236,15 @@ def test_control_past_its_horizon_rejected():
     m, f = ou(), f_identity()
     sched = StepSchedule.from_policy(0.165, "MDP", SchedulePolicy(2.5, gamma_mdp=0.35), 1.0)
     psi = ControlFunction(psi=lambda s: 0.5, l2_bound=1.0, horizon=0.5)
-    both = r"runs to t = 0\.99\d*, past the control's horizon 0\.5\b"
-    with pytest.raises(ScheduleError, match=both):
+    with pytest.raises(ScheduleError,
+                       match=r"runs to t = 0\.99\d*, past the control's horizon 0\.5\b"):
         simulate_batch(m, sched, f, 1.0, master_seed=0, n_replicates=2, control=psi)
-    with pytest.raises(ScheduleError, match=both):
-        simulate_euler(m, sched, f, 1.0, replicate_stream(0, 0), control=psi)
     n = sched.n_steps(0.5)
     on_grid = n * sched.delta_step
     assert on_grid < 0.5 and sched.n_steps(on_grid) == n
     for horizon in (0.5, on_grid, 0.5 + 0.5 * sched.delta_step):
         assert sched.n_steps(horizon) == n
         simulate_batch(m, sched, f, horizon, master_seed=0, n_replicates=2, control=psi)
-        simulate_euler(m, sched, f, horizon, replicate_stream(0, 0), control=psi)
     with pytest.raises(ScheduleError, match="past the control's horizon"):
         simulate_batch(m, sched, f, (n + 1) * sched.delta_step, master_seed=0, n_replicates=2,
                        control=psi)
@@ -1325,26 +1270,3 @@ def test_nonzero_control_shifts_mean():
     tilted = simulate_batch(m, sched, f, 1.0, master_seed=8, n_replicates=200, control=psi)
     shift = float(np.mean(tilted.xi_continuous) - np.mean(plain.xi_continuous))
     assert shift > 5 * sched.mdp_scale * 0.1  # visibly tilted upward
-
-
-def test_short_injected_noise_rejected():
-    m, f = ou(), f_identity()
-    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0,
-                         regime="LLN", policy=SchedulePolicy(2.0))
-    with pytest.raises(SimulationError, match="injected noise has 99 steps"):
-        simulate_euler(m, sched, f, 1.0, None, noise=np.zeros((99, 1)))
-
-
-@pytest.mark.parametrize("shape", [(100, 3), (100, 1, 1), (1, 100), ()])
-def test_malformed_injected_noise_rejected(shape):
-    m, f = ou(), f_identity()
-    sched = StepSchedule(epsilon=0.1, delta_step=0.01, mdp_scale=1.0,
-                         regime="LLN", policy=SchedulePolicy(2.0))
-    with pytest.raises(SimulationError, match=r"must be \(k,\) or \(k, 1\)"):
-        simulate_euler(m, sched, f, 1.0, None, noise=np.zeros(shape))
-    # (k,) and (k, 1) give the same path
-    noise = replicate_stream(3, 0).standard_normal(100)
-    flat = simulate_euler(m, sched, f, 1.0, None, noise=noise)
-    column = simulate_euler(m, sched, f, 1.0, None, noise=noise[:, None])
-    for name in flat.__dataclass_fields__:
-        assert getattr(flat, name).tobytes() == getattr(column, name).tobytes(), name

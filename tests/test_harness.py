@@ -13,7 +13,8 @@ from ergosim.harness import (CLT_NORMALITY, KINDS, KS_COEFF, LLN_RATE, MDP_TAIL,
                              ks_distance, ks_threshold, mdp_closed_form_rate,
                              normal_cdf, run_clt_normality, run_experiment,
                              run_lln_rate, run_mdp_tail, run_schedule_violation)
-from ergosim.models import FunctionalSpec, builtin_model, centralize, invariant_density_1d
+from ergosim.models import (FunctionalSpec, PolynomialFunctional, builtin_model, centralize,
+                            invariant_density_1d)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,8 +28,7 @@ def ou_setup():
 
 
 def zero_functional():
-    return FunctionalSpec(value=lambda t, x: np.zeros_like(np.asarray(x, float)),
-                          centralized=True, name="zero")
+    return FunctionalSpec(value=PolynomialFunctional([0.0]), centralized=True, name="zero")
 
 
 # ------------------------------------------------------- statistics layer

@@ -6,7 +6,7 @@ import pytest
 
 from ergosim import euler
 from ergosim.models import (FunctionalSpec, InvariantDensity1D, Polynomial, PolynomialFunctional,
-                            builtin_model, centralize, invariant_density_1d)
+                            PowerDrift, builtin_model, centralize, invariant_density_1d)
 from ergosim.poisson1d import solve_poisson_1d
 from ergosim.variance import (SingularCovarianceError, VarianceError,
                               CovarianceCurve, mf_autocorrelation_form,
@@ -81,8 +81,7 @@ def test_autocorrelation_ou(ou_pipeline):
 
 def test_autocorrelation_zero_functional(ou_pipeline):
     m, pi, _, _ = ou_pipeline
-    f0 = FunctionalSpec(value=lambda t, x: np.zeros_like(np.asarray(x, float)),
-                        centralized=True)
+    f0 = FunctionalSpec(value=PolynomialFunctional([0.0]), centralized=True)
     mf = mf_autocorrelation_form(m, pi, f0, n_paths=500, horizon=2.0, master_seed=1)
     assert mf.values[0] == 0.0
     assert mf.std_error[0] == 0.0
@@ -149,6 +148,12 @@ def test_autocorrelation_short_horizon_still_corrected(ou_pipeline, cir_pipeline
     assert 0.8 < auto.detail["fitted_decay_rate"] < 1.25
 
 
+def _libm(fn):
+    """``fn`` of :mod:`math` element by element: libm's results, as the
+    Euler kernel's ``exp`` and ``pow``."""
+    return np.vectorize(fn, otypes=[float])
+
+
 def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000,
                               dt=0.005, master_seed=0):
     """The autocorrelation route as a plain per-path reference: path ``i``
@@ -157,20 +162,25 @@ def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
     by ``np.cumsum`` within a chunk and the chunk sums by ``np.cumsum`` in
     chunk order, and each path's trapezoid integral of f is taken in two
     legs, up to the first step of the tail window and then the rest.
-    Returns ``M_f``, its standard error, the detail and the sums of
-    products of each step."""
+    A power drift takes libm's ``pow``, and Gompertz is stepped in log
+    space and observed at libm's ``exp``, as the kernel does; the products
+    at the tail window's start, which set only its standard error, take
+    numpy's ``exp``, as the route does.  Returns ``M_f``, its standard
+    error, the detail and the sums of products of each step."""
     n_steps = int(round(horizon / dt))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=master_seed)))
     x = np.asarray(pi.sample(rng.random(n_paths)), dtype=float)
     drift = model.sim_drift or model.drift
     diff = model.sim_diffusion or model.diffusion
+    if isinstance(drift, PowerDrift):
+        drift = lambda y, alpha=drift.alpha: -np.sign(y) * _libm(math.pow)(np.abs(y), alpha)
     smap = model.state_map
     y0 = np.log(x) if smap is not None else x
 
-    def observe(y_arr):
-        return np.asarray(f.value(t, smap(y_arr) if smap is not None else y_arr), dtype=float)
+    def observe(y_arr, exp=_libm(math.exp)):
+        return np.asarray(f.value(t, exp(y_arr) if smap is not None else y_arr), dtype=float)
 
-    f0 = observe(y0)
+    f0 = f.value(t, x)
     s_grid = dt * np.arange(n_steps + 1)
     tail_idx = s_grid >= 0.75 * horizon
     i_tail = int(np.argmax(tail_idx))
@@ -190,7 +200,7 @@ def _autocorrelation_per_path(model, pi, f, t=0.0, horizon=10.0, n_paths=100_000
             legs[k > i_tail] = legs[k > i_tail] + 0.5 * (f_prev + fs) * dt
             chunk_sums[c, k - 1] = np.cumsum(w * fs)[-1]
             if k == i_tail:
-                prod_tail[a:b] = w * fs
+                prod_tail[a:b] = w * f.value(t, np.exp(y) if smap is not None else y)
             f_prev = fs
         xi[a:b] = legs[0] + legs[1]  # 0.0 + x is x: a leg never sums to -0.0
     corr_sum = np.zeros(n_steps + 1)
@@ -234,14 +244,14 @@ def _custom_model():
 
 
 @pytest.mark.parametrize("family, kw", [
-    # 300 steps in legs of 225 and 75: the numpy loop's last tile is short
+    # 300 steps in legs of 225 and 75
     ("ou", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("gompertz", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     # 513 chunks of partial sums, the last of 5 paths, over 5 steps
     ("ou", dict(n_paths=2**17 + 5, horizon=0.05, dt=0.01)),
     ("cir", dict(n_paths=2000, horizon=2.0, dt=0.01)),
-    # f returns its own input array: the step must not write into it
+    # f = x, no constant subtracted
     ("ou_identity", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("custom", dict(n_paths=2000, horizon=3.0, dt=0.01)),
     ("power_drift", dict(n_paths=2000, horizon=3.0, dt=0.01)),
@@ -252,10 +262,9 @@ def _custom_model():
     # s = 0, its standard error is NaN and the tail is left unresolved
     ("ou", dict(n_paths=2000, horizon=0.007, dt=0.005)),
     ("gompertz", dict(n_paths=2000, horizon=0.007, dt=0.005)),
-    # f(t, x) = cos(3t) x observed at its frozen time t, not at each step's
-    ("ou_cos", dict(n_paths=2000, horizon=3.0, dt=0.01, t=0.5)),
-    # two whole numpy chunks of rows and a part: each step's sum runs on
-    # across them
+    # the fewest paths, and libm's pow in the drift
+    ("power_drift", dict(n_paths=2, horizon=3.0, dt=0.01)),
+    # 34 chunks of partial sums, the last of 44 paths
     ("gompertz", dict(n_paths=2 * 4096 + 300, horizon=3.0, dt=0.01)),
 ])
 def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pipeline,
@@ -268,20 +277,9 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
         f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
     elif family == "ou_identity":
         m, pi, _, _ = ou_pipeline
-        f = FunctionalSpec(value=lambda t, x: x, centralized=True)
-    elif family == "ou_cos":
-        m, pi, _, _ = ou_pipeline
-        f = FunctionalSpec(value=lambda t, x: np.cos(3.0 * t) * np.asarray(x, float),
-                           time_homogeneous=False, centralized=True)
+        f = FunctionalSpec(value=PolynomialFunctional([0.0, 1.0]), centralized=True)
     else:
         m, pi, f, _ = ou_pipeline if family == "ou" else cir_pipeline
-    # the numpy kernel draws the normals of up to euler._TILE steps of every
-    # path of a chunk of euler._CHUNK paths at a time from the native fill,
-    # leg by leg and chunk by chunk; the native calls fill their own
-    fills = []
-    fill = euler._philox_normals
-    monkeypatch.setattr(euler, "_philox_normals", lambda state, out: (fills.append(out.shape),
-                                                                       fill(state, out)))
     sums = []
     run_rows = euler._run_rows
 
@@ -291,14 +289,6 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
         return out
     monkeypatch.setattr(euler, "_run_rows", recorded)
     got = mf_autocorrelation_form(m, pi, f, master_seed=3, **kw)
-    n_steps = int(round(kw["horizon"] / kw["dt"]))
-    i_tail = int(np.argmax(kw["dt"] * np.arange(n_steps + 1) >= 0.75 * kw["horizon"]))
-    native = family in ("ou", "cir", "custom")  # OU, CIR, Polynomial and a polynomial f
-    n = kw["n_paths"]
-    tiles = [(min(euler._CHUNK, n - first), min(euler._TILE, steps - done))
-             for steps in (i_tail, n_steps - i_tail) for first in range(0, n, euler._CHUNK)
-             for done in range(0, steps, euler._TILE)]
-    assert fills == ([] if native else tiles)
     m_hat, se, detail, corr_sum = _autocorrelation_per_path(m, pi, f, master_seed=3, **kw)
     assert got.values.tobytes() == np.array([m_hat]).tobytes()
     assert got.std_error.tobytes() == np.array([se]).tobytes()
@@ -382,38 +372,24 @@ def test_autocorrelation_fails_alike_at_every_thread_count(monkeypatch, ou_pipel
 
 def test_autocorrelation_raises_on_non_finite_paths(ou_pipeline):
     # a cubic drift that overshoots from |x| > sqrt(0.5 / dt) ~ 2.2 and
-    # runs off to inf: the native call (a Polynomial drift) and the numpy
-    # loop (the same drift as a callable) stop at the same step
+    # runs off to inf
     m, pi, f, _ = ou_pipeline
-    cubic = Polynomial([0.0, 0.0, 0.0, -4.0])
-    messages = []
-    for drift in (cubic, lambda x: cubic(x)):
-        bad = dataclasses.replace(m, drift=drift)
-        with pytest.raises(VarianceError, match=r"^\d+ of 1000 autocorrelation paths "
-                           r"are not finite after step \d+ of 20:") as exc:
-            mf_autocorrelation_form(bad, pi, f, n_paths=1000, horizon=2.0, dt=0.1,
-                                    master_seed=0)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    bad = dataclasses.replace(m, drift=Polynomial([0.0, 0.0, 0.0, -4.0]))
+    with pytest.raises(VarianceError, match=r"^\d+ of 1000 autocorrelation paths "
+                       r"are not finite after step \d+ of 20:"):
+        mf_autocorrelation_form(bad, pi, f, n_paths=1000, horizon=2.0, dt=0.1, master_seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_autocorrelation_raises_on_overflowing_f(ou_pipeline):
     # the paths stay finite but f(X_0)^2 = X_0^600 overflows wherever
-    # |X_0| > 3.3: the native call (a polynomial f) and the numpy loop (the
-    # same f as a callable) raise the same error instead of returning inf
+    # |X_0| > 3.3: an error instead of returning inf
     m, pi, _, _ = ou_pipeline
-    poly = PolynomialFunctional([0.0] * 300 + [1.0])
-    messages = []
-    for value, native in ((poly, True), (lambda t, x: poly(t, x), False)):
-        f = FunctionalSpec(value=value, centralized=True)
-        assert euler._runs_native(m, f) is native
-        with pytest.raises(VarianceError, match=r"^the autocorrelation sums of f are not "
-                           r"finite at step 0 of 50: f overflows") as exc:
-            mf_autocorrelation_form(m, pi, f, n_paths=2000, horizon=0.5, dt=0.01)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    f = FunctionalSpec(value=PolynomialFunctional([0.0] * 300 + [1.0]), centralized=True)
+    with pytest.raises(VarianceError, match=r"^the autocorrelation sums of f are not "
+                       r"finite at step 0 of 50: f overflows"):
+        mf_autocorrelation_form(m, pi, f, n_paths=2000, horizon=0.5, dt=0.01)
 
 
 def test_cross_route_agreement_quadratic(ou_pipeline):
