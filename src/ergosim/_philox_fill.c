@@ -48,28 +48,29 @@
  * euler_rows runs the scaled Euler kernel, the only one of the package, on
  * whole rows, from their states or from their stream keys: for a group of
  * rows at a time it fills the next SEG normals of each row into an
- * on-stack block with the same fill, then steps and observes the rows
- * together, so their dependency chains interleave.  Each path compiles its
- * step once: the drift, diffusion and state-map kinds and the mode (plain
- * or observe) are read at run time.  Its arithmetic is that of the plain
- * numpy expressions of the step, in their association order, with libm's
- * pow (the power drift) and exp (Gompertz's map from log space), called
- * once per lane on the AVX-512 path too; the build turns FMA contraction
- * off.  One call takes its rows CHUNK at a
- * time on the caller's thread and threads - 1 POSIX threads it starts,
- * places off the caller's CPU and joins itself.  Its observe mode runs the
- * autocorrelation route of M_f (variance.py): each row starts from its own
- * state with a weight w, and each step's sum of w f(X_k) over the rows is
- * taken in row order within each chunk and then over the chunks in order,
- * so that no bit of it depends on the thread count or the path; the route
- * reads no xi_r or sup_abs, so this mode writes both NaN (the AVX-512 path
- * also skips their arithmetic).
+ * on-stack block, then steps and observes the rows together, 8 to a
+ * vector, so their dependency chains interleave.  Its one step, step_group,
+ * is written in GCC's generic vectors, with lane masks in place of
+ * branches (sup_abs, the blow-up check, spare and failed rows); the
+ * drift, diffusion and state-map kinds and the mode (plain or observe) are
+ * read at run time.  Its arithmetic is that of the plain numpy
+ * expressions of the step, in their association order, with libm's pow
+ * (the power drift) and exp (Gompertz's map from log space) called once
+ * per lane; the build turns FMA contraction off.  One call takes its rows
+ * CHUNK at a time on the caller's thread and threads - 1 POSIX threads it
+ * starts, places off the caller's CPU and joins itself.  Its observe mode
+ * runs the autocorrelation route of M_f (variance.py): each row starts
+ * from its own state with a weight w, and each step's sum of w f(X_k) over
+ * the rows is taken in row order within each chunk and then over the
+ * chunks in order, so that no bit of it depends on the thread count or
+ * the path; the route reads no xi_r or sup_abs, so this mode skips their
+ * arithmetic and writes both NaN.
  *
  * The fill and the Euler kernel come in two paths that give the same bits:
  *  - portable (philox_normal_fill_portable, euler_rows_portable): two
  *    counter blocks per Philox call so that the two dependent 10-round
- *    chains overlap, one ziggurat word at a time, and four rows stepped
- *    together in scalar arithmetic;
+ *    chains overlap, one ziggurat word at a time, and step_group on one
+ *    vector of rows;
  *  - avx512 (x86-64 only, compiled for avx512f and avx512dq by target
  *    attributes, so the build flags stay the same): a segment's 16 blocks
  *    are two 8-lane Philox runs, one block per 64-bit lane, each 64x64 ->
@@ -77,14 +78,12 @@
  *    at most 4 blocks, the end of a row's fill, takes the portable path's
  *    pairs instead of a run of 8); the ziggurat fast path takes 8 words
  *    per step, its table lookups gathered, up to the first word it does
- *    not accept; and the Euler step moves 8 rows
- *    in one vector, with lane masks in place of the scalar path's
- *    branches (sup_abs, the blow-up check, spare and failed rows), two
- *    vectors (16 rows) to a group, so that their step chains overlap;
- *    each 8-step tile of a vector's normals is transposed in registers,
- *    so that the vector holds one step of its 8 rows.
- * Both paths take a word their fast path does not accept through the same
- * scalar wedge and tail code.
+ *    not accept; and step_group, compiled for the same target, on two
+ *    vectors (16 rows) at a time, so that their step chains overlap.
+ * Each path passes step_group its fill, its square root and its transpose
+ * of each 8-step tile of the rows' normals, so that a vector holds one
+ * step of its 8 rows.  Both paths take a word their fast path does not
+ * accept through the same scalar wedge and tail code.
  * philox_normal_fill and euler_rows (and antiderivative_eval, below) take
  * the avx512 path when the CPU has both extensions, checked once when the
  * library is loaded, and the portable path otherwise; native_path names
@@ -592,32 +591,37 @@ typedef struct {
     int64_t *fail_step;
 } rows_out;
 
-#define GROUP 4   /* rows stepped together on the portable path */
-#define SEG 256   /* steps of normals filled per row at a time */
-#define CHUNK 256 /* rows a thread takes at a time, and of one partial sum */
+#define SEG 256    /* steps of normals filled per row at a time */
+#define CHUNK 256  /* rows a thread takes at a time, and of one partial sum */
+#define LANES 8    /* rows per vector */
+#define MAX_VECS 2 /* vectors of rows stepped together in a group, at most */
 
-/* numpy's polyval: c[n-1] + x*0, then c[i] + y*x */
-static inline double polyval(const double *c, int64_t n, double x)
+/* LANES doubles, and LANES int64 lane masks (-1 or 0) or step numbers, in
+ * GCC's generic vectors.  Their arithmetic is IEEE lane by lane, so a lane
+ * gets the bits of the scalar expression; each path's compiler target maps
+ * an operation to its own instructions (four SSE2 ones on the portable
+ * path, or one per lane for a compare; one AVX-512 one on the avx512
+ * path).  No function takes or returns one by value, whose ABI differs
+ * between the two targets. */
+typedef double vd __attribute__((vector_size(8 * LANES)));
+typedef int64_t vi __attribute__((vector_size(8 * LANES)));
+
+/* s in every lane, as one broadcast (an initializer that repeats a loaded
+ * value compiles to one insert per lane) */
+#define SPLAT(s) __builtin_shuffle((vd){(s)}, (vi){0})
+#define SPLAT_I(s) __builtin_shuffle((vi){(s)}, (vi){0})
+#define ABS(x) ((vd)((vi)(x) & INT64_MAX))
+/* a where the lane mask is set, else b */
+#define SELECT(mask, a, b) ((vd)(((vi)(a) & (mask)) | ((vi)(b) & ~(mask))))
+
+/* numpy's polyval, lane by lane, into *y: c[n-1] + x*0, then c[i] + y*x */
+static inline __attribute__((always_inline)) void
+polyval(const double *c, int64_t n, const vd *x, vd *y)
 {
-    double y = c[n - 1] + x * 0.0;
+    vd v = SPLAT(c[n - 1]) + *x * 0.0;
     for (int64_t i = n - 2; i >= 0; i--)
-        y = c[i] + y * x;
-    return y;
-}
-
-/* The rate and mean of an OU or CIR drift, read once before a step loop
- * (a load under the step's kind switch is not hoisted out of the loop):
- * OU's drift is rate (x - mean) with rate -kappa, CIR's rate (mean - x)
- * with rate kappa; a polynomial drift has neither. */
-typedef struct {
-    double rate, mean;
-} linear_drift;
-
-static inline linear_drift drift_params(const euler_spec *m)
-{
-    if (m->drift_kind != DRIFT_OU && m->drift_kind != DRIFT_CIR)
-        return (linear_drift){0.0, 0.0};
-    return (linear_drift){m->drift_kind == DRIFT_OU ? -m->drift[0] : m->drift[0], m->drift[1]};
+        v = SPLAT(c[i]) + v * *x;
+    *y = v;
 }
 
 /* The power drift -sign(x) |x|^alpha in numpy's order, with libm's pow;
@@ -628,115 +632,189 @@ static inline double power_drift(double alpha, double x)
     return -sign * pow(fabs(x), alpha);
 }
 
-/* The model's state at the stepped state x: x, or libm's exp of it. */
-static inline double state_of(int map, double x)
+/* *x replaced by power_drift(alpha, x) with power, else by libm's exp of
+ * x, one call per lane; kept out of the step's body (written there, the
+ * lane loops cost the portable OU step 1.3 times, though OU calls neither) */
+static inline void libm_lanes(int power, double alpha, vd *x)
 {
-    return map == MAP_EXP ? exp(x) : x;
+    for (int r = 0; r < LANES; r++)
+        (*x)[r] = power ? power_drift(alpha, (*x)[r]) : exp((*x)[r]);
 }
 
-static inline __attribute__((always_inline)) double
-drift(const euler_spec *m, int kind, linear_drift p, double x)
+/* The model's state at the stepped state *x, in place: x, or libm's exp of it. */
+static inline __attribute__((always_inline)) void state_of(int map, vd *x)
+{
+    if (map == MAP_EXP)
+        libm_lanes(0, 0.0, x);
+}
+
+/* The drift at *x into *b: OU's is rate (x - mean) with rate -kappa, CIR's
+ * rate (mean - x) with rate kappa */
+static inline __attribute__((always_inline)) void
+drift(const euler_spec *m, int kind, const vd *rate, const vd *mean, const vd *x, vd *b)
 {
     switch (kind) {
     case DRIFT_OU:
-        return p.rate * (x - p.mean);
+        *b = *rate * (*x - *mean);
+        return;
     case DRIFT_CIR:
-        return p.rate * (p.mean - x);
+        *b = *rate * (*mean - *x);
+        return;
     case DRIFT_POWER:
-        return power_drift(m->drift[0], x);
+        *b = *x;
+        libm_lanes(1, m->drift[0], b);
+        return;
     default:
-        return polyval(m->drift, m->n_drift, x);
+        polyval(m->drift, m->n_drift, x, b);
     }
 }
 
-static inline __attribute__((always_inline)) double
-diffusion(const euler_spec *m, int kind, double x)
+/* A path's square root of numpy's maximum(x, 0.0) in each lane of *x, in
+ * place: x where !(x <= 0.0), else 0.0, so NaN stays and -0.0 becomes 0.0 */
+typedef void sqrt_fn(vd *x);
+
+/* The diffusion at *x into *s, with a constant or CIR diffusion's sigma
+ * splat and root a path's square root */
+static inline __attribute__((always_inline)) void
+diffusion(const euler_spec *m, int kind, const vd *sigma, const vd *x, vd *s, sqrt_fn *root)
 {
     switch (kind) {
     case DIFFUSION_CONSTANT:
-        return m->diffusion[0];
-    case DIFFUSION_CIR:
-        /* numpy's maximum(x, 0.0): NaN stays, -0.0 becomes 0.0 */
-        return m->diffusion[0] * sqrt(!(x <= 0.0) ? x : 0.0);
+        *s = *sigma;
+        return;
+    case DIFFUSION_CIR: {
+        vd y = *x;
+        root(&y);
+        *s = *sigma * y;
+        return;
+    }
     default:
-        return polyval(m->diffusion, m->n_diffusion, x);
+        polyval(m->diffusion, m->n_diffusion, x, s);
     }
 }
 
-/* Rows i0 .. i0+n-1 as one group, n <= GROUP; spare lanes step zero noise,
- * unread.  f is observed at the state map of the stepped state, and the
- * terminal state is mapped too.  In the observe mode, with sum given, step
- * k adds the rows' products w * f(X_k), in row order, to sum[k - 1]; xi_r
- * and sup_abs, which the sums' caller does not read, then come out NaN,
- * and the terminal state is left in the stepped coordinate, where the
- * caller's next call starts.  The kinds and the mode are read at run time,
- * so the step is compiled once; the per-row update does the work of both
- * modes, since a branch on the mode there cost the plain mode more than
- * the extra work costs the observe mode. */
+/* A path's transpose of columns k .. k+LANES-1 of LANES rows SEG doubles
+ * apart into col, one column per vector */
+typedef void transpose_fn(const double *rows, vd col[LANES]);
+
+/* A path's fill of rows[0, n_rows) into the (n_rows, width) array out */
+typedef void fill_fn(row_state *rows, int64_t n_rows, double *out, int64_t width);
+
+/* The Euler step, the only one: rows i0 .. i0+n-1 as one group of vecs
+ * vectors, n <= vecs * LANES, lane r of vector q holding row
+ * i0 + q * LANES + r, so that the vectors' dependency chains interleave.
+ * What differs by path comes in as arguments that the path inlines: its
+ * fill, its square root, its transpose of an 8-step tile of the rows'
+ * normals, which puts one step of a vector's rows in one vector, and vecs.
+ * Lane masks take the place of branches (sup_abs, the blow-up check,
+ * spare and failed rows); spare lanes start at x0, step zero noise and
+ * count as failed from the start.  f is observed at the state map of the
+ * stepped state, and the terminal state is mapped too.  In the observe
+ * mode, with sum given, step k adds the rows' products w * f(X_k), in row
+ * order, to sum[k - 1]; xi_r and sup_abs, which the sums' caller does not
+ * read, then come out NaN (their arithmetic is skipped), and the terminal
+ * state is left in the stepped coordinate, where the caller's next call
+ * starts.  The kinds and the mode are read at run time, so each path
+ * compiles the step once. */
 static inline __attribute__((always_inline)) void
-step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
-           const rows_out *o, double *sum)
+step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n, const rows_out *o,
+           double *sum, fill_fn *fill, sqrt_fn *root, transpose_fn *transpose, int vecs)
 {
     const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, mk = (int)m->map_kind;
     const int obs = sum != NULL;
-    const linear_drift lin = drift_params(m);
-    row_state own[GROUP];
+    /* the kinds' parameters, splat once before the step loop (a load under
+     * the step's kind switch is not hoisted out of it) */
+    const int linear = dk == DRIFT_OU || dk == DRIFT_CIR;
+    const vd rate = SPLAT(!linear ? 0.0 : dk == DRIFT_OU ? -m->drift[0] : m->drift[0]);
+    const vd mean = SPLAT(linear ? m->drift[1] : 0.0);
+    const vd sigma = SPLAT(sk == DIFFUSION_POLY ? 0.0 : m->diffusion[0]);
+    const vd h = SPLAT(m->h), sqrt_h = SPLAT(m->sqrt_h), dt = SPLAT(m->dt);
+    const vd blow_up = SPLAT(m->blow_up), f_c0 = SPLAT(m->f_c0), x0 = SPLAT(m->x0);
+    row_state own[MAX_VECS * LANES];
     row_state *rows = group_states(streams, i0, n, own);
-    double noise[GROUP][SEG];
-    double z[GROUP], fp[GROUP], w[GROUP], xc[GROUP], xr[GROUP], sup[GROUP];
-    int64_t fail[GROUP];
-    const double h = m->h, sqrt_h = m->sqrt_h, dt = m->dt, blow_up = m->blow_up;
-    for (int r = 0; r < GROUP; r++) {
-        /* a spare lane starts at x0 and counts as failed from the start */
-        z[r] = m->start && r < n ? m->start[i0 + r] : m->x0;
-        fp[r] = polyval(m->f, m->n_f, state_of(mk, z[r])) - m->f_c0;
-        w[r] = obs && r < n ? m->weight[i0 + r] : 0.0;
-        xc[r] = xr[r] = sup[r] = 0.0, fail[r] = r < n ? -1 : 0;
-        if (r >= n)
-            memset(noise[r], 0, sizeof noise[r]);
+    _Alignas(64) double noise[MAX_VECS * LANES][SEG];
+    _Alignas(64) double prod[LANES][MAX_VECS * LANES]; /* a tile's products, step by row */
+    vd z[MAX_VECS], fp[MAX_VECS], w[MAX_VECS], xc[MAX_VECS], xr[MAX_VECS], sup[MAX_VECS];
+    vi fail[MAX_VECS], alive[MAX_VECS];
+    for (int q = 0; q < vecs; q++) {
+        z[q] = x0;
+        w[q] = xc[q] = xr[q] = sup[q] = (vd){0};
+        fail[q] = alive[q] = (vi){0};
+        for (int r = 0; r < LANES && q * LANES + r < n; r++) {
+            const int64_t at = i0 + q * LANES + r;
+            if (m->start)
+                z[q][r] = m->start[at];
+            if (obs)
+                w[q][r] = m->weight[at];
+            fail[q][r] = alive[q][r] = -1;
+        }
+        vd y = z[q];
+        state_of(mk, &y);
+        polyval(m->f, m->n_f, &y, &fp[q]);
+        fp[q] = fp[q] - f_c0;
     }
-    int alive = n;
-    for (int64_t k0 = 0; k0 < m->n_steps && alive; k0 += SEG) {
-        int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
+    /* spare rows step zero noise; a tile past width reads defined columns */
+    memset(noise, 0, sizeof noise[0] * vecs * LANES);
+    for (int64_t k0 = 0; k0 < m->n_steps; k0 += SEG) {
+        int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG, filled = 0;
         for (int r = 0; r < n; r++)
-            if (fail[r] < 0)
-                philox_normal_fill_portable(rows + r, 1, noise[r], width);
-        for (int k = 0; k < width; k++) {
-            const double c = m->control ? m->control[k0 + k] : 0.0;
-            double p[GROUP];
-            for (int r = 0; r < GROUP; r++) {
-                double x = z[r];
-                double s = diffusion(m, sk, x);
-                double x1 = (x + h * drift(m, dk, lin, x)) + (sqrt_h * s) * noise[r][k];
-                if (m->control)
-                    x1 = x1 + c * s;
-                double f1 = polyval(m->f, m->n_f, state_of(mk, x1)) - m->f_c0;
-                xr[r] = xr[r] + fp[r] * dt;
-                xc[r] = xc[r] + 0.5 * (fp[r] + f1) * dt;
-                double a = fabs(xc[r]);
-                if (!(a <= sup[r])) /* numpy's maximum: a NaN wins */
-                    sup[r] = a;
-                fp[r] = f1;
-                z[r] = x1;
-                if (!(fabs(x1) <= blow_up) && fail[r] < 0)
-                    fail[r] = k0 + k + 1, alive--;
-                p[r] = w[r] * f1;
+            if (alive[r / LANES][r % LANES])
+                fill(rows + r, 1, noise[r], width), filled++;
+        if (!filled)
+            break;
+        for (int k = 0; k < width; k += LANES) {
+            int cols = width - k < LANES ? width - k : LANES;
+            vd col[MAX_VECS][LANES];
+            for (int q = 0; q < vecs; q++)
+                transpose(&noise[q * LANES][k], col[q]);
+            for (int j = 0; j < cols; j++) {
+                const vi step = SPLAT_I(k0 + k + j + 1);
+                const vd c = m->control ? SPLAT(m->control[k0 + k + j]) : (vd){0};
+                for (int q = 0; q < vecs; q++) {
+                    vd x = z[q], s, b, x1, y, f1;
+                    diffusion(m, sk, &sigma, &x, &s, root);
+                    drift(m, dk, &rate, &mean, &x, &b);
+                    x1 = (x + h * b) + (sqrt_h * s) * col[q][j];
+                    if (m->control)
+                        x1 = x1 + c * s;
+                    y = x1;
+                    state_of(mk, &y);
+                    polyval(m->f, m->n_f, &y, &f1);
+                    f1 = f1 - f_c0;
+                    if (!obs)
+                        xr[q] = xr[q] + fp[q] * dt;
+                    xc[q] = xc[q] + (0.5 * (fp[q] + f1)) * dt;
+                    if (!obs) { /* numpy's maximum: a NaN wins */
+                        vd a = ABS(xc[q]);
+                        sup[q] = SELECT(a <= sup[q], sup[q], a);
+                    }
+                    fp[q] = f1;
+                    z[q] = x1;
+                    vi gone = alive[q] & ~(ABS(x1) <= blow_up);
+                    fail[q] = (fail[q] & ~gone) | (step & gone);
+                    alive[q] &= ~gone;
+                    if (obs)
+                        *(vd *)&prod[j][q * LANES] = w[q] * f1;
+                }
             }
-            if (obs) {
-                double s = sum[k0 + k];
+            /* the tile's sums, row after row, each step's chain apart */
+            for (int j = 0; obs && j < cols; j++) {
+                double s = sum[k0 + k + j];
                 for (int r = 0; r < n; r++)
-                    s += p[r];
-                sum[k0 + k] = s;
+                    s += prod[j][r];
+                sum[k0 + k + j] = s;
             }
         }
     }
+    for (int q = 0; q < vecs && !obs; q++)
+        state_of(mk, &z[q]);
     for (int r = 0; r < n; r++) {
-        int ok = fail[r] < 0;
-        o->xi_c[i0 + r] = ok ? xc[r] : NAN;
-        o->xi_r[i0 + r] = ok && !obs ? xr[r] : NAN;
-        o->sup_abs[i0 + r] = ok && !obs ? sup[r] : NAN;
-        o->terminal[i0 + r] = ok ? (obs ? z[r] : state_of(mk, z[r])) : NAN;
-        o->fail_step[i0 + r] = fail[r];
+        const int q = r / LANES, l = r % LANES, ok = fail[q][l] < 0;
+        o->xi_c[i0 + r] = ok ? xc[q][l] : NAN;
+        o->xi_r[i0 + r] = ok && !obs ? xr[q][l] : NAN;
+        o->sup_abs[i0 + r] = ok && !obs ? sup[q][l] : NAN;
+        o->terminal[i0 + r] = ok ? z[q][l] : NAN;
+        o->fail_step[i0 + r] = fail[q][l];
     }
 }
 
@@ -745,82 +823,52 @@ step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
 typedef void chunk_fn(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                       const rows_out *o, double *sum);
 
-/* chunk_fn, GROUP rows at a time */
+/* sqrt_fn: on x86-64 two lanes per SSE2 compare, and and square root,
+ * else a lane at a time (on SSE2 gcc takes an 8-lane compare and libm's
+ * sqrt lane by lane, through memory, which cost CIR's step 1.4 times) */
+static inline void sqrt_portable(vd *x)
+{
+#if defined(__x86_64__)
+    union {
+        vd all;
+        __m128d pair[LANES / 2];
+    } u = {*x};
+    for (int r = 0; r < LANES / 2; r++)
+        u.pair[r] = _mm_sqrt_pd(_mm_andnot_pd(_mm_cmple_pd(u.pair[r], _mm_setzero_pd()), u.pair[r]));
+    *x = u.all;
+#else
+    for (int r = 0; r < LANES; r++)
+        (*x)[r] = sqrt(!((*x)[r] <= 0.0) ? (*x)[r] : 0.0);
+#endif
+}
+
+/* transpose_fn, one lane at a time */
+static inline void transpose_portable(const double *rows, vd col[LANES])
+{
+    for (int j = 0; j < LANES; j++)
+        for (int r = 0; r < LANES; r++)
+            col[j][r] = rows[r * SEG + j];
+}
+
+/* chunk_fn, one vector of rows to a group: two spill the portable state */
 static void chunk_portable(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                            const rows_out *o, double *sum)
 {
-    for (int64_t i = i0; i < i0 + n; i += GROUP)
-        step_group(m, rows, i, i0 + n - i < GROUP ? (int)(i0 + n - i) : GROUP, o, sum);
+    for (int64_t i = i0; i < i0 + n; i += LANES)
+        step_group(m, rows, i, i0 + n - i < LANES ? (int)(i0 + n - i) : LANES, o, sum,
+                   philox_normal_fill_portable, sqrt_portable, transpose_portable, 1);
 }
 
 #if defined(__x86_64__)
 
-#define LANES 8 /* rows per vector */
-#define VECS 2  /* vectors of rows stepped together in a group */
-
-/* polyval, lane by lane */
-AVX512 static inline __attribute__((always_inline)) __m512d
-polyval8(const double *c, int64_t n, __m512d x)
+AVX512 static inline void sqrt_avx512(vd *x)
 {
-    __m512d y = _mm512_add_pd(_mm512_set1_pd(c[n - 1]), _mm512_mul_pd(x, _mm512_setzero_pd()));
-    for (int64_t i = n - 2; i >= 0; i--)
-        y = _mm512_add_pd(_mm512_set1_pd(c[i]), _mm512_mul_pd(y, x));
-    return y;
+    __mmask8 clamp = _mm512_cmp_pd_mask((__m512d)*x, _mm512_setzero_pd(), _CMP_LE_OQ);
+    *x = (vd)_mm512_sqrt_pd(_mm512_mask_mov_pd((__m512d)*x, clamp, _mm512_setzero_pd()));
 }
 
-/* power_drift(alpha, x) with power, else state_of(MAP_EXP, x), lane by
- * lane: one libm call per lane, so the lanes get the portable path's bits */
-AVX512 static inline __m512d libm8(int power, double alpha, __m512d x)
-{
-    _Alignas(64) double v[LANES];
-    _mm512_store_pd(v, x);
-    for (int r = 0; r < LANES; r++)
-        v[r] = power ? power_drift(alpha, v[r]) : exp(v[r]);
-    return _mm512_load_pd(v);
-}
-
-/* state_of, lane by lane */
-AVX512 static inline __attribute__((always_inline)) __m512d state8(int map, __m512d x)
-{
-    return map == MAP_EXP ? libm8(0, 0.0, x) : x;
-}
-
-/* drift, lane by lane, with rate and mean broadcast */
-AVX512 static inline __attribute__((always_inline)) __m512d
-drift8(const euler_spec *m, int kind, __m512d rate, __m512d mean, __m512d x)
-{
-    switch (kind) {
-    case DRIFT_OU:
-        return _mm512_mul_pd(rate, _mm512_sub_pd(x, mean));
-    case DRIFT_CIR:
-        return _mm512_mul_pd(rate, _mm512_sub_pd(mean, x));
-    case DRIFT_POWER:
-        return libm8(1, m->drift[0], x);
-    default:
-        return polyval8(m->drift, m->n_drift, x);
-    }
-}
-
-AVX512 static inline __attribute__((always_inline)) __m512d
-diffusion8(const euler_spec *m, int kind, __m512d x)
-{
-    switch (kind) {
-    case DIFFUSION_CONSTANT:
-        return _mm512_set1_pd(m->diffusion[0]);
-    case DIFFUSION_CIR: {
-        /* x where !(x <= 0.0), else 0.0: NaN stays, -0.0 becomes 0.0 */
-        __mmask8 clamp = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LE_OQ);
-        x = _mm512_mask_mov_pd(x, clamp, _mm512_setzero_pd());
-        return _mm512_mul_pd(_mm512_set1_pd(m->diffusion[0]), _mm512_sqrt_pd(x));
-    }
-    default:
-        return polyval8(m->diffusion, m->n_diffusion, x);
-    }
-}
-
-/* Columns k .. k+7 of 8 rows SEG doubles apart, one column per vector. */
-AVX512 static inline __attribute__((always_inline)) void
-transpose8(const double *rows, __m512d col[LANES])
+/* transpose_fn in registers */
+AVX512 static inline void transpose_avx512(const double *rows, vd col[LANES])
 {
     const __m512i pair_lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
     const __m512i pair_hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
@@ -837,123 +885,18 @@ transpose8(const double *rows, __m512d col[LANES])
             q[r + 2 + j] = _mm512_permutex2var_pd(p[r + j], pair_hi, p[r + 2 + j]);
         }
     for (int j = 0; j < 4; j++) {
-        col[j] = _mm512_shuffle_f64x2(q[j], q[4 + j], 0x44);
-        col[4 + j] = _mm512_shuffle_f64x2(q[j], q[4 + j], 0xEE);
+        col[j] = (vd)_mm512_shuffle_f64x2(q[j], q[4 + j], 0x44);
+        col[4 + j] = (vd)_mm512_shuffle_f64x2(q[j], q[4 + j], 0xEE);
     }
 }
 
-/* step_group on rows i0 .. i0+n-1, n <= VECS * LANES, lane r of vector q
- * holding row i0 + q * LANES + r, so that the vectors' dependency chains
- * interleave; spare and failed lanes are masked out of the blow-up check
- * and the outputs, and spare lanes out of the sums. */
-AVX512 static inline __attribute__((always_inline)) void
-step_group8(const euler_spec *m, const row_streams *streams, int64_t i0, int n,
-            const rows_out *o, double *sum)
-{
-    const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, mk = (int)m->map_kind;
-    const int obs = sum != NULL;
-    const linear_drift lin = drift_params(m);
-    const __m512d rate = _mm512_set1_pd(lin.rate), mean = _mm512_set1_pd(lin.mean);
-    row_state own[VECS * LANES];
-    row_state *rows = group_states(streams, i0, n, own);
-    _Alignas(64) double noise[VECS * LANES][SEG];
-    _Alignas(64) double prod[LANES][VECS * LANES]; /* a tile's products, step by row */
-    const __m512d h = _mm512_set1_pd(m->h), sqrt_h = _mm512_set1_pd(m->sqrt_h);
-    const __m512d dt = _mm512_set1_pd(m->dt), blow_up = _mm512_set1_pd(m->blow_up);
-    const __m512d half = _mm512_set1_pd(0.5), f_c0 = _mm512_set1_pd(m->f_c0);
-    /* bit r: row r, lane r % LANES of vector r / LANES */
-    const unsigned rows_in = (1u << n) - 1;
-    unsigned alive = rows_in;
-    __m512i fail[VECS];
-    __m512d z[VECS], fp[VECS], w[VECS], xc[VECS], xr[VECS], sup[VECS];
-    for (int q = 0; q < VECS; q++) {
-        /* a spare lane starts at x0 and counts as failed from the start */
-        const __mmask8 in = (__mmask8)(rows_in >> q * LANES);
-        const int64_t at = i0 + q * LANES;
-        fail[q] = _mm512_mask_mov_epi64(_mm512_setzero_si512(), in, _mm512_set1_epi64(-1));
-        z[q] = _mm512_set1_pd(m->x0);
-        if (m->start)
-            z[q] = _mm512_mask_loadu_pd(z[q], in, m->start + at);
-        fp[q] = _mm512_sub_pd(polyval8(m->f, m->n_f, state8(mk, z[q])), f_c0);
-        w[q] = obs ? _mm512_maskz_loadu_pd(in, m->weight + at) : _mm512_setzero_pd();
-        xc[q] = xr[q] = sup[q] = _mm512_setzero_pd();
-    }
-    /* spare rows step zero noise; a tile past width reads defined columns */
-    memset(noise, 0, sizeof noise);
-    for (int64_t k0 = 0; k0 < m->n_steps && alive; k0 += SEG) {
-        int width = m->n_steps - k0 < SEG ? (int)(m->n_steps - k0) : SEG;
-        for (int r = 0; r < n; r++)
-            if (alive >> r & 1)
-                philox_normal_fill_avx512(rows + r, 1, noise[r], width);
-        for (int k = 0; k < width; k += LANES) {
-            int cols = width - k < LANES ? width - k : LANES;
-            __m512d col[VECS][LANES];
-            for (int q = 0; q < VECS; q++)
-                transpose8(&noise[q * LANES][k], col[q]);
-            for (int j = 0; j < cols; j++)
-                for (int q = 0; q < VECS; q++) {
-                    __m512d x = z[q];
-                    __m512d s = diffusion8(m, sk, x);
-                    __m512d drifted =
-                        _mm512_add_pd(x, _mm512_mul_pd(h, drift8(m, dk, rate, mean, x)));
-                    __m512d x1 = _mm512_add_pd(drifted,
-                                               _mm512_mul_pd(_mm512_mul_pd(sqrt_h, s), col[q][j]));
-                    if (m->control) {
-                        __m512d c = _mm512_set1_pd(m->control[k0 + k + j]);
-                        x1 = _mm512_add_pd(x1, _mm512_mul_pd(c, s));
-                    }
-                    __m512d f1 = _mm512_sub_pd(polyval8(m->f, m->n_f, state8(mk, x1)), f_c0);
-                    if (!obs)
-                        xr[q] = _mm512_add_pd(xr[q], _mm512_mul_pd(fp[q], dt));
-                    __m512d mid = _mm512_mul_pd(half, _mm512_add_pd(fp[q], f1));
-                    xc[q] = _mm512_add_pd(xc[q], _mm512_mul_pd(mid, dt));
-                    if (!obs) {
-                        /* sup where a <= sup, else a: numpy's maximum, a NaN wins */
-                        __m512d a = _mm512_abs_pd(xc[q]);
-                        sup[q] = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, sup[q], _CMP_LE_OQ),
-                                                      a, sup[q]);
-                    }
-                    fp[q] = f1;
-                    z[q] = x1;
-                    __mmask8 kept = _mm512_cmp_pd_mask(_mm512_abs_pd(x1), blow_up, _CMP_LE_OQ);
-                    __mmask8 gone = (__mmask8)(alive >> q * LANES) & ~kept;
-                    fail[q] = _mm512_mask_mov_epi64(fail[q], gone,
-                                                    _mm512_set1_epi64(k0 + k + j + 1));
-                    alive &= ~((unsigned)gone << q * LANES);
-                    if (obs)
-                        _mm512_store_pd(prod[j] + q * LANES, _mm512_mul_pd(w[q], f1));
-                }
-            /* the tile's sums, row after row, each step's chain apart */
-            for (int j = 0; obs && j < cols; j++) {
-                double s = sum[k0 + k + j];
-                for (int r = 0; r < n; r++)
-                    s += prod[j][r];
-                sum[k0 + k + j] = s;
-            }
-        }
-    }
-    const __m512d nan = _mm512_set1_pd(NAN);
-    for (int q = 0; q < VECS; q++) {
-        const __mmask8 ok = _mm512_cmplt_epi64_mask(fail[q], _mm512_setzero_si512());
-        const __mmask8 kept = obs ? 0 : ok; /* xi_r and sup_abs, NaN in the observe mode */
-        const __mmask8 in = (__mmask8)(rows_in >> q * LANES);
-        const int64_t at = i0 + q * LANES;
-        _mm512_mask_storeu_pd(o->xi_c + at, in, _mm512_mask_blend_pd(ok, nan, xc[q]));
-        _mm512_mask_storeu_pd(o->xi_r + at, in, _mm512_mask_blend_pd(kept, nan, xr[q]));
-        _mm512_mask_storeu_pd(o->sup_abs + at, in, _mm512_mask_blend_pd(kept, nan, sup[q]));
-        const __m512d end = obs ? z[q] : state8(mk, z[q]);
-        _mm512_mask_storeu_pd(o->terminal + at, in, _mm512_mask_blend_pd(ok, nan, end));
-        _mm512_mask_storeu_epi64(o->fail_step + at, in, fail[q]);
-    }
-}
-
-/* chunk_portable's contract and bits, VECS * LANES rows at a time */
+/* chunk_portable's contract and bits, two vectors of rows to a group */
 AVX512 static void chunk_avx512(const euler_spec *m, const row_streams *rows, int64_t i0,
                                 int64_t n, const rows_out *o, double *sum)
 {
-    for (int64_t i = i0; i < i0 + n; i += VECS * LANES)
-        step_group8(m, rows, i, i0 + n - i < VECS * LANES ? (int)(i0 + n - i) : VECS * LANES, o,
-                    sum);
+    for (int64_t i = i0; i < i0 + n; i += MAX_VECS * LANES)
+        step_group(m, rows, i, i0 + n - i < MAX_VECS * LANES ? (int)(i0 + n - i) : MAX_VECS * LANES,
+                   o, sum, philox_normal_fill_avx512, sqrt_avx512, transpose_avx512, MAX_VECS);
 }
 
 #endif /* __x86_64__ */
@@ -1252,7 +1195,6 @@ AVX512 void antiderivative_eval_avx512(const double *nodes, int64_t n_nodes, dou
 
 /* ------------------------------------------------------------- dispatch */
 
-typedef void fill_fn(row_state *, int64_t, double *, int64_t);
 typedef void query_fn(const double *, int64_t, double, const double *, const double *, int,
                       const double *, int64_t, double *);
 static fill_fn *fill_path = philox_normal_fill_portable;

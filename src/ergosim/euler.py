@@ -24,9 +24,11 @@ built and raises :class:`SimulationError` naming the drift, diffusion,
 state map or functional it has no kind for (a callable, or a
 time-inhomogeneous ``f``), before any row is stepped.  Per row the kernel
 fills a short on-stack block of normals from the row's stream, then
-steps, observes and accumulates a group of rows together (8 rows in one
-AVX-512 vector, or 4 scalar rows on the portable path); it checks the
-blow-up bound at every step, so a failed row stops at its exact step.
+steps, observes and accumulates a group of rows together, 8 to a vector,
+in one step written once in GCC's generic vectors and compiled for both
+paths (two AVX-512 vectors at a time, or one on the portable path); it
+checks the blow-up bound at every step, so a failed row stops at its
+exact step.
 It is built without FMA contraction, so its bits are those of the plain
 numpy expressions of the step with libm's ``exp`` and ``pow``.
 
@@ -141,6 +143,8 @@ class StepSchedule:
             raise ScheduleError(f"epsilon must be positive, got {epsilon}")
         if holder_nu <= 0:
             raise ScheduleError("holder_nu must be > 0; no valid step schedule exists otherwise")
+        if not (math.isfinite(policy.c_step) and policy.c_step > 0):
+            raise ScheduleError(f"c_step must be > 0, got {policy.c_step:g}")
         theta = policy.theta_step
         if regime == LLN:
             if theta <= 1.0:

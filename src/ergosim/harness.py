@@ -87,6 +87,8 @@ def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list
                             f"replicates, got {replicates}")
     if kind == MDP_TAIL and levels == ():
         problems.append(f"{MDP_TAIL} requires at least one level")
+    elif levels and not all(x > 0 for x in levels):
+        problems.append(f"levels must be > 0, got {list(levels)}")
     if seed is not None and seed < 0:
         problems.append(f"seed must be >= 0, got {seed}")
     if threads is not None and threads < 1:

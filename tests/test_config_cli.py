@@ -302,6 +302,8 @@ _BAD_EXPERIMENTS = [
                  id="schedule-violation-99"),
     pytest.param("MDP_TAIL", dict(mdp_levels=()), "MDP_TAIL requires at least one level",
                  id="mdp-no-levels"),
+    pytest.param("MDP_TAIL", dict(mdp_levels=(-1.0, 0.0)), "levels must be > 0, got [-1.0, 0.0]",
+                 id="mdp-non-positive-levels"),
 ]
 
 
@@ -343,6 +345,21 @@ def test_cli_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     with pytest.raises(ConfigError) as ei:
         parse_config(OU_CLT.replace("threads = 1", f"threads = {threads}"), inline=True)
     assert ei.value.errors == [f"[run] threads must be >= 1, got {threads}"]
+
+
+@pytest.mark.parametrize("c_step", ["0", "-1.0"])
+def test_non_positive_c_step_is_a_config_error(tmp_path, capsys, c_step):
+    # Delta = c_step * eps^theta must be positive: exit 2 and no run
+    # directory, not a division by zero or a math domain error from the run
+    out = tmp_path / "runs"
+    text = OU_CLT.replace("theta = 2.5", f"theta = 2.5\nc_step = {c_step}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == [f"[schedule] c_step must be > 0, got {float(c_step):g}"]
+    assert main(["--config", write(tmp_path, text), "--quiet", "--out", str(out),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert f"[schedule] c_step must be > 0, got {float(c_step):g}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [-1, -2**70])

@@ -95,6 +95,12 @@ def test_schedule_scaling_values():
     assert s.n_steps(1.0) == round(1.0 / 0.01**2.5)
 
 
+@pytest.mark.parametrize("c_step", [0.0, -1.0, math.nan, math.inf])
+def test_c_step_must_be_positive_and_finite(c_step):
+    with pytest.raises(ScheduleError, match=f"c_step must be > 0, got {c_step:g}"):
+        StepSchedule.from_policy(0.1, "CLT", SchedulePolicy(2.5, c_step=c_step), 1.0)
+
+
 def test_negative_epsilon_rejected():
     with pytest.raises(ScheduleError, match="positive"):
         StepSchedule.from_policy(-0.1, "LLN", SchedulePolicy(1.5), 1.0)
@@ -995,7 +1001,7 @@ def _rows_on_both_paths(native_paths, spec, seed, first, n):
 def test_both_paths_step_alike(native_paths, drift, diffusion, control):
     # each kind pair on 1 to 17 rows and 41, from replicate 0 and 5: every
     # group size of the vector path (one 8-row vector, or two in a group of
-    # up to 16 rows) and of the 4-row portable path;
+    # up to 16 rows) and of the portable path (one 8-row vector);
     # 262 steps cross a 256-step fill and end mid-way through an 8-step tile
     m = type(ou())(**{**ou().__dict__, "drift": _DRIFTS[drift],
                       "diffusion": _DIFFUSIONS[diffusion], "initial_state": 0.3})
@@ -1103,8 +1109,8 @@ def test_observe_mode_keeps_no_riemann_or_sup(family):
 @pytest.mark.parametrize("family", ["ou", "cir"])
 def test_both_paths_autocorrelate_alike(native_paths, family):
     # the observe mode that runs the autocorrelation route of M_f: 1 to 17
-    # rows and 41, every tail of a 16-row vector group and of a 4-row
-    # group, over legs of 1, 5 and 9 steps; CIR rows started near 0 fall
+    # rows and 41, every tail of a 16-row AVX-512 group and of an 8-row
+    # portable group, over legs of 1, 5 and 9 steps; CIR rows started near 0 fall
     # below it
     m = (ou() if family == "ou"
          else builtin_model("cir", dict(kappa=1.0, mu=0.6, sigma=1.0)))
@@ -1138,8 +1144,8 @@ def test_both_paths_autocorrelate_alike(native_paths, family):
 @pytest.mark.parametrize("diffusion", sorted(_DIFFUSIONS))
 def test_both_paths_autocorrelate_every_kind_pair(native_paths, drift, diffusion):
     # the observe mode runs on the plain mode's compiled step, which reads
-    # the kind pair at run time: each pair on every tail of a 16-row vector
-    # group and of a 4-row group, over legs of 1 and 5 steps, and on 300
+    # the kind pair at run time: each pair on every tail of a 16-row AVX-512
+    # group and of an 8-row portable group, over legs of 1 and 5 steps, and on 300
     # rows over 40 and 20 steps at 1 and 3 threads
     m = type(ou())(**{**ou().__dict__, "drift": _DRIFTS[drift],
                       "diffusion": _DIFFUSIONS[diffusion], "initial_state": 0.3})

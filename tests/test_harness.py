@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,11 +245,15 @@ def mdp_spec(m, f, levels, **over):
     return ExperimentSpec(**kw)
 
 
-def test_mdp_zero_level_trivial(ou_setup):
+@pytest.mark.parametrize("levels", [(0.0,), (-1.0, 0.0), (1.0, -0.5), (math.nan,)],
+                         ids=["zero", "negative-and-zero", "one-negative", "nan"])
+def test_mdp_rejects_non_positive_levels(ou_setup, levels):
+    # every |Upsilon| exceeds level 0, so its tail frequency 1 would pass
+    # against a zero rate and say nothing; a negative level is judged at
+    # the gap of |x|
     m, f = ou_setup
-    rep = run_mdp_tail(mdp_spec(m, f, (0.0,)), {0.0: 0.0})
-    # every |Upsilon| exceeds 0, so beta log p_hat = 0 exactly
-    assert rep.verdicts["mdp_level_0"]
+    with pytest.raises(HarnessError, match=re.escape(f"levels must be > 0, got {list(levels)}")):
+        mdp_spec(m, f, levels)
 
 
 def test_mdp_requires_levels_and_targets(ou_setup):
@@ -361,7 +366,7 @@ def test_run_experiment_dispatch(ou_setup, kind):
 def test_report_json_deterministic(ou_setup):
     # two runs of one spec serialize to the same bytes
     m, f = ou_setup
-    reps = [run_mdp_tail(mdp_spec(m, f, (0.0,)), {0.0: 0.0}) for _ in range(2)]
+    reps = [run_mdp_tail(mdp_spec(m, f, (0.5,)), {0.5: 0.1}) for _ in range(2)]
     first, second = (json.dumps(r.to_json_dict(), indent=1, sort_keys=True) for r in reps)
     assert first == second
     assert reps[0].to_json_dict()["provenance"]["spec"]["kind"] == MDP_TAIL
@@ -369,9 +374,9 @@ def test_report_json_deterministic(ou_setup):
 
 def test_report_csv_has_level_columns(tmp_path, ou_setup):
     m, f = ou_setup
-    rep = run_mdp_tail(mdp_spec(m, f, (0.0,)), {0.0: 0.0})
+    rep = run_mdp_tail(mdp_spec(m, f, (0.5,)), {0.5: 0.1})
     p = tmp_path / "summary.csv"
     rep.to_csv(str(p))
     header = p.read_text().splitlines()[0]
-    assert "tail_freq_0" in header
+    assert "tail_freq_0.5" in header
     assert header.startswith("epsilon,")
