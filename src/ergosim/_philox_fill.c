@@ -89,9 +89,11 @@
  * library is loaded, and the portable path otherwise; native_path names
  * the one picked.
  *
- * antiderivative_eval answers the queries of quadrature.Antiderivative:
- * per point a clip, the panel np.searchsorted would give, and the panel's
- * degree-7 Legendre series in the association order of numpy's legval.
+ * antiderivative_eval answers the queries of quadrature.Antiderivative,
+ * always integrals from the table's left end (a caller that needs a right
+ * tail queries the table of its reflected integrand): per point a clip,
+ * the panel np.searchsorted would give, and the panel's degree-7 Legendre
+ * series in the association order of numpy's legval.
  * It too comes in two paths with the same bits, picked with the others:
  * the portable one takes a point at a time; the avx512 one takes 8 points
  * per vector, gathering each point's nodes, cumulative sum and
@@ -1044,30 +1046,27 @@ static inline double legval8(const double *c, double x)
 }
 
 /* One call's table: n_nodes >= 2 sorted nodes, the cumulative sums cum and
- * the panel-major (n_panels, 8) Legendre coefficients coef of L or R. */
+ * the panel-major (n_panels, 8) Legendre coefficients coef of L. */
 typedef struct {
     const double *nodes, *cum, *coef;
     int64_t last; /* the last panel */
     double lo, hi, half, per_panel;
-    int from_right;
 } table_query;
 
 static inline table_query query_of(const double *nodes, int64_t n_nodes, double half,
-                                   const double *cum, const double *coef, int from_right)
+                                   const double *cum, const double *coef)
 {
     const double lo = nodes[0], hi = nodes[n_nodes - 1];
     return (table_query){nodes, cum, coef, n_nodes - 2, lo, hi, half,
-                         (double)(n_nodes - 1) / (hi - lo), from_right};
+                         (double)(n_nodes - 1) / (hi - lo)};
 }
 
 /* One query of quadrature.Antiderivative.  The point is clipped to
  * [nodes[0], nodes[n_nodes - 1]] as np.clip clips it (NaN stays NaN) and
- * given the panel index of np.searchsorted(nodes, z, side) - 1 clipped to
- * the panels, where side is "right" for from_left and "left" for
- * from_right and NaN sorts last; a uniform-grid guess, moved to the
- * neighbouring node where it is off, finds it.  The value is
- * cum[idx] + s L(s - 1) (from_left) or cum[idx + 1] + s R(1 - s)
- * (from_right). */
+ * given the panel index of np.searchsorted(nodes, z, "right") - 1 clipped
+ * to the panels, where NaN sorts last: the last node at or below the
+ * point, found by a uniform-grid guess moved to the neighbouring node
+ * where it is off.  The value is cum[idx] + s L(s - 1). */
 static inline double query_point(const table_query *q, double zc)
 {
     const int64_t last = q->last;
@@ -1078,35 +1077,22 @@ static inline double query_point(const table_query *q, double zc)
         zc = zc < q->hi ? zc : q->hi;
         double guess = (zc - q->lo) * q->per_panel;
         g = guess < last + 1 ? (int64_t)guess : last + 1;
-        if (q->from_right) { /* the last node below zc, -1 for none */
-            while (g >= 0 && nodes[g] >= zc)
-                g--;
-            while (g <= last && nodes[g + 1] < zc)
-                g++;
-            g = g > 0 ? g : 0;
-        } else { /* the last node at or below zc */
-            while (g > 0 && nodes[g] > zc)
-                g--;
-            while (g <= last && nodes[g + 1] <= zc)
-                g++;
-        }
+        while (g > 0 && nodes[g] > zc)
+            g--;
+        while (g <= last && nodes[g + 1] <= zc)
+            g++;
         g = g < last ? g : last;
     }
-    const double *c = q->coef + 8 * g;
-    if (q->from_right) {
-        double s = (nodes[g + 1] - zc) / q->half; /* 1 - x, exactly 0 on the right node */
-        return q->cum[g + 1] + s * legval8(c, 1.0 - s);
-    }
     double s = (zc - nodes[g]) / q->half; /* x + 1, exactly 0 on the left node */
-    return q->cum[g] + s * legval8(c, s - 1.0);
+    return q->cum[g] + s * legval8(q->coef + 8 * g, s - 1.0);
 }
 
 /* The queries z[0 .. n-1] into out, one point at a time. */
 void antiderivative_eval_portable(const double *nodes, int64_t n_nodes, double half,
-                                  const double *cum, const double *coef, int from_right,
-                                  const double *z, int64_t n, double *out)
+                                  const double *cum, const double *coef, const double *z,
+                                  int64_t n, double *out)
 {
-    const table_query q = query_of(nodes, n_nodes, half, cum, coef, from_right);
+    const table_query q = query_of(nodes, n_nodes, half, cum, coef);
     for (int64_t i = 0; i < n; i++)
         out[i] = query_point(&q, z[i]);
 }
@@ -1131,21 +1117,19 @@ legval8x8(const double *coef, __m512i p, __m512d x)
 /* The queries of antiderivative_eval_portable, LANES points per vector:
  * the clip is max and min, whose equal or NaN operands give the second
  * one, as query_point's ternaries do; the guess, capped at the last panel,
- * is the searchsorted panel when it passes that panel's defining test
- * (from_left: nodes[g] <= zc and, below the last panel, zc < nodes[g+1];
- * from_right: nodes[g] < zc unless g = 0 and, below the last panel,
- * zc <= nodes[g+1]), which on sorted nodes only that panel passes.  A
- * block holding a NaN or a guess that fails, and the last n % LANES
- * points, go through query_point. */
+ * is the searchsorted panel when it passes that panel's defining test,
+ * nodes[g] <= zc and, below the last panel, zc < nodes[g+1], which on
+ * sorted nodes only that panel passes.  A block holding a NaN or a guess
+ * that fails, and the last n % LANES points, go through query_point. */
 AVX512 void antiderivative_eval_avx512(const double *nodes, int64_t n_nodes, double half,
-                                       const double *cum, const double *coef, int from_right,
-                                       const double *z, int64_t n, double *out)
+                                       const double *cum, const double *coef, const double *z,
+                                       int64_t n, double *out)
 {
-    const table_query q = query_of(nodes, n_nodes, half, cum, coef, from_right);
+    const table_query q = query_of(nodes, n_nodes, half, cum, coef);
     const __m512d lo = _mm512_set1_pd(q.lo), hi = _mm512_set1_pd(q.hi);
     const __m512d per_panel = _mm512_set1_pd(q.per_panel), halves = _mm512_set1_pd(q.half);
     const __m512d one = _mm512_set1_pd(1.0), beyond = _mm512_set1_pd((double)(q.last + 1));
-    const __m512i last = _mm512_set1_epi64(q.last), zero = _mm512_setzero_si512();
+    const __m512i last = _mm512_set1_epi64(q.last);
     const __m512i next = _mm512_set1_epi64(1);
     int64_t i = 0;
     for (; i + LANES <= n; i += LANES) {
@@ -1158,28 +1142,16 @@ AVX512 void antiderivative_eval_avx512(const double *nodes, int64_t n_nodes, dou
                 _mm512_add_epi64(last, next), _mm512_cmp_pd_mask(guess, beyond, _CMP_LT_OQ),
                 _mm512_cvttpd_epi64(guess));
             g = _mm512_min_epi64(g, last);
-            const __m512i g1 = _mm512_add_epi64(g, next);
             const __m512d left = _mm512_i64gather_pd(g, nodes, 8);
-            const __m512d right = _mm512_i64gather_pd(g1, nodes, 8);
-            const __mmask8 at_last = _mm512_cmpeq_epi64_mask(g, last);
-            __mmask8 ok;
-            if (from_right)
-                ok = (_mm512_cmp_pd_mask(left, zc, _CMP_LT_OQ) | _mm512_cmpeq_epi64_mask(g, zero))
-                     & (_mm512_cmp_pd_mask(right, zc, _CMP_GE_OQ) | at_last);
-            else
-                ok = _mm512_cmp_pd_mask(left, zc, _CMP_LE_OQ)
-                     & (_mm512_cmp_pd_mask(right, zc, _CMP_GT_OQ) | at_last);
+            const __m512d right = _mm512_i64gather_pd(g, nodes + 1, 8);
+            const __mmask8 ok = _mm512_cmp_pd_mask(left, zc, _CMP_LE_OQ)
+                                & (_mm512_cmp_pd_mask(right, zc, _CMP_GT_OQ)
+                                   | _mm512_cmpeq_epi64_mask(g, last));
             if (ok == 0xFF) {
-                __m512d s, v;
-                if (from_right) {
-                    s = _mm512_div_pd(_mm512_sub_pd(right, zc), halves);
-                    v = _mm512_add_pd(_mm512_i64gather_pd(g1, cum, 8),
-                                      _mm512_mul_pd(s, legval8x8(coef, g, _mm512_sub_pd(one, s))));
-                } else {
-                    s = _mm512_div_pd(_mm512_sub_pd(zc, left), halves);
-                    v = _mm512_add_pd(_mm512_i64gather_pd(g, cum, 8),
-                                      _mm512_mul_pd(s, legval8x8(coef, g, _mm512_sub_pd(s, one))));
-                }
+                const __m512d s = _mm512_div_pd(_mm512_sub_pd(zc, left), halves);
+                const __m512d v = _mm512_add_pd(
+                    _mm512_i64gather_pd(g, cum, 8),
+                    _mm512_mul_pd(s, legval8x8(coef, g, _mm512_sub_pd(s, one))));
                 _mm512_storeu_pd(out + i, v);
                 continue;
             }
@@ -1195,7 +1167,7 @@ AVX512 void antiderivative_eval_avx512(const double *nodes, int64_t n_nodes, dou
 
 /* ------------------------------------------------------------- dispatch */
 
-typedef void query_fn(const double *, int64_t, double, const double *, const double *, int,
+typedef void query_fn(const double *, int64_t, double, const double *, const double *,
                       const double *, int64_t, double *);
 static fill_fn *fill_path = philox_normal_fill_portable;
 static chunk_fn *chunk_path = chunk_portable;
@@ -1236,8 +1208,7 @@ int64_t euler_rows(const euler_spec *m, row_state *rows, const stream_keys *keys
 }
 
 void antiderivative_eval(const double *nodes, int64_t n_nodes, double half, const double *cum,
-                         const double *coef, int from_right, const double *z, int64_t n,
-                         double *out)
+                         const double *coef, const double *z, int64_t n, double *out)
 {
-    query_path(nodes, n_nodes, half, cum, coef, from_right, z, n, out);
+    query_path(nodes, n_nodes, half, cum, coef, z, n, out);
 }

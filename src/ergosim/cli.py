@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
@@ -15,8 +16,9 @@ from .config import ConfigError, RunConfig, parse_config
 from .harness import HarnessError, run_experiment
 from .models import centralize, invariant_density_1d, validate_conditions
 from .poisson1d import PoissonError, fit_tail_exponents, solve_poisson_1d
-from .variance import (mf_autocorrelation_form, mf_gradient_form,
-                       optimal_control, rate_function)
+from .variance import (VarianceError, check_horizon, check_knots, check_n_paths,
+                       mf_autocorrelation_form, mf_gradient_form, optimal_control,
+                       rate_function)
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -85,8 +87,23 @@ def cmd_poisson(args) -> int:
     return EXIT_PASS
 
 
+@contextlib.contextmanager
+def _flag(name: str, *errors):
+    """A :class:`VarianceError`, or one of ``errors``, raised in the block as
+    a :class:`ConfigError` naming the command-line flag ``name``."""
+    try:
+        yield
+    except (VarianceError, *errors) as exc:
+        raise ConfigError([f"command line: {name}: {exc}"]) from None
+
+
 def cmd_mf(args) -> int:
     cfg = _load_config(args)
+    # the autocorrelation route's own rules, before the analytic set-up
+    with _flag("--mf-paths"):
+        check_n_paths(args.mf_paths)
+    with _flag("--mf-horizon"):
+        check_horizon(args.mf_horizon)
     pi, f, sol, grad = _prepare(cfg, args)
     auto = mf_autocorrelation_form(
         cfg.spec.model, pi, f, n_paths=args.mf_paths, horizon=args.mf_horizon,
@@ -103,9 +120,13 @@ def cmd_mf(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg = _load_config(args)
+    # rate_function's own rules, before the analytic set-up; a cell that is
+    # not a number or a missing column fails here too
+    with _flag(f"--knots {args.knots}", ValueError, IndexError):
+        knots = np.loadtxt(args.knots, delimiter=",", skiprows=1, ndmin=2)
+        t_knots, xi_knots = check_knots(knots[:, 0], knots[:, 1])
     pi, f, sol, mf = _prepare(cfg, args)
-    knots = np.loadtxt(args.knots, delimiter=",", skiprows=1, ndmin=2)
-    path = rate_function(mf, knots[:, 0], knots[:, 1])
+    path = rate_function(mf, t_knots, xi_knots)
     print(f"I_f(path) = {path.rate:.10g}")
     ctrl = optimal_control(cfg.spec.model, pi, sol, mf, path)
     print(f"optimal-control L2 cost = {ctrl.l2_cost:.10g} (2*I = {2 * path.rate:.10g})")

@@ -356,8 +356,7 @@ def _native():
         "euler_rows": ((spec, ctypes.c_void_p, keys, ctypes.c_int64, *[ctypes.c_void_p] * 6,
                         ctypes.c_int64), ctypes.c_int64),
         "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
-                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
-                                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None),
+                                 *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p), None),
     }
     # the routed entry points and each path's own (no avx512 path off x86-64;
     # philox_start_rows has one path)

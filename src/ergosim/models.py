@@ -394,7 +394,6 @@ def invariant_density_1d(model: SdeModel) -> InvariantDensity1D:
     else:
         raise NotPositiveRecurrentError("model not positive recurrent on support")
 
-    table.keep_left_only()  # the density reads the exponent from the left alone
     i_max = int(np.argmax(vals))
     anchor = float(z_of_w(wn[i_max]))
     shift = m

@@ -10,7 +10,11 @@ with u obtained by one further integration.  The left-tail form is
 numerically stable below the density's anchor (its mode) and the
 right-tail form above it, which is exactly how the two are used here: a
 fixed switch such as 0.0 divides rounding noise by an underflowed a*pi
-once the mode lies several stationary SDs away from it.
+once the mode lies several stationary SDs away from it.  Each form is
+tabulated only on its own side of the anchor, both as integrals from the
+far end: the right tail int_x^hi is the integral from -hi to -x of the
+reflected integrand, so a tiny tail is never the difference of two nearly
+equal numbers.
 """
 
 from __future__ import annotations
@@ -82,8 +86,11 @@ def solve_poisson_1d(
 ) -> PoissonSolution:
     """Solve Lu = -f(t, .) on a 1D model via the antiderivative representation.
 
-    The cumulative integral of f*pi is tabulated once on a refinement of
-    the density's working range and reused for every grid point; u is
+    The integral of f*pi is tabulated once on a refinement of the
+    density's working range, split at the density anchor: from the left
+    end up to the anchor, and from the right end down to it as the table
+    of the reflected integrand.  The two tables share the range's panels in
+    proportion to their lengths and are reused for every grid point; u is
     normalized to vanish at the density anchor.  Grid points where a*pi
     underflows are dropped with a warning.
     """
@@ -99,7 +106,13 @@ def solve_poisson_1d(
         z = z_of_w(w)
         return np.asarray(f.value(t, z), dtype=float) * pi.density(z) * dz_dw(w)
 
-    table = Antiderivative(f_pi_w, w_lo, w_hi, _POISSON_PANELS)
+    # the anchor is an inner node of the density's table, so both parts
+    # have length; the integral beyond w is the reflected table's up to -w
+    w_anchor = float(w_of_z(pi.anchor))
+    n_left = min(max(round(_POISSON_PANELS * (w_anchor - w_lo) / (w_hi - w_lo)), 1),
+                 _POISSON_PANELS - 1)
+    below = Antiderivative(f_pi_w, w_lo, w_anchor, n_left)
+    beyond = Antiderivative(lambda v: f_pi_w(-v), -w_hi, -w_anchor, _POISSON_PANELS - n_left)
 
     def a_pi(z):
         return model.a(z) * pi.density(z)
@@ -107,11 +120,11 @@ def solve_poisson_1d(
     def u_prime_within(z):
         w = w_of_z(z)
         denom = a_pi(z)
-        # each point queries only the side it returns; NaN goes right
+        # each point queries only the side it returns; NaN goes beyond
         left = z <= pi.anchor
         num = np.empty(z.shape)
-        num[left] = -2.0 * table.from_left(w[left])
-        num[~left] = 2.0 * table.from_right(w[~left])
+        num[left] = -2.0 * below.from_left(w[left])
+        num[~left] = 2.0 * beyond.from_left(-w[~left])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = num / denom
         return out
@@ -141,7 +154,6 @@ def solve_poisson_1d(
     wu_lo = float(wn[np.argmax(valid)])
     wu_hi = float(wn[len(valid) - 1 - np.argmax(valid[::-1])])
     u_table = Antiderivative(u_prime_w, wu_lo, wu_hi, _POISSON_PANELS)
-    w_anchor = float(w_of_z(pi.anchor))
     u_offset = float(u_table.from_left(np.array([w_anchor]))[0])
 
     def u_val(z):

@@ -6,17 +6,17 @@ node grid; the grid, not an error estimate, sets the resolution.
 * :func:`panel_integral` -- the composite rule over a given node grid,
   also split into :func:`panel_points` and :func:`panel_sum` for a caller
   that keeps the integrand's values at the rule points.
-* :class:`Antiderivative` -- a cumulative-integral table on a uniform
-  grid, queried from either end.  Each panel also stores the integral of
-  the degree-7 interpolant of the integrand through its 8 rule points,
+* :class:`Antiderivative` -- the integral from the left end of a uniform
+  grid, tabulated at construction.  Each panel also stores the integral
+  of the degree-7 interpolant of the integrand through its 8 rule points,
   so a query inside a panel evaluates a polynomial and never calls the
-  integrand again.  Right-tail queries are accumulated from the right so
-  that tiny tail integrals are not computed as the difference of two
-  nearly equal numbers.  Each end's table is built when that end is first
-  queried.  A query is one call into the native library of
-  :mod:`ergosim.euler` (``antiderivative_eval`` in ``_philox_fill.c``,
-  whose portable and AVX-512 paths give the same bits); it has no numpy
-  fallback, so a failed build raises
+  integrand again.  A tail integral from ``z`` up to ``hi`` is the
+  integral from ``-hi`` to ``-z`` of the reflected integrand, so a caller
+  that needs a tiny right tail builds that table rather than taking the
+  difference of two nearly equal numbers.  A query is one call into the
+  native library of :mod:`ergosim.euler` (``antiderivative_eval`` in
+  ``_philox_fill.c``, whose portable and AVX-512 paths give the same
+  bits); it has no numpy fallback, so a failed build raises
   :class:`~ergosim.euler.NativeBuildError` here too.
 """
 
@@ -40,20 +40,10 @@ _GL_NODES, _GL_WEIGHTS = leg.leggauss(8)
 _TO_LEGENDRE = (np.arange(8) + 0.5)[:, None] * leg.legvander(_GL_NODES, 7).T * _GL_WEIGHTS
 
 
-def _quotient_map(bound: float, divisor) -> np.ndarray:
-    """Values -> Legendre coefficients of Q with int_bound^x p = divisor(x) Q(x).
-
-    ``divisor`` is ``x + 1`` for ``bound = -1`` and ``x - 1`` for
-    ``bound = 1``: the integral vanishes at ``bound``, so the division is
-    exact and Q has degree 7.
-    """
-    cols = [leg.legdiv(leg.legint(c, lbnd=bound), divisor)[0] for c in _TO_LEGENDRE.T]
-    return np.array(cols).T
-
-
-# int_{-1}^x p = (x + 1) L(x)  and  int_x^1 p = (1 - x) R(x)
-_LEFT_MAP = _quotient_map(-1.0, [1.0, 1.0])
-_RIGHT_MAP = _quotient_map(1.0, [-1.0, 1.0])
+# int_{-1}^x p = (x + 1) L(x): the integral vanishes at -1, so the division
+# is exact and L has degree 7
+_LEFT_MAP = np.array([leg.legdiv(leg.legint(c, lbnd=-1.0), [1.0, 1.0])[0]
+                      for c in _TO_LEGENDRE.T]).T
 
 
 def panel_points(nodes) -> np.ndarray:
@@ -85,25 +75,23 @@ def panel_integral(g: Callable[[np.ndarray], np.ndarray], nodes) -> float:
 
 
 class Antiderivative:
-    """Tabulated antiderivative of a vectorized integrand on [lo, hi].
+    """Tabulated integral from ``lo`` of a vectorized integrand on [lo, hi].
 
     ``g`` is evaluated once, at the 8 Gauss-Legendre points of every panel
-    of a uniform grid.  A query inside a panel adds to the cumulative sum
-    the integral of that panel's interpolant, stored as ``(x + 1) L(x)``
-    from the left node and ``(1 - x) R(x)`` from the right node in the
-    panel coordinate ``x`` in [-1, 1].  The factored forms make a query
-    exactly on a node return exactly the cumulative sum.  Each end's
-    cumulative sums and coefficients are built when that end is first
-    queried, and ``g``'s values are dropped once both ends are built (or
-    by :meth:`keep_left_only`, for a table never queried from the right).
+    of a uniform grid, and the table is built from those values at
+    construction: the cumulative sums at the nodes and, per panel, the
+    integral of the panel's interpolant from its left node, stored as
+    ``(x + 1) L(x)`` in the panel coordinate ``x`` in [-1, 1].  The
+    factored form makes a query exactly on a node return exactly the
+    cumulative sum.
 
-    ``from_left`` and ``from_right`` are one call each into the native
-    library.  Per point it clips ``z`` to [lo, hi] (NaN stays NaN), finds the
-    panel that ``np.searchsorted`` would give, and evaluates the panel's
-    Legendre series in the association order of numpy's ``legval``, so the
-    values are those of that numpy expression to the bit.  The coefficients
-    are stored panel-major, ``(n_panels, 8)``.  A 0-d query returns a numpy
-    float64; any other keeps the shape of ``z``.
+    ``from_left`` is one call into the native library.  Per point it clips
+    ``z`` to [lo, hi] (NaN stays NaN), finds the panel that
+    ``np.searchsorted(nodes, z, side="right") - 1`` would give, and
+    evaluates the panel's Legendre series in the association order of
+    numpy's ``legval``, so the values are those of that numpy expression to
+    the bit.  The coefficients are stored panel-major, ``(n_panels, 8)``.
+    A 0-d query returns a numpy float64; any other keeps the shape of ``z``.
     """
 
     def __init__(self, g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_panels: int):
@@ -113,51 +101,18 @@ class Antiderivative:
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         self._half = half = 0.5 * (self.nodes[1] - self.nodes[0])
         pts = mid[:, None] + half * _GL_NODES[None, :]
-        self._vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
-        self._sides = {}  # from_right -> (cumulative sums, coefficients)
+        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, _GL_NODES.size)
+        self._cum = np.concatenate(([0.0], np.cumsum(half * vals @ _GL_WEIGHTS)))
+        self._coef = np.ascontiguousarray((half * (_LEFT_MAP @ vals.T)).T)
 
     def from_left(self, z) -> np.ndarray:
         """Integral from lo to z (vectorized)."""
-        return self._query(z, 0)
-
-    def from_right(self, z) -> np.ndarray:
-        """Integral from z to hi (vectorized), accumulated from the right."""
-        return self._query(z, 1)
-
-    def keep_left_only(self) -> None:
-        """Build the left end and drop what only a right query needs, the
-        integrand's values; ``from_right`` then raises ``ValueError``."""
-        self._side(0)
-        self._sides.pop(1, None)
-        self._vals = None
-
-    def _side(self, from_right: int) -> tuple:
-        """The cumulative sums and the ``(n_panels, 8)`` Legendre coefficients
-        of L (from the left) or R (from the right), times the half-width."""
-        side = self._sides.get(from_right)
-        if side is None:
-            if self._vals is None:
-                raise ValueError("this table keeps only its left end")
-            panels = self._half * self._vals @ _GL_WEIGHTS
-            if from_right:
-                cum = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
-                coef = self._half * (_RIGHT_MAP @ self._vals.T)
-            else:
-                cum = np.concatenate(([0.0], np.cumsum(panels)))
-                coef = self._half * (_LEFT_MAP @ self._vals.T)
-            side = self._sides[from_right] = (cum, np.ascontiguousarray(coef.T))
-            if len(self._sides) == 2:
-                self._vals = None
-        return side
-
-    def _query(self, z, from_right: int):
         from . import euler  # not at import time: euler imports models, which imports us
 
-        cum, coef = self._side(from_right)
         z = np.asarray(z, dtype=float)
         flat = z.ravel()  # C-contiguous, copied only if z is not
         out = np.empty(z.shape)
         euler._native().antiderivative_eval(
-            self.nodes.ctypes.data, len(self.nodes), self._half, cum.ctypes.data,
-            coef.ctypes.data, from_right, flat.ctypes.data, flat.size, out.ctypes.data)
+            self.nodes.ctypes.data, len(self.nodes), self._half, self._cum.ctypes.data,
+            self._coef.ctypes.data, flat.ctypes.data, flat.size, out.ctypes.data)
         return out if out.ndim else out[()]

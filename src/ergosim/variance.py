@@ -58,6 +58,7 @@ TAIL_MASS_LIMIT = 0.01
 TAIL_QUANTILE = 1e-6
 # the route's blow-up bound: |y| <= _FINITE fails exactly where y is not finite
 _FINITE = sys.float_info.max
+DT = 0.005  # the autocorrelation route's default Euler step
 
 
 def mf_gradient_form(
@@ -115,7 +116,7 @@ def mf_autocorrelation_form(
     t: float = 0.0,
     horizon: float = 10.0,
     n_paths: int = 100_000,
-    dt: float = 0.005,
+    dt: float = DT,
     master_seed: int = 0,
     threads: Optional[int] = None,
 ) -> CovarianceCurve:
@@ -163,12 +164,9 @@ def mf_autocorrelation_form(
     """
     if not f.centralized:
         raise VarianceError("f must be centralized for the autocorrelation form")
-    n_paths = euler._integer("n_paths", n_paths, 2, VarianceError)  # the SE needs two paths
+    n_paths = check_n_paths(n_paths)
     master_seed = euler._integer("master_seed", master_seed, 0, VarianceError)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise VarianceError(f"dt must be finite and > 0, got {dt}")
-    if not (math.isfinite(horizon) and horizon >= dt):
-        raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
+    check_horizon(horizon, dt)
     threads = (euler._usable_cpus() if threads is None
                else euler._integer("threads", threads, 1, VarianceError))
     # a model or f the kernel cannot run, or a failed build, raises here,
@@ -248,6 +246,22 @@ def mf_autocorrelation_form(
     )
 
 
+def check_n_paths(n_paths) -> int:
+    """``n_paths`` as :func:`mf_autocorrelation_form` takes it, an integer of
+    at least 2 (the standard error needs two paths); else :class:`VarianceError`."""
+    return euler._integer("n_paths", n_paths, 2, VarianceError)
+
+
+def check_horizon(horizon: float, dt: float = DT) -> None:
+    """Raise :class:`VarianceError` unless ``dt`` is finite and positive and
+    ``horizon`` is finite and at least ``dt``, as :func:`mf_autocorrelation_form`
+    needs them."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise VarianceError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(horizon) and horizon >= dt):
+        raise VarianceError(f"horizon must be finite and at least dt = {dt}, got {horizon}")
+
+
 def _non_finite_f(corr_sum: np.ndarray, n_steps: int) -> VarianceError:
     # a non-finite f(X_0) makes corr_sum[0] non-finite; a running integral
     # that overflowed on finite products shows only at the end
@@ -277,16 +291,9 @@ def rate_function(mf: CovarianceCurve, t_knots, xi_knots) -> RatePath:
 
     Constant M_f segments integrate in closed form; a linearly
     interpolated M_f(s) yields the exact log-form segment integral.
-    Paths must start at xi(0) = 0.
+    The knots must pass :func:`check_knots`.
     """
-    t_knots = np.asarray(t_knots, dtype=float)
-    xi_knots = np.asarray(xi_knots, dtype=float)
-    if t_knots.ndim != 1 or t_knots.size < 2 or np.any(np.diff(t_knots) <= 0):
-        raise VarianceError("t_knots must be strictly increasing with at least 2 points")
-    if xi_knots.shape != t_knots.shape:
-        raise VarianceError("xi_knots must match t_knots in shape")
-    if xi_knots[0] != 0.0:
-        raise VarianceError("paths must start at 0")
+    t_knots, xi_knots = check_knots(t_knots, xi_knots)
     m_at = np.interp(t_knots, mf.t_grid, mf.values)
     if np.any(m_at <= 1e-14):
         raise SingularCovarianceError("M_f vanishes on the path support")
@@ -302,6 +309,22 @@ def rate_function(mf: CovarianceCurve, t_knots, xi_knots) -> RatePath:
             seg = v * v * dt * math.log(m1 / m0) / (m1 - m0)
         total += 0.5 * seg
     return RatePath(t_knots=t_knots, xi_knots=xi_knots, rate=total)
+
+
+def check_knots(t_knots, xi_knots) -> tuple:
+    """The knots as float arrays, if they make a path :func:`rate_function`
+    takes: ``t_knots`` strictly increasing with at least 2 points,
+    ``xi_knots`` of the same shape and starting at 0; else
+    :class:`VarianceError`."""
+    t_knots = np.asarray(t_knots, dtype=float)
+    xi_knots = np.asarray(xi_knots, dtype=float)
+    if t_knots.ndim != 1 or t_knots.size < 2 or np.any(np.diff(t_knots) <= 0):
+        raise VarianceError("t_knots must be strictly increasing with at least 2 points")
+    if xi_knots.shape != t_knots.shape:
+        raise VarianceError("xi_knots must match t_knots in shape")
+    if xi_knots[0] != 0.0:
+        raise VarianceError("paths must start at 0")
+    return t_knots, xi_knots
 
 
 @dataclass

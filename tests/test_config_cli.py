@@ -541,10 +541,30 @@ def test_cli_mf_same_lines_at_any_thread_count(tmp_path, capsys, monkeypatch):
                                            ("--mf-horizon", "-1"), ("--mf-horizon", "nan"),
                                            ("--mf-horizon", "0")])
 def test_cli_mf_rejects_bad_arguments(tmp_path, capsys, option, value):
-    rc = main(["--config", write(tmp_path, OU_CLT), "--quiet", "mf", option, value])
-    assert rc == EXIT_RUNTIME_ERROR
+    # refused by the autocorrelation route's own rules before the analytic
+    # set-up, which would print the model and M_f
+    rc = main(["--config", write(tmp_path, OU_CLT), "mf", option, value])
+    assert rc == EXIT_CONFIG_ERROR
+    out, err = capsys.readouterr()
     name = option[len("--mf-"):].replace("paths", "n_paths")
-    assert f"VarianceError: {name} must be" in capsys.readouterr().err
+    assert f"command line: {option}: {name} must be" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.0,0.5\n1.0,1.0", "paths must start at 0"),
+    ("0.0,0.0\n0.0,1.0", "t_knots must be strictly increasing"),
+    ("0.0,0.0\n1.0,x", "could not convert string 'x'"),
+], ids=["xi_not_starting_at_0", "repeated_t", "cell_not_a_number"])
+def test_cli_rate_rejects_bad_knots(tmp_path, capsys, rows, message):
+    # refused by rate_function's own rules before the analytic set-up
+    knots = tmp_path / "knots.csv"
+    knots.write_text(f"t,xi_1\n{rows}\n")
+    rc = main(["--config", write(tmp_path, OU_CLT), "rate", "--knots", str(knots)])
+    assert rc == EXIT_CONFIG_ERROR
+    out, err = capsys.readouterr()
+    assert f"command line: --knots {knots}: {message}" in err
+    assert out == ""
 
 
 def test_cli_experiment_artifacts_and_determinism(tmp_path, capsys):

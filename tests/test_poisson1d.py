@@ -41,13 +41,20 @@ def test_ou_identity_u_prime_is_one(ou_setup):
 def two_sided_u_prime(m, pi, f, t, z, n_panels=6000):
     """u' by the formula that queries both sides of every point and keeps
     one with ``np.where``: -2 F_left / (a pi) up to the anchor, 2 F_right / (a pi)
-    beyond it and at NaN, with F the tabulated integral of f pi."""
+    beyond it and at NaN.  F_left is the integral of f pi from the working
+    range's left end, tabulated up to the anchor; F_right the integral to its
+    right end, tabulated from there down to the anchor as the reflected
+    integrand's; the two share the panels in proportion to their lengths."""
     def f_pi_w(w):
         x = pi._z_of_w(w)
         return np.asarray(f.value(t, x), dtype=float) * pi.density(x) * pi._dz_dw(w)
-    table = Antiderivative(f_pi_w, float(pi._w_nodes[0]), float(pi._w_nodes[-1]), n_panels)
+    w_lo, w_hi = float(pi._w_nodes[0]), float(pi._w_nodes[-1])
+    w_anchor = float(pi._w_of_z(pi.anchor))
+    n_left = int(np.clip(round(n_panels * (w_anchor - w_lo) / (w_hi - w_lo)), 1, n_panels - 1))
+    below = Antiderivative(f_pi_w, w_lo, w_anchor, n_left)
+    beyond = Antiderivative(lambda v: f_pi_w(-v), -w_hi, -w_anchor, n_panels - n_left)
     w = pi._w_of_z(z)
-    num = np.where(z <= pi.anchor, -2.0 * table.from_left(w), 2.0 * table.from_right(w))
+    num = np.where(z <= pi.anchor, -2.0 * below.from_left(w), 2.0 * beyond.from_left(-w))
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / (m.a(z) * pi.density(z))
 
@@ -69,6 +76,23 @@ def test_u_prime_queries_one_side_with_the_two_sided_bits(family, params):
     got = sol.u_prime_fn(z)
     np.testing.assert_array_equal(got, two_sided_u_prime(m, pi, f, 0.0, z))
     assert np.all(np.isfinite(got[:-1])) and np.isnan(got[-1])
+
+
+@pytest.mark.parametrize("family, params, z", [
+    ("ou", dict(kappa=1.0, mu=0.0, sigma=SQRT2), np.concatenate([-np.linspace(6.0, 12.0, 25),
+                                                                 np.linspace(6.0, 12.0, 25)])),
+    ("cir", dict(kappa=1.0, mu=1.0, sigma=1.0), np.geomspace(1e-4, 20.0, 50)),
+], ids=["ou", "cir"])
+def test_u_prime_is_one_deep_in_both_tails(family, params, z):
+    # f = x - mu solves with u = x / kappa for OU and CIR alike, so u' = 1
+    # where pi is as small as 1e-32; each tail is integrated from its own
+    # end, so neither is the difference of two nearly equal numbers
+    m = builtin_model(family, params)
+    pi = invariant_density_1d(m)
+    f = centralize(FunctionalSpec.from_polynomial([0.0, 1.0]), pi)
+    sol = solve_poisson_1d(m, pi, f, 0.0, np.linspace(0.2, 3.0, 15))
+    assert np.any(z < pi.anchor) and np.any(z > pi.anchor)
+    assert np.max(np.abs(sol.u_prime_fn(z) - 1.0)) < 1e-12
 
 
 def test_u_prime_is_zero_outside_a_half_line_support():

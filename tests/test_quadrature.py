@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergosim import euler, quadrature
+from ergosim import euler
 from ergosim.quadrature import Antiderivative, panel_integral
 
 
@@ -37,12 +37,20 @@ def test_interval_additivity(a, w):
     assert abs(whole - split) < 1e-13
 
 
+def _pdf(x):
+    return np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi)
+
+
 class TestAntiderivative:
     def setup_method(self):
-        self.tab = Antiderivative(
-            lambda x: np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi), -8.0, 8.0, 400
-        )
+        self.tab = Antiderivative(_pdf, -8.0, 8.0, 400)
         self.total = float(self.tab.from_left(self.tab.nodes[-1]))
+        # the integral from z to 8, as a caller with a tiny right tail reads
+        # it: the table of the reflected integrand, from -8 up to -z
+        self.reflected = Antiderivative(lambda v: _pdf(-v), -8.0, 8.0, 400)
+
+    def right_tail(self, z):
+        return self.reflected.from_left(-np.asarray(z, dtype=float))
 
     def test_matches_erf(self):
         zs = np.linspace(-3, 3, 31)
@@ -52,12 +60,12 @@ class TestAntiderivative:
 
     def test_left_right_sum_to_total(self):
         zs = np.linspace(-7.5, 7.5, 101)
-        s = self.tab.from_left(zs) + self.tab.from_right(zs)
+        s = self.tab.from_left(zs) + self.right_tail(zs)
         assert np.max(np.abs(s - self.total)) < 1e-13
 
     def test_right_tail_no_cancellation(self):
         # at z = 7 the tail is ~1e-12; a left-difference would lose it
-        tail = float(self.tab.from_right(np.array([7.0]))[0])
+        tail = float(self.right_tail(np.array([7.0]))[0])
         want = 0.5 * (math.erfc(7.0 / math.sqrt(2)) - math.erfc(8.0 / math.sqrt(2)))
         assert abs(tail - want) / want < 1e-6
 
@@ -73,14 +81,12 @@ class TestAntiderivative:
     @given(st.floats(-20.0, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_left_right_sum_to_total_anywhere(self, z):
-        s = float(self.tab.from_left(z)) + float(self.tab.from_right(z))
+        s = float(self.tab.from_left(z)) + float(self.right_tail(z))
         assert abs(s - self.total) < 1e-13
 
     def test_exact_on_nodes(self):
         assert float(self.tab.from_left(self.tab.nodes[0])) == 0.0
-        assert float(self.tab.from_right(self.tab.nodes[-1])) == 0.0
-        assert np.array_equal(self.tab.from_left(self.tab.nodes), self.tab._side(0)[0])
-        assert np.array_equal(self.tab.from_right(self.tab.nodes), self.tab._side(1)[0])
+        assert np.array_equal(self.tab.from_left(self.tab.nodes), self.tab._cum)
 
     def test_queries_never_call_integrand(self):
         calls = []
@@ -93,7 +99,6 @@ class TestAntiderivative:
         calls.clear()
         zs = np.linspace(-9.0, 9.0, 37)
         tab.from_left(zs)
-        tab.from_right(zs)
         tab.from_left(0.3)
         assert calls == []
 
@@ -102,21 +107,15 @@ class TestAntiderivative:
             Antiderivative(lambda x: x, 1.0, 1.0, 10)
 
 
-def _reference_query(tab, z, from_right):
+def _reference_query(tab, z):
     """The numpy query the native one replaces: ``searchsorted`` for the panel
     and the degree-7 Legendre recurrence written out in the association order
     of numpy's ``legval`` (as of numpy 2.4; other versions may associate it
     differently, so it is not called here)."""
     zc = np.clip(np.asarray(z, dtype=float), tab.nodes[0], tab.nodes[-1])
-    side = "left" if from_right else "right"
-    idx = np.clip(np.searchsorted(tab.nodes, zc, side=side) - 1, 0, len(tab.nodes) - 2)
-    cum, coef = tab._side(int(from_right))
-    if from_right:
-        s = (tab.nodes[idx + 1] - zc) / tab._half
-        x, cum, c = 1.0 - s, cum[idx + 1], coef[idx]
-    else:
-        s = (zc - tab.nodes[idx]) / tab._half
-        x, cum, c = s - 1.0, cum[idx], coef[idx]
+    idx = np.clip(np.searchsorted(tab.nodes, zc, side="right") - 1, 0, len(tab.nodes) - 2)
+    s = (zc - tab.nodes[idx]) / tab._half
+    x, cum, c = s - 1.0, tab._cum[idx], tab._coef[idx]
     c0, c1 = c[..., 6], c[..., 7]
     for nd in range(7, 1, -1):
         c0, c1 = c[..., nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
@@ -142,59 +141,14 @@ def test_native_queries_match_numpy_reference_bitwise(lo, width, n_panels, seed)
     inputs = [pts, pts[::3], pts[:600].reshape(20, 30), pts[:600].reshape(20, 30).T,
               np.float64(-0.0), np.nan, -np.inf, float(pts[0]), np.asarray(pts[1])]
     for z in inputs:
-        for from_right, query in ((False, tab.from_left), (True, tab.from_right)):
-            got, want = query(z), _reference_query(tab, z, from_right)
-            assert type(got) is type(want)
-            assert np.shape(got) == np.shape(want) == np.shape(z)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got, want = tab.from_left(z), _reference_query(tab, z)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == np.shape(z)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _bumpy(x):
     return np.exp(-0.5 * x * x) * np.cos(3.0 * x) + 0.1 * x
-
-
-def _eager_sides(g, lo, hi, n_panels):
-    """Both ends' cumulative sums and coefficients, built at once from the
-    integrand's values as a table built them before either end waited for
-    its first query."""
-    nodes = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    half = 0.5 * (nodes[1] - nodes[0])
-    pts = mid[:, None] + half * quadrature._GL_NODES[None, :]
-    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n_panels, 8)
-    panels = half * vals @ quadrature._GL_WEIGHTS
-    left = (np.concatenate(([0.0], np.cumsum(panels))),
-            np.ascontiguousarray((half * (quadrature._LEFT_MAP @ vals.T)).T))
-    right = (np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0])),
-             np.ascontiguousarray((half * (quadrature._RIGHT_MAP @ vals.T)).T))
-    return left, right
-
-
-@pytest.mark.parametrize("first", [0, 1])
-def test_sides_built_on_first_use_equal_the_eager_ones(first):
-    eager = _eager_sides(_bumpy, -2.0, 3.5, 300)
-    tab = Antiderivative(_bumpy, -2.0, 3.5, 300)
-    queries = (tab.from_left, tab.from_right)
-    z = np.linspace(-2.5, 4.0, 1001)
-    assert tab._sides == {}
-    queries[first](z)
-    assert list(tab._sides) == [first] and tab._vals is not None
-    queries[1 - first](z)
-    assert tab._vals is None  # dropped once both ends exist
-    for side in (0, 1):
-        for got, want in zip(tab._side(side), eager[side]):
-            assert got.tobytes() == want.tobytes()
-
-
-def test_left_only_table_keeps_the_left_bits():
-    z = np.linspace(-2.5, 4.0, 1001)
-    want = Antiderivative(_bumpy, -2.0, 3.5, 300).from_left(z)
-    tab = Antiderivative(_bumpy, -2.0, 3.5, 300)
-    tab.keep_left_only()
-    assert tab._vals is None
-    assert tab.from_left(z).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="keeps only its left end"):
-        tab.from_right(z)
 
 
 @pytest.mark.parametrize("lo, hi, n_panels", [(0.0, 3.0, 5), (-2.0, 3.0, 1000), (-1.0, 1.0, 1)])
@@ -216,15 +170,13 @@ def test_both_native_query_paths_give_the_same_bits(lo, hi, n_panels):
         np.nextafter(nodes[:20], np.inf)]))
     cases = ([inside[:n] for n in range(18)] + [mixed[:n] for n in range(18)]
              + [mixed, nodes, np.concatenate([inside, mixed, inside])])
-    for from_right in (0, 1):
-        cum, coef = tab._side(from_right)
-        for z in cases:
-            z = np.ascontiguousarray(z)
-            outs = []
-            for k, fn in enumerate(paths):
-                out = np.full(z.size, float(k))  # a point left unwritten differs
-                fn(nodes.ctypes.data, len(nodes), tab._half, cum.ctypes.data, coef.ctypes.data,
-                   from_right, z.ctypes.data, z.size, out.ctypes.data)
-                outs.append(out.tobytes())
-            assert outs[0] == outs[1], (from_right, z)
-            assert outs[0] == _reference_query(tab, z, from_right).tobytes(), (from_right, z)
+    for z in cases:
+        z = np.ascontiguousarray(z)
+        outs = []
+        for k, fn in enumerate(paths):
+            out = np.full(z.size, float(k))  # a point left unwritten differs
+            fn(nodes.ctypes.data, len(nodes), tab._half, tab._cum.ctypes.data,
+               tab._coef.ctypes.data, z.ctypes.data, z.size, out.ctypes.data)
+            outs.append(out.tobytes())
+        assert outs[0] == outs[1], z
+        assert outs[0] == _reference_query(tab, z).tobytes(), z
