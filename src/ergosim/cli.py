@@ -7,6 +7,7 @@ import contextlib
 import datetime
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,9 +122,12 @@ def cmd_mf(args) -> int:
 def cmd_rate(args) -> int:
     cfg = _load_config(args)
     # rate_function's own rules, before the analytic set-up; a cell that is
-    # not a number or a missing column fails here too
-    with _flag(f"--knots {args.knots}", ValueError, IndexError):
+    # not a number, a missing column or no rows fails here too
+    with _flag(f"--knots {args.knots}", ValueError), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         knots = np.loadtxt(args.knots, delimiter=",", skiprows=1, ndmin=2)
+        if knots.shape[1] < 2:  # one column, or a header and no rows
+            raise ValueError("expected a header and rows with the columns t,xi_1")
         t_knots, xi_knots = check_knots(knots[:, 0], knots[:, 1])
     pi, f, sol, mf = _prepare(cfg, args)
     path = rate_function(mf, t_knots, xi_knots)

@@ -40,8 +40,9 @@ within chunks of ``_SUM_ROWS`` rows, then over the chunks in order; the
 route reads only the trapezoid integrals and terminal states, so the
 observe mode leaves ``xi_riemann`` and ``sup_abs`` NaN.  The
 library's other entry point, ``antiderivative_eval``, answers the queries
-of :class:`~ergosim.quadrature.Antiderivative`, so the density, the
-Poisson solution and the gradient form of ``M_f`` load the library too.
+of :class:`~ergosim.quadrature.Antiderivative` on one path, the same on
+every CPU, so the density, the Poisson solution and the gradient form
+of ``M_f`` load the library too.
 
 Randomness is organized as counter-based per-replicate streams derived
 from ``(master_seed, replicate_index)`` so that replicate results do not
@@ -67,9 +68,9 @@ it started and filled is compared with ``replicate_stream``
 (:class:`NativeBuildError` if they differ), so the kernel draws exactly
 the numbers of ``replicate_stream``.  The library is compiled with gcc
 (flags ``_CFLAGS``) on first use into a per-user cache and runs without
-the GIL.  Its fill, its Euler kernel and its antiderivative queries each
-come in a portable and an AVX-512 path with the same bits; the library
-picks one for the CPU when it is loaded, and ``NATIVE_PATH`` names it.
+the GIL.  Its fill and its Euler kernel each come in a portable and an
+AVX-512 path with the same bits; the library picks one for the CPU when
+it is loaded, and ``NATIVE_PATH`` names it.
 ``euler_rows`` takes its rows ``_SUM_ROWS`` at a time on the caller's
 thread and ``threads - 1`` POSIX threads of its own, placed off the
 caller's CPU and joined before it returns, so that neither its rows nor
@@ -295,7 +296,8 @@ _lib = None
 def _native():
     """The compiled ``_philox_fill.c``: ``philox_start_rows``,
     ``philox_normal_fill``, ``euler_rows`` and ``antiderivative_eval`` (the
-    queries of :class:`~ergosim.quadrature.Antiderivative`).
+    queries of :class:`~ergosim.quadrature.Antiderivative`, one path on
+    every CPU).
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     as ``philox_fill-<environment>-<source>.so``: ``<environment>`` is a
@@ -359,7 +361,7 @@ def _native():
                                  *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p), None),
     }
     # the routed entry points and each path's own (no avx512 path off x86-64;
-    # philox_start_rows has one path)
+    # philox_start_rows and antiderivative_eval have one path)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
         for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)

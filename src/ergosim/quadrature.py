@@ -15,8 +15,8 @@ node grid; the grid, not an error estimate, sets the resolution.
   that needs a tiny right tail builds that table rather than taking the
   difference of two nearly equal numbers.  A query is one call into the
   native library of :mod:`ergosim.euler` (``antiderivative_eval`` in
-  ``_philox_fill.c``, whose portable and AVX-512 paths give the same
-  bits); it has no numpy fallback, so a failed build raises
+  ``_philox_fill.c``, one path on every CPU); it has no numpy
+  fallback, so a failed build raises
   :class:`~ergosim.euler.NativeBuildError` here too.
 """
 
@@ -40,10 +40,15 @@ _GL_NODES, _GL_WEIGHTS = leg.leggauss(8)
 _TO_LEGENDRE = (np.arange(8) + 0.5)[:, None] * leg.legvander(_GL_NODES, 7).T * _GL_WEIGHTS
 
 
+# Legendre -> power-basis coefficients: column k holds the monomial
+# coefficients of P_k, dyadic rationals, so the map is exact
+_TO_POWER = np.column_stack([np.pad(leg.leg2poly(e), (0, 7 - k))
+                             for k, e in enumerate(np.eye(8))])
+
 # int_{-1}^x p = (x + 1) L(x): the integral vanishes at -1, so the division
-# is exact and L has degree 7
-_LEFT_MAP = np.array([leg.legdiv(leg.legint(c, lbnd=-1.0), [1.0, 1.0])[0]
-                      for c in _TO_LEGENDRE.T]).T
+# is exact and L has degree 7; a query evaluates L in the power basis
+_LEFT_MAP = _TO_POWER @ np.array([leg.legdiv(leg.legint(c, lbnd=-1.0), [1.0, 1.0])[0]
+                                  for c in _TO_LEGENDRE.T]).T
 
 
 def panel_points(nodes) -> np.ndarray:
@@ -88,9 +93,8 @@ class Antiderivative:
     ``from_left`` is one call into the native library.  Per point it clips
     ``z`` to [lo, hi] (NaN stays NaN), finds the panel that
     ``np.searchsorted(nodes, z, side="right") - 1`` would give, and
-    evaluates the panel's Legendre series in the association order of
-    numpy's ``legval``, so the values are those of that numpy expression to
-    the bit.  The coefficients are stored panel-major, ``(n_panels, 8)``.
+    evaluates ``L`` by Horner's rule on its coefficients in the power basis
+    of ``x``, stored panel-major, ``(n_panels, 8)``.
     A 0-d query returns a numpy float64; any other keeps the shape of ``z``.
     """
 

@@ -313,11 +313,13 @@ def rate_function(mf: CovarianceCurve, t_knots, xi_knots) -> RatePath:
 
 def check_knots(t_knots, xi_knots) -> tuple:
     """The knots as float arrays, if they make a path :func:`rate_function`
-    takes: ``t_knots`` strictly increasing with at least 2 points,
+    takes: finite, ``t_knots`` strictly increasing with at least 2 points,
     ``xi_knots`` of the same shape and starting at 0; else
     :class:`VarianceError`."""
     t_knots = np.asarray(t_knots, dtype=float)
     xi_knots = np.asarray(xi_knots, dtype=float)
+    if not (np.all(np.isfinite(t_knots)) and np.all(np.isfinite(xi_knots))):
+        raise VarianceError("knots must be finite")
     if t_knots.ndim != 1 or t_knots.size < 2 or np.any(np.diff(t_knots) <= 0):
         raise VarianceError("t_knots must be strictly increasing with at least 2 points")
     if xi_knots.shape != t_knots.shape:

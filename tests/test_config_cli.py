@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -551,17 +552,27 @@ def test_cli_mf_rejects_bad_arguments(tmp_path, capsys, option, value):
     assert out == ""
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("0.0,0.5\n1.0,1.0", "paths must start at 0"),
-    ("0.0,0.0\n0.0,1.0", "t_knots must be strictly increasing"),
-    ("0.0,0.0\n1.0,x", "could not convert string 'x'"),
-], ids=["xi_not_starting_at_0", "repeated_t", "cell_not_a_number"])
-def test_cli_rate_rejects_bad_knots(tmp_path, capsys, rows, message):
-    # refused by rate_function's own rules before the analytic set-up
+@pytest.mark.parametrize("text, message", [
+    ("t,xi_1\n0.0,0.5\n1.0,1.0\n", "paths must start at 0"),
+    ("t,xi_1\n0.0,0.0\n0.0,1.0\n", "t_knots must be strictly increasing"),
+    ("t,xi_1\n0.0,0.0\n1.0,x\n", "could not convert string 'x'"),
+    ("t,xi_1\n0.0,0.0\nnan,1.0\n", "knots must be finite"),
+    ("t,xi_1\n0.0,0.0\ninf,1.0\n", "knots must be finite"),
+    ("t,xi_1\n0.0,0.0\n1.0,inf\n", "knots must be finite"),
+    ("t\n0.0\n1.0\n", "expected a header and rows with the columns t,xi_1"),
+    ("t,xi_1\n", "expected a header and rows with the columns t,xi_1"),
+], ids=["xi_not_starting_at_0", "repeated_t", "cell_not_a_number", "nan_t", "inf_t", "inf_xi",
+        "one_column", "header_only"])
+def test_cli_rate_rejects_bad_knots(tmp_path, capsys, text, message):
+    # refused by rate_function's own rules before the analytic set-up, in
+    # the command's words and with no numpy warning on the way
     knots = tmp_path / "knots.csv"
-    knots.write_text(f"t,xi_1\n{rows}\n")
-    rc = main(["--config", write(tmp_path, OU_CLT), "rate", "--knots", str(knots)])
+    knots.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", write(tmp_path, OU_CLT), "rate", "--knots", str(knots)])
     assert rc == EXIT_CONFIG_ERROR
+    assert [str(w.message) for w in caught] == []
     out, err = capsys.readouterr()
     assert f"command line: --knots {knots}: {message}" in err
     assert out == ""
