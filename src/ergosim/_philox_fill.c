@@ -60,33 +60,36 @@
  * CHUNK at a time on the caller's thread and threads - 1 POSIX threads it
  * starts, places off the caller's CPU and joins itself.  Its observe mode
  * runs the autocorrelation route of M_f (variance.py): each row starts
- * from its own state with a weight w, and each step's sum of w f(X_k) over
- * the rows is taken in row order within each chunk and then over the
- * chunks in order, so that no bit of it depends on the thread count or
- * the path; the route reads no xi_r or sup_abs, so this mode skips their
- * arithmetic and writes both NaN.
+ * from its own state with a weight w, and each chunk writes each step's
+ * sum of w f(X_k) over its rows, taken in row order, to its own row of an
+ * array the caller passes and owns; euler.py adds the chunks' rows in
+ * order, so that no bit depends on the thread count or the path.  The
+ * route reads no xi_r or sup_abs, so this mode skips their arithmetic and
+ * writes both NaN.  The library allocates nothing.
  *
- * The fill and the Euler kernel come in two paths that give the same bits:
+ * The fill and the Euler kernel come in two paths that give the same bits,
+ * each exported under its own name:
  *  - portable (philox_normal_fill_portable, euler_rows_portable): two
  *    counter blocks per Philox call so that the two dependent 10-round
  *    chains overlap, one ziggurat word at a time, and step_group on one
  *    vector of rows;
- *  - avx512 (x86-64 only, compiled for avx512f and avx512dq by target
- *    attributes, so the build flags stay the same): a segment's 16 blocks
- *    are two 8-lane Philox runs, one block per 64-bit lane, each 64x64 ->
- *    128-bit product built from four 32x32 -> 64-bit ones (a segment of
- *    at most 4 blocks, the end of a row's fill, takes the portable path's
- *    pairs instead of a run of 8); the ziggurat fast path takes 8 words
- *    per step, its table lookups gathered, up to the first word it does
- *    not accept; and step_group, compiled for the same target, on two
- *    vectors (16 rows) at a time, so that their step chains overlap.
- * Each path passes step_group its fill, its square root and its transpose
- * of each 8-step tile of the rows' normals, so that a vector holds one
- * step of its 8 rows.  Both paths take a word their fast path does not
- * accept through the same scalar wedge and tail code.
- * philox_normal_fill and euler_rows take the avx512 path when the CPU has
- * both extensions, checked once when the library is loaded, and the
- * portable path otherwise; native_path names the one picked.
+ *  - avx512 (philox_normal_fill_avx512, euler_rows_avx512; x86-64 only,
+ *    compiled for avx512f and avx512dq by target attributes, so the build
+ *    flags stay the same): a segment's 16 blocks are two 8-lane Philox
+ *    runs, one block per 64-bit lane, each 64x64 -> 128-bit product built
+ *    from four 32x32 -> 64-bit ones (a segment of at most 4 blocks, the
+ *    end of a row's fill, takes the portable path's pairs instead of a run
+ *    of 8); the ziggurat fast path takes 8 words per step, its table
+ *    lookups gathered, up to the first word it does not accept; and
+ *    step_group, compiled for the same target, on two vectors (16 rows) at
+ *    a time, so that their step chains overlap.
+ * Each path passes step_group its fill and its square root; both inline
+ * the one transpose of each 8-step tile of the rows' normals, so that a
+ * vector holds one step of its 8 rows.  Both paths take a word their fast
+ * path does not accept through the same scalar wedge and tail code.
+ * native_path names the path this CPU runs, avx512 when it has both
+ * extensions and portable otherwise, and euler.py binds the plain names
+ * philox_normal_fill and euler_rows to that path's exports.
  *
  * antiderivative_eval answers the queries of quadrature.Antiderivative,
  * always integrals from the table's left end (a caller that needs a right
@@ -101,7 +104,6 @@
 #include <sched.h>
 #include <stdatomic.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__)
@@ -590,6 +592,7 @@ typedef struct {
 
 #define SEG 256    /* steps of normals filled per row at a time */
 #define CHUNK 256  /* rows a thread takes at a time, and of one partial sum */
+const int64_t euler_chunk_rows = CHUNK; /* euler.py sizes the partial sums by it */
 #define LANES 8    /* rows per vector */
 #define MAX_VECS 2 /* vectors of rows stepped together in a group, at most */
 
@@ -690,9 +693,29 @@ diffusion(const euler_spec *m, int kind, const vd *sigma, const vd *x, vd *s, sq
     }
 }
 
-/* A path's transpose of columns k .. k+LANES-1 of LANES rows SEG doubles
- * apart into col, one column per vector */
-typedef void transpose_fn(const double *rows, vd col[LANES]);
+/* Columns k .. k+LANES-1 of LANES rows SEG doubles apart into col, one
+ * column per vector: three rounds of two-vector shuffles, which pair lanes
+ * 1, then 2, then 4 apart (each one instruction on the avx512 path; on
+ * SSE2 gcc moves the lanes one by one) */
+static inline __attribute__((always_inline)) void transpose(const double *rows, vd col[LANES])
+{
+    vd a[LANES], b[LANES];
+    for (int r = 0; r < LANES; r += 2) {
+        const vd x = *(const vd *)(rows + r * SEG), y = *(const vd *)(rows + (r + 1) * SEG);
+        a[r] = __builtin_shuffle(x, y, (vi){0, 8, 2, 10, 4, 12, 6, 14});
+        a[r + 1] = __builtin_shuffle(x, y, (vi){1, 9, 3, 11, 5, 13, 7, 15});
+    }
+    for (int r = 0; r < LANES; r += 4)
+        for (int j = 0; j < 2; j++) {
+            b[r + j] = __builtin_shuffle(a[r + j], a[r + 2 + j], (vi){0, 1, 8, 9, 4, 5, 12, 13});
+            b[r + 2 + j] = __builtin_shuffle(a[r + j], a[r + 2 + j],
+                                             (vi){2, 3, 10, 11, 6, 7, 14, 15});
+        }
+    for (int j = 0; j < 4; j++) {
+        col[j] = __builtin_shuffle(b[j], b[4 + j], (vi){0, 1, 2, 3, 8, 9, 10, 11});
+        col[4 + j] = __builtin_shuffle(b[j], b[4 + j], (vi){4, 5, 6, 7, 12, 13, 14, 15});
+    }
+}
 
 /* A path's fill of rows[0, n_rows) into the (n_rows, width) array out */
 typedef void fill_fn(row_state *rows, int64_t n_rows, double *out, int64_t width);
@@ -701,21 +724,21 @@ typedef void fill_fn(row_state *rows, int64_t n_rows, double *out, int64_t width
  * vectors, n <= vecs * LANES, lane r of vector q holding row
  * i0 + q * LANES + r, so that the vectors' dependency chains interleave.
  * What differs by path comes in as arguments that the path inlines: its
- * fill, its square root, its transpose of an 8-step tile of the rows'
- * normals, which puts one step of a vector's rows in one vector, and vecs.
+ * fill, its square root and vecs.  transpose puts one step of a vector's
+ * rows, from an 8-step tile of their normals, in one vector.
  * Lane masks take the place of branches (sup_abs, the blow-up check,
  * spare and failed rows); spare lanes start at x0, step zero noise and
  * count as failed from the start.  f is observed at the state map of the
  * stepped state, and the terminal state is mapped too.  In the observe
- * mode, with sum given, step k adds the rows' products w * f(X_k), in row
- * order, to sum[k - 1]; xi_r and sup_abs, which the sums' caller does not
- * read, then come out NaN (their arithmetic is skipped), and the terminal
- * state is left in the stepped coordinate, where the caller's next call
- * starts.  The kinds and the mode are read at run time, so each path
+ * mode, with sum given (the chunk's row of the caller's sums), step k adds
+ * the rows' products w * f(X_k), in row order, to sum[k - 1]; xi_r and
+ * sup_abs, which the sums' caller does not read, then come out NaN (their
+ * arithmetic is skipped), and the terminal state is left in the stepped
+ * coordinate, where the caller's next call starts.  The kinds and the mode are read at run time, so each path
  * compiles the step once. */
 static inline __attribute__((always_inline)) void
 step_group(const euler_spec *m, const row_streams *streams, int64_t i0, int n, const rows_out *o,
-           double *sum, fill_fn *fill, sqrt_fn *root, transpose_fn *transpose, int vecs)
+           double *sum, fill_fn *fill, sqrt_fn *root, int vecs)
 {
     const int dk = (int)m->drift_kind, sk = (int)m->diffusion_kind, mk = (int)m->map_kind;
     const int obs = sum != NULL;
@@ -839,21 +862,13 @@ static inline void sqrt_portable(vd *x)
 #endif
 }
 
-/* transpose_fn, one lane at a time */
-static inline void transpose_portable(const double *rows, vd col[LANES])
-{
-    for (int j = 0; j < LANES; j++)
-        for (int r = 0; r < LANES; r++)
-            col[j][r] = rows[r * SEG + j];
-}
-
 /* chunk_fn, one vector of rows to a group: two spill the portable state */
 static void chunk_portable(const euler_spec *m, const row_streams *rows, int64_t i0, int64_t n,
                            const rows_out *o, double *sum)
 {
     for (int64_t i = i0; i < i0 + n; i += LANES)
         step_group(m, rows, i, i0 + n - i < LANES ? (int)(i0 + n - i) : LANES, o, sum,
-                   philox_normal_fill_portable, sqrt_portable, transpose_portable, 1);
+                   philox_normal_fill_portable, sqrt_portable, 1);
 }
 
 #if defined(__x86_64__)
@@ -864,36 +879,13 @@ AVX512 static inline void sqrt_avx512(vd *x)
     *x = (vd)_mm512_sqrt_pd(_mm512_mask_mov_pd((__m512d)*x, clamp, _mm512_setzero_pd()));
 }
 
-/* transpose_fn in registers */
-AVX512 static inline void transpose_avx512(const double *rows, vd col[LANES])
-{
-    const __m512i pair_lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
-    const __m512i pair_hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
-    __m512d p[LANES], q[LANES];
-    for (int r = 0; r < LANES; r += 2) {
-        __m512d a = _mm512_load_pd(rows + r * SEG), b = _mm512_load_pd(rows + (r + 1) * SEG);
-        p[r] = _mm512_unpacklo_pd(a, b); /* rows r, r+1 of columns 0, 2, 4, 6 */
-        p[r + 1] = _mm512_unpackhi_pd(a, b); /* columns 1, 3, 5, 7 */
-    }
-    for (int r = 0; r < LANES; r += 4)
-        for (int j = 0; j < 2; j++) {
-            /* rows r .. r+3 of columns j, 4+j and of columns 2+j, 6+j */
-            q[r + j] = _mm512_permutex2var_pd(p[r + j], pair_lo, p[r + 2 + j]);
-            q[r + 2 + j] = _mm512_permutex2var_pd(p[r + j], pair_hi, p[r + 2 + j]);
-        }
-    for (int j = 0; j < 4; j++) {
-        col[j] = (vd)_mm512_shuffle_f64x2(q[j], q[4 + j], 0x44);
-        col[4 + j] = (vd)_mm512_shuffle_f64x2(q[j], q[4 + j], 0xEE);
-    }
-}
-
 /* chunk_portable's contract and bits, two vectors of rows to a group */
 AVX512 static void chunk_avx512(const euler_spec *m, const row_streams *rows, int64_t i0,
                                 int64_t n, const rows_out *o, double *sum)
 {
     for (int64_t i = i0; i < i0 + n; i += MAX_VECS * LANES)
         step_group(m, rows, i, i0 + n - i < MAX_VECS * LANES ? (int)(i0 + n - i) : MAX_VECS * LANES,
-                   o, sum, philox_normal_fill_avx512, sqrt_avx512, transpose_avx512, MAX_VECS);
+                   o, sum, philox_normal_fill_avx512, sqrt_avx512, MAX_VECS);
 }
 
 #endif /* __x86_64__ */
@@ -910,7 +902,7 @@ typedef struct {
     row_streams rows;
     int64_t n_rows;
     rows_out out;
-    double *sums;         /* observe mode: (chunks, n_steps), each chunk's sums */
+    double *sums;         /* observe mode: the caller's (chunks, n_steps) sums */
     _Atomic int64_t next; /* the next chunk to take */
 } rows_job;
 
@@ -920,7 +912,7 @@ static void *take_chunks(void *arg)
     const int64_t n_steps = J->m->n_steps;
     for (int64_t c; (c = atomic_fetch_add(&J->next, 1)) * CHUNK < J->n_rows;) {
         const int64_t i0 = c * CHUNK, left = J->n_rows - i0;
-        double *sum = J->sums ? J->sums + c * n_steps : NULL;
+        double *sum = J->m->weight ? J->sums + c * n_steps : NULL;
         for (int64_t k = 0; sum && k < n_steps; k++)
             sum[k] = -0.0; /* -0.0 + x is x: the sum starts at the chunk's first product */
         J->run(J->m, &J->rows, i0, left < CHUNK ? left : CHUNK, &J->out, sum);
@@ -956,22 +948,19 @@ static void spread_helpers(pthread_attr_t *attr)
  * Z the stepped state:
  * fail_step is that step's number, counted from 1, and its other outputs
  * are NaN.  fail_step is -1 for a row that never fails.
- * With m->weight, the observe mode, corr[k - 1] is step k's sum of
- * weight[j] * f(X_k) over the rows j: in row order within each chunk of
- * CHUNK rows, then over the chunks in order, so it depends on neither the
- * thread count nor the path; a sum from the first failing step on is
+ * With m->weight, the observe mode, sums[c * n_steps + k - 1] is step k's
+ * sum of weight[j] * f(X_k) over the rows j of chunk c, rows [c * CHUNK,
+ * (c + 1) * CHUNK), in row order, from -0.0; sums, the caller's, holds
+ * (n_rows + CHUNK - 1) / CHUNK rows of n_steps, and no bit of it depends on
+ * the thread count or the path.  A sum from the first failing step on is
  * undefined.  The chunks are taken in turn by the caller's thread and up to
- * threads - 1 helpers placed off its CPU, joined before the return.
- * Returns 0, or -1 if memory runs out. */
-static int64_t split_rows(chunk_fn *run, const euler_spec *m, row_state *rows,
-                          const stream_keys *keys, int64_t n_rows, rows_out out, double *corr,
-                          int64_t threads)
+ * threads - 1 helpers placed off its CPU, joined before the return. */
+static void split_rows(chunk_fn *run, const euler_spec *m, row_state *rows,
+                       const stream_keys *keys, int64_t n_rows, rows_out out, double *sums,
+                       int64_t threads)
 {
-    const int64_t n_chunks = (n_rows + CHUNK - 1) / CHUNK, n_steps = m->n_steps;
-    rows_job J = {run, m, {rows, keys}, n_rows, out, NULL, 0};
-    if (m->weight && n_chunks * n_steps > 0
-        && !(J.sums = malloc(n_chunks * n_steps * sizeof *J.sums)))
-        return -1;
+    const int64_t n_chunks = (n_rows + CHUNK - 1) / CHUNK;
+    rows_job J = {run, m, {rows, keys}, n_rows, out, sums, 0};
     threads = threads < n_chunks ? threads : n_chunks;
     threads = threads < MAX_THREADS ? threads : MAX_THREADS;
     pthread_t helper[MAX_THREADS];
@@ -990,36 +979,39 @@ static int64_t split_rows(chunk_fn *run, const euler_spec *m, row_state *rows,
     take_chunks(&J);
     for (int t = 0; t < helpers; t++)
         pthread_join(helper[t], NULL);
-    if (m->weight) {
-        for (int64_t k = 0; k < n_steps; k++)
-            corr[k] = -0.0;
-        for (int64_t c = 0; J.sums && c < n_chunks; c++)
-            for (int64_t k = 0; k < n_steps; k++)
-                corr[k] += J.sums[c * n_steps + k];
-        free(J.sums);
-    }
-    return 0;
 }
 
-int64_t euler_rows_portable(const euler_spec *m, row_state *rows, const stream_keys *keys,
-                            int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
-                            double *terminal, int64_t *fail_step, double *corr, int64_t threads)
+void euler_rows_portable(const euler_spec *m, row_state *rows, const stream_keys *keys,
+                         int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
+                         double *terminal, int64_t *fail_step, double *sums, int64_t threads)
 {
-    return split_rows(chunk_portable, m, rows, keys, n_rows,
-                      (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
+    split_rows(chunk_portable, m, rows, keys, n_rows,
+               (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, sums, threads);
 }
 
 #if defined(__x86_64__)
 
-int64_t euler_rows_avx512(const euler_spec *m, row_state *rows, const stream_keys *keys,
-                          int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
-                          double *terminal, int64_t *fail_step, double *corr, int64_t threads)
+void euler_rows_avx512(const euler_spec *m, row_state *rows, const stream_keys *keys,
+                       int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
+                       double *terminal, int64_t *fail_step, double *sums, int64_t threads)
 {
-    return split_rows(chunk_avx512, m, rows, keys, n_rows,
-                      (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
+    split_rows(chunk_avx512, m, rows, keys, n_rows,
+               (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, sums, threads);
 }
 
 #endif /* __x86_64__ */
+
+/* "avx512" when this CPU has avx512f and avx512dq, else "portable": the
+ * path whose exports euler.py binds to philox_normal_fill and euler_rows */
+const char *native_path(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        return "avx512";
+#endif
+    return "portable";
+}
 
 /* ------------------------------------------- tabulated antiderivative */
 
@@ -1069,42 +1061,4 @@ void antiderivative_eval(const double *nodes, int64_t n_nodes, double half, cons
             out[i0 + j] = cum[panel[j]] + s * p;
         }
     }
-}
-
-/* ------------------------------------------------------------- dispatch */
-
-static fill_fn *fill_path = philox_normal_fill_portable;
-static chunk_fn *chunk_path = chunk_portable;
-static const char *path_name = "portable";
-
-/* Pick the path for this CPU, once, when the library is loaded. */
-__attribute__((constructor)) static void pick_path(void)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
-        fill_path = philox_normal_fill_avx512;
-        chunk_path = chunk_avx512;
-        path_name = "avx512";
-    }
-#endif
-}
-
-/* "avx512" or "portable": the path the routed entry points below take */
-const char *native_path(void)
-{
-    return path_name;
-}
-
-void philox_normal_fill(row_state *rows, int64_t n_rows, double *out, int64_t width)
-{
-    fill_path(rows, n_rows, out, width);
-}
-
-int64_t euler_rows(const euler_spec *m, row_state *rows, const stream_keys *keys,
-                   int64_t n_rows, double *xi_c, double *xi_r, double *sup_abs,
-                   double *terminal, int64_t *fail_step, double *corr, int64_t threads)
-{
-    return split_rows(chunk_path, m, rows, keys, n_rows,
-                      (rows_out){xi_c, xi_r, sup_abs, terminal, fail_step}, corr, threads);
 }

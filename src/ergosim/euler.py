@@ -69,12 +69,14 @@ it started and filled is compared with ``replicate_stream``
 the numbers of ``replicate_stream``.  The library is compiled with gcc
 (flags ``_CFLAGS``) on first use into a per-user cache and runs without
 the GIL.  Its fill and its Euler kernel each come in a portable and an
-AVX-512 path with the same bits; the library picks one for the CPU when
-it is loaded, and ``NATIVE_PATH`` names it.
+AVX-512 path with the same bits, exported under the suffixes ``_portable``
+and ``_avx512``; :func:`_native` binds the plain names to the path the
+library's ``native_path`` names for the CPU, and ``NATIVE_PATH`` holds it.
 ``euler_rows`` takes its rows ``_SUM_ROWS`` at a time on the caller's
 thread and ``threads - 1`` POSIX threads of its own, placed off the
 caller's CPU and joined before it returns, so that neither its rows nor
-its sums depend on the thread count.
+its sums depend on the thread count.  It allocates nothing: the caller
+owns every output, each chunk's sums too.
 """
 
 from __future__ import annotations
@@ -287,8 +289,8 @@ _CACHE_DIR = Path.home() / ".cache" / "ergosim"
 # versions of this package built it; no build writes or loads that name now
 _LEGACY_NAME = re.compile(r"philox_fill-[0-9a-f]{16}\.so")
 _STATE_WORDS = 11  # per row: Philox counter (4), key (2), buffer (4), buffer position
-# the library's paths, each exported under its own suffix; it picks one
-# for the CPU when it is loaded
+# the library's paths, each exported under its own suffix; _native binds the
+# one its native_path names for this CPU
 _NATIVE_PATHS = ("portable", "avx512")
 _lib = None
 
@@ -297,7 +299,10 @@ def _native():
     """The compiled ``_philox_fill.c``: ``philox_start_rows``,
     ``philox_normal_fill``, ``euler_rows`` and ``antiderivative_eval`` (the
     queries of :class:`~ergosim.quadrature.Antiderivative`, one path on
-    every CPU).
+    every CPU), with ``chunk_rows``, the rows of one partial sum of the
+    observe mode (``euler_chunk_rows``).  ``philox_normal_fill`` and
+    ``euler_rows`` are bound to the exports of the path the library's
+    ``native_path`` names for this CPU, ``_avx512`` or ``_portable``.
 
     The shared library is built once per machine into ``_CACHE_DIR``,
     as ``philox_fill-<environment>-<source>.so``: ``<environment>`` is a
@@ -312,8 +317,8 @@ def _native():
     newest, and those named by one hash alone, the layout of earlier
     versions: the cache holds at most two libraries per environment, and
     two environments sharing it keep their own.  Once per process the
-    stream start and the fill, on the path the library picked for this CPU,
-    pass :func:`_check_fill`.
+    stream start and the fill, on the path bound for this CPU, pass
+    :func:`_check_fill`.
     """
     global _lib
     if _lib is not None:
@@ -356,17 +361,21 @@ def _native():
         "philox_normal_fill": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                                 ctypes.c_int64), None),
         "euler_rows": ((spec, ctypes.c_void_p, keys, ctypes.c_int64, *[ctypes.c_void_p] * 6,
-                        ctypes.c_int64), ctypes.c_int64),
+                        ctypes.c_int64), None),
         "antiderivative_eval": ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                                  *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p), None),
     }
-    # the routed entry points and each path's own (no avx512 path off x86-64;
-    # philox_start_rows and antiderivative_eval have one path)
+    # each path's exports (no avx512 path off x86-64; philox_start_rows and
+    # antiderivative_eval have one path, under the plain name)
     for suffix in ("", *(f"_{p}" for p in _NATIVE_PATHS)):
         for name, (args, restype) in signatures.items():
             fn = getattr(dll, name + suffix, None)
             if fn is not None:
                 fn.argtypes, fn.restype = args, restype
+    path = dll.native_path().decode()
+    for name in ("philox_normal_fill", "euler_rows"):
+        setattr(dll, name, getattr(dll, f"{name}_{path}"))
+    dll.chunk_rows = ctypes.c_int64.in_dll(dll, "euler_chunk_rows").value
     _check_fill(dll)
     _lib = dll
     return dll
@@ -412,10 +421,14 @@ def _build_step(what: str, tool: str, args) -> None:
 
 
 def __getattr__(name):
-    # NATIVE_PATH: the path the native library picked on this CPU, one of
-    # _NATIVE_PATHS; reading it loads (and if need be builds) the library
+    # NATIVE_PATH: the path bound on this CPU, one of _NATIVE_PATHS;
+    # _SUM_ROWS: the rows of one partial sum of the observe mode, which fix
+    # the order of its sums.  Reading either loads (and if need be builds)
+    # the library.
     if name == "NATIVE_PATH":
         return _native().native_path().decode()
+    if name == "_SUM_ROWS":
+        return _native().chunk_rows
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -473,10 +486,6 @@ BLOW_UP = 1e8
 # ---------------------------------------------------------------------------
 # batched replicates
 # ---------------------------------------------------------------------------
-
-# the rows of one partial sum of the observe mode (CHUNK of
-# _philox_fill.c), which fixes the order of its sums
-_SUM_ROWS = 256
 
 
 @dataclass
@@ -550,19 +559,24 @@ def _run_rows(model, f, h, dt, n_steps, blow_up, streams, threads, tilts=None, s
     ``(n, _STATE_WORDS)`` uint64 state array, advanced in place, or a
     :class:`_StreamKeys`, whose rows are started on the stack of the thread
     that steps them.  The other arguments are those of :func:`_euler_spec`.
-    ``corr`` (``n_steps`` floats) takes the observe mode's sums, which
-    ``weight`` asks for; that mode leaves terminal states in the stepped
-    coordinate."""
+    ``weight`` asks for the observe mode, whose sums go to ``corr``
+    (``n_steps`` floats): the kernel writes each chunk's sum of each step,
+    and they are added here in chunk order from ``-0.0``.  That mode leaves
+    terminal states in the stepped coordinate."""
     spec = _euler_spec(model, f, h, dt, n_steps, blow_up, tilts, start, weight)
     n = len(streams)
     keyed = isinstance(streams, _StreamKeys)
     out = np.empty((4, n))  # xi_continuous, xi_riemann, sup_abs, terminal
     fail_step = np.empty(n, np.int64)
-    if _native().euler_rows(spec, None if keyed else streams.ctypes.data,
-                            streams if keyed else None, n,
-                            *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
-                            None if corr is None else corr.ctypes.data, threads):
-        raise MemoryError("euler_rows: out of memory for the partial sums")
+    lib = _native()
+    sums = None if weight is None else np.empty((-(-n // lib.chunk_rows), n_steps))
+    lib.euler_rows(spec, None if keyed else streams.ctypes.data, streams if keyed else None, n,
+                   *[out[i].ctypes.data for i in range(4)], fail_step.ctypes.data,
+                   None if sums is None else sums.ctypes.data, threads)
+    if sums is not None:
+        corr[...] = -0.0
+        for chunk in sums:
+            corr += chunk
     return BatchResult(*out, fail_step >= 0, fail_step)
 
 

@@ -561,8 +561,9 @@ def test_cli_mf_rejects_bad_arguments(tmp_path, capsys, option, value):
     ("t,xi_1\n0.0,0.0\n1.0,inf\n", "knots must be finite"),
     ("t\n0.0\n1.0\n", "expected a header and rows with the columns t,xi_1"),
     ("t,xi_1\n", "expected a header and rows with the columns t,xi_1"),
+    ("t,xi_1,xi_2\n0,0,5\n1,0.2,nan\n", "expected a header and rows with the columns t,xi_1"),
 ], ids=["xi_not_starting_at_0", "repeated_t", "cell_not_a_number", "nan_t", "inf_t", "inf_xi",
-        "one_column", "header_only"])
+        "one_column", "header_only", "three_columns"])
 def test_cli_rate_rejects_bad_knots(tmp_path, capsys, text, message):
     # refused by rate_function's own rules before the analytic set-up, in
     # the command's words and with no numpy warning on the way

@@ -882,6 +882,10 @@ def test_native_path_is_picked_from_the_cpu():
     want = "avx512" if {"avx512f", "avx512dq"} <= flags else "portable"
     assert euler.NATIVE_PATH == want
     assert want in euler._NATIVE_PATHS
+    # the plain names are bound to that path's exports
+    lib = euler._native()
+    for name in ("philox_normal_fill", "euler_rows"):
+        assert getattr(lib, name) is getattr(lib, f"{name}_{want}"), name
 
 
 @pytest.fixture
@@ -981,9 +985,8 @@ def _rows_on_both_paths(native_paths, spec, seed, first, n):
             euler._start_streams(state[:n], keys)
             out = np.full((4, n + 8), -7.0)
             fail = np.full(n + 8, -7, np.int64)
-            assert rows_fn(spec, None if keyed else state.ctypes.data, keys if keyed else None,
-                           n, *[out[i].ctypes.data for i in range(4)], fail.ctypes.data, None,
-                           1) == 0
+            rows_fn(spec, None if keyed else state.ctypes.data, keys if keyed else None, n,
+                    *[out[i].ctypes.data for i in range(4)], fail.ctypes.data, None, 1)
             assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7)
             assert np.all(state[n:] == 7)
             runs.append((out, fail))
@@ -1042,11 +1045,13 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
     rows started at ``y0`` with weights ``w``, over consecutive legs of
     ``legs`` steps, each leg from the last one's terminal states on the
     same stream rows, up to a leg in which a row fails.  All must give the
-    same outputs, fail steps, stream rows and sums, the sums up to the first
-    failing step (later ones are undefined), and write nothing past the
-    last row or step.  Returns the first run's ``(sums, outputs, fail
-    steps)`` of each leg."""
+    same outputs, fail steps, stream rows and each chunk's sums, the sums
+    up to the first failing step (later ones are undefined), and write
+    nothing past the last row, step or chunk.  Returns the first run's
+    ``(sums, outputs, fail steps)`` of each leg, the sums one row per
+    chunk."""
     n = len(y0)
+    n_chunks = -(-n // euler._SUM_ROWS)
     runs = []
     for _, rows_fn in native_paths.values():
         for t in threads:
@@ -1057,14 +1062,13 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
                 spec = euler._euler_spec(model, f, h, h, k, np.finfo(float).max, start=y,
                                          weight=w)
                 out, fail = np.full((4, n + 8), -7.0), np.full(n + 8, -7, np.int64)
-                corr = np.full(k + 8, -7.0)
-                assert rows_fn(spec, state.ctypes.data, None, n,
-                               *[out[i].ctypes.data for i in range(4)], fail.ctypes.data,
-                               corr.ctypes.data, t) == 0
+                sums = np.full(n_chunks * k + 8, -7.0)
+                rows_fn(spec, state.ctypes.data, None, n, *[out[i].ctypes.data for i in range(4)],
+                        fail.ctypes.data, sums.ctypes.data, t)
                 assert np.all(out[:, n:] == -7.0) and np.all(fail[n:] == -7)
-                assert np.all(corr[k:] == -7.0) and np.all(state[n:] == 7)
+                assert np.all(sums[n_chunks * k:] == -7.0) and np.all(state[n:] == 7)
                 assert np.isnan(out[1:3, :n]).all()  # xi_riemann and sup_abs are not kept
-                done.append((corr[:k], out[:, :n], fail[:n]))
+                done.append((sums[:n_chunks * k].reshape(n_chunks, k), out[:, :n], fail[:n]))
                 if np.any(fail[:n] >= 0):
                     break
                 y = out[3, :n].copy()
@@ -1072,10 +1076,10 @@ def _observe_on_both_paths(native_paths, model, f, y0, w, legs, threads=(1,), h=
     first, first_state = runs[0]
     for done, state in runs[1:]:
         assert state.tobytes() == first_state.tobytes() and len(done) == len(first)
-        for (corr, out, fail), (corr_0, out_0, fail_0) in zip(done, first):
+        for (sums, out, fail), (sums_0, out_0, fail_0) in zip(done, first):
             assert out.tobytes() == out_0.tobytes() and fail.tobytes() == fail_0.tobytes()
-            upto = fail_0[fail_0 >= 0].min() if np.any(fail_0 >= 0) else len(corr_0)
-            assert corr[:upto].tobytes() == corr_0[:upto].tobytes()
+            upto = fail_0[fail_0 >= 0].min() if np.any(fail_0 >= 0) else sums_0.shape[1]
+            assert sums[:, :upto].tobytes() == sums_0[:, :upto].tobytes()
     return first
 
 
@@ -1160,19 +1164,18 @@ def test_both_paths_autocorrelate_every_kind_pair(native_paths, drift, diffusion
 
 
 def _chunked_sum(p):
-    """The sum of ``p`` in the order of the observe mode, by ``np.cumsum``: in
-    row order within chunks of ``euler._SUM_ROWS`` rows, then over the chunks
-    in order."""
+    """Each chunk's sum of ``p`` in the order of the observe mode, by
+    ``np.cumsum``: in row order within chunks of ``euler._SUM_ROWS`` rows."""
     rows = euler._SUM_ROWS
-    return np.cumsum([np.cumsum(p[a:a + rows])[-1] for a in range(0, len(p), rows)])[-1]
+    return np.array([np.cumsum(p[a:a + rows])[-1] for a in range(0, len(p), rows)])
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), 128, 129, 8191, 8192, 8193])
 def test_both_paths_sum_rows_as_numpy(native_paths, n):
-    # each step's sum of products is np.cumsum's within chunks of rows and
-    # then over the chunks, bit for bit, for one chunk, a chunk and a bit,
-    # and 32 chunks either side of a whole number; one step per leg leaves
-    # each step's products to compare, from random and all -0.0 weights
+    # each chunk's sum of a step's products is np.cumsum's within the chunk,
+    # bit for bit, for one chunk, a chunk and a bit, and 32 chunks either
+    # side of a whole number; one step per leg leaves each step's products
+    # to compare, from random and all -0.0 weights
     m = ou()
     f = FunctionalSpec.from_polynomial([0.1, 1.0, -0.3])
     rng = np.random.default_rng(n)
@@ -1180,9 +1183,9 @@ def test_both_paths_sum_rows_as_numpy(native_paths, n):
     for w in (rng.normal(0.0, 1.0, n), np.full(n, -0.0)):
         legs = _observe_on_both_paths(native_paths, m, f, y0, w, (1, 1, 1, 1), threads=(1, 3))
         assert len(legs) == 4
-        for corr, out, _ in legs:
+        for sums, out, _ in legs:
             prod = w * f.value(0.0, out[3])
-            assert corr.tobytes() == np.array([_chunked_sum(prod)]).tobytes()
+            assert sums.tobytes() == _chunked_sum(prod).tobytes()
 
 
 def test_float_replicate_count_rejected():

@@ -297,7 +297,7 @@ def test_autocorrelation_matches_per_step_loop(monkeypatch, ou_pipeline, cir_pip
 
 
 @pytest.mark.parametrize("family", ["ou", "cir", "custom"])
-@pytest.mark.parametrize("n_paths", [2, 7, 8, 9, 128, 129, 4097, 20_000])
+@pytest.mark.parametrize("n_paths", [2, 7, 8, 9, 128, 129, 256, 257, 4097, 20_000])
 def test_autocorrelation_same_bits_at_every_thread_count(monkeypatch, ou_pipeline, cir_pipeline,
                                                          family, n_paths):
     # 1,000 steps in legs of 750 and 250, on 1, 2, 3 and 5 threads and on
