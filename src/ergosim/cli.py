@@ -151,12 +151,10 @@ def cmd_experiment(args) -> int:
     payload["seed"] = cfg.spec.master_seed
     body = json.dumps(payload, indent=1, sort_keys=True)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if "json" in cfg.formats:
-        with open(out / "report.json", "w") as fh:
-            # timestamp on its own line so determinism checks can drop it
-            fh.write(body[:-2] + f',\n "timestamp": "{stamp}"\n}}\n')
-    if "csv" in cfg.formats:
-        report.to_csv(str(out / "summary.csv"))
+    with open(out / "report.json", "w") as fh:
+        # timestamp on its own line so determinism checks can drop it
+        fh.write(body[:-2] + f',\n "timestamp": "{stamp}"\n}}\n')
+    report.to_csv(str(out / "summary.csv"))
     _log(args, f"artifacts in {out}")
     print(f"{'verdict':28s} result")
     for name, ok in report.verdicts.items():

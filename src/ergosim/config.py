@@ -50,7 +50,7 @@ _SECTIONS = {
     "functional": {"coeffs", "name"},
     "schedule": {"regime", "theta", "c_step", "gamma_mdp"},
     "experiment": {"kind", "epsilon_list", "horizon", "replicates", "levels"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
     "run": {"seed", "threads"},
 }
 
@@ -69,7 +69,6 @@ _CUSTOM_SCALARS = ("recurrence_alpha", "recurrence_gamma", "recurrence_radius",
 class RunConfig:
     spec: ExperimentSpec
     out_dir: str
-    formats: tuple
     raw: dict = field(default_factory=dict)
 
 
@@ -291,20 +290,12 @@ def validate(data: dict, pre_errors=()) -> RunConfig:
             f"[experiment] kind {kind} requires schedule regime {KIND_REGIME[kind]}, got {regime}"
         )
 
-    osec = sec("output")
-    formats_raw = osec.get("formats", ["json", "csv"])
-    formats = tuple(str(v) for v in (formats_raw if isinstance(formats_raw, list) else [formats_raw]))
-    bad = [v for v in formats if v not in ("json", "csv")]
-    if bad:
-        errors.append(f"[output] unknown formats: {bad}")
-
     if errors:
         raise ConfigError(errors)
     spec = ExperimentSpec(kind=kind, model=model, functional=functional, policy=policy,
                           epsilon_list=eps, horizon=horizon, replicates=replicates,
                           mdp_levels=levels, master_seed=seed, threads=threads)
-    return RunConfig(spec=spec, out_dir=str(osec.get("directory", "runs")),
-                     formats=formats, raw=data)
+    return RunConfig(spec=spec, out_dir=str(sec("output").get("directory", "runs")), raw=data)
 
 
 def parse_config(source: str, inline: bool = False) -> RunConfig:

@@ -1,19 +1,21 @@
 """Replicated Monte Carlo experiments checking the three limit theorems.
 
-Each ``run_*`` entry point drives the batched Euler kernel over a list of
-epsilon values and reduces the replicate outputs into an
-:class:`ExperimentReport` with per-epsilon summary rows and explicit
-pass/fail verdicts: the root-epsilon decay of the running functional
-(law of large numbers rate), asymptotic normality of the rescaled
-functional (central limit theorem), and the exponential tail speed of
-the moderately rescaled functional (moderate deviations).
+Each kind gives one row function, reducing the batched Euler kernel's
+replicates at one epsilon to a summary row; one shared loop runs it over
+the epsilon list into an :class:`ExperimentReport`, on which the kind's
+``run_*`` entry point sets explicit pass/fail verdicts: the root-epsilon
+decay of the running functional (law of large numbers rate), asymptotic
+normality of the rescaled functional (central limit theorem), and the
+exponential tail speed of the moderately rescaled functional (moderate
+deviations).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +59,14 @@ MDP_GAP_TOL = 0.35
 MIN_PREDICTED_HITS = 10.0
 
 
+def _index(value, name: str, problems: list):
+    """``value`` as ``operator.index`` takes it, or None with the problem recorded."""
+    try:
+        return None if value is None else operator.index(value)
+    except TypeError:
+        problems.append(f"{name} must be an integer, got {value!r}")
+
+
 def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list:
     """Every experiment rule these fields break, one message each.
 
@@ -71,6 +81,8 @@ def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list
         problems.append("epsilon_list must be nonempty")
     elif eps and any(e <= 0 for e in eps):
         problems.append("epsilon values must be positive")
+    elif eps and not all(math.isfinite(e) for e in eps):
+        problems.append("epsilon values must be finite")
     elif eps and any(b >= a for a, b in zip(eps, eps[1:])):
         problems.append("epsilon_list must be strictly decreasing")
     elif eps and kind == LLN_RATE and len(eps) < LLN_RATE_MIN_EPSILONS:
@@ -78,6 +90,9 @@ def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list
                         f"epsilons for its slope fit, got {len(eps)}")
     if horizon is not None and horizon <= 0:
         problems.append("horizon must be positive")
+    elif horizon is not None and not math.isfinite(horizon):
+        problems.append("horizon must be finite")
+    replicates = _index(replicates, "replicates", problems)
     if replicates is not None:
         if replicates < 1:
             problems.append("replicates must be >= 1")
@@ -89,8 +104,10 @@ def spec_problems(kind, eps, horizon, replicates, levels, seed, threads) -> list
         problems.append(f"{MDP_TAIL} requires at least one level")
     elif levels and not all(x > 0 for x in levels):
         problems.append(f"levels must be > 0, got {list(levels)}")
+    seed = _index(seed, "seed", problems)
     if seed is not None and seed < 0:
         problems.append(f"seed must be >= 0, got {seed}")
+    threads = _index(threads, "threads", problems)
     if threads is not None and threads < 1:
         problems.append(f"threads must be >= 1, got {threads}")
     return problems
@@ -163,26 +180,14 @@ class ExperimentReport:
         return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "slopes": self.slopes,
-            "verdicts": self.verdicts,
-            "notes": self.notes,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def to_csv(self, path: str) -> None:
         cols = ["epsilon", "delta_step", "delta_scale", "n", "n_failed",
                 "mean", "var", "sup_mean", "ks"]
-        level_cols = sorted(
-            {k for r in self.rows for k in r if k.startswith("tail_freq_")}
-        )
+        cols += sorted({k for r in self.rows for k in r if k.startswith("tail_freq_")})
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols + level_cols)
-            for r in self.rows:
-                w.writerow([r.get(c, "") for c in cols + level_cols])
+            csv.writer(fh).writerows([cols] + [[r.get(c, "") for c in cols] for r in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +257,17 @@ def mdp_closed_form_rate(level: float, horizon: float, mf: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _provenance(spec: ExperimentSpec) -> dict:
-    return {"spec": spec.echo(), "code_version": __version__, "master_seed": spec.master_seed}
+def _expect(spec: ExperimentSpec, kind: str) -> None:
+    if spec.kind != kind:
+        raise HarnessError(f"expected kind {kind}, got {spec.kind}")
+
+
+def _report(spec: ExperimentSpec, row_of) -> ExperimentReport:
+    """The report of ``row_of(spec.schedule(eps))`` for each epsilon in turn: a batch
+    lives only inside ``row_of``, so each is freed before the next epsilon runs."""
+    rows = [row_of(spec.schedule(eps)) for eps in spec.epsilon_list]
+    return ExperimentReport(kind=spec.kind, rows=rows, provenance={
+        "spec": spec.echo(), "code_version": __version__, "master_seed": spec.master_seed})
 
 
 def _run_eps(spec: ExperimentSpec, schedule: StepSchedule) -> BatchResult:
@@ -291,24 +305,14 @@ def run_lln_rate(spec: ExperimentSpec) -> ExperimentReport:
     The theorem bounds the mean sup-statistic by a constant times
     sqrt(epsilon); the fitted log-log slope must land in [0.4, 0.6].
     """
-    if spec.kind != LLN_RATE:
-        raise HarnessError(f"expected kind LLN_RATE, got {spec.kind}")
+    _expect(spec, LLN_RATE)
     if not spec.functional.centralized:
         raise HarnessError("functional must be centralized (nonzero limit otherwise)")
-    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
-    sup_means = []
-    for eps in spec.epsilon_list:
-        sched = spec.schedule(eps)
-        res = _run_eps(spec, sched)
-        row = _base_row(sched, res)
-        del res  # each epsilon's batch is freed before the next one runs
-        report.rows.append(row)
-        sup_means.append(row["sup_mean"])
-    sup_means = np.asarray(sup_means)
+    report = _report(spec, lambda sched: _base_row(sched, _run_eps(spec, sched)))
+    sup_means = np.asarray([row["sup_mean"] for row in report.rows])
     if np.all(sup_means == 0.0):
         report.notes.append("zero functional: slope undefined, trivially pass")
-        report.slopes["lln"] = None
-        report.verdicts["lln_slope"] = True
+        report.slopes["lln"], report.verdicts["lln_slope"] = None, True
         return report
     slope = float(np.polyfit(np.log(spec.epsilon_list), np.log(sup_means), 1)[0])
     report.slopes["lln"] = slope
@@ -325,31 +329,26 @@ def run_clt_normality(spec: ExperimentSpec, mf_target: float) -> ExperimentRepor
     between their scaled variances; the verdict uses the smallest epsilon
     in the list.
     """
-    if spec.kind != CLT_NORMALITY:
-        raise HarnessError(f"expected kind CLT_NORMALITY, got {spec.kind}")
+    _expect(spec, CLT_NORMALITY)
     target = spec.horizon * mf_target
-    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
-    for eps in spec.epsilon_list:
-        sched = spec.schedule(eps)
+
+    def row_of(sched):
         res = _run_eps(spec, sched)
         ok = ~res.failed
-        scale = sched.mdp_scale  # sqrt(eps) in this regime
         row = _base_row(sched, res)
         for tag, vals in (("", res.xi_continuous[ok]), ("riemann_", res.xi_riemann[ok])):
-            st = clt_statistics(vals / scale, target)
+            st = clt_statistics(vals / sched.mdp_scale, target)  # mdp_scale = sqrt(eps)
             row[tag + "scaled_var"] = st["var"]
-            row[tag + "ks"] = st["ks"]
-            row[tag + "ks_threshold"] = st["ks_threshold"]
-            row[tag + "var_ok"] = st["var_ok"]
-            row[tag + "ks_ok"] = st["ks_ok"]
+            for key in ("ks", "ks_threshold", "var_ok", "ks_ok"):
+                row[tag + key] = st[key]
         row["estimator_gap"] = abs(row["scaled_var"] - row["riemann_scaled_var"])
-        del res, ok, vals  # each epsilon's batch is freed before the next one runs
-        report.rows.append(row)
+        return row
+
+    report = _report(spec, row_of)
     last = report.rows[-1]
-    report.verdicts["clt_variance"] = bool(last["var_ok"])
-    report.verdicts["clt_ks"] = bool(last["ks_ok"])
-    report.verdicts["clt_riemann_variance"] = bool(last["riemann_var_ok"])
-    report.verdicts["clt_riemann_ks"] = bool(last["riemann_ks_ok"])
+    for tag in ("", "riemann_"):
+        report.verdicts[f"clt_{tag}variance"] = bool(last[tag + "var_ok"])
+        report.verdicts[f"clt_{tag}ks"] = bool(last[tag + "ks_ok"])
     report.notes.append(
         f"target variance {target}, smallest-eps scaled var {last['scaled_var']:.4f} "
         f"(riemann {last['riemann_scaled_var']:.4f})"
@@ -368,52 +367,45 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
     the speed's convergence is asymptotic with no rate attached, so this
     is a calibration-grade trend check, not a sharp limit test.
     """
-    if spec.kind != MDP_TAIL:
-        raise HarnessError(f"expected kind MDP_TAIL, got {spec.kind}")
+    _expect(spec, MDP_TAIL)
     for x in spec.mdp_levels:
         if x not in rate_target:
             raise HarnessError(f"no rate target supplied for level {x}")
-    # every level's precondition, before the first batch runs: the
-    # Gaussian-predicted exceedance count, Upsilon ~ N(0, beta * T * M)
-    # when I = x^2/(2TM)
+    # every level's precondition, before the first batch runs: the Gaussian-predicted
+    # exceedance count, Upsilon ~ N(0, beta * T * M) when I = x^2/(2TM)
     for eps in spec.epsilon_list:
         beta = spec.schedule(eps).beta
         for x in spec.mdp_levels:
             i_x = rate_target[x]
             if i_x > 0:
-                var_pred = spec.horizon * (x * x / (2.0 * i_x)) / beta
-                p_pred = gaussian_tail_probability(x, var_pred)
+                p_pred = gaussian_tail_probability(x, spec.horizon * (x * x / (2.0 * i_x)) / beta)
                 if p_pred * spec.replicates < MIN_PREDICTED_HITS:
                     raise HarnessError(
                         f"level {x} predicts {p_pred * spec.replicates:.2f} exceedances "
                         f"(< {MIN_PREDICTED_HITS:g}) at eps={eps}; choose a smaller level "
                         "or more replicates"
                     )
-    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
-    report.notes.append("calibration-grade: 35% gap tolerance is artifact calibration")
-    speeds = {x: [] for x in spec.mdp_levels}
-    for eps in spec.epsilon_list:
-        sched = spec.schedule(eps)
+
+    def row_of(sched):
         res = _run_eps(spec, sched)
-        ok = ~res.failed
-        ups = np.abs(res.xi_continuous[ok]) / sched.mdp_scale
-        row = _base_row(sched, res)
-        row["beta"] = sched.beta
+        ups = np.abs(res.xi_continuous[~res.failed]) / sched.mdp_scale
+        row = {**_base_row(sched, res), "beta": sched.beta}
         for x in spec.mdp_levels:
             p_hat = float(np.mean(ups > x))
             row[f"tail_freq_{x:g}"] = p_hat
             if p_hat == 0.0:
                 row[f"censored_{x:g}"] = True
-                speeds[x].append(None)
             else:
-                speeds[x].append(sched.beta * math.log(p_hat))
-                row[f"beta_log_p_{x:g}"] = speeds[x][-1]
-        del res, ok, ups  # each epsilon's batch is freed before the next one runs
-        report.rows.append(row)
+                row[f"beta_log_p_{x:g}"] = sched.beta * math.log(p_hat)
+        return row
+
+    report = _report(spec, row_of)
+    report.notes.append("calibration-grade: 35% gap tolerance is artifact calibration")
     for x in spec.mdp_levels:
         i_x = rate_target[x]
-        vals = [v for v in speeds[x] if v is not None]
-        if len(vals) < len(speeds[x]):
+        # a censored row has no beta_log_p column
+        vals = [r[f"beta_log_p_{x:g}"] for r in report.rows if f"beta_log_p_{x:g}" in r]
+        if len(vals) < len(report.rows):
             report.notes.append(f"level {x}: censored at some epsilons")
         if i_x == 0.0:
             report.verdicts[f"mdp_level_{x:g}"] = all(abs(v) < 0.05 for v in vals)
@@ -437,40 +429,29 @@ def run_mdp_tail(spec: ExperimentSpec, rate_target: dict) -> ExperimentReport:
 def run_schedule_violation(spec: ExperimentSpec, mf_target: float) -> ExperimentReport:
     """Side-by-side CLT variance under a valid schedule and a broken one.
 
-    The invalid schedule (:data:`INVALID_POLICY`, theta = 1) is run by
-    constructing the step triple directly, bypassing the regime validation
+    The invalid schedule (:data:`INVALID_POLICY`, theta = 1) is the valid
+    one with its policy and step replaced, bypassing the regime validation
     it would fail; the resulting deviation from T*M_f is recorded but not
     asserted, since no limit theorem covers it.
     """
-    if spec.kind != SCHEDULE_VIOLATION:
-        raise HarnessError(f"expected kind SCHEDULE_VIOLATION, got {spec.kind}")
+    _expect(spec, SCHEDULE_VIOLATION)
     target = spec.horizon * mf_target
-    report = ExperimentReport(kind=spec.kind, rows=[], provenance=_provenance(spec))
-    for eps in spec.epsilon_list:
-        valid = spec.schedule(eps)
-        broken = StepSchedule(
-            epsilon=eps,
-            delta_step=INVALID_POLICY.c_step * eps**INVALID_POLICY.theta_step,
-            mdp_scale=math.sqrt(eps),
-            regime=euler.CLT,
-            policy=INVALID_POLICY,
-        )
-        row = {}
-        for tag, sched in (("valid_", valid), ("invalid_", broken)):
-            res = _run_eps(spec, sched)
-            ok = ~res.failed
-            st = clt_statistics(res.xi_continuous[ok] / sched.mdp_scale, target)
-            row[tag + "scaled_var"] = st["var"]
-            row[tag + "rel_dev"] = st["var_rel_err"]
-            row[tag + "theta"] = sched.policy.theta_step
-            if tag == "valid_":
-                row.update(_base_row(sched, res))
-            del res, ok  # each batch is freed before the next one runs
-        report.rows.append(row)
+
+    def columns(tag, sched):
+        res = _run_eps(spec, sched)
+        st = clt_statistics(res.xi_continuous[~res.failed] / sched.mdp_scale, target)
+        return {**(_base_row(sched, res) if tag == "valid_" else {}),
+                tag + "scaled_var": st["var"], tag + "rel_dev": st["var_rel_err"],
+                tag + "theta": sched.policy.theta_step}
+
+    def row_of(valid):
+        broken = replace(valid, policy=INVALID_POLICY,
+                         delta_step=INVALID_POLICY.c_step * valid.epsilon**INVALID_POLICY.theta_step)
+        return {**columns("valid_", valid), **columns("invalid_", broken)}
+
+    report = _report(spec, row_of)
     last = report.rows[-1]
-    report.verdicts["valid_schedule_variance"] = (
-        last["valid_rel_dev"] <= VARIANCE_REL_TOL
-    )
+    report.verdicts["valid_schedule_variance"] = last["valid_rel_dev"] <= VARIANCE_REL_TOL
     report.notes.append(
         "informative: invalid-schedule deviation "
         f"{last['invalid_rel_dev']:.3f} vs valid {last['valid_rel_dev']:.3f}"

@@ -124,7 +124,6 @@ def test_validate_defaults(tmp_path):
     assert cfg.spec.replicates == 2000
     assert cfg.spec.master_seed == 0
     assert cfg.spec.threads >= 1  # auto, resolved where the spec is built
-    assert cfg.formats == ("json", "csv")
 
 
 def test_auto_threads_count_usable_cpus(monkeypatch):
@@ -380,6 +379,19 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, seed):
     assert not out.exists()
     with pytest.raises(harness.HarnessError, match=re.escape(f"seed must be >= 0, got {seed}")):
         dataclasses.replace(parse_config(OU_CLT, inline=True).spec, master_seed=seed)
+
+
+def test_output_formats_is_a_config_error(tmp_path, capsys):
+    # experiment always writes report.json and summary.csv, so no key picks them
+    text = OU_CLT + "\n[output]\nformats = [json]\n"
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text, inline=True)
+    assert ei.value.errors == ["unknown key 'formats' in section [output]"]
+    out = tmp_path / "runs"
+    assert main(["--config", write(tmp_path, text), "--quiet", "--out", str(out),
+                 "experiment"]) == EXIT_CONFIG_ERROR
+    assert "unknown key 'formats' in section [output]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_centralize_false_is_a_config_error(tmp_path, capsys):

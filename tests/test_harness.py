@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergosim import euler, harness
-from ergosim.euler import SchedulePolicy
+from ergosim.euler import SchedulePolicy, StepSchedule
 from ergosim.harness import (CLT_NORMALITY, KINDS, KS_COEFF, LLN_RATE, MDP_TAIL,
                              SCHEDULE_VIOLATION, ExperimentReport, ExperimentSpec, HarnessError,
                              clt_statistics, gaussian_tail_probability,
@@ -135,6 +135,25 @@ def test_spec_minimum_replicates(ou_setup):
     ExperimentSpec(**spec_kw(m, f, kind=LLN_RATE, replicates=50,
                              policy=SchedulePolicy(theta_step=1.5),
                              epsilon_list=(0.2, 0.1, 0.05)))
+
+
+@pytest.mark.parametrize("fields, problem", [
+    (dict(epsilon_list=(0.1, math.nan)), "epsilon values must be finite"),
+    (dict(epsilon_list=(math.inf, 0.1)), "epsilon values must be finite"),
+    (dict(horizon=math.nan), "horizon must be finite"),
+    (dict(horizon=math.inf), "horizon must be finite"),
+    (dict(replicates=600.5), "replicates must be an integer, got 600.5"),
+    (dict(threads=1.5), "threads must be an integer, got 1.5"),
+    (dict(master_seed=0.5), "seed must be an integer, got 0.5"),
+])
+def test_spec_that_builds_can_run(ou_setup, fields, problem):
+    # each of these would build and then fail, or report a 0-step row, once run
+    m, f = ou_setup
+    with pytest.raises(HarnessError, match=re.escape(problem)):
+        ExperimentSpec(**spec_kw(m, f, **fields))
+    # an integer is whatever operator.index takes, as simulate_batch reads it
+    ExperimentSpec(**spec_kw(m, f, replicates=np.int64(400), master_seed=np.uint32(3),
+                             threads=np.int8(2)))
 
 
 def test_spec_schedule_regime_mapping(ou_setup):
@@ -332,6 +351,12 @@ def test_schedule_violation_informative(ou_setup):
     row = rep.rows[0]
     assert row["invalid_theta"] == 1.0
     assert row["valid_theta"] == 2.5
+    # the broken schedule is the valid one with theta = 1: Delta = eps, delta = sqrt(eps)
+    eps = 0.05
+    broken = StepSchedule(eps, eps**1, math.sqrt(eps), euler.CLT, harness.INVALID_POLICY)
+    res = euler.simulate_batch(m, broken, f, s.horizon, s.master_seed, s.replicates)
+    xi = res.xi_continuous[~res.failed] / math.sqrt(eps)
+    assert row["invalid_scaled_var"] == float(np.var(xi, ddof=1))
     assert any("informative" in n for n in rep.notes)
 
 
